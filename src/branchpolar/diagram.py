@@ -22,7 +22,6 @@ from math import gcd
 from . import contfrac
 from .errors import (
     EmptySupport,
-    EmptyTruncation,
     InvalidRange,
     NotCoprime,
     SplitTooDeep,
@@ -216,14 +215,12 @@ class NewtonDiagram:
                 parts.append((m, n))
         offset = (self.top[0], self.bottom[1])
         rep = CanonicalRep(offset, tuple(parts), long)
-        # corner points of the decomposition must sit on the polygon
-        acc_n = 0
-        total_m = sum(m for m, _ in parts)
-        for j in range(len(parts) + 1):
-            a_j = (offset[0] + total_m - sum(m for m, _ in parts[:j]), offset[1] + acc_n)
-            assert self.on_polygon(a_j), f"corner {a_j} of {rep} left the polygon"
-            if j < len(parts):
-                acc_n += parts[j][1]
+        # corner points of the decomposition must sit on the polygon; they
+        # start at the bottom vertex and climb one part at a time
+        x, y = self.bottom
+        for m, n in ((0, 0), *parts):
+            x, y = x - m, y + n
+            assert self.on_polygon((x, y)), f"corner {(x, y)} of {rep} left the polygon"
         return rep
 
     # -- truncation and symbolic derivatives ----------------------------------
@@ -252,16 +249,13 @@ class NewtonDiagram:
     def trunc(self, k: int) -> "NewtonDiagram":
         """Lattice hull of the points of the diagram with height >= k.
 
-        Diagrams are unbounded upward, so the region is never empty for k >= 0
-        and EmptyTruncation can only concern hypothetical bounded variants.
+        Diagrams are unbounded upward, so the region is never empty for k >= 0.
         """
         if k < 0:
             raise ValueError(f"truncation height must be nonnegative, got {k}")
         pts = self._staircase(k)
         if pts is None:
             return self
-        if not pts:
-            raise EmptyTruncation(f"no lattice point at height >= {k}")
         return NewtonDiagram(_normalize_chain(pts))
 
     def symbolic_derivative(self, k: int) -> "NewtonDiagram":

@@ -39,10 +39,6 @@ class EmptySupport(BranchPolarError, ValueError):
     pass
 
 
-class EmptyTruncation(BranchPolarError, ValueError):
-    pass
-
-
 class SplitTooDeep(BranchPolarError, ValueError):
     """Derivative order exceeds the vertical extent of the split-off part."""
 

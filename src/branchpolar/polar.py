@@ -15,15 +15,29 @@ branch is b_l/b0; it consists of
   characteristic exponents are b_1/b0,...,b_l/b0.
 
 Pairwise contacts inside a group are the minimum of the semiroot contacts;
-across groups they are the minimum of the contacts with the branch.  The
-whole structure can be exported as an Eggers-Wall tree.
+across groups they are the minimum of the contacts with the branch.
+
+These contacts fix the shape of the Eggers-Wall tree, so the export builds it
+directly.  A trunk leads from the root to the leaf f, with a vertex at every
+b_l/b0.  At that vertex the path of the semiroot f_l leaves the trunk; it has
+one vertex per distinct semiroot contact of group l's Z-factors, and each
+Z-factor hangs off the vertex at its own contact, while f_l ends the path.
+Group l's W-factors hang off the trunk vertex itself.  Without the branch the
+tree is the same with f and the f_l removed and every vertex that is left
+with a single child contracted.  Children are ordered by their first leaf
+(f, then f_1..f_h, then the factors in label order).  Each edge is labelled
+with its index: the lcm of the denominators of those characteristic exponents
+of a leaf beyond it that do not exceed the contact of its end nearer the
+root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
+from operator import itemgetter
 
 from . import diagram as diagram_mod
 from .charclass import CharSequence
@@ -226,15 +240,6 @@ class EWNode:
     contact: Fraction | None          # None at the root
     children: list = field(default_factory=list)   # (edge_index, EWNode | EWLeaf)
 
-    def leaves(self):
-        out = []
-        for _, child in self.children:
-            if isinstance(child, EWLeaf):
-                out.append(child)
-            else:
-                out.extend(child.leaves())
-        return out
-
 
 @dataclass
 class EggersWallExport:
@@ -267,111 +272,52 @@ class EggersWallExport:
         lines.append("}")
         return "\n".join(lines)
 
-    def to_json(self) -> dict:
-        def blob(node):
-            if isinstance(node, EWLeaf):
-                out = {"leaf": node.name, "char": [fmt_q(e) for e in node.char_exponents]}
-                if node.multiplicity is not None:
-                    out["multiplicity"] = node.multiplicity
-                return out
-            return {
-                "contact": None if node.contact is None else fmt_q(node.contact),
-                "children": [
-                    {"index": idx, "child": blob(child)} for idx, child in node.children
-                ],
-            }
 
-        return blob(self.root)
-
-
-def _leaf_contact(a: EWLeaf, b: EWLeaf, contacts) -> Fraction:
-    return contacts[frozenset((a.name, b.name))]
-
-
-def _edge_index(leaf: EWLeaf, parent_contact) -> int:
-    if parent_contact is None:
-        return 1
+def _edge_index(leaf: EWLeaf, parent_contact: Fraction) -> int:
     dens = [e.denominator for e in leaf.char_exponents if e <= parent_contact]
     return lcm(*dens) if dens else 1
 
 
-def _build_tree(leaves, contacts, parent_contact) -> EWNode | EWLeaf:
-    if len(leaves) == 1:
-        return leaves[0]
-    meet = min(
-        _leaf_contact(a, b, contacts)
-        for i, a in enumerate(leaves)
-        for b in leaves[i + 1:]
-    )
-    clusters: list[list] = []
-    for leaf in leaves:
-        for cluster in clusters:
-            if _leaf_contact(cluster[0], leaf, contacts) > meet:
-                cluster.append(leaf)
-                break
-        else:
-            clusters.append([leaf])
-    node = EWNode(meet)
-    clusters.sort(key=lambda cl: min(l.sort_key for l in cl))
-    for cluster in clusters:
-        child = _build_tree(cluster, contacts, meet)
-        indices = {_edge_index(l, meet) for l in cluster}
-        assert len(indices) == 1, f"edge index ambiguous for {[l.name for l in cluster]}"
-        node.children.append((indices.pop(), child))
-    return node
+def _finish(node, include_branch: bool):
+    """Turn a vertex (contact, children) or a leaf into (subtree, its first
+    leaf), or None when nothing is left.
+
+    Drops f and the f_l unless ``include_branch``, contracts vertices left
+    with one child, orders children by their first leaf and labels each edge
+    with its index."""
+    if isinstance(node, EWLeaf):
+        return (node, node) if include_branch or node.multiplicity is not None else None
+    contact, children = node
+    kept = [sub for sub in (_finish(child, include_branch) for child in children) if sub]
+    if len(kept) <= 1:
+        return kept[0] if kept else None
+    kept.sort(key=lambda sub: sub[1].sort_key)
+    edges = [(_edge_index(first, contact), tree) for tree, first in kept]
+    return EWNode(contact, edges), kept[0][1]
 
 
 def export_eggers_wall(p: PolarPrediction, include_branch: bool = True) -> EggersWallExport:
-    """Tree of pairwise contacts between the predicted factors and, when
-    ``include_branch`` is set, the branch f and its semiroots f_l."""
+    """Eggers-Wall tree of the predicted factors and, when ``include_branch``
+    is set, of the branch f and its semiroots f_l (see the module docstring)."""
     cs = p.char
-    leaves: list[EWLeaf] = []
-    if include_branch:
-        leaves.append(EWLeaf("f", (0,), cs.char_exponents()))
-        for l in range(1, cs.h + 1):
-            prefix = tuple(Fraction(cs.b[i], cs.b0) for i in range(1, l))
-            leaves.append(EWLeaf(f"f_{l}", (1, l), prefix))
-    facts = p.factors()
-    names = p.labels()
-    for pos, (f, name) in enumerate(zip(facts, names)):
+    by_group = [[] for _ in range(cs.h + 1)]
+    for pos, (f, name) in enumerate(zip(p.factors(), p.labels())):
         # position in canonical emission order doubles as the sort key
-        leaves.append(EWLeaf(name, (2, pos), f.char_exponents, f.multiplicity))
+        leaf = EWLeaf(name, (2, pos), f.char_exponents, f.multiplicity)
+        by_group[f.group_index].append((f, leaf))
 
-    # pairwise contact table over all leaves
-    contacts: dict = {}
+    # vertices are (contact, children) until _finish; the trunk grows from
+    # the leaf f toward the root and each f_l path from f_l toward the trunk
+    exponents = cs.char_exponents()
+    trunk = EWLeaf("f", (0,), exponents)
+    for l in range(cs.h, 0, -1):
+        path = EWLeaf(f"f_{l}", (1, l), exponents[:l - 1])
+        # Z-factors come by descending semiroot contact (CanonicalRep order)
+        zs = [(f.contact_with_semiroot, leaf) for f, leaf in by_group[l] if f.kind == "Z"]
+        for contact, run in groupby(zs, key=itemgetter(0)):
+            path = (contact, [path, *(leaf for _, leaf in run)])
+        ws = [leaf for f, leaf in by_group[l] if f.kind == "W"]
+        trunk = (exponents[l - 1], [trunk, path, *ws])
 
-    def put(a, b, value):
-        contacts[frozenset((a, b))] = value
-
-    for i, la in enumerate(leaves):
-        for lb in leaves[i + 1:]:
-            ka, kb = la.sort_key, lb.sort_key
-            if ka[0] == 0:  # f against anything
-                if kb[0] == 1:
-                    value = Fraction(cs.b[kb[1]], cs.b0)
-                else:
-                    value = facts[kb[1]].contact_with_f
-            elif ka[0] == 1 and kb[0] == 1:
-                value = Fraction(cs.b[min(ka[1], kb[1])], cs.b0)
-            elif ka[0] == 1:
-                factor = facts[kb[1]]
-                if factor.group_index == ka[1]:
-                    value = factor.contact_with_semiroot
-                else:
-                    value = min(
-                        Fraction(cs.b[ka[1]], cs.b0), factor.contact_with_f
-                    )
-            else:
-                value = PolarPrediction.pairwise_contact(facts[ka[1]], facts[kb[1]])
-            put(la.name, lb.name, value)
-
-    root = EWNode(None)
-    if len(leaves) == 1:
-        root.children.append((_edge_index(leaves[0], None), leaves[0]))
-    else:
-        tree = _build_tree(leaves, contacts, None)
-        if isinstance(tree, EWNode):
-            root.children.append((1, tree))
-        else:
-            root.children.append((_edge_index(tree, None), tree))
-    return EggersWallExport(root)
+    tree, _ = _finish(trunk, include_branch)
+    return EggersWallExport(EWNode(None, [(1, tree)]))

@@ -338,10 +338,6 @@ def contact(a: PuiseuxSeries, b: PuiseuxSeries):
     return (a - b).ord()
 
 
-def characteristic_of(a: PuiseuxSeries) -> charclass.CharSequence:
-    return a.characteristic()
-
-
 def truncation_orbit(a: PuiseuxSeries, cutoff) -> int:
     """Number of distinct conjugate truncations keeping exponents <= cutoff."""
     cut = Fraction(cutoff) if cutoff != INF else None
@@ -425,32 +421,9 @@ class BivariatePoly:
                 {k: c * other for k, c in self.terms.items()}, self.trunc
             )
         bound = self._merge_trunc(other, product=True)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        for (ia, ja), ca in a.items():
-            for (ib, jb), cb in b.items():
-                i = ia + ib
-                if bound is not None and i >= bound:
-                    continue
-                key = (i, ja + jb)
-                out[key] = out.get(key, 0) + ca * cb
-        return BivariatePoly(out, bound)
+        return BivariatePoly(_dict_mul(self.terms, other.terms, bound), bound)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "BivariatePoly":
-        if k < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = BivariatePoly({(0, 0): 1}, self.trunc)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariatePoly):

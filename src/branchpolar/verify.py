@@ -322,10 +322,6 @@ class VerificationReport:
     passing_seed: int | None = None
     degenerate_count: int = 0
 
-    @property
-    def all_seeds_degenerate(self) -> bool:
-        return self.verdict == "UNKNOWN" and self.degenerate_count == len(self.runs) > 0
-
     def to_json(self) -> dict:
         return {
             "char": list(self.cs.b),

@@ -2,11 +2,12 @@
 
 Everything here recomputes results by a different route than the package:
 diagram membership by supporting half-planes, conjugate products by exact
-cyclotomic arithmetic, random valid characteristic sequences by rejection.
+cyclotomic arithmetic, random valid characteristic sequences by rejection,
+Eggers-Wall trees by clustering a table of pairwise contacts.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from branchpolar.diagram import NewtonDiagram
 
@@ -57,6 +58,84 @@ def random_char_sequence(rng, b0_max=64):
             b.append(candidate)
             e = gcd(e, candidate)
     return new_char_sequence(b)
+
+
+# ---------------------------------------------------------------------------
+# Eggers-Wall trees
+# ---------------------------------------------------------------------------
+
+
+def _oracle_edge_index(leaf, parent_contact) -> int:
+    dens = [e.denominator for e in leaf.char_exponents if e <= parent_contact]
+    return lcm(*dens) if dens else 1
+
+
+def _cluster(leaves, contact):
+    """Ultrametric clustering: split at the smallest pairwise contact."""
+    from branchpolar.polar import EWNode
+
+    if len(leaves) == 1:
+        return leaves[0]
+    meet = min(
+        contact(a, b) for i, a in enumerate(leaves) for b in leaves[i + 1:]
+    )
+    clusters = []
+    for leaf in leaves:
+        for cluster in clusters:
+            if contact(cluster[0], leaf) > meet:
+                cluster.append(leaf)
+                break
+        else:
+            clusters.append([leaf])
+    node = EWNode(meet)
+    clusters.sort(key=lambda cl: min(leaf.sort_key for leaf in cl))
+    for cluster in clusters:
+        child = _cluster(cluster, contact)
+        indices = {_oracle_edge_index(leaf, meet) for leaf in cluster}
+        assert len(indices) == 1, f"edge index ambiguous for {[l.name for l in cluster]}"
+        node.children.append((indices.pop(), child))
+    return node
+
+
+def eggers_wall_oracle(prediction, include_branch=True):
+    """Eggers-Wall tree clustered from the contact table of all leaf pairs:
+    f, the semiroots f_l (when ``include_branch``) and the factors."""
+    from branchpolar.polar import EggersWallExport, EWLeaf, EWNode, PolarPrediction
+
+    cs = prediction.char
+    leaves = []
+    if include_branch:
+        leaves.append(EWLeaf("f", (0,), cs.char_exponents()))
+        for l in range(1, cs.h + 1):
+            prefix = tuple(Fraction(cs.b[i], cs.b0) for i in range(1, l))
+            leaves.append(EWLeaf(f"f_{l}", (1, l), prefix))
+    facts = prediction.factors()
+    for pos, (f, name) in enumerate(zip(facts, prediction.labels())):
+        leaves.append(EWLeaf(name, (2, pos), f.char_exponents, f.multiplicity))
+
+    contacts = {}
+    for i, la in enumerate(leaves):
+        for lb in leaves[i + 1:]:
+            ka, kb = la.sort_key, lb.sort_key
+            if ka[0] == 0:  # f against anything
+                if kb[0] == 1:
+                    value = Fraction(cs.b[kb[1]], cs.b0)
+                else:
+                    value = facts[kb[1]].contact_with_f
+            elif ka[0] == 1 and kb[0] == 1:
+                value = Fraction(cs.b[min(ka[1], kb[1])], cs.b0)
+            elif ka[0] == 1:
+                factor = facts[kb[1]]
+                if factor.group_index == ka[1]:
+                    value = factor.contact_with_semiroot
+                else:
+                    value = min(Fraction(cs.b[ka[1]], cs.b0), factor.contact_with_f)
+            else:
+                value = PolarPrediction.pairwise_contact(facts[ka[1]], facts[kb[1]])
+            contacts[frozenset((la.name, lb.name))] = value
+
+    tree = _cluster(leaves, lambda a, b: contacts[frozenset((a.name, b.name))])
+    return EggersWallExport(EWNode(None, [(1, tree)]))
 
 
 # ---------------------------------------------------------------------------

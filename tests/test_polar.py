@@ -8,7 +8,7 @@ from branchpolar.charclass import new_char_sequence
 from branchpolar.diagram import elementary
 from branchpolar.errors import OrderOutOfRange
 from branchpolar.polar import EWLeaf, export_eggers_wall, predict
-from oracles import random_char_sequence
+from oracles import eggers_wall_oracle, random_char_sequence
 
 EX1 = new_char_sequence([12, 16, 31])
 EX2 = new_char_sequence([10, 14, 15])
@@ -226,3 +226,14 @@ def test_eggers_wall_distinct_nodes_same_value():
     # 3/2 on the f_1 path carry the same contact but are different vertices
     tree = export_eggers_wall(predict(EX2, 2))
     assert all_node_contacts(tree.root).count(q(3, 2)) == 2
+
+
+def test_eggers_wall_matches_clustering_oracle():
+    rng = random.Random(59)
+    for _ in range(80):
+        cs = random_char_sequence(rng, b0_max=40)
+        for k in range(1, cs.b0):
+            p = predict(cs, k)
+            for include_branch in (True, False):
+                assert export_eggers_wall(p, include_branch).to_dot() == \
+                    eggers_wall_oracle(p, include_branch).to_dot(), (cs.b, k, include_branch)

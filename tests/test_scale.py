@@ -1,9 +1,10 @@
+import re
 import time
 from fractions import Fraction
 
 from branchpolar.charclass import bbar, new_char_sequence
 from branchpolar.diagram import elementary
-from branchpolar.polar import predict
+from branchpolar.polar import export_eggers_wall, predict
 from branchpolar.puiseux import PuiseuxSeries
 from branchpolar.verify import check_initial_form, check_lemma_nd, sample_witness, witness_from_root
 
@@ -34,6 +35,21 @@ def test_predict_large_multiplicity():
     for k in (1, 2, 1000, 2047):
         p = predict(cs, k)
         assert p.multiplicity_total() == 2048 - k
+
+
+def test_predict_hundred_thousand_factors():
+    cs = new_char_sequence([203278, 304917, 406555])
+    p = predict(cs, 6)
+    assert len(p.factors()) == 101636
+    assert p.multiplicity_total() == cs.b0 - 6
+
+
+def test_eggers_wall_dot_thousands_of_leaves():
+    p = predict(new_char_sequence([4096, 8191]), 1)
+    for include_branch in (True, False):
+        dot = export_eggers_wall(p, include_branch).to_dot()
+        assert len(re.findall(r'label="[zw]\^', dot)) == 4095
+        assert ('label="f"' in dot) == include_branch
 
 
 def test_witness_with_rational_coefficients():
