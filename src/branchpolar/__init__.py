@@ -12,7 +12,6 @@ from .diagram import (
     CanonicalRep,
     NewtonDiagram,
     elementary,
-    elementary_derivative_closed_form,
     from_support,
     minkowski_sum,
     split_derivative,
@@ -45,7 +44,7 @@ __all__ = [
     "CharSequence", "new_char_sequence", "parse_char", "bbar", "semiroot_degree",
     "ContinuedFraction", "expand", "to_even_length",
     "NewtonDiagram", "CanonicalRep", "from_support", "elementary", "minkowski_sum",
-    "elementary_derivative_closed_form", "split_derivative",
+    "split_derivative",
     "PuiseuxSeries", "BivariatePoly", "Unknown", "contact", "min_poly",
     "derivative_y", "hat_transform", "diagram_of", "edge_poly_squarefree",
     "PolarFactor", "PolarPrediction", "predict", "export_eggers_wall",

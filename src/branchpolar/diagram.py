@@ -9,8 +9,13 @@ and a horizontal ray right of its last one, so non-convenient diagrams
 
 Supported operations: hulls of supports, Minkowski sums, weighted initial
 faces, canonical and long canonical representations, truncation at a height,
-and symbolic derivatives - both by the direct lattice definition (the oracle)
-and, for elementary diagrams, by the closed continued-fraction formula.
+and symbolic derivatives.  Truncation and derivatives build the lattice hull
+of the cut edge by gift wrapping with Stern-Brocot steps, in time
+polylogarithmic in the height of that edge rather than linear in it (compare
+W. Harvey, "Computing two-dimensional integer hulls", SIAM J. Comput. 28,
+1999).  The row-by-row lattice definition and the closed continued-fraction
+formula for first derivatives of elementary diagrams are kept as independent
+oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,13 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import contfrac
-from .errors import (
-    EmptySupport,
-    InvalidRange,
-    NotCoprime,
-    SplitTooDeep,
-)
+from .errors import EmptySupport, InvariantViolation, SplitTooDeep
 
 __all__ = [
     "NewtonDiagram",
@@ -35,7 +34,6 @@ __all__ = [
     "elementary",
     "quadrant",
     "minkowski_sum",
-    "elementary_derivative_closed_form",
     "split_derivative",
 ]
 
@@ -169,17 +167,6 @@ class NewtonDiagram:
                 return False
         return True
 
-    def on_polygon(self, point) -> bool:
-        """Whether ``point`` lies on a compact edge (or is a vertex)."""
-        x, y = point
-        if (x, y) in self.vertices:
-            return True
-        for (xa, ya), (xb, yb) in self.compact_edges():
-            if xa <= x <= xb and yb <= y <= ya:
-                if (xb - xa) * (y - ya) == (yb - ya) * (x - xa):
-                    return True
-        return False
-
     def translate(self, dx: int, dy: int) -> "NewtonDiagram":
         return NewtonDiagram(tuple((x + dx, y + dy) for x, y in self.vertices))
 
@@ -206,68 +193,75 @@ class NewtonDiagram:
         """Successive edge vectors, rightmost first; long form splits each
         (M, N) into gcd(M, N) primitive copies."""
         parts = []
-        for (xa, ya), (xb, yb) in reversed(self.compact_edges()):
-            m, n = xb - xa, ya - yb
-            if long:
-                g = gcd(m, n)
-                parts.extend([(m // g, n // g)] * g)
-            else:
-                parts.append((m, n))
-        offset = (self.top[0], self.bottom[1])
-        rep = CanonicalRep(offset, tuple(parts), long)
-        # corner points of the decomposition must sit on the polygon; they
-        # start at the bottom vertex and climb one part at a time
         x, y = self.bottom
-        for m, n in ((0, 0), *parts):
-            x, y = x - m, y + n
-            assert self.on_polygon((x, y)), f"corner {(x, y)} of {rep} left the polygon"
-        return rep
+        for (xa, ya), (xb, yb) in reversed(self.compact_edges()):
+            g = gcd(xb - xa, ya - yb) if long else 1
+            m, n = (xb - xa) // g, (ya - yb) // g
+            for _ in range(g):
+                # the corners climb from the bottom vertex one part at a
+                # time, and each must sit on the edge its part was cut from
+                x, y = x - m, y + n
+                if not (yb < y <= ya and (x - xa) * (yb - ya) == (y - ya) * (xb - xa)):
+                    raise InvariantViolation(
+                        f"corner {(x, y)} left the edge {(xa, ya)}-{(xb, yb)}"
+                    )
+                parts.append((m, n))
+        return CanonicalRep((self.top[0], self.bottom[1]), tuple(parts), long)
 
     # -- truncation and symbolic derivatives ----------------------------------
-
-    def _staircase(self, k: int):
-        """Leftmost lattice points (min x per height) of the region y >= k,
-        from the top vertex down; None when the region is the whole diagram."""
-        x0, ytop = self.top
-        ybot = self.bottom[1]
-        if k <= ybot:
-            return None
-        if k > ytop:
-            return [(x0, k)]
-        pts = [(x0, ytop)]
-        edges = self.compact_edges()
-        ei = 0
-        for j in range(ytop - 1, k - 1, -1):
-            while edges[ei][1][1] > j:
-                ei += 1
-            (xa, ya), (xb, yb) = edges[ei]
-            num = xa * (ya - yb) + (ya - j) * (xb - xa)
-            den = ya - yb
-            pts.append((-(-num // den), j))
-        return pts
 
     def trunc(self, k: int) -> "NewtonDiagram":
         """Lattice hull of the points of the diagram with height >= k.
 
         Diagrams are unbounded upward, so the region is never empty for k >= 0.
+        The vertices at height >= k are kept.  Below them the hull follows
+        the edge that crosses height k down to its last lattice point V, and
+        from V it is gift-wrapped: each step is the steepest lattice step
+        that stays inside the diagram and above height k, taken as far as it
+        goes.  Every step is a Stern-Brocot descent that takes each run of
+        equal turns in one jump, so the cost is polylogarithmic in the
+        height of that edge rather than linear in it.  The row-by-row
+        definition lives on as ``tests/oracles.staircase_trunc_oracle``.
         """
         if k < 0:
             raise ValueError(f"truncation height must be nonnegative, got {k}")
-        pts = self._staircase(k)
-        if pts is None:
+        v = self.vertices
+        if k <= v[-1][1]:
             return self
-        return NewtonDiagram(_normalize_chain(pts))
+        if k > v[0][1]:
+            return NewtonDiagram(((v[0][0], k),))
+        i = 0
+        while v[i + 1][1] >= k:
+            i += 1
+        pts = list(v[: i + 1])
+        (xa, ya), (xb, yb) = v[i], v[i + 1]
+        if ya > k:
+            g = gcd(xb - xa, ya - yb)
+            p, q = (xb - xa) // g, (ya - yb) // g
+            j = (ya - k) // q
+            x, y = xa + j * p, ya - j * q
+            if j:
+                pts.append((x, y))
+            # slack s = q*(x - x_V) - p*(y_V - y) >= 0: (x, y) is on the inner
+            # side of the line of the cut edge
+            s = 0
+            while y > k:
+                u, w, d = _steepest_step(p, q, s, y - k)
+                c = (y - k) // w
+                if d > 0:
+                    c = min(c, s // d)
+                x, y, s = x + c * u, y - c * w, s - c * d
+                pts.append((x, y))
+        return NewtonDiagram(tuple(pts))
 
     def symbolic_derivative(self, k: int) -> "NewtonDiagram":
-        """Newton diagram of (D - (0, k)) meet N^2: trunc(D, k) shifted down."""
+        """Newton diagram of (D - (0, k)) meet N^2: trunc(D, k) shifted down,
+        at the polylogarithmic cost of ``trunc``."""
         if k == 0:
             return self
         if k < 0:
             raise ValueError(f"derivative order must be nonnegative, got {k}")
-        pts = self._staircase(k)
-        if pts is None:
-            return self.translate(0, -k)
-        return NewtonDiagram(_normalize_chain([(x, y - k) for x, y in pts]))
+        return self.trunc(k).translate(0, -k)
 
     # -- serialization ---------------------------------------------------------
 
@@ -280,6 +274,38 @@ class NewtonDiagram:
 
     def __str__(self) -> str:
         return str(self.canonical_rep())
+
+
+def _steepest_step(p: int, q: int, s: int, height: int):
+    """Steepest lattice step (u, -w) with u >= 1 and 1 <= w <= height whose
+    slack change d = p*w - q*u stays <= s, returned as (u, w, d) with (u, w)
+    primitive.
+
+    Stern-Brocot descent on u/w between a bound L whose steps overrun the
+    slack and a feasible bound R, from 0/1 and 1/0.  A mediant is feasible,
+    or else it overruns the slack together with every fraction between it
+    and L (L is steeper than p/q, so both slack changes are positive) or its
+    w exceeds the height together with every such fraction.  Each run of
+    equal turns is one closed-form jump, so a call costs O(log height).
+    """
+    # ld > s throughout: a point reached by steepest steps has no lattice
+    # point of the diagram right below it
+    lu, lw, ld = 0, 1, p
+    ru, rw, rd = 1, 0, -q
+    while True:
+        # move L towards R while the mediants L + jR overrun the slack
+        if rd >= 0:
+            return ru, rw, rd
+        j = (ld - s - rd - 1) // -rd
+        if lw + j * rw > height:
+            return ru, rw, rd
+        lu, lw, ld = lu + (j - 1) * ru, lw + (j - 1) * rw, ld + (j - 1) * rd
+        ru, rw, rd = lu + ru, lw + rw, ld + rd
+        # move R towards L while the mediants R + jL stay feasible
+        j = min((s - rd) // ld, (height - rw) // lw)
+        ru, rw, rd = ru + j * lu, rw + j * lw, rd + j * ld
+        if lw + rw > height:
+            return ru, rw, rd
 
 
 def from_support(points) -> NewtonDiagram:
@@ -338,30 +364,6 @@ def minkowski_sum(a: NewtonDiagram, b: NewtonDiagram) -> NewtonDiagram:
         x, y = x + m, y - n
         pts.append((x, y))
     return NewtonDiagram(_normalize_chain(pts))
-
-
-def elementary_derivative_closed_form(m: int, n: int) -> CanonicalRep:
-    """Long-form parts of the first symbolic derivative of the elementary
-    diagram (m, n), read off the continued-fraction expansion of m/n.
-
-    With m/n = [h_0,...,h_s] and convergents p_i/q_i the derivative is
-    sum over even indices 2i of h_{2i} copies of (p_{2i-1}, q_{2i-1}),
-    plus (p_s - p_{s-1}, q_s - q_{s-1}) when s is odd.  For n = 1 the
-    derivative is the full first quadrant.
-    """
-    if not 1 <= n < m:
-        raise InvalidRange(f"need 1 <= n < m, got ({m}, {n})")
-    if gcd(m, n) != 1:
-        raise NotCoprime(f"({m}, {n}) is not a primitive pair")
-    if n == 1:
-        return CanonicalRep((0, 0), (), True)
-    cf = contfrac.expand(m, n)
-    parts = []
-    for idx in range(2, cf.s + 1, 2):
-        parts.extend([(cf.p[idx - 1], cf.q[idx - 1])] * cf.h[idx])
-    if cf.s % 2 == 1:
-        parts.append((cf.p[cf.s] - cf.p[cf.s - 1], cf.q[cf.s] - cf.q[cf.s - 1]))
-    return CanonicalRep((0, 0), tuple(parts), True)
 
 
 def split_derivative(d: NewtonDiagram, k: int, s: int):

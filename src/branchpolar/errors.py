@@ -87,3 +87,10 @@ class OrderTooLarge(BranchPolarError, ValueError):
 
 class AllSeedsDegenerate(BranchPolarError, RuntimeError):
     pass
+
+
+# --- internal invariants ----------------------------------------------------
+
+class InvariantViolation(BranchPolarError, RuntimeError):
+    """A result broke a condition that the theory guarantees; raised instead
+    of ``assert`` so that the check also runs under ``python -O``."""

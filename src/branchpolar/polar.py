@@ -41,7 +41,7 @@ from operator import itemgetter
 
 from . import diagram as diagram_mod
 from .charclass import CharSequence
-from .errors import OrderOutOfRange
+from .errors import InvariantViolation, OrderOutOfRange
 from .rational import fmt_q
 
 __all__ = [
@@ -192,13 +192,17 @@ def predict(cs: CharSequence, k: int) -> PolarPrediction:
         factors = []
         for m_j, n_j in derived.canonical_rep(long=True).parts:
             cont_semi = Fraction(m_j, nsub * n_j)
-            assert cont_semi > cont_f, "Z-factors sit strictly beyond the semiroot contact"
+            if cont_semi <= cont_f:
+                raise InvariantViolation(
+                    f"Z-factor contact {cont_semi} must sit strictly beyond {cont_f}"
+                )
             chars = prefix
             if n_j > 1:
                 floor = prefix[-1] if prefix else Fraction(1)
-                assert cont_semi > floor, (
-                    f"appended exponent {cont_semi} must exceed {floor}"
-                )
+                if cont_semi <= floor:
+                    raise InvariantViolation(
+                        f"appended exponent {cont_semi} must exceed {floor}"
+                    )
                 chars = prefix + (cont_semi,)
             factors.append(
                 PolarFactor(l, "Z", (m_j, n_j), nsub * n_j, cont_f, cont_semi, chars)
@@ -211,9 +215,10 @@ def predict(cs: CharSequence, k: int) -> PolarPrediction:
         groups.append(tuple(factors))
 
     prediction = PolarPrediction(cs, k, tuple(groups))
-    assert prediction.multiplicity_total() == cs.b0 - k, (
-        f"multiplicities {prediction.multiplicity_total()} != {cs.b0 - k}"
-    )
+    if prediction.multiplicity_total() != cs.b0 - k:
+        raise InvariantViolation(
+            f"multiplicities {prediction.multiplicity_total()} != {cs.b0 - k}"
+        )
     return prediction
 
 

@@ -1,15 +1,19 @@
 """Independent oracles used by the test suite.
 
 Everything here recomputes results by a different route than the package:
-diagram membership by supporting half-planes, conjugate products by exact
-cyclotomic arithmetic, random valid characteristic sequences by rejection,
-Eggers-Wall trees by clustering a table of pairwise contacts.
+diagram membership by supporting half-planes, truncations row by row,
+first derivatives of elementary diagrams by continued fractions, conjugate
+products by exact cyclotomic arithmetic, random valid characteristic
+sequences by rejection, Eggers-Wall trees by clustering a table of pairwise
+contacts.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from branchpolar.diagram import NewtonDiagram
+from branchpolar import contfrac
+from branchpolar.diagram import CanonicalRep, NewtonDiagram, from_support
+from branchpolar.errors import InvalidRange, NotCoprime
 
 
 # ---------------------------------------------------------------------------
@@ -32,9 +36,65 @@ def oracle_contains(support, point) -> bool:
     return True
 
 
-def random_diagram(rng, xmax=200, ymax=200) -> NewtonDiagram:
-    from branchpolar.diagram import from_support
+def on_polygon(d: NewtonDiagram, point) -> bool:
+    """Whether ``point`` lies on a compact edge of ``d`` (or is a vertex)."""
+    x, y = point
+    if (x, y) in d.vertices:
+        return True
+    for (xa, ya), (xb, yb) in d.compact_edges():
+        if xa <= x <= xb and yb <= y <= ya:
+            if (xb - xa) * (y - ya) == (yb - ya) * (x - xa):
+                return True
+    return False
 
+
+def staircase_trunc_oracle(d: NewtonDiagram, k: int) -> NewtonDiagram:
+    """trunc(d, k) by the lattice definition: the hull of the leftmost
+    lattice point of every row from the top vertex down to height k.  Takes
+    time linear in the height of the diagram."""
+    x0, ytop = d.top
+    if k <= d.bottom[1]:
+        return d
+    if k > ytop:
+        return from_support([(x0, k)])
+    pts = [(x0, ytop)]
+    edges = d.compact_edges()
+    ei = 0
+    for j in range(ytop - 1, k - 1, -1):
+        while edges[ei][1][1] > j:
+            ei += 1
+        (xa, ya), (xb, yb) = edges[ei]
+        num = xa * (ya - yb) + (ya - j) * (xb - xa)
+        den = ya - yb
+        pts.append((-(-num // den), j))
+    return from_support(pts)
+
+
+def elementary_derivative_closed_form(m: int, n: int) -> CanonicalRep:
+    """Long-form parts of the first symbolic derivative of the elementary
+    diagram (m, n), read off the continued-fraction expansion of m/n.
+
+    With m/n = [h_0,...,h_s] and convergents p_i/q_i the derivative is
+    sum over even indices 2i of h_{2i} copies of (p_{2i-1}, q_{2i-1}),
+    plus (p_s - p_{s-1}, q_s - q_{s-1}) when s is odd.  For n = 1 the
+    derivative is the full first quadrant.
+    """
+    if not 1 <= n < m:
+        raise InvalidRange(f"need 1 <= n < m, got ({m}, {n})")
+    if gcd(m, n) != 1:
+        raise NotCoprime(f"({m}, {n}) is not a primitive pair")
+    if n == 1:
+        return CanonicalRep((0, 0), (), True)
+    cf = contfrac.expand(m, n)
+    parts = []
+    for idx in range(2, cf.s + 1, 2):
+        parts.extend([(cf.p[idx - 1], cf.q[idx - 1])] * cf.h[idx])
+    if cf.s % 2 == 1:
+        parts.append((cf.p[cf.s] - cf.p[cf.s - 1], cf.q[cf.s] - cf.q[cf.s - 1]))
+    return CanonicalRep((0, 0), tuple(parts), True)
+
+
+def random_diagram(rng, xmax=200, ymax=200) -> NewtonDiagram:
     npts = rng.randint(1, 6)
     pts = [(rng.randint(0, xmax), rng.randint(0, ymax)) for _ in range(npts)]
     return from_support(pts)

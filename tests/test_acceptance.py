@@ -13,11 +13,16 @@ from math import comb, gcd
 
 from branchpolar import cli
 from branchpolar.charclass import new_char_sequence
-from branchpolar.diagram import elementary, elementary_derivative_closed_form
+from branchpolar.diagram import elementary
 from branchpolar.polar import predict
 from branchpolar.puiseux import PuiseuxSeries, derivative_y
 from branchpolar.verify import check_lemma_nd, verify_prediction, witness_from_root
-from oracles import random_char_sequence, random_diagram
+from oracles import (
+    elementary_derivative_closed_form,
+    random_char_sequence,
+    random_diagram,
+    staircase_trunc_oracle,
+)
 
 EX1 = new_char_sequence([12, 16, 31])
 EX2 = new_char_sequence([10, 14, 15])
@@ -127,12 +132,14 @@ def test_criterion_5_closed_form_equals_lattice_oracle():
         for n in range(1, m):
             if gcd(m, n) != 1:
                 continue
-            closed = elementary_derivative_closed_form(m, n).to_diagram()
-            direct = elementary(m, n).symbolic_derivative(1)
-            if closed != direct:
+            d = elementary(m, n)
+            if elementary_derivative_closed_form(m, n).to_diagram() != d.symbolic_derivative(1):
                 mismatches += 1
+            for t in range(n + 1):
+                if d.symbolic_derivative(t) != staircase_trunc_oracle(d, t).translate(0, -t):
+                    mismatches += 1
     assert mismatches == 0
-    done("5 [closed-form derivative == lattice oracle, m,n <= 50]")
+    done("5 [elementary derivatives == closed form (t=1) and lattice oracle (every t), m,n <= 50]")
 
 
 def test_criterion_6_derivative_composition():

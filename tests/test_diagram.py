@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchpolar.diagram import (
     Face,
     NewtonDiagram,
     elementary,
-    elementary_derivative_closed_form,
     from_support,
     inclination,
     minkowski_sum,
@@ -15,7 +16,13 @@ from branchpolar.diagram import (
     split_derivative,
 )
 from branchpolar.errors import EmptySupport, InvalidRange, NotCoprime, SplitTooDeep
-from oracles import oracle_contains, random_diagram
+from oracles import (
+    elementary_derivative_closed_form,
+    on_polygon,
+    oracle_contains,
+    random_diagram,
+    staircase_trunc_oracle,
+)
 
 
 # -- hulls of supports -------------------------------------------------------
@@ -168,6 +175,23 @@ def test_symbolic_derivative_above_extent():
     assert quadrant((2, 1)).symbolic_derivative(4).vertices == ((2, 0),)
 
 
+# random diagrams up to 400 x 400, offsets from the axes included; k runs
+# over 0..top+1, so it meets every vertex height, the bottom and the top
+_supports = st.lists(
+    st.tuples(st.integers(0, 400), st.integers(0, 400)), min_size=1, max_size=7
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_supports)
+def test_trunc_matches_staircase_oracle(support):
+    d = from_support(support)
+    for k in range(d.top[1] + 2):
+        expected = staircase_trunc_oracle(d, k)
+        assert d.trunc(k) == expected, (d.vertices, k)
+        assert d.symbolic_derivative(k) == expected.translate(0, -k), (d.vertices, k)
+
+
 def test_derivative_composition_smoke():
     rng = random.Random(99)
     for _ in range(60):
@@ -264,7 +288,7 @@ def test_corner_points_on_polygon():
             seen_m = 0
             for j in range(len(rep.parts) + 1):
                 a_j = (rep.offset[0] + total_m - seen_m, rep.offset[1] + acc_n)
-                assert d.on_polygon(a_j)
+                assert on_polygon(d, a_j)
                 if j < len(rep.parts):
                     seen_m += rep.parts[j][0]
                     acc_n += rep.parts[j][1]

@@ -1,14 +1,19 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import branchpolar
 from branchpolar.charclass import new_char_sequence
-from branchpolar.diagram import elementary
-from branchpolar.errors import OrderOutOfRange
+from branchpolar.diagram import NewtonDiagram, elementary
+from branchpolar.errors import InvariantViolation, OrderOutOfRange
 from branchpolar.polar import EWLeaf, export_eggers_wall, predict
-from oracles import eggers_wall_oracle, random_char_sequence
+from oracles import eggers_wall_oracle, random_char_sequence, staircase_trunc_oracle
 
 EX1 = new_char_sequence([12, 16, 31])
 EX2 = new_char_sequence([10, 14, 15])
@@ -108,9 +113,51 @@ def test_parts_match_lattice_oracle():
         for l, group in enumerate(p.groups, start=1):
             n_l, m_l = cs.n_seq[l - 1], cs.m_seq[l - 1]
             t = ((k - 1) % n_l) + 1
-            expected = elementary(m_l, n_l).symbolic_derivative(t)
+            expected = staircase_trunc_oracle(elementary(m_l, n_l), t).translate(0, -t)
             parts = tuple(f.part for f in group if f.kind == "Z")
             assert parts == expected.canonical_rep(long=True).parts
+
+
+# -- wrong symbolic derivatives must trip predict's invariants -----------------
+
+_DERIVE = NewtonDiagram.symbolic_derivative
+
+
+def _derivative_undone(d, k):
+    return d
+
+
+def _one_order_too_many(d, k):
+    return _DERIVE(d, k + 1)
+
+
+def _cut_edge_rounded_down(d, k):
+    (_, n), (m, _) = d.vertices  # predict derives elementary diagrams only
+    return elementary(m * (n - k) // n, n - k)
+
+
+@pytest.mark.parametrize(
+    "mutant", [_derivative_undone, _one_order_too_many, _cut_edge_rounded_down],
+    ids=lambda f: f.__name__,
+)
+def test_predict_rejects_wrong_derivative(monkeypatch, mutant):
+    monkeypatch.setattr(NewtonDiagram, "symbolic_derivative", mutant)
+    for cs, k in ((EX1, 1), (EX1, 2), (EX2, 1), (EX2, 2)):
+        with pytest.raises(InvariantViolation):
+            predict(cs, k)
+
+
+def test_predict_rejects_wrong_derivative_without_asserts():
+    src = str(Path(branchpolar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_predict_rejects_wrong_derivative"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "3 passed" in run.stdout
 
 
 def test_prediction_json_deterministic():

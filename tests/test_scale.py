@@ -7,6 +7,7 @@ from branchpolar.diagram import elementary
 from branchpolar.polar import export_eggers_wall, predict
 from branchpolar.puiseux import PuiseuxSeries
 from branchpolar.verify import check_initial_form, check_lemma_nd, sample_witness, witness_from_root
+from oracles import elementary_derivative_closed_form
 
 
 def test_charclass_beyond_machine_words():
@@ -16,6 +17,25 @@ def test_charclass_beyond_machine_words():
     assert cs.n_seq == (2, 2, big)
     assert bbar(cs, 2) == 7 * big + ((4 * big - 2 * big) // (2 * big)) * 6 * big
     assert all(v > 0 for v in cs.bbar)
+
+
+def test_predict_beyond_machine_words():
+    big = 10 ** 30
+    cs = new_char_sequence([4 * big, 6 * big, 7 * big, 7 * big + 1])
+    start = time.time()
+    preds = {k: predict(cs, k) for k in range(1, 9)}
+    assert time.time() - start < 1.0
+    for l, group in enumerate(preds[1].groups, start=1):
+        expected = elementary_derivative_closed_form(cs.m_seq[l - 1], cs.n_seq[l - 1]).parts
+        assert tuple(f.part for f in group if f.kind == "Z") == expected
+
+
+def test_derivative_composition_at_a_million():
+    d = elementary(10 ** 6 + 1, 10 ** 6)
+    derived = {t: d.symbolic_derivative(t) for t in range(9)}
+    for b in range(9):
+        for a in range(9 - b):
+            assert derived[b].symbolic_derivative(a) == derived[a + b], (a, b)
 
 
 def test_diagram_derivative_thousands():
