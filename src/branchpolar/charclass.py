@@ -17,6 +17,7 @@ from .errors import (
     GcdChainViolation,
     IndexOutOfRange,
     InvalidCharacteristic,
+    InvariantViolation,
     NotStrictlyIncreasing,
     TrailingGcdNotOne,
 )
@@ -96,7 +97,8 @@ def new_char_sequence(b) -> CharSequence:
         for i in range(1, l):
             acc += (e[i - 1] - e[i]) * b[i]
         q, r = divmod(acc, e[l - 1])
-        assert r == 0, f"bbar_{l} of {b} is not an integer"
+        if r:
+            raise InvariantViolation(f"bbar_{l} of {b} is not an integer")
         bbar_seq.append(q)
 
     return CharSequence(b, tuple(e), n_seq, m_seq, tuple(bbar_seq))

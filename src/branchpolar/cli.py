@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -202,15 +203,16 @@ def render_svg(d: diagram_mod.NewtonDiagram, cell: int = 26) -> str:
 
 
 def _add_common(sub, formats):
-    default_fmt = os.environ.get("BRANCHPOLAR_FORMAT", "text")
-    if default_fmt not in formats:
-        default_fmt = formats[0]
-    sub.add_argument("--format", choices=formats, default=default_fmt,
-                     help=f"output format (default {default_fmt})")
+    # the default is read from the environment per call, in main()
+    sub.add_argument("--format", choices=formats,
+                     help=f"output format (default $BRANCHPOLAR_FORMAT if it is one "
+                          f"of these, else {formats[0]})")
+    sub.set_defaults(formats=formats)
     sub.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
     sub.add_argument("--quiet", action="store_true", help="suppress the version banner")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="branchpolar",
                      description="Equisingularity data of generic higher-order polars "
@@ -264,6 +266,9 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.format is None:
+        env_fmt = os.environ.get("BRANCHPOLAR_FORMAT")
+        args.format = env_fmt if env_fmt in args.formats else args.formats[0]
     if hasattr(args, "char_pos"):
         args.char = args.char_opt or args.char_pos
         if not args.char:

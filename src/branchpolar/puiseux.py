@@ -9,11 +9,11 @@ value.
 A :class:`BivariatePoly` is a sparse polynomial in (x, y) with exact rational
 coefficients and an optional x-truncation carried through every operation.
 The centrepiece is :func:`min_poly`: the monic polynomial whose roots are the
-conjugates of a series.  It is computed as an iterated norm along the gcd
-chain of the exponents - at each level the conjugate product over one subgroup
-of roots of unity is the determinant of a small multiplication matrix over the
-next coefficient ring down, so every intermediate result stays rational and no
-cyclotomic arithmetic is ever needed.
+conjugates of a series.  The power sums of the conjugates are n times the
+part of a^j whose exponents are integers, and Newton's identities turn them
+into the coefficients; every polynomial product is one big-integer product
+of packed coefficients, so the work is polynomial in n and no cyclotomic
+arithmetic is ever needed.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     EdgeNotOnPolygon,
     IndexMismatch,
     InvalidCharacteristic,
+    InvariantViolation,
     NonIntegralSubstitution,
     OrderExceedsDegree,
     TruncationTooShort,
@@ -40,7 +41,6 @@ __all__ = [
     "INF",
     "Unknown",
     "PuiseuxSeries",
-    "Conjugate",
     "BivariatePoly",
     "contact",
     "min_poly",
@@ -48,7 +48,6 @@ __all__ = [
     "hat_transform",
     "diagram_of",
     "edge_poly_squarefree",
-    "truncation_orbit",
 ]
 
 INF = float("inf")
@@ -201,11 +200,9 @@ class PuiseuxSeries:
                 e = g
                 if e == 1:
                     break
-        assert e == 1
+        if e != 1:
+            raise InvariantViolation(f"gcd chain {b} of a reduced series stops at {e}, not 1")
         return charclass.new_char_sequence(b)
-
-    def conjugate(self, e_index: int) -> "Conjugate":
-        return Conjugate(self, e_index % self.denom)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -301,56 +298,28 @@ class PuiseuxSeries:
         return f"PuiseuxSeries({self!s}{tail})"
 
 
-@dataclass(frozen=True)
-class Conjugate:
-    """Symbolic conjugate a(eps^i x^(1/n)) for eps = exp(2 pi i/n).
-
-    Only a descriptor: coefficients are cyclotomic in general and are never
-    expanded over the rationals except when every multiplier is +-1.
-    """
-
-    series: PuiseuxSeries
-    root_index: int
-
-    @property
-    def is_identity(self) -> bool:
-        n = self.series.denom
-        return all((i * self.root_index) % n == 0 for i, _ in self.series.terms)
-
-    def materialize(self) -> PuiseuxSeries:
-        n = self.series.denom
-        out = []
-        for i, c in self.series.terms:
-            r = (i * self.root_index) % n
-            if r == 0:
-                out.append((i, c))
-            elif 2 * r == n:
-                out.append((i, -c))
-            else:
-                raise ValueError(
-                    f"conjugate multiplier at exponent {i}/{n} is not rational"
-                )
-        return PuiseuxSeries(n, out, self.series.trunc_bound)
-
-
 def contact(a: PuiseuxSeries, b: PuiseuxSeries):
     """ord(a - b); Unknown when the difference vanishes up to truncation."""
     return (a - b).ord()
 
 
-def truncation_orbit(a: PuiseuxSeries, cutoff) -> int:
-    """Number of distinct conjugate truncations keeping exponents <= cutoff."""
-    cut = Fraction(cutoff) if cutoff != INF else None
-    g = a.denom
-    for i, _ in a.terms:
-        if cut is None or Fraction(i, a.denom) <= cut:
-            g = gcd(g, i)
-    return a.denom // g
-
-
 # ---------------------------------------------------------------------------
 # sparse bivariate polynomials
 # ---------------------------------------------------------------------------
+
+
+def _dict_mul(a: dict, b: dict, bound: int | None) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    for (ia, ja), ca in a.items():
+        for (ib, jb), cb in b.items():
+            i = ia + ib
+            if bound is not None and i >= bound:
+                continue
+            key = (i, ja + jb)
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
 
 
 class BivariatePoly:
@@ -445,13 +414,6 @@ class BivariatePoly:
             out.setdefault(j, {})[i] = c
         return out
 
-    def evaluate(self, x0, y0) -> Fraction:
-        x0, y0 = Fraction(x0), Fraction(y0)
-        acc = Fraction(0)
-        for (i, j), c in self.terms.items():
-            acc += c * x0**i * y0**j
-        return acc
-
     def initial_form(self, omega) -> "BivariatePoly":
         """Terms on the face minimizing w1*i + w2*j (weights positive)."""
         if self.is_zero():
@@ -495,74 +457,39 @@ class BivariatePoly:
 
 
 # ---------------------------------------------------------------------------
-# minimal polynomial via iterated norms
+# minimal polynomial by power sums and Newton's identities
 # ---------------------------------------------------------------------------
 
 
-def _dict_mul(a: dict, b: dict, bound: int | None) -> dict:
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict = {}
-    for (ia, ja), ca in a.items():
-        for (ib, jb), cb in b.items():
-            i = ia + ib
-            if bound is not None and i >= bound:
-                continue
-            key = (i, ja + jb)
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
+def _slot_offset(width: int, slots: int) -> int:
+    """Half a slot, 2^(8*width - 1), in each of ``slots`` slots of ``width``
+    bytes: added to a packed polynomial it makes every slot nonnegative."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
 
 
-def _det(mat, bound: int | None) -> dict:
-    """Determinant of a small matrix of term dicts, by Laplace expansion with
-    memoized minors (entries are sparse polynomials)."""
-    size = len(mat)
-    memo: dict = {}
+def _power_sums(scaled: list, n: int, top: int, width: int) -> list:
+    """Packed x-polynomials n * [A(u)^j]_(u-exponents divisible by n) modulo
+    x^top, j = 1..n, for A = sum of c u^i over ``scaled``.
 
-    def minor(row: int, cols: tuple) -> dict:
-        if not cols:
-            return {(0, 0): 1}
-        key = (row, cols)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        acc: dict = {}
-        for pos, col in enumerate(cols):
-            entry = mat[row][col]
-            if not entry:
-                continue
-            sub = minor(row + 1, cols[:pos] + cols[pos + 1:])
-            piece = _dict_mul(entry, sub, bound)
-            sign = 1 if pos % 2 == 0 else -1
-            for k, v in piece.items():
-                acc[k] = acc.get(k, 0) + sign * v
-        acc = {k: v for k, v in acc.items() if v}
-        memo[key] = acc
-        return acc
-
-    return minor(0, tuple(range(size)))
-
-
-def _norm_step(g: dict, small: int, big: int, bound: int | None) -> dict:
-    """Norm from Q((u^small))[y] down to Q((u^big))[y], big = r*small.
-
-    The norm of g is the determinant of multiplication by g on the basis
-    u^(c*small), c = 0..r-1.
+    A polynomial is packed as the integer sum of c_k 2^(8*width*k), so that
+    big-integer products are polynomial products (Kronecker substitution);
+    ``width`` must leave every coefficient below half a slot.
     """
-    r = big // small
-    mat = [[{} for _ in range(r)] for _ in range(r)]
-    for (i, jy), c in g.items():
-        base = i // small
-        for col in range(r):
-            tot = base + col
-            row = tot % r
-            uexp = (tot - row) * small
-            if bound is not None and uexp >= bound:
-                continue
-            cell = mat[row][col]
-            key = (uexp, jy)
-            cell[key] = cell.get(key, 0) + c
-    return _det(mat, bound)
+    bits = 8 * width
+    slots = n * top
+    offset = _slot_offset(width, slots)
+    x_offset = _slot_offset(width, top)
+    mask = (1 << bits * slots) - 1
+    stride = n * width
+    series = sum(c << bits * i for i, c in scaled)
+    power, sums = 1, []
+    for _ in range(n):
+        shifted = (power * series + offset) & mask  # signed slots, mod u^slots
+        power = shifted - offset
+        data = shifted.to_bytes(slots * width, "little")
+        picked = b"".join(data[s:s + width] for s in range(0, slots * width, stride))
+        sums.append(n * (int.from_bytes(picked, "little") - x_offset))
+    return sums
 
 
 def min_poly(a: PuiseuxSeries, x_trunc: int | None = None) -> BivariatePoly:
@@ -571,6 +498,15 @@ def min_poly(a: PuiseuxSeries, x_trunc: int | None = None) -> BivariatePoly:
     Exact when ``a`` is a finite series; otherwise the x-coefficients are
     tracked modulo x^x_trunc and the call fails with TruncationTooShort when
     the series is not known far enough to support that bound.
+
+    With a(u) = A(u)/D for u = x^(1/n), an integer polynomial A and the
+    common denominator D, the conjugates a(eps^k u) have the power sums
+    p_j = n * [a^j]_(u-exponents divisible by n), and Newton's identities
+    j e_j = sum_(i=1..j) (-1)^(i-1) e_(j-i) p_i give the elementary symmetric
+    functions; the result is sum_j (-1)^j e_j y^(n-j).  The recurrence runs
+    on E_j = D^j e_j, integer x-polynomials, packed into big integers with
+    slots wide enough for n 2^n S^n, S the sum of |A|'s coefficients, which
+    bounds every coefficient involved.
     """
     a = a.reduce()
     n = a.denom
@@ -584,35 +520,48 @@ def min_poly(a: PuiseuxSeries, x_trunc: int | None = None) -> BivariatePoly:
             raise TruncationTooShort(
                 f"series known below x^({a.trunc_bound}/{n}) cannot fix x^{eff}"
             )
-    u_bound = None if eff is None else eff * n
+    if eff is not None and eff < 1:
+        raise TruncationTooShort(f"no coefficient is known modulo x^{eff}")
 
-    # gcd chain of levels n = e_0 > e_1 > ... > 1 read off the exponents
-    levels = [n]
-    e = n
-    for i, _ in a.terms:
-        g = gcd(e, i)
-        if g < e:
-            levels.append(g)
-            e = g
-            if e == 1:
-                break
-    assert e == 1, "reduce() guarantees the chain reaches 1"
+    terms = [(i, c) for i, c in a.terms if eff is None or i < eff * n]
+    if not terms:
+        return BivariatePoly({(0, n): 1}, eff)
+    # e_j has x-degree at most j/n times the top u-exponent of a
+    top = terms[-1][0] + 1 if eff is None else min(eff, terms[-1][0] + 1)
+    den = lcm(*(Fraction(c).denominator for _, c in terms))
+    scaled = [(i, int(c * den)) for i, c in terms]
+    bound = (n << n) * sum(abs(c) for _, c in scaled) ** n
+    width = bound.bit_length() // 8 + 1  # bytes; half a slot exceeds the bound
+    sums = _power_sums(scaled, n, top, width)
 
-    g_terms: dict = {(0, 1): 1}
-    for i, c in a.terms:
-        if u_bound is not None and i >= u_bound:
-            continue
-        g_terms[(i, 0)] = g_terms.get((i, 0), 0) - c
-    for idx in range(len(levels) - 1, 0, -1):
-        g_terms = _norm_step(g_terms, levels[idx], levels[idx - 1], u_bound)
-
-    out = {}
-    for (i, j), c in g_terms.items():
-        assert i % n == 0, "conjugate product left a fractional x-exponent"
-        out[(i // n, j)] = c
-    result = BivariatePoly(out, eff)
-    assert result.coefficient(0, n) == 1, "conjugate product is not monic"
-    return result
+    half = 1 << 8 * width - 1
+    offset = _slot_offset(width, top)
+    mask = (1 << 8 * width * top) - 1
+    out = {(0, n): 1}
+    elem = [1]  # E_0, E_1, ... packed
+    for j in range(1, n + 1):
+        acc = 0
+        for i in range(1, j + 1):
+            if i % 2:
+                acc += elem[j - i] * sums[i - 1]
+            else:
+                acc -= elem[j - i] * sums[i - 1]
+        shifted = (acc + offset) & mask
+        data = shifted.to_bytes(top * width, "little")
+        coeffs = [int.from_bytes(data[s:s + width], "little") - half
+                  for s in range(0, top * width, width)]
+        # E_j is integral, and e_j(0) = 0 since every conjugate has positive
+        # order: the product is monic and reduces to y^n at x = 0
+        if any(c % j for c in coeffs):
+            raise InvariantViolation(f"Newton's identities left e_{j} non-integral")
+        if coeffs[0]:
+            raise InvariantViolation(f"conjugate product is not y^n at x = 0: x^0 y^{n - j} survives")
+        elem.append((shifted - offset) // j)
+        scale = (-1) ** j * den ** j
+        for t, c in enumerate(coeffs):
+            if c:
+                out[(t, n - j)] = Fraction(c // j, scale) if den > 1 else c // j * scale
+    return BivariatePoly(out, eff)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +695,8 @@ def edge_poly_squarefree(f: BivariatePoly, edge) -> bool:
         if yb <= j <= ya and xa <= i <= xb:
             if (xb - xa) * (j - ya) == (yb - ya) * (i - xa):
                 coeffs[j - yb] += Fraction(c)
-    assert coeffs[0] and coeffs[-1], "edge endpoints must carry support"
+    if not (coeffs[0] and coeffs[-1]):
+        raise InvariantViolation(f"endpoints of the polygon edge {edge} carry no support")
     return _univariate_gcd_degree(coeffs) == 0
 
 

@@ -31,7 +31,13 @@ from fractions import Fraction
 
 from . import diagram as diagram_mod
 from .charclass import CharSequence, bbar, semiroot_degree
-from .errors import AllSeedsDegenerate, OrderOutOfRange, OrderTooLarge, TruncationTooShort
+from .errors import (
+    AllSeedsDegenerate,
+    InvariantViolation,
+    OrderOutOfRange,
+    OrderTooLarge,
+    TruncationTooShort,
+)
 from .polar import PolarPrediction, predict
 from .puiseux import (
     BivariatePoly,
@@ -117,7 +123,9 @@ def sample_witness(cs: CharSequence, seed: int, extra_terms: int | None = None) 
         else:
             coeffs[i] = rng.randint(-COEFF_RANGE, COEFF_RANGE)
     root = PuiseuxSeries(cs.b0, coeffs)
-    assert root.characteristic().b == cs.b
+    got = root.characteristic().b
+    if got != cs.b:
+        raise InvariantViolation(f"sampled root has characteristic {got}, not {cs.b}")
     return WitnessBranch(cs, root, min_poly(root), seed, root.trunc_bound)
 
 
@@ -143,10 +151,11 @@ def expected_hat_diagram(cs: CharSequence, l: int, k: int,
     e_l = cs.e[l]
     rep = hat_diagram.canonical_rep(long=True)
     steep = [p for p in rep.parts if p[0] * n_l >= p[1] * m_l]
-    assert steep == [(m_l, n_l)] * e_l, (
-        f"hat diagram of a class member must start with {e_l} copies of "
-        f"({m_l},{n_l}), got {steep}"
-    )
+    if steep != [(m_l, n_l)] * e_l:
+        raise InvariantViolation(
+            f"hat diagram of a class member must start with {e_l} copies of "
+            f"({m_l},{n_l}), got {steep}"
+        )
     r_deriv, low = diagram_mod.split_derivative(hat_diagram, k, len(steep))
     return r_deriv + low
 
@@ -371,9 +380,13 @@ def _aggregate_predicted(prediction: PolarPrediction, cs: CharSequence, l: int) 
             total += f.multiplicity
         elif f.group_index > l:
             total += f.multiplicity
-    scaled = total * cs.e[l - 1]
-    assert scaled % cs.b0 == 0
-    return scaled // cs.b0
+    scaled, rest = divmod(total * cs.e[l - 1], cs.b0)
+    if rest:
+        raise InvariantViolation(
+            f"predicted multiplicity {total} at level {l} is not a multiple of "
+            f"b0/e_{l - 1} = {cs.b0 // cs.e[l - 1]}"
+        )
+    return scaled
 
 
 def _run_seed(w: WitnessBranch, prediction: PolarPrediction, levels) -> SeedRun:

@@ -3,12 +3,16 @@
 Everything here recomputes results by a different route than the package:
 diagram membership by supporting half-planes, truncations row by row,
 first derivatives of elementary diagrams by continued fractions, conjugate
-products by exact cyclotomic arithmetic, random valid characteristic
-sequences by rejection, Eggers-Wall trees by clustering a table of pairwise
-contacts.
+products by exact cyclotomic arithmetic and by iterated norms (Laplace
+determinants), random valid characteristic sequences by rejection,
+Eggers-Wall trees by clustering a table of pairwise contacts.  Helpers that
+only the tests use (symbolic conjugates, truncation orbits, evaluation of
+bivariate polynomials at rational points) live here too.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from branchpolar import contfrac
@@ -228,8 +232,9 @@ def _poly_divmod(a, b):
     return q, a
 
 
+@cache
 def cyclotomic(n):
-    """Coefficient list (low to high) of the n-th cyclotomic polynomial."""
+    """Coefficient tuple (low to high) of the n-th cyclotomic polynomial."""
     poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # z^n - 1
     for d in range(1, n):
         if n % d == 0:
@@ -238,7 +243,7 @@ def cyclotomic(n):
             poly = q
     while poly and not poly[-1]:
         poly.pop()
-    return poly
+    return tuple(poly)
 
 
 class Cyc:
@@ -332,3 +337,152 @@ def min_poly_oracle(series):
             assert i % n == 0, "oracle product kept a fractional exponent"
             out[(i // n, jy)] = q
     return out
+
+
+# ---------------------------------------------------------------------------
+# conjugate products by iterated norms (Laplace determinants, 2^r per step)
+# ---------------------------------------------------------------------------
+
+
+def _det(mat, bound):
+    """Determinant of a small matrix of term dicts, by Laplace expansion with
+    memoized minors (entries are sparse polynomials)."""
+    from branchpolar.puiseux import _dict_mul
+
+    size = len(mat)
+    memo = {}
+
+    def minor(row, cols):
+        if not cols:
+            return {(0, 0): 1}
+        key = (row, cols)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        acc = {}
+        for pos, col in enumerate(cols):
+            entry = mat[row][col]
+            if not entry:
+                continue
+            sub = minor(row + 1, cols[:pos] + cols[pos + 1:])
+            piece = _dict_mul(entry, sub, bound)
+            sign = 1 if pos % 2 == 0 else -1
+            for k, v in piece.items():
+                acc[k] = acc.get(k, 0) + sign * v
+        acc = {k: v for k, v in acc.items() if v}
+        memo[key] = acc
+        return acc
+
+    return minor(0, tuple(range(size)))
+
+
+def _norm_step(g, small, big, bound):
+    """Norm from Q((u^small))[y] down to Q((u^big))[y], big = r*small: the
+    determinant of multiplication by g on the basis u^(c*small), c < r."""
+    r = big // small
+    mat = [[{} for _ in range(r)] for _ in range(r)]
+    for (i, jy), c in g.items():
+        base = i // small
+        for col in range(r):
+            tot = base + col
+            row = tot % r
+            uexp = (tot - row) * small
+            if bound is not None and uexp >= bound:
+                continue
+            cell = mat[row][col]
+            key = (uexp, jy)
+            cell[key] = cell.get(key, 0) + c
+    return _det(mat, bound)
+
+
+def min_poly_laplace_oracle(series, x_trunc=None):
+    """Conjugate product as an iterated norm along the gcd chain of the
+    exponents; a ``BivariatePoly`` with the same truncation as ``min_poly``."""
+    from branchpolar.puiseux import BivariatePoly
+
+    a = series.reduce()
+    n = a.denom
+    eff = x_trunc
+    if a.trunc_bound is not None:
+        avail = -(-a.trunc_bound // n)
+        eff = avail if eff is None else eff
+        assert eff <= avail, "the oracle does not extrapolate past the known terms"
+    u_bound = None if eff is None else eff * n
+
+    levels = [n]
+    for i, _ in a.terms:
+        g = gcd(levels[-1], i)
+        if g < levels[-1]:
+            levels.append(g)
+    assert levels[-1] == 1, "reduce() makes the gcd chain reach 1"
+
+    g_terms = {(0, 1): 1}
+    for i, c in a.terms:
+        if u_bound is None or i < u_bound:
+            g_terms[(i, 0)] = g_terms.get((i, 0), 0) - c
+    for idx in range(len(levels) - 1, 0, -1):
+        g_terms = _norm_step(g_terms, levels[idx], levels[idx - 1], u_bound)
+    out = {}
+    for (i, j), c in g_terms.items():
+        assert i % n == 0, "conjugate product left a fractional x-exponent"
+        out[(i // n, j)] = c
+    return BivariatePoly(out, eff)
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests use
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Conjugate:
+    """Symbolic conjugate a(eps^i x^(1/n)) for eps = exp(2 pi i/n).
+
+    Only a descriptor: coefficients are cyclotomic in general and are never
+    expanded over the rationals except when every multiplier is +-1.
+    """
+
+    series: object
+    root_index: int
+
+    @property
+    def is_identity(self) -> bool:
+        n = self.series.denom
+        return all((i * self.root_index) % n == 0 for i, _ in self.series.terms)
+
+    def materialize(self):
+        from branchpolar.puiseux import PuiseuxSeries
+
+        n = self.series.denom
+        out = []
+        for i, c in self.series.terms:
+            r = (i * self.root_index) % n
+            if r == 0:
+                out.append((i, c))
+            elif 2 * r == n:
+                out.append((i, -c))
+            else:
+                raise ValueError(
+                    f"conjugate multiplier at exponent {i}/{n} is not rational"
+                )
+        return PuiseuxSeries(n, out, self.series.trunc_bound)
+
+
+def conjugate(series, e_index: int) -> Conjugate:
+    return Conjugate(series, e_index % series.denom)
+
+
+def truncation_orbit(a, cutoff) -> int:
+    """Number of distinct conjugate truncations keeping exponents <= cutoff."""
+    cut = None if cutoff == float("inf") else Fraction(cutoff)
+    g = a.denom
+    for i, _ in a.terms:
+        if cut is None or Fraction(i, a.denom) <= cut:
+            g = gcd(g, i)
+    return a.denom // g
+
+
+def evaluate(f, x0, y0) -> Fraction:
+    """Value of the bivariate polynomial ``f`` at a rational point."""
+    x0, y0 = Fraction(x0), Fraction(y0)
+    return sum((c * x0 ** i * y0 ** j for (i, j), c in f.terms.items()), Fraction(0))

@@ -148,3 +148,16 @@ def test_format_env_default(capsys, monkeypatch):
     assert code == 0
     json.loads(out)  # default picked up from the environment
     monkeypatch.delenv("BRANCHPOLAR_FORMAT")
+
+
+def test_format_env_default_read_per_call(capsys, monkeypatch):
+    # the parser is built once per process; the default format is not
+    monkeypatch.setenv("BRANCHPOLAR_FORMAT", "json")
+    _, as_json = run(capsys, "predict", "2,3", "--k", "1")
+    monkeypatch.setenv("BRANCHPOLAR_FORMAT", "dot")
+    _, as_dot = run(capsys, "predict", "2,3", "--k", "1")
+    monkeypatch.setenv("BRANCHPOLAR_FORMAT", "svg")  # not a predict format
+    _, as_text = run(capsys, "predict", "2,3", "--k", "1")
+    assert json.loads(as_json)["k"] == 1
+    assert as_dot.startswith("digraph eggers_wall")
+    assert as_text.startswith("class K(2,3), k = 1:")

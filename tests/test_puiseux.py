@@ -1,16 +1,26 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import branchpolar
+from branchpolar import puiseux
+from branchpolar.charclass import new_char_sequence
 from branchpolar.diagram import elementary
 from branchpolar.errors import (
     EdgeNotOnPolygon,
     IndexMismatch,
     InvalidCharacteristic,
+    InvariantViolation,
     NonIntegralSubstitution,
     OrderExceedsDegree,
     TruncationTooShort,
@@ -27,9 +37,16 @@ from branchpolar.puiseux import (
     edge_poly_squarefree,
     hat_transform,
     min_poly,
+)
+from branchpolar.verify import sample_witness
+from oracles import (
+    conjugate,
+    evaluate,
+    min_poly_laplace_oracle,
+    min_poly_oracle,
+    random_char_sequence,
     truncation_orbit,
 )
-from oracles import min_poly_oracle
 
 EX1_ROOT = "x^(4/3)+x^2+x^(31/12)"
 
@@ -94,12 +111,12 @@ def test_truncate_below():
 
 def test_conjugates():
     s = PuiseuxSeries.from_string("x^(3/2)")
-    assert s.conjugate(0).is_identity
-    assert s.conjugate(1).materialize() == PuiseuxSeries.from_string("-x^(3/2)")
+    assert conjugate(s, 0).is_identity
+    assert conjugate(s, 1).materialize() == PuiseuxSeries.from_string("-x^(3/2)")
     twelve = PuiseuxSeries(12, {16: 1})
     assert truncation_orbit(twelve, Fraction(4, 3)) == 3
     with pytest.raises(ValueError):
-        twelve.conjugate(1).materialize()
+        conjugate(twelve, 1).materialize()
 
 
 # -- minimal polynomials ---------------------------------------------------------
@@ -161,6 +178,99 @@ def test_min_poly_x_trunc_applies_to_exact_input():
     assert all(i < 5 for i, _ in g.terms)
     full = min_poly(s)
     assert g.terms == {k: v for k, v in full.terms.items() if k[0] < 5}
+
+
+_coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        # one exponent prime to n keeps the index at n, unless truncated away
+        st.integers(1, 4 * n).filter(lambda i: gcd(i, n) == 1),
+        _coefficients.filter(bool),
+        st.dictionaries(st.integers(1, 4 * n), _coefficients, max_size=4),
+        st.none() | st.integers(1, 5 * n),
+        st.none() | st.integers(1, 6),
+    ))
+)
+def test_min_poly_matches_cyclotomic_oracle(case):
+    n, i0, c0, terms, trunc_bound, x_trunc = case
+    s = PuiseuxSeries(n, {**terms, i0: c0}, trunc_bound)
+    red = s.reduce()
+    eff = x_trunc
+    if red.trunc_bound is not None:
+        avail = -(-red.trunc_bound // red.denom)
+        eff = avail if eff is None else min(eff, avail)
+    got = min_poly(s, eff)
+    expected = min_poly_oracle(s)  # the known terms, untruncated
+    if eff is not None:
+        expected = {k: v for k, v in expected.items() if k[0] < eff}
+    assert got.trunc == eff
+    assert got.terms == expected
+
+
+def test_min_poly_truncation_cutting_every_term():
+    # x_trunc at or below the order of the series leaves y^n mod x^x_trunc
+    s = PuiseuxSeries.from_string("3/2*x^(7/5)-x^2")
+    for x_trunc in (1, 2):
+        assert min_poly(s, x_trunc).terms == {(0, 5): 1}
+    with pytest.raises(TruncationTooShort):
+        min_poly(s, 0)
+
+
+def test_min_poly_matches_laplace_oracle_on_witness_roots():
+    rng = random.Random(53)
+    tried = 0
+    while tried < 12:
+        cs = random_char_sequence(rng, b0_max=20)
+        if cs.h < 2:
+            continue
+        tried += 1
+        root = sample_witness(cs, rng.randint(1, 10 ** 6)).root
+        for x_trunc in (None, cs.b[-1] // cs.n_seq[0]):
+            got = min_poly(root, x_trunc)
+            assert got == min_poly_laplace_oracle(root, x_trunc), (cs.b, x_trunc)
+
+
+# -- wrong power sums must trip min_poly's invariants ------------------------------
+
+_POWER_SUMS = puiseux._power_sums
+
+
+def _power_sums_from_zero(scaled, n, top, width):
+    # p_0, ..., p_(n-1) instead of p_1, ..., p_n; p_0 = n
+    return [n] + _POWER_SUMS(scaled, n, top, width)[:-1]
+
+
+def _power_sums_without_n(scaled, n, top, width):
+    return [p // n for p in _POWER_SUMS(scaled, n, top, width)]
+
+
+@pytest.mark.parametrize(
+    "mutant", [_power_sums_from_zero, _power_sums_without_n], ids=lambda f: f.__name__,
+)
+def test_min_poly_rejects_wrong_power_sums(monkeypatch, mutant):
+    roots = [PuiseuxSeries.from_string(EX1_ROOT), PuiseuxSeries.from_string("x^(7/5)+x^(3/2)")]
+    roots += [sample_witness(new_char_sequence(b), 1).root for b in ((12, 16, 31), (11, 13))]
+    monkeypatch.setattr(puiseux, "_power_sums", mutant)
+    for root in roots:
+        with pytest.raises(InvariantViolation):
+            min_poly(root)
+
+
+def test_min_poly_rejects_wrong_power_sums_without_asserts():
+    src = str(Path(branchpolar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_min_poly_rejects_wrong_power_sums"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "2 passed" in run.stdout
 
 
 # -- derivatives ------------------------------------------------------------------
@@ -239,7 +349,7 @@ def test_hat_agrees_with_evaluation():
     fhat = hat_transform(f, 2, lam)
     for x0, y0 in [(Fraction(1, 2), Fraction(2)), (Fraction(-1, 3), Fraction(1, 5))]:
         mu = sum(c * x0 ** (i * 2 // lam.denom) for i, c in lam.terms)
-        assert fhat.evaluate(x0, y0) == f.evaluate(x0 ** 2, y0 + mu)
+        assert evaluate(fhat, x0, y0) == evaluate(f, x0 ** 2, y0 + mu)
 
 
 # -- diagrams and edge polynomials -----------------------------------------------------

@@ -2,10 +2,12 @@ import re
 import time
 from fractions import Fraction
 
+import pytest
+
 from branchpolar.charclass import bbar, new_char_sequence
 from branchpolar.diagram import elementary
 from branchpolar.polar import export_eggers_wall, predict
-from branchpolar.puiseux import PuiseuxSeries
+from branchpolar.puiseux import PuiseuxSeries, diagram_of
 from branchpolar.verify import check_initial_form, check_lemma_nd, sample_witness, witness_from_root
 from oracles import elementary_derivative_closed_form
 
@@ -86,3 +88,15 @@ def test_witness_without_padding_terms():
     w = sample_witness(cs, 5, extra_terms=0)
     assert max(i for i, _ in w.root.terms) <= 11
     assert w.root.characteristic().b == (6, 9, 11)
+
+
+@pytest.mark.parametrize("b,limit", [((20, 21), 1.0), ((40, 41), 3.0), ((40, 45, 47), 3.0)])
+def test_witness_minimal_polynomial_at_high_index(b, limit):
+    cs = new_char_sequence(b)
+    start = time.time()
+    w = sample_witness(cs, 1)
+    assert time.time() - start < limit
+    assert w.f.degree_y() == cs.b0
+    assert w.f.coefficient(0, cs.b0) == 1
+    # every conjugate has the order of the root: one edge down to (b0 * ord, 0)
+    assert diagram_of(w.f).vertices == ((0, cs.b0), (w.root.terms[0][0], 0))

@@ -1,12 +1,22 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import branchpolar
 from branchpolar.charclass import new_char_sequence
-from branchpolar.errors import AllSeedsDegenerate, OrderOutOfRange, OrderTooLarge
+from branchpolar.errors import (
+    AllSeedsDegenerate,
+    InvariantViolation,
+    OrderOutOfRange,
+    OrderTooLarge,
+)
 from branchpolar.puiseux import PuiseuxSeries, derivative_y, diagram_of, min_poly
 from branchpolar.verify import (
     WitnessBranch,
@@ -93,6 +103,54 @@ def test_expected_hat_diagram_order_too_large():
     hat = diagram_of(w.hat(2))
     with pytest.raises(OrderTooLarge):
         expected_hat_diagram(EX1, 2, 4, hat)  # e_1 = 4
+
+
+# -- a wrongly straightened hat must trip expected_hat_diagram's invariant ------------
+
+_LAM = WitnessBranch.lam
+
+
+def _lam_one_level_short(w, l):
+    """The truncation below b_(l-1)/b0 instead of b_l/b0."""
+    return _LAM(w, l - 1) if l > 1 else PuiseuxSeries(1, [])
+
+
+def _lam_last_term_dropped(w, l):
+    lam = _LAM(w, l)
+    return PuiseuxSeries(lam.denom, lam.terms[:-1], lam.trunc_bound)
+
+
+def _lam_doubled(w, l):
+    lam = _LAM(w, l)
+    return PuiseuxSeries(lam.denom, [(i, 2 * c) for i, c in lam.terms], lam.trunc_bound)
+
+
+@pytest.mark.parametrize(
+    "mutant", [_lam_one_level_short, _lam_last_term_dropped, _lam_doubled],
+    ids=lambda f: f.__name__,
+)
+def test_lemma_rejects_wrong_straightening(monkeypatch, mutant):
+    monkeypatch.setattr(WitnessBranch, "lam", mutant)
+    for cs, k in ((EX1, 1), (EX1, 2), (EX2, 1)):
+        w = sample_witness(cs, 1)
+        for l in range(1, cs.h + 1):
+            with pytest.raises(InvariantViolation):
+                check_lemma_nd(w, l, k)
+        with pytest.raises(InvariantViolation):
+            verify_prediction(cs, k, [1])
+
+
+def test_lemma_rejects_wrong_straightening_without_asserts():
+    src = str(Path(branchpolar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_lemma_rejects_wrong_straightening"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "3 passed" in run.stdout
 
 
 # -- the all-ones non-generic witness for K(12,16,31) ----------------------------------
