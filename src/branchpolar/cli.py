@@ -57,7 +57,7 @@ def _cmd_predict(args) -> int:
     cs = parse_char(args.char)
     prediction = polar.predict(cs, args.k)
     if args.format == "json":
-        _emit(_dump(prediction.to_json()), args)
+        _emit(prediction.to_json_text(), args)
     elif args.format == "dot":
         tree = polar.export_eggers_wall(prediction, include_branch=not args.no_branch)
         _emit(tree.to_dot(), args)

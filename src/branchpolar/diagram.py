@@ -80,12 +80,6 @@ class Face:
     def is_vertex(self) -> bool:
         return self.start == self.end
 
-    def __add__(self, other: "Face") -> "Face":
-        return Face(
-            (self.start[0] + other.start[0], self.start[1] + other.start[1]),
-            (self.end[0] + other.end[0], self.end[1] + other.end[1]),
-        )
-
 
 @dataclass(frozen=True)
 class CanonicalRep:

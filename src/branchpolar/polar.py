@@ -15,7 +15,16 @@ branch is b_l/b0; it consists of
   characteristic exponents are b_1/b0,...,b_l/b0.
 
 Pairwise contacts inside a group are the minimum of the semiroot contacts;
-across groups they are the minimum of the contacts with the branch.
+across groups they are the minimum of the contacts with the branch.  In
+label order both minima are known without comparing pairs.  Inside a group
+the semiroot contacts weakly decrease: the Z-factors follow the parts of the
+long canonical representation, whose ratios M_j/N_j weakly decrease, and the
+W-factors sit at cont_f, below every Z-factor.  Across groups cont_f =
+b_l/b0 increases with l.  So the row (i, j), j after i, takes factor j's
+semiroot contact when both lie in one group and factor i's contact with f
+otherwise.  The JSON writers check both orderings in O(F) for F factors and
+build the text of the rows from per-factor strings with ``str.join``, so no
+Python code runs per pair.
 
 These contacts fix the shape of the Eggers-Wall tree, so the export builds it
 directly.  A trunk leads from the root to the leaf f, with a vertex at every
@@ -33,6 +42,7 @@ root.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
@@ -109,24 +119,39 @@ class PolarPrediction:
     def multiplicity_total(self) -> int:
         return sum(f.multiplicity for f in self.factors())
 
-    @staticmethod
-    def pairwise_contact(a: PolarFactor, b: PolarFactor) -> Fraction:
-        """Contact between two distinct predicted factors."""
-        if a.group_index == b.group_index:
-            return min(a.contact_with_semiroot, b.contact_with_semiroot)
-        return min(a.contact_with_f, b.contact_with_f)
+    def _contact_columns(self):
+        """What fixes every contact row, after checking in O(F) the orderings
+        the group rule relies on (see the module docstring).
 
-    def contact_table(self):
-        """Materialized pairwise contacts, in canonical label order."""
-        facts = self.factors()
+        Returns (names, own, cross, ends), each indexed by factor in label
+        order: factor i meets factor j of its own group, i < j < ends[i], at
+        own[j], its semiroot contact, and every factor of a later group at
+        cross[i], its contact with f."""
         names = self.labels()
-        table = []
-        for i in range(len(facts)):
-            for j in range(i + 1, len(facts)):
-                table.append((names[i], names[j], self.pairwise_contact(facts[i], facts[j])))
-        return table
+        own, cross, ends = [], [], []
+        prev = None
+        for group in self.groups:
+            end = len(own) + len(group)
+            for f in group:
+                if prev is not None:
+                    if f.contact_with_f < prev.contact_with_f:
+                        raise InvariantViolation(
+                            f"contact with f falls from {prev.contact_with_f} to "
+                            f"{f.contact_with_f} at {names[len(own)]}"
+                        )
+                    if (f.group_index == prev.group_index
+                            and f.contact_with_semiroot > prev.contact_with_semiroot):
+                        raise InvariantViolation(
+                            f"semiroot contact rises from {prev.contact_with_semiroot} to "
+                            f"{f.contact_with_semiroot} at {names[len(own)]}"
+                        )
+                own.append(fmt_q(f.contact_with_semiroot))
+                cross.append(fmt_q(f.contact_with_f))
+                ends.append(end)
+                prev = f
+        return names, own, cross, ends
 
-    def to_json(self) -> dict:
+    def _head_json(self, pairwise_contacts: list) -> dict:
         group_blobs = []
         names = iter(self.labels())
         for l, group in enumerate(self.groups, start=1):
@@ -145,10 +170,40 @@ class PolarPrediction:
             "i_k": self.i_k,
             "multiplicity_total": self.multiplicity_total(),
             "groups": group_blobs,
-            "pairwise_contacts": [
-                [a, b, fmt_q(c)] for a, b, c in self.contact_table()
-            ],
+            "pairwise_contacts": pairwise_contacts,
         }
+
+    def to_json(self) -> dict:
+        names, own, cross, ends = self._contact_columns()
+        rows = []
+        for i, (a, end) in enumerate(zip(names, ends)):
+            rows += [[a, names[j], own[j]] for j in range(i + 1, end)]
+            rows += [[a, b, cross[i]] for b in names[end:]]
+        return self._head_json(rows)
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json(), indent=2)``, byte for byte, with the
+        contact rows joined straight into their indent-2 text."""
+        head = json.dumps(self._head_json([]), indent=2)
+        names, own, cross, ends = self._contact_columns()
+        if len(names) < 2:
+            return head
+        # a row is '    [\n      "a",\n      "b",\n      "c"\n    ]'
+        quoted = [json.dumps(name) + ",\n      " for name in names]
+        tails = [f"{json.dumps(c)}\n    ]" for c in cross]
+        mine = [q + json.dumps(c) + "\n    ]" for q, c in zip(quoted, own)]
+        rows = []
+        for i, end in enumerate(ends):
+            lead = "    [\n      " + quoted[i]
+            if i + 1 < end:
+                rows.append(lead + (",\n" + lead).join(mine[i + 1:end]))
+            if end < len(names):
+                sep = tails[i] + ",\n" + lead
+                rows.append(lead + sep.join(quoted[end:]) + tails[i])
+        # splice the rows into the head's empty list, copying the text once
+        rows[0] = head[:-len("[]\n}")] + "[\n" + rows[0]
+        rows[-1] += "\n  ]\n}"
+        return ",\n".join(rows)
 
     def to_text(self) -> str:
         lines = [

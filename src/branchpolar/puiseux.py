@@ -469,7 +469,7 @@ def _slot_offset(width: int, slots: int) -> int:
 
 def _power_sums(scaled: list, n: int, top: int, width: int) -> list:
     """Packed x-polynomials n * [A(u)^j]_(u-exponents divisible by n) modulo
-    x^top, j = 1..n, for A = sum of c u^i over ``scaled``.
+    x^top, j = 1..n+1, for A = sum of c u^i over ``scaled``.
 
     A polynomial is packed as the integer sum of c_k 2^(8*width*k), so that
     big-integer products are polynomial products (Kronecker substitution);
@@ -483,7 +483,7 @@ def _power_sums(scaled: list, n: int, top: int, width: int) -> list:
     stride = n * width
     series = sum(c << bits * i for i, c in scaled)
     power, sums = 1, []
-    for _ in range(n):
+    for _ in range(n + 1):
         shifted = (power * series + offset) & mask  # signed slots, mod u^slots
         power = shifted - offset
         data = shifted.to_bytes(slots * width, "little")
@@ -505,8 +505,10 @@ def min_poly(a: PuiseuxSeries, x_trunc: int | None = None) -> BivariatePoly:
     j e_j = sum_(i=1..j) (-1)^(i-1) e_(j-i) p_i give the elementary symmetric
     functions; the result is sum_j (-1)^j e_j y^(n-j).  The recurrence runs
     on E_j = D^j e_j, integer x-polynomials, packed into big integers with
-    slots wide enough for n 2^n S^n, S the sum of |A|'s coefficients, which
-    bounds every coefficient involved.
+    slots wide enough for n 2^n S^(n+1), S the sum of |A|'s coefficients,
+    which bounds every coefficient involved.  Besides integrality and
+    e_j(0) = 0, the identity at j = n + 1 must give e_(n+1) = 0, which
+    catches power sums that are wrong yet keep every p_j a multiple of n.
     """
     a = a.reduce()
     n = a.denom
@@ -530,7 +532,7 @@ def min_poly(a: PuiseuxSeries, x_trunc: int | None = None) -> BivariatePoly:
     top = terms[-1][0] + 1 if eff is None else min(eff, terms[-1][0] + 1)
     den = lcm(*(Fraction(c).denominator for _, c in terms))
     scaled = [(i, int(c * den)) for i, c in terms]
-    bound = (n << n) * sum(abs(c) for _, c in scaled) ** n
+    bound = (n << n) * sum(abs(c) for _, c in scaled) ** (n + 1)
     width = bound.bit_length() // 8 + 1  # bytes; half a slot exceeds the bound
     sums = _power_sums(scaled, n, top, width)
 
@@ -539,14 +541,18 @@ def min_poly(a: PuiseuxSeries, x_trunc: int | None = None) -> BivariatePoly:
     mask = (1 << 8 * width * top) - 1
     out = {(0, n): 1}
     elem = [1]  # E_0, E_1, ... packed
-    for j in range(1, n + 1):
+
+    def newton(j):  # j E_j, packed
         acc = 0
         for i in range(1, j + 1):
             if i % 2:
                 acc += elem[j - i] * sums[i - 1]
             else:
                 acc -= elem[j - i] * sums[i - 1]
-        shifted = (acc + offset) & mask
+        return acc
+
+    for j in range(1, n + 1):
+        shifted = (newton(j) + offset) & mask
         data = shifted.to_bytes(top * width, "little")
         coeffs = [int.from_bytes(data[s:s + width], "little") - half
                   for s in range(0, top * width, width)]
@@ -561,6 +567,9 @@ def min_poly(a: PuiseuxSeries, x_trunc: int | None = None) -> BivariatePoly:
         for t, c in enumerate(coeffs):
             if c:
                 out[(t, n - j)] = Fraction(c // j, scale) if den > 1 else c // j * scale
+    # a product of n linear factors in y has no e_(n+1)
+    if (newton(n + 1) + offset) & mask != offset:
+        raise InvariantViolation(f"Newton's identities leave e_{n + 1} nonzero")
     return BivariatePoly(out, eff)
 
 

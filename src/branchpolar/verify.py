@@ -82,11 +82,10 @@ class WitnessBranch:
         cutoff = Fraction(self.cs.b[l], self.cs.b0)
         return self.root.truncate_below(cutoff).reduce()
 
-    def hat(self, l: int, poly: BivariatePoly | None = None) -> BivariatePoly:
-        """Hat transform of ``poly`` (default: f) straightening the l-th
-        truncation: poly(x^(b0/e_{l-1}), y + lam_l(x^(b0/e_{l-1})))."""
-        n_sub = semiroot_degree(self.cs, l)
-        return hat_transform(self.f if poly is None else poly, n_sub, self.lam(l))
+    def hat(self, l: int) -> BivariatePoly:
+        """Hat transform of f straightening the l-th truncation:
+        f(x^(b0/e_{l-1}), y + lam_l(x^(b0/e_{l-1})))."""
+        return hat_transform(self.f, semiroot_degree(self.cs, l), self.lam(l))
 
 
 def allowed_exponents(cs: CharSequence, upto: int) -> list:
@@ -200,7 +199,8 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int,
         if fhat is None:
             fhat = w.hat(l)
         expected = expected_hat_diagram(cs, l, k, diagram_of(fhat))
-        polar_hat = w.hat(l, poly=derivative_y(w.f, k))
+        # the hat transform commutes with d/dy: hat(d^k f) = d^k hat(f)
+        polar_hat = derivative_y(fhat, k)
         observed = diagram_of(polar_hat)
     except TruncationTooShort as exc:
         res.status = "unknown"

@@ -5,9 +5,10 @@ diagram membership by supporting half-planes, truncations row by row,
 first derivatives of elementary diagrams by continued fractions, conjugate
 products by exact cyclotomic arithmetic and by iterated norms (Laplace
 determinants), random valid characteristic sequences by rejection,
-Eggers-Wall trees by clustering a table of pairwise contacts.  Helpers that
-only the tests use (symbolic conjugates, truncation orbits, evaluation of
-bivariate polynomials at rational points) live here too.
+pairwise contacts one pair at a time, Eggers-Wall trees by clustering that
+table.  Helpers that only the tests use (sums of faces, symbolic conjugates,
+truncation orbits, evaluation of bivariate polynomials at rational points)
+live here too.
 """
 
 from dataclasses import dataclass
@@ -16,13 +17,21 @@ from functools import cache
 from math import gcd, lcm
 
 from branchpolar import contfrac
-from branchpolar.diagram import CanonicalRep, NewtonDiagram, from_support
+from branchpolar.diagram import CanonicalRep, Face, NewtonDiagram, from_support
 from branchpolar.errors import InvalidRange, NotCoprime
 
 
 # ---------------------------------------------------------------------------
 # diagrams
 # ---------------------------------------------------------------------------
+
+
+def face_sum(a: Face, b: Face) -> Face:
+    """Minkowski sum of two faces selected by the same weight."""
+    return Face(
+        (a.start[0] + b.start[0], a.start[1] + b.start[1]),
+        (a.end[0] + b.end[0], a.end[1] + b.end[1]),
+    )
 
 
 def oracle_contains(support, point) -> bool:
@@ -129,6 +138,24 @@ def random_char_sequence(rng, b0_max=64):
 # ---------------------------------------------------------------------------
 
 
+def contact_table_oracle(prediction):
+    """(label, label, contact) for every pair of factors in label order, one
+    comparison per pair: the minimum of the semiroot contacts inside a group
+    and of the contacts with f across groups."""
+    facts = prediction.factors()
+    names = prediction.labels()
+    table = []
+    for i, a in enumerate(facts):
+        for j in range(i + 1, len(facts)):
+            b = facts[j]
+            if a.group_index == b.group_index:
+                value = min(a.contact_with_semiroot, b.contact_with_semiroot)
+            else:
+                value = min(a.contact_with_f, b.contact_with_f)
+            table.append((names[i], names[j], value))
+    return table
+
+
 def _oracle_edge_index(leaf, parent_contact) -> int:
     dens = [e.denominator for e in leaf.char_exponents if e <= parent_contact]
     return lcm(*dens) if dens else 1
@@ -164,7 +191,7 @@ def _cluster(leaves, contact):
 def eggers_wall_oracle(prediction, include_branch=True):
     """Eggers-Wall tree clustered from the contact table of all leaf pairs:
     f, the semiroots f_l (when ``include_branch``) and the factors."""
-    from branchpolar.polar import EggersWallExport, EWLeaf, EWNode, PolarPrediction
+    from branchpolar.polar import EggersWallExport, EWLeaf, EWNode
 
     cs = prediction.char
     leaves = []
@@ -177,6 +204,7 @@ def eggers_wall_oracle(prediction, include_branch=True):
     for pos, (f, name) in enumerate(zip(facts, prediction.labels())):
         leaves.append(EWLeaf(name, (2, pos), f.char_exponents, f.multiplicity))
 
+    between = {(a, b): c for a, b, c in contact_table_oracle(prediction)}
     contacts = {}
     for i, la in enumerate(leaves):
         for lb in leaves[i + 1:]:
@@ -195,7 +223,7 @@ def eggers_wall_oracle(prediction, include_branch=True):
                 else:
                     value = min(Fraction(cs.b[ka[1]], cs.b0), factor.contact_with_f)
             else:
-                value = PolarPrediction.pairwise_contact(facts[ka[1]], facts[kb[1]])
+                value = between[(la.name, lb.name)]
             contacts[frozenset((la.name, lb.name))] = value
 
     tree = _cluster(leaves, lambda a, b: contacts[frozenset((a.name, b.name))])

@@ -3,17 +3,27 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import branchpolar
 from branchpolar.charclass import new_char_sequence
 from branchpolar.diagram import NewtonDiagram, elementary
 from branchpolar.errors import InvariantViolation, OrderOutOfRange
 from branchpolar.polar import EWLeaf, export_eggers_wall, predict
-from oracles import eggers_wall_oracle, random_char_sequence, staircase_trunc_oracle
+from branchpolar.rational import fmt_q
+from oracles import (
+    contact_table_oracle,
+    eggers_wall_oracle,
+    random_char_sequence,
+    staircase_trunc_oracle,
+)
 
 EX1 = new_char_sequence([12, 16, 31])
 EX2 = new_char_sequence([10, 14, 15])
@@ -168,11 +178,99 @@ def test_prediction_json_deterministic():
 
 def test_pairwise_contacts_examples():
     p = predict(EX1, 2)
-    table = {(a, b): c for a, b, c in p.contact_table()}
+    table = {(a, b): c for a, b, c in contact_table_oracle(p)}
     assert table[("z^(1)_1", "w^(1)_1")] == q(4, 3)      # within group 1
     assert table[("z^(2)_1", "z^(2)_2")] == q(8, 3)      # within group 2
     assert table[("z^(1)_1", "z^(2)_1")] == q(4, 3)      # across groups
     assert table[("w^(1)_1", "z^(2)_2")] == q(4, 3)
+
+
+# -- contact rows from the group structure ------------------------------------------
+
+
+def assert_contact_rows_match_oracle(p):
+    blob = p.to_json()
+    assert p.to_json_text() == json.dumps(blob, indent=2)
+    assert blob["pairwise_contacts"] == [[a, b, fmt_q(c)] for a, b, c in contact_table_oracle(p)]
+
+
+@pytest.mark.parametrize("cs,k", [(EX1, 1), (EX1, 2), (EX1, 10), (EX2, 1), (EX2, 2)])
+def test_contact_rows_match_oracle_on_goldens(cs, k):
+    assert_contact_rows_match_oracle(predict(cs, k))
+
+
+@st.composite
+def char_sequences(draw):
+    """Classes with b0 <= 64 and 1-4 levels, plus the Z-heavy K(b0, 2b0-1)
+    and the W-heavy K(2e, 3e, 3e+1)."""
+    shape = draw(st.sampled_from(["random", "z-heavy", "w-heavy"]))
+    if shape == "z-heavy":
+        b0 = draw(st.integers(2, 64))
+        return new_char_sequence([b0, 2 * b0 - 1])
+    if shape == "w-heavy":
+        e = draw(st.integers(2, 32))
+        return new_char_sequence([2 * e, 3 * e, 3 * e + 1])
+    levels = draw(st.integers(1, 4))
+    n_seq = []
+    while len(n_seq) < levels:
+        # leave room for n_l >= 2 at every level still to come
+        n_seq.append(draw(st.integers(2, 64 // prod(n_seq) >> (levels - len(n_seq) - 1))))
+    b = [prod(n_seq)]
+    for l in range(1, len(n_seq) + 1):
+        e_l = prod(n_seq[l:])
+        c = b[-1] // e_l + 1 + draw(st.integers(0, 2 * n_seq[l - 1]))
+        while gcd(c, n_seq[l - 1]) > 1:
+            c += 1
+        b.append(c * e_l)
+    return new_char_sequence(b)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(char_sequences())
+def test_contact_rows_match_oracle(cs):
+    for k in range(1, cs.b0):
+        assert_contact_rows_match_oracle(predict(cs, k))
+
+
+def _swap_two_z(p):
+    for l, group in enumerate(p.groups):
+        zs = [i for i, f in enumerate(group) if f.kind == "Z"]
+        for i, j in zip(zs, zs[1:]):
+            if group[i].contact_with_semiroot != group[j].contact_with_semiroot:
+                swapped = list(group)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                return replace(p, groups=p.groups[:l] + (tuple(swapped),) + p.groups[l + 1:])
+    raise ValueError("no two Z-factors of one group differ in semiroot contact")
+
+
+def _swap_groups(p):
+    return replace(p, groups=p.groups[::-1])
+
+
+@pytest.mark.parametrize("mutant,cs,k", [
+    (_swap_two_z, EX2, 2),
+    (_swap_two_z, new_char_sequence([16, 23]), 1),
+    (_swap_groups, EX1, 1),
+], ids=["z-order-ex2", "z-order-K(16,23)", "group-order-ex1"])
+def test_contact_writers_reject_wrong_order(mutant, cs, k):
+    p = mutant(predict(cs, k))
+    with pytest.raises(InvariantViolation):
+        p.to_json()
+    with pytest.raises(InvariantViolation):
+        p.to_json_text()
+
+
+def test_merle_first_polar_multiplicities():
+    # Merle: group l of the generic first polar has total multiplicity
+    # (n_l - 1) * b0 / e_(l-1)
+    rng = random.Random(61)
+    classes = [EX1, EX2] + [random_char_sequence(rng, b0_max=64) for _ in range(400)]
+    for cs in classes:
+        p = predict(cs, 1)
+        assert p.i_k == cs.h
+        for l, group in enumerate(p.groups, start=1):
+            expected = (cs.n_seq[l - 1] - 1) * cs.b0 // cs.e[l - 1]
+            assert sum(f.multiplicity for f in group) == expected, (cs.b, l)
 
 
 def test_labels_canonical_order():

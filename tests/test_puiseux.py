@@ -240,7 +240,7 @@ _POWER_SUMS = puiseux._power_sums
 
 
 def _power_sums_from_zero(scaled, n, top, width):
-    # p_0, ..., p_(n-1) instead of p_1, ..., p_n; p_0 = n
+    # p_0, ..., p_n instead of p_1, ..., p_(n+1); p_0 = n
     return [n] + _POWER_SUMS(scaled, n, top, width)[:-1]
 
 
@@ -260,17 +260,48 @@ def test_min_poly_rejects_wrong_power_sums(monkeypatch, mutant):
             min_poly(root)
 
 
+# these keep every p_j a multiple of n, so only the identity at j = n + 1 sees them
+
+
+def _power_sums_losing_p_n(scaled, n, top, width):
+    sums = _POWER_SUMS(scaled, n, top, width)
+    sums[n - 1] = 0
+    return sums
+
+
+def _power_sums_negated(scaled, n, top, width):
+    return [-p for p in _POWER_SUMS(scaled, n, top, width)]
+
+
+def _power_sums_doubled(scaled, n, top, width):
+    return [2 * p for p in _POWER_SUMS(scaled, n, top, width)]
+
+
+@pytest.mark.parametrize(
+    "mutant", [_power_sums_losing_p_n, _power_sums_negated, _power_sums_doubled],
+    ids=lambda f: f.__name__,
+)
+def test_min_poly_rejects_power_sums_kept_multiples_of_n(monkeypatch, mutant):
+    roots = [sample_witness(new_char_sequence(b), 1).root
+             for b in ((12, 16, 31), (10, 14, 15), (8, 12, 14, 15))]
+    monkeypatch.setattr(puiseux, "_power_sums", mutant)
+    for root in roots:
+        with pytest.raises(InvariantViolation):
+            min_poly(root)
+
+
 def test_min_poly_rejects_wrong_power_sums_without_asserts():
     src = str(Path(branchpolar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::test_min_poly_rejects_wrong_power_sums"],
+         f"{__file__}::test_min_poly_rejects_wrong_power_sums",
+         f"{__file__}::test_min_poly_rejects_power_sums_kept_multiples_of_n"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stdout + run.stderr
-    assert "2 passed" in run.stdout
+    assert "5 passed" in run.stdout
 
 
 # -- derivatives ------------------------------------------------------------------

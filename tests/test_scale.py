@@ -1,9 +1,11 @@
+import json
 import re
 import time
 from fractions import Fraction
 
 import pytest
 
+from branchpolar import cli
 from branchpolar.charclass import bbar, new_char_sequence
 from branchpolar.diagram import elementary
 from branchpolar.polar import export_eggers_wall, predict
@@ -72,6 +74,17 @@ def test_eggers_wall_dot_thousands_of_leaves():
         dot = export_eggers_wall(p, include_branch).to_dot()
         assert len(re.findall(r'label="[zw]\^', dot)) == 4095
         assert ('label="f"' in dot) == include_branch
+
+
+def test_prediction_json_with_half_a_million_contact_rows(capsys):
+    # K(1024, 2047), k = 1: 1023 factors in one group, 522753 contact rows
+    start = time.time()
+    code = cli.main(["predict", "1024,2047", "--k", "1", "--format", "json", "--quiet"])
+    assert time.time() - start < 1.0
+    assert code == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob == predict(new_char_sequence([1024, 2047]), 1).to_json()
+    assert len(blob["pairwise_contacts"]) == 1023 * 1022 // 2
 
 
 def test_witness_with_rational_coefficients():

@@ -10,14 +10,14 @@ from pathlib import Path
 import pytest
 
 import branchpolar
-from branchpolar.charclass import new_char_sequence
+from branchpolar.charclass import new_char_sequence, semiroot_degree
 from branchpolar.errors import (
     AllSeedsDegenerate,
     InvariantViolation,
     OrderOutOfRange,
     OrderTooLarge,
 )
-from branchpolar.puiseux import PuiseuxSeries, derivative_y, diagram_of, min_poly
+from branchpolar.puiseux import PuiseuxSeries, derivative_y, diagram_of, hat_transform, min_poly
 from branchpolar.verify import (
     WitnessBranch,
     allowed_exponents,
@@ -103,6 +103,23 @@ def test_expected_hat_diagram_order_too_large():
     hat = diagram_of(w.hat(2))
     with pytest.raises(OrderTooLarge):
         expected_hat_diagram(EX1, 2, 4, hat)  # e_1 = 4
+
+
+# -- one hat transform per level: hat(d^k f) = d^k hat(f) ----------------------------
+
+
+@pytest.mark.parametrize("b", [(12, 16, 31), (10, 14, 15), (4, 6, 7), (8, 12, 14, 15),
+                               (12, 16, 30, 31), (16, 24, 28, 30, 31)])
+def test_hat_commutes_with_y_derivatives(b):
+    cs = new_char_sequence(b)
+    w = sample_witness(cs, 1)
+    for l in range(1, cs.h + 1):
+        fhat = w.hat(l)
+        for k in range(1, cs.e[l - 1]):
+            direct = hat_transform(derivative_y(w.f, k), semiroot_degree(cs, l), w.lam(l))
+            derived = derivative_y(fhat, k)
+            assert derived.terms == direct.terms, (b, l, k)
+            assert derived.trunc == direct.trunc, (b, l, k)
 
 
 # -- a wrongly straightened hat must trip expected_hat_diagram's invariant ------------
