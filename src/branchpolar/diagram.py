@@ -7,9 +7,9 @@ right).  The chain implicitly carries a vertical ray above its first vertex
 and a horizontal ray right of its last one, so non-convenient diagrams
 (translated quadrants, rays) need no special casing.
 
-Supported operations: hulls of supports, Minkowski sums, weighted initial
-faces, canonical and long canonical representations, truncation at a height,
-and symbolic derivatives.  Truncation and derivatives build the lattice hull
+Supported operations: hulls of supports, Minkowski sums, canonical and long
+canonical representations, truncation at a height, and symbolic
+derivatives.  Truncation and derivatives build the lattice hull
 of the cut edge by gift wrapping with Stern-Brocot steps, in time
 polylogarithmic in the height of that edge rather than linear in it (compare
 W. Harvey, "Computing two-dimensional integer hulls", SIAM J. Comput. 28,
@@ -29,10 +29,8 @@ from .errors import EmptySupport, InvariantViolation, SplitTooDeep
 __all__ = [
     "NewtonDiagram",
     "CanonicalRep",
-    "Face",
     "from_support",
     "elementary",
-    "quadrant",
     "minkowski_sum",
     "split_derivative",
 ]
@@ -66,19 +64,6 @@ def _normalize_chain(points) -> tuple:
             hull.pop()
         hull.append(c)
     return tuple(hull)
-
-
-@dataclass(frozen=True)
-class Face:
-    """A face of a diagram selected by a weight: a vertex (start == end) or a
-    closed compact edge."""
-
-    start: tuple
-    end: tuple
-
-    @property
-    def is_vertex(self) -> bool:
-        return self.start == self.end
 
 
 @dataclass(frozen=True)
@@ -145,10 +130,6 @@ class NewtonDiagram:
         """Vertical extent of the Newton polygon."""
         return self.top[1] - self.bottom[1]
 
-    @property
-    def is_convenient(self) -> bool:
-        return self.top[0] == 0 and self.bottom[1] == 0
-
     def compact_edges(self):
         return list(zip(self.vertices, self.vertices[1:]))
 
@@ -168,20 +149,6 @@ class NewtonDiagram:
 
     def __add__(self, other: "NewtonDiagram") -> "NewtonDiagram":
         return minkowski_sum(self, other)
-
-    def initial_part(self, omega) -> Face:
-        """Face minimizing <., omega> for a weight with both entries positive.
-
-        The minimum over the whole diagram is attained on the vertex chain;
-        with strict convexity the face is a vertex or one compact edge.
-        """
-        w1, w2 = omega
-        if w1 <= 0 or w2 <= 0:
-            raise ValueError(f"weight must be strictly positive, got {omega}")
-        keys = [w1 * x + w2 * y for x, y in self.vertices]
-        lo = min(keys)
-        arg = [v for v, key in zip(self.vertices, keys) if key == lo]
-        return Face(arg[0], arg[-1])
 
     def canonical_rep(self, long: bool = False) -> CanonicalRep:
         """Successive edge vectors, rightmost first; long form splits each
@@ -318,10 +285,6 @@ def elementary(m: int, n: int) -> NewtonDiagram:
     if m == 0 or n == 0:
         return NewtonDiagram(((0, 0),))
     return NewtonDiagram(((0, n), (m, 0)))
-
-
-def quadrant(at=(0, 0)) -> NewtonDiagram:
-    return NewtonDiagram((tuple(at),))
 
 
 def minkowski_sum(a: NewtonDiagram, b: NewtonDiagram) -> NewtonDiagram:

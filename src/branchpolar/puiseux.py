@@ -467,48 +467,62 @@ def _slot_offset(width: int, slots: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
 
 
-def _power_sums(scaled: list, n: int, top: int, width: int) -> list:
-    """Packed x-polynomials n * [A(u)^j]_(u-exponents divisible by n) modulo
-    x^top, j = 1..n+1, for A = sum of c u^i over ``scaled``.
+def _power_sums(scaled: list, n: int, shift: int, slots: int, width: int) -> list:
+    """Packed windows of the power sums p_i = n * [a^i]_(u-exponents divisible
+    by n), i = 1..n+1, for a = u^shift * B(u) and B the sum of c u^i over
+    ``scaled``: slot m of window i holds the coefficient of x^(o_i + m),
+    o_i = ceil(i * shift / n), for m < ``slots``.
 
-    A polynomial is packed as the integer sum of c_k 2^(8*width*k), so that
-    big-integer products are polynomial products (Kronecker substitution);
-    ``width`` must leave every coefficient below half a slot.
+    a^i = u^(i shift) B^i, and the window reads B^i at u-exponents
+    n o_i - i shift + n m < n slots only, so every power is taken modulo
+    u^(n slots).  A polynomial is packed as the integer sum of c_k 2^(8 width k),
+    so that big-integer products are polynomial products (Kronecker
+    substitution); ``width`` must leave every coefficient below half a slot.
     """
     bits = 8 * width
-    slots = n * top
-    offset = _slot_offset(width, slots)
-    x_offset = _slot_offset(width, top)
-    mask = (1 << bits * slots) - 1
+    u_slots = n * slots
+    offset = _slot_offset(width, u_slots)
+    x_offset = _slot_offset(width, slots)
+    mask = (1 << bits * u_slots) - 1
     stride = n * width
     series = sum(c << bits * i for i, c in scaled)
     power, sums = 1, []
-    for _ in range(n + 1):
-        shifted = (power * series + offset) & mask  # signed slots, mod u^slots
+    for i in range(1, n + 2):
+        shifted = (power * series + offset) & mask  # signed slots, mod u^(n slots)
         power = shifted - offset
-        data = shifted.to_bytes(slots * width, "little")
-        picked = b"".join(data[s:s + width] for s in range(0, slots * width, stride))
+        data = shifted.to_bytes(u_slots * width, "little")
+        start = (-i * shift) % n * width
+        picked = b"".join(data[s:s + width] for s in range(start, u_slots * width, stride))
         sums.append(n * (int.from_bytes(picked, "little") - x_offset))
     return sums
 
 
-def min_poly(a: PuiseuxSeries, x_trunc: int | None = None) -> BivariatePoly:
+def min_poly(a: PuiseuxSeries, x_trunc: int | None = None, cut=None) -> BivariatePoly:
     """Monic polynomial of degree index(a) whose roots are the conjugates of a.
 
     Exact when ``a`` is a finite series; otherwise the x-coefficients are
     tracked modulo x^x_trunc and the call fails with TruncationTooShort when
-    the series is not known far enough to support that bound.
+    the series is not known far enough to support that bound.  With
+    ``cut = (wx, wy, cap)`` only the terms x^i y^j of weight wx*i + wy*j up
+    to ``cap`` are computed and returned.
 
     With a(u) = A(u)/D for u = x^(1/n), an integer polynomial A and the
     common denominator D, the conjugates a(eps^k u) have the power sums
     p_j = n * [a^j]_(u-exponents divisible by n), and Newton's identities
     j e_j = sum_(i=1..j) (-1)^(i-1) e_(j-i) p_i give the elementary symmetric
     functions; the result is sum_j (-1)^j e_j y^(n-j).  The recurrence runs
-    on E_j = D^j e_j, integer x-polynomials, packed into big integers with
-    slots wide enough for n 2^n S^(n+1), S the sum of |A|'s coefficients,
-    which bounds every coefficient involved.  Besides integrality and
-    e_j(0) = 0, the identity at j = n + 1 must give e_(n+1) = 0, which
-    catches power sums that are wrong yet keep every p_j a multiple of n.
+    on E_j = D^j e_j, integer x-polynomials.  Each conjugate has order
+    v/n, v the first u-exponent of a, so e_j and p_j start at x^o_j,
+    o_j = ceil(j v / n), and since o_(j-i) + o_i is o_j or o_j + 1, every
+    E_j and P_j is kept as the window of its first W coefficients, W as
+    wide as the widest e_j asked for.  Windows are packed into big integers
+    with slots wide enough for n 2^n S^(n+1), S the sum of |A|'s
+    coefficients, which bounds every coefficient involved.
+
+    Checks: every E_j is integral with coefficients at most binom(n, j) S^j.
+    An exact, uncut result must vanish at a, f(x, a) = 0, which certifies
+    it; otherwise the identity at j = n + 1 must give e_(n+1) = 0 over its
+    window.
     """
     a = a.reduce()
     n = a.denom
@@ -528,47 +542,76 @@ def min_poly(a: PuiseuxSeries, x_trunc: int | None = None) -> BivariatePoly:
     terms = [(i, c) for i, c in a.terms if eff is None or i < eff * n]
     if not terms:
         return BivariatePoly({(0, n): 1}, eff)
-    # e_j has x-degree at most j/n times the top u-exponent of a
-    top = terms[-1][0] + 1 if eff is None else min(eff, terms[-1][0] + 1)
+    shift, top = terms[0][0], terms[-1][0]
+    order = [-(-j * shift // n) for j in range(n + 2)]  # o_j
+    # e_j is wanted below x^limit[j]: its degree is at most j top / n
+    limit = [j * top // n + 1 for j in range(n + 1)]
+    if eff is not None:
+        limit = [min(t, eff) for t in limit]
+    if cut is not None:
+        wx, wy, cap = cut
+        limit = [min(t, (cap - wy * (n - j)) // wx + 1) for j, t in enumerate(limit)]
+    slots = max(1, max(t - o for t, o in zip(limit, order)))
+
     den = lcm(*(Fraction(c).denominator for _, c in terms))
-    scaled = [(i, int(c * den)) for i, c in terms]
-    bound = (n << n) * sum(abs(c) for _, c in scaled) ** (n + 1)
+    scaled = [(i - shift, int(c * den)) for i, c in terms]
+    total = sum(abs(c) for _, c in scaled)
+    bound = (n << n) * total ** (n + 1)
     width = bound.bit_length() // 8 + 1  # bytes; half a slot exceeds the bound
-    sums = _power_sums(scaled, n, top, width)
+    sums = _power_sums(scaled, n, shift, slots, width)
 
-    half = 1 << 8 * width - 1
-    offset = _slot_offset(width, top)
-    mask = (1 << 8 * width * top) - 1
+    bits = 8 * width
+    half = 1 << bits - 1
+    offset = _slot_offset(width, slots)
+    mask = (1 << bits * slots) - 1
     out = {(0, n): 1}
-    elem = [1]  # E_0, E_1, ... packed
+    elem = [1]  # the windows of E_0, E_1, ..., packed
+    coeff_lists = []  # the window coefficients of E_1, E_2, ...
 
-    def newton(j):  # j E_j, packed
+    def newton(j):  # the window of j E_j, packed
         acc = 0
         for i in range(1, j + 1):
+            term = elem[j - i] * sums[i - 1]
+            if order[j - i] + order[i] > order[j]:
+                term <<= bits
             if i % 2:
-                acc += elem[j - i] * sums[i - 1]
+                acc += term
             else:
-                acc -= elem[j - i] * sums[i - 1]
+                acc -= term
         return acc
 
     for j in range(1, n + 1):
         shifted = (newton(j) + offset) & mask
-        data = shifted.to_bytes(top * width, "little")
+        data = shifted.to_bytes(slots * width, "little")
         coeffs = [int.from_bytes(data[s:s + width], "little") - half
-                  for s in range(0, top * width, width)]
-        # E_j is integral, and e_j(0) = 0 since every conjugate has positive
-        # order: the product is monic and reduces to y^n at x = 0
+                  for s in range(0, slots * width, width)]
         if any(c % j for c in coeffs):
             raise InvariantViolation(f"Newton's identities left e_{j} non-integral")
-        if coeffs[0]:
-            raise InvariantViolation(f"conjugate product is not y^n at x = 0: x^0 y^{n - j} survives")
         elem.append((shifted - offset) // j)
+        coeff_lists.append([c // j for c in coeffs])
+        # every product of j conjugates has coefficients of size at most S^j
+        if max(map(abs, coeff_lists[-1])) > comb(n, j) * total ** j:
+            raise InvariantViolation(f"e_{j} has a coefficient beyond binom(n, {j}) S^{j}")
         scale = (-1) ** j * den ** j
-        for t, c in enumerate(coeffs):
-            if c:
-                out[(t, n - j)] = Fraction(c // j, scale) if den > 1 else c // j * scale
+        for t, c in enumerate(coeff_lists[-1], start=order[j]):
+            if c and t < limit[j]:
+                out[(t, n - j)] = Fraction(c, scale) if den > 1 else c * scale
+    if eff is None and cut is None:
+        # f(x, a) = 0: a monic f of degree n over Q[x] that vanishes at a
+        # vanishes at every conjugate, so this certifies the whole result.
+        # F(u) = sum_j (-1)^j E_j(u^n) A(u)^(n-j) has integer coefficients of
+        # size below (n+1) slots 2^n S^n < 2^(w-1), so its value at u = 2^w
+        # is zero exactly when F is
+        w = ((n + 1) * slots * total ** n << n).bit_length() + 1
+        at_a = sum(c << w * (i + shift) for i, c in scaled)
+        value = 1
+        for j, coeffs in enumerate(coeff_lists, start=1):
+            e_j = sum(c << w * n * t for t, c in enumerate(coeffs, start=order[j]) if c)
+            value = value * at_a + (-1) ** j * e_j
+        if value:
+            raise InvariantViolation("the conjugate product does not vanish at the series")
     # a product of n linear factors in y has no e_(n+1)
-    if (newton(n + 1) + offset) & mask != offset:
+    elif (newton(n + 1) + offset) & mask != offset:
         raise InvariantViolation(f"Newton's identities leave e_{n + 1} nonzero")
     return BivariatePoly(out, eff)
 
@@ -597,11 +640,18 @@ def derivative_y(f: BivariatePoly, k: int) -> BivariatePoly:
     return BivariatePoly(out, f.trunc)
 
 
-def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries) -> BivariatePoly:
+def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
+                  cut=None) -> BivariatePoly:
     """The substitution f(x^n_sub, y + lam(x^n_sub)).
 
     ``lam(x^n_sub)`` must have integer exponents, i.e. the index of ``lam``
     must divide ``n_sub``.
+
+    With ``cut = (wx, wy, cap)`` every term x^i y^j of weight wx*i + wy*j
+    above ``cap`` is left out.  The Horner scheme drops an intermediate term
+    as soon as its lightest descendant is that heavy: with wx * ord(mu) >= wy
+    a multiplication by y + mu never lowers a weight, so every term within
+    the cap keeps all of its contributions.
     """
     if n_sub < 1:
         raise ValueError("substitution exponent must be positive")
@@ -613,35 +663,49 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries) -> Bivariate
                 f"exponent {i}/{lam.denom} * {n_sub} is not an integer"
             )
         mu[e // lam.denom] = c
+    mu_items = sorted(mu.items())
 
     bound = None if f.trunc is None else f.trunc * n_sub
     if lam.trunc_bound is not None:
         mu_bound = -(-lam.trunc_bound * n_sub // lam.denom)
         bound = mu_bound if bound is None else min(bound, mu_bound)
+    last_x = INF if bound is None else bound - 1
+    if cut is not None:
+        wx, wy, cap = cut
+        if wx < 1 or wy < 1:
+            raise ValueError(f"cut weights must be positive, got ({wx}, {wy})")
+        if mu_items and wx * mu_items[0][0] < wy:
+            raise ValueError(f"y + x^{mu_items[0][0]} lowers the weight ({wx}, {wy})")
 
     slices = f.y_slices()
-    top = max(slices) if slices else 0
-    acc: dict = {}
-    for j in range(top, -1, -1):
-        # acc <- acc * (y + mu) + c_j(x^n_sub)
-        nxt: dict = {}
-        for (i, jy), c in acc.items():
-            key = (i, jy + 1)
-            nxt[key] = nxt.get(key, 0) + c
-            for e, m in mu.items():
-                ie = i + e
-                if bound is not None and ie >= bound:
-                    continue
-                key = (ie, jy)
-                nxt[key] = nxt.get(key, 0) + c * m
+    rows: list = []  # rows[jy] = {i: c}, the x-polynomial at y^jy
+    for j in range(max(slices, default=0), -1, -1):
+        # rows <- rows * (y + mu) + c_j(x^n_sub); j multiplications follow,
+        # so row jy keeps the exponents up to last[jy]
+        last = [last_x if cut is None else min(last_x, (cap - wy * (jy + j)) // wx)
+                for jy in range(len(rows) + 1)]
+        out = []
+        below: dict = {}  # row jy - 1 of the old rows, the y-shift into row jy
+        for jy, row in enumerate(rows):
+            top = last[jy]
+            for i, c in row.items():
+                room = top - i
+                for e, m in mu_items:
+                    if e > room:
+                        break
+                    below[i + e] = below.get(i + e, 0) + c * m
+            out.append({i: c for i, c in below.items() if c})
+            below = row
+        out.append(below)
+        row = out[0]
         for i, c in slices.get(j, {}).items():
-            ie = i * n_sub
-            if bound is not None and ie >= bound:
-                continue
-            key = (ie, 0)
-            nxt[key] = nxt.get(key, 0) + c
-        acc = {k: v for k, v in nxt.items() if v}
-    return BivariatePoly(acc, bound)
+            if i * n_sub <= last[0]:
+                row[i * n_sub] = row.get(i * n_sub, 0) + c
+        out[0] = {i: c for i, c in row.items() if c}
+        rows = out
+    return BivariatePoly(
+        {(i, jy): c for jy, row in enumerate(rows) for i, c in row.items()}, bound
+    )
 
 
 def diagram_of(f: BivariatePoly, certified: bool = True) -> diagram_mod.NewtonDiagram:

@@ -1,8 +1,25 @@
 """Brute-force verification of polar predictions on explicit witnesses.
 
 A witness is a branch with seeded random integer coefficients in a given
-equisingularity class, built as an explicit Puiseux root and its exact
-minimal polynomial.  For every level l and order k the checks are:
+equisingularity class, given by an explicit Puiseux root.  Its minimal
+polynomial f is never expanded.  The checks of level l read the hat
+transform f^_l = f(x^N_l, y + lam_l(x^N_l)), N_l = b0/e_(l-1), and only on
+or just under the chord from (0, b0) to (bbar_l, 0), so ``hat_chain``
+builds the levels 1..L one from the other and cut to that triangle:
+
+* f^_1 = min_poly(root - lam_1), since lam_1 has integer exponents and every
+  conjugation fixes it;
+* f^_l = f^_(l-1)(x^n_(l-1), y + delta_l(x^N_l)), delta_l = lam_l - lam_(l-1);
+* a term x^i y^j of level l weighs (N_L/N_l) i + s j in level-L x-units,
+  s = min(bbar_L/b0, N_L ord delta_l), which no later substitution lowers,
+  and every step drops the terms heavier than bbar_L + N_L;
+* the cut certifies itself: every level meets the x-axis at (bbar_l, 0),
+  or InvariantViolation is raised, and the diagram of d^k f^_l must reach
+  both axes with its vertices within the cap, or the chain is recomputed
+  without a cut.  Then every dropped term lies inside the Newton polyhedra
+  and off their compact edges, which is all the checks read.
+
+For every level l and order k the checks are:
 
 * the Newton diagram of the hat transform of the k-th polar equals the
   symbolic derivative predicted by the splitting R^(t) + L, both on the
@@ -28,12 +45,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import diagram as diagram_mod
 from .charclass import CharSequence, bbar, semiroot_degree
 from .errors import (
-    AllSeedsDegenerate,
     InvariantViolation,
+    NonIntegralSubstitution,
     OrderOutOfRange,
     OrderTooLarge,
     TruncationTooShort,
@@ -59,11 +77,12 @@ __all__ = [
     "VerificationReport",
     "sample_witness",
     "witness_from_root",
+    "cut_bound",
+    "hat_chain",
     "expected_hat_diagram",
     "check_lemma_nd",
     "check_initial_form",
     "verify_prediction",
-    "find_generic_witness",
 ]
 
 COEFF_RANGE = 9  # sampled coefficients live in [-9, 9]
@@ -73,19 +92,18 @@ COEFF_RANGE = 9  # sampled coefficients live in [-9, 9]
 class WitnessBranch:
     cs: CharSequence
     root: PuiseuxSeries
-    f: BivariatePoly
     seed: int | None
     trunc_numer_bound: int | None
+
+    @cached_property
+    def f(self) -> BivariatePoly:
+        """The minimal polynomial of the root; the checks never expand it."""
+        return min_poly(self.root)
 
     def lam(self, l: int) -> PuiseuxSeries:
         """The truncation of the root below b_l/b0, over its own index."""
         cutoff = Fraction(self.cs.b[l], self.cs.b0)
         return self.root.truncate_below(cutoff).reduce()
-
-    def hat(self, l: int) -> BivariatePoly:
-        """Hat transform of f straightening the l-th truncation:
-        f(x^(b0/e_{l-1}), y + lam_l(x^(b0/e_{l-1})))."""
-        return hat_transform(self.f, semiroot_degree(self.cs, l), self.lam(l))
 
 
 def allowed_exponents(cs: CharSequence, upto: int) -> list:
@@ -125,7 +143,7 @@ def sample_witness(cs: CharSequence, seed: int, extra_terms: int | None = None) 
     got = root.characteristic().b
     if got != cs.b:
         raise InvariantViolation(f"sampled root has characteristic {got}, not {cs.b}")
-    return WitnessBranch(cs, root, min_poly(root), seed, root.trunc_bound)
+    return WitnessBranch(cs, root, seed, root.trunc_bound)
 
 
 def witness_from_root(cs: CharSequence, root: PuiseuxSeries,
@@ -134,7 +152,94 @@ def witness_from_root(cs: CharSequence, root: PuiseuxSeries,
     got = root.reduce().characteristic()
     if got.b != cs.b:
         raise ValueError(f"root has characteristic {got.b}, expected {cs.b}")
-    return WitnessBranch(cs, root, min_poly(root), seed, root.trunc_bound)
+    return WitnessBranch(cs, root, seed, root.trunc_bound)
+
+
+# ---------------------------------------------------------------------------
+# hat transforms, chained level to level and cut to the Newton triangle
+# ---------------------------------------------------------------------------
+
+
+def cut_bound(cs: CharSequence, depth: int) -> int:
+    """Weight cap of the chain for levels 1..depth, in level-depth x-units:
+    the corner (bbar_L, 0) of the Newton triangle plus one level-1 lattice
+    step, N_L units."""
+    return cs.bbar[depth - 1] + semiroot_degree(cs, depth)
+
+
+def _row_starts(fhat: BivariatePoly) -> dict:
+    """The smallest x-exponent in each y-row of fhat; the Newton diagram of
+    fhat is the hull of these points, and that of d^k fhat is the hull of
+    those in rows >= k, shifted down by k."""
+    starts: dict = {}
+    for i, j in fhat.terms:
+        if i < starts.get(j, i + 1):
+            starts[j] = i
+    return starts
+
+
+def hat_chain(w: WitnessBranch, depth: int, k: int = 0) -> list:
+    """The hat transforms f^_l = f(x^N_l, y + lam_l(x^N_l)) of the levels
+    l = 1..depth, cut to what the checks of order k read (N_l = b0/e_(l-1)).
+
+    f^_1 = min_poly(root - lam_1): lam_1 has integer exponents, so every
+    conjugation fixes it and the conjugate product is f(x, y + lam_1).  Then
+    f^_l = f^_(l-1)(x^n_(l-1), y + delta_l(x^N_l)), delta_l = lam_l - lam_(l-1).
+    In level-L x-units (L = depth) a term x^i y^j of level l weighs
+    (N_L/N_l) i + s j, s = min(bbar_L/b0, N_L ord delta_l for l = 2..L), so
+    no later substitution lowers a weight, and each step drops every term
+    heavier than ``cut_bound``.
+
+    The cut certifies itself.  Every level must meet the x-axis at
+    (bbar_l, 0), as every member of the class does, or InvariantViolation
+    is raised; the diagram of f^_l then lies in the triangle under the chord
+    from (0, b0), within the cap.  The diagram of d^k f^_l, shifted up by k,
+    must reach both axes with its vertices within the cap.  Then each
+    dropped term lies inside both Newton polyhedra and off their compact
+    edges, so no diagram, edge polynomial or initial form changes.  If a
+    derivative diagram fails, the chain is recomputed without a cut.
+    """
+    cs = w.cs
+    n_top = semiroot_degree(cs, depth)
+    lams = [w.lam(l) for l in range(1, depth + 1)]
+    if lams[0].denom != 1:
+        raise NonIntegralSubstitution(f"lam_1 = {lams[0]} has fractional exponents")
+    diff = w.root - lams[0]
+    weight = Fraction(cs.bbar[depth - 1], cs.b0)
+    steps = []
+    for l in range(2, depth + 1):
+        delta = lams[l - 1] - lams[l - 2]
+        if delta.terms:
+            weight = min(weight, n_top * Fraction(delta.terms[0][0], delta.denom))
+        delta = delta.rescale(semiroot_degree(cs, l))
+        # delta_l(x^N_l) as a series in the level-(l-1) variable x^N_(l-1)
+        steps.append(PuiseuxSeries(cs.n_seq[l - 2], delta.terms, delta.trunc_bound))
+    wy, q = weight.numerator, weight.denominator
+    wxs = [q * n_top // semiroot_degree(cs, l) for l in range(1, depth + 1)]
+
+    def build(cap):
+        cuts = [None if cap is None else (wx, wy, cap) for wx in wxs]
+        hats = [min_poly(diff, cut=cuts[0])]
+        for step, n_sub, cut in zip(steps, cs.n_seq, cuts[1:]):
+            hats.append(hat_transform(hats[-1], n_sub, step, cut))
+        return hats
+
+    cap = q * cut_bound(cs, depth)
+    hats = build(cap)
+    certified = True
+    for l, (fhat, wx) in enumerate(zip(hats, wxs), start=1):
+        starts = _row_starts(fhat)
+        corner = cs.bbar[l - 1]
+        if (fhat.trunc is None or corner < fhat.trunc) and starts.get(0) != corner:
+            raise InvariantViolation(
+                f"hat transform of level {l} meets the x-axis at x^{starts.get(0)}, "
+                f"not at x^{corner} = x^bbar_{l}"
+            )
+        if k and certified:
+            d = diagram_mod.from_support((i, j) for j, i in starts.items() if j >= k)
+            certified = (d.top[0] == 0 and d.bottom[1] == k
+                         and all(wx * x + wy * y <= cap for x, y in d.vertices))
+    return hats if certified else build(None)
 
 
 def expected_hat_diagram(cs: CharSequence, l: int, k: int,
@@ -197,7 +302,7 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int,
     res = LemmaNDResult(level=l, k=k, status="ok")
     try:
         if fhat is None:
-            fhat = w.hat(l)
+            fhat = hat_chain(w, l, k)[-1]
         expected = expected_hat_diagram(cs, l, k, diagram_of(fhat))
         # the hat transform commutes with d/dy: hat(d^k f) = d^k hat(f)
         polar_hat = derivative_y(fhat, k)
@@ -243,7 +348,7 @@ def check_initial_form(w: WitnessBranch, l: int,
     """
     cs = w.cs
     if fhat is None:
-        fhat = w.hat(l)
+        fhat = hat_chain(w, l)[-1]
     m_l, n_l = cs.m_seq[l - 1], cs.n_seq[l - 1]
     e_l = cs.e[l]
     observed = fhat.initial_form((n_l, m_l))
@@ -392,8 +497,7 @@ def _aggregate_predicted(prediction: PolarPrediction, cs: CharSequence, l: int) 
 def _run_seed(w: WitnessBranch, prediction: PolarPrediction, levels) -> SeedRun:
     cs = w.cs
     run = SeedRun(seed=w.seed, status="pass")
-    for l in levels:
-        fhat = w.hat(l)
+    for l, fhat in zip(levels, hat_chain(w, levels[-1], prediction.k)):
         lemma = check_lemma_nd(w, l, prediction.k, fhat=fhat)
         report = LevelReport(lemma=lemma)
         run.levels.append(report)
@@ -459,16 +563,3 @@ def verify_prediction(cs: CharSequence, k: int, seeds,
     report.verdict = "PASS" if report.passing_seed is not None else "UNKNOWN"
     return report
 
-
-def find_generic_witness(cs: CharSequence, k: int, seeds,
-                         extra_terms: int | None = None) -> WitnessBranch:
-    """First sampled witness passing every check, or AllSeedsDegenerate."""
-    prediction = predict(cs, k)
-    levels = [l for l in range(1, cs.h + 1) if cs.e[l - 1] > k]
-    tried = 0
-    for seed in seeds:
-        w = sample_witness(cs, seed, extra_terms)
-        tried += 1
-        if _run_seed(w, prediction, levels).status == "pass":
-            return w
-    raise AllSeedsDegenerate(f"all {tried} seeds produced degenerate witnesses")

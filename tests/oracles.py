@@ -6,9 +6,10 @@ first derivatives of elementary diagrams by continued fractions, conjugate
 products by exact cyclotomic arithmetic and by iterated norms (Laplace
 determinants), random valid characteristic sequences by rejection,
 pairwise contacts one pair at a time, Eggers-Wall trees by clustering that
-table.  Helpers that only the tests use (sums of faces, symbolic conjugates,
-truncation orbits, evaluation of bivariate polynomials at rational points)
-live here too.
+table, hat transforms by full expansion of the minimal polynomial.  Helpers
+that only the tests use (weighted faces and their sums, quadrants, symbolic
+conjugates, truncation orbits, evaluation of bivariate polynomials at
+rational points, the search for a generic witness) live here too.
 """
 
 from dataclasses import dataclass
@@ -17,13 +18,44 @@ from functools import cache
 from math import gcd, lcm
 
 from branchpolar import contfrac
-from branchpolar.diagram import CanonicalRep, Face, NewtonDiagram, from_support
+from branchpolar.diagram import CanonicalRep, NewtonDiagram, from_support
 from branchpolar.errors import InvalidRange, NotCoprime
 
 
 # ---------------------------------------------------------------------------
 # diagrams
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Face:
+    """A face of a diagram selected by a weight: a vertex (start == end) or a
+    closed compact edge."""
+
+    start: tuple
+    end: tuple
+
+    @property
+    def is_vertex(self) -> bool:
+        return self.start == self.end
+
+
+def quadrant(at=(0, 0)) -> NewtonDiagram:
+    """The translated first quadrant, a diagram with a single vertex."""
+    return NewtonDiagram((tuple(at),))
+
+
+def initial_part(d: NewtonDiagram, omega) -> Face:
+    """Face of ``d`` minimizing <., omega> for a weight with both entries
+    positive.  The minimum over the whole diagram is attained on the vertex
+    chain; with strict convexity the face is a vertex or one compact edge."""
+    w1, w2 = omega
+    if w1 <= 0 or w2 <= 0:
+        raise ValueError(f"weight must be strictly positive, got {omega}")
+    keys = [w1 * x + w2 * y for x, y in d.vertices]
+    lo = min(keys)
+    arg = [v for v, key in zip(d.vertices, keys) if key == lo]
+    return Face(arg[0], arg[-1])
 
 
 def face_sum(a: Face, b: Face) -> Face:
@@ -514,3 +546,35 @@ def evaluate(f, x0, y0) -> Fraction:
     """Value of the bivariate polynomial ``f`` at a rational point."""
     x0, y0 = Fraction(x0), Fraction(y0)
     return sum((c * x0 ** i * y0 ** j for (i, j), c in f.terms.items()), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# witnesses
+# ---------------------------------------------------------------------------
+
+
+def full_hat(w, l: int):
+    """The hat transform f(x^N_l, y + lam_l(x^N_l)) of level l, expanded in
+    full from the witness's minimal polynomial: the uncut oracle for
+    ``verify.hat_chain``."""
+    from branchpolar.charclass import semiroot_degree
+    from branchpolar.puiseux import hat_transform
+
+    return hat_transform(w.f, semiroot_degree(w.cs, l), w.lam(l))
+
+
+def find_generic_witness(cs, k: int, seeds, extra_terms=None):
+    """First sampled witness passing every check, or AllSeedsDegenerate."""
+    from branchpolar.errors import AllSeedsDegenerate
+    from branchpolar.polar import predict
+    from branchpolar.verify import _run_seed, sample_witness
+
+    prediction = predict(cs, k)
+    levels = [l for l in range(1, cs.h + 1) if cs.e[l - 1] > k]
+    tried = 0
+    for seed in seeds:
+        w = sample_witness(cs, seed, extra_terms)
+        tried += 1
+        if _run_seed(w, prediction, levels).status == "pass":
+            return w
+    raise AllSeedsDegenerate(f"all {tried} seeds produced degenerate witnesses")

@@ -38,7 +38,7 @@ from branchpolar.puiseux import (
     hat_transform,
     min_poly,
 )
-from branchpolar.verify import sample_witness
+from branchpolar.verify import hat_chain, sample_witness
 from oracles import (
     conjugate,
     evaluate,
@@ -239,13 +239,13 @@ def test_min_poly_matches_laplace_oracle_on_witness_roots():
 _POWER_SUMS = puiseux._power_sums
 
 
-def _power_sums_from_zero(scaled, n, top, width):
+def _power_sums_from_zero(scaled, n, *window):
     # p_0, ..., p_n instead of p_1, ..., p_(n+1); p_0 = n
-    return [n] + _POWER_SUMS(scaled, n, top, width)[:-1]
+    return [n] + _POWER_SUMS(scaled, n, *window)[:-1]
 
 
-def _power_sums_without_n(scaled, n, top, width):
-    return [p // n for p in _POWER_SUMS(scaled, n, top, width)]
+def _power_sums_without_n(scaled, n, *window):
+    return [p // n for p in _POWER_SUMS(scaled, n, *window)]
 
 
 @pytest.mark.parametrize(
@@ -263,18 +263,18 @@ def test_min_poly_rejects_wrong_power_sums(monkeypatch, mutant):
 # these keep every p_j a multiple of n, so only the identity at j = n + 1 sees them
 
 
-def _power_sums_losing_p_n(scaled, n, top, width):
-    sums = _POWER_SUMS(scaled, n, top, width)
+def _power_sums_losing_p_n(scaled, n, *window):
+    sums = _POWER_SUMS(scaled, n, *window)
     sums[n - 1] = 0
     return sums
 
 
-def _power_sums_negated(scaled, n, top, width):
-    return [-p for p in _POWER_SUMS(scaled, n, top, width)]
+def _power_sums_negated(scaled, n, *window):
+    return [-p for p in _POWER_SUMS(scaled, n, *window)]
 
 
-def _power_sums_doubled(scaled, n, top, width):
-    return [2 * p for p in _POWER_SUMS(scaled, n, top, width)]
+def _power_sums_doubled(scaled, n, *window):
+    return [2 * p for p in _POWER_SUMS(scaled, n, *window)]
 
 
 @pytest.mark.parametrize(
@@ -282,12 +282,24 @@ def _power_sums_doubled(scaled, n, top, width):
     ids=lambda f: f.__name__,
 )
 def test_min_poly_rejects_power_sums_kept_multiples_of_n(monkeypatch, mutant):
-    roots = [sample_witness(new_char_sequence(b), 1).root
-             for b in ((12, 16, 31), (10, 14, 15), (8, 12, 14, 15))]
+    # exact series, even those whose exponents span a narrow range, are
+    # checked by f(x, a) = 0; truncated and cut ones by e_(n+1) = 0 over its
+    # window, as in the first link of the verifier's hat chain
+    witnesses = [sample_witness(new_char_sequence(b), 1)
+                 for b in ((12, 16, 31), (10, 14, 15), (8, 12, 14, 15), (2, 3))]
+    roots = [w.root for w in witnesses]
+    roots += [PuiseuxSeries.from_string(s) for s in ("x^(3/2)", "x^(7/5)+x^(3/2)", EX1_ROOT)]
     monkeypatch.setattr(puiseux, "_power_sums", mutant)
     for root in roots:
         with pytest.raises(InvariantViolation):
             min_poly(root)
+    for root in roots[:3]:
+        with pytest.raises(InvariantViolation):
+            min_poly(root, 10)
+    for w in witnesses:
+        for depth in range(1, w.cs.h + 1):
+            with pytest.raises(InvariantViolation):
+                hat_chain(w, depth, 1)
 
 
 def test_min_poly_rejects_wrong_power_sums_without_asserts():
@@ -381,6 +393,33 @@ def test_hat_agrees_with_evaluation():
     for x0, y0 in [(Fraction(1, 2), Fraction(2)), (Fraction(-1, 3), Fraction(1, 5))]:
         mu = sum(c * x0 ** (i * 2 // lam.denom) for i, c in lam.terms)
         assert evaluate(fhat, x0, y0) == evaluate(f, x0 ** 2, y0 + mu)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_hat_cut_keeps_exactly_the_light_terms(data):
+    # with wx * ord(mu) >= wy the cut result is the full one without the
+    # terms of weight above the cap, term for term
+    draw = data.draw
+    n_sub = draw(st.integers(1, 3))
+    denom = draw(st.sampled_from([d for d in (1, 2, 3) if n_sub % d == 0]))
+    f = BivariatePoly({(draw(st.integers(0, 6)), draw(st.integers(0, 5))): draw(st.integers(-4, 4))
+                       for _ in range(draw(st.integers(1, 10)))})
+    lam = PuiseuxSeries(denom, {draw(st.integers(1, 3 * denom)): draw(st.integers(-3, 3))
+                                for _ in range(draw(st.integers(0, 3)))})
+    mu_ord = lam.terms[0][0] * n_sub // denom if lam.terms else 10
+    wy = draw(st.integers(1, 5))
+    wx = draw(st.integers(-(-wy // mu_ord), 5))
+    cap = draw(st.integers(0, 40))
+    full = hat_transform(f, n_sub, lam)
+    light = {(i, j): c for (i, j), c in full.terms.items() if wx * i + wy * j <= cap}
+    assert hat_transform(f, n_sub, lam, (wx, wy, cap)).terms == light
+
+
+def test_hat_cut_rejects_a_lowering_substitution():
+    f = BivariatePoly({(0, 2): 1, (3, 0): -1})
+    with pytest.raises(ValueError):
+        hat_transform(f, 1, PuiseuxSeries.from_string("x"), (1, 2, 10))
 
 
 # -- diagrams and edge polynomials -----------------------------------------------------

@@ -87,6 +87,16 @@ def test_prediction_json_with_half_a_million_contact_rows(capsys):
     assert len(blob["pairwise_contacts"]) == 1023 * 1022 // 2
 
 
+def test_verify_five_levels_without_expanding_f(capsys):
+    # every level of K(48,72,76,78,79) is checked at k = 1; the chain never
+    # expands the degree-48 minimal polynomial of the witness
+    start = time.time()
+    code = cli.main(["verify", "48,72,76,78,79", "--k", "1", "--seeds", "1"])
+    assert time.time() - start < 2.0
+    assert code == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_witness_with_rational_coefficients():
     cs = new_char_sequence([2, 3])
     w = witness_from_root(cs, PuiseuxSeries.from_string("1/2*x^(3/2)+x^2"))

@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import branchpolar
 from branchpolar.charclass import new_char_sequence, semiroot_degree
@@ -23,12 +25,14 @@ from branchpolar.verify import (
     allowed_exponents,
     check_initial_form,
     check_lemma_nd,
+    cut_bound,
     expected_hat_diagram,
-    find_generic_witness,
+    hat_chain,
     sample_witness,
     verify_prediction,
     witness_from_root,
 )
+from oracles import find_generic_witness, full_hat
 
 EX1 = new_char_sequence([12, 16, 31])
 EX2 = new_char_sequence([10, 14, 15])
@@ -80,7 +84,7 @@ def test_witness_from_root_validates():
 
 def test_expected_hat_diagram_ex1_level2():
     w = nongeneric_g()
-    hat = diagram_of(w.hat(2))
+    hat = diagram_of(full_hat(w, 2))
     expected = expected_hat_diagram(EX1, 2, 1, hat)
     steep = [p for p in expected.canonical_rep(long=True).parts
              if p[0] * 4 > p[1] * 31]
@@ -91,7 +95,7 @@ def test_expected_hat_diagram_ex1_level2():
 
 def test_expected_hat_diagram_ex2_level1():
     w = sample_witness(EX2, 1)
-    hat = diagram_of(w.hat(1))
+    hat = diagram_of(full_hat(w, 1))
     expected = expected_hat_diagram(EX2, 1, 2, hat)
     steep = [p for p in expected.canonical_rep(long=True).parts
              if p[0] * 5 > p[1] * 7]
@@ -100,7 +104,7 @@ def test_expected_hat_diagram_ex2_level1():
 
 def test_expected_hat_diagram_order_too_large():
     w = sample_witness(EX1, 1)
-    hat = diagram_of(w.hat(2))
+    hat = diagram_of(full_hat(w, 2))
     with pytest.raises(OrderTooLarge):
         expected_hat_diagram(EX1, 2, 4, hat)  # e_1 = 4
 
@@ -114,7 +118,7 @@ def test_hat_commutes_with_y_derivatives(b):
     cs = new_char_sequence(b)
     w = sample_witness(cs, 1)
     for l in range(1, cs.h + 1):
-        fhat = w.hat(l)
+        fhat = full_hat(w, l)
         for k in range(1, cs.e[l - 1]):
             direct = hat_transform(derivative_y(w.f, k), semiroot_degree(cs, l), w.lam(l))
             derived = derivative_y(fhat, k)
@@ -170,6 +174,139 @@ def test_lemma_rejects_wrong_straightening_without_asserts():
     assert "3 passed" in run.stdout
 
 
+# -- the hat chain: cut to the Newton triangle, certified, widened when needed --------
+
+
+def _edge_terms(f, edge):
+    (xa, ya), (xb, yb) = edge
+    return {(i, j): c for (i, j), c in f.terms.items()
+            if yb <= j <= ya and (xb - xa) * (j - ya) == (yb - ya) * (i - xa)}
+
+
+def _assert_chain_reads_like_full_expansion(w, k):
+    cs = w.cs
+    depth = max(l for l in range(1, cs.h + 1) if cs.e[l - 1] > k)
+    for l, fhat in enumerate(hat_chain(w, depth, k), start=1):
+        full = full_hat(w, l)
+        m_l, n_l = cs.m_seq[l - 1], cs.n_seq[l - 1]
+        assert diagram_of(fhat) == diagram_of(full), (cs.b, w.seed, l, k)
+        polar, full_polar = derivative_y(fhat, k), derivative_y(full, k)
+        observed = diagram_of(polar)
+        assert observed == diagram_of(full_polar), (cs.b, w.seed, l, k)
+        for edge in observed.compact_edges():
+            (xa, ya), (xb, yb) = edge
+            if (xb - xa) * n_l > (ya - yb) * m_l:
+                assert _edge_terms(polar, edge) == _edge_terms(full_polar, edge)
+        assert (fhat.initial_form((n_l, m_l)).terms
+                == full.initial_form((n_l, m_l)).terms), (cs.b, w.seed, l)
+
+
+@st.composite
+def small_classes(draw):
+    """Classes with 1-4 levels and b0 <= 32, each m_l within 2 n_l of its
+    smallest value, and a witness seed."""
+    n_seq = draw(st.lists(st.integers(2, 8), min_size=1, max_size=4)
+                 .filter(lambda ns: math.prod(ns) <= 32))
+    m_seq = []
+    for n in n_seq:
+        m = draw(st.integers(1, 2 * n)) + (m_seq[-1] * n if m_seq else n)
+        while math.gcd(m, n) != 1:
+            m += 1
+        m_seq.append(m)
+    e = [math.prod(n_seq[i:]) for i in range(len(n_seq) + 1)]
+    cs = new_char_sequence([e[0]] + [m * e[i + 1] for i, m in enumerate(m_seq)])
+    return cs, draw(st.integers(1, 10 ** 4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_classes())
+def test_hat_chain_matches_full_expansion(case):
+    cs, seed = case
+    w = sample_witness(cs, seed)
+    for k in range(1, cs.b0):
+        _assert_chain_reads_like_full_expansion(w, k)
+
+
+@pytest.mark.parametrize("b", [(12, 16, 31), (10, 14, 15), (10, 15, 17), (8, 12, 14, 15),
+                               (16, 24, 28, 30, 31)])
+def test_first_hat_is_the_conjugate_product_of_the_shifted_root(b):
+    # lam_1 has integer exponents: f(x, y + lam_1) = min_poly(root - lam_1)
+    cs = new_char_sequence(b)
+    w = sample_witness(cs, 1)
+    shifted = w.root - w.lam(1)
+    oracle = hat_transform(w.f, 1, w.lam(1))
+    assert min_poly(shifted) == oracle
+    for depth in range(1, cs.h + 1):
+        n_top = semiroot_degree(cs, depth)
+        x_trunc = cut_bound(cs, depth) // n_top + 1
+        assert min_poly(shifted, x_trunc) == hat_transform(min_poly(w.root, x_trunc), 1, w.lam(1))
+        # the chain's f^_1: every term of level-depth weight within the cap
+        fhat = hat_chain(w, depth)[0]
+        s = min([Fraction(cs.bbar[depth - 1], cs.b0)]
+                + [n_top * Fraction(cs.b[l - 1], cs.b0) for l in range(2, depth + 1)])
+        light = {(i, j): c for (i, j), c in oracle.terms.items()
+                 if n_top * i + s * j <= cut_bound(cs, depth)}
+        assert fhat.terms == light, (b, depth)
+
+
+def _cut_inside_the_corner(cs, depth):
+    """A cut one lattice step inside the corner (bbar_L, 0) of the triangle."""
+    return cs.bbar[depth - 1] - 1
+
+
+def test_chain_rejects_a_cut_too_tight(monkeypatch):
+    import branchpolar.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "cut_bound", _cut_inside_the_corner)
+    for cs, k in ((EX1, 1), (EX1, 2), (EX1, 10), (EX2, 1), (new_char_sequence([10, 15, 17]), 2)):
+        w = sample_witness(cs, 1)
+        for l in range(1, cs.h + 1):
+            if cs.e[l - 1] > k:
+                with pytest.raises(InvariantViolation):
+                    check_lemma_nd(w, l, k)
+        with pytest.raises(InvariantViolation):
+            verify_prediction(cs, k, [1])
+
+
+def test_chain_rejects_a_cut_too_tight_without_asserts():
+    src = str(Path(branchpolar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_chain_rejects_a_cut_too_tight"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "1 passed" in run.stdout
+
+
+def test_chain_widens_for_a_degenerate_witness(monkeypatch):
+    # the all-ones witness at k = 10: d^10 f = 6*11!*(y - x^2)^2 has the vertex
+    # (4, 0), which shifted up by k weighs 4 + (4/3)*10 > bbar_1 + 1 = 17, so
+    # the cut chain cannot certify it and is recomputed in full
+    import branchpolar.verify as verify_mod
+
+    g = nongeneric_g()
+    calls = []
+    real_min_poly = verify_mod.min_poly
+
+    def spy(a, x_trunc=None, cut=None):
+        calls.append(cut is not None)
+        return real_min_poly(a, x_trunc, cut)
+
+    monkeypatch.setattr(verify_mod, "min_poly", spy)
+    monkeypatch.setattr(verify_mod, "sample_witness", lambda cs, seed, extra=None: g)
+    chained = verify_prediction(EX1, 10, [1]).to_json()
+    # every retry samples the same witness: one cut chain and one full chain each
+    assert calls == [True, False] * len(chained["runs"])
+
+    monkeypatch.setattr(verify_mod, "hat_chain",
+                        lambda w, depth, k=0: [full_hat(w, l) for l in range(1, depth + 1)])
+    assert verify_prediction(EX1, 10, [1]).to_json() == chained
+    assert chained["runs"][0]["levels"][0]["status"] == "degenerate"
+
+
 # -- the all-ones non-generic witness for K(12,16,31) ----------------------------------
 
 
@@ -214,7 +351,7 @@ def test_initial_form_cusp():
 
 def test_initial_form_nongeneric_witness_level2():
     w = nongeneric_g()
-    fhat = w.hat(2)
+    fhat = full_hat(w, 2)
     # in_omega(fhat) = 3^4 * x^32 * (y^4 - x^31) for the all-ones witness
     observed = fhat.initial_form((4, 31))
     assert observed.terms == {(32, 4): 81, (63, 0): -81}
@@ -229,7 +366,7 @@ def test_hat_polygon_anchors_at_intersection_numbers():
         cs = new_char_sequence(b)
         w = sample_witness(cs, rng.randint(1, 10 ** 6))
         for l in range(1, cs.h + 1):
-            d = diagram_of(w.hat(l))
+            d = diagram_of(full_hat(w, l))
             assert d.top == (0, cs.b0)
             assert d.bottom == (cs.bbar[l - 1], 0), (b, l)
 
@@ -305,7 +442,7 @@ def test_truncation_soundness():
     for bound in (5, 7, 9, 12, 20, 40):
         root = PuiseuxSeries(2, {i: c for i, c in root_terms.items() if i < bound},
                              trunc_bound=bound)
-        w = WitnessBranch(CUSP, root, min_poly(root), None, bound)
+        w = WitnessBranch(CUSP, root, None, bound)
         res = check_lemma_nd(w, 1, 1)
         statuses.append(res.status)
     assert statuses[-1] == "ok"
