@@ -8,14 +8,7 @@ scale with an exact-arithmetic oracle built from explicit Puiseux witnesses.
 
 from .charclass import CharSequence, bbar, new_char_sequence, parse_char, semiroot_degree
 from .contfrac import ContinuedFraction, expand, to_even_length
-from .diagram import (
-    CanonicalRep,
-    NewtonDiagram,
-    elementary,
-    from_support,
-    minkowski_sum,
-    split_derivative,
-)
+from .diagram import CanonicalRep, NewtonDiagram, elementary, from_support
 from .polar import PolarFactor, PolarPrediction, export_eggers_wall, predict
 from .puiseux import (
     BivariatePoly,
@@ -43,8 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CharSequence", "new_char_sequence", "parse_char", "bbar", "semiroot_degree",
     "ContinuedFraction", "expand", "to_even_length",
-    "NewtonDiagram", "CanonicalRep", "from_support", "elementary", "minkowski_sum",
-    "split_derivative",
+    "NewtonDiagram", "CanonicalRep", "from_support", "elementary",
     "PuiseuxSeries", "BivariatePoly", "Unknown", "contact", "min_poly",
     "derivative_y", "hat_transform", "diagram_of", "edge_poly_squarefree",
     "PolarFactor", "PolarPrediction", "predict", "export_eggers_wall",

@@ -87,9 +87,15 @@ def _parse_diagram(args) -> diagram_mod.NewtonDiagram:
         m, _, n = args.elementary.partition("/")
         return diagram_mod.elementary(int(m), int(n) if n else 1)
     if args.vertices:
-        return diagram_mod.from_support(
-            (int(x), int(y)) for x, y in json.loads(args.vertices)
-        )
+        points = json.loads(args.vertices)
+        # bool is a subclass of int, and int() would truncate floats
+        if not isinstance(points, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)
+            for p in points
+        ):
+            raise ValueError(f"--vertices takes a JSON list of [x, y] integer pairs, "
+                             f"got {args.vertices}")
+        return diagram_mod.from_support(tuple(p) for p in points)
     raise BranchPolarError("one of --elementary or --vertices is required")
 
 
@@ -279,7 +285,7 @@ def main(argv=None) -> int:
         print(f"branchpolar {__version__}", file=sys.stderr)
     try:
         return args.func(args)
-    except (BranchPolarError, ValueError) as exc:
+    except (BranchPolarError, ValueError, OSError) as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(diag), file=sys.stderr)
         return EXIT_USAGE

@@ -7,32 +7,29 @@ right).  The chain implicitly carries a vertical ray above its first vertex
 and a horizontal ray right of its last one, so non-convenient diagrams
 (translated quadrants, rays) need no special casing.
 
-Supported operations: hulls of supports, Minkowski sums, canonical and long
-canonical representations, truncation at a height, and symbolic
-derivatives.  Truncation and derivatives build the lattice hull
-of the cut edge by gift wrapping with Stern-Brocot steps, in time
-polylogarithmic in the height of that edge rather than linear in it (compare
-W. Harvey, "Computing two-dimensional integer hulls", SIAM J. Comput. 28,
-1999).  The row-by-row lattice definition and the closed continued-fraction
+Supported operations: hulls of supports, canonical and long canonical
+representations, truncation at a height, and symbolic derivatives.
+Truncation and derivatives build the lattice hull of the cut edge by gift
+wrapping with Stern-Brocot steps, in time polylogarithmic in the height of
+that edge rather than linear in it (compare W. Harvey, "Computing
+two-dimensional integer hulls", SIAM J. Comput. 28, 1999).  The row-by-row lattice definition and the closed continued-fraction
 formula for first derivatives of elementary diagrams are kept as independent
-oracles in ``tests/oracles.py``.
+oracles in ``tests/oracles.py``, next to Minkowski sums and the splitting
+D^(k) = R^(k) + L, which only the tests use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .errors import EmptySupport, InvariantViolation, SplitTooDeep
+from .errors import EmptySupport, InvariantViolation
 
 __all__ = [
     "NewtonDiagram",
     "CanonicalRep",
     "from_support",
     "elementary",
-    "minkowski_sum",
-    "split_derivative",
 ]
 
 def _normalize_chain(points) -> tuple:
@@ -79,18 +76,6 @@ class CanonicalRep:
     offset: tuple
     parts: tuple
     long: bool
-
-    def to_diagram(self) -> "NewtonDiagram":
-        x0, y0 = self.offset
-        x, y = x0, y0 + sum(n for _, n in self.parts)
-        pts = [(x, y)]
-        for m, n in reversed(self.parts):  # walk edges left to right
-            x, y = x + m, y - n
-            pts.append((x, y))
-        return NewtonDiagram(_normalize_chain(pts))
-
-    def total_height(self) -> int:
-        return sum(n for _, n in self.parts)
 
     def __str__(self) -> str:
         body = "+".join(f"({m},{n})" for m, n in self.parts) if self.parts else "(0,0)"
@@ -145,10 +130,7 @@ class NewtonDiagram:
     def translate(self, dx: int, dy: int) -> "NewtonDiagram":
         return NewtonDiagram(tuple((x + dx, y + dy) for x, y in self.vertices))
 
-    # -- Minkowski structure --------------------------------------------------
-
-    def __add__(self, other: "NewtonDiagram") -> "NewtonDiagram":
-        return minkowski_sum(self, other)
+    # -- canonical representations ---------------------------------------------
 
     def canonical_rep(self, long: bool = False) -> CanonicalRep:
         """Successive edge vectors, rightmost first; long form splits each
@@ -285,64 +267,3 @@ def elementary(m: int, n: int) -> NewtonDiagram:
     if m == 0 or n == 0:
         return NewtonDiagram(((0, 0),))
     return NewtonDiagram(((0, n), (m, 0)))
-
-
-def minkowski_sum(a: NewtonDiagram, b: NewtonDiagram) -> NewtonDiagram:
-    """Vertex chain of a + b, merging the two edge fans by inclination."""
-
-    def edge_vectors(d):
-        return [(xb - xa, ya - yb) for (xa, ya), (xb, yb) in d.compact_edges()]
-
-    ea, eb = edge_vectors(a), edge_vectors(b)
-    x = a.top[0] + b.top[0]
-    y = a.top[1] + b.top[1]
-    pts = [(x, y)]
-    i = j = 0
-    while i < len(ea) or j < len(eb):
-        if j == len(eb):
-            m, n = ea[i]
-            i += 1
-        elif i == len(ea):
-            m, n = eb[j]
-            j += 1
-        else:
-            (ma, na), (mb, nb) = ea[i], eb[j]
-            cmp = ma * nb - mb * na  # sign of ma/na - mb/nb
-            if cmp < 0:
-                m, n = ma, na
-                i += 1
-            elif cmp > 0:
-                m, n = mb, nb
-                j += 1
-            else:
-                m, n = ma + mb, na + nb
-                i += 1
-                j += 1
-        x, y = x + m, y - n
-        pts.append((x, y))
-    return NewtonDiagram(_normalize_chain(pts))
-
-
-def split_derivative(d: NewtonDiagram, k: int, s: int):
-    """Split d = R + L with R the s rightmost long-canonical parts and return
-    (R^(k), L); their Minkowski sum is the k-th symbolic derivative of d as
-    long as k fits inside R's vertical extent.
-    """
-    rep = d.canonical_rep(long=True)
-    if rep.offset[1] != 0:
-        raise ValueError("split_derivative needs a diagram touching the x-axis")
-    if not 0 <= s <= len(rep.parts):
-        raise ValueError(f"split index {s} not in 0..{len(rep.parts)}")
-    right = rep.parts[:s]
-    cap = sum(n for _, n in right)
-    if k > cap:
-        raise SplitTooDeep(f"order {k} exceeds the vertical extent {cap} of the split part")
-    r_diag = CanonicalRep((0, 0), right, True).to_diagram()
-    l_diag = CanonicalRep((rep.offset[0], 0), rep.parts[s:], True).to_diagram()
-    return r_diag.symbolic_derivative(k), l_diag
-
-
-def inclination(edge) -> Fraction:
-    """Inclination Dx/|Dy| of a compact edge."""
-    (xa, ya), (xb, yb) = edge
-    return Fraction(xb - xa, ya - yb)

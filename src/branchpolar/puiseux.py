@@ -46,6 +46,7 @@ __all__ = [
     "min_poly",
     "derivative_y",
     "hat_transform",
+    "row_starts",
     "diagram_of",
     "edge_poly_squarefree",
 ]
@@ -708,8 +709,19 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
     )
 
 
-def diagram_of(f: BivariatePoly, certified: bool = True) -> diagram_mod.NewtonDiagram:
-    """Newton diagram of the support of f.
+def row_starts(f: BivariatePoly) -> dict:
+    """The smallest x-exponent in each y-row of f.  The Newton diagram of f
+    is the hull of these points, and that of d^k f/dy^k is the hull of those
+    in rows >= k, shifted down by k."""
+    starts: dict = {}
+    for i, j in f.terms:
+        if i < starts.get(j, i + 1):
+            starts[j] = i
+    return starts
+
+
+def diagram_of(f: BivariatePoly) -> diagram_mod.NewtonDiagram:
+    """Newton diagram of the support of f, the hull of its row starts.
 
     When f carries a truncation, terms beyond it could add or cut polygon
     edges unless the computed polygon already reaches the x-axis strictly
@@ -718,8 +730,8 @@ def diagram_of(f: BivariatePoly, certified: bool = True) -> diagram_mod.NewtonDi
     """
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no Newton diagram")
-    d = diagram_mod.from_support(f.terms.keys())
-    if certified and f.trunc is not None:
+    d = diagram_mod.from_support((i, j) for j, i in row_starts(f).items())
+    if f.trunc is not None:
         bx, by = d.bottom
         if by != 0 or bx >= f.trunc:
             raise TruncationTooShort(
@@ -758,18 +770,29 @@ def _univariate_gcd_degree(p: list) -> int:
 
 def edge_poly_squarefree(f: BivariatePoly, edge) -> bool:
     """Non-degeneracy on a compact edge: after stripping the y-power, the edge
-    polynomial f_S(1, y) must be squarefree."""
-    d = diagram_of(f, certified=False)
-    if tuple(edge) not in [tuple(e) for e in d.compact_edges()]:
-        raise EdgeNotOnPolygon(f"{edge} is not a compact edge of the polygon")
+    polynomial f_S(1, y) must be squarefree.
+
+    The segment from (xa, ya) to (xb, yb), xa < xb and ya > yb, is a compact
+    edge of the Newton polygon of f exactly when both endpoints carry
+    support, no term lies strictly below its line and no term on the line
+    lies beyond an endpoint; one pass over the terms checks this and gathers
+    the edge coefficients.  Anything else raises EdgeNotOnPolygon.
+    """
+    off_polygon = f"{edge} is not a compact edge of the polygon"
     (xa, ya), (xb, yb) = edge
-    coeffs = [Fraction(0)] * (ya - yb + 1)
+    if not (xa < xb and ya > yb):
+        raise EdgeNotOnPolygon(off_polygon)
+    dx, dy = xb - xa, ya - yb
+    level = dy * xa + dx * ya
+    coeffs = [Fraction(0)] * (dy + 1)
     for (i, j), c in f.terms.items():
-        if yb <= j <= ya and xa <= i <= xb:
-            if (xb - xa) * (j - ya) == (yb - ya) * (i - xa):
-                coeffs[j - yb] += Fraction(c)
+        side = dy * i + dx * j - level
+        if side < 0 or (side == 0 and not xa <= i <= xb):
+            raise EdgeNotOnPolygon(off_polygon)
+        if side == 0:
+            coeffs[j - yb] += Fraction(c)
     if not (coeffs[0] and coeffs[-1]):
-        raise InvariantViolation(f"endpoints of the polygon edge {edge} carry no support")
+        raise EdgeNotOnPolygon(off_polygon)
     return _univariate_gcd_degree(coeffs) == 0
 
 

@@ -21,9 +21,12 @@ builds the levels 1..L one from the other and cut to that triangle:
 
 For every level l and order k the checks are:
 
-* the Newton diagram of the hat transform of the k-th polar equals the
-  symbolic derivative predicted by the splitting R^(t) + L, both on the
-  region of inclination above m_l/n_l and as a whole;
+* the hat diagram of f starts with e_l copies of (m_l, n_l), and the Newton
+  diagram of the hat transform of the k-th polar equals the k-th symbolic
+  derivative of that hat diagram, both on the region of inclination above
+  m_l/n_l and as a whole (for k < e_(l-1), the height of the steep part R,
+  this is the splitting R^(k) + L of the lemma on Newton diagrams of
+  polars); both diagrams are hulls of row starts;
 * every edge above that inclination carries a squarefree edge polynomial
   (non-degeneracy), so the steep parts (M_i, N_i) can be read off and turned
   into contacts M_i/((b0/e_{l-1}) N_i) and multiplicities, which must agree
@@ -66,6 +69,7 @@ from .puiseux import (
     edge_poly_squarefree,
     hat_transform,
     min_poly,
+    row_starts,
 )
 from .rational import fmt_q
 
@@ -86,6 +90,7 @@ __all__ = [
 ]
 
 COEFF_RANGE = 9  # sampled coefficients live in [-9, 9]
+MAX_SEED_RUNS = 8  # degenerate witnesses are retried up to this many runs in total
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,6 @@ class WitnessBranch:
     cs: CharSequence
     root: PuiseuxSeries
     seed: int | None
-    trunc_numer_bound: int | None
 
     @cached_property
     def f(self) -> BivariatePoly:
@@ -143,7 +147,7 @@ def sample_witness(cs: CharSequence, seed: int, extra_terms: int | None = None) 
     got = root.characteristic().b
     if got != cs.b:
         raise InvariantViolation(f"sampled root has characteristic {got}, not {cs.b}")
-    return WitnessBranch(cs, root, seed, root.trunc_bound)
+    return WitnessBranch(cs, root, seed)
 
 
 def witness_from_root(cs: CharSequence, root: PuiseuxSeries,
@@ -152,7 +156,7 @@ def witness_from_root(cs: CharSequence, root: PuiseuxSeries,
     got = root.reduce().characteristic()
     if got.b != cs.b:
         raise ValueError(f"root has characteristic {got.b}, expected {cs.b}")
-    return WitnessBranch(cs, root, seed, root.trunc_bound)
+    return WitnessBranch(cs, root, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +169,6 @@ def cut_bound(cs: CharSequence, depth: int) -> int:
     the corner (bbar_L, 0) of the Newton triangle plus one level-1 lattice
     step, N_L units."""
     return cs.bbar[depth - 1] + semiroot_degree(cs, depth)
-
-
-def _row_starts(fhat: BivariatePoly) -> dict:
-    """The smallest x-exponent in each y-row of fhat; the Newton diagram of
-    fhat is the hull of these points, and that of d^k fhat is the hull of
-    those in rows >= k, shifted down by k."""
-    starts: dict = {}
-    for i, j in fhat.terms:
-        if i < starts.get(j, i + 1):
-            starts[j] = i
-    return starts
 
 
 def hat_chain(w: WitnessBranch, depth: int, k: int = 0) -> list:
@@ -228,7 +221,7 @@ def hat_chain(w: WitnessBranch, depth: int, k: int = 0) -> list:
     hats = build(cap)
     certified = True
     for l, (fhat, wx) in enumerate(zip(hats, wxs), start=1):
-        starts = _row_starts(fhat)
+        starts = row_starts(fhat)
         corner = cs.bbar[l - 1]
         if (fhat.trunc is None or corner < fhat.trunc) and starts.get(0) != corner:
             raise InvariantViolation(
@@ -244,10 +237,13 @@ def hat_chain(w: WitnessBranch, depth: int, k: int = 0) -> list:
 
 def expected_hat_diagram(cs: CharSequence, l: int, k: int,
                          hat_diagram: diagram_mod.NewtonDiagram) -> diagram_mod.NewtonDiagram:
-    """R^(k) + L where R is the steep part e_l * (m_l, n_l) of the witness's
-    hat diagram and L is everything of lower inclination.
+    """The k-th symbolic derivative of the witness's hat diagram, once its
+    steep part R is checked to be e_l copies of (m_l, n_l).
 
-    Only the steep part is theory; L is taken from the witness itself.
+    Only the steep part is theory; the rest, L, is taken from the witness
+    itself.  R is the bottom part of the diagram, of height
+    e_l n_l = e_(l-1) > k, so the derivative cuts into R alone and equals
+    the splitting R^(k) + L of the lemma on Newton diagrams of polars.
     """
     if k >= cs.e[l - 1]:
         raise OrderTooLarge(f"order {k} >= e_{l - 1} = {cs.e[l - 1]}")
@@ -260,8 +256,7 @@ def expected_hat_diagram(cs: CharSequence, l: int, k: int,
             f"hat diagram of a class member must start with {e_l} copies of "
             f"({m_l},{n_l}), got {steep}"
         )
-    r_deriv, low = diagram_mod.split_derivative(hat_diagram, k, len(steep))
-    return r_deriv + low
+    return hat_diagram.symbolic_derivative(k)
 
 
 @dataclass
@@ -291,9 +286,9 @@ def _steep_data(d: diagram_mod.NewtonDiagram, m_l: int, n_l: int):
     return tuple(steep), exact_len
 
 
-def check_lemma_nd(w: WitnessBranch, l: int, k: int,
-                   fhat: BivariatePoly | None = None) -> LemmaNDResult:
-    """Diagram equality and steep-edge non-degeneracy for one level and order."""
+def check_lemma_nd(w: WitnessBranch, l: int, k: int, fhat: BivariatePoly) -> LemmaNDResult:
+    """Diagram equality and steep-edge non-degeneracy for one level and order,
+    read off the level's hat transform ``fhat`` (see ``hat_chain``)."""
     cs = w.cs
     if k >= cs.e[l - 1]:
         raise OrderTooLarge(f"order {k} >= e_{l - 1} = {cs.e[l - 1]}")
@@ -301,8 +296,6 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int,
     n_sub = semiroot_degree(cs, l)
     res = LemmaNDResult(level=l, k=k, status="ok")
     try:
-        if fhat is None:
-            fhat = hat_chain(w, l, k)[-1]
         expected = expected_hat_diagram(cs, l, k, diagram_of(fhat))
         # the hat transform commutes with d/dy: hat(d^k f) = d^k hat(f)
         polar_hat = derivative_y(fhat, k)
@@ -340,15 +333,13 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int,
     return res
 
 
-def check_initial_form(w: WitnessBranch, l: int,
-                       fhat: BivariatePoly | None = None) -> bool:
-    """Exact comparison of in_omega(f-hat) with a x^b (y^n_l - a_{b_l}^n_l x^m_l)^e_l.
+def check_initial_form(w: WitnessBranch, l: int, fhat: BivariatePoly) -> bool:
+    """Exact comparison of in_omega(fhat) with a x^b (y^n_l - a_{b_l}^n_l x^m_l)^e_l
+    for the level's hat transform ``fhat`` (see ``hat_chain``).
 
     Holds for every conjugate-product witness (unit 1), generic or not.
     """
     cs = w.cs
-    if fhat is None:
-        fhat = hat_chain(w, l)[-1]
     m_l, n_l = cs.m_seq[l - 1], cs.n_seq[l - 1]
     e_l = cs.e[l]
     observed = fhat.initial_form((n_l, m_l))
@@ -498,12 +489,12 @@ def _run_seed(w: WitnessBranch, prediction: PolarPrediction, levels) -> SeedRun:
     cs = w.cs
     run = SeedRun(seed=w.seed, status="pass")
     for l, fhat in zip(levels, hat_chain(w, levels[-1], prediction.k)):
-        lemma = check_lemma_nd(w, l, prediction.k, fhat=fhat)
+        lemma = check_lemma_nd(w, l, prediction.k, fhat)
         report = LevelReport(lemma=lemma)
         run.levels.append(report)
         if lemma.status != "ok":
             continue
-        report.initial_form_ok = check_initial_form(w, l, fhat=fhat)
+        report.initial_form_ok = check_initial_form(w, l, fhat)
         predicted_z = [f for f in prediction.groups[l - 1] if f.kind == "Z"]
         report.prediction_match = (
             list(lemma.steep_parts) == [f.part for f in predicted_z]
@@ -525,13 +516,12 @@ def _run_seed(w: WitnessBranch, prediction: PolarPrediction, levels) -> SeedRun:
 
 
 def verify_prediction(cs: CharSequence, k: int, seeds,
-                      extra_terms: int | None = None,
-                      degenerate_policy: int = 8) -> VerificationReport:
+                      extra_terms: int | None = None) -> VerificationReport:
     """Check the prediction for every level against sampled witnesses.
 
     PASS needs one fully passing seed and no hard contradiction anywhere;
     degenerate witnesses are retried with fresh seeds up to
-    ``degenerate_policy`` attempts in total.
+    ``MAX_SEED_RUNS`` runs in total.
     """
     if not 1 <= k < cs.b0:
         raise OrderOutOfRange(f"polar order must satisfy 1 <= k < {cs.b0}, got {k}")
@@ -556,7 +546,7 @@ def verify_prediction(cs: CharSequence, k: int, seeds,
         if run.status == "degenerate":
             report.degenerate_count += 1
             # open Zariski condition: retry with fresh seeds, within policy
-            if not queue and report.passing_seed is None and len(report.runs) < degenerate_policy:
+            if not queue and report.passing_seed is None and len(report.runs) < MAX_SEED_RUNS:
                 queue.append(next_extra)
                 next_extra += 1
 

@@ -6,10 +6,13 @@ first derivatives of elementary diagrams by continued fractions, conjugate
 products by exact cyclotomic arithmetic and by iterated norms (Laplace
 determinants), random valid characteristic sequences by rejection,
 pairwise contacts one pair at a time, Eggers-Wall trees by clustering that
-table, hat transforms by full expansion of the minimal polynomial.  Helpers
-that only the tests use (weighted faces and their sums, quadrants, symbolic
-conjugates, truncation orbits, evaluation of bivariate polynomials at
-rational points, the search for a generic witness) live here too.
+table, hat transforms by full expansion of the minimal polynomial, and the
+expected polar diagram D^(k) as the Minkowski sum R^(k) + L of the lemma on
+Newton diagrams of polars.  Helpers that only the tests use (Minkowski sums,
+diagrams rebuilt from canonical representations, edge inclinations,
+weighted faces and their sums, quadrants, symbolic conjugates, truncation
+orbits, evaluation of bivariate polynomials at rational points, the search
+for a generic witness) live here too.
 """
 
 from dataclasses import dataclass
@@ -19,7 +22,7 @@ from math import gcd, lcm
 
 from branchpolar import contfrac
 from branchpolar.diagram import CanonicalRep, NewtonDiagram, from_support
-from branchpolar.errors import InvalidRange, NotCoprime
+from branchpolar.errors import InvalidRange, NotCoprime, SplitTooDeep
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +140,79 @@ def elementary_derivative_closed_form(m: int, n: int) -> CanonicalRep:
     if cf.s % 2 == 1:
         parts.append((cf.p[cf.s] - cf.p[cf.s - 1], cf.q[cf.s] - cf.q[cf.s - 1]))
     return CanonicalRep((0, 0), tuple(parts), True)
+
+
+def rep_to_diagram(rep: CanonicalRep) -> NewtonDiagram:
+    """The diagram whose edges, rightmost first, are ``rep.parts``,
+    translated by ``rep.offset``."""
+    x0, y0 = rep.offset
+    x, y = x0, y0 + sum(n for _, n in rep.parts)
+    pts = [(x, y)]
+    for m, n in reversed(rep.parts):  # walk edges left to right
+        x, y = x + m, y - n
+        pts.append((x, y))
+    return from_support(pts)
+
+
+def inclination(edge) -> Fraction:
+    """Inclination Dx/|Dy| of a compact edge."""
+    (xa, ya), (xb, yb) = edge
+    return Fraction(xb - xa, ya - yb)
+
+
+def minkowski_sum(a: NewtonDiagram, b: NewtonDiagram) -> NewtonDiagram:
+    """Vertex chain of a + b, merging the two edge fans by inclination."""
+
+    def edge_vectors(d):
+        return [(xb - xa, ya - yb) for (xa, ya), (xb, yb) in d.compact_edges()]
+
+    ea, eb = edge_vectors(a), edge_vectors(b)
+    x = a.top[0] + b.top[0]
+    y = a.top[1] + b.top[1]
+    pts = [(x, y)]
+    i = j = 0
+    while i < len(ea) or j < len(eb):
+        if j == len(eb):
+            m, n = ea[i]
+            i += 1
+        elif i == len(ea):
+            m, n = eb[j]
+            j += 1
+        else:
+            (ma, na), (mb, nb) = ea[i], eb[j]
+            cmp = ma * nb - mb * na  # sign of ma/na - mb/nb
+            if cmp < 0:
+                m, n = ma, na
+                i += 1
+            elif cmp > 0:
+                m, n = mb, nb
+                j += 1
+            else:
+                m, n = ma + mb, na + nb
+                i += 1
+                j += 1
+        x, y = x + m, y - n
+        pts.append((x, y))
+    return from_support(pts)
+
+
+def split_derivative(d: NewtonDiagram, k: int, s: int):
+    """Split d = R + L with R the s rightmost long-canonical parts and return
+    (R^(k), L); their Minkowski sum is the k-th symbolic derivative of d as
+    long as k fits inside R's vertical extent.
+    """
+    rep = d.canonical_rep(long=True)
+    if rep.offset[1] != 0:
+        raise ValueError("split_derivative needs a diagram touching the x-axis")
+    if not 0 <= s <= len(rep.parts):
+        raise ValueError(f"split index {s} not in 0..{len(rep.parts)}")
+    right = rep.parts[:s]
+    cap = sum(n for _, n in right)
+    if k > cap:
+        raise SplitTooDeep(f"order {k} exceeds the vertical extent {cap} of the split part")
+    r_diag = rep_to_diagram(CanonicalRep((0, 0), right, True))
+    l_diag = rep_to_diagram(CanonicalRep((rep.offset[0], 0), rep.parts[s:], True))
+    return r_diag.symbolic_derivative(k), l_diag
 
 
 def random_diagram(rng, xmax=200, ymax=200) -> NewtonDiagram:

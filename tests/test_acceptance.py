@@ -16,11 +16,12 @@ from branchpolar.charclass import new_char_sequence
 from branchpolar.diagram import elementary
 from branchpolar.polar import predict
 from branchpolar.puiseux import PuiseuxSeries, derivative_y
-from branchpolar.verify import check_lemma_nd, verify_prediction, witness_from_root
+from branchpolar.verify import check_lemma_nd, hat_chain, verify_prediction, witness_from_root
 from oracles import (
     elementary_derivative_closed_form,
     random_char_sequence,
     random_diagram,
+    rep_to_diagram,
     staircase_trunc_oracle,
 )
 
@@ -119,7 +120,7 @@ def test_criterion_4_nongeneric_witness():
     assert by_degree[10] == {4: 66}
     c = 6 * math.factorial(11)
     assert derivative_y(w.f, 10).terms == {(0, 2): c, (2, 1): -2 * c, (4, 0): c}
-    result = check_lemma_nd(w, 1, 10)
+    result = check_lemma_nd(w, 1, 10, hat_chain(w, 1, 10)[-1])
     assert result.status == "degenerate"
     assert any("degenerate" in reason for reason in result.reasons)
     done("4 [non-generic witness detection]")
@@ -133,7 +134,7 @@ def test_criterion_5_closed_form_equals_lattice_oracle():
             if gcd(m, n) != 1:
                 continue
             d = elementary(m, n)
-            if elementary_derivative_closed_form(m, n).to_diagram() != d.symbolic_derivative(1):
+            if rep_to_diagram(elementary_derivative_closed_form(m, n)) != d.symbolic_derivative(1):
                 mismatches += 1
             for t in range(n + 1):
                 if d.symbolic_derivative(t) != staircase_trunc_oracle(d, t).translate(0, -t):

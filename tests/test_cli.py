@@ -88,6 +88,24 @@ def test_diagram_from_vertices(capsys):
     assert out == "(2,1)+(1,1)\n"
 
 
+@pytest.mark.parametrize("vertices", ["[[1.5, 2],[3,0]]", "5", "[[true, 2],[3,0]]"])
+def test_diagram_rejects_vertices_that_are_not_integer_pairs(capsys, vertices):
+    code = cli.main(["diagram", "show", "--vertices", vertices, "--quiet"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ValueError"
+
+
+def test_unwritable_output_is_a_diagnostic(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code = cli.main(["predict", "3,4", "--k", "1", "--output", str(target), "--quiet"])
+    diag = json.loads(capsys.readouterr().err)
+    assert code == cli.EXIT_USAGE
+    assert diag["error"] == "FileNotFoundError"
+    assert str(target) in diag["message"]
+
+
 def test_contfrac_text_and_json(capsys):
     code, out = run(capsys, "contfrac", "31/4")
     assert code == 0

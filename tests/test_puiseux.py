@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import branchpolar
 from branchpolar import puiseux
 from branchpolar.charclass import new_char_sequence
-from branchpolar.diagram import elementary
+from branchpolar.diagram import elementary, from_support
 from branchpolar.errors import (
     EdgeNotOnPolygon,
     IndexMismatch,
@@ -442,7 +442,7 @@ def test_diagram_of_truncation_awareness():
     f = BivariatePoly({(0, 2): 1, (3, 1): -1}, trunc=10)
     with pytest.raises(TruncationTooShort):
         diagram_of(f)
-    assert diagram_of(f, certified=False).vertices == ((0, 2), (3, 1))
+    assert from_support(f.terms).vertices == ((0, 2), (3, 1))
     ok = BivariatePoly({(0, 2): 1, (3, 0): -1}, trunc=10)
     assert diagram_of(ok) == elementary(3, 2)
     too_close = BivariatePoly({(0, 2): 1, (12, 0): -1}, trunc=10)
@@ -459,6 +459,38 @@ def test_edge_squarefree_examples():
     assert edge_poly_squarefree(biquad, ((0, 4), (4, 0))) is False
     with pytest.raises(EdgeNotOnPolygon):
         edge_poly_squarefree(cusp, ((0, 2), (1, 1)))
+
+
+def test_edge_squarefree_rejects_segments_off_the_polygon():
+    # (y^2 - x^3)(y^2 - 2 x^3): one edge (0,4)-(6,0) through the term (3,2)
+    f = BivariatePoly({(0, 4): 1, (3, 2): -3, (6, 0): 2})
+    assert edge_poly_squarefree(f, ((0, 4), (6, 0))) is True
+    for part in (((0, 4), (3, 2)), ((3, 2), (6, 0)), ((6, 0), (0, 4))):
+        with pytest.raises(EdgeNotOnPolygon):
+            edge_poly_squarefree(f, part)
+    # y^4 - x^3 y^2 + x^7: edges (0,4)-(3,2) and (3,2)-(7,0)
+    g = BivariatePoly({(0, 4): 1, (3, 2): -1, (7, 0): 1})
+    assert edge_poly_squarefree(g, ((0, 4), (3, 2))) is True
+    with pytest.raises(EdgeNotOnPolygon):
+        edge_poly_squarefree(g, ((0, 4), (6, 0)))  # runs past the vertex (3, 2)
+    with pytest.raises(EdgeNotOnPolygon):
+        edge_poly_squarefree(g, ((0, 4), (7, 0)))  # (3, 2) lies below its line
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                       st.integers(-3, 3).filter(bool), min_size=1, max_size=8))
+def test_edge_squarefree_accepts_exactly_the_compact_edges(terms):
+    f = BivariatePoly(terms)
+    edges = set(from_support(terms).compact_edges())
+    for a in terms:
+        for b in terms:
+            try:
+                edge_poly_squarefree(f, (a, b))
+                accepted = True
+            except EdgeNotOnPolygon:
+                accepted = False
+            assert accepted == ((a, b) in edges), (terms, a, b)
 
 
 def test_min_poly_root_orders_recover_gcd_chain():

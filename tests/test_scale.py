@@ -10,7 +10,13 @@ from branchpolar.charclass import bbar, new_char_sequence
 from branchpolar.diagram import elementary
 from branchpolar.polar import export_eggers_wall, predict
 from branchpolar.puiseux import PuiseuxSeries, diagram_of
-from branchpolar.verify import check_initial_form, check_lemma_nd, sample_witness, witness_from_root
+from branchpolar.verify import (
+    check_initial_form,
+    check_lemma_nd,
+    hat_chain,
+    sample_witness,
+    witness_from_root,
+)
 from oracles import elementary_derivative_closed_form
 
 
@@ -101,9 +107,10 @@ def test_witness_with_rational_coefficients():
     cs = new_char_sequence([2, 3])
     w = witness_from_root(cs, PuiseuxSeries.from_string("1/2*x^(3/2)+x^2"))
     assert w.f.coefficient(3, 0) == Fraction(-1, 4)
-    res = check_lemma_nd(w, 1, 1)
+    fhat = hat_chain(w, 1, 1)[-1]
+    res = check_lemma_nd(w, 1, 1, fhat)
     assert res.status == "ok"
-    assert check_initial_form(w, 1)
+    assert check_initial_form(w, 1, fhat)
 
 
 def test_witness_without_padding_terms():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import branchpolar
 from branchpolar.charclass import new_char_sequence, semiroot_degree
+from branchpolar.diagram import elementary, from_support
 from branchpolar.errors import (
     AllSeedsDegenerate,
     InvariantViolation,
@@ -32,7 +33,7 @@ from branchpolar.verify import (
     verify_prediction,
     witness_from_root,
 )
-from oracles import find_generic_witness, full_hat
+from oracles import find_generic_witness, full_hat, minkowski_sum, split_derivative
 
 EX1 = new_char_sequence([12, 16, 31])
 EX2 = new_char_sequence([10, 14, 15])
@@ -102,6 +103,27 @@ def test_expected_hat_diagram_ex2_level1():
     assert steep == [(2, 1), (3, 2)]
 
 
+@pytest.mark.parametrize("b", [(12, 16, 31), (10, 14, 15), (16, 24, 28, 30, 31)])
+def test_expected_hat_diagram_is_the_split_sum(b):
+    # the k-th derivative of the hat diagram is R^(k) + L for every k < e_(l-1),
+    # R the e_l rightmost long-canonical parts (m_l, n_l)
+    cs = new_char_sequence(b)
+    w = sample_witness(cs, 1)
+    for l, fhat in enumerate(hat_chain(w, cs.h), start=1):
+        hat = diagram_of(fhat)
+        for k in range(cs.e[l - 1]):
+            r_deriv, low = split_derivative(hat, k, cs.e[l])
+            assert expected_hat_diagram(cs, l, k, hat) == minkowski_sum(r_deriv, low), (b, l, k)
+
+
+def test_expected_hat_diagram_rejects_a_wrong_steep_part():
+    # level 1 of K(12,16,31) must start with e_1 = 4 copies of (4, 3)
+    with pytest.raises(InvariantViolation):
+        expected_hat_diagram(EX1, 1, 1, elementary(17, 12))
+    with pytest.raises(InvariantViolation):
+        expected_hat_diagram(EX1, 1, 1, from_support([(0, 12), (12, 3), (17, 0)]))
+
+
 def test_expected_hat_diagram_order_too_large():
     w = sample_witness(EX1, 1)
     hat = diagram_of(full_hat(w, 2))
@@ -156,7 +178,7 @@ def test_lemma_rejects_wrong_straightening(monkeypatch, mutant):
         w = sample_witness(cs, 1)
         for l in range(1, cs.h + 1):
             with pytest.raises(InvariantViolation):
-                check_lemma_nd(w, l, k)
+                check_lemma_nd(w, l, k, hat_chain(w, l, k)[-1])
         with pytest.raises(InvariantViolation):
             verify_prediction(cs, k, [1])
 
@@ -263,7 +285,7 @@ def test_chain_rejects_a_cut_too_tight(monkeypatch):
         for l in range(1, cs.h + 1):
             if cs.e[l - 1] > k:
                 with pytest.raises(InvariantViolation):
-                    check_lemma_nd(w, l, k)
+                    check_lemma_nd(w, l, k, hat_chain(w, l, k)[-1])
         with pytest.raises(InvariantViolation):
             verify_prediction(cs, k, [1])
 
@@ -323,7 +345,8 @@ def test_nongeneric_witness_tenth_derivative():
 
 
 def test_nongeneric_witness_flagged_degenerate():
-    res = check_lemma_nd(nongeneric_g(), 1, 10)
+    g = nongeneric_g()
+    res = check_lemma_nd(g, 1, 10, hat_chain(g, 1, 10)[-1])
     assert res.status == "degenerate"
     assert any("degenerate" in r for r in res.reasons)
     # and never a silent pass: the diagram itself already differs
@@ -334,7 +357,8 @@ def test_nongeneric_witness_degenerate_at_k1_too():
     # the (y - x^2)^2 structure of g already shows in its first polar: the
     # steep edge carries a double root where the generic branch has a single
     # factor of contact 3/2
-    res = check_lemma_nd(nongeneric_g(), 1, 1)
+    g = nongeneric_g()
+    res = check_lemma_nd(g, 1, 1, hat_chain(g, 1, 1)[-1])
     assert res.status == "degenerate"
     assert res.observed == ((0, 11), (12, 2), (16, 0))
     assert res.expected == ((0, 11), (12, 2), (15, 0))
@@ -346,7 +370,7 @@ def test_nongeneric_witness_degenerate_at_k1_too():
 def test_initial_form_cusp():
     w = witness_from_root(CUSP, PuiseuxSeries.from_string("x^(3/2)"))
     assert w.f.terms == {(0, 2): 1, (3, 0): -1}
-    assert check_initial_form(w, 1)
+    assert check_initial_form(w, 1, hat_chain(w, 1)[-1])
 
 
 def test_initial_form_nongeneric_witness_level2():
@@ -355,7 +379,7 @@ def test_initial_form_nongeneric_witness_level2():
     # in_omega(fhat) = 3^4 * x^32 * (y^4 - x^31) for the all-ones witness
     observed = fhat.initial_form((4, 31))
     assert observed.terms == {(32, 4): 81, (63, 0): -81}
-    assert check_initial_form(w, 2, fhat=fhat)
+    assert check_initial_form(w, 2, fhat)
 
 
 def test_hat_polygon_anchors_at_intersection_numbers():
@@ -377,7 +401,7 @@ def test_initial_form_all_levels_random():
         cs = new_char_sequence(b)
         w = sample_witness(cs, rng.randint(1, 10 ** 6))
         for l in range(1, cs.h + 1):
-            assert check_initial_form(w, l), (b, l, w.seed)
+            assert check_initial_form(w, l, hat_chain(w, l)[-1]), (b, l, w.seed)
 
 
 # -- end-to-end verification ---------------------------------------------------------------
@@ -442,8 +466,8 @@ def test_truncation_soundness():
     for bound in (5, 7, 9, 12, 20, 40):
         root = PuiseuxSeries(2, {i: c for i, c in root_terms.items() if i < bound},
                              trunc_bound=bound)
-        w = WitnessBranch(CUSP, root, None, bound)
-        res = check_lemma_nd(w, 1, 1)
+        w = WitnessBranch(CUSP, root, None)
+        res = check_lemma_nd(w, 1, 1, hat_chain(w, 1, 1)[-1])
         statuses.append(res.status)
     assert statuses[-1] == "ok"
     decided = [s for s in statuses if s != "unknown"]
