@@ -13,7 +13,6 @@ from .polar import PolarFactor, PolarPrediction, export_eggers_wall, predict
 from .puiseux import (
     BivariatePoly,
     PuiseuxSeries,
-    Unknown,
     contact,
     derivative_y,
     diagram_of,
@@ -37,7 +36,7 @@ __all__ = [
     "CharSequence", "new_char_sequence", "parse_char", "bbar", "semiroot_degree",
     "ContinuedFraction", "expand", "to_even_length",
     "NewtonDiagram", "CanonicalRep", "from_support", "elementary",
-    "PuiseuxSeries", "BivariatePoly", "Unknown", "contact", "min_poly",
+    "PuiseuxSeries", "BivariatePoly", "contact", "min_poly",
     "derivative_y", "hat_transform", "diagram_of", "edge_poly_squarefree",
     "PolarFactor", "PolarPrediction", "predict", "export_eggers_wall",
     "WitnessBranch", "VerificationReport", "sample_witness", "witness_from_root",

@@ -87,15 +87,7 @@ def _parse_diagram(args) -> diagram_mod.NewtonDiagram:
         m, _, n = args.elementary.partition("/")
         return diagram_mod.elementary(int(m), int(n) if n else 1)
     if args.vertices:
-        points = json.loads(args.vertices)
-        # bool is a subclass of int, and int() would truncate floats
-        if not isinstance(points, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)
-            for p in points
-        ):
-            raise ValueError(f"--vertices takes a JSON list of [x, y] integer pairs, "
-                             f"got {args.vertices}")
-        return diagram_mod.from_support(tuple(p) for p in points)
+        return diagram_mod.NewtonDiagram.from_json({"vertices": json.loads(args.vertices)})
     raise BranchPolarError("one of --elementary or --vertices is required")
 
 

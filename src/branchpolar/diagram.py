@@ -213,7 +213,14 @@ class NewtonDiagram:
 
     @staticmethod
     def from_json(data: dict) -> "NewtonDiagram":
-        return from_support((int(x), int(y)) for x, y in data["vertices"])
+        points = data["vertices"]
+        # bool is a subclass of int, and int() would truncate floats
+        if not isinstance(points, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)
+            for p in points
+        ):
+            raise ValueError(f"vertices must be a list of [x, y] integer pairs, got {points!r}")
+        return from_support(tuple(p) for p in points)
 
     def __str__(self) -> str:
         return str(self.canonical_rep())

@@ -53,10 +53,6 @@ class IndexMismatch(BranchPolarError, ValueError):
     """The series lies in a smaller Puiseux ring than its denominator claims."""
 
 
-class TruncationTooShort(BranchPolarError, ValueError):
-    """Discarded terms could change the requested result."""
-
-
 class OrderExceedsDegree(BranchPolarError, ValueError):
     pass
 

@@ -1,13 +1,13 @@
-"""Truncated Puiseux series over exact rationals and sparse bivariate polynomials.
+"""Finite Puiseux series over exact rationals and sparse bivariate polynomials.
 
-A :class:`PuiseuxSeries` stores terms ``a_i x^(i/n)`` keyed by the exponent
-numerator ``i`` for a fixed working denominator ``n``.  An optional truncation
-bound ``T`` records that exponents ``i >= T`` are unknown; queries whose answer
-could depend on the discarded tail return :class:`Unknown` instead of a wrong
-value.
+A :class:`PuiseuxSeries` is a finite sum of terms ``a_i x^(i/n)`` keyed by
+the exponent numerator ``i`` for a fixed working denominator ``n``.
 
-A :class:`BivariatePoly` is a sparse polynomial in (x, y) with exact rational
-coefficients and an optional x-truncation carried through every operation.
+A :class:`BivariatePoly` is an exact sparse polynomial in (x, y) with
+rational coefficients.  The only way terms are dropped is a weight cut
+``(wx, wy, cap)``, taken by :func:`min_poly` and :func:`hat_transform`: every
+term x^i y^j with wx*i + wy*j above ``cap`` is left out.
+
 The centrepiece is :func:`min_poly`: the monic polynomial whose roots are the
 conjugates of a series.  The power sums of the conjugates are n times the
 part of a^j whose exponents are integers, and Newton's identities turn them
@@ -19,7 +19,6 @@ arithmetic is ever needed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -32,14 +31,12 @@ from .errors import (
     InvariantViolation,
     NonIntegralSubstitution,
     OrderExceedsDegree,
-    TruncationTooShort,
     ZeroPolynomial,
 )
 from .rational import fmt_q, parse_q
 
 __all__ = [
     "INF",
-    "Unknown",
     "PuiseuxSeries",
     "BivariatePoly",
     "contact",
@@ -54,16 +51,6 @@ __all__ = [
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class Unknown:
-    """A quantity that is only bounded below because of truncation."""
-
-    at_least: Fraction
-
-    def __repr__(self) -> str:
-        return f"Unknown(>= {self.at_least})"
-
-
 def _as_coeff(value):
     # ints stay ints (fast arithmetic); everything else becomes a Fraction
     if isinstance(value, int):
@@ -73,11 +60,11 @@ def _as_coeff(value):
 
 
 class PuiseuxSeries:
-    """An exact-rational Puiseux series truncated at ``x^(trunc_bound/denom)``."""
+    """A finite Puiseux series with exact rational coefficients."""
 
-    __slots__ = ("denom", "terms", "trunc_bound")
+    __slots__ = ("denom", "terms")
 
-    def __init__(self, denom: int, coeffs, trunc_bound: int | None = None):
+    def __init__(self, denom: int, coeffs):
         if denom < 1:
             raise ValueError(f"denominator must be positive, got {denom}")
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
@@ -86,15 +73,12 @@ class PuiseuxSeries:
             i = int(i)
             if i <= 0:
                 raise ValueError(f"exponent numerators must be positive, got {i}")
-            if trunc_bound is not None and i >= trunc_bound:
-                continue
             c = _as_coeff(c)
             if c:
                 terms.append((i, c))
         terms.sort()
         object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "trunc_bound", trunc_bound)
 
     def __setattr__(self, *a):  # immutable by convention and by force
         raise AttributeError("PuiseuxSeries is immutable")
@@ -116,24 +100,14 @@ class PuiseuxSeries:
                 return Fraction(c)
         return Fraction(0)
 
-    def index(self) -> int:
-        """The smallest m with the series in Q[[x^(1/m)]], from known terms."""
-        g = self.denom
-        for i, _ in self.terms:
-            g = gcd(g, i)
-        return self.denom // g
-
     def reduce(self) -> "PuiseuxSeries":
-        """Rewrite over the minimal denominator (the index of the known part)."""
+        """Rewrite over the minimal denominator, the index of the series."""
         g = self.denom
         for i, _ in self.terms:
             g = gcd(g, i)
         if g == 1:
             return self
-        bound = None
-        if self.trunc_bound is not None:
-            bound = -(-self.trunc_bound // g)
-        return PuiseuxSeries(self.denom // g, [(i // g, c) for i, c in self.terms], bound)
+        return PuiseuxSeries(self.denom // g, [(i // g, c) for i, c in self.terms])
 
     def rescale(self, new_denom: int) -> "PuiseuxSeries":
         """Rewrite over a larger denominator (a multiple of the current one)."""
@@ -142,19 +116,15 @@ class PuiseuxSeries:
         f = new_denom // self.denom
         if f == 1:
             return self
-        bound = None if self.trunc_bound is None else self.trunc_bound * f
-        return PuiseuxSeries(new_denom, [(i * f, c) for i, c in self.terms], bound)
+        return PuiseuxSeries(new_denom, [(i * f, c) for i, c in self.terms])
 
     # -- analytic queries -----------------------------------------------------
 
     def ord(self):
-        """Smallest exponent with nonzero coefficient; +inf for the untruncated
-        zero series, Unknown(T/n) for a series that is empty up to truncation."""
+        """Smallest exponent with nonzero coefficient; +inf for the zero series."""
         if self.terms:
             return Fraction(self.terms[0][0], self.denom)
-        if self.trunc_bound is None:
-            return INF
-        return Unknown(Fraction(self.trunc_bound, self.denom))
+        return INF
 
     def truncate_below(self, cutoff) -> "PuiseuxSeries":
         """Keep exactly the terms of exponent strictly less than ``cutoff``."""
@@ -162,10 +132,7 @@ class PuiseuxSeries:
             return self
         cut = Fraction(cutoff)
         kept = [(i, c) for i, c in self.terms if Fraction(i, self.denom) < cut]
-        bound = self.trunc_bound
-        if bound is None or cut * self.denom <= bound:
-            bound = None  # everything below the cutoff is fully known
-        return PuiseuxSeries(self.denom, kept, bound)
+        return PuiseuxSeries(self.denom, kept)
 
     def characteristic(self) -> charclass.CharSequence:
         """Extract (b0,...,bh) by gcd descent over the exponents.
@@ -181,16 +148,12 @@ class PuiseuxSeries:
             )
         if self.denom == 1:
             raise InvalidCharacteristic("series of index 1 parametrizes a smooth branch")
-        known_gcd = self.denom
+        g = self.denom
         for i, _ in self.terms:
-            known_gcd = gcd(known_gcd, i)
-        if known_gcd > 1:
-            if self.trunc_bound is not None:
-                raise TruncationTooShort(
-                    f"gcd chain stuck at {known_gcd} before exponent {self.trunc_bound}"
-                )
+            g = gcd(g, i)
+        if g > 1:
             raise IndexMismatch(
-                f"series has index {self.denom // known_gcd}, not {self.denom}; reduce first"
+                f"series has index {self.denom // g}, not {self.denom}; reduce first"
             )
         b = [self.denom]
         e = self.denom
@@ -212,18 +175,14 @@ class PuiseuxSeries:
         return self.rescale(n), other.rescale(n)
 
     def __neg__(self) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.denom, [(i, -c) for i, c in self.terms], self.trunc_bound)
+        return PuiseuxSeries(self.denom, [(i, -c) for i, c in self.terms])
 
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         a, b = self._common(other)
         merged = dict(a.terms)
         for i, c in b.terms:
             merged[i] = merged.get(i, 0) + c
-        bound = None
-        for t in (a.trunc_bound, b.trunc_bound):
-            if t is not None:
-                bound = t if bound is None else min(bound, t)
-        return PuiseuxSeries(a.denom, merged, bound)
+        return PuiseuxSeries(a.denom, merged)
 
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         return self + (-other)
@@ -232,11 +191,11 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         a, b = self._common(other)
-        return a.terms == b.terms and a.trunc_bound == b.trunc_bound
+        return a.terms == b.terms
 
     def __hash__(self):
         r = self.reduce()
-        return hash((r.denom, r.terms, r.trunc_bound))
+        return hash((r.denom, r.terms))
 
     # -- text form --------------------------------------------------------------
 
@@ -245,12 +204,11 @@ class PuiseuxSeries:
     )
 
     @classmethod
-    def from_string(cls, text: str, denom: int | None = None,
-                    trunc_bound: int | None = None) -> "PuiseuxSeries":
+    def from_string(cls, text: str, denom: int | None = None) -> "PuiseuxSeries":
         """Parse e.g. "x^(4/3)+x^2+x^(31/12)" or "3/2*x^(7/5)-x^2"."""
         compact = text.replace(" ", "")
         if compact in ("", "0"):
-            return cls(denom or 1, [], trunc_bound)
+            return cls(denom or 1, [])
         pieces = re.split(r"(?=[+-])", compact)
         parsed = []
         for piece in pieces:
@@ -271,7 +229,7 @@ class PuiseuxSeries:
             if num.denominator != 1:
                 raise ValueError(f"exponent {e} does not fit denominator {n}")
             coeffs[int(num)] = coeffs.get(int(num), Fraction(0)) + c
-        return cls(n, coeffs, trunc_bound)
+        return cls(n, coeffs)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -295,12 +253,11 @@ class PuiseuxSeries:
         return text.replace("+-", "-")
 
     def __repr__(self) -> str:
-        tail = "" if self.trunc_bound is None else f" + O(x^({self.trunc_bound}/{self.denom}))"
-        return f"PuiseuxSeries({self!s}{tail})"
+        return f"PuiseuxSeries({self!s})"
 
 
 def contact(a: PuiseuxSeries, b: PuiseuxSeries):
-    """ord(a - b); Unknown when the difference vanishes up to truncation."""
+    """ord(a - b), +inf when the series are equal."""
     return (a - b).ord()
 
 
@@ -309,38 +266,32 @@ def contact(a: PuiseuxSeries, b: PuiseuxSeries):
 # ---------------------------------------------------------------------------
 
 
-def _dict_mul(a: dict, b: dict, bound: int | None) -> dict:
+def _dict_mul(a: dict, b: dict) -> dict:
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
     for (ia, ja), ca in a.items():
         for (ib, jb), cb in b.items():
-            i = ia + ib
-            if bound is not None and i >= bound:
-                continue
-            key = (i, ja + jb)
+            key = (ia + ib, ja + jb)
             out[key] = out.get(key, 0) + ca * cb
     return {k: v for k, v in out.items() if v}
 
 
 class BivariatePoly:
-    """Sparse polynomial sum of c_{ij} x^i y^j, tracked modulo x^trunc."""
+    """Exact sparse polynomial sum of c_{ij} x^i y^j."""
 
-    __slots__ = ("terms", "trunc")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms, trunc: int | None = None):
+    def __init__(self, terms):
         items = terms.items() if hasattr(terms, "items") else terms
         clean = {}
         for (i, j), c in items:
             if i < 0 or j < 0:
                 raise ValueError(f"exponents must be nonnegative, got ({i}, {j})")
-            if trunc is not None and i >= trunc:
-                continue
             c = _as_coeff(c)
             if c:
                 clean[(i, j)] = c
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "trunc", trunc)
 
     def __setattr__(self, *a):
         raise AttributeError("BivariatePoly is immutable")
@@ -355,53 +306,32 @@ class BivariatePoly:
             raise ZeroPolynomial("the zero polynomial has no y-degree")
         return max(j for _, j in self.terms)
 
-    def ord_x(self) -> int:
-        return min((i for i, _ in self.terms), default=0)
-
-    def _merge_trunc(self, other: "BivariatePoly", product: bool) -> int | None:
-        ta, tb = self.trunc, other.trunc
-        if not product:
-            if ta is None:
-                return tb
-            if tb is None:
-                return ta
-            return min(ta, tb)
-        bounds = []
-        if ta is not None:
-            bounds.append(ta + other.ord_x())
-        if tb is not None:
-            bounds.append(tb + self.ord_x())
-        return min(bounds) if bounds else None
-
     def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) + c
-        return BivariatePoly(out, self._merge_trunc(other, product=False))
+        return BivariatePoly(out)
 
     def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) - c
-        return BivariatePoly(out, self._merge_trunc(other, product=False))
+        return BivariatePoly(out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return BivariatePoly(
-                {k: c * other for k, c in self.terms.items()}, self.trunc
-            )
-        bound = self._merge_trunc(other, product=True)
-        return BivariatePoly(_dict_mul(self.terms, other.terms, bound), bound)
+            return BivariatePoly({k: c * other for k, c in self.terms.items()})
+        return BivariatePoly(_dict_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        return self.terms == other.terms and self.trunc == other.trunc
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.trunc))
+        return hash(frozenset(self.terms.items()))
 
     # -- queries ----------------------------------------------------------------
 
@@ -422,21 +352,23 @@ class BivariatePoly:
         w1, w2 = omega
         lo = min(w1 * i + w2 * j for i, j in self.terms)
         kept = {k: c for k, c in self.terms.items() if w1 * k[0] + w2 * k[1] == lo}
-        return BivariatePoly(kept, self.trunc)
+        return BivariatePoly(kept)
 
     # -- serialization -------------------------------------------------------------
 
     def to_json(self) -> dict:
         terms = sorted(self.terms.items())
-        return {
-            "trunc": self.trunc,
-            "terms": [[i, j, fmt_q(c)] for (i, j), c in terms],
-        }
+        return {"terms": [[i, j, fmt_q(c)] for (i, j), c in terms]}
 
     @staticmethod
     def from_json(data: dict) -> "BivariatePoly":
-        terms = {(int(i), int(j)): parse_q(c) for i, j, c in data["terms"]}
-        return BivariatePoly(terms, data.get("trunc"))
+        terms = {}
+        for i, j, c in data["terms"]:
+            # bool is a subclass of int, and int() would truncate floats
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"exponents must be integers, got ({i!r}, {j!r})")
+            terms[(i, j)] = parse_q(c)
+        return BivariatePoly(terms)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -453,8 +385,7 @@ class BivariatePoly:
                 bits.append(mono)
             else:
                 bits.append(f"{fmt_q(c)}*{mono}")
-        tail = "" if self.trunc is None else f" mod x^{self.trunc}"
-        return "BivariatePoly(" + " + ".join(bits) + tail + ")"
+        return "BivariatePoly(" + " + ".join(bits) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +429,10 @@ def _power_sums(scaled: list, n: int, shift: int, slots: int, width: int) -> lis
     return sums
 
 
-def min_poly(a: PuiseuxSeries, x_trunc: int | None = None, cut=None) -> BivariatePoly:
+def min_poly(a: PuiseuxSeries, cut=None) -> BivariatePoly:
     """Monic polynomial of degree index(a) whose roots are the conjugates of a.
 
-    Exact when ``a`` is a finite series; otherwise the x-coefficients are
-    tracked modulo x^x_trunc and the call fails with TruncationTooShort when
-    the series is not known far enough to support that bound.  With
+    Without a cut the whole polynomial is returned; with
     ``cut = (wx, wy, cap)`` only the terms x^i y^j of weight wx*i + wy*j up
     to ``cap`` are computed and returned.
 
@@ -521,34 +450,18 @@ def min_poly(a: PuiseuxSeries, x_trunc: int | None = None, cut=None) -> Bivariat
     coefficients, which bounds every coefficient involved.
 
     Checks: every E_j is integral with coefficients at most binom(n, j) S^j.
-    An exact, uncut result must vanish at a, f(x, a) = 0, which certifies
-    it; otherwise the identity at j = n + 1 must give e_(n+1) = 0 over its
-    window.
+    An uncut result must vanish at a, f(x, a) = 0, which certifies it; a cut
+    one must have e_(n+1) = 0, by the identity at j = n + 1, over its window.
     """
     a = a.reduce()
     n = a.denom
-
-    eff = x_trunc
-    if a.trunc_bound is not None:
-        avail = -(-a.trunc_bound // n)  # result is valid modulo x^avail
-        if eff is None:
-            eff = avail
-        elif eff > avail:
-            raise TruncationTooShort(
-                f"series known below x^({a.trunc_bound}/{n}) cannot fix x^{eff}"
-            )
-    if eff is not None and eff < 1:
-        raise TruncationTooShort(f"no coefficient is known modulo x^{eff}")
-
-    terms = [(i, c) for i, c in a.terms if eff is None or i < eff * n]
+    terms = a.terms
     if not terms:
-        return BivariatePoly({(0, n): 1}, eff)
+        return BivariatePoly({(0, n): 1})
     shift, top = terms[0][0], terms[-1][0]
     order = [-(-j * shift // n) for j in range(n + 2)]  # o_j
     # e_j is wanted below x^limit[j]: its degree is at most j top / n
     limit = [j * top // n + 1 for j in range(n + 1)]
-    if eff is not None:
-        limit = [min(t, eff) for t in limit]
     if cut is not None:
         wx, wy, cap = cut
         limit = [min(t, (cap - wy * (n - j)) // wx + 1) for j, t in enumerate(limit)]
@@ -597,7 +510,7 @@ def min_poly(a: PuiseuxSeries, x_trunc: int | None = None, cut=None) -> Bivariat
         for t, c in enumerate(coeff_lists[-1], start=order[j]):
             if c and t < limit[j]:
                 out[(t, n - j)] = Fraction(c, scale) if den > 1 else c * scale
-    if eff is None and cut is None:
+    if cut is None:
         # f(x, a) = 0: a monic f of degree n over Q[x] that vanishes at a
         # vanishes at every conjugate, so this certifies the whole result.
         # F(u) = sum_j (-1)^j E_j(u^n) A(u)^(n-j) has integer coefficients of
@@ -614,7 +527,7 @@ def min_poly(a: PuiseuxSeries, x_trunc: int | None = None, cut=None) -> Bivariat
     # a product of n linear factors in y has no e_(n+1)
     elif (newton(n + 1) + offset) & mask != offset:
         raise InvariantViolation(f"Newton's identities leave e_{n + 1} nonzero")
-    return BivariatePoly(out, eff)
+    return BivariatePoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +551,7 @@ def derivative_y(f: BivariatePoly, k: int) -> BivariatePoly:
         for t in range(j, j - k, -1):
             factor *= t
         out[(i, j - k)] = c * factor
-    return BivariatePoly(out, f.trunc)
+    return BivariatePoly(out)
 
 
 def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
@@ -665,12 +578,6 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
             )
         mu[e // lam.denom] = c
     mu_items = sorted(mu.items())
-
-    bound = None if f.trunc is None else f.trunc * n_sub
-    if lam.trunc_bound is not None:
-        mu_bound = -(-lam.trunc_bound * n_sub // lam.denom)
-        bound = mu_bound if bound is None else min(bound, mu_bound)
-    last_x = INF if bound is None else bound - 1
     if cut is not None:
         wx, wy, cap = cut
         if wx < 1 or wy < 1:
@@ -683,7 +590,7 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
     for j in range(max(slices, default=0), -1, -1):
         # rows <- rows * (y + mu) + c_j(x^n_sub); j multiplications follow,
         # so row jy keeps the exponents up to last[jy]
-        last = [last_x if cut is None else min(last_x, (cap - wy * (jy + j)) // wx)
+        last = [INF if cut is None else (cap - wy * (jy + j)) // wx
                 for jy in range(len(rows) + 1)]
         out = []
         below: dict = {}  # row jy - 1 of the old rows, the y-shift into row jy
@@ -704,9 +611,7 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
                 row[i * n_sub] = row.get(i * n_sub, 0) + c
         out[0] = {i: c for i, c in row.items() if c}
         rows = out
-    return BivariatePoly(
-        {(i, jy): c for jy, row in enumerate(rows) for i, c in row.items()}, bound
-    )
+    return BivariatePoly({(i, jy): c for jy, row in enumerate(rows) for i, c in row.items()})
 
 
 def row_starts(f: BivariatePoly) -> dict:
@@ -721,23 +626,10 @@ def row_starts(f: BivariatePoly) -> dict:
 
 
 def diagram_of(f: BivariatePoly) -> diagram_mod.NewtonDiagram:
-    """Newton diagram of the support of f, the hull of its row starts.
-
-    When f carries a truncation, terms beyond it could add or cut polygon
-    edges unless the computed polygon already reaches the x-axis strictly
-    inside the known range; in that case the polygon cannot change and is
-    certified.  Otherwise TruncationTooShort is raised (never a wrong answer).
-    """
+    """Newton diagram of the support of f, the hull of its row starts."""
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no Newton diagram")
-    d = diagram_mod.from_support((i, j) for j, i in row_starts(f).items())
-    if f.trunc is not None:
-        bx, by = d.bottom
-        if by != 0 or bx >= f.trunc:
-            raise TruncationTooShort(
-                f"polygon with bottom vertex {d.bottom} is not certified modulo x^{f.trunc}"
-            )
-    return d
+    return diagram_mod.from_support((i, j) for j, i in row_starts(f).items())
 
 
 def _univariate_gcd_degree(p: list) -> int:

@@ -57,7 +57,6 @@ from .errors import (
     NonIntegralSubstitution,
     OrderOutOfRange,
     OrderTooLarge,
-    TruncationTooShort,
 )
 from .polar import PolarPrediction, predict
 from .puiseux import (
@@ -206,7 +205,7 @@ def hat_chain(w: WitnessBranch, depth: int, k: int = 0) -> list:
             weight = min(weight, n_top * Fraction(delta.terms[0][0], delta.denom))
         delta = delta.rescale(semiroot_degree(cs, l))
         # delta_l(x^N_l) as a series in the level-(l-1) variable x^N_(l-1)
-        steps.append(PuiseuxSeries(cs.n_seq[l - 2], delta.terms, delta.trunc_bound))
+        steps.append(PuiseuxSeries(cs.n_seq[l - 2], delta.terms))
     wy, q = weight.numerator, weight.denominator
     wxs = [q * n_top // semiroot_degree(cs, l) for l in range(1, depth + 1)]
 
@@ -223,7 +222,7 @@ def hat_chain(w: WitnessBranch, depth: int, k: int = 0) -> list:
     for l, (fhat, wx) in enumerate(zip(hats, wxs), start=1):
         starts = row_starts(fhat)
         corner = cs.bbar[l - 1]
-        if (fhat.trunc is None or corner < fhat.trunc) and starts.get(0) != corner:
+        if starts.get(0) != corner:
             raise InvariantViolation(
                 f"hat transform of level {l} meets the x-axis at x^{starts.get(0)}, "
                 f"not at x^{corner} = x^bbar_{l}"
@@ -263,10 +262,10 @@ def expected_hat_diagram(cs: CharSequence, l: int, k: int,
 class LemmaNDResult:
     level: int
     k: int
-    status: str                       # ok | degenerate | unknown
+    expected: tuple                   # vertices of N(fhat)^(k)
+    observed: tuple                   # vertices of N(d^k fhat / dy^k)
+    status: str = "ok"                # ok, or degenerate with reasons
     reasons: list = field(default_factory=list)
-    expected: tuple | None = None
-    observed: tuple | None = None
     steep_parts: tuple = ()
     contacts: tuple = ()
     multiplicities: tuple = ()
@@ -294,19 +293,11 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int, fhat: BivariatePoly) -> Lem
         raise OrderTooLarge(f"order {k} >= e_{l - 1} = {cs.e[l - 1]}")
     m_l, n_l = cs.m_seq[l - 1], cs.n_seq[l - 1]
     n_sub = semiroot_degree(cs, l)
-    res = LemmaNDResult(level=l, k=k, status="ok")
-    try:
-        expected = expected_hat_diagram(cs, l, k, diagram_of(fhat))
-        # the hat transform commutes with d/dy: hat(d^k f) = d^k hat(f)
-        polar_hat = derivative_y(fhat, k)
-        observed = diagram_of(polar_hat)
-    except TruncationTooShort as exc:
-        res.status = "unknown"
-        res.reasons.append(str(exc))
-        return res
-
-    res.expected = expected.vertices
-    res.observed = observed.vertices
+    expected = expected_hat_diagram(cs, l, k, diagram_of(fhat))
+    # the hat transform commutes with d/dy: hat(d^k f) = d^k hat(f)
+    polar_hat = derivative_y(fhat, k)
+    observed = diagram_of(polar_hat)
+    res = LemmaNDResult(level=l, k=k, expected=expected.vertices, observed=observed.vertices)
 
     steep_obs, exact_len = _steep_data(observed, m_l, n_l)
     steep_exp, _ = _steep_data(expected, m_l, n_l)
@@ -386,8 +377,8 @@ class LevelReport:
             "l": lm.level,
             "status": lm.status,
             "reasons": list(lm.reasons),
-            "expected": [list(v) for v in lm.expected] if lm.expected else None,
-            "observed": [list(v) for v in lm.observed] if lm.observed else None,
+            "expected": [list(v) for v in lm.expected],
+            "observed": [list(v) for v in lm.observed],
             "steep_parts": [list(p) for p in lm.steep_parts],
             "contacts": [fmt_q(c) for c in lm.contacts],
             "multiplicities": list(lm.multiplicities),
@@ -404,7 +395,7 @@ class LevelReport:
 @dataclass
 class SeedRun:
     seed: int
-    status: str                      # pass | degenerate | fail | unknown
+    status: str                      # pass, degenerate (some level is) or fail
     levels: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
@@ -505,12 +496,9 @@ def _run_seed(w: WitnessBranch, prediction: PolarPrediction, levels) -> SeedRun:
         report.aggregate_ok = lemma.aggregate_edge_length == report.aggregate_predicted
         run.failures.extend(report.failures())
 
-    statuses = [lv.lemma.status for lv in run.levels]
     if run.failures:
         run.status = "fail"
-    elif "unknown" in statuses:
-        run.status = "unknown"
-    elif "degenerate" in statuses:
+    elif any(lv.lemma.status == "degenerate" for lv in run.levels):
         run.status = "degenerate"
     return run
 

@@ -480,7 +480,7 @@ def min_poly_oracle(series):
 # ---------------------------------------------------------------------------
 
 
-def _det(mat, bound):
+def _det(mat):
     """Determinant of a small matrix of term dicts, by Laplace expansion with
     memoized minors (entries are sparse polynomials)."""
     from branchpolar.puiseux import _dict_mul
@@ -501,7 +501,7 @@ def _det(mat, bound):
             if not entry:
                 continue
             sub = minor(row + 1, cols[:pos] + cols[pos + 1:])
-            piece = _dict_mul(entry, sub, bound)
+            piece = _dict_mul(entry, sub)
             sign = 1 if pos % 2 == 0 else -1
             for k, v in piece.items():
                 acc[k] = acc.get(k, 0) + sign * v
@@ -512,7 +512,7 @@ def _det(mat, bound):
     return minor(0, tuple(range(size)))
 
 
-def _norm_step(g, small, big, bound):
+def _norm_step(g, small, big):
     """Norm from Q((u^small))[y] down to Q((u^big))[y], big = r*small: the
     determinant of multiplication by g on the basis u^(c*small), c < r."""
     r = big // small
@@ -523,27 +523,19 @@ def _norm_step(g, small, big, bound):
             tot = base + col
             row = tot % r
             uexp = (tot - row) * small
-            if bound is not None and uexp >= bound:
-                continue
             cell = mat[row][col]
             key = (uexp, jy)
             cell[key] = cell.get(key, 0) + c
-    return _det(mat, bound)
+    return _det(mat)
 
 
-def min_poly_laplace_oracle(series, x_trunc=None):
+def min_poly_laplace_oracle(series):
     """Conjugate product as an iterated norm along the gcd chain of the
-    exponents; a ``BivariatePoly`` with the same truncation as ``min_poly``."""
+    exponents, as a ``BivariatePoly``."""
     from branchpolar.puiseux import BivariatePoly
 
     a = series.reduce()
     n = a.denom
-    eff = x_trunc
-    if a.trunc_bound is not None:
-        avail = -(-a.trunc_bound // n)
-        eff = avail if eff is None else eff
-        assert eff <= avail, "the oracle does not extrapolate past the known terms"
-    u_bound = None if eff is None else eff * n
 
     levels = [n]
     for i, _ in a.terms:
@@ -554,15 +546,14 @@ def min_poly_laplace_oracle(series, x_trunc=None):
 
     g_terms = {(0, 1): 1}
     for i, c in a.terms:
-        if u_bound is None or i < u_bound:
-            g_terms[(i, 0)] = g_terms.get((i, 0), 0) - c
+        g_terms[(i, 0)] = g_terms.get((i, 0), 0) - c
     for idx in range(len(levels) - 1, 0, -1):
-        g_terms = _norm_step(g_terms, levels[idx], levels[idx - 1], u_bound)
+        g_terms = _norm_step(g_terms, levels[idx], levels[idx - 1])
     out = {}
     for (i, j), c in g_terms.items():
         assert i % n == 0, "conjugate product left a fractional x-exponent"
         out[(i // n, j)] = c
-    return BivariatePoly(out, eff)
+    return BivariatePoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +592,7 @@ class Conjugate:
                 raise ValueError(
                     f"conjugate multiplier at exponent {i}/{n} is not rational"
                 )
-        return PuiseuxSeries(n, out, self.series.trunc_bound)
+        return PuiseuxSeries(n, out)
 
 
 def conjugate(series, e_index: int) -> Conjugate:

@@ -300,3 +300,9 @@ def test_inclination_helper():
 def test_json_round_trip():
     d = from_support({(0, 3), (2, 1), (5, 0)})
     assert NewtonDiagram.from_json(d.to_json()) == d
+
+
+@pytest.mark.parametrize("vertices", [[[1.5, 2], [3, 0]], [[True, 2], [3, 0]], 5, [[0, 2, 1]]])
+def test_from_json_rejects_vertices_that_are_not_integer_pairs(vertices):
+    with pytest.raises(ValueError):
+        NewtonDiagram.from_json({"vertices": vertices})

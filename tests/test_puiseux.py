@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import os
 import random
@@ -23,14 +24,12 @@ from branchpolar.errors import (
     InvariantViolation,
     NonIntegralSubstitution,
     OrderExceedsDegree,
-    TruncationTooShort,
     ZeroPolynomial,
 )
 from branchpolar.puiseux import (
     INF,
     BivariatePoly,
     PuiseuxSeries,
-    Unknown,
     contact,
     derivative_y,
     diagram_of,
@@ -66,15 +65,13 @@ def test_ord_examples():
     s = PuiseuxSeries.from_string(EX1_ROOT)
     assert s.ord() == Fraction(4, 3)
     assert PuiseuxSeries(1, []).ord() == INF
-    assert PuiseuxSeries(12, [], trunc_bound=60).ord() == Unknown(Fraction(5))
 
 
 def test_contact_examples():
     a = PuiseuxSeries.from_string("x^(3/2)")
     b = PuiseuxSeries.from_string("x^(3/2)+x^2")
     assert contact(a, b) == 2
-    same = PuiseuxSeries(2, {3: 1}, trunc_bound=8)
-    assert contact(same, same) == Unknown(Fraction(4))
+    assert contact(a, a) == INF
     c = PuiseuxSeries.from_string("x^(4/3)+x^2")
     d = PuiseuxSeries.from_string("x^(4/3)+2*x^2")
     assert contact(c, d) == 2
@@ -91,8 +88,6 @@ def test_characteristic_examples():
 def test_characteristic_errors():
     with pytest.raises(IndexMismatch):
         PuiseuxSeries(2, {4: 1}).characteristic()   # really lives in Q[[x]]
-    with pytest.raises(TruncationTooShort):
-        PuiseuxSeries(4, {6: 1}, trunc_bound=9).characteristic()
     with pytest.raises(InvalidCharacteristic):
         PuiseuxSeries(2, {1: 1}).characteristic()   # order 1/2 < 1
     with pytest.raises(InvalidCharacteristic):
@@ -104,9 +99,6 @@ def test_truncate_below():
     assert s.truncate_below(Fraction(31, 12)) == PuiseuxSeries.from_string("x^(4/3)+x^2")
     assert s.truncate_below(Fraction(4, 3)).is_zero()
     assert s.truncate_below(INF) == s
-    # truncating below a fully known cutoff yields an exact polynomial
-    t = PuiseuxSeries(12, {16: 1, 24: 1}, trunc_bound=30)
-    assert t.truncate_below(Fraction(2)).trunc_bound is None
 
 
 def test_conjugates():
@@ -160,64 +152,38 @@ def test_min_poly_against_cyclotomic_oracle():
         assert got.terms == {k: v for k, v in expected.items()}, str(s)
 
 
-def test_min_poly_truncation_semantics():
-    s = PuiseuxSeries(2, {3: 1}, trunc_bound=9)  # x^(3/2) known below x^(9/2)
-    f = min_poly(s)
-    assert f.trunc == 5  # ceil(9/2)
-    assert f.terms == {(0, 2): 1, (3, 0): -1}
-    with pytest.raises(TruncationTooShort):
-        min_poly(s, x_trunc=7)
-    g = min_poly(s, x_trunc=3)
-    assert g.trunc == 3
-
-
-def test_min_poly_x_trunc_applies_to_exact_input():
-    s = PuiseuxSeries.from_string(EX1_ROOT)
-    g = min_poly(s, x_trunc=5)
-    assert g.trunc == 5
-    assert all(i < 5 for i, _ in g.terms)
-    full = min_poly(s)
-    assert g.terms == {k: v for k, v in full.terms.items() if k[0] < 5}
-
-
 _coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def _light_terms(terms: dict, cut) -> dict:
+    """The terms x^i y^j of weight wx*i + wy*j at most the cap."""
+    if cut is None:
+        return dict(terms)
+    wx, wy, cap = cut
+    return {(i, j): c for (i, j), c in terms.items() if wx * i + wy * j <= cap}
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     st.integers(2, 8).flatmap(lambda n: st.tuples(
         st.just(n),
-        # one exponent prime to n keeps the index at n, unless truncated away
+        # one exponent prime to n keeps the index at n
         st.integers(1, 4 * n).filter(lambda i: gcd(i, n) == 1),
         _coefficients.filter(bool),
         st.dictionaries(st.integers(1, 4 * n), _coefficients, max_size=4),
-        st.none() | st.integers(1, 5 * n),
-        st.none() | st.integers(1, 6),
+        # a weight cut (wx, wy, wy * n + extra) that keeps the monic term y^n
+        st.none() | st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(0, 40)),
     ))
 )
 def test_min_poly_matches_cyclotomic_oracle(case):
-    n, i0, c0, terms, trunc_bound, x_trunc = case
-    s = PuiseuxSeries(n, {**terms, i0: c0}, trunc_bound)
-    red = s.reduce()
-    eff = x_trunc
-    if red.trunc_bound is not None:
-        avail = -(-red.trunc_bound // red.denom)
-        eff = avail if eff is None else min(eff, avail)
-    got = min_poly(s, eff)
-    expected = min_poly_oracle(s)  # the known terms, untruncated
-    if eff is not None:
-        expected = {k: v for k, v in expected.items() if k[0] < eff}
-    assert got.trunc == eff
-    assert got.terms == expected
-
-
-def test_min_poly_truncation_cutting_every_term():
-    # x_trunc at or below the order of the series leaves y^n mod x^x_trunc
-    s = PuiseuxSeries.from_string("3/2*x^(7/5)-x^2")
-    for x_trunc in (1, 2):
-        assert min_poly(s, x_trunc).terms == {(0, 5): 1}
-    with pytest.raises(TruncationTooShort):
-        min_poly(s, 0)
+    n, i0, c0, terms, weights = case
+    s = PuiseuxSeries(n, {**terms, i0: c0})
+    cut = None
+    if weights is not None:
+        wx, wy, extra = weights
+        cut = (wx, wy, wy * n + extra)
+    got = min_poly(s, cut)
+    assert got.terms == _light_terms(min_poly_oracle(s), cut)
 
 
 def test_min_poly_matches_laplace_oracle_on_witness_roots():
@@ -229,9 +195,12 @@ def test_min_poly_matches_laplace_oracle_on_witness_roots():
             continue
         tried += 1
         root = sample_witness(cs, rng.randint(1, 10 ** 6)).root
-        for x_trunc in (None, cs.b[-1] // cs.n_seq[0]):
-            got = min_poly(root, x_trunc)
-            assert got == min_poly_laplace_oracle(root, x_trunc), (cs.b, x_trunc)
+        oracle = min_poly_laplace_oracle(root)
+        # x-weight b0 and y-weight 1: every term below x^(b_h / n_1), and
+        # the constant term at x^(b_h / n_1)
+        for cut in (None, (cs.b0, 1, cs.b0 * (cs.b[-1] // cs.n_seq[0]))):
+            got = min_poly(root, cut)
+            assert got.terms == _light_terms(oracle.terms, cut), (cs.b, cut)
 
 
 # -- wrong power sums must trip min_poly's invariants ------------------------------
@@ -282,9 +251,9 @@ def _power_sums_doubled(scaled, n, *window):
     ids=lambda f: f.__name__,
 )
 def test_min_poly_rejects_power_sums_kept_multiples_of_n(monkeypatch, mutant):
-    # exact series, even those whose exponents span a narrow range, are
-    # checked by f(x, a) = 0; truncated and cut ones by e_(n+1) = 0 over its
-    # window, as in the first link of the verifier's hat chain
+    # uncut results, even of series whose exponents span a narrow range, are
+    # checked by f(x, a) = 0; cut ones by e_(n+1) = 0 over its window, as in
+    # the first link of the verifier's hat chain
     witnesses = [sample_witness(new_char_sequence(b), 1)
                  for b in ((12, 16, 31), (10, 14, 15), (8, 12, 14, 15), (2, 3))]
     roots = [w.root for w in witnesses]
@@ -294,8 +263,9 @@ def test_min_poly_rejects_power_sums_kept_multiples_of_n(monkeypatch, mutant):
         with pytest.raises(InvariantViolation):
             min_poly(root)
     for root in roots[:3]:
+        n = root.reduce().denom
         with pytest.raises(InvariantViolation):
-            min_poly(root, 10)
+            min_poly(root, cut=(1, 1, n + 10))
     for w in witnesses:
         for depth in range(1, w.cs.h + 1):
             with pytest.raises(InvariantViolation):
@@ -437,19 +407,6 @@ def test_diagram_of_examples():
         diagram_of(BivariatePoly({}))
 
 
-def test_diagram_of_truncation_awareness():
-    # polygon not reaching the x-axis cannot be certified under truncation
-    f = BivariatePoly({(0, 2): 1, (3, 1): -1}, trunc=10)
-    with pytest.raises(TruncationTooShort):
-        diagram_of(f)
-    assert from_support(f.terms).vertices == ((0, 2), (3, 1))
-    ok = BivariatePoly({(0, 2): 1, (3, 0): -1}, trunc=10)
-    assert diagram_of(ok) == elementary(3, 2)
-    too_close = BivariatePoly({(0, 2): 1, (12, 0): -1}, trunc=10)
-    with pytest.raises(TruncationTooShort):
-        diagram_of(too_close)
-
-
 def test_edge_squarefree_examples():
     cusp = BivariatePoly({(0, 2): 1, (3, 0): -1})
     assert edge_poly_squarefree(cusp, ((0, 2), (3, 0))) is True
@@ -507,8 +464,27 @@ def test_min_poly_root_orders_recover_gcd_chain():
 
 
 def test_bivariate_json_round_trip():
-    f = BivariatePoly({(0, 2): 1, (3, 0): Fraction(-1, 2)}, trunc=9)
+    f = BivariatePoly({(0, 2): 1, (3, 0): Fraction(-1, 2)})
     assert BivariatePoly.from_json(f.to_json()) == f
+
+
+@pytest.mark.parametrize("terms", [[[1.5, 0, "1"]], [[0, True, "2"]],
+                                   [[1.5, 0, "1"], [0, True, "2"]]])
+def test_bivariate_from_json_rejects_exponents_that_are_not_integers(terms):
+    with pytest.raises(ValueError):
+        BivariatePoly.from_json({"terms": terms})
+
+
+@pytest.mark.parametrize("b", [(12, 16, 31), (16, 24, 28, 30, 31)])
+def test_bivariate_json_matches_schema(b):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(puiseux.__file__).parent / "schemas"
+                         / "bivariate_poly.schema.json").read_text())
+    cs = new_char_sequence(b)
+    fhat = hat_chain(sample_witness(cs, 1), cs.h)[0]  # the seed-1 f^_1
+    blob = fhat.to_json()
+    jsonschema.validators.validator_for(schema)(schema).validate(blob)
+    assert BivariatePoly.from_json(blob) == fhat
 
 
 # -- roots-of-unity identities (complex floating arithmetic) ---------------------------

@@ -145,7 +145,6 @@ def test_hat_commutes_with_y_derivatives(b):
             direct = hat_transform(derivative_y(w.f, k), semiroot_degree(cs, l), w.lam(l))
             derived = derivative_y(fhat, k)
             assert derived.terms == direct.terms, (b, l, k)
-            assert derived.trunc == direct.trunc, (b, l, k)
 
 
 # -- a wrongly straightened hat must trip expected_hat_diagram's invariant ------------
@@ -160,12 +159,12 @@ def _lam_one_level_short(w, l):
 
 def _lam_last_term_dropped(w, l):
     lam = _LAM(w, l)
-    return PuiseuxSeries(lam.denom, lam.terms[:-1], lam.trunc_bound)
+    return PuiseuxSeries(lam.denom, lam.terms[:-1])
 
 
 def _lam_doubled(w, l):
     lam = _LAM(w, l)
-    return PuiseuxSeries(lam.denom, [(i, 2 * c) for i, c in lam.terms], lam.trunc_bound)
+    return PuiseuxSeries(lam.denom, [(i, 2 * c) for i, c in lam.terms])
 
 
 @pytest.mark.parametrize(
@@ -260,8 +259,6 @@ def test_first_hat_is_the_conjugate_product_of_the_shifted_root(b):
     assert min_poly(shifted) == oracle
     for depth in range(1, cs.h + 1):
         n_top = semiroot_degree(cs, depth)
-        x_trunc = cut_bound(cs, depth) // n_top + 1
-        assert min_poly(shifted, x_trunc) == hat_transform(min_poly(w.root, x_trunc), 1, w.lam(1))
         # the chain's f^_1: every term of level-depth weight within the cap
         fhat = hat_chain(w, depth)[0]
         s = min([Fraction(cs.bbar[depth - 1], cs.b0)]
@@ -313,9 +310,9 @@ def test_chain_widens_for_a_degenerate_witness(monkeypatch):
     calls = []
     real_min_poly = verify_mod.min_poly
 
-    def spy(a, x_trunc=None, cut=None):
+    def spy(a, cut=None):
         calls.append(cut is not None)
-        return real_min_poly(a, x_trunc, cut)
+        return real_min_poly(a, cut)
 
     monkeypatch.setattr(verify_mod, "min_poly", spy)
     monkeypatch.setattr(verify_mod, "sample_witness", lambda cs, seed, extra=None: g)
@@ -456,22 +453,6 @@ def test_verify_report_deterministic():
     a = json.dumps(verify_prediction(EX2, 2, [3, 4]).to_json())
     b = json.dumps(verify_prediction(EX2, 2, [3, 4]).to_json())
     assert a == b
-
-
-def test_truncation_soundness():
-    # a truncated root decides checks monotonically: unknown, then pass,
-    # never pass -> fail
-    root_terms = {3: 1, 4: 2, 5: -1}
-    statuses = []
-    for bound in (5, 7, 9, 12, 20, 40):
-        root = PuiseuxSeries(2, {i: c for i, c in root_terms.items() if i < bound},
-                             trunc_bound=bound)
-        w = WitnessBranch(CUSP, root, None)
-        res = check_lemma_nd(w, 1, 1, hat_chain(w, 1, 1)[-1])
-        statuses.append(res.status)
-    assert statuses[-1] == "ok"
-    decided = [s for s in statuses if s != "unknown"]
-    assert decided == ["ok"] * len(decided)
 
 
 def test_find_generic_witness():
