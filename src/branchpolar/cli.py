@@ -68,9 +68,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_verify(args) -> int:
     cs = parse_char(args.char)
-    report = verify.verify_prediction(
-        cs, args.k, _seeds(args.seeds), extra_terms=args.trunc_extra
-    )
+    report = verify.verify_prediction(cs, args.k, _seeds(args.seeds))
     if args.format == "json":
         _emit(_dump(report.to_json()), args)
     else:
@@ -232,8 +230,6 @@ def _build_parser() -> _Parser:
     v.add_argument("--char", dest="char_opt", metavar="CHAR")
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated witness seeds")
-    v.add_argument("--trunc-extra", type=int, default=None,
-                   help="extra exponents sampled past b_h (default b0)")
     _add_common(v, ["text", "json"])
     v.set_defaults(func=_cmd_verify)
 

@@ -30,9 +30,6 @@ class ContinuedFraction:
     def value(self) -> Fraction:
         return Fraction(self.p[-1], self.q[-1])
 
-    def convergents(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(pi, qi) for pi, qi in zip(self.p, self.q))
-
 
 def from_quotients(h) -> ContinuedFraction:
     """Build a ContinuedFraction from partial quotients, filling in convergents."""

@@ -39,14 +39,6 @@ class EmptySupport(BranchPolarError, ValueError):
     pass
 
 
-class SplitTooDeep(BranchPolarError, ValueError):
-    """Derivative order exceeds the vertical extent of the split-off part."""
-
-
-class NotCoprime(BranchPolarError, ValueError):
-    pass
-
-
 # --- Puiseux series and bivariate polynomials ------------------------------
 
 class IndexMismatch(BranchPolarError, ValueError):
@@ -78,10 +70,6 @@ class OrderOutOfRange(BranchPolarError, ValueError):
 # --- verification -----------------------------------------------------------
 
 class OrderTooLarge(BranchPolarError, ValueError):
-    pass
-
-
-class AllSeedsDegenerate(BranchPolarError, RuntimeError):
     pass
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "INF",
     "PuiseuxSeries",
     "BivariatePoly",
-    "contact",
     "min_poly",
     "derivative_y",
     "hat_transform",
@@ -70,7 +69,9 @@ class PuiseuxSeries:
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         terms = []
         for i, c in items:
-            i = int(i)
+            # bool is a subclass of int, and int() would truncate floats
+            if type(i) is not int:
+                raise ValueError(f"exponent numerators must be integers, got {i!r}")
             if i <= 0:
                 raise ValueError(f"exponent numerators must be positive, got {i}")
             c = _as_coeff(c)
@@ -256,25 +257,9 @@ class PuiseuxSeries:
         return f"PuiseuxSeries({self!s})"
 
 
-def contact(a: PuiseuxSeries, b: PuiseuxSeries):
-    """ord(a - b), +inf when the series are equal."""
-    return (a - b).ord()
-
-
 # ---------------------------------------------------------------------------
 # sparse bivariate polynomials
 # ---------------------------------------------------------------------------
-
-
-def _dict_mul(a: dict, b: dict) -> dict:
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict = {}
-    for (ia, ja), ca in a.items():
-        for (ib, jb), cb in b.items():
-            key = (ia + ib, ja + jb)
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
 
 
 class BivariatePoly:
@@ -286,11 +271,15 @@ class BivariatePoly:
         items = terms.items() if hasattr(terms, "items") else terms
         clean = {}
         for (i, j), c in items:
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"exponents must be integers, got ({i!r}, {j!r})")
             if i < 0 or j < 0:
                 raise ValueError(f"exponents must be nonnegative, got ({i}, {j})")
             c = _as_coeff(c)
             if c:
                 clean[(i, j)] = c
+            else:  # in an item list a later entry replaces an earlier one
+                clean.pop((i, j), None)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *a):
@@ -306,37 +295,12 @@ class BivariatePoly:
             raise ZeroPolynomial("the zero polynomial has no y-degree")
         return max(j for _, j in self.terms)
 
-    def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return BivariatePoly(out)
-
-    def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) - c
-        return BivariatePoly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BivariatePoly({k: c * other for k, c in self.terms.items()})
-        return BivariatePoly(_dict_mul(self.terms, other.terms))
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- queries ----------------------------------------------------------------
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return Fraction(self.terms.get((i, j), 0))
 
     def y_slices(self) -> dict:
         """x-coefficient dicts keyed by y-degree."""
@@ -362,13 +326,8 @@ class BivariatePoly:
 
     @staticmethod
     def from_json(data: dict) -> "BivariatePoly":
-        terms = {}
-        for i, j, c in data["terms"]:
-            # bool is a subclass of int, and int() would truncate floats
-            if type(i) is not int or type(j) is not int:
-                raise ValueError(f"exponents must be integers, got ({i!r}, {j!r})")
-            terms[(i, j)] = parse_q(c)
-        return BivariatePoly(terms)
+        # a list, not a dict: (True, 0) and (1, 0) are one dict key
+        return BivariatePoly([((i, j), parse_q(c)) for i, j, c in data["terms"]])
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -48,7 +48,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from . import diagram as diagram_mod
 from .charclass import CharSequence, bbar, semiroot_degree
@@ -74,7 +73,6 @@ from .rational import fmt_q
 
 __all__ = [
     "WitnessBranch",
-    "LemmaNDResult",
     "LevelReport",
     "SeedRun",
     "VerificationReport",
@@ -98,11 +96,6 @@ class WitnessBranch:
     root: PuiseuxSeries
     seed: int | None
 
-    @cached_property
-    def f(self) -> BivariatePoly:
-        """The minimal polynomial of the root; the checks never expand it."""
-        return min_poly(self.root)
-
     def lam(self, l: int) -> PuiseuxSeries:
         """The truncation of the root below b_l/b0, over its own index."""
         cutoff = Fraction(self.cs.b[l], self.cs.b0)
@@ -125,15 +118,12 @@ def allowed_exponents(cs: CharSequence, upto: int) -> list:
     return out
 
 
-def sample_witness(cs: CharSequence, seed: int, extra_terms: int | None = None) -> WitnessBranch:
+def sample_witness(cs: CharSequence, seed: int) -> WitnessBranch:
     """Random branch in the class: nonzero integer coefficients at the
-    characteristic exponents, arbitrary ones elsewhere, all in [-9, 9]."""
-    if extra_terms is None:
-        extra_terms = cs.b0
-    if extra_terms < 0:
-        raise ValueError("extra_terms must be nonnegative")
+    characteristic exponents, arbitrary ones elsewhere, all in [-9, 9], at
+    every allowed exponent numerator up to b_h + b0."""
     rng = random.Random(seed)
-    upto = cs.b[-1] + extra_terms * cs.e[-1]
+    upto = cs.b[-1] + cs.b0
     nonzero = [v for v in range(-COEFF_RANGE, COEFF_RANGE + 1) if v]
     coeffs = {}
     char_positions = set(cs.b[1:])
@@ -234,44 +224,6 @@ def hat_chain(w: WitnessBranch, depth: int, k: int = 0) -> list:
     return hats if certified else build(None)
 
 
-def expected_hat_diagram(cs: CharSequence, l: int, k: int,
-                         hat_diagram: diagram_mod.NewtonDiagram) -> diagram_mod.NewtonDiagram:
-    """The k-th symbolic derivative of the witness's hat diagram, once its
-    steep part R is checked to be e_l copies of (m_l, n_l).
-
-    Only the steep part is theory; the rest, L, is taken from the witness
-    itself.  R is the bottom part of the diagram, of height
-    e_l n_l = e_(l-1) > k, so the derivative cuts into R alone and equals
-    the splitting R^(k) + L of the lemma on Newton diagrams of polars.
-    """
-    if k >= cs.e[l - 1]:
-        raise OrderTooLarge(f"order {k} >= e_{l - 1} = {cs.e[l - 1]}")
-    m_l, n_l = cs.m_seq[l - 1], cs.n_seq[l - 1]
-    e_l = cs.e[l]
-    rep = hat_diagram.canonical_rep(long=True)
-    steep = [p for p in rep.parts if p[0] * n_l >= p[1] * m_l]
-    if steep != [(m_l, n_l)] * e_l:
-        raise InvariantViolation(
-            f"hat diagram of a class member must start with {e_l} copies of "
-            f"({m_l},{n_l}), got {steep}"
-        )
-    return hat_diagram.symbolic_derivative(k)
-
-
-@dataclass
-class LemmaNDResult:
-    level: int
-    k: int
-    expected: tuple                   # vertices of N(fhat)^(k)
-    observed: tuple                   # vertices of N(d^k fhat / dy^k)
-    status: str = "ok"                # ok, or degenerate with reasons
-    reasons: list = field(default_factory=list)
-    steep_parts: tuple = ()
-    contacts: tuple = ()
-    multiplicities: tuple = ()
-    aggregate_edge_length: int | None = None
-
-
 def _steep_data(d: diagram_mod.NewtonDiagram, m_l: int, n_l: int):
     """Long-canonical parts of inclination > m_l/n_l and the vertical length
     of the edge at inclination exactly m_l/n_l."""
@@ -285,23 +237,105 @@ def _steep_data(d: diagram_mod.NewtonDiagram, m_l: int, n_l: int):
     return tuple(steep), exact_len
 
 
-def check_lemma_nd(w: WitnessBranch, l: int, k: int, fhat: BivariatePoly) -> LemmaNDResult:
-    """Diagram equality and steep-edge non-degeneracy for one level and order,
-    read off the level's hat transform ``fhat`` (see ``hat_chain``)."""
-    cs = w.cs
+def expected_hat_diagram(cs: CharSequence, l: int, k: int,
+                         hat_diagram: diagram_mod.NewtonDiagram) -> diagram_mod.NewtonDiagram:
+    """The k-th symbolic derivative of the witness's hat diagram, once its
+    steep part R is checked to be e_l copies of (m_l, n_l): no part steeper
+    than m_l/n_l, and height e_l n_l = e_(l-1) at m_l/n_l (long-canonical
+    parts are primitive).
+
+    Only the steep part is theory; the rest, L, is taken from the witness
+    itself.  R is the bottom part of the diagram, of height e_(l-1) > k, so
+    the derivative cuts into R alone and equals the splitting R^(k) + L of
+    the lemma on Newton diagrams of polars.
+    """
     if k >= cs.e[l - 1]:
         raise OrderTooLarge(f"order {k} >= e_{l - 1} = {cs.e[l - 1]}")
+    m_l, n_l = cs.m_seq[l - 1], cs.n_seq[l - 1]
+    steep, exact_len = _steep_data(hat_diagram, m_l, n_l)
+    if steep or exact_len != cs.e[l - 1]:
+        raise InvariantViolation(
+            f"hat diagram of a class member must start with {cs.e[l]} copies of "
+            f"({m_l},{n_l}), got steeper parts {list(steep)} and height "
+            f"{exact_len} at {m_l}/{n_l}"
+        )
+    return hat_diagram.symbolic_derivative(k)
+
+
+@dataclass
+class LevelReport:
+    """What the checks of one level and order found.  ``check_lemma_nd``
+    fills the diagram fields; for an ok level ``_run_seed`` then compares
+    them with the prediction."""
+
+    level: int
+    k: int
+    expected: tuple                   # vertices of N(fhat)^(k)
+    observed: tuple                   # vertices of N(d^k fhat / dy^k)
+    status: str = "ok"                # ok, or degenerate with reasons
+    reasons: list = field(default_factory=list)
+    steep_parts: tuple = ()
+    contacts: tuple = ()
+    multiplicities: tuple = ()
+    aggregate_edge_length: int | None = None
+    initial_form_ok: bool | None = None
+    prediction_match: bool | None = None
+    aggregate_predicted: int | None = None
+    aggregate_ok: bool | None = None
+
+    def failures(self) -> list:
+        out = []
+        if self.initial_form_ok is False:
+            out.append(f"level {self.level}: initial form mismatch")
+        if self.prediction_match is False:
+            out.append(f"level {self.level}: extracted factors disagree with prediction")
+        if self.aggregate_ok is False:
+            out.append(
+                f"level {self.level}: edge length {self.aggregate_edge_length} "
+                f"!= predicted {self.aggregate_predicted}"
+            )
+        return out
+
+    def to_json(self) -> dict:
+        return {
+            "l": self.level,
+            "status": self.status,
+            "reasons": list(self.reasons),
+            "expected": [list(v) for v in self.expected],
+            "observed": [list(v) for v in self.observed],
+            "steep_parts": [list(p) for p in self.steep_parts],
+            "contacts": [fmt_q(c) for c in self.contacts],
+            "multiplicities": list(self.multiplicities),
+            "initial_form_ok": self.initial_form_ok,
+            "prediction_match": self.prediction_match,
+            "aggregate_edge": {
+                "observed": self.aggregate_edge_length,
+                "predicted": self.aggregate_predicted,
+                "ok": self.aggregate_ok,
+            },
+        }
+
+
+def check_lemma_nd(w: WitnessBranch, l: int, k: int, fhat: BivariatePoly) -> LevelReport:
+    """Diagram equality and steep-edge non-degeneracy for one level and order,
+    read off the level's hat transform ``fhat`` (see ``hat_chain``): the
+    level's report with its diagram fields filled in."""
+    cs = w.cs
     m_l, n_l = cs.m_seq[l - 1], cs.n_seq[l - 1]
     n_sub = semiroot_degree(cs, l)
     expected = expected_hat_diagram(cs, l, k, diagram_of(fhat))
     # the hat transform commutes with d/dy: hat(d^k f) = d^k hat(f)
     polar_hat = derivative_y(fhat, k)
     observed = diagram_of(polar_hat)
-    res = LemmaNDResult(level=l, k=k, expected=expected.vertices, observed=observed.vertices)
-
     steep_obs, exact_len = _steep_data(observed, m_l, n_l)
     steep_exp, _ = _steep_data(expected, m_l, n_l)
-    res.aggregate_edge_length = exact_len
+    res = LevelReport(
+        level=l, k=k, expected=expected.vertices, observed=observed.vertices,
+        steep_parts=steep_obs,
+        contacts=tuple(Fraction(m, n_sub * n) for m, n in steep_obs),
+        multiplicities=tuple(n_sub * n for _, n in steep_obs),
+        aggregate_edge_length=exact_len,
+    )
     if steep_obs != steep_exp:
         res.status = "degenerate"
         res.reasons.append(
@@ -317,10 +351,6 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int, fhat: BivariatePoly) -> Lem
             if not edge_poly_squarefree(polar_hat, edge):
                 res.status = "degenerate"
                 res.reasons.append(f"steep edge {edge} is degenerate")
-
-    res.steep_parts = steep_obs
-    res.contacts = tuple(Fraction(m, n_sub * n) for m, n in steep_obs)
-    res.multiplicities = tuple(n_sub * n for _, n in steep_obs)
     return res
 
 
@@ -348,48 +378,6 @@ def check_initial_form(w: WitnessBranch, l: int, fhat: BivariatePoly) -> bool:
 # ---------------------------------------------------------------------------
 # end-to-end verification
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class LevelReport:
-    lemma: LemmaNDResult
-    initial_form_ok: bool | None = None
-    prediction_match: bool | None = None
-    aggregate_predicted: int | None = None
-    aggregate_ok: bool | None = None
-
-    def failures(self) -> list:
-        out = []
-        if self.initial_form_ok is False:
-            out.append(f"level {self.lemma.level}: initial form mismatch")
-        if self.prediction_match is False:
-            out.append(f"level {self.lemma.level}: extracted factors disagree with prediction")
-        if self.aggregate_ok is False:
-            out.append(
-                f"level {self.lemma.level}: edge length {self.lemma.aggregate_edge_length} "
-                f"!= predicted {self.aggregate_predicted}"
-            )
-        return out
-
-    def to_json(self) -> dict:
-        lm = self.lemma
-        return {
-            "l": lm.level,
-            "status": lm.status,
-            "reasons": list(lm.reasons),
-            "expected": [list(v) for v in lm.expected],
-            "observed": [list(v) for v in lm.observed],
-            "steep_parts": [list(p) for p in lm.steep_parts],
-            "contacts": [fmt_q(c) for c in lm.contacts],
-            "multiplicities": list(lm.multiplicities),
-            "initial_form_ok": self.initial_form_ok,
-            "prediction_match": self.prediction_match,
-            "aggregate_edge": {
-                "observed": lm.aggregate_edge_length,
-                "predicted": self.aggregate_predicted,
-                "ok": self.aggregate_ok,
-            },
-        }
 
 
 @dataclass
@@ -439,17 +427,16 @@ class VerificationReport:
         for run in self.runs:
             lines.append(f"seed {run.seed}: {run.status}")
             for lv in run.levels:
-                lm = lv.lemma
-                bits = [f"  l={lm.level} {lm.status}"]
-                if lm.status == "ok":
-                    parts = "+".join(f"({m},{n})" for m, n in lm.steep_parts) or "-"
+                bits = [f"  l={lv.level} {lv.status}"]
+                if lv.status == "ok":
+                    parts = "+".join(f"({m},{n})" for m, n in lv.steep_parts) or "-"
                     bits.append(f"steep {parts}")
-                    bits.append(f"contacts {{{', '.join(fmt_q(c) for c in lm.contacts)}}}")
+                    bits.append(f"contacts {{{', '.join(fmt_q(c) for c in lv.contacts)}}}")
                     bits.append(f"initial form {'ok' if lv.initial_form_ok else 'MISMATCH'}")
                     bits.append(
-                        f"edge@(m/n) {lm.aggregate_edge_length}={lv.aggregate_predicted}"
+                        f"edge@(m/n) {lv.aggregate_edge_length}={lv.aggregate_predicted}"
                         if lv.aggregate_ok
-                        else f"edge@(m/n) {lm.aggregate_edge_length}!={lv.aggregate_predicted}"
+                        else f"edge@(m/n) {lv.aggregate_edge_length}!={lv.aggregate_predicted}"
                     )
                 lines.append(" ".join(bits))
             for fail in run.failures:
@@ -480,31 +467,29 @@ def _run_seed(w: WitnessBranch, prediction: PolarPrediction, levels) -> SeedRun:
     cs = w.cs
     run = SeedRun(seed=w.seed, status="pass")
     for l, fhat in zip(levels, hat_chain(w, levels[-1], prediction.k)):
-        lemma = check_lemma_nd(w, l, prediction.k, fhat)
-        report = LevelReport(lemma=lemma)
+        report = check_lemma_nd(w, l, prediction.k, fhat)
         run.levels.append(report)
-        if lemma.status != "ok":
+        if report.status != "ok":
             continue
         report.initial_form_ok = check_initial_form(w, l, fhat)
         predicted_z = [f for f in prediction.groups[l - 1] if f.kind == "Z"]
         report.prediction_match = (
-            list(lemma.steep_parts) == [f.part for f in predicted_z]
-            and list(lemma.contacts) == [f.contact_with_semiroot for f in predicted_z]
-            and list(lemma.multiplicities) == [f.multiplicity for f in predicted_z]
+            list(report.steep_parts) == [f.part for f in predicted_z]
+            and list(report.contacts) == [f.contact_with_semiroot for f in predicted_z]
+            and list(report.multiplicities) == [f.multiplicity for f in predicted_z]
         )
         report.aggregate_predicted = _aggregate_predicted(prediction, cs, l)
-        report.aggregate_ok = lemma.aggregate_edge_length == report.aggregate_predicted
+        report.aggregate_ok = report.aggregate_edge_length == report.aggregate_predicted
         run.failures.extend(report.failures())
 
     if run.failures:
         run.status = "fail"
-    elif any(lv.lemma.status == "degenerate" for lv in run.levels):
+    elif any(lv.status == "degenerate" for lv in run.levels):
         run.status = "degenerate"
     return run
 
 
-def verify_prediction(cs: CharSequence, k: int, seeds,
-                      extra_terms: int | None = None) -> VerificationReport:
+def verify_prediction(cs: CharSequence, k: int, seeds) -> VerificationReport:
     """Check the prediction for every level against sampled witnesses.
 
     PASS needs one fully passing seed and no hard contradiction anywhere;
@@ -524,7 +509,7 @@ def verify_prediction(cs: CharSequence, k: int, seeds,
     next_extra = max(seeds) + 1
     while queue:
         seed = queue.pop(0)
-        run = _run_seed(sample_witness(cs, seed, extra_terms), prediction, levels)
+        run = _run_seed(sample_witness(cs, seed), prediction, levels)
         report.runs.append(run)
         if run.status == "fail":
             report.verdict = "FAIL"

@@ -11,8 +11,8 @@ expected polar diagram D^(k) as the Minkowski sum R^(k) + L of the lemma on
 Newton diagrams of polars.  Helpers that only the tests use (Minkowski sums,
 diagrams rebuilt from canonical representations, edge inclinations,
 weighted faces and their sums, quadrants, symbolic conjugates, truncation
-orbits, evaluation of bivariate polynomials at rational points, the search
-for a generic witness) live here too.
+orbits, products and evaluation of bivariate polynomials, the search for a
+generic witness, and the errors only these helpers raise) live here too.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,24 @@ from math import gcd, lcm
 
 from branchpolar import contfrac
 from branchpolar.diagram import CanonicalRep, NewtonDiagram, from_support
-from branchpolar.errors import InvalidRange, NotCoprime, SplitTooDeep
+from branchpolar.errors import BranchPolarError, InvalidRange
+
+
+# ---------------------------------------------------------------------------
+# errors that only the oracles raise
+# ---------------------------------------------------------------------------
+
+
+class SplitTooDeep(BranchPolarError, ValueError):
+    """Derivative order exceeds the vertical extent of the split-off part."""
+
+
+class NotCoprime(BranchPolarError, ValueError):
+    pass
+
+
+class AllSeedsDegenerate(BranchPolarError, RuntimeError):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +497,21 @@ def min_poly_oracle(series):
 # ---------------------------------------------------------------------------
 
 
+def dict_mul(a: dict, b: dict) -> dict:
+    """Product of two sparse bivariate polynomials given as {(i, j): c}."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    for (ia, ja), ca in a.items():
+        for (ib, jb), cb in b.items():
+            key = (ia + ib, ja + jb)
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
 def _det(mat):
     """Determinant of a small matrix of term dicts, by Laplace expansion with
     memoized minors (entries are sparse polynomials)."""
-    from branchpolar.puiseux import _dict_mul
-
     size = len(mat)
     memo = {}
 
@@ -501,7 +528,7 @@ def _det(mat):
             if not entry:
                 continue
             sub = minor(row + 1, cols[:pos] + cols[pos + 1:])
-            piece = _dict_mul(entry, sub)
+            piece = dict_mul(entry, sub)
             sign = 1 if pos % 2 == 0 else -1
             for k, v in piece.items():
                 acc[k] = acc.get(k, 0) + sign * v
@@ -625,14 +652,13 @@ def full_hat(w, l: int):
     full from the witness's minimal polynomial: the uncut oracle for
     ``verify.hat_chain``."""
     from branchpolar.charclass import semiroot_degree
-    from branchpolar.puiseux import hat_transform
+    from branchpolar.puiseux import hat_transform, min_poly
 
-    return hat_transform(w.f, semiroot_degree(w.cs, l), w.lam(l))
+    return hat_transform(min_poly(w.root), semiroot_degree(w.cs, l), w.lam(l))
 
 
-def find_generic_witness(cs, k: int, seeds, extra_terms=None):
+def find_generic_witness(cs, k: int, seeds):
     """First sampled witness passing every check, or AllSeedsDegenerate."""
-    from branchpolar.errors import AllSeedsDegenerate
     from branchpolar.polar import predict
     from branchpolar.verify import _run_seed, sample_witness
 
@@ -640,7 +666,7 @@ def find_generic_witness(cs, k: int, seeds, extra_terms=None):
     levels = [l for l in range(1, cs.h + 1) if cs.e[l - 1] > k]
     tried = 0
     for seed in seeds:
-        w = sample_witness(cs, seed, extra_terms)
+        w = sample_witness(cs, seed)
         tried += 1
         if _run_seed(w, prediction, levels).status == "pass":
             return w

@@ -51,6 +51,19 @@ def test_examples_match_golden_dot(capsys, name, k):
     assert out == (GOLDEN / f"{name}_k{k}.dot").read_text()
 
 
+# verify 12,16,31 --k 1 --seeds 17: seed 17 is degenerate at level 1 and ok at
+# level 2, so the report retries with seed 18, which passes
+@pytest.mark.parametrize("char,k,seeds", [("12,16,31", 2, "1,2,3"), ("12,16,31", 1, "17")])
+@pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json")])
+def test_verify_matches_golden(capsys, char, k, seeds, fmt, ext):
+    code, out = run(capsys, "verify", char, "--k", str(k), "--seeds", seeds, "--format", fmt)
+    assert code == 0
+    name = f"{char.replace(',', '_')}_k{k}_seeds{seeds.replace(',', '_')}.{ext}"
+    assert out == (GOLDEN / "verify" / name).read_text()
+    if fmt == "json":
+        validate(json.loads(out), "verify_report.schema.json")
+
+
 def test_predict_equals_example(capsys):
     _, via_example = run(capsys, "example", "ex1", "--k", "2", "--format", "json")
     _, via_predict = run(capsys, "predict", "12,16,31", "--k", "2", "--format", "json")

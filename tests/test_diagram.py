@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchpolar.diagram import NewtonDiagram, elementary, from_support
-from branchpolar.errors import EmptySupport, InvalidRange, NotCoprime, SplitTooDeep
+from branchpolar.errors import EmptySupport, InvalidRange
 from oracles import (
     Face,
+    NotCoprime,
+    SplitTooDeep,
     elementary_derivative_closed_form,
     face_sum,
     inclination,

@@ -30,7 +30,6 @@ from branchpolar.puiseux import (
     INF,
     BivariatePoly,
     PuiseuxSeries,
-    contact,
     derivative_y,
     diagram_of,
     edge_poly_squarefree,
@@ -40,6 +39,7 @@ from branchpolar.puiseux import (
 from branchpolar.verify import hat_chain, sample_witness
 from oracles import (
     conjugate,
+    dict_mul,
     evaluate,
     min_poly_laplace_oracle,
     min_poly_oracle,
@@ -70,11 +70,11 @@ def test_ord_examples():
 def test_contact_examples():
     a = PuiseuxSeries.from_string("x^(3/2)")
     b = PuiseuxSeries.from_string("x^(3/2)+x^2")
-    assert contact(a, b) == 2
-    assert contact(a, a) == INF
+    assert (a - b).ord() == 2
+    assert (a - a).ord() == INF
     c = PuiseuxSeries.from_string("x^(4/3)+x^2")
     d = PuiseuxSeries.from_string("x^(4/3)+2*x^2")
-    assert contact(c, d) == 2
+    assert (c - d).ord() == 2
 
 
 def test_characteristic_examples():
@@ -127,7 +127,7 @@ def test_min_poly_reduces_index():
 def test_min_poly_known_coefficients():
     g = min_poly(PuiseuxSeries.from_string(EX1_ROOT))
     assert g.degree_y() == 12
-    assert g.coefficient(0, 12) == 1
+    assert g.terms[(0, 12)] == 1
     assert {k: v for k, v in g.terms.items() if k[1] == 11} == {(2, 11): -12}
     assert {k: v for k, v in g.terms.items() if k[1] == 10} == {(4, 10): 66}
 
@@ -352,7 +352,9 @@ def test_hat_multiplicative():
     for _ in range(20):
         f = BivariatePoly({(rng.randint(0, 4), rng.randint(0, 3)): rng.randint(-4, 4) for _ in range(5)})
         g = BivariatePoly({(rng.randint(0, 4), rng.randint(0, 3)): rng.randint(-4, 4) for _ in range(5)})
-        assert hat_transform(f * g, 2, lam) == hat_transform(f, 2, lam) * hat_transform(g, 2, lam)
+        product = BivariatePoly(dict_mul(f.terms, g.terms))
+        hats = dict_mul(hat_transform(f, 2, lam).terms, hat_transform(g, 2, lam).terms)
+        assert hat_transform(product, 2, lam).terms == hats
 
 
 def test_hat_agrees_with_evaluation():
@@ -468,11 +470,30 @@ def test_bivariate_json_round_trip():
     assert BivariatePoly.from_json(f.to_json()) == f
 
 
+def test_bivariate_from_json_later_entry_wins():
+    assert BivariatePoly.from_json({"terms": [[1, 0, "1"], [1, 0, "0"]]}).is_zero()
+    assert BivariatePoly.from_json({"terms": [[1, 0, "0"], [1, 0, "2"]]}).terms == {(1, 0): 2}
+
+
 @pytest.mark.parametrize("terms", [[[1.5, 0, "1"]], [[0, True, "2"]],
                                    [[1.5, 0, "1"], [0, True, "2"]]])
 def test_bivariate_from_json_rejects_exponents_that_are_not_integers(terms):
     with pytest.raises(ValueError):
         BivariatePoly.from_json({"terms": terms})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PuiseuxSeries(2, {3.5: 1}),
+    lambda: PuiseuxSeries(2, {True: 1}),
+    lambda: BivariatePoly({(1.5, 0): 1}),
+    lambda: BivariatePoly({(True, 0): 1}),
+    # true after 1 in the JSON list: one dict key, so every entry is checked
+    lambda: BivariatePoly.from_json({"terms": [[1, 0, "1"], [True, 0, "2"]]}),
+], ids=["series-float", "series-bool", "poly-float", "poly-bool", "json-bool-after-int"])
+def test_constructors_reject_exponents_that_are_not_integers(build):
+    # int() used to read 3.5 as 3 and True as 1; a float printed as x^1.5
+    with pytest.raises(ValueError):
+        build()
 
 
 @pytest.mark.parametrize("b", [(12, 16, 31), (16, 24, 28, 30, 31)])

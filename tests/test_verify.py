@@ -15,7 +15,6 @@ import branchpolar
 from branchpolar.charclass import new_char_sequence, semiroot_degree
 from branchpolar.diagram import elementary, from_support
 from branchpolar.errors import (
-    AllSeedsDegenerate,
     InvariantViolation,
     OrderOutOfRange,
     OrderTooLarge,
@@ -33,7 +32,13 @@ from branchpolar.verify import (
     verify_prediction,
     witness_from_root,
 )
-from oracles import find_generic_witness, full_hat, minkowski_sum, split_derivative
+from oracles import (
+    AllSeedsDegenerate,
+    find_generic_witness,
+    full_hat,
+    minkowski_sum,
+    split_derivative,
+)
 
 EX1 = new_char_sequence([12, 16, 31])
 EX2 = new_char_sequence([10, 14, 15])
@@ -59,7 +64,7 @@ def test_sample_witness_members_of_class():
     for seed in range(1, 6):
         w = sample_witness(EX1, seed)
         assert w.root.characteristic().b == (12, 16, 31)
-        assert w.f.degree_y() == 12
+        assert min_poly(w.root).degree_y() == 12
         # nonzero coefficients at every characteristic exponent
         for b in EX1.b[1:]:
             assert w.root.coefficient(Fraction(b, EX1.b0)) != 0
@@ -71,7 +76,7 @@ def test_sample_witness_deterministic():
     a = sample_witness(EX2, 7)
     b = sample_witness(EX2, 7)
     assert a.root == b.root
-    assert a.f == b.f
+    assert min_poly(a.root) == min_poly(b.root)
     assert a.root != sample_witness(EX2, 8).root
 
 
@@ -122,6 +127,9 @@ def test_expected_hat_diagram_rejects_a_wrong_steep_part():
         expected_hat_diagram(EX1, 1, 1, elementary(17, 12))
     with pytest.raises(InvariantViolation):
         expected_hat_diagram(EX1, 1, 1, from_support([(0, 12), (12, 3), (17, 0)]))
+    # nothing steeper, but three copies of (4, 3) under a shallower part
+    with pytest.raises(InvariantViolation):
+        expected_hat_diagram(EX1, 1, 1, from_support([(0, 12), (2, 9), (14, 0)]))
 
 
 def test_expected_hat_diagram_order_too_large():
@@ -129,6 +137,14 @@ def test_expected_hat_diagram_order_too_large():
     hat = diagram_of(full_hat(w, 2))
     with pytest.raises(OrderTooLarge):
         expected_hat_diagram(EX1, 2, 4, hat)  # e_1 = 4
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_check_lemma_nd_order_too_large(l):
+    # k = e_(l-1): 12 at level 1, 4 at level 2; expected_hat_diagram refuses it
+    w = sample_witness(EX1, 1)
+    with pytest.raises(OrderTooLarge):
+        check_lemma_nd(w, l, EX1.e[l - 1], hat_chain(w, l)[-1])
 
 
 # -- one hat transform per level: hat(d^k f) = d^k hat(f) ----------------------------
@@ -139,10 +155,11 @@ def test_expected_hat_diagram_order_too_large():
 def test_hat_commutes_with_y_derivatives(b):
     cs = new_char_sequence(b)
     w = sample_witness(cs, 1)
+    f = min_poly(w.root)
     for l in range(1, cs.h + 1):
         fhat = full_hat(w, l)
         for k in range(1, cs.e[l - 1]):
-            direct = hat_transform(derivative_y(w.f, k), semiroot_degree(cs, l), w.lam(l))
+            direct = hat_transform(derivative_y(f, k), semiroot_degree(cs, l), w.lam(l))
             derived = derivative_y(fhat, k)
             assert derived.terms == direct.terms, (b, l, k)
 
@@ -255,7 +272,7 @@ def test_first_hat_is_the_conjugate_product_of_the_shifted_root(b):
     cs = new_char_sequence(b)
     w = sample_witness(cs, 1)
     shifted = w.root - w.lam(1)
-    oracle = hat_transform(w.f, 1, w.lam(1))
+    oracle = hat_transform(min_poly(w.root), 1, w.lam(1))
     assert min_poly(shifted) == oracle
     for depth in range(1, cs.h + 1):
         n_top = semiroot_degree(cs, depth)
@@ -330,13 +347,13 @@ def test_chain_widens_for_a_degenerate_witness(monkeypatch):
 
 
 def test_nongeneric_witness_min_poly_coefficients():
-    g = nongeneric_g().f
+    g = min_poly(nongeneric_g().root)
     assert {k: v for k, v in g.terms.items() if k[1] == 11} == {(2, 11): -12}
     assert {k: v for k, v in g.terms.items() if k[1] == 10} == {(4, 10): 66}
 
 
 def test_nongeneric_witness_tenth_derivative():
-    g = nongeneric_g().f
+    g = min_poly(nongeneric_g().root)
     c = 6 * math.factorial(11)
     assert derivative_y(g, 10).terms == {(0, 2): c, (2, 1): -2 * c, (4, 0): c}
 
@@ -366,7 +383,7 @@ def test_nongeneric_witness_degenerate_at_k1_too():
 
 def test_initial_form_cusp():
     w = witness_from_root(CUSP, PuiseuxSeries.from_string("x^(3/2)"))
-    assert w.f.terms == {(0, 2): 1, (3, 0): -1}
+    assert min_poly(w.root).terms == {(0, 2): 1, (3, 0): -1}
     assert check_initial_form(w, 1, hat_chain(w, 1)[-1])
 
 
@@ -411,7 +428,7 @@ def test_verify_ex1_all_orders():
         assert report.passing_seed is not None
         for run in report.runs:
             for lv in run.levels:
-                assert lv.lemma.status == "ok"
+                assert lv.status == "ok"
                 assert lv.prediction_match is True
                 assert lv.initial_form_ok is True
                 assert lv.aggregate_ok is True
@@ -425,7 +442,7 @@ def test_verify_ex2_all_orders():
 
 def test_verify_extracted_contacts_ex2():
     report = verify_prediction(EX2, 1, [1])
-    by_level = {lv.lemma.level: lv.lemma for run in report.runs for lv in run.levels}
+    by_level = {lv.level: lv for run in report.runs for lv in run.levels}
     assert by_level[1].contacts == (Fraction(3, 2), Fraction(3, 2))
     assert by_level[1].multiplicities == (2, 2)
     assert by_level[2].contacts == (Fraction(8, 5),)
@@ -488,6 +505,6 @@ def test_aggregate_edge_accounting_ex1_k2():
     # (mult 3) and both group-2 Z-factors (mult 3 each): vertical length 9
     report = verify_prediction(EX1, 2, [1])
     lv = report.runs[0].levels[0]
-    assert lv.lemma.level == 1
-    assert lv.lemma.aggregate_edge_length == 9
+    assert lv.level == 1
+    assert lv.aggregate_edge_length == 9
     assert lv.aggregate_predicted == 9
