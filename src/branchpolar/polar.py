@@ -24,7 +24,11 @@ b_l/b0 increases with l.  So the row (i, j), j after i, takes factor j's
 semiroot contact when both lie in one group and factor i's contact with f
 otherwise.  The JSON writers check both orderings in O(F) for F factors and
 build the text of the rows from per-factor strings with ``str.join``, so no
-Python code runs per pair.
+Python code runs per pair.  The factor blocks, like the rows, come from
+per-value strings: ``predict`` repeats one frozen factor object for each run
+of equal factors (the W-factors of a group, the Z-factors of equal parts),
+and the text writer formats one indent-2 block per run, with only the label
+changing, and each distinct contact once.
 
 These contacts fix the shape of the Eggers-Wall tree, so the export builds it
 directly.  A trunk leads from the root to the leaf f, with a vertex at every
@@ -123,87 +127,121 @@ class PolarPrediction:
         """What fixes every contact row, after checking in O(F) the orderings
         the group rule relies on (see the module docstring).
 
-        Returns (names, own, cross, ends), each indexed by factor in label
-        order: factor i meets factor j of its own group, i < j < ends[i], at
-        own[j], its semiroot contact, and every factor of a later group at
-        cross[i], its contact with f."""
+        Returns (names, own, cross, ends, runs).  The first four are indexed
+        by factor in label order: factor i meets factor j of its own group,
+        i < j < ends[i], at own[j], its semiroot contact, and every factor of
+        a later group at cross[i], its contact with f.  runs[l - 1] lists
+        (factor, start, stop) for each run of one factor object repeated in
+        group l; the checks take each run once, and each distinct contact is
+        formatted once."""
         names = self.labels()
-        own, cross, ends = [], [], []
+        own, cross, ends, runs = [], [], [], []
+        texts = {}  # contact -> its fmt_q
+
+        def fmt(c):
+            text = texts.get(c)
+            if text is None:
+                text = texts[c] = fmt_q(c)
+            return text
+
         prev = None
         for group in self.groups:
             end = len(own) + len(group)
-            for f in group:
+            group_runs = []
+            for _, run in groupby(group, key=id):
+                run = list(run)
+                f, start, count = run[0], len(own), len(run)
                 if prev is not None:
                     if f.contact_with_f < prev.contact_with_f:
                         raise InvariantViolation(
                             f"contact with f falls from {prev.contact_with_f} to "
-                            f"{f.contact_with_f} at {names[len(own)]}"
+                            f"{f.contact_with_f} at {names[start]}"
                         )
                     if (f.group_index == prev.group_index
                             and f.contact_with_semiroot > prev.contact_with_semiroot):
                         raise InvariantViolation(
                             f"semiroot contact rises from {prev.contact_with_semiroot} to "
-                            f"{f.contact_with_semiroot} at {names[len(own)]}"
+                            f"{f.contact_with_semiroot} at {names[start]}"
                         )
-                own.append(fmt_q(f.contact_with_semiroot))
-                cross.append(fmt_q(f.contact_with_f))
-                ends.append(end)
+                own += [fmt(f.contact_with_semiroot)] * count
+                cross += [fmt(f.contact_with_f)] * count
+                ends += [end] * count
+                group_runs.append((f, start, start + count))
                 prev = f
-        return names, own, cross, ends
+            runs.append(group_runs)
+        return names, own, cross, ends, runs
 
-    def _head_json(self, pairwise_contacts: list) -> dict:
-        group_blobs = []
-        names = iter(self.labels())
-        for l, group in enumerate(self.groups, start=1):
-            group_blobs.append(
-                {
-                    "l": l,
-                    "cont_f": fmt_q(Fraction(self.char.b[l], self.char.b0)),
-                    "factors": [
-                        dict(f.to_json(), label=next(names)) for f in group
-                    ],
-                }
-            )
+    def _group_json(self, l: int, factors: list) -> dict:
+        return {
+            "l": l,
+            "cont_f": fmt_q(Fraction(self.char.b[l], self.char.b0)),
+            "factors": factors,
+        }
+
+    def _document(self, groups: list, pairwise_contacts: list) -> dict:
         return {
             "char": list(self.char.b),
             "k": self.k,
             "i_k": self.i_k,
             "multiplicity_total": self.multiplicity_total(),
-            "groups": group_blobs,
+            "groups": groups,
             "pairwise_contacts": pairwise_contacts,
         }
 
     def to_json(self) -> dict:
-        names, own, cross, ends = self._contact_columns()
+        names, own, cross, ends, _ = self._contact_columns()
         rows = []
         for i, (a, end) in enumerate(zip(names, ends)):
             rows += [[a, names[j], own[j]] for j in range(i + 1, end)]
             rows += [[a, b, cross[i]] for b in names[end:]]
-        return self._head_json(rows)
+        labels = iter(names)
+        groups = [
+            self._group_json(l, [dict(f.to_json(), label=next(labels)) for f in group])
+            for l, group in enumerate(self.groups, start=1)
+        ]
+        return self._document(groups, rows)
 
     def to_json_text(self) -> str:
-        """``json.dumps(self.to_json(), indent=2)``, byte for byte, with the
-        contact rows joined straight into their indent-2 text."""
-        head = json.dumps(self._head_json([]), indent=2)
-        names, own, cross, ends = self._contact_columns()
+        """``json.dumps(self.to_json(), indent=2)``, byte for byte, joined
+        with ``str.join`` from per-value strings: one indent-2 template per
+        group and per run of one factor, with only the label changing, and
+        the contact rows from per-factor strings."""
+        names, own, cross, ends, runs = self._contact_columns()
+        # labels and contacts hold no character that JSON escapes
+        quoted = [f'"{name}"' for name in names]
+        head = json.dumps(self._document([], []), indent=2)
+        blobs = []
+        for l, group_runs in enumerate(runs, start=1):
+            blocks = []
+            for f, start, stop in group_runs:
+                # the factor's block at indent 8, cut at the value of its label
+                block = json.dumps(dict(f.to_json(), label=""), indent=2)
+                lead, _, tail = ("        " + block.replace("\n", "\n        ")).rpartition('""')
+                blocks.append(lead + (tail + ",\n" + lead).join(quoted[start:stop]) + tail)
+            blob = "    " + json.dumps(self._group_json(l, []), indent=2).replace("\n", "\n    ")
+            if blocks:
+                before, _, after = blob.rpartition("[]")
+                blob = before + "[\n" + ",\n".join(blocks) + "\n      ]" + after
+            blobs.append(blob)
+        before, _, after = head.partition('"groups": []')
+        head = before + '"groups": [\n' + ",\n".join(blobs) + "\n  ]" + after
         if len(names) < 2:
             return head
         # a row is '    [\n      "a",\n      "b",\n      "c"\n    ]'
-        quoted = [json.dumps(name) + ",\n      " for name in names]
-        tails = [f"{json.dumps(c)}\n    ]" for c in cross]
-        mine = [q + json.dumps(c) + "\n    ]" for q, c in zip(quoted, own)]
-        rows = []
+        cells = [name + ",\n      " for name in quoted]
+        tails = [f'"{c}"\n    ]' for c in cross]
+        mine = [cell + f'"{c}"\n    ]' for cell, c in zip(cells, own)]
+        # the rows go into the head's empty list; one join copies the whole text
+        pieces = [head[:-len("[]\n}")] + "[\n"]
         for i, end in enumerate(ends):
-            lead = "    [\n      " + quoted[i]
+            lead = "    [\n      " + cells[i]
+            sep = ",\n" + lead
             if i + 1 < end:
-                rows.append(lead + (",\n" + lead).join(mine[i + 1:end]))
+                pieces += [lead, sep.join(mine[i + 1:end]), ",\n"]
             if end < len(names):
-                sep = tails[i] + ",\n" + lead
-                rows.append(lead + sep.join(quoted[end:]) + tails[i])
-        # splice the rows into the head's empty list, copying the text once
-        rows[0] = head[:-len("[]\n}")] + "[\n" + rows[0]
-        rows[-1] += "\n  ]\n}"
-        return ",\n".join(rows)
+                pieces += [lead, (tails[i] + sep).join(cells[end:]), tails[i], ",\n"]
+        pieces[-1] = "\n  ]\n}"
+        return "".join(pieces)
 
     def to_text(self) -> str:
         lines = [
@@ -245,7 +283,8 @@ def predict(cs: CharSequence, k: int) -> PolarPrediction:
         t = ((k - 1) % n_l) + 1
         derived = diagram_mod.elementary(m_l, n_l).symbolic_derivative(t)
         factors = []
-        for m_j, n_j in derived.canonical_rep(long=True).parts:
+        # equal parts give equal factors: one frozen object stands for each run
+        for (m_j, n_j), run in groupby(derived.canonical_rep(long=True).parts):
             cont_semi = Fraction(m_j, nsub * n_j)
             if cont_semi <= cont_f:
                 raise InvariantViolation(
@@ -259,14 +298,11 @@ def predict(cs: CharSequence, k: int) -> PolarPrediction:
                         f"appended exponent {cont_semi} must exceed {floor}"
                     )
                 chars = prefix + (cont_semi,)
-            factors.append(
-                PolarFactor(l, "Z", (m_j, n_j), nsub * n_j, cont_f, cont_semi, chars)
-            )
+            z = PolarFactor(l, "Z", (m_j, n_j), nsub * n_j, cont_f, cont_semi, chars)
+            factors += [z] * len(list(run))
         w_count = min(e_l, k) - (-(-k // n_l))
-        for _ in range(w_count):
-            factors.append(
-                PolarFactor(l, "W", None, cs.b0 // e_l, cont_f, cont_f, prefix + (cont_f,))
-            )
+        w = PolarFactor(l, "W", None, cs.b0 // e_l, cont_f, cont_f, prefix + (cont_f,))
+        factors += [w] * w_count
         groups.append(tuple(factors))
 
     prediction = PolarPrediction(cs, k, tuple(groups))

@@ -51,9 +51,13 @@ INF = float("inf")
 
 
 def _as_coeff(value):
-    # ints stay ints (fast arithmetic); everything else becomes a Fraction
-    if isinstance(value, int):
+    # ints stay ints (fast arithmetic); other exact rationals become Fractions.
+    # A float would be taken at its binary value and True as 1, so both are
+    # refused.
+    if type(value) is int:
         return value
+    if isinstance(value, (float, bool)):
+        raise ValueError(f"coefficients must be exact rationals, got {value!r}")
     f = Fraction(value)
     return int(f) if f.denominator == 1 else f
 

@@ -496,6 +496,25 @@ def test_constructors_reject_exponents_that_are_not_integers(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda c: PuiseuxSeries(2, {3: c}),
+    lambda c: BivariatePoly({(1, 0): c}),
+], ids=["series", "poly"])
+@pytest.mark.parametrize("coeff", [0.1, True, 1.0])
+def test_constructors_reject_float_and_bool_coefficients(build, coeff):
+    # 0.1 used to become 3602879701896397/36028797018963968, True stayed a bool
+    with pytest.raises(ValueError):
+        build(coeff)
+
+
+def test_constructors_take_exact_rational_coefficients():
+    third = Fraction(1, 3)
+    assert PuiseuxSeries(2, {3: third}).terms == ((3, third),)
+    assert BivariatePoly({(1, 0): third}).terms == {(1, 0): third}
+    # a Fraction that is an integer is stored as an int
+    assert type(BivariatePoly({(1, 0): Fraction(4, 2)}).terms[(1, 0)]) is int
+
+
 @pytest.mark.parametrize("b", [(12, 16, 31), (16, 24, 28, 30, 31)])
 def test_bivariate_json_matches_schema(b):
     jsonschema = pytest.importorskip("jsonschema")

@@ -2,6 +2,7 @@ import json
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +92,32 @@ def test_prediction_json_with_half_a_million_contact_rows(capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob == predict(new_char_sequence([1024, 2047]), 1).to_json()
     assert len(blob["pairwise_contacts"]) == 1023 * 1022 // 2
+
+
+@pytest.mark.parametrize("b,k", [
+    ((512, 1023), 1),          # Z-heavy: 511 equal Z-factors, 130305 rows
+    ((512, 768, 769), 128),    # W-heavy: runs of equal W-factors
+    ((512, 768, 769), 255),
+    ((2, 3), 1),               # one factor, no rows; its char is empty
+    ((4, 6, 7), 2),            # a group of W-factors only; part is null
+], ids=["K(512,1023)-k1", "K(512,768,769)-k128", "K(512,768,769)-k255", "K(2,3)-k1",
+        "K(4,6,7)-k2"])
+def test_prediction_json_text_at_export_scale(b, k):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(cli.__file__).parent / "schemas"
+                         / "prediction.schema.json").read_text())
+    p = predict(new_char_sequence(list(b)), k)
+    text = p.to_json_text()
+    assert text == json.dumps(p.to_json(), indent=2)
+    jsonschema.validators.validator_for(schema)(schema).validate(json.loads(text))
+
+
+def test_prediction_json_edge_cases_are_reached():
+    # the shapes above reach every branch of the factor templates
+    one = predict(new_char_sequence([2, 3]), 1)
+    assert len(one.factors()) == 1 and one.factors()[0].char_exponents == ()
+    w_only = predict(new_char_sequence([4, 6, 7]), 2)
+    assert [f.kind for f in w_only.factors()] == ["W"] and w_only.factors()[0].part is None
 
 
 def test_verify_five_levels_without_expanding_f(capsys):
