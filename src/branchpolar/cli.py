@@ -13,7 +13,7 @@ from . import contfrac as contfrac_mod
 from . import diagram as diagram_mod
 from . import polar, verify
 from .charclass import parse_char
-from .errors import BranchPolarError
+from .errors import BranchPolarError, DiagramTooLarge
 from .rational import fmt_q
 
 EXIT_OK = 0
@@ -143,17 +143,25 @@ def _cmd_example(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def render_svg(d: diagram_mod.NewtonDiagram, cell: int = 26) -> str:
+SVG_CELL = 26  # pixels between lattice points
+SVG_MAX_POINTS = 1 << 20  # one <circle> per lattice point is drawn
+
+
+def render_svg(d: diagram_mod.NewtonDiagram) -> str:
     """Static picture: lattice points, shaded diagram, polygon highlighted."""
     xmax = d.bottom[0] + 2
     ymax = d.top[1] + 2
+    if (xmax + 1) * (ymax + 1) > SVG_MAX_POINTS:
+        raise DiagramTooLarge(
+            f"a {xmax + 1} x {ymax + 1} lattice exceeds {SVG_MAX_POINTS} points"
+        )
     pad = 30
 
     def px(x, y):
-        return pad + x * cell, pad + (ymax - y) * cell
+        return pad + x * SVG_CELL, pad + (ymax - y) * SVG_CELL
 
-    width = pad * 2 + xmax * cell
-    height = pad * 2 + ymax * cell
+    width = pad * 2 + xmax * SVG_CELL
+    height = pad * 2 + ymax * SVG_CELL
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',

@@ -39,11 +39,11 @@ class EmptySupport(BranchPolarError, ValueError):
     pass
 
 
+class DiagramTooLarge(BranchPolarError, ValueError):
+    """The picture of a diagram would have more lattice points than drawn."""
+
+
 # --- Puiseux series and bivariate polynomials ------------------------------
-
-class IndexMismatch(BranchPolarError, ValueError):
-    """The series lies in a smaller Puiseux ring than its denominator claims."""
-
 
 class OrderExceedsDegree(BranchPolarError, ValueError):
     pass

@@ -1,7 +1,9 @@
 """Finite Puiseux series over exact rationals and sparse bivariate polynomials.
 
 A :class:`PuiseuxSeries` is a finite sum of terms ``a_i x^(i/n)`` keyed by
-the exponent numerator ``i`` for a fixed working denominator ``n``.
+the exponent numerator ``i``, where ``n`` is the index of the series, the
+least denominator of its exponents: the constructor divides ``n`` and every
+numerator by their gcd, so each series has exactly one stored form.
 
 A :class:`BivariatePoly` is an exact sparse polynomial in (x, y) with
 rational coefficients.  The only way terms are dropped is a weight cut
@@ -26,14 +28,13 @@ from . import charclass
 from . import diagram as diagram_mod
 from .errors import (
     EdgeNotOnPolygon,
-    IndexMismatch,
     InvalidCharacteristic,
     InvariantViolation,
     NonIntegralSubstitution,
     OrderExceedsDegree,
     ZeroPolynomial,
 )
-from .rational import fmt_q, parse_q
+from .rational import fmt_q
 
 __all__ = [
     "INF",
@@ -63,16 +64,16 @@ def _as_coeff(value):
 
 
 class PuiseuxSeries:
-    """A finite Puiseux series with exact rational coefficients."""
+    """A finite Puiseux series with exact rational coefficients, stored over
+    its index: ``gcd(denom, *numerators) == 1``."""
 
     __slots__ = ("denom", "terms")
 
-    def __init__(self, denom: int, coeffs):
+    def __init__(self, denom: int, coeffs: dict):
         if denom < 1:
             raise ValueError(f"denominator must be positive, got {denom}")
-        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         terms = []
-        for i, c in items:
+        for i, c in coeffs.items():
             # bool is a subclass of int, and int() would truncate floats
             if type(i) is not int:
                 raise ValueError(f"exponent numerators must be integers, got {i!r}")
@@ -82,6 +83,10 @@ class PuiseuxSeries:
             if c:
                 terms.append((i, c))
         terms.sort()
+        g = gcd(denom, *(i for i, _ in terms))
+        if g > 1:
+            denom //= g
+            terms = [(i // g, c) for i, c in terms]
         object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "terms", tuple(terms))
 
@@ -105,24 +110,6 @@ class PuiseuxSeries:
                 return Fraction(c)
         return Fraction(0)
 
-    def reduce(self) -> "PuiseuxSeries":
-        """Rewrite over the minimal denominator, the index of the series."""
-        g = self.denom
-        for i, _ in self.terms:
-            g = gcd(g, i)
-        if g == 1:
-            return self
-        return PuiseuxSeries(self.denom // g, [(i // g, c) for i, c in self.terms])
-
-    def rescale(self, new_denom: int) -> "PuiseuxSeries":
-        """Rewrite over a larger denominator (a multiple of the current one)."""
-        if new_denom % self.denom:
-            raise ValueError(f"{new_denom} is not a multiple of {self.denom}")
-        f = new_denom // self.denom
-        if f == 1:
-            return self
-        return PuiseuxSeries(new_denom, [(i * f, c) for i, c in self.terms])
-
     # -- analytic queries -----------------------------------------------------
 
     def ord(self):
@@ -136,14 +123,14 @@ class PuiseuxSeries:
         if cutoff == INF:
             return self
         cut = Fraction(cutoff)
-        kept = [(i, c) for i, c in self.terms if Fraction(i, self.denom) < cut]
+        kept = {i: c for i, c in self.terms if Fraction(i, self.denom) < cut}
         return PuiseuxSeries(self.denom, kept)
 
     def characteristic(self) -> charclass.CharSequence:
         """Extract (b0,...,bh) by gcd descent over the exponents.
 
-        The series must be written over its index (reduce first) and have
-        order at least 1.
+        b0 is the index of the series, its stored denominator, and the series
+        must have order at least 1.
         """
         if not self.terms:
             raise InvalidCharacteristic("the zero series has no characteristic")
@@ -153,13 +140,6 @@ class PuiseuxSeries:
             )
         if self.denom == 1:
             raise InvalidCharacteristic("series of index 1 parametrizes a smooth branch")
-        g = self.denom
-        for i, _ in self.terms:
-            g = gcd(g, i)
-        if g > 1:
-            raise IndexMismatch(
-                f"series has index {self.denom // g}, not {self.denom}; reduce first"
-            )
         b = [self.denom]
         e = self.denom
         for i, _ in self.terms:
@@ -170,24 +150,21 @@ class PuiseuxSeries:
                 if e == 1:
                     break
         if e != 1:
-            raise InvariantViolation(f"gcd chain {b} of a reduced series stops at {e}, not 1")
+            raise InvariantViolation(f"gcd chain {b} of the exponents stops at {e}, not 1")
         return charclass.new_char_sequence(b)
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _common(self, other: "PuiseuxSeries"):
-        n = lcm(self.denom, other.denom)
-        return self.rescale(n), other.rescale(n)
-
     def __neg__(self) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.denom, [(i, -c) for i, c in self.terms])
+        return PuiseuxSeries(self.denom, {i: -c for i, c in self.terms})
 
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        a, b = self._common(other)
-        merged = dict(a.terms)
-        for i, c in b.terms:
-            merged[i] = merged.get(i, 0) + c
-        return PuiseuxSeries(a.denom, merged)
+        n = lcm(self.denom, other.denom)
+        fa, fb = n // self.denom, n // other.denom
+        merged = {i * fa: c for i, c in self.terms}
+        for i, c in other.terms:
+            merged[i * fb] = merged.get(i * fb, 0) + c
+        return PuiseuxSeries(n, merged)
 
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         return self + (-other)
@@ -195,12 +172,10 @@ class PuiseuxSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        a, b = self._common(other)
-        return a.terms == b.terms
+        return (self.denom, self.terms) == (other.denom, other.terms)
 
     def __hash__(self):
-        r = self.reduce()
-        return hash((r.denom, r.terms))
+        return hash((self.denom, self.terms))
 
     # -- text form --------------------------------------------------------------
 
@@ -209,11 +184,11 @@ class PuiseuxSeries:
     )
 
     @classmethod
-    def from_string(cls, text: str, denom: int | None = None) -> "PuiseuxSeries":
+    def from_string(cls, text: str) -> "PuiseuxSeries":
         """Parse e.g. "x^(4/3)+x^2+x^(31/12)" or "3/2*x^(7/5)-x^2"."""
         compact = text.replace(" ", "")
         if compact in ("", "0"):
-            return cls(denom or 1, [])
+            return cls(1, {})
         pieces = re.split(r"(?=[+-])", compact)
         parsed = []
         for piece in pieces:
@@ -227,13 +202,11 @@ class PuiseuxSeries:
                 coef = -coef
             exp = Fraction(m.group("exp")) if m.group("exp") else Fraction(1)
             parsed.append((exp, coef))
-        n = denom or lcm(*[e.denominator for e, _ in parsed])
+        n = lcm(*[e.denominator for e, _ in parsed])
         coeffs: dict[int, Fraction] = {}
         for e, c in parsed:
-            num = e * n
-            if num.denominator != 1:
-                raise ValueError(f"exponent {e} does not fit denominator {n}")
-            coeffs[int(num)] = coeffs.get(int(num), Fraction(0)) + c
+            num = int(e * n)
+            coeffs[num] = coeffs.get(num, Fraction(0)) + c
         return cls(n, coeffs)
 
     def __str__(self) -> str:
@@ -271,10 +244,9 @@ class BivariatePoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms):
-        items = terms.items() if hasattr(terms, "items") else terms
+    def __init__(self, terms: dict):
         clean = {}
-        for (i, j), c in items:
+        for (i, j), c in terms.items():
             if type(i) is not int or type(j) is not int:
                 raise ValueError(f"exponents must be integers, got ({i!r}, {j!r})")
             if i < 0 or j < 0:
@@ -282,8 +254,6 @@ class BivariatePoly:
             c = _as_coeff(c)
             if c:
                 clean[(i, j)] = c
-            else:  # in an item list a later entry replaces an earlier one
-                clean.pop((i, j), None)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *a):
@@ -321,17 +291,6 @@ class BivariatePoly:
         lo = min(w1 * i + w2 * j for i, j in self.terms)
         kept = {k: c for k, c in self.terms.items() if w1 * k[0] + w2 * k[1] == lo}
         return BivariatePoly(kept)
-
-    # -- serialization -------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        terms = sorted(self.terms.items())
-        return {"terms": [[i, j, fmt_q(c)] for (i, j), c in terms]}
-
-    @staticmethod
-    def from_json(data: dict) -> "BivariatePoly":
-        # a list, not a dict: (True, 0) and (1, 0) are one dict key
-        return BivariatePoly([((i, j), parse_q(c)) for i, j, c in data["terms"]])
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -393,7 +352,8 @@ def _power_sums(scaled: list, n: int, shift: int, slots: int, width: int) -> lis
 
 
 def min_poly(a: PuiseuxSeries, cut=None) -> BivariatePoly:
-    """Monic polynomial of degree index(a) whose roots are the conjugates of a.
+    """Monic polynomial of degree a.denom, the index of a, whose roots are the
+    conjugates of a.
 
     Without a cut the whole polynomial is returned; with
     ``cut = (wx, wy, cap)`` only the terms x^i y^j of weight wx*i + wy*j up
@@ -416,7 +376,6 @@ def min_poly(a: PuiseuxSeries, cut=None) -> BivariatePoly:
     An uncut result must vanish at a, f(x, a) = 0, which certifies it; a cut
     one must have e_(n+1) = 0, by the identity at j = n + 1, over its window.
     """
-    a = a.reduce()
     n = a.denom
     terms = a.terms
     if not terms:

@@ -1,4 +1,4 @@
-"""Formatting and parsing of exact rationals ("p/q" notation)."""
+"""Formatting of exact rationals ("p/q" notation)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,3 @@ def fmt_q(value) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_q(text: str) -> Fraction:
-    return Fraction(text.strip())

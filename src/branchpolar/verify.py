@@ -97,9 +97,10 @@ class WitnessBranch:
     seed: int | None
 
     def lam(self, l: int) -> PuiseuxSeries:
-        """The truncation of the root below b_l/b0, over its own index."""
+        """The truncation of the root below b_l/b0; its index divides
+        N_l = b0/e_(l-1)."""
         cutoff = Fraction(self.cs.b[l], self.cs.b0)
-        return self.root.truncate_below(cutoff).reduce()
+        return self.root.truncate_below(cutoff)
 
 
 def allowed_exponents(cs: CharSequence, upto: int) -> list:
@@ -142,7 +143,7 @@ def sample_witness(cs: CharSequence, seed: int) -> WitnessBranch:
 def witness_from_root(cs: CharSequence, root: PuiseuxSeries,
                       seed: int | None = None) -> WitnessBranch:
     """Wrap an explicit Puiseux root (e.g. the non-generic all-ones example)."""
-    got = root.reduce().characteristic()
+    got = root.characteristic()
     if got.b != cs.b:
         raise ValueError(f"root has characteristic {got.b}, expected {cs.b}")
     return WitnessBranch(cs, root, seed)
@@ -193,9 +194,9 @@ def hat_chain(w: WitnessBranch, depth: int, k: int = 0) -> list:
         delta = lams[l - 1] - lams[l - 2]
         if delta.terms:
             weight = min(weight, n_top * Fraction(delta.terms[0][0], delta.denom))
-        delta = delta.rescale(semiroot_degree(cs, l))
         # delta_l(x^N_l) as a series in the level-(l-1) variable x^N_(l-1)
-        steps.append(PuiseuxSeries(cs.n_seq[l - 2], delta.terms))
+        n_prev = semiroot_degree(cs, l - 1)
+        steps.append(PuiseuxSeries(delta.denom, {i * n_prev: c for i, c in delta.terms}))
     wy, q = weight.numerator, weight.denominator
     wxs = [q * n_top // semiroot_degree(cs, l) for l in range(1, depth + 1)]
 

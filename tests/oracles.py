@@ -461,9 +461,8 @@ class Cyc:
         return all(not c for c in self.vec)
 
 
-def min_poly_oracle(series):
+def min_poly_oracle(s):
     """Conjugate product over an exact cyclotomic field, term dict in (x, y)."""
-    s = series.reduce()
     n = s.denom
     # polynomials in (u, y) with Cyc coefficients, keys (u_exp, y_exp)
     prod = {(0, 0): Cyc(n, [1])}
@@ -556,12 +555,11 @@ def _norm_step(g, small, big):
     return _det(mat)
 
 
-def min_poly_laplace_oracle(series):
+def min_poly_laplace_oracle(a):
     """Conjugate product as an iterated norm along the gcd chain of the
     exponents, as a ``BivariatePoly``."""
     from branchpolar.puiseux import BivariatePoly
 
-    a = series.reduce()
     n = a.denom
 
     levels = [n]
@@ -569,7 +567,7 @@ def min_poly_laplace_oracle(series):
         g = gcd(levels[-1], i)
         if g < levels[-1]:
             levels.append(g)
-    assert levels[-1] == 1, "reduce() makes the gcd chain reach 1"
+    assert levels[-1] == 1, "a series over its index has a gcd chain reaching 1"
 
     g_terms = {(0, 1): 1}
     for i, c in a.terms:
@@ -608,13 +606,13 @@ class Conjugate:
         from branchpolar.puiseux import PuiseuxSeries
 
         n = self.series.denom
-        out = []
+        out = {}
         for i, c in self.series.terms:
             r = (i * self.root_index) % n
             if r == 0:
-                out.append((i, c))
+                out[i] = c
             elif 2 * r == n:
-                out.append((i, -c))
+                out[i] = -c
             else:
                 raise ValueError(
                     f"conjugate multiplier at exponent {i}/{n} is not rational"

@@ -1,3 +1,4 @@
+import ast
 import json
 from pathlib import Path
 
@@ -95,6 +96,16 @@ def test_diagram_show_svg(capsys):
     assert "polyline" in out and "</svg>" in out
 
 
+@pytest.mark.parametrize("legs", ["100000/99999", "1025/1023"])
+def test_diagram_svg_refuses_an_oversized_lattice(capsys, legs):
+    # (m + 3)(n + 3) lattice points, one <circle> each, above 2^20
+    code = cli.main(["diagram", "show", "--elementary", legs, "--format", "svg", "--quiet"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "DiagramTooLarge"
+
+
 def test_diagram_from_vertices(capsys):
     code, out = run(capsys, "diagram", "show", "--vertices", "[[0,2],[1,1],[3,0]]")
     assert code == 0
@@ -127,6 +138,21 @@ def test_contfrac_text_and_json(capsys):
     blob = json.loads(out)
     assert blob["h"] == [7, 1, 1]
     validate(blob, "contfrac.schema.json")
+
+
+def test_every_shipped_schema_is_valid_and_checked_against_cli_output():
+    shipped = {path.name for path in SCHEMAS.glob("*.json")}
+    for name in shipped:
+        schema = json.loads((SCHEMAS / name).read_text())
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+    # the schema names this module validates real command output against
+    calls = [node for node in ast.walk(ast.parse(Path(__file__).read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "validate"]
+    checked = {node.args[1].value for node in calls}
+    assert checked == {"prediction.schema.json", "verify_report.schema.json",
+                       "diagram.schema.json", "canonical_rep.schema.json",
+                       "contfrac.schema.json"}
+    assert shipped == checked
 
 
 def test_verify_cli_pass(capsys):

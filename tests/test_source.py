@@ -16,3 +16,33 @@ def test_package_has_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert SOURCES
     assert not found, f"assert statements in the package: {found}"
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exported_names(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_package_has_no_unused_imports():
+    # what a module imports it uses or re-exports through __all__
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _exported_names(tree)
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in _imported_names(tree) if name not in used]
+    assert not found, f"unused imports in the package: {found}"

@@ -171,17 +171,17 @@ _LAM = WitnessBranch.lam
 
 def _lam_one_level_short(w, l):
     """The truncation below b_(l-1)/b0 instead of b_l/b0."""
-    return _LAM(w, l - 1) if l > 1 else PuiseuxSeries(1, [])
+    return _LAM(w, l - 1) if l > 1 else PuiseuxSeries(1, {})
 
 
 def _lam_last_term_dropped(w, l):
     lam = _LAM(w, l)
-    return PuiseuxSeries(lam.denom, lam.terms[:-1])
+    return PuiseuxSeries(lam.denom, dict(lam.terms[:-1]))
 
 
 def _lam_doubled(w, l):
     lam = _LAM(w, l)
-    return PuiseuxSeries(lam.denom, [(i, 2 * c) for i, c in lam.terms])
+    return PuiseuxSeries(lam.denom, {i: 2 * c for i, c in lam.terms})
 
 
 @pytest.mark.parametrize(
