@@ -6,9 +6,15 @@ least denominator of its exponents: the constructor divides ``n`` and every
 numerator by their gcd, so each series has exactly one stored form.
 
 A :class:`BivariatePoly` is an exact sparse polynomial in (x, y) with
-rational coefficients.  The only way terms are dropped is a weight cut
-``(wx, wy, cap)``, taken by :func:`min_poly` and :func:`hat_transform`: every
-term x^i y^j with wx*i + wy*j above ``cap`` is left out.
+rational coefficients, stored as ints wherever they are whole.  Its public
+constructor checks every exponent and coefficient of outside input; the
+polynomials this module builds itself (:func:`min_poly`,
+:func:`hat_transform`, :func:`derivative_y`) skip those checks and are only
+cleared of zeros and whole Fractions.  The only way terms are dropped is a
+weight cut ``(wx, wy, cap)``, taken by :func:`min_poly` and
+:func:`hat_transform`: every term x^i y^j with wx*i + wy*j above ``cap`` is
+left out.  :func:`hat_transform` is a Taylor shift in y, one cut product
+of each y-slice with each power of the substituted series.
 
 The centrepiece is :func:`min_poly`: the monic polynomial whose roots are the
 conjugates of a series.  The power sums of the conjugates are n times the
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, perm
 
 from . import charclass
 from . import diagram as diagram_mod
@@ -63,6 +69,15 @@ def _as_coeff(value):
     return int(f) if f.denominator == 1 else f
 
 
+def _as_exponent(value) -> tuple:
+    """An exact rational exponent as (numerator, denominator); a float would
+    be taken at its binary value, so it is refused like a float coefficient."""
+    if isinstance(value, (float, bool)):
+        raise ValueError(f"exponents must be exact rationals, got {value!r}")
+    q = Fraction(value)
+    return q.numerator, q.denominator
+
+
 class PuiseuxSeries:
     """A finite Puiseux series with exact rational coefficients, stored over
     its index: ``gcd(denom, *numerators) == 1``."""
@@ -98,17 +113,15 @@ class PuiseuxSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exponent) -> Fraction:
-        """Coefficient of x^exponent."""
-        e = Fraction(exponent)
-        num = e * self.denom
-        if num.denominator != 1:
-            return Fraction(0)
-        i = int(num)
-        for j, c in self.terms:
-            if j == i:
-                return Fraction(c)
-        return Fraction(0)
+    def coefficient(self, exponent):
+        """Coefficient of x^exponent, as stored: an int or a Fraction."""
+        p, q = _as_exponent(exponent)
+        i, rest = divmod(p * self.denom, q)
+        if not rest:
+            for j, c in self.terms:
+                if j == i:
+                    return c
+        return 0
 
     # -- analytic queries -----------------------------------------------------
 
@@ -122,9 +135,10 @@ class PuiseuxSeries:
         """Keep exactly the terms of exponent strictly less than ``cutoff``."""
         if cutoff == INF:
             return self
-        cut = Fraction(cutoff)
-        kept = {i: c for i, c in self.terms if Fraction(i, self.denom) < cut}
-        return PuiseuxSeries(self.denom, kept)
+        p, q = _as_exponent(cutoff)
+        # i / denom < p / q, in integers
+        bound = p * self.denom
+        return PuiseuxSeries(self.denom, {i: c for i, c in self.terms if i * q < bound})
 
     def characteristic(self) -> charclass.CharSequence:
         """Extract (b0,...,bh) by gcd descent over the exponents.
@@ -289,8 +303,7 @@ class BivariatePoly:
             raise ZeroPolynomial("the zero polynomial has no initial form")
         w1, w2 = omega
         lo = min(w1 * i + w2 * j for i, j in self.terms)
-        kept = {k: c for k, c in self.terms.items() if w1 * k[0] + w2 * k[1] == lo}
-        return BivariatePoly(kept)
+        return _poly({k: c for k, c in self.terms.items() if w1 * k[0] + w2 * k[1] == lo})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -308,6 +321,20 @@ class BivariatePoly:
             else:
                 bits.append(f"{fmt_q(c)}*{mono}")
         return "BivariatePoly(" + " + ".join(bits) + ")"
+
+
+def _poly(terms: dict) -> BivariatePoly:
+    """A polynomial this module built itself: its exponents are nonnegative
+    ints and its coefficients ints or Fractions, so the checks of
+    ``BivariatePoly(...)`` are not run again.  What ``_as_coeff`` would store
+    is still stored: no zero coefficient, and an int for a whole Fraction
+    (1/2 + 1/2 in a hat, Fraction(c, scale) in ``min_poly``)."""
+    p = object.__new__(BivariatePoly)
+    object.__setattr__(p, "terms", {
+        key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        for key, c in terms.items() if c
+    })
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +476,7 @@ def min_poly(a: PuiseuxSeries, cut=None) -> BivariatePoly:
     # a product of n linear factors in y has no e_(n+1)
     elif (newton(n + 1) + offset) & mask != offset:
         raise InvariantViolation(f"Newton's identities leave e_{n + 1} nonzero")
-    return BivariatePoly(out)
+    return _poly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -463,17 +490,11 @@ def derivative_y(f: BivariatePoly, k: int) -> BivariatePoly:
         raise ValueError("derivative order must be nonnegative")
     if k == 0:
         return f
-    if f.is_zero() or k > f.degree_y():
+    degree = max((j for _, j in f.terms), default=-1)
+    if k > degree:
         raise OrderExceedsDegree(f"order {k} exceeds the y-degree")
-    out = {}
-    for (i, j), c in f.terms.items():
-        if j < k:
-            continue
-        factor = 1
-        for t in range(j, j - k, -1):
-            factor *= t
-        out[(i, j - k)] = c * factor
-    return BivariatePoly(out)
+    factors = [perm(j, k) for j in range(degree + 1)]  # j!/(j-k)!, 0 below k
+    return _poly({(i, j - k): c * factors[j] for (i, j), c in f.terms.items() if j >= k})
 
 
 def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
@@ -483,11 +504,19 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
     ``lam(x^n_sub)`` must have integer exponents, i.e. the index of ``lam``
     must divide ``n_sub``.
 
+    With mu = lam(x^n_sub) and f = sum_j f_j(x) y^j this is the Taylor shift
+    sum_s mu^s sum_j binom(j, s) f_j(x^n_sub) y^(j-s), computed as written:
+    the powers mu^s once, then each y-slice f_j times binom(j, s) mu^s added
+    into row j - s.
+
     With ``cut = (wx, wy, cap)`` every term x^i y^j of weight wx*i + wy*j
-    above ``cap`` is left out.  The Horner scheme drops an intermediate term
-    as soon as its lightest descendant is that heavy: with wx * ord(mu) >= wy
-    a multiplication by y + mu never lowers a weight, so every term within
-    the cap keeps all of its contributions.
+    above ``cap`` is left out: row r keeps x-exponents up to
+    (cap - wy*r) // wx, and the powers of mu are cut at cap // wx.  Going
+    from s to s + 1 moves a slice's contribution one row down, which lowers
+    its weight by wy, and multiplies it by mu, which raises it by at least
+    wx * ord(mu) >= wy (a lowering substitution is refused).  So the
+    lightest term of f_j mu^s only gets heavier as s grows, and the terms of
+    a slice stop at the first s whose lightest term is past its row's room.
     """
     if n_sub < 1:
         raise ValueError("substitution exponent must be positive")
@@ -500,40 +529,51 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
             )
         mu[e // lam.denom] = c
     mu_items = sorted(mu.items())
-    if cut is not None:
+    slices = f.y_slices()
+    degree = max(slices, default=0)
+    if cut is None:
+        room = [INF] * (degree + 1)
+    else:
         wx, wy, cap = cut
         if wx < 1 or wy < 1:
             raise ValueError(f"cut weights must be positive, got ({wx}, {wy})")
         if mu_items and wx * mu_items[0][0] < wy:
             raise ValueError(f"y + x^{mu_items[0][0]} lowers the weight ({wx}, {wy})")
+        room = [(cap - wy * r) // wx for r in range(degree + 1)]
 
-    slices = f.y_slices()
-    rows: list = []  # rows[jy] = {i: c}, the x-polynomial at y^jy
-    for j in range(max(slices, default=0), -1, -1):
-        # rows <- rows * (y + mu) + c_j(x^n_sub); j multiplications follow,
-        # so row jy keeps the exponents up to last[jy]
-        last = [INF if cut is None else (cap - wy * (jy + j)) // wx
-                for jy in range(len(rows) + 1)]
-        out = []
-        below: dict = {}  # row jy - 1 of the old rows, the y-shift into row jy
-        for jy, row in enumerate(rows):
-            top = last[jy]
-            for i, c in row.items():
-                room = top - i
-                for e, m in mu_items:
-                    if e > room:
+    powers = [[(0, 1)]]  # powers[s] = mu^s, by increasing exponent, cut at room[0]
+    for _ in range(degree):
+        acc: dict = {}
+        for e, c in powers[-1]:
+            left = room[0] - e
+            for e2, c2 in mu_items:
+                if e2 > left:
+                    break
+                acc[e + e2] = acc.get(e + e2, 0) + c * c2
+        power = sorted((e, c) for e, c in acc.items() if c)
+        if not power:  # past the cut, and so is every higher power
+            break
+        powers.append(power)
+
+    rows: list = [{} for _ in range(degree + 1)]  # rows[r] = {i: c}, the x-polynomial at y^r
+    for j, f_j in slices.items():
+        items = sorted((i * n_sub, c) for i, c in f_j.items())
+        for s, power in enumerate(powers[:j + 1]):
+            top = room[j - s]
+            if items[0][0] + power[0][0] > top:
+                break  # and so is every later s
+            row = rows[j - s]
+            b = comb(j, s)
+            for i, c in items:
+                left = top - i
+                if power[0][0] > left:
+                    break
+                c *= b
+                for e, m in power:
+                    if e > left:
                         break
-                    below[i + e] = below.get(i + e, 0) + c * m
-            out.append({i: c for i, c in below.items() if c})
-            below = row
-        out.append(below)
-        row = out[0]
-        for i, c in slices.get(j, {}).items():
-            if i * n_sub <= last[0]:
-                row[i * n_sub] = row.get(i * n_sub, 0) + c
-        out[0] = {i: c for i, c in row.items() if c}
-        rows = out
-    return BivariatePoly({(i, jy): c for jy, row in enumerate(rows) for i, c in row.items()})
+                    row[i + e] = row.get(i + e, 0) + c * m
+    return _poly({(i, r): c for r, row in enumerate(rows) for i, c in row.items()})
 
 
 def row_starts(f: BivariatePoly) -> dict:
@@ -612,10 +652,10 @@ def edge_poly_squarefree(f: BivariatePoly, edge) -> bool:
 
 def binomial_power(scale, a_coeff, n_pow: int, m_exp: int, e_pow: int,
                    x_shift: int) -> BivariatePoly:
-    """scale * x^x_shift * (y^n_pow - a_coeff^n_pow * x^m_exp)^e_pow, expanded."""
-    a_n = Fraction(a_coeff) ** n_pow
+    """scale * x^x_shift * (y^n_pow - a_coeff^n_pow * x^m_exp)^e_pow, expanded,
+    in the arithmetic of ``scale`` and ``a_coeff``: ints stay ints."""
+    a_n = a_coeff ** n_pow
     terms = {}
     for t in range(e_pow + 1):
-        c = Fraction(scale) * comb(e_pow, t) * (-a_n) ** t
-        terms[(x_shift + t * m_exp, n_pow * (e_pow - t))] = c
+        terms[(x_shift + t * m_exp, n_pow * (e_pow - t))] = scale * comb(e_pow, t) * (-a_n) ** t
     return BivariatePoly(terms)

@@ -366,10 +366,11 @@ def check_initial_form(w: WitnessBranch, l: int, fhat: BivariatePoly) -> bool:
     e_l = cs.e[l]
     observed = fhat.initial_form((n_l, m_l))
 
-    scale = Fraction(1)
+    # ints for an integer witness, Fractions only where the root has them
+    scale = 1
     for j in range(1, l):
         a_bj = w.root.coefficient(Fraction(cs.b[j], cs.b0))
-        scale *= Fraction(cs.n_seq[j - 1]) ** cs.e[j] * a_bj ** (cs.e[j - 1] - cs.e[j])
+        scale *= cs.n_seq[j - 1] ** cs.e[j] * a_bj ** (cs.e[j - 1] - cs.e[j])
     a_bl = w.root.coefficient(Fraction(cs.b[l], cs.b0))
     shift = bbar(cs, l) - cs.b[l]
     wanted = binomial_power(scale, a_bl, n_l, m_l, e_l, shift)

@@ -6,13 +6,14 @@ first derivatives of elementary diagrams by continued fractions, conjugate
 products by exact cyclotomic arithmetic and by iterated norms (Laplace
 determinants), random valid characteristic sequences by rejection,
 pairwise contacts one pair at a time, Eggers-Wall trees by clustering that
-table, hat transforms by full expansion of the minimal polynomial, and the
-expected polar diagram D^(k) as the Minkowski sum R^(k) + L of the lemma on
-Newton diagrams of polars.  Helpers that only the tests use (Minkowski sums,
-diagrams rebuilt from canonical representations, edge inclinations,
-weighted faces and their sums, quadrants, symbolic conjugates, truncation
-orbits, products and evaluation of bivariate polynomials, the search for a
-generic witness, and the errors only these helpers raise) live here too.
+table, hat transforms by full expansion of the minimal polynomial and by
+Horner's scheme, and the expected polar diagram D^(k) as the Minkowski sum
+R^(k) + L of the lemma on Newton diagrams of polars.  Helpers that only the
+tests use (Minkowski sums, diagrams rebuilt from canonical representations,
+edge inclinations, weighted faces and their sums, quadrants, symbolic
+conjugates, truncation orbits, products and evaluation of bivariate
+polynomials, the search for a generic witness, and the errors only these
+helpers raise) live here too.
 """
 
 from dataclasses import dataclass
@@ -638,6 +639,58 @@ def evaluate(f, x0, y0) -> Fraction:
     """Value of the bivariate polynomial ``f`` at a rational point."""
     x0, y0 = Fraction(x0), Fraction(y0)
     return sum((c * x0 ** i * y0 ** j for (i, j), c in f.terms.items()), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# hat transforms by Horner's scheme
+# ---------------------------------------------------------------------------
+
+
+def hat_horner_oracle(f, n_sub: int, lam, cut=None):
+    """f(x^n_sub, y + lam(x^n_sub)) by Horner's scheme in y, cut like
+    ``puiseux.hat_transform``: rows <- rows * (y + mu) + f_j(x^n_sub) for
+    j from the top down, each intermediate term dropped as soon as its
+    lightest descendant is above the cap (with wx * ord(mu) >= wy a
+    multiplication by y + mu never lowers a weight)."""
+    from branchpolar.puiseux import BivariatePoly
+
+    mu = {}
+    for i, c in lam.terms:
+        e, rest = divmod(i * n_sub, lam.denom)
+        assert not rest, "the oracle takes integral substitutions only"
+        mu[e] = c
+    mu_items = sorted(mu.items())
+    if cut is not None:
+        wx, wy, cap = cut
+        assert not mu_items or wx * mu_items[0][0] >= wy, "lowering substitution"
+
+    slices = f.y_slices()
+    rows: list = []  # rows[jy] = {i: c}, the x-polynomial at y^jy
+    for j in range(max(slices, default=0), -1, -1):
+        # rows <- rows * (y + mu) + c_j(x^n_sub); j multiplications follow,
+        # so row jy keeps the exponents up to last[jy]
+        last = [float("inf") if cut is None else (cap - wy * (jy + j)) // wx
+                for jy in range(len(rows) + 1)]
+        out = []
+        below: dict = {}  # row jy - 1 of the old rows, the y-shift into row jy
+        for jy, row in enumerate(rows):
+            top = last[jy]
+            for i, c in row.items():
+                room = top - i
+                for e, m in mu_items:
+                    if e > room:
+                        break
+                    below[i + e] = below.get(i + e, 0) + c * m
+            out.append({i: c for i, c in below.items() if c})
+            below = row
+        out.append(below)
+        row = out[0]
+        for i, c in slices.get(j, {}).items():
+            if i * n_sub <= last[0]:
+                row[i * n_sub] = row.get(i * n_sub, 0) + c
+        out[0] = {i: c for i, c in row.items() if c}
+        rows = out
+    return BivariatePoly({(i, jy): c for jy, row in enumerate(rows) for i, c in row.items()})
 
 
 # ---------------------------------------------------------------------------

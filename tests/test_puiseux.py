@@ -34,11 +34,13 @@ from branchpolar.puiseux import (
     hat_transform,
     min_poly,
 )
-from branchpolar.verify import hat_chain, sample_witness
+from branchpolar.verify import hat_chain, sample_witness, witness_from_root
 from oracles import (
     conjugate,
     dict_mul,
     evaluate,
+    full_hat,
+    hat_horner_oracle,
     min_poly_laplace_oracle,
     min_poly_oracle,
     random_char_sequence,
@@ -127,6 +129,28 @@ def test_truncate_below():
     assert s.truncate_below(Fraction(31, 12)) == PuiseuxSeries.from_string("x^(4/3)+x^2")
     assert s.truncate_below(Fraction(4, 3)).is_zero()
     assert s.truncate_below(INF) == s
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: s.truncate_below(0.1),
+    lambda s: s.truncate_below(2.0),
+    lambda s: s.coefficient(0.1),
+    lambda s: s.coefficient(2.0),
+    lambda s: s.coefficient(True),
+], ids=["truncate-0.1", "truncate-2.0", "coefficient-0.1", "coefficient-2.0", "coefficient-bool"])
+def test_exponent_arguments_must_be_exact(call):
+    # coefficient(0.1) used to look up the binary value of 0.1 and return 0
+    with pytest.raises(ValueError):
+        call(PuiseuxSeries.from_string(EX1_ROOT))
+
+
+def test_coefficient_is_the_stored_value():
+    s = PuiseuxSeries.from_string("1/2*x^(3/2)+x^2")
+    assert s.coefficient(Fraction(3, 2)) == Fraction(1, 2)
+    assert type(s.coefficient(Fraction(3, 2))) is Fraction
+    assert s.coefficient(2) == 1 and type(s.coefficient(2)) is int
+    assert s.coefficient(Fraction(4, 2)) == 1
+    assert s.coefficient(Fraction(5, 3)) == 0 and s.coefficient(3) == 0
 
 
 def test_conjugates():
@@ -416,6 +440,35 @@ def test_hat_cut_keeps_exactly_the_light_terms(data):
     assert hat_transform(f, n_sub, lam, (wx, wy, cap)).terms == light
 
 
+_small_q = st.fractions(-3, 3, max_denominator=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_hat_taylor_matches_horner(data):
+    # the Taylor expansion and Horner's scheme agree term for term, cut or not
+    draw = data.draw
+    n_sub = draw(st.integers(1, 3))
+    denom = draw(st.sampled_from([d for d in (1, 2, 3) if n_sub % d == 0]))
+    f = BivariatePoly({(draw(st.integers(0, 6)), draw(st.integers(0, 5))): draw(_small_q)
+                       for _ in range(draw(st.integers(0, 10)))})
+    lam = PuiseuxSeries(denom, {draw(st.integers(1, 3 * denom)): draw(_small_q)
+                                for _ in range(draw(st.integers(0, 3)))})
+    assert hat_transform(f, n_sub, lam).terms == hat_horner_oracle(f, n_sub, lam).terms
+    mu_ord = lam.terms[0][0] * n_sub // lam.denom if lam.terms else 10
+    wy = draw(st.integers(1, 5))
+    cut = (draw(st.integers(-(-wy // mu_ord), 5)), wy, draw(st.integers(-10, 40)))
+    assert hat_transform(f, n_sub, lam, cut).terms == hat_horner_oracle(f, n_sub, lam, cut).terms
+
+
+@pytest.mark.parametrize("cut", [None, (1, 1, -1), (1, 1, 0), (2, 1, 10)])
+def test_hat_of_the_zero_polynomial(cut):
+    zero = BivariatePoly({})
+    lam = PuiseuxSeries.from_string("1/2*x+x^2")
+    assert hat_transform(zero, 2, lam, cut).is_zero()
+    assert hat_horner_oracle(zero, 2, lam, cut).is_zero()
+
+
 def test_hat_cut_rejects_a_lowering_substitution():
     f = BivariatePoly({(0, 2): 1, (3, 0): -1})
     with pytest.raises(ValueError):
@@ -522,6 +575,38 @@ def test_constructors_take_exact_rational_coefficients():
     assert BivariatePoly({(1, 0): third}).terms == {(1, 0): third}
     # a Fraction that is an integer is stored as an int
     assert type(BivariatePoly({(1, 0): Fraction(4, 2)}).terms[(1, 0)]) is int
+
+
+def _stored_like_public(p):
+    # what BivariatePoly(...) stores for the same terms, key for key and type
+    # for type: no zero coefficient, and an int for a whole Fraction
+    public = BivariatePoly(dict(p.terms)).terms
+    return (sorted((k, type(c), c) for k, c in p.terms.items())
+            == sorted((k, type(c), c) for k, c in public.items()))
+
+
+@pytest.mark.parametrize("b,root", [
+    ((12, 16, 31), None),
+    ((8, 12, 14, 15), None),
+    ((2, 3), "1/2*x^(3/2)+x^2"),
+    ((4, 6, 7), "1/2*x^(3/2)+2/3*x^(7/4)+3/2*x^2"),
+    ((12, 16, 31), "1/3*x^(4/3)+x^2+1/2*x^(31/12)"),
+], ids=["ex1", "K(8,12,14,15)", "cusp-rational", "K(4,6,7)-rational", "ex1-rational"])
+def test_built_polynomials_are_stored_like_public_ones(b, root):
+    cs = new_char_sequence(b)
+    w = (sample_witness(cs, 3) if root is None
+         else witness_from_root(cs, PuiseuxSeries.from_string(root)))
+    built = [min_poly(w.root), min_poly(w.root, cut=(1, 1, cs.bbar[0])),
+             min_poly(w.root - w.lam(1)), min_poly(w.root - w.lam(1), cut=(2, 1, cs.bbar[-1]))]
+    for depth in range(1, cs.h + 1):
+        built += hat_chain(w, depth) + [full_hat(w, depth)]
+    built += [derivative_y(p, k) for p in built[-2:] for k in (1, 2)]
+    # a hat whose sum 1/2 + 1/2 is whole
+    half = BivariatePoly({(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)})
+    built.append(hat_transform(half, 1, PuiseuxSeries.from_string("x")))
+    assert built[-1].terms == {(0, 1): Fraction(1, 2), (1, 0): 1}
+    for p in built:
+        assert _stored_like_public(p), p
 
 
 # -- roots-of-unity identities (complex floating arithmetic) ---------------------------

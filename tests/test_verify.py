@@ -19,7 +19,14 @@ from branchpolar.errors import (
     OrderOutOfRange,
     OrderTooLarge,
 )
-from branchpolar.puiseux import PuiseuxSeries, derivative_y, diagram_of, hat_transform, min_poly
+from branchpolar.puiseux import (
+    BivariatePoly,
+    PuiseuxSeries,
+    derivative_y,
+    diagram_of,
+    hat_transform,
+    min_poly,
+)
 from branchpolar.verify import (
     WitnessBranch,
     allowed_exponents,
@@ -407,6 +414,28 @@ def test_hat_polygon_anchors_at_intersection_numbers():
             d = diagram_of(full_hat(w, l))
             assert d.top == (0, cs.b0)
             assert d.bottom == (cs.bbar[l - 1], 0), (b, l)
+
+
+@pytest.mark.parametrize("w,exact", [
+    (sample_witness(EX1, 5), int),
+    (witness_from_root(EX1, PuiseuxSeries.from_string("1/3*x^(4/3)+x^2+1/2*x^(31/12)")),
+     Fraction),
+], ids=["integer", "rational"])
+def test_initial_form_mismatch_on_the_face_only(w, exact):
+    # the check compares every coefficient on the (n_l, m_l) face and nothing else
+    cs = w.cs
+    # the characteristic coefficients it reads come back as stored
+    assert all(type(w.root.coefficient(Fraction(b, cs.b0))) is exact for b in cs.b[1:])
+    for l in range(1, cs.h + 1):
+        fhat = hat_chain(w, l)[-1]
+        assert check_initial_form(w, l, fhat)
+        face = fhat.initial_form((cs.n_seq[l - 1], cs.m_seq[l - 1])).terms
+        on = next(iter(face))
+        off = next(key for key in fhat.terms if key not in face)
+        for key, ok in ((on, False), (off, True)):
+            changed = dict(fhat.terms)
+            changed[key] += 1
+            assert check_initial_form(w, l, BivariatePoly(changed)) is ok, (l, key)
 
 
 def test_initial_form_all_levels_random():
