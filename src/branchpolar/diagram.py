@@ -110,11 +110,6 @@ class NewtonDiagram:
     def bottom(self) -> tuple:
         return self.vertices[-1]
 
-    @property
-    def height(self) -> int:
-        """Vertical extent of the Newton polygon."""
-        return self.top[1] - self.bottom[1]
-
     def compact_edges(self):
         return list(zip(self.vertices, self.vertices[1:]))
 

@@ -14,7 +14,9 @@ cleared of zeros and whole Fractions.  The only way terms are dropped is a
 weight cut ``(wx, wy, cap)``, taken by :func:`min_poly` and
 :func:`hat_transform`: every term x^i y^j with wx*i + wy*j above ``cap`` is
 left out.  :func:`hat_transform` is a Taylor shift in y, one cut product
-of each y-slice with each power of the substituted series.
+of each y-slice with each power of the substituted series.  Polynomials
+are read by :func:`diagram_of`, the Newton diagram of any y-derivative off
+the row starts, and :func:`edge_poly`, the coefficients on a compact edge.
 
 The centrepiece is :func:`min_poly`: the monic polynomial whose roots are the
 conjugates of a series.  The power sums of the conjugates are n times the
@@ -51,6 +53,7 @@ __all__ = [
     "hat_transform",
     "row_starts",
     "diagram_of",
+    "edge_poly",
     "edge_poly_squarefree",
 ]
 
@@ -124,12 +127,6 @@ class PuiseuxSeries:
         return 0
 
     # -- analytic queries -----------------------------------------------------
-
-    def ord(self):
-        """Smallest exponent with nonzero coefficient; +inf for the zero series."""
-        if self.terms:
-            return Fraction(self.terms[0][0], self.denom)
-        return INF
 
     def truncate_below(self, cutoff) -> "PuiseuxSeries":
         """Keep exactly the terms of exponent strictly less than ``cutoff``."""
@@ -278,11 +275,6 @@ class BivariatePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree_y(self) -> int:
-        if not self.terms:
-            raise ZeroPolynomial("the zero polynomial has no y-degree")
-        return max(j for _, j in self.terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
@@ -296,14 +288,6 @@ class BivariatePoly:
         for (i, j), c in self.terms.items():
             out.setdefault(j, {})[i] = c
         return out
-
-    def initial_form(self, omega) -> "BivariatePoly":
-        """Terms on the face minimizing w1*i + w2*j (weights positive)."""
-        if self.is_zero():
-            raise ZeroPolynomial("the zero polynomial has no initial form")
-        w1, w2 = omega
-        lo = min(w1 * i + w2 * j for i, j in self.terms)
-        return _poly({k: c for k, c in self.terms.items() if w1 * k[0] + w2 * k[1] == lo})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -577,9 +561,7 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
 
 
 def row_starts(f: BivariatePoly) -> dict:
-    """The smallest x-exponent in each y-row of f.  The Newton diagram of f
-    is the hull of these points, and that of d^k f/dy^k is the hull of those
-    in rows >= k, shifted down by k."""
+    """The smallest x-exponent in each y-row of f."""
     starts: dict = {}
     for i, j in f.terms:
         if i < starts.get(j, i + 1):
@@ -587,11 +569,18 @@ def row_starts(f: BivariatePoly) -> dict:
     return starts
 
 
-def diagram_of(f: BivariatePoly) -> diagram_mod.NewtonDiagram:
-    """Newton diagram of the support of f, the hull of its row starts."""
+def diagram_of(f: BivariatePoly, k: int = 0) -> diagram_mod.NewtonDiagram:
+    """Newton diagram of d^k f/dy^k, read off f without differentiating: the
+    hull of f's row starts at heights >= k, shifted down by k (over Q no
+    coefficient j!/(j-k)! c vanishes)."""
+    if k < 0:
+        raise ValueError("derivative order must be nonnegative")
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no Newton diagram")
-    return diagram_mod.from_support((i, j) for j, i in row_starts(f).items())
+    points = [(i, j - k) for j, i in row_starts(f).items() if j >= k]
+    if not points:
+        raise OrderExceedsDegree(f"order {k} exceeds the y-degree")
+    return diagram_mod.from_support(points)
 
 
 def _univariate_gcd_degree(p: list) -> int:
@@ -622,15 +611,16 @@ def _univariate_gcd_degree(p: list) -> int:
     return len(a) - 1
 
 
-def edge_poly_squarefree(f: BivariatePoly, edge) -> bool:
-    """Non-degeneracy on a compact edge: after stripping the y-power, the edge
-    polynomial f_S(1, y) must be squarefree.
+def edge_poly(f: BivariatePoly, edge) -> list:
+    """The coefficients of f on a compact edge, as stored, by y-exponent from
+    the lower endpoint up: entry j - yb is the coefficient of the term on the
+    edge's line in row j, 0 where there is none.
 
     The segment from (xa, ya) to (xb, yb), xa < xb and ya > yb, is a compact
     edge of the Newton polygon of f exactly when both endpoints carry
     support, no term lies strictly below its line and no term on the line
     lies beyond an endpoint; one pass over the terms checks this and gathers
-    the edge coefficients.  Anything else raises EdgeNotOnPolygon.
+    the coefficients.  Anything else raises EdgeNotOnPolygon.
     """
     off_polygon = f"{edge} is not a compact edge of the polygon"
     (xa, ya), (xb, yb) = edge
@@ -638,24 +628,20 @@ def edge_poly_squarefree(f: BivariatePoly, edge) -> bool:
         raise EdgeNotOnPolygon(off_polygon)
     dx, dy = xb - xa, ya - yb
     level = dy * xa + dx * ya
-    coeffs = [Fraction(0)] * (dy + 1)
+    coeffs = [0] * (dy + 1)
     for (i, j), c in f.terms.items():
         side = dy * i + dx * j - level
         if side < 0 or (side == 0 and not xa <= i <= xb):
             raise EdgeNotOnPolygon(off_polygon)
         if side == 0:
-            coeffs[j - yb] += Fraction(c)
+            coeffs[j - yb] = c
     if not (coeffs[0] and coeffs[-1]):
         raise EdgeNotOnPolygon(off_polygon)
-    return _univariate_gcd_degree(coeffs) == 0
+    return coeffs
 
 
-def binomial_power(scale, a_coeff, n_pow: int, m_exp: int, e_pow: int,
-                   x_shift: int) -> BivariatePoly:
-    """scale * x^x_shift * (y^n_pow - a_coeff^n_pow * x^m_exp)^e_pow, expanded,
-    in the arithmetic of ``scale`` and ``a_coeff``: ints stay ints."""
-    a_n = a_coeff ** n_pow
-    terms = {}
-    for t in range(e_pow + 1):
-        terms[(x_shift + t * m_exp, n_pow * (e_pow - t))] = scale * comb(e_pow, t) * (-a_n) ** t
-    return BivariatePoly(terms)
+def edge_poly_squarefree(f: BivariatePoly, edge) -> bool:
+    """Non-degeneracy on a compact edge: after stripping the y-power, the edge
+    polynomial f_S(1, y) must be squarefree.  Anything but a compact edge
+    raises EdgeNotOnPolygon."""
+    return _univariate_gcd_degree(edge_poly(f, edge)) == 0

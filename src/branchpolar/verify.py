@@ -26,14 +26,18 @@ For every level l and order k the checks are:
   derivative of that hat diagram, both on the region of inclination above
   m_l/n_l and as a whole (for k < e_(l-1), the height of the steep part R,
   this is the splitting R^(k) + L of the lemma on Newton diagrams of
-  polars); both diagrams are hulls of row starts;
+  polars); ``diagram_of`` reads both off the row starts of f^_l, the
+  polar's at heights >= k, without differentiating;
 * every edge above that inclination carries a squarefree edge polynomial
-  (non-degeneracy), so the steep parts (M_i, N_i) can be read off and turned
-  into contacts M_i/((b0/e_{l-1}) N_i) and multiplicities, which must agree
-  with the predicted Z-factors;
-* the weighted initial form of the hat transform of f equals
-  a x^b (y^(n_l) - a_{b_l}^(n_l) x^(m_l))^(e_l) with a, b determined by the
-  earlier coefficients - exactly, coefficient by coefficient;
+  (non-degeneracy), so the steep parts (M_i, N_i) can be read off the edges,
+  each split into gcd primitive copies, and turned into contacts
+  M_i/((b0/e_{l-1}) N_i) and multiplicities, which must agree with the
+  predicted Z-factors; no part goes through the canonical representation
+  ``predict`` builds them with, so a fault there is a FAIL;
+* the weighted initial form of the hat transform of f, its compact edge
+  from (bbar_l - b_l, e_(l-1)) to (bbar_l, 0) as ``edge_poly`` reads it,
+  equals a x^b (y^(n_l) - a_{b_l}^(n_l) x^(m_l))^(e_l) with a, b determined
+  by the earlier coefficients - exactly, coefficient by coefficient;
 * the vertical length of the edge at inclination exactly m_l/n_l equals the
   aggregate multiplicity of the W-factors of group l and of everything in
   deeper groups (individual W-factors are not separable without factoring).
@@ -48,10 +52,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, gcd
 
 from . import diagram as diagram_mod
 from .charclass import CharSequence, bbar, semiroot_degree
 from .errors import (
+    EdgeNotOnPolygon,
     InvariantViolation,
     NonIntegralSubstitution,
     OrderOutOfRange,
@@ -61,9 +67,9 @@ from .polar import PolarPrediction, predict
 from .puiseux import (
     BivariatePoly,
     PuiseuxSeries,
-    binomial_power,
     derivative_y,
     diagram_of,
+    edge_poly,
     edge_poly_squarefree,
     hat_transform,
     min_poly,
@@ -219,20 +225,23 @@ def hat_chain(w: WitnessBranch, depth: int, k: int = 0) -> list:
                 f"not at x^{corner} = x^bbar_{l}"
             )
         if k and certified:
-            d = diagram_mod.from_support((i, j) for j, i in starts.items() if j >= k)
-            certified = (d.top[0] == 0 and d.bottom[1] == k
-                         and all(wx * x + wy * y <= cap for x, y in d.vertices))
+            d = diagram_of(fhat, k)
+            certified = (d.top[0] == 0 and d.bottom[1] == 0
+                         and all(wx * x + wy * (y + k) <= cap for x, y in d.vertices))
     return hats if certified else build(None)
 
 
 def _steep_data(d: diagram_mod.NewtonDiagram, m_l: int, n_l: int):
-    """Long-canonical parts of inclination > m_l/n_l and the vertical length
-    of the edge at inclination exactly m_l/n_l."""
+    """The parts of inclination > m_l/n_l, bottom first, each steep edge of d
+    split into gcd primitive copies, and the vertical length of the edge at
+    inclination exactly m_l/n_l."""
     steep = []
     exact_len = 0
-    for m, n in d.canonical_rep(long=True).parts:
+    for (xa, ya), (xb, yb) in reversed(d.compact_edges()):
+        m, n = xb - xa, ya - yb
         if m * n_l > n * m_l:
-            steep.append((m, n))
+            g = gcd(m, n)
+            steep += [(m // g, n // g)] * g
         elif m * n_l == n * m_l:
             exact_len += n
     return tuple(steep), exact_len
@@ -326,8 +335,7 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int, fhat: BivariatePoly) -> Lev
     n_sub = semiroot_degree(cs, l)
     expected = expected_hat_diagram(cs, l, k, diagram_of(fhat))
     # the hat transform commutes with d/dy: hat(d^k f) = d^k hat(f)
-    polar_hat = derivative_y(fhat, k)
-    observed = diagram_of(polar_hat)
+    observed = diagram_of(fhat, k)
     steep_obs, exact_len = _steep_data(observed, m_l, n_l)
     steep_exp, _ = _steep_data(expected, m_l, n_l)
     res = LevelReport(
@@ -346,6 +354,7 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int, fhat: BivariatePoly) -> Lev
         res.status = "degenerate"
         res.reasons.append("full hat diagram differs from the symbolic derivative")
 
+    polar_hat = derivative_y(fhat, k)
     for edge in observed.compact_edges():
         (xa, ya), (xb, yb) = edge
         if (xb - xa) * n_l > (ya - yb) * m_l:
@@ -356,25 +365,30 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int, fhat: BivariatePoly) -> Lev
 
 
 def check_initial_form(w: WitnessBranch, l: int, fhat: BivariatePoly) -> bool:
-    """Exact comparison of in_omega(fhat) with a x^b (y^n_l - a_{b_l}^n_l x^m_l)^e_l
-    for the level's hat transform ``fhat`` (see ``hat_chain``).
-
-    Holds for every conjugate-product witness (unit 1), generic or not.
-    """
+    """Exact comparison of in_omega(fhat), omega = (n_l, m_l), with
+    a x^b (y^n_l - a_{b_l}^n_l x^m_l)^e_l, b = bbar_l - b_l, for the level's
+    hat transform ``fhat`` (see ``hat_chain``): the compact edge from
+    (b, e_(l-1)) to (bbar_l, 0) must carry a binom(e_l, t) (-a_{b_l}^n_l)^t
+    at y^(n_l (e_l - t)), and nothing else.  Holds for every
+    conjugate-product witness (unit 1), generic or not."""
     cs = w.cs
-    m_l, n_l = cs.m_seq[l - 1], cs.n_seq[l - 1]
-    e_l = cs.e[l]
-    observed = fhat.initial_form((n_l, m_l))
+    n_l, e_l = cs.n_seq[l - 1], cs.e[l]
+    corner = bbar(cs, l)
+    try:
+        observed = edge_poly(fhat, ((corner - cs.b[l], cs.e[l - 1]), (corner, 0)))
+    except EdgeNotOnPolygon:
+        return False
 
     # ints for an integer witness, Fractions only where the root has them
     scale = 1
     for j in range(1, l):
         a_bj = w.root.coefficient(Fraction(cs.b[j], cs.b0))
         scale *= cs.n_seq[j - 1] ** cs.e[j] * a_bj ** (cs.e[j - 1] - cs.e[j])
-    a_bl = w.root.coefficient(Fraction(cs.b[l], cs.b0))
-    shift = bbar(cs, l) - cs.b[l]
-    wanted = binomial_power(scale, a_bl, n_l, m_l, e_l, shift)
-    return observed.terms == wanted.terms
+    a_n = w.root.coefficient(Fraction(cs.b[l], cs.b0)) ** n_l
+    wanted = [0] * (cs.e[l - 1] + 1)
+    for t in range(e_l + 1):
+        wanted[n_l * (e_l - t)] = scale * comb(e_l, t) * (-a_n) ** t
+    return observed == wanted
 
 
 # ---------------------------------------------------------------------------

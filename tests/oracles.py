@@ -7,8 +7,9 @@ products by exact cyclotomic arithmetic and by iterated norms (Laplace
 determinants), random valid characteristic sequences by rejection,
 pairwise contacts one pair at a time, Eggers-Wall trees by clustering that
 table, hat transforms by full expansion of the minimal polynomial and by
-Horner's scheme, and the expected polar diagram D^(k) as the Minkowski sum
-R^(k) + L of the lemma on Newton diagrams of polars.  Helpers that only the
+Horner's scheme, weighted initial forms by a minimum over every term, and
+the expected polar diagram D^(k) as the Minkowski sum R^(k) + L of the
+lemma on Newton diagrams of polars.  Helpers that only the
 tests use (Minkowski sums, diagrams rebuilt from canonical representations,
 edge inclinations, weighted faces and their sums, quadrants, symbolic
 conjugates, truncation orbits, products and evaluation of bivariate
@@ -696,6 +697,15 @@ def hat_horner_oracle(f, n_sub: int, lam, cut=None):
 # ---------------------------------------------------------------------------
 # witnesses
 # ---------------------------------------------------------------------------
+
+
+def initial_form(f, omega) -> dict:
+    """The terms of f on the face minimizing w1*i + w2*j (weights positive),
+    found by comparing every term's weight: the reference for
+    ``verify.check_initial_form``, which reads one compact edge."""
+    w1, w2 = omega
+    lo = min(w1 * i + w2 * j for i, j in f.terms)
+    return {(i, j): c for (i, j), c in f.terms.items() if w1 * i + w2 * j == lo}
 
 
 def full_hat(w, l: int):

@@ -151,7 +151,7 @@ def test_criterion_6_derivative_composition():
     for count in range(1000):
         ymax = 200 if count % 14 == 0 else 22
         d = random_diagram(rng, xmax=200, ymax=ymax)
-        h = d.height
+        h = d.top[1] - d.bottom[1]
         cache = {k: d.symbolic_derivative(k) for k in range(h + 1)}
         for k in range(h + 1):
             dk = cache[k]

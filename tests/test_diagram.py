@@ -197,7 +197,7 @@ def test_derivative_composition_smoke():
     rng = random.Random(99)
     for _ in range(60):
         d = random_diagram(rng, xmax=40, ymax=25)
-        h = d.height
+        h = d.top[1] - d.bottom[1]
         for _ in range(6):
             k = rng.randint(0, h)
             l = rng.randint(0, h - k)

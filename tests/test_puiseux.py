@@ -30,6 +30,7 @@ from branchpolar.puiseux import (
     PuiseuxSeries,
     derivative_y,
     diagram_of,
+    edge_poly,
     edge_poly_squarefree,
     hat_transform,
     min_poly,
@@ -61,20 +62,19 @@ def test_parse_and_str_round_trip():
     assert PuiseuxSeries.from_string(str(s)) == s
 
 
-def test_ord_examples():
-    s = PuiseuxSeries.from_string(EX1_ROOT)
-    assert s.ord() == Fraction(4, 3)
-    assert PuiseuxSeries(1, {}).ord() == INF
+def order(s):
+    """Smallest exponent of a nonzero series, +inf for the zero series."""
+    return Fraction(s.terms[0][0], s.denom) if s.terms else INF
 
 
 def test_contact_examples():
     a = PuiseuxSeries.from_string("x^(3/2)")
     b = PuiseuxSeries.from_string("x^(3/2)+x^2")
-    assert (a - b).ord() == 2
-    assert (a - a).ord() == INF
+    assert order(a - b) == 2
+    assert order(a - a) == INF
     c = PuiseuxSeries.from_string("x^(4/3)+x^2")
     d = PuiseuxSeries.from_string("x^(4/3)+2*x^2")
-    assert (c - d).ord() == 2
+    assert order(c - d) == 2
 
 
 def test_characteristic_examples():
@@ -178,7 +178,7 @@ def test_min_poly_reduces_index():
 
 def test_min_poly_known_coefficients():
     g = min_poly(PuiseuxSeries.from_string(EX1_ROOT))
-    assert g.degree_y() == 12
+    assert max(j for _, j in g.terms) == 12
     assert g.terms[(0, 12)] == 1
     assert {k: v for k, v in g.terms.items() if k[1] == 11} == {(2, 11): -12}
     assert {k: v for k, v in g.terms.items() if k[1] == 10} == {(4, 10): 66}
@@ -364,7 +364,7 @@ def test_derivative_composes():
         )
         if f.is_zero():
             continue
-        d = f.degree_y()
+        d = max(j for _, j in f.terms)
         k = rng.randint(0, d)
         l = rng.randint(0, d - k)
         assert derivative_y(derivative_y(f, k), l) == derivative_y(f, k + l)
@@ -490,6 +490,37 @@ def test_diagram_of_examples():
         diagram_of(BivariatePoly({}))
 
 
+SUPPORTS = st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                           st.integers(-3, 3).filter(bool), min_size=1, max_size=10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(SUPPORTS)
+def test_diagram_of_a_derivative_is_read_off_the_rows(terms):
+    f = BivariatePoly(terms)
+    degree = max(j for _, j in terms)
+    for k in range(degree + 1):
+        assert diagram_of(f, k) == diagram_of(derivative_y(f, k)), (terms, k)
+    with pytest.raises(OrderExceedsDegree):
+        diagram_of(f, degree + 1)
+    with pytest.raises(ValueError):
+        diagram_of(f, -1)
+
+
+def test_edge_poly_examples():
+    # y^4 - 3/2 x^3 y^2 + 2 x^6 + x^7 y: the edge reads its own rows, 0 in between
+    f = BivariatePoly({(0, 4): 1, (3, 2): Fraction(-3, 2), (6, 0): 2, (7, 1): 1})
+    coeffs = edge_poly(f, ((0, 4), (6, 0)))
+    assert coeffs == [2, 0, Fraction(-3, 2), 0, 1]
+    assert [type(c) for c in coeffs] == [int, int, Fraction, int, int]
+    for segment in (((0, 4), (3, 2)), ((6, 0), (0, 4)), ((0, 4), (7, 1)), ((0, 4), (0, 4))):
+        with pytest.raises(EdgeNotOnPolygon):
+            edge_poly(f, segment)
+    # the right line, but run past the last term on it
+    with pytest.raises(EdgeNotOnPolygon):
+        edge_poly(BivariatePoly({(0, 4): 1, (3, 2): 1}), ((0, 4), (6, 0)))
+
+
 def test_edge_squarefree_examples():
     cusp = BivariatePoly({(0, 2): 1, (3, 0): -1})
     assert edge_poly_squarefree(cusp, ((0, 2), (3, 0))) is True
@@ -518,19 +549,26 @@ def test_edge_squarefree_rejects_segments_off_the_polygon():
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)),
-                       st.integers(-3, 3).filter(bool), min_size=1, max_size=8))
+@given(SUPPORTS)
 def test_edge_squarefree_accepts_exactly_the_compact_edges(terms):
+    # edge_poly reads the terms on the line of a compact edge, and both
+    # readers refuse every other segment: between terms, or to points next
+    # to them that carry none
     f = BivariatePoly(terms)
     edges = set(from_support(terms).compact_edges())
-    for a in terms:
-        for b in terms:
-            try:
-                edge_poly_squarefree(f, (a, b))
-                accepted = True
-            except EdgeNotOnPolygon:
-                accepted = False
-            assert accepted == ((a, b) in edges), (terms, a, b)
+    ends = set(terms) | {(i + 1, j) for i, j in terms} | {(i, j + 1) for i, j in terms}
+    for a in ends:
+        for b in ends:
+            if (a, b) not in edges:
+                for read in (edge_poly, edge_poly_squarefree):
+                    with pytest.raises(EdgeNotOnPolygon):
+                        read(f, (a, b))
+                continue
+            (xa, ya), (xb, yb) = a, b
+            on_line = {j: c for (i, j), c in terms.items()
+                       if (xb - xa) * (j - ya) == (yb - ya) * (i - xa)}
+            assert edge_poly(f, (a, b)) == [on_line.get(j, 0) for j in range(yb, ya + 1)]
+            assert edge_poly_squarefree(f, (a, b)) in (True, False)
 
 
 def test_min_poly_root_orders_recover_gcd_chain():
@@ -543,7 +581,7 @@ def test_min_poly_root_orders_recover_gcd_chain():
         assert d.top == (0, s.denom)
         first_edge = d.compact_edges()[0]
         (xa, ya), (xb, yb) = first_edge
-        assert Fraction(xb - xa, ya - yb) == s.ord()
+        assert Fraction(xb - xa, ya - yb) == order(s)
 
 
 @pytest.mark.parametrize("build", [

@@ -53,8 +53,9 @@ def test_diagram_derivative_thousands():
     start = time.time()
     d = elementary(40009, 3000)
     d1 = d.symbolic_derivative(1)
-    assert d1.height == 2999
-    assert d.symbolic_derivative(1500).height == 1500
+    assert d1.top[1] - d1.bottom[1] == 2999
+    d1500 = d.symbolic_derivative(1500)
+    assert d1500.top[1] - d1500.bottom[1] == 1500
     parts = d1.canonical_rep(long=True).parts
     assert sum(n for _, n in parts) == 2999
     assert all(m * 3000 > n * 40009 for m, n in parts)
@@ -147,7 +148,7 @@ def test_witness_minimal_polynomial_at_high_index(b, limit):
     w = sample_witness(cs, 1)
     assert time.time() - start < limit
     f = min_poly(w.root)
-    assert f.degree_y() == cs.b0
+    assert max(j for _, j in f.terms) == cs.b0
     assert f.terms[(0, cs.b0)] == 1
     # every conjugate has the order of the root: one edge down to (b0 * ord, 0)
     assert diagram_of(f).vertices == ((0, cs.b0), (w.root.terms[0][0], 0))

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import branchpolar
@@ -46,3 +47,62 @@ def test_package_has_no_unused_imports():
         found += [f"{path.name}:{line} {name}"
                   for name, line in _imported_names(tree) if name not in used]
     assert not found, f"unused imports in the package: {found}"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# argparse calls this override itself, so nothing in the package names it
+CALLED_BY_THE_STANDARD_LIBRARY = {"_Parser.error"}
+
+
+def _references(tree):
+    """Names a tree reads (variables and imports) and attributes it reads."""
+    names, attrs = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names, attrs
+
+
+def _definitions(tree):
+    """Every function and class defined in a tree, with the class a method
+    is defined in (None for anything else)."""
+    stack = [(tree, None)]
+    while stack:
+        node, owner = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield child, owner
+            if isinstance(child, ast.ClassDef):
+                stack.append((child, child))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stack.append((child, None))
+            else:
+                stack.append((child, owner))
+
+
+def test_package_defines_nothing_only_the_tests_use():
+    # every function, class and method is used by the package itself or by
+    # a README python block; what only tests use belongs in tests/oracles.py.
+    # A method is only reached as an attribute, so a variable of the same
+    # name does not count for it
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    names, attrs = set(), set()
+    for tree in [*trees.values(), *map(ast.parse, blocks)]:
+        tree_names, tree_attrs = _references(tree)
+        names |= tree_names
+        attrs |= tree_attrs
+    found = []
+    for path, tree in trees.items():
+        for node, owner in _definitions(tree):
+            name = f"{owner.name}.{node.name}" if owner else node.name
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            used = node.name in attrs or (owner is None and node.name in names)
+            if not (used or dunder or name in CALLED_BY_THE_STANDARD_LIBRARY):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert blocks
+    assert not found, f"defined in the package but used by nothing in it: {found}"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import branchpolar
 from branchpolar.charclass import new_char_sequence, semiroot_degree
-from branchpolar.diagram import elementary, from_support
+from branchpolar.diagram import NewtonDiagram, elementary, from_support
 from branchpolar.errors import (
     InvariantViolation,
     OrderOutOfRange,
@@ -27,6 +27,7 @@ from branchpolar.puiseux import (
     hat_transform,
     min_poly,
 )
+from branchpolar.polar import predict
 from branchpolar.verify import (
     WitnessBranch,
     allowed_exponents,
@@ -43,6 +44,7 @@ from oracles import (
     AllSeedsDegenerate,
     find_generic_witness,
     full_hat,
+    initial_form,
     minkowski_sum,
     split_derivative,
 )
@@ -71,7 +73,7 @@ def test_sample_witness_members_of_class():
     for seed in range(1, 6):
         w = sample_witness(EX1, seed)
         assert w.root.characteristic().b == (12, 16, 31)
-        assert min_poly(w.root).degree_y() == 12
+        assert max(j for _, j in min_poly(w.root).terms) == 12
         # nonzero coefficients at every characteristic exponent
         for b in EX1.b[1:]:
             assert w.root.coefficient(Fraction(b, EX1.b0)) != 0
@@ -242,8 +244,7 @@ def _assert_chain_reads_like_full_expansion(w, k):
             (xa, ya), (xb, yb) = edge
             if (xb - xa) * n_l > (ya - yb) * m_l:
                 assert _edge_terms(polar, edge) == _edge_terms(full_polar, edge)
-        assert (fhat.initial_form((n_l, m_l)).terms
-                == full.initial_form((n_l, m_l)).terms), (cs.b, w.seed, l)
+        assert initial_form(fhat, (n_l, m_l)) == initial_form(full, (n_l, m_l)), (cs.b, w.seed, l)
 
 
 @st.composite
@@ -398,8 +399,7 @@ def test_initial_form_nongeneric_witness_level2():
     w = nongeneric_g()
     fhat = full_hat(w, 2)
     # in_omega(fhat) = 3^4 * x^32 * (y^4 - x^31) for the all-ones witness
-    observed = fhat.initial_form((4, 31))
-    assert observed.terms == {(32, 4): 81, (63, 0): -81}
+    assert initial_form(fhat, (4, 31)) == {(32, 4): 81, (63, 0): -81}
     assert check_initial_form(w, 2, fhat)
 
 
@@ -429,13 +429,38 @@ def test_initial_form_mismatch_on_the_face_only(w, exact):
     for l in range(1, cs.h + 1):
         fhat = hat_chain(w, l)[-1]
         assert check_initial_form(w, l, fhat)
-        face = fhat.initial_form((cs.n_seq[l - 1], cs.m_seq[l - 1])).terms
+        face = initial_form(fhat, (cs.n_seq[l - 1], cs.m_seq[l - 1]))
         on = next(iter(face))
         off = next(key for key in fhat.terms if key not in face)
         for key, ok in ((on, False), (off, True)):
             changed = dict(fhat.terms)
             changed[key] += 1
             assert check_initial_form(w, l, BivariatePoly(changed)) is ok, (l, key)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_classes(), st.data())
+def test_initial_form_check_agrees_with_the_oracle(case, data):
+    # one coefficient changed, on the face, elsewhere in the support or at a
+    # new point of the triangle's box (below the face, on its line past an
+    # end, or above it): the check passes exactly when the oracle's initial
+    # form is still the witness's own
+    cs, seed = case
+    w = sample_witness(cs, seed)
+    l = data.draw(st.integers(1, cs.h), label="level")
+    fhat = hat_chain(w, l)[-1]
+    omega = (cs.n_seq[l - 1], cs.m_seq[l - 1])
+    face = initial_form(fhat, omega)
+    assert check_initial_form(w, l, fhat)
+    key = data.draw(st.one_of(
+        st.sampled_from(sorted(face)),
+        st.sampled_from(sorted(fhat.terms)),
+        st.tuples(st.integers(0, cs.bbar[l - 1] + 1), st.integers(0, cs.b0)),
+    ), label="key")
+    changed = dict(fhat.terms)
+    changed[key] = changed.get(key, 0) + data.draw(st.integers(-3, 3).filter(bool), label="delta")
+    g = BivariatePoly(changed)
+    assert check_initial_form(w, l, g) is (initial_form(g, omega) == face), (cs.b, seed, l, key)
 
 
 def test_initial_form_all_levels_random():
@@ -526,6 +551,23 @@ def test_hard_contradiction_reports_fail(monkeypatch):
     monkeypatch.setattr(verify_mod, "predict", tampered)
     report = verify_mod.verify_prediction(EX2, 1, [1])
     assert report.verdict == "FAIL"
+    assert any("disagree" in f for run in report.runs for f in run.failures)
+
+
+@pytest.mark.parametrize("b,k", [((12, 16, 31), 1), ((12, 16, 31), 2), ((10, 14, 15), 1),
+                                 ((7, 17), 2), ((16, 23), 1), ((16, 23), 3)])
+def test_verify_fails_when_canonical_rep_does_not_split(monkeypatch, b, k):
+    # predict splits equal parts into primitive copies through
+    # canonical_rep(long=True).  With the short form in its place it predicts
+    # fewer Z-factors of doubled multiplicity; the verifier reads its steep
+    # parts off the edges themselves, so the wrong prediction must FAIL
+    cs = new_char_sequence(b)
+    right = predict(cs, k).to_json()
+    real = NewtonDiagram.canonical_rep
+    monkeypatch.setattr(NewtonDiagram, "canonical_rep", lambda self, long=False: real(self))
+    assert predict(cs, k).to_json() != right
+    report = verify_prediction(cs, k, [1, 2, 3, 4, 5])
+    assert report.verdict == "FAIL", report.to_text()
     assert any("disagree" in f for run in report.runs for f in run.failures)
 
 
