@@ -7,6 +7,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from . import contfrac as contfrac_mod
@@ -41,7 +42,55 @@ def _emit(text: str, args) -> None:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2)
+    """``json.dumps(obj, indent=2)``, byte for byte, for the documents the
+    commands write: dicts with str keys, lists and tuples, strs, ints, bools
+    and None.  Written here directly, as the standard library runs its
+    pure-Python encoder whenever ``indent`` is set; any other type raises
+    TypeError."""
+    chunks = []
+    _write_json(obj, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write_json(value, newline: str, put) -> None:
+    # a module-level function, not a closure: a closure that calls itself is
+    # a reference cycle, and would keep every chunk alive until the cyclic
+    # garbage collector runs
+    kind = type(value)
+    if kind is str:
+        put(encode_basestring_ascii(value))
+    elif kind is int:
+        put(int.__repr__(value))
+    elif value is None:
+        put("null")
+    elif kind is bool:
+        put("true" if value else "false")
+    elif kind is list or kind is tuple:
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif kind is dict:
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _seeds(text: str) -> list:

@@ -583,31 +583,40 @@ def diagram_of(f: BivariatePoly, k: int = 0) -> diagram_mod.NewtonDiagram:
     return diagram_mod.from_support(points)
 
 
+def _primitive(v: list) -> list:
+    """v over the gcd of its coefficients, once its high zeros are popped."""
+    while v and not v[-1]:
+        v.pop()
+    g = gcd(*v)
+    return [c // g for c in v] if g > 1 else v
+
+
 def _univariate_gcd_degree(p: list) -> int:
-    """Degree of gcd(p, p') for a rational coefficient list (low to high)."""
+    """Degree of gcd(p, p') for a rational coefficient list (low to high),
+    -1 for the zero polynomial.
 
-    def normalize(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    def derivative(v):
-        return [Fraction(c * k) for k, c in enumerate(v) if k]
-
-    def rem(a, b):
-        a = a[:]
-        while len(a) >= len(b) and normalize(a):
-            factor = Fraction(a[-1], b[-1])
-            shift = len(a) - len(b)
-            for t, c in enumerate(b):
-                a[shift + t] -= factor * c
-            a = normalize(a)
-        return a
-
-    a = normalize([Fraction(c) for c in p])
-    b = normalize(derivative(a))
+    The denominators are cleared once, then the primitive polynomial
+    remainder sequence runs in integers (G. E. Collins, J. ACM 14, 1967):
+    each pseudo-remainder, made by cancelling leading terms with integer
+    multiples, is divided by its content, so the coefficients stay near the
+    size of the inputs' instead of growing like Euclid's over Q."""
+    if any(type(c) is not int for c in p):
+        den = lcm(*(c.denominator for c in p))
+        p = [c.numerator * (den // c.denominator) for c in p]
+    a = _primitive(list(p))
+    b = _primitive([t * c for t, c in enumerate(a) if t])
     while b:
-        a, b = b, rem(a, b)
+        lead, top = b[-1], len(b) - 1
+        while len(a) > top:
+            g = gcd(a[-1], lead)
+            u, v = lead // g, a[-1] // g
+            shift = len(a) - 1 - top
+            a = [u * c for c in a[:-1]]
+            for t, c in enumerate(b[:-1], start=shift):
+                a[t] -= v * c
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, _primitive(a)
     return len(a) - 1
 
 

@@ -17,7 +17,10 @@ builds the levels 1..L one from the other and cut to that triangle:
   or InvariantViolation is raised, and the diagram of d^k f^_l must reach
   both axes with its vertices within the cap, or the chain is recomputed
   without a cut.  Then every dropped term lies inside the Newton polyhedra
-  and off their compact edges, which is all the checks read.
+  and off their compact edges, which is all the checks read;
+* each level comes with the two diagrams the certificate read, N(f^_l) and
+  N(d^k f^_l), and the checks take them from there instead of building
+  them again.
 
 For every level l and order k the checks are:
 
@@ -73,7 +76,6 @@ from .puiseux import (
     edge_poly_squarefree,
     hat_transform,
     min_poly,
-    row_starts,
 )
 from .rational import fmt_q
 
@@ -85,6 +87,7 @@ __all__ = [
     "sample_witness",
     "witness_from_root",
     "cut_bound",
+    "HatLevel",
     "hat_chain",
     "expected_hat_diagram",
     "check_lemma_nd",
@@ -167,9 +170,20 @@ def cut_bound(cs: CharSequence, depth: int) -> int:
     return cs.bbar[depth - 1] + semiroot_degree(cs, depth)
 
 
+@dataclass(frozen=True)
+class HatLevel:
+    """One level of ``hat_chain``: the hat transform f^_l and the two Newton
+    diagrams its certificate read, N(f^_l) and N(d^k f^_l)."""
+
+    fhat: BivariatePoly
+    diagram: diagram_mod.NewtonDiagram
+    polar: diagram_mod.NewtonDiagram
+
+
 def hat_chain(w: WitnessBranch, depth: int, k: int = 0) -> list:
     """The hat transforms f^_l = f(x^N_l, y + lam_l(x^N_l)) of the levels
-    l = 1..depth, cut to what the checks of order k read (N_l = b0/e_(l-1)).
+    l = 1..depth, cut to what the checks of order k read (N_l = b0/e_(l-1)),
+    each as a ``HatLevel`` with the diagrams N(f^_l) and N(d^k f^_l).
 
     f^_1 = min_poly(root - lam_1): lam_1 has integer exponents, so every
     conjugation fixes it and the conjugate product is f(x, y + lam_1).  Then
@@ -186,7 +200,8 @@ def hat_chain(w: WitnessBranch, depth: int, k: int = 0) -> list:
     must reach both axes with its vertices within the cap.  Then each
     dropped term lies inside both Newton polyhedra and off their compact
     edges, so no diagram, edge polynomial or initial form changes.  If a
-    derivative diagram fails, the chain is recomputed without a cut.
+    derivative diagram fails, the chain is recomputed without a cut, and
+    both diagrams of every level are read again from the uncut hats.
     """
     cs = w.cs
     n_top = semiroot_degree(cs, depth)
@@ -213,22 +228,29 @@ def hat_chain(w: WitnessBranch, depth: int, k: int = 0) -> list:
             hats.append(hat_transform(hats[-1], n_sub, step, cut))
         return hats
 
+    def read(fhat, d):
+        return HatLevel(fhat, d, diagram_of(fhat, k) if k else d)
+
     cap = q * cut_bound(cs, depth)
-    hats = build(cap)
+    chain = []
     certified = True
-    for l, (fhat, wx) in enumerate(zip(hats, wxs), start=1):
-        starts = row_starts(fhat)
+    for l, (fhat, wx) in enumerate(zip(build(cap), wxs), start=1):
         corner = cs.bbar[l - 1]
-        if starts.get(0) != corner:
+        d = diagram_of(fhat) if fhat.terms else None  # a cut inside the corner leaves nothing
+        at = d.bottom[0] if d is not None and d.bottom[1] == 0 else None
+        if at != corner:
             raise InvariantViolation(
-                f"hat transform of level {l} meets the x-axis at x^{starts.get(0)}, "
+                f"hat transform of level {l} meets the x-axis at x^{at}, "
                 f"not at x^{corner} = x^bbar_{l}"
             )
-        if k and certified:
-            d = diagram_of(fhat, k)
-            certified = (d.top[0] == 0 and d.bottom[1] == 0
-                         and all(wx * x + wy * (y + k) <= cap for x, y in d.vertices))
-    return hats if certified else build(None)
+        chain.append(read(fhat, d))
+        polar = chain[-1].polar
+        certified = certified and (not k or (
+            polar.top[0] == 0 and polar.bottom[1] == 0
+            and all(wx * x + wy * (y + k) <= cap for x, y in polar.vertices)))
+    if certified:
+        return chain
+    return [read(fhat, diagram_of(fhat)) for fhat in build(None)]
 
 
 def _steep_data(d: diagram_mod.NewtonDiagram, m_l: int, n_l: int):
@@ -326,16 +348,18 @@ class LevelReport:
         }
 
 
-def check_lemma_nd(w: WitnessBranch, l: int, k: int, fhat: BivariatePoly) -> LevelReport:
+def check_lemma_nd(w: WitnessBranch, l: int, k: int, level: HatLevel) -> LevelReport:
     """Diagram equality and steep-edge non-degeneracy for one level and order,
-    read off the level's hat transform ``fhat`` (see ``hat_chain``): the
-    level's report with its diagram fields filled in."""
+    read off the level's entry of ``hat_chain(w, depth, k)``: its hat
+    transform and the diagrams N(f^_l) and N(d^k f^_l) the chain built, so
+    no diagram is built here.  Returns the level's report with its diagram
+    fields filled in."""
     cs = w.cs
     m_l, n_l = cs.m_seq[l - 1], cs.n_seq[l - 1]
     n_sub = semiroot_degree(cs, l)
-    expected = expected_hat_diagram(cs, l, k, diagram_of(fhat))
+    expected = expected_hat_diagram(cs, l, k, level.diagram)
     # the hat transform commutes with d/dy: hat(d^k f) = d^k hat(f)
-    observed = diagram_of(fhat, k)
+    observed = level.polar
     steep_obs, exact_len = _steep_data(observed, m_l, n_l)
     steep_exp, _ = _steep_data(expected, m_l, n_l)
     res = LevelReport(
@@ -354,7 +378,7 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int, fhat: BivariatePoly) -> Lev
         res.status = "degenerate"
         res.reasons.append("full hat diagram differs from the symbolic derivative")
 
-    polar_hat = derivative_y(fhat, k)
+    polar_hat = derivative_y(level.fhat, k)
     for edge in observed.compact_edges():
         (xa, ya), (xb, yb) = edge
         if (xb - xa) * n_l > (ya - yb) * m_l:
@@ -367,9 +391,9 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int, fhat: BivariatePoly) -> Lev
 def check_initial_form(w: WitnessBranch, l: int, fhat: BivariatePoly) -> bool:
     """Exact comparison of in_omega(fhat), omega = (n_l, m_l), with
     a x^b (y^n_l - a_{b_l}^n_l x^m_l)^e_l, b = bbar_l - b_l, for the level's
-    hat transform ``fhat`` (see ``hat_chain``): the compact edge from
-    (b, e_(l-1)) to (bbar_l, 0) must carry a binom(e_l, t) (-a_{b_l}^n_l)^t
-    at y^(n_l (e_l - t)), and nothing else.  Holds for every
+    hat transform ``fhat`` (the ``fhat`` of its ``HatLevel``): the compact
+    edge from (b, e_(l-1)) to (bbar_l, 0) must carry a binom(e_l, t)
+    (-a_{b_l}^n_l)^t at y^(n_l (e_l - t)), and nothing else.  Holds for every
     conjugate-product witness (unit 1), generic or not."""
     cs = w.cs
     n_l, e_l = cs.n_seq[l - 1], cs.e[l]
@@ -482,12 +506,12 @@ def _aggregate_predicted(prediction: PolarPrediction, cs: CharSequence, l: int) 
 def _run_seed(w: WitnessBranch, prediction: PolarPrediction, levels) -> SeedRun:
     cs = w.cs
     run = SeedRun(seed=w.seed, status="pass")
-    for l, fhat in zip(levels, hat_chain(w, levels[-1], prediction.k)):
-        report = check_lemma_nd(w, l, prediction.k, fhat)
+    for l, level in zip(levels, hat_chain(w, levels[-1], prediction.k)):
+        report = check_lemma_nd(w, l, prediction.k, level)
         run.levels.append(report)
         if report.status != "ok":
             continue
-        report.initial_form_ok = check_initial_form(w, l, fhat)
+        report.initial_form_ok = check_initial_form(w, l, level.fhat)
         predicted_z = [f for f in prediction.groups[l - 1] if f.kind == "Z"]
         report.prediction_match = (
             list(report.steep_parts) == [f.part for f in predicted_z]

@@ -7,14 +7,14 @@ products by exact cyclotomic arithmetic and by iterated norms (Laplace
 determinants), random valid characteristic sequences by rejection,
 pairwise contacts one pair at a time, Eggers-Wall trees by clustering that
 table, hat transforms by full expansion of the minimal polynomial and by
-Horner's scheme, weighted initial forms by a minimum over every term, and
-the expected polar diagram D^(k) as the Minkowski sum R^(k) + L of the
-lemma on Newton diagrams of polars.  Helpers that only the
-tests use (Minkowski sums, diagrams rebuilt from canonical representations,
-edge inclinations, weighted faces and their sums, quadrants, symbolic
-conjugates, truncation orbits, products and evaluation of bivariate
-polynomials, the search for a generic witness, and the errors only these
-helpers raise) live here too.
+Horner's scheme, weighted initial forms by a minimum over every term,
+squarefreeness by Euclid's algorithm over Q, and the expected polar
+diagram D^(k) as the Minkowski sum R^(k) + L of the lemma on Newton
+diagrams of polars.  Helpers that only the tests use (Minkowski sums,
+diagrams rebuilt from canonical representations, edge inclinations,
+weighted faces and their sums, quadrants, symbolic conjugates, truncation
+orbits, products and evaluation of bivariate polynomials, the search for a
+generic witness, and the errors only these helpers raise) live here too.
 """
 
 from dataclasses import dataclass
@@ -697,6 +697,37 @@ def hat_horner_oracle(f, n_sub: int, lam, cut=None):
 # ---------------------------------------------------------------------------
 # witnesses
 # ---------------------------------------------------------------------------
+
+
+def gcd_degree_oracle(p) -> int:
+    """Degree of gcd(p, p') for a rational coefficient list (low to high),
+    -1 for the zero polynomial, by Euclid's algorithm over Q in Fractions:
+    the reference for ``puiseux._univariate_gcd_degree``, which runs a
+    primitive remainder sequence in integers."""
+
+    def normalize(v):
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    def derivative(v):
+        return [Fraction(c * k) for k, c in enumerate(v) if k]
+
+    def rem(a, b):
+        a = a[:]
+        while len(a) >= len(b) and normalize(a):
+            factor = Fraction(a[-1], b[-1])
+            shift = len(a) - len(b)
+            for t, c in enumerate(b):
+                a[shift + t] -= factor * c
+            a = normalize(a)
+        return a
+
+    a = normalize([Fraction(c) for c in p])
+    b = normalize(derivative(a))
+    while b:
+        a, b = b, rem(a, b)
+    return len(a) - 1
 
 
 def initial_form(f, omega) -> dict:

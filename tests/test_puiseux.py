@@ -34,6 +34,7 @@ from branchpolar.puiseux import (
     edge_poly_squarefree,
     hat_transform,
     min_poly,
+    _univariate_gcd_degree,
 )
 from branchpolar.verify import hat_chain, sample_witness, witness_from_root
 from oracles import (
@@ -41,6 +42,7 @@ from oracles import (
     dict_mul,
     evaluate,
     full_hat,
+    gcd_degree_oracle,
     hat_horner_oracle,
     min_poly_laplace_oracle,
     min_poly_oracle,
@@ -571,6 +573,50 @@ def test_edge_squarefree_accepts_exactly_the_compact_edges(terms):
             assert edge_poly_squarefree(f, (a, b)) in (True, False)
 
 
+def _poly_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+SMALL_INTS = st.integers(-50, 50)
+BIG_INTS = st.integers(-(2 ** 80), 2 ** 80)
+RATIONALS = st.fractions(max_denominator=30)
+
+
+@st.composite
+def gcd_inputs(draw):
+    """Coefficient lists of degree <= 12, low to high: small integers,
+    integers of up to 81 bits (edge polynomials of witnesses reach 76) or
+    rationals, half of them built as g*h^2 so that repeated factors occur,
+    some padded with zero high coefficients."""
+    coeff = draw(st.sampled_from([SMALL_INTS, BIG_INTS, RATIONALS]))
+    if draw(st.booleans()):
+        g = draw(st.lists(coeff, min_size=1, max_size=5))
+        h = draw(st.lists(coeff, min_size=2, max_size=4))
+        p = _poly_product(g, _poly_product(h, h))
+    else:
+        p = draw(st.lists(coeff, max_size=13))
+    return p + draw(st.lists(st.just(0), max_size=2))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(gcd_inputs())
+def test_gcd_degree_matches_euclid_over_q(p):
+    assert _univariate_gcd_degree(p) == gcd_degree_oracle(p)
+
+
+def test_gcd_degree_examples():
+    # (y - 1)^2 (y + 2), y^3 - y, 1/4 - y^2 + y^4 = (y^2 - 1/2)^2, 0 and 5
+    assert _univariate_gcd_degree([2, -3, 0, 1]) == 1
+    assert _univariate_gcd_degree([0, -1, 0, 1]) == 0
+    assert _univariate_gcd_degree([Fraction(1, 4), 0, -1, 0, 1]) == 2
+    assert _univariate_gcd_degree([]) == _univariate_gcd_degree([0, 0]) == -1
+    assert _univariate_gcd_degree([5]) == 0
+
+
 def test_min_poly_root_orders_recover_gcd_chain():
     # vertical height of the polygon is the index; the steepest inclination is
     # the order of the root
@@ -637,7 +683,7 @@ def test_built_polynomials_are_stored_like_public_ones(b, root):
     built = [min_poly(w.root), min_poly(w.root, cut=(1, 1, cs.bbar[0])),
              min_poly(w.root - w.lam(1)), min_poly(w.root - w.lam(1), cut=(2, 1, cs.bbar[-1]))]
     for depth in range(1, cs.h + 1):
-        built += hat_chain(w, depth) + [full_hat(w, depth)]
+        built += [level.fhat for level in hat_chain(w, depth)] + [full_hat(w, depth)]
     built += [derivative_y(p, k) for p in built[-2:] for k in (1, 2)]
     # a hat whose sum 1/2 + 1/2 is whole
     half = BivariatePoly({(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)})

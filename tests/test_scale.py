@@ -135,10 +135,10 @@ def test_witness_with_rational_coefficients():
     cs = new_char_sequence([2, 3])
     w = witness_from_root(cs, PuiseuxSeries.from_string("1/2*x^(3/2)+x^2"))
     assert min_poly(w.root).terms[(3, 0)] == Fraction(-1, 4)
-    fhat = hat_chain(w, 1, 1)[-1]
-    res = check_lemma_nd(w, 1, 1, fhat)
+    level = hat_chain(w, 1, 1)[-1]
+    res = check_lemma_nd(w, 1, 1, level)
     assert res.status == "ok"
-    assert check_initial_form(w, 1, fhat)
+    assert check_initial_form(w, 1, level.fhat)
 
 
 @pytest.mark.parametrize("b,limit", [((20, 21), 1.0), ((40, 41), 3.0), ((40, 45, 47), 3.0)])

@@ -29,6 +29,7 @@ from branchpolar.puiseux import (
 )
 from branchpolar.polar import predict
 from branchpolar.verify import (
+    HatLevel,
     WitnessBranch,
     allowed_exponents,
     check_initial_form,
@@ -123,8 +124,8 @@ def test_expected_hat_diagram_is_the_split_sum(b):
     # R the e_l rightmost long-canonical parts (m_l, n_l)
     cs = new_char_sequence(b)
     w = sample_witness(cs, 1)
-    for l, fhat in enumerate(hat_chain(w, cs.h), start=1):
-        hat = diagram_of(fhat)
+    for l, level in enumerate(hat_chain(w, cs.h), start=1):
+        hat = diagram_of(level.fhat)
         for k in range(cs.e[l - 1]):
             r_deriv, low = split_derivative(hat, k, cs.e[l])
             assert expected_hat_diagram(cs, l, k, hat) == minkowski_sum(r_deriv, low), (b, l, k)
@@ -233,7 +234,8 @@ def _edge_terms(f, edge):
 def _assert_chain_reads_like_full_expansion(w, k):
     cs = w.cs
     depth = max(l for l in range(1, cs.h + 1) if cs.e[l - 1] > k)
-    for l, fhat in enumerate(hat_chain(w, depth, k), start=1):
+    for l, level in enumerate(hat_chain(w, depth, k), start=1):
+        fhat = level.fhat
         full = full_hat(w, l)
         m_l, n_l = cs.m_seq[l - 1], cs.n_seq[l - 1]
         assert diagram_of(fhat) == diagram_of(full), (cs.b, w.seed, l, k)
@@ -285,7 +287,7 @@ def test_first_hat_is_the_conjugate_product_of_the_shifted_root(b):
     for depth in range(1, cs.h + 1):
         n_top = semiroot_degree(cs, depth)
         # the chain's f^_1: every term of level-depth weight within the cap
-        fhat = hat_chain(w, depth)[0]
+        fhat = hat_chain(w, depth)[0].fhat
         s = min([Fraction(cs.bbar[depth - 1], cs.b0)]
                 + [n_top * Fraction(cs.b[l - 1], cs.b0) for l in range(2, depth + 1)])
         light = {(i, j): c for (i, j), c in oracle.terms.items()
@@ -325,6 +327,11 @@ def test_chain_rejects_a_cut_too_tight_without_asserts():
     assert "1 passed" in run.stdout
 
 
+def _full_level(w, l, k):
+    fhat = full_hat(w, l)
+    return HatLevel(fhat, diagram_of(fhat), diagram_of(fhat, k))
+
+
 def test_chain_widens_for_a_degenerate_witness(monkeypatch):
     # the all-ones witness at k = 10: d^10 f = 6*11!*(y - x^2)^2 has the vertex
     # (4, 0), which shifted up by k weighs 4 + (4/3)*10 > bbar_1 + 1 = 17, so
@@ -346,9 +353,54 @@ def test_chain_widens_for_a_degenerate_witness(monkeypatch):
     assert calls == [True, False] * len(chained["runs"])
 
     monkeypatch.setattr(verify_mod, "hat_chain",
-                        lambda w, depth, k=0: [full_hat(w, l) for l in range(1, depth + 1)])
+                        lambda w, depth, k=0: [_full_level(w, l, k) for l in range(1, depth + 1)])
     assert verify_prediction(EX1, 10, [1]).to_json() == chained
     assert chained["runs"][0]["levels"][0]["status"] == "degenerate"
+
+
+def _assert_levels_carry_their_diagrams(chain, k):
+    for l, level in enumerate(chain, start=1):
+        assert level.diagram == diagram_of(level.fhat), l
+        assert level.polar == diagram_of(level.fhat, k), (l, k)
+
+
+@pytest.mark.parametrize("b", [(12, 16, 31), (10, 14, 15), (16, 24, 28, 30, 31)])
+def test_hat_chain_hands_on_both_diagrams(b):
+    cs = new_char_sequence(b)
+    w = sample_witness(cs, 1)
+    for k in range(cs.b0):
+        depth = max(l for l in range(1, cs.h + 1) if cs.e[l - 1] > k)
+        _assert_levels_carry_their_diagrams(hat_chain(w, depth, k), k)
+
+
+def test_uncut_rebuild_hands_on_both_diagrams():
+    # the degenerate witness of the widening test: its chain at k = 10 is
+    # rebuilt without a cut, and both diagrams are read off the uncut hat
+    g = nongeneric_g()
+    chain = hat_chain(g, 1, 10)
+    assert chain[0].fhat == full_hat(g, 1) != hat_chain(g, 1)[0].fhat
+    _assert_levels_carry_their_diagrams(chain, 10)
+
+
+@pytest.mark.parametrize("b,k,seeds", [((12, 16, 31), 1, [1, 2]), ((12, 16, 31), 2, [3]),
+                                       ((16, 24, 28, 30, 31), 3, [1, 2]),
+                                       ((10, 14, 15), 1, [1])])
+def test_verify_builds_two_diagrams_per_checked_level(monkeypatch, b, k, seeds):
+    import branchpolar.verify as verify_mod
+
+    calls = []
+    real_diagram_of = verify_mod.diagram_of
+
+    def spy(f, order=0):
+        calls.append(order)
+        return real_diagram_of(f, order)
+
+    monkeypatch.setattr(verify_mod, "diagram_of", spy)
+    report = verify_prediction(new_char_sequence(b), k, seeds)
+    checked = sum(len(run.levels) for run in report.runs)
+    assert checked
+    # N(f^_l) and N(d^k f^_l) once each, in the chain, and none in the checks
+    assert calls == [0, k] * checked
 
 
 # -- the all-ones non-generic witness for K(12,16,31) ----------------------------------
@@ -392,7 +444,7 @@ def test_nongeneric_witness_degenerate_at_k1_too():
 def test_initial_form_cusp():
     w = witness_from_root(CUSP, PuiseuxSeries.from_string("x^(3/2)"))
     assert min_poly(w.root).terms == {(0, 2): 1, (3, 0): -1}
-    assert check_initial_form(w, 1, hat_chain(w, 1)[-1])
+    assert check_initial_form(w, 1, hat_chain(w, 1)[-1].fhat)
 
 
 def test_initial_form_nongeneric_witness_level2():
@@ -427,7 +479,7 @@ def test_initial_form_mismatch_on_the_face_only(w, exact):
     # the characteristic coefficients it reads come back as stored
     assert all(type(w.root.coefficient(Fraction(b, cs.b0))) is exact for b in cs.b[1:])
     for l in range(1, cs.h + 1):
-        fhat = hat_chain(w, l)[-1]
+        fhat = hat_chain(w, l)[-1].fhat
         assert check_initial_form(w, l, fhat)
         face = initial_form(fhat, (cs.n_seq[l - 1], cs.m_seq[l - 1]))
         on = next(iter(face))
@@ -448,7 +500,7 @@ def test_initial_form_check_agrees_with_the_oracle(case, data):
     cs, seed = case
     w = sample_witness(cs, seed)
     l = data.draw(st.integers(1, cs.h), label="level")
-    fhat = hat_chain(w, l)[-1]
+    fhat = hat_chain(w, l)[-1].fhat
     omega = (cs.n_seq[l - 1], cs.m_seq[l - 1])
     face = initial_form(fhat, omega)
     assert check_initial_form(w, l, fhat)
@@ -469,7 +521,7 @@ def test_initial_form_all_levels_random():
         cs = new_char_sequence(b)
         w = sample_witness(cs, rng.randint(1, 10 ** 6))
         for l in range(1, cs.h + 1):
-            assert check_initial_form(w, l, hat_chain(w, l)[-1]), (b, l, w.seed)
+            assert check_initial_form(w, l, hat_chain(w, l)[-1].fhat), (b, l, w.seed)
 
 
 # -- end-to-end verification ---------------------------------------------------------------
