@@ -7,7 +7,6 @@ import functools
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from . import contfrac as contfrac_mod
@@ -15,6 +14,7 @@ from . import diagram as diagram_mod
 from . import polar, verify
 from .charclass import parse_char
 from .errors import BranchPolarError, DiagramTooLarge
+from .jsontext import dumps
 from .rational import fmt_q
 
 EXIT_OK = 0
@@ -39,58 +39,6 @@ def _emit(text: str, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _dump(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, for the documents the
-    commands write: dicts with str keys, lists and tuples, strs, ints, bools
-    and None.  Written here directly, as the standard library runs its
-    pure-Python encoder whenever ``indent`` is set; any other type raises
-    TypeError."""
-    chunks = []
-    _write_json(obj, "\n", chunks.append)
-    return "".join(chunks)
-
-
-def _write_json(value, newline: str, put) -> None:
-    # a module-level function, not a closure: a closure that calls itself is
-    # a reference cycle, and would keep every chunk alive until the cyclic
-    # garbage collector runs
-    kind = type(value)
-    if kind is str:
-        put(encode_basestring_ascii(value))
-    elif kind is int:
-        put(int.__repr__(value))
-    elif value is None:
-        put("null")
-    elif kind is bool:
-        put("true" if value else "false")
-    elif kind is list or kind is tuple:
-        if not value:
-            put("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            put(sep)
-            _write_json(item, inner, put)
-            sep = "," + inner
-        put(newline + "]")
-    elif kind is dict:
-        if not value:
-            put("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            put(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(item, inner, put)
-            sep = "," + inner
-        put(newline + "}")
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _seeds(text: str) -> list:
@@ -119,7 +67,7 @@ def _cmd_verify(args) -> int:
     cs = parse_char(args.char)
     report = verify.verify_prediction(cs, args.k, _seeds(args.seeds))
     if args.format == "json":
-        _emit(_dump(report.to_json()), args)
+        _emit(dumps(report.to_json()), args)
     else:
         _emit(report.to_text(), args)
     if report.verdict == "FAIL":
@@ -147,7 +95,7 @@ def _emit_diagram(d: diagram_mod.NewtonDiagram, args) -> None:
             "parts": [list(p) for p in rep.parts],
             "long": rep.long,
         }
-        _emit(_dump(blob), args)
+        _emit(dumps(blob), args)
     elif args.format == "svg":
         _emit(render_svg(d), args)
     else:
@@ -173,7 +121,7 @@ def _cmd_contfrac(args) -> int:
             "h": list(cf.h),
             "convergents": [{"p": p, "q": q} for p, q in zip(cf.p, cf.q)],
         }
-        _emit(_dump(blob), args)
+        _emit(dumps(blob), args)
     else:
         lines = ["[" + ",".join(str(v) for v in cf.h) + "]"]
         for i, (p, q) in enumerate(zip(cf.p, cf.q)):

@@ -46,7 +46,6 @@ root.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
@@ -56,6 +55,7 @@ from operator import itemgetter
 from . import diagram as diagram_mod
 from .charclass import CharSequence
 from .errors import InvariantViolation, OrderOutOfRange
+from .jsontext import Written, dumps
 from .rational import fmt_q
 
 __all__ = [
@@ -202,46 +202,35 @@ class PolarPrediction:
         return self._document(groups, rows)
 
     def to_json_text(self) -> str:
-        """``json.dumps(self.to_json(), indent=2)``, byte for byte, joined
-        with ``str.join`` from per-value strings: one indent-2 template per
-        group and per run of one factor, with only the label changing, and
-        the contact rows from per-factor strings."""
+        """``self.to_json()`` as the standard library's indent-2 text, byte for
+        byte: each run of one factor is one block written with only the label
+        changing, and the contact rows are joined from per-factor strings."""
         names, own, cross, ends, runs = self._contact_columns()
         # labels and contacts hold no character that JSON escapes
         quoted = [f'"{name}"' for name in names]
-        head = json.dumps(self._document([], []), indent=2)
-        blobs = []
+        groups = []
         for l, group_runs in enumerate(runs, start=1):
             blocks = []
             for f, start, stop in group_runs:
                 # the factor's block at indent 8, cut at the value of its label
-                block = json.dumps(dict(f.to_json(), label=""), indent=2)
-                lead, _, tail = ("        " + block.replace("\n", "\n        ")).rpartition('""')
-                blocks.append(lead + (tail + ",\n" + lead).join(quoted[start:stop]) + tail)
-            blob = "    " + json.dumps(self._group_json(l, []), indent=2).replace("\n", "\n    ")
-            if blocks:
-                before, _, after = blob.rpartition("[]")
-                blob = before + "[\n" + ",\n".join(blocks) + "\n      ]" + after
-            blobs.append(blob)
-        before, _, after = head.partition('"groups": []')
-        head = before + '"groups": [\n' + ",\n".join(blobs) + "\n  ]" + after
-        if len(names) < 2:
-            return head
+                lead, _, tail = dumps(dict(f.to_json(), label=""), 8).rpartition('""')
+                labels = (tail + ",\n        " + lead).join(quoted[start:stop])
+                blocks.append(Written((lead, labels, tail)))
+            groups.append(self._group_json(l, blocks))
         # a row is '    [\n      "a",\n      "b",\n      "c"\n    ]'
         cells = [name + ",\n      " for name in quoted]
         tails = [f'"{c}"\n    ]' for c in cross]
         mine = [cell + f'"{c}"\n    ]' for cell, c in zip(cells, own)]
-        # the rows go into the head's empty list; one join copies the whole text
-        pieces = [head[:-len("[]\n}")] + "[\n"]
+        rows = ["[\n"]
         for i, end in enumerate(ends):
             lead = "    [\n      " + cells[i]
             sep = ",\n" + lead
             if i + 1 < end:
-                pieces += [lead, sep.join(mine[i + 1:end]), ",\n"]
+                rows += [lead, sep.join(mine[i + 1:end]), ",\n"]
             if end < len(names):
-                pieces += [lead, (tails[i] + sep).join(cells[end:]), tails[i], ",\n"]
-        pieces[-1] = "\n  ]\n}"
-        return "".join(pieces)
+                rows += [lead, (tails[i] + sep).join(cells[end:]), tails[i], ",\n"]
+        rows[-1] = "\n  ]"
+        return dumps(self._document(groups, Written(rows) if len(names) > 1 else []))
 
     def to_text(self) -> str:
         lines = [

@@ -190,9 +190,9 @@ class PuiseuxSeries:
 
     # -- text form --------------------------------------------------------------
 
-    _TERM_RE = re.compile(
-        r"^(?:(?P<coef>[+-]?\d+(?:/\d+)?)\*)?(?P<sign>[+-]?)x(?:\^\(?(?P<exp>\d+(?:/\d+)?)\)?)?$"
-    )
+    # a denominator has a nonzero digit, so 1/0 is refused like any other bad term
+    _TERM_RE = re.compile(r"^(?:(?P<coef>[+-]?\d+(?:/0*[1-9]\d*)?)\*)?(?P<sign>[+-]?)"
+                          r"x(?:\^\(?(?P<exp>\d+(?:/0*[1-9]\d*)?)\)?)?$")
 
     @classmethod
     def from_string(cls, text: str) -> "PuiseuxSeries":

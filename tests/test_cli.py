@@ -1,11 +1,8 @@
 import ast
-import gc
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -221,45 +218,3 @@ def test_format_env_default_read_per_call(capsys, monkeypatch):
     assert json.loads(as_json)["k"] == 1
     assert as_dot.startswith("digraph eggers_wall")
     assert as_text.startswith("class K(2,3), k = 1:")
-
-
-# -- the indent-2 writer against json.dumps ------------------------------------------
-
-# quotes, backslashes, control characters, non-ASCII and astral characters
-JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZ09:,{}[]é€\u2028😀'))
-JSON_SCALARS = (st.none() | st.booleans() | JSON_TEXT
-                | st.integers() | st.integers(-(2 ** 200), 2 ** 200))
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(JSON_VALUES)
-def test_dump_is_json_dumps_indent_2(value):
-    assert cli._dump(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize("value", [
-    1.5, [1, 2.0], {"a": {"b": [float("nan")]}}, object(), {"a": {1, 2}}, b"bytes",
-    {1: "int key"}, [(), {}, [1, True, None, "x", 0.0]],
-])
-def test_dump_refuses_what_it_does_not_write(value):
-    with pytest.raises(TypeError):
-        cli._dump(value)
-
-
-def test_dump_leaves_no_reference_cycle():
-    # a cycle would keep the chunks of each document alive until the cyclic
-    # collector runs, and raise the peak memory of a long run of queries
-    gc.collect()
-    gc.disable()
-    try:
-        cli._dump({"a": [1, {"b": ["c", None, True]}], "d": []})
-        assert gc.collect() == 0
-    finally:
-        gc.enable()

@@ -64,6 +64,17 @@ def test_parse_and_str_round_trip():
     assert PuiseuxSeries.from_string(str(s)) == s
 
 
+@pytest.mark.parametrize("text", ["x^(1/0)", "1/0*x", "x^2+", "--x", "2x", "x^(3/00)"])
+def test_malformed_series_is_refused_with_value_error(text):
+    # a zero denominator is a malformed term, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="cannot parse Puiseux term"):
+        PuiseuxSeries.from_string(text)
+
+
+def test_denominators_with_leading_zeros_still_parse():
+    assert PuiseuxSeries.from_string("3/02*x^(7/05)") == PuiseuxSeries.from_string("3/2*x^(7/5)")
+
+
 def order(s):
     """Smallest exponent of a nonzero series, +inf for the zero series."""
     return Fraction(s.terms[0][0], s.denom) if s.terms else INF

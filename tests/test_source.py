@@ -106,3 +106,18 @@ def test_package_defines_nothing_only_the_tests_use():
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert blocks
     assert not found, f"defined in the package but used by nothing in it: {found}"
+
+
+def test_package_has_one_indent_2_json_writer():
+    # every indented document goes through jsontext.dumps; json.dumps with
+    # indent set runs the standard library's pure-Python encoder
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("dump", "dumps")
+             and getattr(node.func.value, "id", None) == "json"
+             and any(kw.arg == "indent" for kw in node.keywords)]
+    assert SOURCES
+    assert not found, f"json.dump(s) with indent in the package: {found}"
