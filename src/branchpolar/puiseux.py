@@ -19,17 +19,21 @@ are read by :func:`diagram_of`, the Newton diagram of any y-derivative off
 the row starts, and :func:`edge_poly`, the coefficients on a compact edge.
 
 The centrepiece is :func:`min_poly`: the monic polynomial whose roots are the
-conjugates of a series.  The power sums of the conjugates are n times the
-part of a^j whose exponents are integers, and Newton's identities turn them
-into the coefficients; every polynomial product is one big-integer product
-of packed coefficients, so the work is polynomial in n and no cyclotomic
-arithmetic is ever needed.
+conjugates of a series, taken along the 2-adic tower of its index
+n = 2^s q, q odd.  Over t = x^(1/2^s) the series has index q, and the power
+sums of its q conjugates are q times the part of a^j whose exponents are
+integers; Newton's identities turn them into coefficients, every product
+one big-integer product of packed coefficients.  Then s Graeffe steps
+G(t, y) G(-t, y), exact products of integer terms, each cut to a cap of its
+own, double the degree until t^(2^s) = x.  The work is polynomial in q and
+in the size of the cut result, and no cyclotomic arithmetic is ever needed.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, lcm, perm
 
 from . import charclass
@@ -190,9 +194,10 @@ class PuiseuxSeries:
 
     # -- text form --------------------------------------------------------------
 
-    # a denominator has a nonzero digit, so 1/0 is refused like any other bad term
+    # a denominator has a nonzero digit, so 1/0 is refused like any other bad
+    # term; a fractional exponent needs both parentheses, x^(3/2), not x^3/2
     _TERM_RE = re.compile(r"^(?:(?P<coef>[+-]?\d+(?:/0*[1-9]\d*)?)\*)?(?P<sign>[+-]?)"
-                          r"x(?:\^\(?(?P<exp>\d+(?:/0*[1-9]\d*)?)\)?)?$")
+                          r"x(?:\^(?:\((?P<exp>\d+(?:/0*[1-9]\d*)?)\)|(?P<whole>\d+)))?$")
 
     @classmethod
     def from_string(cls, text: str) -> "PuiseuxSeries":
@@ -211,7 +216,7 @@ class PuiseuxSeries:
             coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
             if m.group("sign") == "-":
                 coef = -coef
-            exp = Fraction(m.group("exp")) if m.group("exp") else Fraction(1)
+            exp = Fraction(m.group("exp") or m.group("whole") or 1)
             parsed.append((exp, coef))
         n = lcm(*[e.denominator for e, _ in parsed])
         coeffs: dict[int, Fraction] = {}
@@ -322,7 +327,7 @@ def _poly(terms: dict) -> BivariatePoly:
 
 
 # ---------------------------------------------------------------------------
-# minimal polynomial by power sums and Newton's identities
+# minimal polynomial: power sums over the odd part, then Graeffe steps
 # ---------------------------------------------------------------------------
 
 
@@ -362,58 +367,44 @@ def _power_sums(scaled: list, n: int, shift: int, slots: int, width: int) -> lis
     return sums
 
 
-def min_poly(a: PuiseuxSeries, cut=None) -> BivariatePoly:
-    """Monic polynomial of degree a.denom, the index of a, whose roots are the
-    conjugates of a.
+def _odd_part(scaled: list, q: int, shift: int, total: int, cut) -> dict:
+    """The product over the q conjugates of a = u^shift B(u) / D, u = t^(1/q)
+    and B the sum of c u^i over ``scaled``, by power sums and Newton's
+    identities: {(i, j): c} for the terms c t^i Y^j of D^q G(t, Y / D), the
+    terms of weight wx*i + wy*j above the cap ``cut = (wx, wy, cap)`` left
+    out and Y^q kept.
 
-    Without a cut the whole polynomial is returned; with
-    ``cut = (wx, wy, cap)`` only the terms x^i y^j of weight wx*i + wy*j up
-    to ``cap`` are computed and returned.
+    The power sums are p_j = q * [a^j]_(u-exponents divisible by q), and
+    j e_j = sum_(i=1..j) (-1)^(i-1) e_(j-i) p_i gives the elementary
+    symmetric functions; the recurrence runs on E_j = D^j e_j, integer
+    t-polynomials, and D^q G = sum_j (-1)^j E_j Y^(q-j).  Each conjugate has
+    order v/q, v = shift, so e_j and p_j start at t^o_j, o_j = ceil(j v / q),
+    and since o_(j-i) + o_i is o_j or o_j + 1, every E_j and P_j is kept as
+    the window of its first W coefficients, W as wide as the widest e_j
+    asked for.  Windows are packed into big integers with slots wide enough
+    for q 2^q S^(q+1), S the sum of |B|'s coefficients, which bounds every
+    coefficient involved.
 
-    With a(u) = A(u)/D for u = x^(1/n), an integer polynomial A and the
-    common denominator D, the conjugates a(eps^k u) have the power sums
-    p_j = n * [a^j]_(u-exponents divisible by n), and Newton's identities
-    j e_j = sum_(i=1..j) (-1)^(i-1) e_(j-i) p_i give the elementary symmetric
-    functions; the result is sum_j (-1)^j e_j y^(n-j).  The recurrence runs
-    on E_j = D^j e_j, integer x-polynomials.  Each conjugate has order
-    v/n, v the first u-exponent of a, so e_j and p_j start at x^o_j,
-    o_j = ceil(j v / n), and since o_(j-i) + o_i is o_j or o_j + 1, every
-    E_j and P_j is kept as the window of its first W coefficients, W as
-    wide as the widest e_j asked for.  Windows are packed into big integers
-    with slots wide enough for n 2^n S^(n+1), S the sum of |A|'s
-    coefficients, which bounds every coefficient involved.
-
-    Checks: every E_j is integral with coefficients at most binom(n, j) S^j.
-    An uncut result must vanish at a, f(x, a) = 0, which certifies it; a cut
-    one must have e_(n+1) = 0, by the identity at j = n + 1, over its window.
+    Checks: every E_j is integral with coefficients at most binom(q, j) S^j,
+    and e_(q+1) = 0, by the identity at j = q + 1, over its window.
     """
-    n = a.denom
-    terms = a.terms
-    if not terms:
-        return BivariatePoly({(0, n): 1})
-    shift, top = terms[0][0], terms[-1][0]
-    order = [-(-j * shift // n) for j in range(n + 2)]  # o_j
-    # e_j is wanted below x^limit[j]: its degree is at most j top / n
-    limit = [j * top // n + 1 for j in range(n + 1)]
-    if cut is not None:
-        wx, wy, cap = cut
-        limit = [min(t, (cap - wy * (n - j)) // wx + 1) for j, t in enumerate(limit)]
+    top = scaled[-1][0] + shift
+    order = [-(-j * shift // q) for j in range(q + 2)]  # o_j
+    # e_j is wanted below t^limit[j]: its degree is at most j top / q
+    wx, wy, cap = cut
+    limit = [min(j * top // q, (cap - wy * (q - j)) // wx) + 1 for j in range(q + 1)]
     slots = max(1, max(t - o for t, o in zip(limit, order)))
 
-    den = lcm(*(Fraction(c).denominator for _, c in terms))
-    scaled = [(i - shift, int(c * den)) for i, c in terms]
-    total = sum(abs(c) for _, c in scaled)
-    bound = (n << n) * total ** (n + 1)
+    bound = (q << q) * total ** (q + 1)
     width = bound.bit_length() // 8 + 1  # bytes; half a slot exceeds the bound
-    sums = _power_sums(scaled, n, shift, slots, width)
+    sums = _power_sums(scaled, q, shift, slots, width)
 
     bits = 8 * width
     half = 1 << bits - 1
     offset = _slot_offset(width, slots)
     mask = (1 << bits * slots) - 1
-    out = {(0, n): 1}
+    out = {(0, q): 1}
     elem = [1]  # the windows of E_0, E_1, ..., packed
-    coeff_lists = []  # the window coefficients of E_1, E_2, ...
 
     def newton(j):  # the window of j E_j, packed
         acc = 0
@@ -427,7 +418,7 @@ def min_poly(a: PuiseuxSeries, cut=None) -> BivariatePoly:
                 acc -= term
         return acc
 
-    for j in range(1, n + 1):
+    for j in range(1, q + 1):
         shifted = (newton(j) + offset) & mask
         data = shifted.to_bytes(slots * width, "little")
         coeffs = [int.from_bytes(data[s:s + width], "little") - half
@@ -435,32 +426,137 @@ def min_poly(a: PuiseuxSeries, cut=None) -> BivariatePoly:
         if any(c % j for c in coeffs):
             raise InvariantViolation(f"Newton's identities left e_{j} non-integral")
         elem.append((shifted - offset) // j)
-        coeff_lists.append([c // j for c in coeffs])
+        coeffs = [c // j for c in coeffs]
         # every product of j conjugates has coefficients of size at most S^j
-        if max(map(abs, coeff_lists[-1])) > comb(n, j) * total ** j:
-            raise InvariantViolation(f"e_{j} has a coefficient beyond binom(n, {j}) S^{j}")
-        scale = (-1) ** j * den ** j
-        for t, c in enumerate(coeff_lists[-1], start=order[j]):
+        if max(map(abs, coeffs)) > comb(q, j) * total ** j:
+            raise InvariantViolation(f"e_{j} has a coefficient beyond binom(q, {j}) S^{j}")
+        for t, c in enumerate(coeffs, start=order[j]):
             if c and t < limit[j]:
-                out[(t, n - j)] = Fraction(c, scale) if den > 1 else c * scale
+                out[(t, q - j)] = -c if j % 2 else c
+    # a product of q linear factors in y has no e_(q+1)
+    if (newton(q + 1) + offset) & mask != offset:
+        raise InvariantViolation(f"Newton's identities leave e_{q + 1} nonzero")
+    return out
+
+
+def _graeffe_step(even: list, odd: list, cap: int, size: int) -> dict:
+    """G(T, y) G(-T, y) = E(T^2, y)^2 - T^2 O(T^2, y)^2 for
+    G = E(T^2, y) + T O(T^2, y), from the terms of G with even and with odd
+    T-exponents.
+
+    A term is a pair (key, c), key = w size + j for a term of weight w and
+    y-degree j < size, so keys add as the monomials multiply and sort by
+    weight.  Only pairs of terms of the same parity meet, with sign + for
+    even and - for odd ones, and product terms heavier than ``cap`` are
+    dropped: with each side sorted, a term's partners stop at the first one
+    past the room left.
+    """
+    bound = (cap + 1) * size  # key1 + key2 < bound: weight within the cap
+    out: dict = {}
+    get = out.get
+    for side, sign in ((sorted(even), 1), (sorted(odd), -1)):
+        for k, (key, c) in enumerate(side):
+            room = bound - key
+            if key >= room:
+                break  # and so is every later pair
+            out[key + key] = get(key + key, 0) + sign * c * c
+            c *= 2 * sign
+            for key2, c2 in islice(side, k + 1, None):
+                if key2 >= room:
+                    break
+                out[key + key2] = get(key + key2, 0) + c * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def min_poly(a: PuiseuxSeries, cut=None) -> BivariatePoly:
+    """Monic polynomial of degree a.denom, the index of a, whose roots are the
+    conjugates of a.
+
+    Without a cut the whole polynomial is returned; with
+    ``cut = (wx, wy, cap)`` only the terms x^i y^j of weight wx*i + wy*j up
+    to ``cap`` are computed and returned, and y^n is kept whatever the cap.
+
+    The conjugate product is taken along the 2-adic tower of the index.
+    With n = 2^s q, q odd, and t = x^(1/2^s), a is a series in t of index q:
+    its q conjugates over Q((t)) have the product G_0(t, y), which
+    ``_odd_part`` computes by power sums, in slots sized for q 2^q S^(q+1).
+    Then s Graeffe steps, G_(r+1)(t^(2^(r+1)), y) = G_r(t^(2^r), y)
+    G_r(-t^(2^r), y), each an exact product of integer terms, pair the
+    conjugates that differ by a sign of t^(2^r), and G_s is the product in
+    (x, y).  The steps run on D^d G_r(t, Y / D), Y = D y of y-degree d and
+    D the common denominator of a, so every coefficient is an integer.
+
+    The cut carries down the tower.  Let m = min(wy, wx ord a), the least
+    weight per y-degree of a factor y - a_c.  G_r, of y-degree d = 2^r q, is
+    one of n/d conjugate copies whose product is the result, and each of
+    the others has no term lighter than m d.  So the terms of G_r heavier
+    than cap - m (n - d) touch no term within the cap and are dropped.  In
+    t-units, where an x-exponent weighs 2^s wx and y weighs 2^s wy, every
+    such cap is an integer.
+
+    Checks.  Every call runs ``_odd_part``'s: each E_j integral with
+    coefficients at most binom(q, j) S^j, and e_(q+1) = 0 over its window.
+    For odd n, G_0 is the result, so these check a cut result as they
+    always have.  An uncut result must also vanish at a, f(x, a) = 0: a
+    monic f of degree n over Q[x] that vanishes at a vanishes at every
+    conjugate, so this certifies the whole result, power sums and Graeffe
+    steps alike.  Nothing checks the Graeffe steps of a cut result at run
+    time; they are exact integer products, tested against the cyclotomic
+    oracle.
+    """
+    n = a.denom
+    terms = a.terms
+    if not terms:
+        return BivariatePoly({(0, n): 1})
+    shift, top = terms[0][0], terms[-1][0]
+    den = lcm(*(Fraction(c).denominator for _, c in terms))
+    scaled = [(i - shift, int(c * den)) for i, c in terms]
+    total = sum(abs(c) for _, c in scaled)
+    s = (n & -n).bit_length() - 1
+    q = n >> s
+    # an uncut result is cut where nothing is lost: e_j has x-degree at
+    # most j top / n, so every term x^i y^(n-j) has i + n - j <= top + n
+    wx, wy, cap = (1, 1, top + n) if cut is None else cut
+    wy <<= s  # t-units
+    cap <<= s
+    least = min(q * wy, wx * shift)  # m q in t-units
+    g = _odd_part(scaled, q, shift, total, (wx, wy, cap - ((1 << s) - 1) * least))
+    if s:
+        size = n + 1  # above every y-degree
+        keys = {(wx * e + wy * j) * size + j: c for (e, j), c in g.items()}
+        for r in range(s):
+            sides = ([], [])  # the terms of even and odd t^(2^r)-exponent
+            for key, c in keys.items():
+                w, j = divmod(key, size)
+                sides[(w - wy * j) // wx >> r & 1].append((key, c))
+            keys = _graeffe_step(*sides, cap - ((1 << s) - (2 << r)) * least, size)
+        g = {}
+        for key, c in keys.items():
+            w, j = divmod(key, size)
+            g[(w - wy * j) // wx >> s, j] = c
+    g[(0, n)] = 1
     if cut is None:
-        # f(x, a) = 0: a monic f of degree n over Q[x] that vanishes at a
-        # vanishes at every conjugate, so this certifies the whole result.
-        # F(u) = sum_j (-1)^j E_j(u^n) A(u)^(n-j) has integer coefficients of
-        # size below (n+1) slots 2^n S^n < 2^(w-1), so its value at u = 2^w
-        # is zero exactly when F is
-        w = ((n + 1) * slots * total ** n << n).bit_length() + 1
+        # F(u) = sum c u^(n i) A(u)^j over the terms c x^i Y^j, A = D a, is
+        # D^n f(x, a); its coefficients are below sum_j |f_j|_1 S^j, the sum
+        # over the Y-rows of their coefficient sums, so its value at u = 2^w,
+        # w one bit past that bound, is zero exactly when F is
+        norms = [0] * (n + 1)
+        for (i, j), c in g.items():
+            norms[j] += abs(c)
+        w = sum(norm * total ** j for j, norm in enumerate(norms)).bit_length() + 1
+        rows = [0] * (n + 1)
+        for (i, j), c in g.items():
+            rows[j] += c << w * n * i
         at_a = sum(c << w * (i + shift) for i, c in scaled)
-        value = 1
-        for j, coeffs in enumerate(coeff_lists, start=1):
-            e_j = sum(c << w * n * t for t, c in enumerate(coeffs, start=order[j]) if c)
-            value = value * at_a + (-1) ** j * e_j
+        value = 0
+        for row in reversed(rows):
+            value = value * at_a + row
         if value:
             raise InvariantViolation("the conjugate product does not vanish at the series")
-    # a product of n linear factors in y has no e_(n+1)
-    elif (newton(n + 1) + offset) & mask != offset:
-        raise InvariantViolation(f"Newton's identities leave e_{n + 1} nonzero")
-    return _poly(out)
+    if den > 1:
+        scale = [den ** (n - j) for j in range(n + 1)]
+        g = {(i, j): Fraction(c, scale[j]) for (i, j), c in g.items()}
+    return _poly(g)
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,11 @@ def test_parse_and_str_round_trip():
     assert PuiseuxSeries.from_string(str(s)) == s
 
 
-@pytest.mark.parametrize("text", ["x^(1/0)", "1/0*x", "x^2+", "--x", "2x", "x^(3/00)"])
+@pytest.mark.parametrize("text", ["x^(1/0)", "1/0*x", "x^2+", "--x", "2x", "x^(3/00)",
+                                  "x^(3/2", "x^3/2)", "x^3/2"])
 def test_malformed_series_is_refused_with_value_error(text):
-    # a zero denominator is a malformed term, not a ZeroDivisionError
+    # a zero denominator is a malformed term, not a ZeroDivisionError; a
+    # fractional exponent needs its parentheses as a pair
     with pytest.raises(ValueError, match="cannot parse Puiseux term"):
         PuiseuxSeries.from_string(text)
 
@@ -230,14 +232,19 @@ def _light_terms(terms: dict, cut) -> dict:
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
-    st.integers(2, 8).flatmap(lambda n: st.tuples(
+    # odd n take no Graeffe step; 12 = 4 * 3 takes two after an odd part of
+    # index 3, and 16 four after one of index 1.  Fewer terms at 12 and 16
+    # keep the cyclotomic oracle quick.
+    st.sampled_from([2, 3, 4, 5, 6, 7, 8, 12, 16]).flatmap(lambda n: st.tuples(
         st.just(n),
         # one exponent prime to n keeps the index at n
         st.integers(1, 4 * n).filter(lambda i: gcd(i, n) == 1),
         _coefficients.filter(bool),
-        st.dictionaries(st.integers(1, 4 * n), _coefficients, max_size=4),
-        # a weight cut (wx, wy, wy * n + extra) that keeps the monic term y^n
-        st.none() | st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(0, 40)),
+        st.dictionaries(st.integers(1, 4 * n), _coefficients,
+                        max_size=4 if n <= 8 else 16 // n),
+        # a weight cut (wx, wy, wy * n + extra); a negative extra puts the cap
+        # below the weight of y^n, which is kept all the same
+        st.none() | st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(-20, 40)),
     ))
 )
 def test_min_poly_matches_cyclotomic_oracle(case):
@@ -248,7 +255,7 @@ def test_min_poly_matches_cyclotomic_oracle(case):
         wx, wy, extra = weights
         cut = (wx, wy, wy * n + extra)
     got = min_poly(s, cut)
-    assert got.terms == _light_terms(min_poly_oracle(s), cut)
+    assert got.terms == {**_light_terms(min_poly_oracle(s), cut), (0, n): 1}
 
 
 def test_min_poly_matches_laplace_oracle_on_witness_roots():
@@ -349,6 +356,70 @@ def test_min_poly_rejects_wrong_power_sums_without_asserts():
     )
     assert run.returncode == 0, run.stdout + run.stderr
     assert "5 passed" in run.stdout
+
+
+# -- wrong Graeffe steps must be caught -------------------------------------------
+
+_GRAEFFE_STEP = puiseux._graeffe_step
+
+
+def _step_adding_odd_square(even, odd, cap, size):
+    # E^2 + T^2 O^2 instead of E^2 - T^2 O^2
+    out = _GRAEFFE_STEP(even, [], cap, size)
+    for key, c in _GRAEFFE_STEP([], odd, cap, size).items():
+        out[key] = out.get(key, 0) - c
+    return out
+
+
+def _step_dropping_odd_square(even, odd, cap, size):
+    return _GRAEFFE_STEP(even, [], cap, size)
+
+
+# n = 2^s q: 2 = 2 * 1, 4 = 4 * 1, 6 = 2 * 3, 8 = 8 * 1 and 12 = 4 * 3
+_TOWER_ROOTS = ["x^(3/2)+x^2", "2*x^(5/4)+x^(3/2)-x^2", "x^(7/6)+1/2*x^(4/3)",
+                "x^(9/8)-x^(5/4)+3*x^(3/2)", EX1_ROOT]
+
+
+@pytest.mark.parametrize(
+    "mutant", [_step_adding_odd_square, _step_dropping_odd_square], ids=lambda f: f.__name__,
+)
+def test_min_poly_rejects_wrong_graeffe_steps(monkeypatch, mutant):
+    roots = [PuiseuxSeries.from_string(r) for r in _TOWER_ROOTS]
+    oracles = [min_poly_oracle(root) for root in roots]
+    monkeypatch.setattr(puiseux, "_graeffe_step", mutant)
+    for root, oracle in zip(roots, oracles):
+        # uncut, f(x, a) = 0 fails
+        with pytest.raises(InvariantViolation):
+            min_poly(root)
+        # cut, nothing certifies the result, and it is wrong: the cap keeps
+        # every term x^i y^j, whose i is at most the last numerator of a
+        cut = (1, 1, root.terms[-1][0] + root.denom)
+        assert min_poly(root, cut).terms != {**oracle, (0, root.denom): 1}
+
+
+def test_min_poly_needs_every_intermediate_cap(monkeypatch):
+    # the first of two or more steps, cut one unit below its cap
+    # cap - m (n - d), loses terms of the result within the cap.  The cut
+    # keeps the terms on and under the edge from (0, n) to (v, 0), v the
+    # first numerator of a.
+    for text in _TOWER_ROOTS:
+        root = PuiseuxSeries.from_string(text)
+        n, v = root.denom, root.terms[0][0]
+        if n % 4:
+            continue
+        cut = (n, v, n * v)
+        expected = {**_light_terms(min_poly_oracle(root), cut), (0, n): 1}
+        assert min_poly(root, cut).terms == expected
+        calls = []
+
+        def tight_first_step(even, odd, cap, size):
+            calls.append(cap)
+            return _GRAEFFE_STEP(even, odd, cap - (len(calls) == 1), size)
+
+        monkeypatch.setattr(puiseux, "_graeffe_step", tight_first_step)
+        assert min_poly(root, cut).terms != expected
+        assert len(calls) >= 2
+        monkeypatch.undo()
 
 
 # -- derivatives ------------------------------------------------------------------

@@ -16,6 +16,7 @@ from branchpolar.verify import (
     check_lemma_nd,
     hat_chain,
     sample_witness,
+    verify_prediction,
     witness_from_root,
 )
 from oracles import elementary_derivative_closed_form
@@ -129,6 +130,16 @@ def test_verify_five_levels_without_expanding_f(capsys):
     assert time.time() - start < 2.0
     assert code == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_verify_at_index_two_to_the_eighth():
+    # f^_1 of K(256,257) is the product of 256 conjugates: the odd part of
+    # index 1, then eight Graeffe steps.  Power sums over all 256 conjugates
+    # took about 35 s on a 2-vCPU VM.
+    start = time.time()
+    report = verify_prediction(new_char_sequence([256, 257]), 1, seeds=[1])
+    assert time.time() - start < 5.0
+    assert report.verdict == "PASS"
 
 
 def test_witness_with_rational_coefficients():
