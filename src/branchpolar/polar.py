@@ -46,6 +46,7 @@ root.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
@@ -336,26 +337,27 @@ class EggersWallExport:
             "  rankdir=BT;",
             '  node [fontsize=11];',
         ]
-        counter = [0]
-
-        def emit(node) -> str:
-            name = f"n{counter[0]}"
-            counter[0] += 1
-            if isinstance(node, EWLeaf):
-                lines.append(f'  {name} [label="{node.display()}", shape=none];')
-                return name
-            label = "0" if node.contact is None else fmt_q(node.contact)
-            shape = "point" if node.contact is None else "circle"
-            extra = ', width=0.1' if shape == "point" else ""
-            lines.append(f'  {name} [label="{label}", shape={shape}{extra}];')
-            for edge_index, child in node.children:
-                child_name = emit(child)
-                lines.append(f'  {name} -> {child_name} [label="{edge_index}", dir=none];')
-            return name
-
-        emit(self.root)
+        _emit_dot(self.root, lines, itertools.count())
         lines.append("}")
         return "\n".join(lines)
+
+
+def _emit_dot(node, lines: list, names) -> str:
+    # a module-level function, not a closure: a closure that calls itself is
+    # a reference cycle, and would keep every line alive until the cyclic
+    # garbage collector runs
+    name = f"n{next(names)}"
+    if isinstance(node, EWLeaf):
+        lines.append(f'  {name} [label="{node.display()}", shape=none];')
+        return name
+    label = "0" if node.contact is None else fmt_q(node.contact)
+    shape = "point" if node.contact is None else "circle"
+    extra = ', width=0.1' if shape == "point" else ""
+    lines.append(f'  {name} [label="{label}", shape={shape}{extra}];')
+    for edge_index, child in node.children:
+        child_name = _emit_dot(child, lines, names)
+        lines.append(f'  {name} -> {child_name} [label="{edge_index}", dir=none];')
+    return name
 
 
 def _edge_index(leaf: EWLeaf, parent_contact: Fraction) -> int:

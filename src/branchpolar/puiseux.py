@@ -76,15 +76,6 @@ def _as_coeff(value):
     return int(f) if f.denominator == 1 else f
 
 
-def _as_exponent(value) -> tuple:
-    """An exact rational exponent as (numerator, denominator); a float would
-    be taken at its binary value, so it is refused like a float coefficient."""
-    if isinstance(value, (float, bool)):
-        raise ValueError(f"exponents must be exact rationals, got {value!r}")
-    q = Fraction(value)
-    return q.numerator, q.denominator
-
-
 class PuiseuxSeries:
     """A finite Puiseux series with exact rational coefficients, stored over
     its index: ``gcd(denom, *numerators) == 1``."""
@@ -120,26 +111,7 @@ class PuiseuxSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exponent):
-        """Coefficient of x^exponent, as stored: an int or a Fraction."""
-        p, q = _as_exponent(exponent)
-        i, rest = divmod(p * self.denom, q)
-        if not rest:
-            for j, c in self.terms:
-                if j == i:
-                    return c
-        return 0
-
     # -- analytic queries -----------------------------------------------------
-
-    def truncate_below(self, cutoff) -> "PuiseuxSeries":
-        """Keep exactly the terms of exponent strictly less than ``cutoff``."""
-        if cutoff == INF:
-            return self
-        p, q = _as_exponent(cutoff)
-        # i / denom < p / q, in integers
-        bound = p * self.denom
-        return PuiseuxSeries(self.denom, {i: c for i, c in self.terms if i * q < bound})
 
     def characteristic(self) -> charclass.CharSequence:
         """Extract (b0,...,bh) by gcd descent over the exponents.

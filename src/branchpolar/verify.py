@@ -1,36 +1,40 @@
 """Brute-force verification of polar predictions on explicit witnesses.
 
 A witness is a branch with seeded random integer coefficients in a given
-equisingularity class, given by an explicit Puiseux root.  Its minimal
-polynomial f is never expanded.  The checks of level l read the hat
-transform f^_l = f(x^N_l, y + lam_l(x^N_l)), N_l = b0/e_(l-1), and only on
-or just under the chord from (0, b0) to (bbar_l, 0), so ``hat_chain``
-builds the levels 1..L one from the other and cut to that triangle:
+equisingularity class, given by an explicit Puiseux root of exactly that
+characteristic, so every fact about it that the checks use is fixed by the
+class.  Its minimal polynomial f is never expanded.  The checks of level l
+read the hat transform f^_l = f(x^N_l, y + lam_l(x^N_l)), N_l = b0/e_(l-1),
+and only on or just under the chord from (0, b0) to (bbar_l, 0), so
+``hat_chain`` builds the levels 1..L one from the other and cut to that
+triangle, every substitution a slice of the root's terms by numerator:
 
-* f^_1 = min_poly(root - lam_1), since lam_1 has integer exponents and every
-  conjugation fixes it;
-* f^_l = f^_(l-1)(x^n_(l-1), y + delta_l(x^N_l)), delta_l = lam_l - lam_(l-1);
-* a term x^i y^j of level l weighs (N_L/N_l) i + s j in level-L x-units,
-  s = min(bbar_L/b0, N_L ord delta_l), which no later substitution lowers,
-  and every step drops the terms heavier than bbar_L + N_L;
-* the cut certifies itself: every level meets the x-axis at (bbar_l, 0),
-  or InvariantViolation is raised, and the diagram of d^k f^_l must reach
-  both axes with its vertices within the cap, or the chain is recomputed
-  without a cut.  Then every dropped term lies inside the Newton polyhedra
-  and off their compact edges, which is all the checks read;
-* each level comes with the two diagrams the certificate read, N(f^_l) and
+* f^_1 = min_poly of the terms from b_1 on, the root minus lam_1, since
+  lam_1 has integer exponents and every conjugation fixes it;
+* f^_l = f^_(l-1)(x^n_(l-1), y + delta_l(x^N_l)), delta_l = lam_l - lam_(l-1)
+  the terms from b_(l-1) up to b_l, of order b_(l-1)/b0;
+* a term x^i y^j of level l weighs (N_L/N_l) i + (b_1/e_(L-1)) j in level-L
+  x-units, which no later substitution lowers, and every step drops the
+  terms heavier than bbar_L + N_L;
+* one check of the class: every level ends with the edge from
+  (bbar_l - b_l, e_(l-1)) to (bbar_l, 0), e_l copies of (m_l, n_l), or
+  InvariantViolation is raised;
+* the cut certifies itself: the diagram of d^k f^_l must reach both axes
+  with its vertices within the cap, or the chain is recomputed without a
+  cut.  Then every dropped term lies inside the Newton polyhedra and off
+  their compact edges, which is all the checks read;
+* each level comes with the two diagrams the chain read, N(f^_l) and
   N(d^k f^_l), and the checks take them from there instead of building
   them again.
 
 For every level l and order k the checks are:
 
-* the hat diagram of f starts with e_l copies of (m_l, n_l), and the Newton
-  diagram of the hat transform of the k-th polar equals the k-th symbolic
-  derivative of that hat diagram, both on the region of inclination above
-  m_l/n_l and as a whole (for k < e_(l-1), the height of the steep part R,
-  this is the splitting R^(k) + L of the lemma on Newton diagrams of
-  polars); ``diagram_of`` reads both off the row starts of f^_l, the
-  polar's at heights >= k, without differentiating;
+* the Newton diagram of the hat transform of the k-th polar equals the
+  k-th symbolic derivative of the hat diagram, both on the region of
+  inclination above m_l/n_l and as a whole (for k < e_(l-1), the height of
+  the steep part R, this is the splitting R^(k) + L of the lemma on Newton
+  diagrams of polars); ``diagram_of`` reads both off the row starts of
+  f^_l, the polar's at heights >= k, without differentiating;
 * every edge above that inclination carries a squarefree edge polynomial
   (non-degeneracy), so the steep parts (M_i, N_i) can be read off the edges,
   each split into gcd primitive copies, and turned into contacts
@@ -61,8 +65,8 @@ from . import diagram as diagram_mod
 from .charclass import CharSequence, bbar, semiroot_degree
 from .errors import (
     EdgeNotOnPolygon,
+    InvalidCharacteristic,
     InvariantViolation,
-    NonIntegralSubstitution,
     OrderOutOfRange,
     OrderTooLarge,
 )
@@ -89,7 +93,6 @@ __all__ = [
     "cut_bound",
     "HatLevel",
     "hat_chain",
-    "expected_hat_diagram",
     "check_lemma_nd",
     "check_initial_form",
     "verify_prediction",
@@ -101,15 +104,18 @@ MAX_SEED_RUNS = 8  # degenerate witnesses are retried up to this many runs in to
 
 @dataclass(frozen=True)
 class WitnessBranch:
+    """A Puiseux root of a member of the class ``cs``.  The checks read the
+    root's terms by numerator over b0, so the root must have exactly the
+    characteristic of the class, or InvalidCharacteristic is raised."""
+
     cs: CharSequence
     root: PuiseuxSeries
     seed: int | None
 
-    def lam(self, l: int) -> PuiseuxSeries:
-        """The truncation of the root below b_l/b0; its index divides
-        N_l = b0/e_(l-1)."""
-        cutoff = Fraction(self.cs.b[l], self.cs.b0)
-        return self.root.truncate_below(cutoff)
+    def __post_init__(self):
+        got = self.root.characteristic().b
+        if got != self.cs.b:
+            raise InvalidCharacteristic(f"root has characteristic {got}, expected {self.cs.b}")
 
 
 def allowed_exponents(cs: CharSequence, upto: int) -> list:
@@ -142,19 +148,12 @@ def sample_witness(cs: CharSequence, seed: int) -> WitnessBranch:
             coeffs[i] = rng.choice(nonzero)
         else:
             coeffs[i] = rng.randint(-COEFF_RANGE, COEFF_RANGE)
-    root = PuiseuxSeries(cs.b0, coeffs)
-    got = root.characteristic().b
-    if got != cs.b:
-        raise InvariantViolation(f"sampled root has characteristic {got}, not {cs.b}")
-    return WitnessBranch(cs, root, seed)
+    return WitnessBranch(cs, PuiseuxSeries(cs.b0, coeffs), seed)
 
 
 def witness_from_root(cs: CharSequence, root: PuiseuxSeries,
                       seed: int | None = None) -> WitnessBranch:
     """Wrap an explicit Puiseux root (e.g. the non-generic all-ones example)."""
-    got = root.characteristic()
-    if got.b != cs.b:
-        raise ValueError(f"root has characteristic {got.b}, expected {cs.b}")
     return WitnessBranch(cs, root, seed)
 
 
@@ -180,77 +179,73 @@ class HatLevel:
     polar: diagram_mod.NewtonDiagram
 
 
-def hat_chain(w: WitnessBranch, depth: int, k: int = 0) -> list:
+def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
     """The hat transforms f^_l = f(x^N_l, y + lam_l(x^N_l)) of the levels
     l = 1..depth, cut to what the checks of order k read (N_l = b0/e_(l-1)),
     each as a ``HatLevel`` with the diagrams N(f^_l) and N(d^k f^_l).
 
-    f^_1 = min_poly(root - lam_1): lam_1 has integer exponents, so every
-    conjugation fixes it and the conjugate product is f(x, y + lam_1).  Then
-    f^_l = f^_(l-1)(x^n_(l-1), y + delta_l(x^N_l)), delta_l = lam_l - lam_(l-1).
-    In level-L x-units (L = depth) a term x^i y^j of level l weighs
-    (N_L/N_l) i + s j, s = min(bbar_L/b0, N_L ord delta_l for l = 2..L), so
-    no later substitution lowers a weight, and each step drops every term
-    heavier than ``cut_bound``.
+    Every substitution is a slice of the root's terms, read by numerator
+    over b0.  f^_1 = min_poly of the terms from b_1 on, the root minus lam_1:
+    lam_1 has integer exponents, so every conjugation fixes it and the
+    conjugate product is f(x, y + lam_1).  Then
+    f^_l = f^_(l-1)(x^n_(l-1), y + delta_l(x^N_l)), delta_l = lam_l - lam_(l-1)
+    the terms from b_(l-1) up to b_l, of order b_(l-1)/b0.  In level-L
+    x-units (L = depth) a term x^i y^j of level l weighs
+    (N_L/N_l) i + (b_1/e_(L-1)) j: b_1/e_(L-1) is N_L ord delta_2, the least
+    N_L ord delta_l, and at most bbar_L/b0, so no later substitution lowers
+    a weight, and each step drops every term heavier than ``cut_bound``.
 
-    The cut certifies itself.  Every level must meet the x-axis at
-    (bbar_l, 0), as every member of the class does, or InvariantViolation
-    is raised; the diagram of f^_l then lies in the triangle under the chord
-    from (0, b0), within the cap.  The diagram of d^k f^_l, shifted up by k,
-    must reach both axes with its vertices within the cap.  Then each
-    dropped term lies inside both Newton polyhedra and off their compact
-    edges, so no diagram, edge polynomial or initial form changes.  If a
-    derivative diagram fails, the chain is recomputed without a cut, and
-    both diagrams of every level are read again from the uncut hats.
+    Every level must end with the class edge from (bbar_l - b_l, e_(l-1))
+    to (bbar_l, 0), as every member of the class does, or InvariantViolation
+    is raised: the one check of the steep part, e_l copies of (m_l, n_l),
+    for cut and uncut hats alike.  The diagram of f^_l then lies in the
+    triangle under the chord from (0, b0), within the cap, and the cut
+    certifies itself once the diagram of d^k f^_l, shifted up by k, reaches
+    both axes with its vertices within the cap: each dropped term lies
+    inside both Newton polyhedra and off their compact edges, so no
+    diagram, edge polynomial or initial form changes.  If a derivative
+    diagram fails, the chain is recomputed without a cut, and both diagrams
+    of every level are read again from the uncut hats.
     """
     cs = w.cs
     n_top = semiroot_degree(cs, depth)
-    lams = [w.lam(l) for l in range(1, depth + 1)]
-    if lams[0].denom != 1:
-        raise NonIntegralSubstitution(f"lam_1 = {lams[0]} has fractional exponents")
-    diff = w.root - lams[0]
-    weight = Fraction(cs.bbar[depth - 1], cs.b0)
-    steps = []
-    for l in range(2, depth + 1):
-        delta = lams[l - 1] - lams[l - 2]
-        if delta.terms:
-            weight = min(weight, n_top * Fraction(delta.terms[0][0], delta.denom))
-        # delta_l(x^N_l) as a series in the level-(l-1) variable x^N_(l-1)
-        n_prev = semiroot_degree(cs, l - 1)
-        steps.append(PuiseuxSeries(delta.denom, {i * n_prev: c for i, c in delta.terms}))
+    terms = w.root.terms
+    first = PuiseuxSeries(cs.b0, {i: c for i, c in terms if i >= cs.b[1]})
+    # delta_l(x^N_l) as a series in the level-(l-1) variable x^N_(l-1)
+    steps = [PuiseuxSeries(cs.b0, {i * semiroot_degree(cs, l - 1): c for i, c in terms
+                                   if cs.b[l - 1] <= i < cs.b[l]})
+             for l in range(2, depth + 1)]
+    weight = Fraction(cs.b[1], cs.e[depth - 1])
     wy, q = weight.numerator, weight.denominator
     wxs = [q * n_top // semiroot_degree(cs, l) for l in range(1, depth + 1)]
 
-    def build(cap):
-        cuts = [None if cap is None else (wx, wy, cap) for wx in wxs]
-        hats = [min_poly(diff, cut=cuts[0])]
-        for step, n_sub, cut in zip(steps, cs.n_seq, cuts[1:]):
-            hats.append(hat_transform(hats[-1], n_sub, step, cut))
-        return hats
+    def read(l, fhat):
+        corner = cs.bbar[l - 1]
+        edge = ((corner - cs.b[l], cs.e[l - 1]), (corner, 0))
+        d = diagram_of(fhat) if fhat.terms else None  # a cut inside the corner leaves nothing
+        end = d.vertices[-2:] if d is not None else ()
+        if end != edge:
+            raise InvariantViolation(
+                f"hat transform of level {l} ends with the vertices {end}, not with the "
+                f"class edge {edge} of {cs.e[l]} copies of ({cs.m_seq[l - 1]},{cs.n_seq[l - 1]})"
+            )
+        return HatLevel(fhat, d, diagram_of(fhat, k))
 
-    def read(fhat, d):
-        return HatLevel(fhat, d, diagram_of(fhat, k) if k else d)
+    def build(cap):
+        # each level is read before the next is substituted into it
+        cuts = [None if cap is None else (wx, wy, cap) for wx in wxs]
+        chain = [read(1, min_poly(first, cut=cuts[0]))]
+        for l, (step, n_sub, cut) in enumerate(zip(steps, cs.n_seq, cuts[1:]), start=2):
+            chain.append(read(l, hat_transform(chain[-1].fhat, n_sub, step, cut)))
+        return chain
 
     cap = q * cut_bound(cs, depth)
-    chain = []
-    certified = True
-    for l, (fhat, wx) in enumerate(zip(build(cap), wxs), start=1):
-        corner = cs.bbar[l - 1]
-        d = diagram_of(fhat) if fhat.terms else None  # a cut inside the corner leaves nothing
-        at = d.bottom[0] if d is not None and d.bottom[1] == 0 else None
-        if at != corner:
-            raise InvariantViolation(
-                f"hat transform of level {l} meets the x-axis at x^{at}, "
-                f"not at x^{corner} = x^bbar_{l}"
-            )
-        chain.append(read(fhat, d))
-        polar = chain[-1].polar
-        certified = certified and (not k or (
-            polar.top[0] == 0 and polar.bottom[1] == 0
-            and all(wx * x + wy * (y + k) <= cap for x, y in polar.vertices)))
-    if certified:
+    chain = build(cap)
+    if all(level.polar.top[0] == 0 and level.polar.bottom[1] == 0
+           and all(wx * x + wy * (y + k) <= cap for x, y in level.polar.vertices)
+           for level, wx in zip(chain, wxs)):
         return chain
-    return [read(fhat, diagram_of(fhat)) for fhat in build(None)]
+    return build(None)
 
 
 def _steep_data(d: diagram_mod.NewtonDiagram, m_l: int, n_l: int):
@@ -267,31 +262,6 @@ def _steep_data(d: diagram_mod.NewtonDiagram, m_l: int, n_l: int):
         elif m * n_l == n * m_l:
             exact_len += n
     return tuple(steep), exact_len
-
-
-def expected_hat_diagram(cs: CharSequence, l: int, k: int,
-                         hat_diagram: diagram_mod.NewtonDiagram) -> diagram_mod.NewtonDiagram:
-    """The k-th symbolic derivative of the witness's hat diagram, once its
-    steep part R is checked to be e_l copies of (m_l, n_l): no part steeper
-    than m_l/n_l, and height e_l n_l = e_(l-1) at m_l/n_l (long-canonical
-    parts are primitive).
-
-    Only the steep part is theory; the rest, L, is taken from the witness
-    itself.  R is the bottom part of the diagram, of height e_(l-1) > k, so
-    the derivative cuts into R alone and equals the splitting R^(k) + L of
-    the lemma on Newton diagrams of polars.
-    """
-    if k >= cs.e[l - 1]:
-        raise OrderTooLarge(f"order {k} >= e_{l - 1} = {cs.e[l - 1]}")
-    m_l, n_l = cs.m_seq[l - 1], cs.n_seq[l - 1]
-    steep, exact_len = _steep_data(hat_diagram, m_l, n_l)
-    if steep or exact_len != cs.e[l - 1]:
-        raise InvariantViolation(
-            f"hat diagram of a class member must start with {cs.e[l]} copies of "
-            f"({m_l},{n_l}), got steeper parts {list(steep)} and height "
-            f"{exact_len} at {m_l}/{n_l}"
-        )
-    return hat_diagram.symbolic_derivative(k)
 
 
 @dataclass
@@ -355,9 +325,15 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int, level: HatLevel) -> LevelRe
     no diagram is built here.  Returns the level's report with its diagram
     fields filled in."""
     cs = w.cs
+    if k >= cs.e[l - 1]:
+        raise OrderTooLarge(f"order {k} >= e_{l - 1} = {cs.e[l - 1]}")
     m_l, n_l = cs.m_seq[l - 1], cs.n_seq[l - 1]
     n_sub = semiroot_degree(cs, l)
-    expected = expected_hat_diagram(cs, l, k, level.diagram)
+    # hat_chain checked the steep part R of N(f^_l), e_l copies of
+    # (m_l, n_l); R is the bottom part, of height e_(l-1) > k, so the
+    # derivative cuts into R alone and equals the splitting R^(k) + L of the
+    # lemma on Newton diagrams of polars, L taken from the witness itself
+    expected = level.diagram.symbolic_derivative(k)
     # the hat transform commutes with d/dy: hat(d^k f) = d^k hat(f)
     observed = level.polar
     steep_obs, exact_len = _steep_data(observed, m_l, n_l)
@@ -404,11 +380,11 @@ def check_initial_form(w: WitnessBranch, l: int, fhat: BivariatePoly) -> bool:
         return False
 
     # ints for an integer witness, Fractions only where the root has them
+    a = dict(w.root.terms)
     scale = 1
     for j in range(1, l):
-        a_bj = w.root.coefficient(Fraction(cs.b[j], cs.b0))
-        scale *= cs.n_seq[j - 1] ** cs.e[j] * a_bj ** (cs.e[j - 1] - cs.e[j])
-    a_n = w.root.coefficient(Fraction(cs.b[l], cs.b0)) ** n_l
+        scale *= cs.n_seq[j - 1] ** cs.e[j] * a[cs.b[j]] ** (cs.e[j - 1] - cs.e[j])
+    a_n = a[cs.b[l]] ** n_l
     wanted = [0] * (cs.e[l - 1] + 1)
     for t in range(e_l + 1):
         wanted[n_l * (e_l - t)] = scale * comb(e_l, t) * (-a_n) ** t

@@ -7,13 +7,15 @@ products by exact cyclotomic arithmetic and by iterated norms (Laplace
 determinants), random valid characteristic sequences by rejection,
 pairwise contacts one pair at a time, Eggers-Wall trees by clustering that
 table, hat transforms by full expansion of the minimal polynomial and by
-Horner's scheme, weighted initial forms by a minimum over every term,
+Horner's scheme, the truncations lam_l of a witness's root by series
+arithmetic, weighted initial forms by a minimum over every term,
 squarefreeness by Euclid's algorithm over Q, and the expected polar
 diagram D^(k) as the Minkowski sum R^(k) + L of the lemma on Newton
 diagrams of polars.  Helpers that only the tests use (Minkowski sums,
 diagrams rebuilt from canonical representations, edge inclinations,
 weighted faces and their sums, quadrants, symbolic conjugates, truncation
-orbits, products and evaluation of bivariate polynomials, the search for a
+orbits, coefficients read by exponent, products and evaluation of
+bivariate polynomials, the search for a
 generic witness, and the errors only these helpers raise) live here too.
 """
 
@@ -636,6 +638,39 @@ def truncation_orbit(a, cutoff) -> int:
     return a.denom // g
 
 
+def _exponent(value) -> tuple:
+    # a float would be taken at its binary value, and True as 1
+    if isinstance(value, (float, bool)):
+        raise ValueError(f"exponents must be exact rationals, got {value!r}")
+    q = Fraction(value)
+    return q.numerator, q.denominator
+
+
+def coefficient(series, exponent):
+    """Coefficient of x^exponent in a Puiseux series, as stored: an int or a
+    Fraction."""
+    p, q = _exponent(exponent)
+    i, rest = divmod(p * series.denom, q)
+    return 0 if rest else dict(series.terms).get(i, 0)
+
+
+def truncate_below(series, cutoff):
+    """The terms of a Puiseux series of exponent strictly less than ``cutoff``."""
+    from branchpolar.puiseux import INF, PuiseuxSeries
+
+    if cutoff == INF:
+        return series
+    p, q = _exponent(cutoff)
+    return PuiseuxSeries(series.denom, {i: c for i, c in series.terms if i * q < p * series.denom})
+
+
+def lam(w, l: int):
+    """lam_l of a witness, the truncation of its root below b_l/b0 (zero at
+    l = 0): the series-arithmetic reference for the slices of the root that
+    ``verify.hat_chain`` substitutes, delta_l = lam_l - lam_(l-1)."""
+    return truncate_below(w.root, Fraction(w.cs.b[l], w.cs.b0))
+
+
 def evaluate(f, x0, y0) -> Fraction:
     """Value of the bivariate polynomial ``f`` at a rational point."""
     x0, y0 = Fraction(x0), Fraction(y0)
@@ -746,7 +781,7 @@ def full_hat(w, l: int):
     from branchpolar.charclass import semiroot_degree
     from branchpolar.puiseux import hat_transform, min_poly
 
-    return hat_transform(min_poly(w.root), semiroot_degree(w.cs, l), w.lam(l))
+    return hat_transform(min_poly(w.root), semiroot_degree(w.cs, l), lam(w, l))
 
 
 def find_generic_witness(cs, k: int, seeds):

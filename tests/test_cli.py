@@ -53,8 +53,13 @@ def test_examples_match_golden_dot(capsys, name, k):
 
 
 # verify 12,16,31 --k 1 --seeds 17: seed 17 is degenerate at level 1 and ok at
-# level 2, so the report retries with seed 18, which passes
-@pytest.mark.parametrize("char,k,seeds", [("12,16,31", 2, "1,2,3"), ("12,16,31", 1, "17")])
+# level 2, so the report retries with seed 18, which passes.
+# verify 12,20,23 --k 11 --seeds 4780: seed 4780 samples a 0 at x^2, so row 11
+# of f^_1 is empty at every cap; the cut chain never certifies, the uncut
+# rebuild reads the seed as degenerate, and seed 4781 passes
+@pytest.mark.parametrize("char,k,seeds", [
+    ("12,16,31", 2, "1,2,3"), ("12,16,31", 1, "17"), ("12,20,23", 11, "4780"),
+])
 @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json")])
 def test_verify_matches_golden(capsys, char, k, seeds, fmt, ext):
     code, out = run(capsys, "verify", char, "--k", str(k), "--seeds", seeds, "--format", fmt)

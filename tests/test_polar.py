@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -340,6 +341,21 @@ def test_eggers_wall_ex1_k1_structure():
     # edge index annotations: 1, 3, 12 along the trunk, 2 on the z-leaf
     dot = tree.to_dot()
     assert 'label="12"' in dot and 'label="2"' in dot
+
+
+@pytest.mark.parametrize("b,k", [((12, 16, 31), 2), ((512, 1023), 1)],
+                         ids=["K(12,16,31)-k2", "K(512,1023)-k1"])
+def test_to_dot_leaves_no_reference_cycle(b, k):
+    # a cycle would keep the lines of each document alive until the cyclic
+    # collector runs, and raise the peak memory of a long run of DOT queries
+    tree = export_eggers_wall(predict(new_char_sequence(b), k))
+    gc.collect()
+    gc.disable()
+    try:
+        tree.to_dot()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_eggers_wall_ex2_k2_nodes():

@@ -38,6 +38,7 @@ from branchpolar.puiseux import (
 )
 from branchpolar.verify import hat_chain, sample_witness, witness_from_root
 from oracles import (
+    coefficient,
     conjugate,
     dict_mul,
     evaluate,
@@ -47,6 +48,7 @@ from oracles import (
     min_poly_laplace_oracle,
     min_poly_oracle,
     random_char_sequence,
+    truncate_below,
     truncation_orbit,
 )
 
@@ -59,8 +61,7 @@ EX1_ROOT = "x^(4/3)+x^2+x^(31/12)"
 def test_parse_and_str_round_trip():
     s = PuiseuxSeries.from_string("3/2*x^(7/5)-x^2+x")
     assert s.denom == 5
-    assert s.coefficient(Fraction(7, 5)) == Fraction(3, 2)
-    assert s.coefficient(2) == -1
+    assert dict(s.terms) == {5: 1, 7: Fraction(3, 2), 10: -1}
     assert PuiseuxSeries.from_string(str(s)) == s
 
 
@@ -120,7 +121,7 @@ def _over_index(s):
 def test_every_series_is_stored_over_its_index(n, terms, m, other_terms, scale, cutoff):
     a = PuiseuxSeries(n, terms)
     b = PuiseuxSeries(m, other_terms)
-    for s in (a, b, a + b, a - b, -a, a.truncate_below(cutoff)):
+    for s in (a, b, a + b, a - b, -a, truncate_below(a, cutoff)):
         assert _over_index(s), (s.denom, s.terms)
     # the same series written over a multiple of n is the same object
     same = PuiseuxSeries(scale * n, {scale * i: c for i, c in terms.items()})
@@ -140,32 +141,38 @@ def test_characteristic_of_a_series_over_a_multiple_of_its_index(b, seed, scale)
 
 
 def test_truncate_below():
+    # the oracle the tests build lam_l with
     s = PuiseuxSeries.from_string(EX1_ROOT)
-    assert s.truncate_below(Fraction(31, 12)) == PuiseuxSeries.from_string("x^(4/3)+x^2")
-    assert s.truncate_below(Fraction(4, 3)).is_zero()
-    assert s.truncate_below(INF) == s
+    assert truncate_below(s, Fraction(31, 12)) == PuiseuxSeries.from_string("x^(4/3)+x^2")
+    assert truncate_below(s, Fraction(4, 3)).is_zero()
+    assert truncate_below(s, INF) == s
 
 
 @pytest.mark.parametrize("call", [
-    lambda s: s.truncate_below(0.1),
-    lambda s: s.truncate_below(2.0),
-    lambda s: s.coefficient(0.1),
-    lambda s: s.coefficient(2.0),
-    lambda s: s.coefficient(True),
+    lambda s: truncate_below(s, 0.1),
+    lambda s: truncate_below(s, 2.0),
+    lambda s: coefficient(s, 0.1),
+    lambda s: coefficient(s, 2.0),
+    lambda s: coefficient(s, True),
 ], ids=["truncate-0.1", "truncate-2.0", "coefficient-0.1", "coefficient-2.0", "coefficient-bool"])
 def test_exponent_arguments_must_be_exact(call):
-    # coefficient(0.1) used to look up the binary value of 0.1 and return 0
+    # the oracles that read a series by exponent refuse floats: coefficient(0.1)
+    # would look up the binary value of 0.1 and return 0
     with pytest.raises(ValueError):
         call(PuiseuxSeries.from_string(EX1_ROOT))
 
 
 def test_coefficient_is_the_stored_value():
+    # verify reads a root's coefficients by numerator over its index, as stored
     s = PuiseuxSeries.from_string("1/2*x^(3/2)+x^2")
-    assert s.coefficient(Fraction(3, 2)) == Fraction(1, 2)
-    assert type(s.coefficient(Fraction(3, 2))) is Fraction
-    assert s.coefficient(2) == 1 and type(s.coefficient(2)) is int
-    assert s.coefficient(Fraction(4, 2)) == 1
-    assert s.coefficient(Fraction(5, 3)) == 0 and s.coefficient(3) == 0
+    assert dict(s.terms) == {3: Fraction(1, 2), 4: 1}
+    assert type(dict(s.terms)[3]) is Fraction and type(dict(s.terms)[4]) is int
+    # the oracle reads the same values by exponent
+    assert coefficient(s, Fraction(3, 2)) == Fraction(1, 2)
+    assert type(coefficient(s, Fraction(3, 2))) is Fraction
+    assert coefficient(s, 2) == 1 and type(coefficient(s, 2)) is int
+    assert coefficient(s, Fraction(4, 2)) == 1
+    assert coefficient(s, Fraction(5, 3)) == 0 and coefficient(s, 3) == 0
 
 
 def test_conjugates():
@@ -476,7 +483,7 @@ def test_hat_witness_horizontal_vertex():
     # x-axis vertex of the polygon at the intersection number 63
     root = PuiseuxSeries.from_string(EX1_ROOT)
     f = min_poly(root)
-    lam = root.truncate_below(Fraction(31, 12))
+    lam = truncate_below(root, Fraction(31, 12))
     fhat = hat_transform(f, 3, lam)
     d = diagram_of(fhat)
     assert d.bottom == (63, 0)
@@ -762,10 +769,11 @@ def test_built_polynomials_are_stored_like_public_ones(b, root):
     cs = new_char_sequence(b)
     w = (sample_witness(cs, 3) if root is None
          else witness_from_root(cs, PuiseuxSeries.from_string(root)))
+    shifted = w.root - truncate_below(w.root, Fraction(cs.b[1], cs.b0))
     built = [min_poly(w.root), min_poly(w.root, cut=(1, 1, cs.bbar[0])),
-             min_poly(w.root - w.lam(1)), min_poly(w.root - w.lam(1), cut=(2, 1, cs.bbar[-1]))]
+             min_poly(shifted), min_poly(shifted, cut=(2, 1, cs.bbar[-1]))]
     for depth in range(1, cs.h + 1):
-        built += [level.fhat for level in hat_chain(w, depth)] + [full_hat(w, depth)]
+        built += [level.fhat for level in hat_chain(w, depth, 1)] + [full_hat(w, depth)]
     built += [derivative_y(p, k) for p in built[-2:] for k in (1, 2)]
     # a hat whose sum 1/2 + 1/2 is whole
     half = BivariatePoly({(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)})
