@@ -26,7 +26,6 @@ from .verify import (
     check_lemma_nd,
     sample_witness,
     verify_prediction,
-    witness_from_root,
 )
 
 __version__ = "0.1.0"
@@ -38,7 +37,7 @@ __all__ = [
     "PuiseuxSeries", "BivariatePoly", "min_poly",
     "derivative_y", "hat_transform", "diagram_of", "edge_poly_squarefree",
     "PolarFactor", "PolarPrediction", "predict", "export_eggers_wall",
-    "WitnessBranch", "VerificationReport", "sample_witness", "witness_from_root",
+    "WitnessBranch", "VerificationReport", "sample_witness",
     "check_lemma_nd", "check_initial_form", "verify_prediction",
     "__version__",
 ]

@@ -13,7 +13,7 @@ from . import contfrac as contfrac_mod
 from . import diagram as diagram_mod
 from . import polar, verify
 from .charclass import parse_char
-from .errors import BranchPolarError, DiagramTooLarge
+from .errors import BranchPolarError, DiagramTooLarge, InvariantViolation
 from .jsontext import dumps
 from .rational import fmt_q
 
@@ -21,6 +21,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL = 4  # a result broke what the theory guarantees: a fault, not a usage error
 
 WORKED_EXAMPLES = {"ex1": "12,16,31", "ex2": "10,14,15"}
 
@@ -281,7 +282,7 @@ def main(argv=None) -> int:
     except (BranchPolarError, ValueError, OSError) as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(diag), file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_INTERNAL if isinstance(exc, InvariantViolation) else EXIT_USAGE
 
 
 if __name__ == "__main__":

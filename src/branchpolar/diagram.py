@@ -10,11 +10,13 @@ and a horizontal ray right of its last one, so non-convenient diagrams
 Supported operations: hulls of supports, canonical and long canonical
 representations, truncation at a height, and symbolic derivatives.
 Truncation and derivatives build the lattice hull of the cut edge by gift
-wrapping with Stern-Brocot steps, in time polylogarithmic in the height of
-that edge rather than linear in it (compare W. Harvey, "Computing
-two-dimensional integer hulls", SIAM J. Comput. 28, 1999).  The row-by-row lattice definition and the closed continued-fraction
-formula for first derivatives of elementary diagrams are kept as independent
-oracles in ``tests/oracles.py``, next to Minkowski sums and the splitting
+wrapping with Stern-Brocot steps from the vertex above the cut, the first
+step running down the crossing edge, in time polylogarithmic in the height
+of that edge rather than linear in it (compare W. Harvey, "Computing
+two-dimensional integer hulls", SIAM J. Comput. 28, 1999).  The row-by-row
+lattice definition and the closed continued-fraction formula for first
+derivatives of elementary diagrams are kept as independent oracles in
+``tests/oracles.py``, next to Minkowski sums and the splitting
 D^(k) = R^(k) + L, which only the tests use.
 """
 
@@ -152,14 +154,16 @@ class NewtonDiagram:
         """Lattice hull of the points of the diagram with height >= k.
 
         Diagrams are unbounded upward, so the region is never empty for k >= 0.
-        The vertices at height >= k are kept.  Below them the hull follows
-        the edge that crosses height k down to its last lattice point V, and
-        from V it is gift-wrapped: each step is the steepest lattice step
-        that stays inside the diagram and above height k, taken as far as it
-        goes.  Every step is a Stern-Brocot descent that takes each run of
-        equal turns in one jump, so the cost is polylogarithmic in the
-        height of that edge rather than linear in it.  The row-by-row
-        definition lives on as ``tests/oracles.staircase_trunc_oracle``.
+        The vertices at height >= k are kept, and below them the hull is
+        gift-wrapped from the last of them, the vertex above the cut: each
+        step is the steepest lattice step that stays inside the diagram and
+        above height k, taken as far as it goes.  Where the primitive step of
+        the edge that crosses height k fits above the cut, it is the steepest
+        one, so the first step runs down that edge to its last lattice point.
+        Every step is a Stern-Brocot descent that takes each run of equal
+        turns in one jump, so the cost is polylogarithmic in the height of
+        that edge rather than linear in it.  The row-by-row definition lives
+        on as ``tests/oracles.staircase_trunc_oracle``.
         """
         if k < 0:
             raise ValueError(f"truncation height must be nonnegative, got {k}")
@@ -172,31 +176,24 @@ class NewtonDiagram:
         while v[i + 1][1] >= k:
             i += 1
         pts = list(v[: i + 1])
-        (xa, ya), (xb, yb) = v[i], v[i + 1]
-        if ya > k:
-            g = gcd(xb - xa, ya - yb)
-            p, q = (xb - xa) // g, (ya - yb) // g
-            j = (ya - k) // q
-            x, y = xa + j * p, ya - j * q
-            if j:
-                pts.append((x, y))
-            # slack s = q*(x - x_V) - p*(y_V - y) >= 0: (x, y) is on the inner
-            # side of the line of the cut edge
-            s = 0
-            while y > k:
-                u, w, d = _steepest_step(p, q, s, y - k)
-                c = (y - k) // w
-                if d > 0:
-                    c = min(c, s // d)
-                x, y, s = x + c * u, y - c * w, s - c * d
-                pts.append((x, y))
+        (x, y), (xb, yb) = v[i], v[i + 1]
+        g = gcd(xb - x, y - yb)
+        p, q = (xb - x) // g, (y - yb) // g
+        # slack s = q*(x - x_A) - p*(y_A - y) >= 0, A = v[i]: (x, y) is on the
+        # inner side of the line of the cut edge
+        s = 0
+        while y > k:
+            u, w, d = _steepest_step(p, q, s, y - k)
+            c = (y - k) // w
+            if d > 0:
+                c = min(c, s // d)
+            x, y, s = x + c * u, y - c * w, s - c * d
+            pts.append((x, y))
         return NewtonDiagram(tuple(pts))
 
     def symbolic_derivative(self, k: int) -> "NewtonDiagram":
         """Newton diagram of (D - (0, k)) meet N^2: trunc(D, k) shifted down,
         at the polylogarithmic cost of ``trunc``."""
-        if k == 0:
-            return self
         if k < 0:
             raise ValueError(f"derivative order must be nonnegative, got {k}")
         return self.trunc(k).translate(0, -k)

@@ -32,6 +32,7 @@ in the size of the cut result, and no cyclotomic arithmetic is ever needed.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, gcd, lcm, perm
@@ -76,11 +77,13 @@ def _as_coeff(value):
     return int(f) if f.denominator == 1 else f
 
 
+@dataclass(frozen=True, slots=True)
 class PuiseuxSeries:
     """A finite Puiseux series with exact rational coefficients, stored over
     its index: ``gcd(denom, *numerators) == 1``."""
 
-    __slots__ = ("denom", "terms")
+    denom: int
+    terms: tuple
 
     def __init__(self, denom: int, coeffs: dict):
         if denom < 1:
@@ -102,14 +105,6 @@ class PuiseuxSeries:
             terms = [(i // g, c) for i, c in terms]
         object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "terms", tuple(terms))
-
-    def __setattr__(self, *a):  # immutable by convention and by force
-        raise AttributeError("PuiseuxSeries is immutable")
-
-    # -- structure ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- analytic queries -----------------------------------------------------
 
@@ -139,30 +134,6 @@ class PuiseuxSeries:
         if e != 1:
             raise InvariantViolation(f"gcd chain {b} of the exponents stops at {e}, not 1")
         return charclass.new_char_sequence(b)
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __neg__(self) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.denom, {i: -c for i, c in self.terms})
-
-    def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        n = lcm(self.denom, other.denom)
-        fa, fb = n // self.denom, n // other.denom
-        merged = {i * fa: c for i, c in self.terms}
-        for i, c in other.terms:
-            merged[i * fb] = merged.get(i * fb, 0) + c
-        return PuiseuxSeries(n, merged)
-
-    def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PuiseuxSeries):
-            return NotImplemented
-        return (self.denom, self.terms) == (other.denom, other.terms)
-
-    def __hash__(self):
-        return hash((self.denom, self.terms))
 
     # -- text form --------------------------------------------------------------
 
@@ -227,10 +198,11 @@ class PuiseuxSeries:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class BivariatePoly:
     """Exact sparse polynomial sum of c_{ij} x^i y^j."""
 
-    __slots__ = ("terms",)
+    terms: dict
 
     def __init__(self, terms: dict):
         clean = {}
@@ -244,20 +216,10 @@ class BivariatePoly:
                 clean[(i, j)] = c
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, *a):
-        raise AttributeError("BivariatePoly is immutable")
-
-    # -- ring structure ------------------------------------------------------
+    # -- queries ----------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    # -- queries ----------------------------------------------------------------
 
     def y_slices(self) -> dict:
         """x-coefficient dicts keyed by y-degree."""

@@ -89,7 +89,6 @@ __all__ = [
     "SeedRun",
     "VerificationReport",
     "sample_witness",
-    "witness_from_root",
     "cut_bound",
     "HatLevel",
     "hat_chain",
@@ -104,13 +103,14 @@ MAX_SEED_RUNS = 8  # degenerate witnesses are retried up to this many runs in to
 
 @dataclass(frozen=True)
 class WitnessBranch:
-    """A Puiseux root of a member of the class ``cs``.  The checks read the
-    root's terms by numerator over b0, so the root must have exactly the
-    characteristic of the class, or InvalidCharacteristic is raised."""
+    """A Puiseux root of a member of the class ``cs``, sampled from ``seed``
+    or, with no seed, given explicitly.  The checks read the root's terms by
+    numerator over b0, so the root must have exactly the characteristic of
+    the class, or InvalidCharacteristic is raised."""
 
     cs: CharSequence
     root: PuiseuxSeries
-    seed: int | None
+    seed: int | None = None
 
     def __post_init__(self):
         got = self.root.characteristic().b
@@ -122,16 +122,9 @@ def allowed_exponents(cs: CharSequence, upto: int) -> list:
     """Exponent numerators that keep the characteristic intact: multiples of
     e_j between b_j and b_{j+1}, everything past b_h."""
     out = []
-    for i in range(cs.b0, upto + 1):
-        level = 0
-        for bj in cs.b[1:]:
-            if i >= bj:
-                level += 1
-            else:
-                break
-        if i % cs.e[level] == 0:
-            out.append(i)
-    return out
+    for j in range(cs.h):
+        out += range(cs.b[j], min(cs.b[j + 1], upto + 1), cs.e[j])
+    return out + list(range(cs.b[-1], upto + 1))
 
 
 def sample_witness(cs: CharSequence, seed: int) -> WitnessBranch:
@@ -149,12 +142,6 @@ def sample_witness(cs: CharSequence, seed: int) -> WitnessBranch:
         else:
             coeffs[i] = rng.randint(-COEFF_RANGE, COEFF_RANGE)
     return WitnessBranch(cs, PuiseuxSeries(cs.b0, coeffs), seed)
-
-
-def witness_from_root(cs: CharSequence, root: PuiseuxSeries,
-                      seed: int | None = None) -> WitnessBranch:
-    """Wrap an explicit Puiseux root (e.g. the non-generic all-ones example)."""
-    return WitnessBranch(cs, root, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +505,7 @@ def verify_prediction(cs: CharSequence, k: int, seeds) -> VerificationReport:
     if not seeds:
         raise ValueError("at least one seed is required")
     prediction = predict(cs, k)
-    levels = [l for l in range(1, cs.h + 1) if cs.e[l - 1] > k]
+    levels = range(1, prediction.i_k + 1)
     report = VerificationReport(cs=cs, k=k, prediction=prediction)
 
     queue = list(seeds)

@@ -7,9 +7,9 @@ products by exact cyclotomic arithmetic and by iterated norms (Laplace
 determinants), random valid characteristic sequences by rejection,
 pairwise contacts one pair at a time, Eggers-Wall trees by clustering that
 table, hat transforms by full expansion of the minimal polynomial and by
-Horner's scheme, the truncations lam_l of a witness's root by series
-arithmetic, weighted initial forms by a minimum over every term,
-squarefreeness by Euclid's algorithm over Q, and the expected polar
+Horner's scheme, the truncations lam_l of a witness's root and their
+differences by series arithmetic, weighted initial forms by a minimum over
+every term, squarefreeness by Euclid's algorithm over Q, and the expected polar
 diagram D^(k) as the Minkowski sum R^(k) + L of the lemma on Newton
 diagrams of polars.  Helpers that only the tests use (Minkowski sums,
 diagrams rebuilt from canonical representations, edge inclinations,
@@ -664,10 +664,23 @@ def truncate_below(series, cutoff):
     return PuiseuxSeries(series.denom, {i: c for i, c in series.terms if i * q < p * series.denom})
 
 
+def difference(a, b):
+    """The Puiseux series a - b, written over the lcm of the two indices."""
+    from branchpolar.puiseux import PuiseuxSeries
+
+    n = lcm(a.denom, b.denom)
+    fa, fb = n // a.denom, n // b.denom
+    merged = {i * fa: c for i, c in a.terms}
+    for i, c in b.terms:
+        merged[i * fb] = merged.get(i * fb, 0) - c
+    return PuiseuxSeries(n, merged)
+
+
 def lam(w, l: int):
     """lam_l of a witness, the truncation of its root below b_l/b0 (zero at
-    l = 0): the series-arithmetic reference for the slices of the root that
-    ``verify.hat_chain`` substitutes, delta_l = lam_l - lam_(l-1)."""
+    l = 0): with ``difference``, the series-arithmetic reference for the
+    slices of the root that ``verify.hat_chain`` substitutes,
+    delta_l = lam_l - lam_(l-1)."""
     return truncate_below(w.root, Fraction(w.cs.b[l], w.cs.b0))
 
 

@@ -16,7 +16,7 @@ from branchpolar.charclass import new_char_sequence
 from branchpolar.diagram import elementary
 from branchpolar.polar import predict
 from branchpolar.puiseux import PuiseuxSeries, derivative_y, min_poly
-from branchpolar.verify import check_lemma_nd, hat_chain, verify_prediction, witness_from_root
+from branchpolar.verify import WitnessBranch, check_lemma_nd, hat_chain, verify_prediction
 from oracles import (
     elementary_derivative_closed_form,
     random_char_sequence,
@@ -112,7 +112,7 @@ def test_criterion_3_example2():
 
 def test_criterion_4_nongeneric_witness():
     done = _timed(10.0)
-    w = witness_from_root(EX1, PuiseuxSeries.from_string("x^(4/3)+x^2+x^(31/12)"))
+    w = WitnessBranch(EX1, PuiseuxSeries.from_string("x^(4/3)+x^2+x^(31/12)"))
     f = min_poly(w.root)
     by_degree = {}
     for (i, j), c in f.terms.items():

@@ -7,6 +7,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from branchpolar import cli
+from branchpolar.errors import InvariantViolation
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMAS = Path(cli.__file__).parent / "schemas"
@@ -194,6 +195,22 @@ def test_usage_errors_exit_1(capsys):
         cli.main(["predict", "2,3", "--quiet"])  # missing --k
     assert exc.value.code == cli.EXIT_USAGE
     assert cli.main(["predict", "2,3", "--k", "5", "--quiet"]) == cli.EXIT_USAGE
+
+
+def test_an_internal_fault_is_not_a_usage_error(capsys, monkeypatch):
+    # a broken invariant is the program's fault, and a caller must be able to
+    # tell it from a mistyped class
+    def broken(w, depth, k):
+        raise InvariantViolation("the chain broke")
+
+    monkeypatch.setattr(cli.verify, "hat_chain", broken)
+    code = cli.main(["verify", "12,16,31", "--k", "1", "--seeds", "1", "--quiet"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "InvariantViolation",
+                                        "message": "the chain broke"}
+    assert cli.main(["verify", "12,16,30", "--k", "1", "--quiet"]) == cli.EXIT_USAGE
 
 
 def test_output_file(tmp_path, capsys):

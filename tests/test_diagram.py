@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +192,21 @@ def test_trunc_matches_staircase_oracle(support):
         expected = staircase_trunc_oracle(d, k)
         assert d.trunc(k) == expected, (d.vertices, k)
         assert d.symbolic_derivative(k) == expected.translate(0, -k), (d.vertices, k)
+
+
+def test_trunc_runs_down_a_non_primitive_edge():
+    # g copies of the primitive step (m, n): where a copy fits above the cut,
+    # the first gift-wrapping step runs down the edge to its last lattice point
+    for g in range(2, 6):
+        for m in range(1, 13):
+            for n in (n for n in range(1, 9) if gcd(m, n) == 1):
+                d = elementary(g * m, g * n)
+                for k in range(g * n + 1):
+                    cut = d.trunc(k)
+                    assert cut == staircase_trunc_oracle(d, k), (g, m, n, k)
+                    j = (g * n - k) // n
+                    if 0 < j < g:
+                        assert cut.vertices[1] == (j * m, (g - j) * n), (g, m, n, k)
 
 
 def test_derivative_composition_smoke():

@@ -12,12 +12,12 @@ from branchpolar.diagram import elementary
 from branchpolar.polar import export_eggers_wall, predict
 from branchpolar.puiseux import PuiseuxSeries, diagram_of, min_poly
 from branchpolar.verify import (
+    WitnessBranch,
     check_initial_form,
     check_lemma_nd,
     hat_chain,
     sample_witness,
     verify_prediction,
-    witness_from_root,
 )
 from oracles import elementary_derivative_closed_form
 
@@ -144,7 +144,7 @@ def test_verify_at_index_two_to_the_eighth():
 
 def test_witness_with_rational_coefficients():
     cs = new_char_sequence([2, 3])
-    w = witness_from_root(cs, PuiseuxSeries.from_string("1/2*x^(3/2)+x^2"))
+    w = WitnessBranch(cs, PuiseuxSeries.from_string("1/2*x^(3/2)+x^2"))
     assert min_poly(w.root).terms[(3, 0)] == Fraction(-1, 4)
     level = hat_chain(w, 1, 1)[-1]
     res = check_lemma_nd(w, 1, 1, level)

@@ -40,16 +40,17 @@ from branchpolar.verify import (
     hat_chain,
     sample_witness,
     verify_prediction,
-    witness_from_root,
 )
 from oracles import (
     AllSeedsDegenerate,
     coefficient,
+    difference,
     find_generic_witness,
     full_hat,
     initial_form,
     lam,
     minkowski_sum,
+    random_char_sequence,
     split_derivative,
 )
 
@@ -61,7 +62,7 @@ REGRESSION = [(2, 3), (4, 6, 7), (6, 9, 11), (12, 16, 31), (10, 14, 15), (12, 16
 
 
 def nongeneric_g():
-    return witness_from_root(EX1, PuiseuxSeries.from_string("x^(4/3)+x^2+x^(31/12)"))
+    return WitnessBranch(EX1, PuiseuxSeries.from_string("x^(4/3)+x^2+x^(31/12)"))
 
 
 # -- witness sampling ------------------------------------------------------------
@@ -71,6 +72,21 @@ def test_allowed_exponents():
     # multiples of 12 up to 16, of 4 up to 31, everything afterwards
     exps = allowed_exponents(EX1, 34)
     assert exps == [12, 16, 20, 24, 28, 31, 32, 33, 34]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_allowed_exponents_follow_their_definition(seed):
+    # i >= b0 is allowed exactly when e_j divides it, j the number of
+    # b_1, ..., b_h at or below i, one exponent at a time
+    rng = random.Random(seed)
+    cs = random_char_sequence(rng, 64)
+    b = cs.b
+    for upto in {0, b[0] - 1, b[0], b[1] - 1, b[1], b[-1] - 1, b[-1], b[-1] + b[0],
+                 rng.randint(b[0], b[-1]), rng.randint(0, 3 * b[-1])}:
+        wanted = [i for i in range(b[0], upto + 1)
+                  if i % cs.e[sum(i >= bj for bj in b[1:])] == 0]
+        assert allowed_exponents(cs, upto) == wanted, (b, upto)
 
 
 def test_sample_witness_members_of_class():
@@ -95,7 +111,7 @@ def test_sample_witness_deterministic():
 
 def test_witness_from_root_validates():
     with pytest.raises(ValueError):
-        witness_from_root(EX2, PuiseuxSeries.from_string("x^(3/2)"))
+        WitnessBranch(EX2, PuiseuxSeries.from_string("x^(3/2)"))
 
 
 @pytest.mark.parametrize("cs,root", [
@@ -107,7 +123,7 @@ def test_witness_of_another_class_is_refused(cs, root):
     # hat_chain slices the root by numerator over b0 at the class's b_l, so a
     # root of another class would be read as if it were a member
     with pytest.raises(BranchPolarError):
-        WitnessBranch(cs, PuiseuxSeries.from_string(root), None)
+        WitnessBranch(cs, PuiseuxSeries.from_string(root))
 
 
 # -- expected hat diagrams ----------------------------------------------------------
@@ -213,8 +229,8 @@ def _substitution(w, l, lam_of):
     delta_l = lam_l - lam_(l-1) in the level-(l-1) variable x^N_(l-1) to
     hat_transform at l >= 2."""
     if l == 1:
-        return w.root - lam_of(1)
-    delta = lam_of(l) - lam_of(l - 1)
+        return difference(w.root, lam_of(1))
+    delta = difference(lam_of(l), lam_of(l - 1))
     n_prev = semiroot_degree(w.cs, l - 1)
     return PuiseuxSeries(delta.denom, {i * n_prev: c for i, c in delta.terms})
 
@@ -390,7 +406,7 @@ def test_chain_reads_its_substitutions_and_weight_off_the_class(case):
         assert [a for a, _ in seen[:depth]] == [
             _substitution(w, l, partial(lam, w)) for l in range(1, depth + 1)], (cs.b, depth)
         n_top = semiroot_degree(cs, depth)
-        deltas = [lam(w, l) - lam(w, l - 1) for l in range(2, depth + 1)]
+        deltas = [difference(lam(w, l), lam(w, l - 1)) for l in range(2, depth + 1)]
         old = min([Fraction(cs.bbar[depth - 1], cs.b0)]
                   + [n_top * Fraction(d.terms[0][0], d.denom) for d in deltas if d.terms])
         wx, wy, _ = seen[0][1]  # f^_1 is cut at level-1 weight (q N_L, q s)
@@ -403,7 +419,7 @@ def test_first_hat_is_the_conjugate_product_of_the_shifted_root(b):
     # lam_1 has integer exponents: f(x, y + lam_1) = min_poly(root - lam_1)
     cs = new_char_sequence(b)
     w = sample_witness(cs, 1)
-    shifted = w.root - lam(w, 1)
+    shifted = difference(w.root, lam(w, 1))
     oracle = hat_transform(min_poly(w.root), 1, lam(w, 1))
     assert min_poly(shifted) == oracle
     for depth in range(1, cs.h + 1):
@@ -560,7 +576,7 @@ def test_nongeneric_witness_degenerate_at_k1_too():
 
 
 def test_initial_form_cusp():
-    w = witness_from_root(CUSP, PuiseuxSeries.from_string("x^(3/2)"))
+    w = WitnessBranch(CUSP, PuiseuxSeries.from_string("x^(3/2)"))
     assert min_poly(w.root).terms == {(0, 2): 1, (3, 0): -1}
     assert check_initial_form(w, 1, hat_chain(w, 1, 1)[-1].fhat)
 
@@ -588,7 +604,7 @@ def test_hat_polygon_anchors_at_intersection_numbers():
 
 @pytest.mark.parametrize("w,exact", [
     (sample_witness(EX1, 5), int),
-    (witness_from_root(EX1, PuiseuxSeries.from_string("1/3*x^(4/3)+x^2+1/2*x^(31/12)")),
+    (WitnessBranch(EX1, PuiseuxSeries.from_string("1/3*x^(4/3)+x^2+1/2*x^(31/12)")),
      Fraction),
 ], ids=["integer", "rational"])
 def test_initial_form_mismatch_on_the_face_only(w, exact):
