@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -13,7 +14,7 @@ from . import contfrac as contfrac_mod
 from . import diagram as diagram_mod
 from . import polar, verify
 from .charclass import parse_char
-from .errors import BranchPolarError, DiagramTooLarge, InvariantViolation
+from .errors import BranchPolarError, DiagramTooLarge, InvalidRange, OrderOutOfRange
 from .jsontext import dumps
 from .rational import fmt_q
 
@@ -21,7 +22,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_UNKNOWN = 3
-EXIT_INTERNAL = 4  # a result broke what the theory guarantees: a fault, not a usage error
+EXIT_INTERNAL = 4  # a fault of the program once argv is checked, not a usage error
 
 WORKED_EXAMPLES = {"ex1": "12,16,31", "ex2": "10,14,15"}
 
@@ -42,20 +43,57 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _seeds(text: str) -> list:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommands: operands read off argv and checked before any work, then handlers
 # ---------------------------------------------------------------------------
 
 
-def _cmd_predict(args) -> int:
-    cs = parse_char(args.char)
+def _check_output(args) -> None:
+    # output is written after the work, but a missing folder fails before it
+    if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
+
+
+def _class_and_order(args) -> tuple:
+    char = WORKED_EXAMPLES[args.name] if args.command == "example" else args.char or args.char_pos
+    if not char:
+        raise BranchPolarError("a characteristic is required (positional or --char)")
+    cs = parse_char(char)
+    if not 1 <= args.k < cs.b0:
+        raise OrderOutOfRange(f"polar order must satisfy 1 <= k < {cs.b0}, got {args.k}")
+    return (cs,)
+
+
+def _class_order_and_seeds(args) -> tuple:
+    seeds = [int(v) for v in args.seeds.split(",") if v.strip()]
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    return (*_class_and_order(args), seeds)
+
+
+def _diagram(args) -> tuple:
+    if args.action == "derive" and args.k < 0:
+        raise ValueError(f"derivative order must be nonnegative, got {args.k}")
+    if args.elementary:
+        m, _, n = args.elementary.partition("/")
+        return (diagram_mod.elementary(int(m), int(n) if n else 1),)
+    if args.vertices:
+        return (diagram_mod.NewtonDiagram.from_json({"vertices": json.loads(args.vertices)}),)
+    raise BranchPolarError("one of --elementary or --vertices is required")
+
+
+def _ratio(args) -> tuple:
+    m, _, n = args.ratio.partition("/")
+    m, n = int(m), int(n) if n else 1
+    if not 0 < n < m:
+        raise InvalidRange(f"need 0 < n < m, got m={m}, n={n}")
+    return m, n
+
+
+def _cmd_predict(args, cs) -> int:
     prediction = polar.predict(cs, args.k)
     if args.format == "json":
-        _emit(prediction.to_json_text(), args)
+        _emit(prediction.to_json(), args)
     elif args.format == "dot":
         tree = polar.export_eggers_wall(prediction, include_branch=not args.no_branch)
         _emit(tree.to_dot(), args)
@@ -64,56 +102,29 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    cs = parse_char(args.char)
-    report = verify.verify_prediction(cs, args.k, _seeds(args.seeds))
+def _cmd_verify(args, cs, seeds) -> int:
+    report = verify.verify_prediction(cs, args.k, seeds)
+    _emit(report.to_json() if args.format == "json" else report.to_text(), args)
+    return {"PASS": EXIT_OK, "FAIL": EXIT_FAIL}.get(report.verdict, EXIT_UNKNOWN)
+
+
+def _cmd_diagram(args, d) -> int:
+    if args.action == "derive":
+        d = d.symbolic_derivative(args.k)
     if args.format == "json":
-        _emit(dumps(report.to_json()), args)
-    else:
-        _emit(report.to_text(), args)
-    if report.verdict == "FAIL":
-        return EXIT_FAIL
-    if report.verdict != "PASS":
-        return EXIT_UNKNOWN
-    return EXIT_OK
-
-
-def _parse_diagram(args) -> diagram_mod.NewtonDiagram:
-    if args.elementary:
-        m, _, n = args.elementary.partition("/")
-        return diagram_mod.elementary(int(m), int(n) if n else 1)
-    if args.vertices:
-        return diagram_mod.NewtonDiagram.from_json({"vertices": json.loads(args.vertices)})
-    raise BranchPolarError("one of --elementary or --vertices is required")
-
-
-def _emit_diagram(d: diagram_mod.NewtonDiagram, args) -> None:
-    if args.format == "json":
-        blob = d.to_json()
         rep = d.canonical_rep(long=args.long)
-        blob["canonical"] = {
-            "offset": list(rep.offset),
-            "parts": [list(p) for p in rep.parts],
-            "long": rep.long,
-        }
-        _emit(dumps(blob), args)
+        canonical = {"offset": list(rep.offset), "parts": [list(p) for p in rep.parts],
+                     "long": rep.long}
+        _emit(dumps(dict(d.to_json(), canonical=canonical)), args)
     elif args.format == "svg":
         _emit(render_svg(d), args)
     else:
         _emit(str(d.canonical_rep(long=args.long)), args)
-
-
-def _cmd_diagram(args) -> int:
-    d = _parse_diagram(args)
-    if args.action == "derive":
-        d = d.symbolic_derivative(args.k)
-    _emit_diagram(d, args)
     return EXIT_OK
 
 
-def _cmd_contfrac(args) -> int:
-    m, _, n = args.ratio.partition("/")
-    cf = contfrac_mod.expand(int(m), int(n) if n else 1)
+def _cmd_contfrac(args, m, n) -> int:
+    cf = contfrac_mod.expand(m, n)
     if args.even:
         cf = contfrac_mod.to_even_length(cf)
     if args.format == "json":
@@ -125,15 +136,9 @@ def _cmd_contfrac(args) -> int:
         _emit(dumps(blob), args)
     else:
         lines = ["[" + ",".join(str(v) for v in cf.h) + "]"]
-        for i, (p, q) in enumerate(zip(cf.p, cf.q)):
-            lines.append(f"p_{i}/q_{i} = {p}/{q}")
+        lines += [f"p_{i}/q_{i} = {p}/{q}" for i, (p, q) in enumerate(zip(cf.p, cf.q))]
         _emit("\n".join(lines), args)
     return EXIT_OK
-
-
-def _cmd_example(args) -> int:
-    args.char = WORKED_EXAMPLES[args.name]
-    return _cmd_predict(args)
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +229,20 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("predict", help="factor structure of the generic k-th polar")
     p.add_argument("char_pos", nargs="?", metavar="CHAR", help="characteristic b0,b1,...")
-    p.add_argument("--char", dest="char_opt", metavar="CHAR")
+    p.add_argument("--char", metavar="CHAR")
     p.add_argument("--k", type=int, required=True, help="derivative order, 1 <= k < b0")
     p.add_argument("--no-branch", action="store_true",
                    help="omit the branch and semiroots from the Eggers-Wall tree")
     _add_common(p, ["text", "json", "dot"])
-    p.set_defaults(func=_cmd_predict)
+    p.set_defaults(operands=_class_and_order, func=_cmd_predict)
 
     v = subs.add_parser("verify", help="check the prediction against exact witnesses")
     v.add_argument("char_pos", nargs="?", metavar="CHAR")
-    v.add_argument("--char", dest="char_opt", metavar="CHAR")
+    v.add_argument("--char", metavar="CHAR")
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated witness seeds")
     _add_common(v, ["text", "json"])
-    v.set_defaults(func=_cmd_verify)
+    v.set_defaults(operands=_class_order_and_seeds, func=_cmd_verify)
 
     d = subs.add_parser("diagram", help="Newton diagram operations")
     d.add_argument("action", choices=["derive", "show"])
@@ -246,22 +251,27 @@ def _build_parser() -> _Parser:
     d.add_argument("--k", type=int, default=1, help="derivative order for derive")
     d.add_argument("--long", action="store_true", help="use the long canonical representation")
     _add_common(d, ["text", "json", "svg"])
-    d.set_defaults(func=_cmd_diagram)
+    d.set_defaults(operands=_diagram, func=_cmd_diagram)
 
     c = subs.add_parser("contfrac", help="continued fraction expansion with convergents")
     c.add_argument("ratio", metavar="M/N")
     c.add_argument("--even", action="store_true", help="normalize to even length")
     _add_common(c, ["text", "json"])
-    c.set_defaults(func=_cmd_contfrac)
+    c.set_defaults(operands=_ratio, func=_cmd_contfrac)
 
     e = subs.add_parser("example", help="reproduce a worked example")
     e.add_argument("name", choices=sorted(WORKED_EXAMPLES))
     e.add_argument("--k", type=int, required=True)
     e.add_argument("--no-branch", action="store_true")
     _add_common(e, ["text", "json", "dot"])
-    e.set_defaults(func=_cmd_example)
+    e.set_defaults(operands=_class_and_order, func=_cmd_predict)
 
     return parser
+
+
+def _fail(exc: Exception, code: int) -> int:
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -269,20 +279,21 @@ def main(argv=None) -> int:
     if args.format is None:
         env_fmt = os.environ.get("BRANCHPOLAR_FORMAT")
         args.format = env_fmt if env_fmt in args.formats else args.formats[0]
-    if hasattr(args, "char_pos"):
-        args.char = args.char_opt or args.char_pos
-        if not args.char:
-            print("branchpolar: error: a characteristic is required "
-                  "(positional or --char)", file=sys.stderr)
-            return EXIT_USAGE
     if not args.quiet and sys.stderr.isatty():
         print(f"branchpolar {__version__}", file=sys.stderr)
     try:
-        return args.func(args)
+        _check_output(args)
+        operands = args.operands(args)
     except (BranchPolarError, ValueError, OSError) as exc:
-        diag = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(diag), file=sys.stderr)
-        return EXIT_INTERNAL if isinstance(exc, InvariantViolation) else EXIT_USAGE
+        return _fail(exc, EXIT_USAGE)
+    try:
+        return args.func(args, *operands)
+    except (DiagramTooLarge, OSError) as exc:
+        # a picture too large to draw, or an output that cannot be written
+        return _fail(exc, EXIT_USAGE)
+    except (BranchPolarError, ValueError) as exc:
+        # argv is checked: what fails now is the program's fault
+        return _fail(exc, EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

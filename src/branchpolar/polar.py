@@ -22,12 +22,12 @@ long canonical representation, whose ratios M_j/N_j weakly decrease, and the
 W-factors sit at cont_f, below every Z-factor.  Across groups cont_f =
 b_l/b0 increases with l.  So the row (i, j), j after i, takes factor j's
 semiroot contact when both lie in one group and factor i's contact with f
-otherwise.  The JSON writers check both orderings in O(F) for F factors and
-build the text of the rows from per-factor strings with ``str.join``, so no
+otherwise.  The JSON writer ``to_json`` checks both orderings in O(F) for F
+factors and joins the text of the rows from per-factor strings, so no
 Python code runs per pair.  The factor blocks, like the rows, come from
 per-value strings: ``predict`` repeats one frozen factor object for each run
 of equal factors (the W-factors of a group, the Z-factors of equal parts),
-and the text writer formats one indent-2 block per run, with only the label
+and the writer formats one indent-2 block per run, with only the label
 changing, and each distinct contact once.
 
 These contacts fix the shape of the Eggers-Wall tree, so the export builds it
@@ -172,40 +172,10 @@ class PolarPrediction:
             runs.append(group_runs)
         return names, own, cross, ends, runs
 
-    def _group_json(self, l: int, factors: list) -> dict:
-        return {
-            "l": l,
-            "cont_f": fmt_q(Fraction(self.char.b[l], self.char.b0)),
-            "factors": factors,
-        }
-
-    def _document(self, groups: list, pairwise_contacts: list) -> dict:
-        return {
-            "char": list(self.char.b),
-            "k": self.k,
-            "i_k": self.i_k,
-            "multiplicity_total": self.multiplicity_total(),
-            "groups": groups,
-            "pairwise_contacts": pairwise_contacts,
-        }
-
-    def to_json(self) -> dict:
-        names, own, cross, ends, _ = self._contact_columns()
-        rows = []
-        for i, (a, end) in enumerate(zip(names, ends)):
-            rows += [[a, names[j], own[j]] for j in range(i + 1, end)]
-            rows += [[a, b, cross[i]] for b in names[end:]]
-        labels = iter(names)
-        groups = [
-            self._group_json(l, [dict(f.to_json(), label=next(labels)) for f in group])
-            for l, group in enumerate(self.groups, start=1)
-        ]
-        return self._document(groups, rows)
-
-    def to_json_text(self) -> str:
-        """``self.to_json()`` as the standard library's indent-2 text, byte for
-        byte: each run of one factor is one block written with only the label
-        changing, and the contact rows are joined from per-factor strings."""
+    def to_json(self) -> str:
+        """The prediction document as indent-2 JSON text (``tests/oracles``
+        builds it as a dict): each run of one factor is one block with only
+        the label changing, and the contact rows join per-factor strings."""
         names, own, cross, ends, runs = self._contact_columns()
         # labels and contacts hold no character that JSON escapes
         quoted = [f'"{name}"' for name in names]
@@ -217,7 +187,8 @@ class PolarPrediction:
                 lead, _, tail = dumps(dict(f.to_json(), label=""), 8).rpartition('""')
                 labels = (tail + ",\n        " + lead).join(quoted[start:stop])
                 blocks.append(Written((lead, labels, tail)))
-            groups.append(self._group_json(l, blocks))
+            cont_f = fmt_q(Fraction(self.char.b[l], self.char.b0))
+            groups.append({"l": l, "cont_f": cont_f, "factors": blocks})
         # a row is '    [\n      "a",\n      "b",\n      "c"\n    ]'
         cells = [name + ",\n      " for name in quoted]
         tails = [f'"{c}"\n    ]' for c in cross]
@@ -231,7 +202,14 @@ class PolarPrediction:
             if end < len(names):
                 rows += [lead, (tails[i] + sep).join(cells[end:]), tails[i], ",\n"]
         rows[-1] = "\n  ]"
-        return dumps(self._document(groups, Written(rows) if len(names) > 1 else []))
+        return dumps({
+            "char": list(self.char.b),
+            "k": self.k,
+            "i_k": self.i_k,
+            "multiplicity_total": self.multiplicity_total(),
+            "groups": groups,
+            "pairwise_contacts": Written(rows) if len(names) > 1 else [],
+        })
 
     def to_text(self) -> str:
         lines = [
@@ -255,6 +233,19 @@ class PolarPrediction:
         return "\n".join(lines)
 
 
+def _check_branch(f: PolarFactor) -> None:
+    """A factor is a branch: each characteristic exponent raises the lcm of
+    the denominators before it, and the last lcm, its index, is its multiplicity."""
+    index = 1
+    for e in f.char_exponents:
+        raised = lcm(index, e.denominator)
+        if raised == index:
+            raise InvariantViolation(f"not a branch: {e} does not raise the index {index} of {f}")
+        index = raised
+    if index != f.multiplicity:
+        raise InvariantViolation(f"not a branch: the index {index} of {f} is not its multiplicity")
+
+
 def predict(cs: CharSequence, k: int) -> PolarPrediction:
     """Equisingularity data of the generic k-th polar of the class ``cs``."""
     if not 1 <= k < cs.b0:
@@ -276,22 +267,18 @@ def predict(cs: CharSequence, k: int) -> PolarPrediction:
         # equal parts give equal factors: one frozen object stands for each run
         for (m_j, n_j), run in groupby(derived.canonical_rep(long=True).parts):
             cont_semi = Fraction(m_j, nsub * n_j)
+            # beyond cont_f, an appended exponent also exceeds every one before it
             if cont_semi <= cont_f:
                 raise InvariantViolation(
                     f"Z-factor contact {cont_semi} must sit strictly beyond {cont_f}"
                 )
-            chars = prefix
-            if n_j > 1:
-                floor = prefix[-1] if prefix else Fraction(1)
-                if cont_semi <= floor:
-                    raise InvariantViolation(
-                        f"appended exponent {cont_semi} must exceed {floor}"
-                    )
-                chars = prefix + (cont_semi,)
+            chars = prefix + (cont_semi,) if n_j > 1 else prefix
             z = PolarFactor(l, "Z", (m_j, n_j), nsub * n_j, cont_f, cont_semi, chars)
+            _check_branch(z)
             factors += [z] * len(list(run))
         w_count = min(e_l, k) - (-(-k // n_l))
         w = PolarFactor(l, "W", None, cs.b0 // e_l, cont_f, cont_f, prefix + (cont_f,))
+        _check_branch(w)
         factors += [w] * w_count
         groups.append(tuple(factors))
 

@@ -67,9 +67,9 @@ from .errors import (
     EdgeNotOnPolygon,
     InvalidCharacteristic,
     InvariantViolation,
-    OrderOutOfRange,
     OrderTooLarge,
 )
+from .jsontext import Written, dumps
 from .polar import PolarPrediction, predict
 from .puiseux import (
     BivariatePoly,
@@ -409,17 +409,18 @@ class VerificationReport:
     passing_seed: int | None = None
     degenerate_count: int = 0
 
-    def to_json(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        # the prediction's own text one level deeper: JSON text has no raw newline in a string
+        return dumps({
             "char": list(self.cs.b),
             "k": self.k,
             "verdict": self.verdict,
             "passing_seed": self.passing_seed,
             "degenerate_count": self.degenerate_count,
             "seeds": [run.seed for run in self.runs],
-            "prediction": self.prediction.to_json(),
+            "prediction": Written((self.prediction.to_json().replace("\n", "\n  "),)),
             "runs": [run.to_json() for run in self.runs],
-        }
+        })
 
     def to_text(self) -> str:
         lines = [f"verify K{self.cs} k={self.k}: {self.verdict}"]
@@ -499,12 +500,10 @@ def verify_prediction(cs: CharSequence, k: int, seeds) -> VerificationReport:
     degenerate witnesses are retried with fresh seeds up to
     ``MAX_SEED_RUNS`` runs in total.
     """
-    if not 1 <= k < cs.b0:
-        raise OrderOutOfRange(f"polar order must satisfy 1 <= k < {cs.b0}, got {k}")
+    prediction = predict(cs, k)  # OrderOutOfRange unless 1 <= k < b0
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
-    prediction = predict(cs, k)
     levels = range(1, prediction.i_k + 1)
     report = VerificationReport(cs=cs, k=k, prediction=prediction)
 

@@ -5,10 +5,11 @@ diagram membership by supporting half-planes, truncations row by row,
 first derivatives of elementary diagrams by continued fractions, conjugate
 products by exact cyclotomic arithmetic and by iterated norms (Laplace
 determinants), random valid characteristic sequences by rejection,
-pairwise contacts one pair at a time, Eggers-Wall trees by clustering that
-table, hat transforms by full expansion of the minimal polynomial and by
-Horner's scheme, the truncations lam_l of a witness's root and their
-differences by series arithmetic, weighted initial forms by a minimum over
+pairwise contacts one pair at a time, the prediction document as a dict
+of one block per factor and one row per pair, Eggers-Wall trees by
+clustering that table, hat transforms by full expansion of the minimal
+polynomial and by Horner's scheme, the truncations lam_l of a witness's
+root and their differences by series arithmetic, weighted initial forms by a minimum over
 every term, squarefreeness by Euclid's algorithm over Q, and the expected polar
 diagram D^(k) as the Minkowski sum R^(k) + L of the lemma on Newton
 diagrams of polars.  Helpers that only the tests use (Minkowski sums,
@@ -27,6 +28,7 @@ from math import gcd, lcm
 from branchpolar import contfrac
 from branchpolar.diagram import CanonicalRep, NewtonDiagram, from_support
 from branchpolar.errors import BranchPolarError, InvalidRange
+from branchpolar.rational import fmt_q
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +285,26 @@ def contact_table_oracle(prediction):
                 value = min(a.contact_with_f, b.contact_with_f)
             table.append((names[i], names[j], value))
     return table
+
+
+def prediction_document_oracle(prediction) -> dict:
+    """The prediction document as a dict, one block per factor and one row
+    per pair of factors from ``contact_table_oracle``; ``json.dumps(...,
+    indent=2)`` of it is the text ``PolarPrediction.to_json`` writes."""
+    cs = prediction.char
+    factors = prediction.factors()
+    groups = [{"l": l, "cont_f": fmt_q(Fraction(cs.b[l], cs.b0)), "factors": []}
+              for l in range(1, prediction.i_k + 1)]
+    for f, name in zip(factors, prediction.labels()):
+        groups[f.group_index - 1]["factors"].append(dict(f.to_json(), label=name))
+    return {
+        "char": list(cs.b),
+        "k": prediction.k,
+        "i_k": prediction.i_k,
+        "multiplicity_total": sum(f.multiplicity for f in factors),
+        "groups": groups,
+        "pairwise_contacts": [[a, b, fmt_q(c)] for a, b, c in contact_table_oracle(prediction)],
+    }
 
 
 def _oracle_edge_index(leaf, parent_contact) -> int:

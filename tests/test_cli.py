@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 from pathlib import Path
 
@@ -179,7 +180,7 @@ def test_verify_cli_exit_codes(capsys, monkeypatch):
             return self.verdict
 
         def to_json(self):
-            return {"verdict": self.verdict}
+            return json.dumps({"verdict": self.verdict})
 
     for verdict, expected in [("FAIL", cli.EXIT_FAIL), ("UNKNOWN", cli.EXIT_UNKNOWN)]:
         monkeypatch.setattr(cli.verify, "verify_prediction",
@@ -211,6 +212,63 @@ def test_an_internal_fault_is_not_a_usage_error(capsys, monkeypatch):
     assert json.loads(captured.err) == {"error": "InvariantViolation",
                                         "message": "the chain broke"}
     assert cli.main(["verify", "12,16,30", "--k", "1", "--quiet"]) == cli.EXIT_USAGE
+
+
+def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    # a mutant of hat_chain that slices delta_l from [b_(l-2), b_(l-1)):
+    # hat_transform then refuses a shift that lowers a weight, a ValueError
+    # raised from arguments the command line has already checked
+    source = inspect.getsource(cli.verify.hat_chain)
+    right = "cs.b[l - 1] <= i < cs.b[l]}"
+    assert source.count(right) == 1
+    scope = dict(vars(cli.verify))
+    exec(source.replace(right, "cs.b[l - 2] <= i < cs.b[l - 1]}"), scope)
+    monkeypatch.setattr(cli.verify, "hat_chain", scope["hat_chain"])
+    code = cli.main(["verify", "12,16,31", "--k", "1", "--seeds", "1", "--quiet"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ValueError"
+    # what argv gets wrong still exits 1
+    assert cli.main(["verify", "12,16,30", "--k", "1", "--quiet"]) == cli.EXIT_USAGE
+    assert cli.main(["predict", "2,3", "--k", "5", "--quiet"]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "12,16,31", "--k", "12"],
+    ["verify", "12,16,31", "--k", "1", "--seeds", ","],
+    ["verify", "12,16,31", "--k", "1", "--seeds", "1,x"],
+    ["diagram", "derive", "--elementary", "5/3", "--k", "-1"],
+    ["diagram", "show", "--elementary=-5/3"],
+    ["diagram", "show"],
+    ["contfrac", "3/5"],
+    ["contfrac", "3/x"],
+    ["example", "ex1", "--k", "12"],
+], ids=["order", "no-seeds", "seed-not-int", "negative-derivative", "negative-leg",
+        "no-diagram", "ratio-out-of-range", "ratio-not-int", "example-order"])
+def test_operands_are_checked_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    for owner, name in [(cli.polar, "predict"), (cli.verify, "verify_prediction"),
+                        (cli.diagram_mod.NewtonDiagram, "symbolic_derivative"),
+                        (cli.contfrac_mod, "expand")]:
+        monkeypatch.setattr(owner, name, no_work)
+    code = cli.main([*argv, "--quiet"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert set(json.loads(captured.err)) == {"error", "message"}
+
+
+def test_output_folder_is_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.verify, "verify_prediction", None)  # never reached
+    target = tmp_path / "missing" / "x.json"
+    code = cli.main(["verify", "12,16,31", "--k", "1", "--output", str(target), "--quiet"])
+    diag = json.loads(capsys.readouterr().err)
+    assert code == cli.EXIT_USAGE
+    assert diag["error"] == "FileNotFoundError" and str(target) in diag["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_file(tmp_path, capsys):

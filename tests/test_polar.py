@@ -6,7 +6,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd, prod
+from math import ceil, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -18,10 +18,10 @@ from branchpolar.charclass import new_char_sequence
 from branchpolar.diagram import NewtonDiagram, elementary
 from branchpolar.errors import InvariantViolation, OrderOutOfRange
 from branchpolar.polar import EWLeaf, export_eggers_wall, predict
-from branchpolar.rational import fmt_q
 from oracles import (
     contact_table_oracle,
     eggers_wall_oracle,
+    prediction_document_oracle,
     random_char_sequence,
     staircase_trunc_oracle,
 )
@@ -171,9 +171,47 @@ def test_predict_rejects_wrong_derivative_without_asserts():
     assert "3 passed" in run.stdout
 
 
+def _appended_exponent_off_its_denominator(kind, part, chars):
+    # a Z-factor's appended exponent moved by half a step of its denominator:
+    # still beyond every exponent before it, but of twice the index
+    if kind == "Z" and part[1] > 1:
+        e = chars[-1]
+        return chars[:-1] + (e + Fraction(1, 2 * e.denominator),)
+    return chars
+
+
+def _last_w_exponent_rounded_up(kind, part, chars):
+    # a W-factor's cont_f rounded up to an integer, which raises no index
+    return chars[:-1] + (Fraction(ceil(chars[-1])),) if kind == "W" else chars
+
+
+@pytest.mark.parametrize("mutant,cs,k", [
+    (_appended_exponent_off_its_denominator, EX1, 1),
+    (_appended_exponent_off_its_denominator, EX2, 1),
+    (_appended_exponent_off_its_denominator, EX2, 2),
+    (_last_w_exponent_rounded_up, EX1, 2),
+    (_last_w_exponent_rounded_up, EX2, 2),
+], ids=["appended-ex1-k1", "appended-ex2-k1", "appended-ex2-k2", "w-ex1-k2", "w-ex2-k2"])
+def test_predict_rejects_a_factor_that_is_not_a_branch(monkeypatch, mutant, cs, k):
+    import branchpolar.polar as polar_mod
+
+    right = predict(cs, k).factors()
+    real = polar_mod.PolarFactor
+
+    def factor(l, kind, part, mult, cont_f, cont_semi, chars):
+        return real(l, kind, part, mult, cont_f, cont_semi, mutant(kind, part, chars))
+
+    monkeypatch.setattr(polar_mod, "PolarFactor", factor)
+    with pytest.raises(InvariantViolation, match="not a branch"):
+        predict(cs, k)
+    # no other check of predict sees the mutant
+    monkeypatch.setattr(polar_mod, "_check_branch", lambda f: None)
+    assert predict(cs, k).factors() != right
+
+
 def test_prediction_json_deterministic():
-    a = json.dumps(predict(EX1, 2).to_json())
-    b = json.dumps(predict(new_char_sequence([12, 16, 31]), 2).to_json())
+    a = predict(EX1, 2).to_json()
+    b = predict(new_char_sequence([12, 16, 31]), 2).to_json()
     assert a == b
 
 
@@ -189,15 +227,14 @@ def test_pairwise_contacts_examples():
 # -- contact rows from the group structure ------------------------------------------
 
 
-def assert_contact_rows_match_oracle(p):
-    blob = p.to_json()
-    assert p.to_json_text() == json.dumps(blob, indent=2)
-    assert blob["pairwise_contacts"] == [[a, b, fmt_q(c)] for a, b, c in contact_table_oracle(p)]
+def assert_document_matches_oracle(p):
+    # the oracle takes its rows from contact_table_oracle, one pair at a time
+    assert p.to_json() == json.dumps(prediction_document_oracle(p), indent=2)
 
 
 @pytest.mark.parametrize("cs,k", [(EX1, 1), (EX1, 2), (EX1, 10), (EX2, 1), (EX2, 2)])
 def test_contact_rows_match_oracle_on_goldens(cs, k):
-    assert_contact_rows_match_oracle(predict(cs, k))
+    assert_document_matches_oracle(predict(cs, k))
 
 
 @st.composite
@@ -230,7 +267,7 @@ def char_sequences(draw):
 @given(char_sequences())
 def test_contact_rows_match_oracle(cs):
     for k in range(1, cs.b0):
-        assert_contact_rows_match_oracle(predict(cs, k))
+        assert_document_matches_oracle(predict(cs, k))
 
 
 def _swap_two_z(p):
@@ -257,8 +294,6 @@ def test_contact_writers_reject_wrong_order(mutant, cs, k):
     p = mutant(predict(cs, k))
     with pytest.raises(InvariantViolation):
         p.to_json()
-    with pytest.raises(InvariantViolation):
-        p.to_json_text()
 
 
 def test_merle_first_polar_multiplicities():

@@ -50,6 +50,7 @@ from oracles import (
     initial_form,
     lam,
     minkowski_sum,
+    prediction_document_oracle,
     random_char_sequence,
     split_derivative,
 )
@@ -481,13 +482,13 @@ def test_chain_widens_for_a_degenerate_witness(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "min_poly", spy)
     monkeypatch.setattr(verify_mod, "sample_witness", lambda cs, seed, extra=None: g)
-    chained = verify_prediction(EX1, 10, [1]).to_json()
+    chained = json.loads(verify_prediction(EX1, 10, [1]).to_json())
     # every retry samples the same witness: one cut chain and one full chain each
     assert calls == [True, False] * len(chained["runs"])
 
     monkeypatch.setattr(verify_mod, "hat_chain",
                         lambda w, depth, k: [_full_level(w, l, k) for l in range(1, depth + 1)])
-    assert verify_prediction(EX1, 10, [1]).to_json() == chained
+    assert json.loads(verify_prediction(EX1, 10, [1]).to_json()) == chained
     assert chained["runs"][0]["levels"][0]["status"] == "degenerate"
 
 
@@ -707,9 +708,19 @@ def test_verify_rejects_bad_order():
 
 
 def test_verify_report_deterministic():
-    a = json.dumps(verify_prediction(EX2, 2, [3, 4]).to_json())
-    b = json.dumps(verify_prediction(EX2, 2, [3, 4]).to_json())
+    a = verify_prediction(EX2, 2, [3, 4]).to_json()
+    b = verify_prediction(EX2, 2, [3, 4]).to_json()
     assert a == b
+
+
+def test_verify_report_embeds_the_prediction_document():
+    # three groups, five factors and their ten contact rows, one level deeper
+    report = verify_prediction(new_char_sequence([16, 24, 28, 30, 31]), 3, [1, 2])
+    text = report.to_json()
+    blob = json.loads(text)
+    blob["prediction"] = prediction_document_oracle(report.prediction)
+    assert text == json.dumps(blob, indent=2)
+    assert blob["verdict"] == "PASS" and len(blob["prediction"]["pairwise_contacts"]) == 10
 
 
 def test_find_generic_witness():
@@ -746,11 +757,19 @@ def test_verify_fails_when_canonical_rep_does_not_split(monkeypatch, b, k):
     # predict splits equal parts into primitive copies through
     # canonical_rep(long=True).  With the short form in its place it predicts
     # fewer Z-factors of doubled multiplicity; the verifier reads its steep
-    # parts off the edges themselves, so the wrong prediction must FAIL
+    # parts off the edges themselves, so the wrong prediction must FAIL.  A
+    # merged part of N > 1 makes a factor whose index is below its
+    # multiplicity, which predict's own branch check refuses first; with that
+    # check switched off the verifier must still catch it
+    import branchpolar.polar as polar_mod
+
     cs = new_char_sequence(b)
     right = predict(cs, k).to_json()
     real = NewtonDiagram.canonical_rep
     monkeypatch.setattr(NewtonDiagram, "canonical_rep", lambda self, long=False: real(self))
+    with pytest.raises(InvariantViolation, match="not a branch"):
+        predict(cs, k)
+    monkeypatch.setattr(polar_mod, "_check_branch", lambda f: None)
     assert predict(cs, k).to_json() != right
     report = verify_prediction(cs, k, [1, 2, 3, 4, 5])
     assert report.verdict == "FAIL", report.to_text()
