@@ -28,9 +28,8 @@ WORKED_EXAMPLES = {"ex1": "12,16,31", "ex2": "10,14,15"}
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+    def error(self, message):  # main reports it as JSON and returns 1, not argparse's 2
+        raise argparse.ArgumentError(None, message)
 
 
 def _emit(text: str, args) -> None:
@@ -275,7 +274,10 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        return _fail(exc, EXIT_USAGE)
     if args.format is None:
         env_fmt = os.environ.get("BRANCHPOLAR_FORMAT")
         args.format = env_fmt if env_fmt in args.formats else args.formats[0]

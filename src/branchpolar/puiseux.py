@@ -6,17 +6,23 @@ least denominator of its exponents: the constructor divides ``n`` and every
 numerator by their gcd, so each series has exactly one stored form.
 
 A :class:`BivariatePoly` is an exact sparse polynomial in (x, y) with
-rational coefficients, stored as ints wherever they are whole.  Its public
+rational coefficients, stored as ints wherever they are whole, in rows:
+``rows`` maps each y-degree j to the dict {i: c} of the terms c x^i y^j,
+and holds no empty row.  ``terms``, the {(i, j): c} view, is built on
+demand for callers outside the module; nothing here reads it.  The public
 constructor checks every exponent and coefficient of outside input; the
 polynomials this module builds itself (:func:`min_poly`,
-:func:`hat_transform`, :func:`derivative_y`) skip those checks and are only
-cleared of zeros and whole Fractions.  The only way terms are dropped is a
-weight cut ``(wx, wy, cap)``, taken by :func:`min_poly` and
-:func:`hat_transform`: every term x^i y^j with wx*i + wy*j above ``cap`` is
-left out.  :func:`hat_transform` is a Taylor shift in y, one cut product
-of each y-slice with each power of the substituted series.  Polynomials
-are read by :func:`diagram_of`, the Newton diagram of any y-derivative off
-the row starts, and :func:`edge_poly`, the coefficients on a compact edge.
+:func:`hat_transform`, :func:`derivative_y`) write their rows directly,
+skip those checks and are only cleared of zeros and whole Fractions.  The
+only way terms are dropped is a weight cut ``(wx, wy, cap)``, taken by
+:func:`min_poly` and :func:`hat_transform`: every term x^i y^j with
+wx*i + wy*j above ``cap`` is left out.  :func:`hat_transform` is a Taylor
+shift in y, one cut product of each row with each power of the substituted
+series.  The readers take one term per row, its first, least x-exponent:
+:func:`diagram_of`, the Newton diagram of any y-derivative, hulls the
+rows' first terms, and :func:`edge_poly`, the coefficients on a compact
+edge, reads the first term of each row, the only one that can reach a
+supporting line.
 
 The centrepiece is :func:`min_poly`: the monic polynomial whose roots are the
 conjugates of a series, taken along the 2-adic tower of its index
@@ -36,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, gcd, lcm, perm
+from types import MappingProxyType
 
 from . import charclass
 from . import diagram as diagram_mod
@@ -50,20 +57,15 @@ from .errors import (
 from .rational import fmt_q
 
 __all__ = [
-    "INF",
     "PuiseuxSeries",
     "BivariatePoly",
     "min_poly",
     "derivative_y",
     "hat_transform",
-    "row_starts",
     "diagram_of",
     "edge_poly",
     "edge_poly_squarefree",
 ]
-
-INF = float("inf")
-
 
 def _as_coeff(value):
     # ints stay ints (fast arithmetic); other exact rationals become Fractions.
@@ -200,12 +202,13 @@ class PuiseuxSeries:
 
 @dataclass(frozen=True, slots=True)
 class BivariatePoly:
-    """Exact sparse polynomial sum of c_{ij} x^i y^j."""
+    """Exact sparse polynomial sum of c_{ij} x^i y^j, stored as ``rows``:
+    each y-degree j maps to the dict {i: c} of its row, and no row is empty."""
 
-    terms: dict
+    rows: dict
 
     def __init__(self, terms: dict):
-        clean = {}
+        rows = {}
         for (i, j), c in terms.items():
             if type(i) is not int or type(j) is not int:
                 raise ValueError(f"exponents must be integers, got ({i!r}, {j!r})")
@@ -213,50 +216,53 @@ class BivariatePoly:
                 raise ValueError(f"exponents must be nonnegative, got ({i}, {j})")
             c = _as_coeff(c)
             if c:
-                clean[(i, j)] = c
-        object.__setattr__(self, "terms", clean)
+                rows.setdefault(j, {})[i] = c
+        object.__setattr__(self, "rows", rows)
 
     # -- queries ----------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def terms(self) -> MappingProxyType:
+        """A read-only {(i, j): c} view of every term, built from the rows."""
+        return MappingProxyType({(i, j): c for j, row in self.rows.items() for i, c in row.items()})
 
-    def y_slices(self) -> dict:
-        """x-coefficient dicts keyed by y-degree."""
-        out: dict[int, dict[int, object]] = {}
-        for (i, j), c in self.terms.items():
-            out.setdefault(j, {})[i] = c
-        return out
+    def is_zero(self) -> bool:
+        return not self.rows
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.rows:
             return "BivariatePoly(0)"
         bits = []
-        for (i, j), c in sorted(self.terms.items(), key=lambda kv: (-kv[0][1], kv[0][0])):
-            mono = "".join(
-                [f"x^{i}" if i > 1 else "x" if i == 1 else "",
-                 f"y^{j}" if j > 1 else "y" if j == 1 else ""]
-            )
-            if not mono:
-                bits.append(fmt_q(c))
-            elif c == 1:
-                bits.append(mono)
-            else:
-                bits.append(f"{fmt_q(c)}*{mono}")
+        for j in sorted(self.rows, reverse=True):
+            for i, c in sorted(self.rows[j].items()):
+                mono = "".join(
+                    [f"x^{i}" if i > 1 else "x" if i == 1 else "",
+                     f"y^{j}" if j > 1 else "y" if j == 1 else ""]
+                )
+                if not mono:
+                    bits.append(fmt_q(c))
+                elif c == 1:
+                    bits.append(mono)
+                else:
+                    bits.append(f"{fmt_q(c)}*{mono}")
         return "BivariatePoly(" + " + ".join(bits) + ")"
 
 
-def _poly(terms: dict) -> BivariatePoly:
-    """A polynomial this module built itself: its exponents are nonnegative
-    ints and its coefficients ints or Fractions, so the checks of
-    ``BivariatePoly(...)`` are not run again.  What ``_as_coeff`` would store
-    is still stored: no zero coefficient, and an int for a whole Fraction
-    (1/2 + 1/2 in a hat, Fraction(c, scale) in ``min_poly``)."""
+def _poly(rows) -> BivariatePoly:
+    """A polynomial this module built itself, from (j, {i: c}) pairs: its
+    exponents are nonnegative ints and its coefficients ints or Fractions,
+    so the checks of ``BivariatePoly(...)`` are not run again.  What
+    ``_as_coeff`` would store is still stored, row by row: no zero
+    coefficient, an int for a whole Fraction (1/2 + 1/2 in a hat,
+    Fraction(c, scale) in ``min_poly``), and no empty row."""
     p = object.__new__(BivariatePoly)
-    object.__setattr__(p, "terms", {
-        key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-        for key, c in terms.items() if c
-    })
+    clean = {}
+    for j, row in rows:
+        row = {i: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+               for i, c in row.items() if c}
+        if row:
+            clean[j] = row
+    object.__setattr__(p, "rows", clean)
     return p
 
 
@@ -304,9 +310,9 @@ def _power_sums(scaled: list, n: int, shift: int, slots: int, width: int) -> lis
 def _odd_part(scaled: list, q: int, shift: int, total: int, cut) -> dict:
     """The product over the q conjugates of a = u^shift B(u) / D, u = t^(1/q)
     and B the sum of c u^i over ``scaled``, by power sums and Newton's
-    identities: {(i, j): c} for the terms c t^i Y^j of D^q G(t, Y / D), the
-    terms of weight wx*i + wy*j above the cap ``cut = (wx, wy, cap)`` left
-    out and Y^q kept.
+    identities, by rows: {j: {i: c}} for the terms c t^i Y^j of
+    D^q G(t, Y / D), the terms of weight wx*i + wy*j above the cap
+    ``cut = (wx, wy, cap)`` left out and Y^q kept.
 
     The power sums are p_j = q * [a^j]_(u-exponents divisible by q), and
     j e_j = sum_(i=1..j) (-1)^(i-1) e_(j-i) p_i gives the elementary
@@ -337,7 +343,7 @@ def _odd_part(scaled: list, q: int, shift: int, total: int, cut) -> dict:
     half = 1 << bits - 1
     offset = _slot_offset(width, slots)
     mask = (1 << bits * slots) - 1
-    out = {(0, q): 1}
+    out = {q: {0: 1}}
     elem = [1]  # the windows of E_0, E_1, ..., packed
 
     def newton(j):  # the window of j E_j, packed
@@ -364,9 +370,10 @@ def _odd_part(scaled: list, q: int, shift: int, total: int, cut) -> dict:
         # every product of j conjugates has coefficients of size at most S^j
         if max(map(abs, coeffs)) > comb(q, j) * total ** j:
             raise InvariantViolation(f"e_{j} has a coefficient beyond binom(q, {j}) S^{j}")
+        row = out[q - j] = {}
         for t, c in enumerate(coeffs, start=order[j]):
             if c and t < limit[j]:
-                out[(t, q - j)] = -c if j % 2 else c
+                row[t] = -c if j % 2 else c
     # a product of q linear factors in y has no e_(q+1)
     if (newton(q + 1) + offset) & mask != offset:
         raise InvariantViolation(f"Newton's identities leave e_{q + 1} nonzero")
@@ -457,7 +464,7 @@ def min_poly(a: PuiseuxSeries, cut=None) -> BivariatePoly:
     g = _odd_part(scaled, q, shift, total, (wx, wy, cap - ((1 << s) - 1) * least))
     if s:
         size = n + 1  # above every y-degree
-        keys = {(wx * e + wy * j) * size + j: c for (e, j), c in g.items()}
+        keys = {(wx * e + wy * j) * size + j: c for j, row in g.items() for e, c in row.items()}
         for r in range(s):
             sides = ([], [])  # the terms of even and odd t^(2^r)-exponent
             for key, c in keys.items():
@@ -467,30 +474,26 @@ def min_poly(a: PuiseuxSeries, cut=None) -> BivariatePoly:
         g = {}
         for key, c in keys.items():
             w, j = divmod(key, size)
-            g[(w - wy * j) // wx >> s, j] = c
-    g[(0, n)] = 1
+            g.setdefault(j, {})[(w - wy * j) // wx >> s] = c
+    g[n] = {0: 1}
     if cut is None:
         # F(u) = sum c u^(n i) A(u)^j over the terms c x^i Y^j, A = D a, is
         # D^n f(x, a); its coefficients are below sum_j |f_j|_1 S^j, the sum
         # over the Y-rows of their coefficient sums, so its value at u = 2^w,
         # w one bit past that bound, is zero exactly when F is
-        norms = [0] * (n + 1)
-        for (i, j), c in g.items():
-            norms[j] += abs(c)
-        w = sum(norm * total ** j for j, norm in enumerate(norms)).bit_length() + 1
-        rows = [0] * (n + 1)
-        for (i, j), c in g.items():
-            rows[j] += c << w * n * i
+        w = sum(sum(map(abs, row.values())) * total ** j
+                for j, row in g.items()).bit_length() + 1
         at_a = sum(c << w * (i + shift) for i, c in scaled)
         value = 0
-        for row in reversed(rows):
-            value = value * at_a + row
+        for j in range(n, -1, -1):
+            value = value * at_a + sum(c << w * n * i for i, c in g.get(j, {}).items())
         if value:
             raise InvariantViolation("the conjugate product does not vanish at the series")
     if den > 1:
-        scale = [den ** (n - j) for j in range(n + 1)]
-        g = {(i, j): Fraction(c, scale[j]) for (i, j), c in g.items()}
-    return _poly(g)
+        for j, row in g.items():
+            scale = den ** (n - j)
+            g[j] = {i: Fraction(c, scale) for i, c in row.items()}
+    return _poly(g.items())
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +507,11 @@ def derivative_y(f: BivariatePoly, k: int) -> BivariatePoly:
         raise ValueError("derivative order must be nonnegative")
     if k == 0:
         return f
-    degree = max((j for _, j in f.terms), default=-1)
-    if k > degree:
+    if k > max(f.rows, default=-1):
         raise OrderExceedsDegree(f"order {k} exceeds the y-degree")
-    factors = [perm(j, k) for j in range(degree + 1)]  # j!/(j-k)!, 0 below k
-    return _poly({(i, j - k): c * factors[j] for (i, j), c in f.terms.items() if j >= k})
+    # row j >= k times j!/(j-k)! moves to row j - k
+    return _poly((j - k, {i: c * perm(j, k) for i, c in row.items()})
+                 for j, row in f.rows.items() if j >= k)
 
 
 def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
@@ -531,6 +534,12 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
     wx * ord(mu) >= wy (a lowering substitution is refused).  So the
     lightest term of f_j mu^s only gets heavier as s grows, and the terms of
     a slice stop at the first s whose lightest term is past its row's room.
+
+    Without a cut nothing is left out: the weight is (1, 1) and the cap the
+    largest i n_sub + j h over the terms x^i y^j of f, h the top exponent
+    of mu (1 for mu = 0).  Every exponent of mu is at least 1, so each term
+    of f_j(x^n_sub) mu^s in row j - s weighs at most i n_sub + s h + j - s,
+    which is at most i n_sub + j h.
     """
     if n_sub < 1:
         raise ValueError("substitution exponent must be positive")
@@ -543,17 +552,16 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
             )
         mu[e // lam.denom] = c
     mu_items = sorted(mu.items())
-    slices = f.y_slices()
-    degree = max(slices, default=0)
+    degree = max(f.rows, default=0)
     if cut is None:
-        room = [INF] * (degree + 1)
-    else:
-        wx, wy, cap = cut
-        if wx < 1 or wy < 1:
-            raise ValueError(f"cut weights must be positive, got ({wx}, {wy})")
-        if mu_items and wx * mu_items[0][0] < wy:
-            raise ValueError(f"y + x^{mu_items[0][0]} lowers the weight ({wx}, {wy})")
-        room = [(cap - wy * r) // wx for r in range(degree + 1)]
+        high = mu_items[-1][0] if mu_items else 1
+        cut = (1, 1, max((n_sub * max(row) + j * high for j, row in f.rows.items()), default=0))
+    wx, wy, cap = cut
+    if wx < 1 or wy < 1:
+        raise ValueError(f"cut weights must be positive, got ({wx}, {wy})")
+    if mu_items and wx * mu_items[0][0] < wy:
+        raise ValueError(f"y + x^{mu_items[0][0]} lowers the weight ({wx}, {wy})")
+    room = [(cap - wy * r) // wx for r in range(degree + 1)]
 
     powers = [[(0, 1)]]  # powers[s] = mu^s, by increasing exponent, cut at room[0]
     for _ in range(degree):
@@ -570,7 +578,7 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
         powers.append(power)
 
     rows: list = [{} for _ in range(degree + 1)]  # rows[r] = {i: c}, the x-polynomial at y^r
-    for j, f_j in slices.items():
+    for j, f_j in f.rows.items():
         items = sorted((i * n_sub, c) for i, c in f_j.items())
         for s, power in enumerate(powers[:j + 1]):
             top = room[j - s]
@@ -587,16 +595,7 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
                     if e > left:
                         break
                     row[i + e] = row.get(i + e, 0) + c * m
-    return _poly({(i, r): c for r, row in enumerate(rows) for i, c in row.items()})
-
-
-def row_starts(f: BivariatePoly) -> dict:
-    """The smallest x-exponent in each y-row of f."""
-    starts: dict = {}
-    for i, j in f.terms:
-        if i < starts.get(j, i + 1):
-            starts[j] = i
-    return starts
+    return _poly(enumerate(rows))
 
 
 def diagram_of(f: BivariatePoly, k: int = 0) -> diagram_mod.NewtonDiagram:
@@ -607,7 +606,7 @@ def diagram_of(f: BivariatePoly, k: int = 0) -> diagram_mod.NewtonDiagram:
         raise ValueError("derivative order must be nonnegative")
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no Newton diagram")
-    points = [(i, j - k) for j, i in row_starts(f).items() if j >= k]
+    points = [(min(row), j - k) for j, row in f.rows.items() if j >= k]
     if not points:
         raise OrderExceedsDegree(f"order {k} exceeds the y-degree")
     return diagram_mod.from_support(points)
@@ -658,8 +657,11 @@ def edge_poly(f: BivariatePoly, edge) -> list:
     The segment from (xa, ya) to (xb, yb), xa < xb and ya > yb, is a compact
     edge of the Newton polygon of f exactly when both endpoints carry
     support, no term lies strictly below its line and no term on the line
-    lies beyond an endpoint; one pass over the terms checks this and gathers
-    the coefficients.  Anything else raises EdgeNotOnPolygon.
+    lies beyond an endpoint.  Along a row the terms move away from the line
+    as i grows, so only the first term of each row, its least i, can lie
+    below the line or on it: one pass over the rows' first terms checks
+    this and gathers the coefficients.  Anything else raises
+    EdgeNotOnPolygon.
     """
     off_polygon = f"{edge} is not a compact edge of the polygon"
     (xa, ya), (xb, yb) = edge
@@ -668,12 +670,13 @@ def edge_poly(f: BivariatePoly, edge) -> list:
     dx, dy = xb - xa, ya - yb
     level = dy * xa + dx * ya
     coeffs = [0] * (dy + 1)
-    for (i, j), c in f.terms.items():
+    for j, row in f.rows.items():
+        i = min(row)
         side = dy * i + dx * j - level
         if side < 0 or (side == 0 and not xa <= i <= xb):
             raise EdgeNotOnPolygon(off_polygon)
         if side == 0:
-            coeffs[j - yb] = c
+            coeffs[j - yb] = row[i]
     if not (coeffs[0] and coeffs[-1]):
         raise EdgeNotOnPolygon(off_polygon)
     return coeffs

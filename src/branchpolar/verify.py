@@ -209,7 +209,7 @@ def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
     def read(l, fhat):
         corner = cs.bbar[l - 1]
         edge = ((corner - cs.b[l], cs.e[l - 1]), (corner, 0))
-        d = diagram_of(fhat) if fhat.terms else None  # a cut inside the corner leaves nothing
+        d = diagram_of(fhat) if fhat.rows else None  # a cut inside the corner leaves nothing
         end = d.vertices[-2:] if d is not None else ()
         if end != edge:
             raise InvariantViolation(

@@ -23,7 +23,7 @@ generic witness, and the errors only these helpers raise) live here too.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, perm
 
 from branchpolar import contfrac
 from branchpolar.diagram import CanonicalRep, NewtonDiagram, from_support
@@ -678,9 +678,9 @@ def coefficient(series, exponent):
 
 def truncate_below(series, cutoff):
     """The terms of a Puiseux series of exponent strictly less than ``cutoff``."""
-    from branchpolar.puiseux import INF, PuiseuxSeries
+    from branchpolar.puiseux import PuiseuxSeries
 
-    if cutoff == INF:
+    if cutoff == float("inf"):
         return series
     p, q = _exponent(cutoff)
     return PuiseuxSeries(series.denom, {i: c for i, c in series.terms if i * q < p * series.denom})
@@ -735,7 +735,7 @@ def hat_horner_oracle(f, n_sub: int, lam, cut=None):
         wx, wy, cap = cut
         assert not mu_items or wx * mu_items[0][0] >= wy, "lowering substitution"
 
-    slices = f.y_slices()
+    slices = f.rows
     rows: list = []  # rows[jy] = {i: c}, the x-polynomial at y^jy
     for j in range(max(slices, default=0), -1, -1):
         # rows <- rows * (y + mu) + c_j(x^n_sub); j multiplications follow,
@@ -762,6 +762,53 @@ def hat_horner_oracle(f, n_sub: int, lam, cut=None):
         out[0] = {i: c for i, c in row.items() if c}
         rows = out
     return BivariatePoly({(i, jy): c for jy, row in enumerate(rows) for i, c in row.items()})
+
+
+# ---------------------------------------------------------------------------
+# bivariate polynomials read term by term
+# ---------------------------------------------------------------------------
+
+
+def derivative_y_oracle(f, k: int):
+    """d^k f/dy^k term by term through the public constructor: the reference
+    for ``puiseux.derivative_y``, which scales whole rows."""
+    from branchpolar.puiseux import BivariatePoly
+
+    return BivariatePoly({(i, j - k): c * perm(j, k) for (i, j), c in f.terms.items() if j >= k})
+
+
+def diagram_of_oracle(f, k: int = 0):
+    """The Newton diagram of d^k f/dy^k as the hull of every term of f at
+    height >= k, shifted down by k: the reference for ``puiseux.diagram_of``,
+    which hulls the first term of each row."""
+    return from_support([(i, j - k) for i, j in f.terms if j >= k])
+
+
+def edge_poly_oracle(f, edge) -> list:
+    """The coefficients of f on a compact edge, by y-exponent from the lower
+    endpoint up, from one scan of every term: the reference for
+    ``puiseux.edge_poly``, which reads the first term of each row.  Raises
+    EdgeNotOnPolygon unless both endpoints carry support, no term lies
+    strictly below the segment's line and no term on the line lies beyond
+    an endpoint."""
+    from branchpolar.errors import EdgeNotOnPolygon
+
+    off_polygon = f"{edge} is not a compact edge of the polygon"
+    (xa, ya), (xb, yb) = edge
+    if not (xa < xb and ya > yb):
+        raise EdgeNotOnPolygon(off_polygon)
+    dx, dy = xb - xa, ya - yb
+    level = dy * xa + dx * ya
+    coeffs = [0] * (dy + 1)
+    for (i, j), c in f.terms.items():
+        side = dy * i + dx * j - level
+        if side < 0 or (side == 0 and not xa <= i <= xb):
+            raise EdgeNotOnPolygon(off_polygon)
+        if side == 0:
+            coeffs[j - yb] = c
+    if not (coeffs[0] and coeffs[-1]):
+        raise EdgeNotOnPolygon(off_polygon)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

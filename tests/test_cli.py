@@ -192,10 +192,35 @@ def test_verify_cli_exit_codes(capsys, monkeypatch):
 def test_usage_errors_exit_1(capsys):
     assert cli.main(["predict", "abc,def", "--k", "1", "--quiet"]) == cli.EXIT_USAGE
     assert cli.main(["predict", "--k", "1", "--quiet"]) == cli.EXIT_USAGE  # no char
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["predict", "2,3", "--quiet"])  # missing --k
-    assert exc.value.code == cli.EXIT_USAGE
+    assert cli.main(["predict", "2,3", "--quiet"]) == cli.EXIT_USAGE  # missing --k
     assert cli.main(["predict", "2,3", "--k", "5", "--quiet"]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["predict", "2,3", "--quiet"], "the following arguments are required: --k"),
+    (["predict", "2,3", "--k", "1", "--format", "xml", "--quiet"], "invalid choice: 'xml'"),
+    (["predict", "2,3", "--k", "one", "--quiet"], "invalid int value: 'one'"),
+    (["nosuch", "--quiet"], "invalid choice: 'nosuch'"),
+    (["predict", "2,3", "--k", "1", "--bogus"], "unrecognized arguments: --bogus"),
+], ids=["missing-k", "format-xml", "k-not-int", "no-such-command", "unknown-option"])
+def test_argparse_usage_errors_are_returned_as_json(capsys, argv, message):
+    # what argparse itself refuses is reported like every other usage error:
+    # one JSON line on stderr and exit 1 returned, no usage text and no
+    # SystemExit for an in-process caller
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    blob = json.loads(captured.err)
+    assert blob["error"] == "ArgumentError"
+    assert message in blob["message"]
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_still_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:" if flag == "--help" else "branchpolar ")
 
 
 def test_an_internal_fault_is_not_a_usage_error(capsys, monkeypatch):

@@ -1,0 +1,131 @@
+"""Plausible bugs put into the program, each of which must be killed: by a
+typed error from ``predict``, or by FAIL from ``verify``."""
+
+import inspect
+from fractions import Fraction
+from math import ceil
+
+import pytest
+
+from branchpolar import polar, verify
+from branchpolar.charclass import new_char_sequence
+from branchpolar.diagram import NewtonDiagram
+from branchpolar.errors import InvariantViolation
+from branchpolar.polar import predict
+from branchpolar.verify import verify_prediction
+
+EX1 = new_char_sequence([12, 16, 31])
+EX2 = new_char_sequence([10, 14, 15])
+CLASSES = [(12, 16, 31), (10, 14, 15), (9, 12, 13), (7, 17)]
+
+
+def mutant(module, name, right, wrong):
+    """``module.name`` recompiled from its source with the one occurrence
+    of ``right`` replaced by ``wrong``."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(right) == 1
+    scope = dict(vars(module))
+    exec(source.replace(right, wrong), scope)
+    return scope[name]
+
+
+# -- factors that are not branches ----------------------------------------------
+
+
+def _appended_exponent_off_its_denominator(kind, part, chars):
+    # a Z-factor's appended exponent moved by half a step of its denominator:
+    # still beyond every exponent before it, but of twice the index
+    if kind == "Z" and part[1] > 1:
+        e = chars[-1]
+        return chars[:-1] + (e + Fraction(1, 2 * e.denominator),)
+    return chars
+
+
+def _last_w_exponent_rounded_up(kind, part, chars):
+    # a W-factor's cont_f rounded up to an integer, which raises no index
+    return chars[:-1] + (Fraction(ceil(chars[-1])),) if kind == "W" else chars
+
+
+@pytest.mark.parametrize("mutant,cs,k", [
+    (_appended_exponent_off_its_denominator, EX1, 1),
+    (_appended_exponent_off_its_denominator, EX2, 1),
+    (_appended_exponent_off_its_denominator, EX2, 2),
+    (_last_w_exponent_rounded_up, EX1, 2),
+    (_last_w_exponent_rounded_up, EX2, 2),
+], ids=["appended-ex1-k1", "appended-ex2-k1", "appended-ex2-k2", "w-ex1-k2", "w-ex2-k2"])
+def test_predict_rejects_a_factor_that_is_not_a_branch(monkeypatch, mutant, cs, k):
+    import branchpolar.polar as polar_mod
+
+    right = predict(cs, k).factors()
+    real = polar_mod.PolarFactor
+
+    def factor(l, kind, part, mult, cont_f, cont_semi, chars):
+        return real(l, kind, part, mult, cont_f, cont_semi, mutant(kind, part, chars))
+
+    monkeypatch.setattr(polar_mod, "PolarFactor", factor)
+    with pytest.raises(InvariantViolation, match="not a branch"):
+        predict(cs, k)
+    # no other check of predict sees the mutant
+    monkeypatch.setattr(polar_mod, "_check_branch", lambda f: None)
+    assert predict(cs, k).factors() != right
+
+
+# -- an unsplit canonical representation -----------------------------------------
+
+
+@pytest.mark.parametrize("b,k", [((12, 16, 31), 1), ((12, 16, 31), 2), ((10, 14, 15), 1),
+                                 ((7, 17), 2), ((16, 23), 1), ((16, 23), 3)])
+def test_verify_fails_when_canonical_rep_does_not_split(monkeypatch, b, k):
+    # predict splits equal parts into primitive copies through
+    # canonical_rep(long=True).  With the short form in its place it predicts
+    # fewer Z-factors of doubled multiplicity; the verifier reads its steep
+    # parts off the edges themselves, so the wrong prediction must FAIL.  A
+    # merged part of N > 1 makes a factor whose index is below its
+    # multiplicity, which predict's own branch check refuses first; with that
+    # check switched off the verifier must still catch it
+    import branchpolar.polar as polar_mod
+
+    cs = new_char_sequence(b)
+    right = predict(cs, k).to_json()
+    real = NewtonDiagram.canonical_rep
+    monkeypatch.setattr(NewtonDiagram, "canonical_rep", lambda self, long=False: real(self))
+    with pytest.raises(InvariantViolation, match="not a branch"):
+        predict(cs, k)
+    monkeypatch.setattr(polar_mod, "_check_branch", lambda f: None)
+    assert predict(cs, k).to_json() != right
+    report = verify_prediction(cs, k, [1, 2, 3, 4, 5])
+    assert report.verdict == "FAIL", report.to_text()
+    assert any("disagree" in f for run in report.runs for f in run.failures)
+
+
+# -- the factor counts and the steep parts ----------------------------------------
+
+
+@pytest.mark.parametrize("b", CLASSES, ids=lambda b: "K" + str(b).replace(" ", ""))
+def test_predict_rejects_a_w_count_off_by_one(b):
+    # one W-factor too many in every group: the total multiplicity b0 - k is
+    # the only check that sees it, at every order
+    right = "w_count = min(e_l, k) - (-(-k // n_l))"
+    wrong_predict = mutant(polar, "predict", right, right + " + 1")
+    cs = new_char_sequence(b)
+    for k in range(1, cs.b0):
+        predict(cs, k)
+        with pytest.raises(InvariantViolation, match="multiplicities"):
+            wrong_predict(cs, k)
+
+
+@pytest.mark.parametrize("b", [*CLASSES, (16, 24, 28, 30, 31)],
+                         ids=lambda b: "K" + str(b).replace(" ", ""))
+def test_verify_fails_when_the_exact_inclination_counts_as_steep(monkeypatch, b):
+    # the edge of inclination exactly m_l/n_l read as a steep part: its
+    # W-factors and deeper groups become Z-factors, and the aggregate edge
+    # reads 0.  The mutant changes nothing where the polar has no such edge,
+    # no W-factor and a single group; everywhere else it must FAIL
+    monkeypatch.setattr(verify, "_steep_data", mutant(
+        verify, "_steep_data", "if m * n_l > n * m_l:", "if m * n_l >= n * m_l:"))
+    cs = new_char_sequence(b)
+    for k in range(1, cs.b0):
+        p = predict(cs, k)
+        exact_edge = p.i_k > 1 or any(f.kind == "W" for f in p.factors())
+        report = verify_prediction(cs, k, [1, 2, 3])
+        assert report.verdict == ("FAIL" if exact_edge else "PASS"), (k, report.to_text())

@@ -25,7 +25,6 @@ from branchpolar.errors import (
     ZeroPolynomial,
 )
 from branchpolar.puiseux import (
-    INF,
     BivariatePoly,
     PuiseuxSeries,
     derivative_y,
@@ -40,8 +39,11 @@ from branchpolar.verify import WitnessBranch, hat_chain, sample_witness
 from oracles import (
     coefficient,
     conjugate,
+    derivative_y_oracle,
+    diagram_of_oracle,
     dict_mul,
     difference,
+    edge_poly_oracle,
     evaluate,
     full_hat,
     gcd_degree_oracle,
@@ -54,6 +56,7 @@ from oracles import (
 )
 
 EX1_ROOT = "x^(4/3)+x^2+x^(31/12)"
+INF = float("inf")
 
 
 # -- series basics -------------------------------------------------------------
@@ -135,7 +138,7 @@ def test_every_series_is_stored_over_its_index(n, terms, m, other_terms, scale, 
 def test_series_and_polynomials_cannot_be_changed():
     s = PuiseuxSeries.from_string(EX1_ROOT)
     f = BivariatePoly({(0, 2): 1, (3, 0): -1})
-    for obj, fields in ((s, ("denom", "terms")), (f, ("terms",))):
+    for obj, fields in ((s, ("denom", "terms")), (f, ("rows",))):
         for name in fields:
             with pytest.raises(AttributeError):
                 setattr(obj, name, getattr(obj, name))
@@ -148,7 +151,7 @@ def test_series_and_polynomials_cannot_be_changed():
     assert s == PuiseuxSeries.from_string(EX1_ROOT)
     assert f == BivariatePoly({(0, 2): 1, (3, 0): -1})
     with pytest.raises(TypeError):
-        hash(f)  # its terms are a dict
+        hash(f)  # its rows are a dict
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -683,6 +686,81 @@ def test_edge_squarefree_accepts_exactly_the_compact_edges(terms):
             assert edge_poly_squarefree(f, (a, b)) in (True, False)
 
 
+# -- the row form against term-scan oracles ----------------------------------------
+
+# zero coefficients and whole Fractions (2v/2) among the ints and Fractions
+COEFFS = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(lambda v: Fraction(2 * v, 2)),
+                   st.fractions(-3, 3, max_denominator=4))
+TERMS = st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 8)), COEFFS, max_size=16)
+POINTS = st.tuples(st.integers(0, 9), st.integers(0, 9))
+
+
+def _typed(values):
+    return [(type(c), c) for c in values]
+
+
+def _typed_terms(terms):
+    return sorted((key, type(c), c) for key, c in terms.items())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TERMS)
+def test_terms_round_trip_through_the_rows(terms):
+    f = BivariatePoly(terms)
+    stored = {key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+              for key, c in terms.items() if c}
+    assert _typed_terms(f.terms) == _typed_terms(stored)
+    assert all(f.rows.values())  # no empty row
+    assert f == BivariatePoly(dict(f.terms))
+    with pytest.raises(TypeError):
+        f.terms[(0, 0)] = 1  # a read-only view
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TERMS, st.integers(0, 9))
+def test_derivative_y_matches_the_term_scan(terms, k):
+    f = BivariatePoly(terms)
+    if 0 < k and k > max(f.rows, default=-1):
+        with pytest.raises(OrderExceedsDegree):
+            derivative_y(f, k)
+        return
+    got, want = derivative_y(f, k), derivative_y_oracle(f, k)
+    assert got == want and _typed_terms(got.terms) == _typed_terms(want.terms), (terms, k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TERMS)
+def test_diagram_of_matches_the_term_scan(terms):
+    f = BivariatePoly(terms)
+    if f.is_zero():
+        with pytest.raises(ZeroPolynomial):
+            diagram_of(f)
+        return
+    for k in range(max(f.rows) + 1):
+        assert diagram_of(f, k) == diagram_of_oracle(f, k), (terms, k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TERMS, st.lists(st.tuples(POINTS, POINTS), max_size=8))
+def test_edge_poly_matches_the_term_scan(terms, segments):
+    # on the compact edges, on every segment between two terms, and on
+    # random segments: edge_poly raises EdgeNotOnPolygon exactly when the
+    # scan of every term does, and otherwise reads the same coefficients
+    f = BivariatePoly(terms)
+    edges = [] if f.is_zero() else diagram_of_oracle(f).compact_edges()
+    for edge in edges:
+        assert _typed(edge_poly(f, edge)) == _typed(edge_poly_oracle(f, edge)), (terms, edge)
+    support = list(f.terms)
+    for edge in [*((a, b) for a in support for b in support), *segments]:
+        try:
+            want = edge_poly_oracle(f, edge)
+        except EdgeNotOnPolygon:
+            with pytest.raises(EdgeNotOnPolygon):
+                edge_poly(f, edge)
+        else:
+            assert _typed(edge_poly(f, edge)) == _typed(want), (terms, edge)
+
+
 def _poly_product(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
@@ -772,11 +850,11 @@ def test_constructors_take_exact_rational_coefficients():
 
 
 def _stored_like_public(p):
-    # what BivariatePoly(...) stores for the same terms, key for key and type
-    # for type: no zero coefficient, and an int for a whole Fraction
-    public = BivariatePoly(dict(p.terms)).terms
-    return (sorted((k, type(c), c) for k, c in p.terms.items())
-            == sorted((k, type(c), c) for k, c in public.items()))
+    # what BivariatePoly(...) stores for the same terms, row for row, key for
+    # key and type for type: no empty row, no zero coefficient, and an int
+    # for a whole Fraction
+    public = BivariatePoly(dict(p.terms))
+    return p.rows == public.rows and _typed_terms(p.terms) == _typed_terms(public.terms)
 
 
 @pytest.mark.parametrize("b,root", [
@@ -800,6 +878,10 @@ def test_built_polynomials_are_stored_like_public_ones(b, root):
     half = BivariatePoly({(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)})
     built.append(hat_transform(half, 1, PuiseuxSeries.from_string("x")))
     assert built[-1].terms == {(0, 1): Fraction(1, 2), (1, 0): 1}
+    # a hat whose lower rows cancel: (y - x)^2 at y + x is y^2
+    square = BivariatePoly({(0, 2): 1, (1, 1): -2, (2, 0): 1})
+    built.append(hat_transform(square, 1, PuiseuxSeries.from_string("x")))
+    assert built[-1].terms == {(0, 2): 1}
     for p in built:
         assert _stored_like_public(p), p
 

@@ -123,3 +123,15 @@ def test_package_has_one_indent_2_json_writer():
              and any(kw.arg == "indent" for kw in node.keywords)]
     assert SOURCES
     assert not found, f"json.dump(s) with indent in the package: {found}"
+
+
+def test_package_makes_no_float():
+    # everything is exact: no float(...) call and no float or complex constant,
+    # so every number the package computes is an int or a Fraction
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float")
+             or (isinstance(node, ast.Constant) and type(node.value) in (float, complex))]
+    assert SOURCES
+    assert not found, f"floats in the package: {found}"

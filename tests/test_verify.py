@@ -751,31 +751,6 @@ def test_hard_contradiction_reports_fail(monkeypatch):
     assert any("disagree" in f for run in report.runs for f in run.failures)
 
 
-@pytest.mark.parametrize("b,k", [((12, 16, 31), 1), ((12, 16, 31), 2), ((10, 14, 15), 1),
-                                 ((7, 17), 2), ((16, 23), 1), ((16, 23), 3)])
-def test_verify_fails_when_canonical_rep_does_not_split(monkeypatch, b, k):
-    # predict splits equal parts into primitive copies through
-    # canonical_rep(long=True).  With the short form in its place it predicts
-    # fewer Z-factors of doubled multiplicity; the verifier reads its steep
-    # parts off the edges themselves, so the wrong prediction must FAIL.  A
-    # merged part of N > 1 makes a factor whose index is below its
-    # multiplicity, which predict's own branch check refuses first; with that
-    # check switched off the verifier must still catch it
-    import branchpolar.polar as polar_mod
-
-    cs = new_char_sequence(b)
-    right = predict(cs, k).to_json()
-    real = NewtonDiagram.canonical_rep
-    monkeypatch.setattr(NewtonDiagram, "canonical_rep", lambda self, long=False: real(self))
-    with pytest.raises(InvariantViolation, match="not a branch"):
-        predict(cs, k)
-    monkeypatch.setattr(polar_mod, "_check_branch", lambda f: None)
-    assert predict(cs, k).to_json() != right
-    report = verify_prediction(cs, k, [1, 2, 3, 4, 5])
-    assert report.verdict == "FAIL", report.to_text()
-    assert any("disagree" in f for run in report.runs for f in run.failures)
-
-
 def test_aggregate_edge_accounting_ex1_k2():
     # at level 1 the edge of inclination m_1/n_1 = 4/3 collects the W-factor
     # (mult 3) and both group-2 Z-factors (mult 3 each): vertical length 9
