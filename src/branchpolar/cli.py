@@ -54,7 +54,12 @@ def _check_output(args) -> None:
 
 
 def _class_and_order(args) -> tuple:
-    char = WORKED_EXAMPLES[args.name] if args.command == "example" else args.char or args.char_pos
+    if args.command == "example":
+        char = WORKED_EXAMPLES[args.name]
+    elif args.char is not None and args.char_pos is not None:
+        raise BranchPolarError("give the characteristic once: positional or --char, not both")
+    else:
+        char = args.char or args.char_pos
     if not char:
         raise BranchPolarError("a characteristic is required (positional or --char)")
     cs = parse_char(char)
@@ -219,7 +224,8 @@ def _add_common(sub, formats):
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and each command's parser by its name."""
     parser = _Parser(prog="branchpolar",
                      description="Equisingularity data of generic higher-order polars "
                                  "of plane branches.")
@@ -265,7 +271,18 @@ def _build_parser() -> _Parser:
     _add_common(e, ["text", "json", "dot"])
     e.set_defaults(operands=_class_and_order, func=_cmd_predict)
 
-    return parser
+    return parser, subs.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv once: argv that names a command goes straight to that
+    command's parser; only the rest (--help, --version, a missing or unknown
+    command) goes through the top-level parser."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
 
 
 def _fail(exc: Exception, code: int) -> int:
@@ -275,7 +292,7 @@ def _fail(exc: Exception, code: int) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
     except argparse.ArgumentError as exc:
         return _fail(exc, EXIT_USAGE)
     if args.format is None:

@@ -250,6 +250,7 @@ def predict(cs: CharSequence, k: int) -> PolarPrediction:
     """Equisingularity data of the generic k-th polar of the class ``cs``."""
     if not 1 <= k < cs.b0:
         raise OrderOutOfRange(f"polar order must satisfy 1 <= k < {cs.b0}, got {k}")
+    exponents = cs.char_exponents()
     groups = []
     for l in range(1, cs.h + 1):
         if cs.e[l - 1] <= k:
@@ -258,8 +259,8 @@ def predict(cs: CharSequence, k: int) -> PolarPrediction:
         m_l = cs.m_seq[l - 1]
         e_l = cs.e[l]
         nsub = cs.b0 // cs.e[l - 1]  # n_1 * ... * n_{l-1}
-        cont_f = Fraction(cs.b[l], cs.b0)
-        prefix = tuple(Fraction(cs.b[i], cs.b0) for i in range(1, l))
+        cont_f = exponents[l - 1]
+        prefix = exponents[:l - 1]
 
         t = ((k - 1) % n_l) + 1
         derived = diagram_mod.elementary(m_l, n_l).symbolic_derivative(t)

@@ -223,6 +223,63 @@ def test_help_and_version_still_exit_0(capsys, flag):
     assert capsys.readouterr().out.startswith("usage:" if flag == "--help" else "branchpolar ")
 
 
+def test_a_command_help_is_the_command_parser_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["predict", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: branchpolar predict")
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "12,16,31", "--k", "2"],
+    ["predict", "--char", "12,16,31", "--k=2", "--format", "dot", "--no-branch",
+     "--output", "tree.dot", "--quiet"],
+    ["predict", "2,3", "--k", "1", "--form", "json"],
+    ["predict", "2,3", "--char", "2,3", "--k", "1"],
+    ["verify", "12,16,31", "--k", "1", "--seeds", "1,2", "--format", "json"],
+    ["verify", "--char", "2,3", "--k=1", "--output", "report.txt", "--quiet"],
+    ["diagram", "derive", "--elementary", "12/5", "--k", "2", "--long", "--format", "svg"],
+    ["diagram", "show", "--vertices", "[[0,2],[3,0]]"],
+    ["diagram", "show", "--elementary=-5/3"],
+    ["contfrac", "31/4", "--even", "--format", "json", "--quiet"],
+    ["example", "ex1", "--k", "10", "--no-branch", "--format", "dot"],
+    ["example", "ex2", "--k=1"],
+], ids=lambda argv: " ".join(argv))
+def test_a_named_command_parses_as_through_the_full_parser(argv):
+    parser, _ = cli._build_parser()
+    assert cli._parse(argv) == parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "2,3"],
+    ["predict", "2,3", "--k", "one"],
+    ["verify", "2,3", "--k", "1", "--format", "dot"],
+    ["diagram", "twist"],
+    ["contfrac", "31/4", "--bogus"],
+    ["example", "ex1", "--k", "1", "--version"],
+], ids=lambda argv: " ".join(argv))
+def test_a_named_command_refuses_as_the_full_parser_does(argv):
+    parser, _ = cli._build_parser()
+    with pytest.raises(cli.argparse.ArgumentError) as full:
+        parser.parse_args(argv)
+    with pytest.raises(cli.argparse.ArgumentError) as routed:
+        cli._parse(argv)
+    assert str(routed.value) == str(full.value)
+
+
+@pytest.mark.parametrize("command", ["predict", "verify"])
+@pytest.mark.parametrize("positional", ["2,3", "12,16,31"])
+def test_a_class_given_twice_is_refused_before_any_work(capsys, monkeypatch, command, positional):
+    # equal or not, the class is given once: as CHAR or as --char
+    monkeypatch.setattr(cli.polar, "predict", None)  # never reached
+    monkeypatch.setattr(cli.verify, "verify_prediction", None)
+    code = cli.main([command, positional, "--char", "2,3", "--k", "1", "--quiet"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "BranchPolarError"
+
+
 def test_an_internal_fault_is_not_a_usage_error(capsys, monkeypatch):
     # a broken invariant is the program's fault, and a caller must be able to
     # tell it from a mistyped class
