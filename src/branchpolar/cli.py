@@ -72,6 +72,9 @@ def _class_order_and_seeds(args) -> tuple:
     seeds = [int(v) for v in args.seeds.split(",") if v.strip()]
     if not seeds:
         raise ValueError("at least one seed is required")
+    if min(seeds) < 0:
+        # random.Random(-s) is random.Random(s): a negative seed repeats a witness
+        raise ValueError(f"witness seeds must be nonnegative, got {min(seeds)}")
     return (*_class_and_order(args), seeds)
 
 

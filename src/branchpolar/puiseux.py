@@ -22,7 +22,7 @@ series.  The readers take one term per row, its first, least x-exponent:
 :func:`diagram_of`, the Newton diagram of any y-derivative, hulls the
 rows' first terms, and :func:`edge_poly`, the coefficients on a compact
 edge, reads the first term of each row, the only one that can reach a
-supporting line.
+supporting line; :func:`row_starts` keeps just those terms.
 
 The centrepiece is :func:`min_poly`: the monic polynomial whose roots are the
 conjugates of a series, taken along the 2-adic tower of its index
@@ -63,6 +63,7 @@ __all__ = [
     "derivative_y",
     "hat_transform",
     "diagram_of",
+    "row_starts",
     "edge_poly",
     "edge_poly_squarefree",
 ]
@@ -610,6 +611,19 @@ def diagram_of(f: BivariatePoly, k: int = 0) -> diagram_mod.NewtonDiagram:
     if not points:
         raise OrderExceedsDegree(f"order {k} exceeds the y-degree")
     return diagram_mod.from_support(points)
+
+
+def row_starts(f: BivariatePoly) -> BivariatePoly:
+    """The first term of each row of f, its least x-exponent: all that
+    :func:`diagram_of` and :func:`edge_poly` read, of f and of each of its
+    y-derivatives alike."""
+    rows = {}
+    for j, row in f.rows.items():
+        i = min(row)
+        rows[j] = {i: row[i]}
+    p = object.__new__(BivariatePoly)  # f's own coefficients, stored as they are
+    object.__setattr__(p, "rows", rows)
+    return p
 
 
 def _primitive(v: list) -> list:

@@ -13,16 +13,22 @@ triangle, every substitution a slice of the root's terms by numerator:
   lam_1 has integer exponents and every conjugation fixes it;
 * f^_l = f^_(l-1)(x^n_(l-1), y + delta_l(x^N_l)), delta_l = lam_l - lam_(l-1)
   the terms from b_(l-1) up to b_l, of order b_(l-1)/b0;
-* a term x^i y^j of level l weighs (N_L/N_l) i + (b_1/e_(L-1)) j in level-L
-  x-units, which no later substitution lowers, and every step drops the
-  terms heavier than bbar_L + N_L;
+* each level has a weight cut of its own, in level-L x-units: a term
+  x^i y^j of level l weighs (N_L/N_l) i + s_l j, and the level drops the
+  terms heavier than its intercept.  Level 1 has s_1 = b_1/e_(L-1) and the
+  intercept bbar_L + N_L; each level l >= 2 has
+  s_l = min(bbar_L/b0, b_(l-1)/e_(L-1)) and the intercept bbar_L + 1.
+  delta_l never lowers a weight of slope at most N_L ord delta_l, and the
+  slopes rise and the intercepts fall from level to level, so each level
+  keeps every term the next one can reach within its own cut;
 * one check of the class: every level ends with the edge from
   (bbar_l - b_l, e_(l-1)) to (bbar_l, 0), e_l copies of (m_l, n_l), or
   InvariantViolation is raised;
-* the cut certifies itself: the diagram of d^k f^_l must reach both axes
-  with its vertices within the cap, or the chain is recomputed without a
-  cut.  Then every dropped term lies inside the Newton polyhedra and off
-  their compact edges, which is all the checks read;
+* the cut certifies itself: the diagram of d^k f^_l, shifted up by k, must
+  reach both axes with its vertices within the level's own cut, or the
+  chain is recomputed without a cut.  Then every dropped term lies inside
+  the Newton polyhedra and off their compact edges, which is all the
+  checks read;
 * each level comes with the two diagrams the chain read, N(f^_l) and
   N(d^k f^_l), and the checks take them from there instead of building
   them again.
@@ -80,6 +86,7 @@ from .puiseux import (
     edge_poly_squarefree,
     hat_transform,
     min_poly,
+    row_starts,
 )
 from .rational import fmt_q
 
@@ -150,10 +157,39 @@ def sample_witness(cs: CharSequence, seed: int) -> WitnessBranch:
 
 
 def cut_bound(cs: CharSequence, depth: int) -> int:
-    """Weight cap of the chain for levels 1..depth, in level-depth x-units:
-    the corner (bbar_L, 0) of the Newton triangle plus one level-1 lattice
-    step, N_L units."""
+    """Weight cap of level 1 of the chain for levels 1..depth, in level-depth
+    x-units: the corner (bbar_L, 0) of the Newton triangle plus one level-1
+    lattice step, N_L units.  Every deeper level is capped one level-L
+    lattice step past the corner, ``cut_bound - N_L + 1``."""
     return cs.bbar[depth - 1] + semiroot_degree(cs, depth)
+
+
+def _level_cuts(cs: CharSequence, depth: int) -> list:
+    """The weight cut (wx, wy, cap) of each level l = 1..depth of the chain,
+    in integers: a term x^i y^j of level l is kept when wx i + wy j <= cap,
+    that is when (N_L/N_l) i + s_l j, in level-L x-units (L = depth), is at
+    most the level's intercept.
+
+    Level 1 has the slope s_1 = b_1/e_(L-1) and the intercept
+    ``cut_bound``.  Each level l >= 2 has the slope
+    s_l = min(bbar_L/b0, b_(l-1)/e_(L-1)), the chord from (0, b0) to
+    (bbar_L, 0) or N_L ord delta_l, whichever is less steep, and the
+    intercept ``cut_bound - N_L + 1`` = bbar_L + 1."""
+    n_top = semiroot_degree(cs, depth)
+    bound = cut_bound(cs, depth)
+    corner, e_top = cs.bbar[depth - 1], cs.e[depth - 1]
+    cuts = []
+    for l in range(1, depth + 1):
+        if l == 1:
+            p, q, top = cs.b[1], e_top, bound
+        else:
+            p, q = ((corner, cs.b0) if corner * e_top < cs.b[l - 1] * cs.b0
+                    else (cs.b[l - 1], e_top))
+            top = bound - n_top + 1
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        cuts.append((q * n_top // semiroot_degree(cs, l), p, q * top))
+    return cuts
 
 
 @dataclass(frozen=True)
@@ -176,35 +212,40 @@ def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
     lam_1 has integer exponents, so every conjugation fixes it and the
     conjugate product is f(x, y + lam_1).  Then
     f^_l = f^_(l-1)(x^n_(l-1), y + delta_l(x^N_l)), delta_l = lam_l - lam_(l-1)
-    the terms from b_(l-1) up to b_l, of order b_(l-1)/b0.  In level-L
-    x-units (L = depth) a term x^i y^j of level l weighs
-    (N_L/N_l) i + (b_1/e_(L-1)) j: b_1/e_(L-1) is N_L ord delta_2, the least
-    N_L ord delta_l, and at most bbar_L/b0, so no later substitution lowers
-    a weight, and each step drops every term heavier than ``cut_bound``.
+    the terms from b_(l-1) up to b_l, of order b_(l-1)/b0.
+
+    Each level is cut to what its checks and the deeper levels read.  In
+    level-L x-units (L = depth) a term x^i y^j of level l weighs
+    (N_L/N_l) i + s_l j.  Level 1 has s_1 = b_1/e_(L-1), N_L ord delta_2,
+    and drops every term heavier than ``cut_bound`` = bbar_L + N_L.  Each
+    level l >= 2 has s_l = min(bbar_L/b0, b_(l-1)/e_(L-1)), the chord of the
+    deepest triangle from (0, b0) to (bbar_L, 0) or N_L ord delta_l, and
+    drops every term heavier than ``cut_bound`` - N_L + 1 = bbar_L + 1.
+    y -> y + delta_l never lowers a weight of slope at most N_L ord delta_l,
+    so the terms of f^_(l-1) that reach level l's cut lie in the half-plane
+    of the same slope and intercept, and level l-1's cut, of a slope no
+    larger and an intercept no smaller, holds that half-plane.
 
     Every level must end with the class edge from (bbar_l - b_l, e_(l-1))
     to (bbar_l, 0), as every member of the class does, or InvariantViolation
     is raised: the one check of the steep part, e_l copies of (m_l, n_l),
     for cut and uncut hats alike.  The diagram of f^_l then lies in the
-    triangle under the chord from (0, b0), within the cap, and the cut
-    certifies itself once the diagram of d^k f^_l, shifted up by k, reaches
-    both axes with its vertices within the cap: each dropped term lies
-    inside both Newton polyhedra and off their compact edges, so no
-    diagram, edge polynomial or initial form changes.  If a derivative
-    diagram fails, the chain is recomputed without a cut, and both diagrams
-    of every level are read again from the uncut hats.
+    triangle under the chord from (0, b0), within the level's cut, and the
+    cut certifies itself once the diagram of d^k f^_l of every level,
+    shifted up by k, reaches both axes with its vertices within that
+    level's cut: each dropped term lies inside both Newton polyhedra and
+    off their compact edges, so no diagram, edge polynomial or initial form
+    changes.  If a derivative diagram fails, the chain is recomputed
+    without a cut, and both diagrams of every level are read again from the
+    uncut hats.
     """
     cs = w.cs
-    n_top = semiroot_degree(cs, depth)
     terms = w.root.terms
     first = PuiseuxSeries(cs.b0, {i: c for i, c in terms if i >= cs.b[1]})
     # delta_l(x^N_l) as a series in the level-(l-1) variable x^N_(l-1)
     steps = [PuiseuxSeries(cs.b0, {i * semiroot_degree(cs, l - 1): c for i, c in terms
                                    if cs.b[l - 1] <= i < cs.b[l]})
              for l in range(2, depth + 1)]
-    weight = Fraction(cs.b[1], cs.e[depth - 1])
-    wy, q = weight.numerator, weight.denominator
-    wxs = [q * n_top // semiroot_degree(cs, l) for l in range(1, depth + 1)]
 
     def read(l, fhat):
         corner = cs.bbar[l - 1]
@@ -218,21 +259,20 @@ def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
             )
         return HatLevel(fhat, d, diagram_of(fhat, k))
 
-    def build(cap):
+    def build(cuts):
         # each level is read before the next is substituted into it
-        cuts = [None if cap is None else (wx, wy, cap) for wx in wxs]
         chain = [read(1, min_poly(first, cut=cuts[0]))]
         for l, (step, n_sub, cut) in enumerate(zip(steps, cs.n_seq, cuts[1:]), start=2):
             chain.append(read(l, hat_transform(chain[-1].fhat, n_sub, step, cut)))
         return chain
 
-    cap = q * cut_bound(cs, depth)
-    chain = build(cap)
+    cuts = _level_cuts(cs, depth)
+    chain = build(cuts)
     if all(level.polar.top[0] == 0 and level.polar.bottom[1] == 0
            and all(wx * x + wy * (y + k) <= cap for x, y in level.polar.vertices)
-           for level, wx in zip(chain, wxs)):
+           for level, (wx, wy, cap) in zip(chain, cuts)):
         return chain
-    return build(None)
+    return build([None] * depth)
 
 
 def _steep_data(d: diagram_mod.NewtonDiagram, m_l: int, n_l: int):
@@ -341,7 +381,8 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int, level: HatLevel) -> LevelRe
         res.status = "degenerate"
         res.reasons.append("full hat diagram differs from the symbolic derivative")
 
-    polar_hat = derivative_y(level.fhat, k)
+    # the edge polynomials read one term per row, its first
+    polar_hat = derivative_y(row_starts(level.fhat), k)
     for edge in observed.compact_edges():
         (xa, ya), (xb, yb) = edge
         if (xb - xa) * n_l > (ya - yb) * m_l:
@@ -497,13 +538,17 @@ def verify_prediction(cs: CharSequence, k: int, seeds) -> VerificationReport:
     """Check the prediction for every level against sampled witnesses.
 
     PASS needs one fully passing seed and no hard contradiction anywhere;
-    degenerate witnesses are retried with fresh seeds up to
-    ``MAX_SEED_RUNS`` runs in total.
+    every seed must be nonnegative, or ValueError is raised.  Degenerate
+    witnesses are retried with fresh seeds up to ``MAX_SEED_RUNS`` runs in
+    total.
     """
     prediction = predict(cs, k)  # OrderOutOfRange unless 1 <= k < b0
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
+    if min(seeds) < 0:
+        # random.Random(-s) is random.Random(s): a negative seed repeats a witness
+        raise ValueError(f"witness seeds must be nonnegative, got {min(seeds)}")
     levels = range(1, prediction.i_k + 1)
     report = VerificationReport(cs=cs, k=k, prediction=prediction)
 

@@ -58,9 +58,12 @@ def test_examples_match_golden_dot(capsys, name, k):
 # level 2, so the report retries with seed 18, which passes.
 # verify 12,20,23 --k 11 --seeds 4780: seed 4780 samples a 0 at x^2, so row 11
 # of f^_1 is empty at every cap; the cut chain never certifies, the uncut
-# rebuild reads the seed as degenerate, and seed 4781 passes
+# rebuild reads the seed as degenerate, and seed 4781 passes.
+# verify 16,24,28,30,31 --k 1 --seeds 1,2: a four-level chain, each level cut
+# to its own weight
 @pytest.mark.parametrize("char,k,seeds", [
     ("12,16,31", 2, "1,2,3"), ("12,16,31", 1, "17"), ("12,20,23", 11, "4780"),
+    ("16,24,28,30,31", 1, "1,2"),
 ])
 @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json")])
 def test_verify_matches_golden(capsys, char, k, seeds, fmt, ext):
@@ -320,13 +323,16 @@ def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     ["verify", "12,16,31", "--k", "12"],
     ["verify", "12,16,31", "--k", "1", "--seeds", ","],
     ["verify", "12,16,31", "--k", "1", "--seeds", "1,x"],
+    ["verify", "6,7", "--k", "1", "--seeds=-5,5"],
+    ["verify", "6,7", "--k", "1", "--seeds=-1"],
     ["diagram", "derive", "--elementary", "5/3", "--k", "-1"],
     ["diagram", "show", "--elementary=-5/3"],
     ["diagram", "show"],
     ["contfrac", "3/5"],
     ["contfrac", "3/x"],
     ["example", "ex1", "--k", "12"],
-], ids=["order", "no-seeds", "seed-not-int", "negative-derivative", "negative-leg",
+], ids=["order", "no-seeds", "seed-not-int", "negative-seed", "negative-seed-alone",
+        "negative-derivative", "negative-leg",
         "no-diagram", "ratio-out-of-range", "ratio-not-int", "example-order"])
 def test_operands_are_checked_before_any_work(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):

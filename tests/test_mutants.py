@@ -129,3 +129,22 @@ def test_verify_fails_when_the_exact_inclination_counts_as_steep(monkeypatch, b)
         exact_edge = p.i_k > 1 or any(f.kind == "W" for f in p.factors())
         report = verify_prediction(cs, k, [1, 2, 3])
         assert report.verdict == ("FAIL" if exact_edge else "PASS"), (k, report.to_text())
+
+
+# -- a chain that drops what a deeper level reads -----------------------------------
+
+
+@pytest.mark.parametrize("b", [(8, 12, 14, 15), (8, 12, 14, 17), (12, 18, 21, 22),
+                               (16, 24, 28, 30, 31), (27, 36, 39, 40)],
+                         ids=lambda b: "K" + str(b).replace(" ", ""))
+def test_verify_rejects_middle_levels_cut_inside_the_deepest_intercept(monkeypatch, b):
+    # levels 2..L-1 capped one lattice step, N_L as cut_bound counts it,
+    # inside the deepest level's intercept bbar_L + 1: the next level is
+    # substituted into a hat that lacks terms of its class edge
+    monkeypatch.setattr(verify, "_level_cuts", mutant(
+        verify, "_level_cuts", "top = bound - n_top + 1",
+        "top = bound - n_top + 1 - n_top * (l < depth)"))
+    cs = new_char_sequence(b)
+    for seed in (1, 2):
+        with pytest.raises(InvariantViolation, match="class edge"):
+            verify_prediction(cs, 1, [seed])

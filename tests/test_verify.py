@@ -9,7 +9,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import branchpolar
@@ -385,12 +385,31 @@ def test_hat_chain_matches_full_expansion(case):
         _assert_chain_reads_like_full_expansion(w, k)
 
 
+def _level_cut(cs, depth, l):
+    """Slope and intercept of level l's cut in the chain for levels
+    1..depth, in level-depth x-units, from the class: level 1 has the slope
+    b_1/e_(L-1) through bbar_L + N_L, each deeper level
+    min(bbar_L/b0, b_(l-1)/e_(L-1)) through bbar_L + 1."""
+    e_top, corner = cs.e[depth - 1], cs.bbar[depth - 1]
+    if l == 1:
+        return Fraction(cs.b[1], e_top), corner + semiroot_degree(cs, depth)
+    return min(Fraction(corner, cs.b0), Fraction(cs.b[l - 1], e_top)), corner + 1
+
+
+def _within(f, scale, slope, intercept):
+    """The terms x^i y^j of f with scale i + slope j <= intercept."""
+    return {(i, j): c for (i, j), c in f.terms.items() if scale * i + slope * j <= intercept}
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(small_classes())
 def test_chain_reads_its_substitutions_and_weight_off_the_class(case):
     # the slices of the root that hat_chain substitutes are the differences
-    # lam_l - lam_(l-1) of series arithmetic, and its weight, the class
-    # constant b_1/e_(L-1), is min(bbar_L/b0, N_L ord delta_l for l = 2..L)
+    # lam_l - lam_(l-1) of series arithmetic.  Level 1's weight, the class
+    # constant b_1/e_(L-1), is min(bbar_L/b0, N_L ord delta_l for l = 2..L),
+    # and each deeper level l has min(bbar_L/b0, N_L ord delta_l): no
+    # substitution after it lowers its weight, and it is no less than the
+    # level before's
     import branchpolar.verify as verify_mod
 
     cs, seed = case
@@ -408,10 +427,37 @@ def test_chain_reads_its_substitutions_and_weight_off_the_class(case):
             _substitution(w, l, partial(lam, w)) for l in range(1, depth + 1)], (cs.b, depth)
         n_top = semiroot_degree(cs, depth)
         deltas = [difference(lam(w, l), lam(w, l - 1)) for l in range(2, depth + 1)]
-        old = min([Fraction(cs.bbar[depth - 1], cs.b0)]
-                  + [n_top * Fraction(d.terms[0][0], d.denom) for d in deltas if d.terms])
-        wx, wy, _ = seen[0][1]  # f^_1 is cut at level-1 weight (q N_L, q s)
-        assert Fraction(wy * n_top, wx) == old, (cs.b, depth)
+        orders = [n_top * Fraction(d.terms[0][0], d.denom) for d in deltas]
+        chord = Fraction(cs.bbar[depth - 1], cs.b0)
+        slopes = [min([chord] + orders)] + [min(chord, order) for order in orders]
+        cuts = [cut for _, cut in seen[:depth]]
+        for l, ((wx, wy, cap), slope) in enumerate(zip(cuts, slopes), start=1):
+            # level l is cut at weight (q N_L/N_l, q s_l) and cap q times its intercept
+            scale = Fraction(n_top, semiroot_degree(cs, l))
+            expected = _level_cut(cs, depth, l)
+            assert (Fraction(wy, wx) * scale, Fraction(cap, wx) * scale) == expected, (
+                cs.b, depth, l)
+            assert slope == expected[0], (cs.b, depth, l)
+        assert slopes == sorted(slopes), (cs.b, depth)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(small_classes())
+@example((new_char_sequence([8, 12, 14, 15]), 1))
+@example((new_char_sequence([16, 24, 28, 30, 31]), 1))
+def test_each_level_is_exact_within_its_own_cut(case):
+    # every level of a cut chain is the full hat transform restricted to its
+    # own cut, and a chain rebuilt without a cut is the full one
+    cs, seed = case
+    w = sample_witness(cs, seed)
+    full = [full_hat(w, l) for l in range(1, cs.h + 1)]
+    for k in range(1, cs.b0):
+        depth = max(l for l in range(1, cs.h + 1) if cs.e[l - 1] > k)
+        n_top = semiroot_degree(cs, depth)
+        chain = [level.fhat.terms for level in hat_chain(w, depth, k)]
+        cut = [_within(full[l - 1], Fraction(n_top, semiroot_degree(cs, l)),
+                       *_level_cut(cs, depth, l)) for l in range(1, depth + 1)]
+        assert chain in (cut, [f.terms for f in full[:depth]]), (cs.b, seed, k)
 
 
 @pytest.mark.parametrize("b", [(12, 16, 31), (10, 14, 15), (10, 15, 17), (8, 12, 14, 15),
@@ -705,6 +751,17 @@ def test_verify_rejects_bad_order():
         verify_prediction(EX1, 12, [1])
     with pytest.raises(ValueError):
         verify_prediction(EX1, 1, [])
+
+
+def test_verify_rejects_a_negative_seed():
+    # random.Random(-s) and random.Random(s) are one generator, so a negative
+    # seed would report a run of a witness already sampled
+    cs = new_char_sequence([6, 7])
+    assert sample_witness(cs, -7).root == sample_witness(cs, 7).root
+    for seeds in ([-5, 5], [-1], [3, -2]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_prediction(cs, 1, seeds)
+    assert verify_prediction(cs, 1, [0]).verdict == "PASS"
 
 
 def test_verify_report_deterministic():
