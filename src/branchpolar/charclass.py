@@ -20,6 +20,7 @@ from .errors import (
     InvariantViolation,
     NotStrictlyIncreasing,
     TrailingGcdNotOne,
+    integers,
 )
 
 __all__ = ["CharSequence", "new_char_sequence", "bbar", "semiroot_degree", "parse_char"]
@@ -64,10 +65,12 @@ class CharSequence:
 def new_char_sequence(b) -> CharSequence:
     """Validate ``b`` and return it with all derived data computed.
 
-    Raises NotStrictlyIncreasing, GcdChainViolation (an entry fails to lower
-    the running gcd) or TrailingGcdNotOne (the chain does not reach 1).
+    Raises InvalidCharacteristic for an entry that is not an integer (a
+    bool, or a float that ``int`` would truncate), NotStrictlyIncreasing,
+    GcdChainViolation (an entry fails to lower the running gcd) or
+    TrailingGcdNotOne (the chain does not reach 1).
     """
-    b = tuple(int(v) for v in b)
+    b = integers(b, InvalidCharacteristic)
     if not b:
         raise InvalidCharacteristic("characteristic must be nonempty")
     if b[0] <= 1:

@@ -69,12 +69,7 @@ def _class_and_order(args) -> tuple:
 
 
 def _class_order_and_seeds(args) -> tuple:
-    seeds = [int(v) for v in args.seeds.split(",") if v.strip()]
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    if min(seeds) < 0:
-        # random.Random(-s) is random.Random(s): a negative seed repeats a witness
-        raise ValueError(f"witness seeds must be nonnegative, got {min(seeds)}")
+    seeds = verify.check_seeds(int(v) for v in args.seeds.split(",") if v.strip())
     return (*_class_and_order(args), seeds)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidRange
+from .errors import InvalidRange, integers
 
 __all__ = ["ContinuedFraction", "expand", "from_quotients", "to_even_length"]
 
@@ -32,8 +32,10 @@ class ContinuedFraction:
 
 
 def from_quotients(h) -> ContinuedFraction:
-    """Build a ContinuedFraction from partial quotients, filling in convergents."""
-    h = tuple(int(v) for v in h)
+    """Build a ContinuedFraction from partial quotients, filling in
+    convergents.  A quotient that is not a positive integer (a bool and a
+    float are not integers here) raises InvalidRange."""
+    h = integers(h, InvalidRange)
     if not h or any(v < 1 for v in h):
         raise InvalidRange(f"partial quotients must be positive: {h}")
     p_prev, q_prev = 1, 0        # p_{-1}, q_{-1}
@@ -48,7 +50,9 @@ def from_quotients(h) -> ContinuedFraction:
 
 
 def expand(m: int, n: int) -> ContinuedFraction:
-    """Classical expansion of m/n with 0 < n < m (minimal length, h_s > 1)."""
+    """Classical expansion of m/n with integers 0 < n < m (minimal length,
+    h_s > 1); anything else raises InvalidRange."""
+    m, n = integers((m, n), InvalidRange)
     if not 0 < n < m:
         raise InvalidRange(f"need 0 < n < m, got m={m}, n={n}")
     h = []

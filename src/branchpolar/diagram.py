@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import EmptySupport, InvariantViolation
+from .errors import EmptySupport, InvariantViolation, integers
 
 __all__ = [
     "NewtonDiagram",
@@ -260,7 +260,9 @@ def from_support(points) -> NewtonDiagram:
 
 def elementary(m: int, n: int) -> NewtonDiagram:
     """The elementary diagram with horizontal leg m and vertical leg n;
-    (0, 0) gives the full first quadrant."""
+    (0, 0) gives the full first quadrant.  A leg that is not an integer, a
+    bool or a float among them, raises ValueError."""
+    m, n = integers((m, n), ValueError)
     if m < 0 or n < 0:
         raise ValueError(f"legs must be nonnegative, got ({m}, {n})")
     if m == 0 or n == 0:

@@ -1,4 +1,22 @@
-"""Exception taxonomy shared by all branchpolar modules."""
+"""Exception taxonomy shared by all branchpolar modules, and the integer
+check of their public constructors."""
+
+from operator import index
+
+
+def integers(values, error: type) -> tuple:
+    """``values`` as a tuple of ints, each read by ``operator.index``: a
+    bool, a float or anything else it refuses raises ``error`` instead of
+    being truncated by ``int``."""
+    out = []
+    for v in values:
+        try:
+            if type(v) is bool:
+                raise TypeError
+            out.append(index(v))
+        except TypeError:
+            raise error(f"expected an integer, got {v!r}") from None
+    return tuple(out)
 
 
 class BranchPolarError(Exception):

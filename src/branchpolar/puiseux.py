@@ -19,10 +19,11 @@ only way terms are dropped is a weight cut ``(wx, wy, cap)``, taken by
 wx*i + wy*j above ``cap`` is left out.  :func:`hat_transform` is a Taylor
 shift in y, one cut product of each row with each power of the substituted
 series.  The readers take one term per row, its first, least x-exponent:
-:func:`diagram_of`, the Newton diagram of any y-derivative, hulls the
-rows' first terms, and :func:`edge_poly`, the coefficients on a compact
-edge, reads the first term of each row, the only one that can reach a
-supporting line; :func:`row_starts` keeps just those terms.
+:func:`diagram_of`, the Newton diagram, hulls the rows' first terms, and
+:func:`edge_poly`, the coefficients on a compact edge, reads the first term
+of each row, the only one that can reach a supporting line;
+:func:`row_starts` keeps just those terms, and the row starts of a
+y-derivative are the derivative of the row starts.
 
 The centrepiece is :func:`min_poly`: the monic polynomial whose roots are the
 conjugates of a series, taken along the 2-adic tower of its index
@@ -599,24 +600,18 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
     return _poly(enumerate(rows))
 
 
-def diagram_of(f: BivariatePoly, k: int = 0) -> diagram_mod.NewtonDiagram:
-    """Newton diagram of d^k f/dy^k, read off f without differentiating: the
-    hull of f's row starts at heights >= k, shifted down by k (over Q no
-    coefficient j!/(j-k)! c vanishes)."""
-    if k < 0:
-        raise ValueError("derivative order must be nonnegative")
+def diagram_of(f: BivariatePoly) -> diagram_mod.NewtonDiagram:
+    """Newton diagram of f: the hull of its row starts."""
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no Newton diagram")
-    points = [(min(row), j - k) for j, row in f.rows.items() if j >= k]
-    if not points:
-        raise OrderExceedsDegree(f"order {k} exceeds the y-degree")
-    return diagram_mod.from_support(points)
+    return diagram_mod.from_support([(min(row), j) for j, row in f.rows.items()])
 
 
 def row_starts(f: BivariatePoly) -> BivariatePoly:
     """The first term of each row of f, its least x-exponent: all that
-    :func:`diagram_of` and :func:`edge_poly` read, of f and of each of its
-    y-derivatives alike."""
+    :func:`diagram_of` and :func:`edge_poly` read.  Their k-th y-derivative
+    is the row starts of d^k f/dy^k, since over Q no coefficient
+    j!/(j-k)! c vanishes."""
     rows = {}
     for j, row in f.rows.items():
         i = min(row)

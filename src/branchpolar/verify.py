@@ -29,9 +29,10 @@ triangle, every substitution a slice of the root's terms by numerator:
   chain is recomputed without a cut.  Then every dropped term lies inside
   the Newton polyhedra and off their compact edges, which is all the
   checks read;
-* each level comes with the two diagrams the chain read, N(f^_l) and
-  N(d^k f^_l), and the checks take them from there instead of building
-  them again.
+* each level is read once, off the first term of each row of f^_l, its
+  row starts: N(f^_l) is their hull, their k-th y-derivative is the row
+  starts of d^k f^_l and N(d^k f^_l) is its hull.  ``HatLevel`` hands
+  these on, and no check reads f^_l itself.
 
 For every level l and order k the checks are:
 
@@ -39,18 +40,20 @@ For every level l and order k the checks are:
   k-th symbolic derivative of the hat diagram, both on the region of
   inclination above m_l/n_l and as a whole (for k < e_(l-1), the height of
   the steep part R, this is the splitting R^(k) + L of the lemma on Newton
-  diagrams of polars); ``diagram_of`` reads both off the row starts of
-  f^_l, the polar's at heights >= k, without differentiating;
-* every edge above that inclination carries a squarefree edge polynomial
-  (non-degeneracy), so the steep parts (M_i, N_i) can be read off the edges,
-  each split into gcd primitive copies, and turned into contacts
-  M_i/((b0/e_{l-1}) N_i) and multiplicities, which must agree with the
-  predicted Z-factors; no part goes through the canonical representation
-  ``predict`` builds them with, so a fault there is a FAIL;
+  diagrams of polars); both diagrams are the level's reading, the hulls
+  of f^_l's row starts and of their k-th derivative;
+* every edge above that inclination carries a squarefree edge polynomial,
+  read off the polar's row starts (non-degeneracy), so the steep parts
+  (M_i, N_i) can be read off the edges, each split into gcd primitive
+  copies, and turned into contacts M_i/((b0/e_{l-1}) N_i) and
+  multiplicities, which must agree with the predicted Z-factors; no part
+  goes through the canonical representation ``predict`` builds them with,
+  so a fault there is a FAIL;
 * the weighted initial form of the hat transform of f, its compact edge
-  from (bbar_l - b_l, e_(l-1)) to (bbar_l, 0) as ``edge_poly`` reads it,
-  equals a x^b (y^(n_l) - a_{b_l}^(n_l) x^(m_l))^(e_l) with a, b determined
-  by the earlier coefficients - exactly, coefficient by coefficient;
+  from (bbar_l - b_l, e_(l-1)) to (bbar_l, 0) as ``edge_poly`` reads it
+  off the row starts, equals a x^b (y^(n_l) - a_{b_l}^(n_l) x^(m_l))^(e_l)
+  with a, b determined by the earlier coefficients - exactly, coefficient
+  by coefficient;
 * the vertical length of the edge at inclination exactly m_l/n_l equals the
   aggregate multiplicity of the W-factors of group l and of everything in
   deeper groups (individual W-factors are not separable without factoring).
@@ -101,6 +104,7 @@ __all__ = [
     "hat_chain",
     "check_lemma_nd",
     "check_initial_form",
+    "check_seeds",
     "verify_prediction",
 ]
 
@@ -194,18 +198,44 @@ def _level_cuts(cs: CharSequence, depth: int) -> list:
 
 @dataclass(frozen=True)
 class HatLevel:
-    """One level of ``hat_chain``: the hat transform f^_l and the two Newton
-    diagrams its certificate read, N(f^_l) and N(d^k f^_l)."""
+    """One level of ``hat_chain``, read once: the hat transform f^_l, kept
+    only for the next substitution, and everything the checks read, all
+    taken from its row starts, the first term of each row: the row starts
+    ``starts``, N(f^_l), the row starts of d^k f^_l and N(d^k f^_l)."""
 
     fhat: BivariatePoly
+    starts: BivariatePoly
     diagram: diagram_mod.NewtonDiagram
+    polar_starts: BivariatePoly
     polar: diagram_mod.NewtonDiagram
+
+    @classmethod
+    def read(cls, cs: CharSequence, l: int, fhat: BivariatePoly, k: int) -> HatLevel:
+        """Level l of the class ``cs`` at order k, read off the hat transform
+        ``fhat``: its row starts once, N(f^_l) as their hull, which must end
+        with the class edge from (bbar_l - b_l, e_(l-1)) to (bbar_l, 0) or
+        InvariantViolation is raised, then d^k of the row starts, which are
+        the row starts of d^k f^_l (over Q no coefficient j!/(j-k)! c
+        vanishes), and N(d^k f^_l) as their hull."""
+        corner = cs.bbar[l - 1]
+        edge = ((corner - cs.b[l], cs.e[l - 1]), (corner, 0))
+        starts = row_starts(fhat)
+        d = diagram_of(starts) if starts.rows else None  # a cut inside the corner leaves nothing
+        end = d.vertices[-2:] if d is not None else ()
+        if end != edge:
+            raise InvariantViolation(
+                f"hat transform of level {l} ends with the vertices {end}, not with the "
+                f"class edge {edge} of {cs.e[l]} copies of ({cs.m_seq[l - 1]},{cs.n_seq[l - 1]})"
+            )
+        polar_starts = derivative_y(starts, k)
+        return cls(fhat, starts, d, polar_starts, diagram_of(polar_starts))
 
 
 def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
     """The hat transforms f^_l = f(x^N_l, y + lam_l(x^N_l)) of the levels
     l = 1..depth, cut to what the checks of order k read (N_l = b0/e_(l-1)),
-    each as a ``HatLevel`` with the diagrams N(f^_l) and N(d^k f^_l).
+    each as a ``HatLevel``, read once by ``HatLevel.read`` before the next
+    level is substituted into it.
 
     Every substitution is a slice of the root's terms, read by numerator
     over b0.  f^_1 = min_poly of the terms from b_1 on, the root minus lam_1:
@@ -236,8 +266,7 @@ def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
     level's cut: each dropped term lies inside both Newton polyhedra and
     off their compact edges, so no diagram, edge polynomial or initial form
     changes.  If a derivative diagram fails, the chain is recomputed
-    without a cut, and both diagrams of every level are read again from the
-    uncut hats.
+    without a cut, and every level is read again from its uncut hat.
     """
     cs = w.cs
     terms = w.root.terms
@@ -247,23 +276,11 @@ def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
                                    if cs.b[l - 1] <= i < cs.b[l]})
              for l in range(2, depth + 1)]
 
-    def read(l, fhat):
-        corner = cs.bbar[l - 1]
-        edge = ((corner - cs.b[l], cs.e[l - 1]), (corner, 0))
-        d = diagram_of(fhat) if fhat.rows else None  # a cut inside the corner leaves nothing
-        end = d.vertices[-2:] if d is not None else ()
-        if end != edge:
-            raise InvariantViolation(
-                f"hat transform of level {l} ends with the vertices {end}, not with the "
-                f"class edge {edge} of {cs.e[l]} copies of ({cs.m_seq[l - 1]},{cs.n_seq[l - 1]})"
-            )
-        return HatLevel(fhat, d, diagram_of(fhat, k))
-
     def build(cuts):
         # each level is read before the next is substituted into it
-        chain = [read(1, min_poly(first, cut=cuts[0]))]
+        chain = [HatLevel.read(cs, 1, min_poly(first, cut=cuts[0]), k)]
         for l, (step, n_sub, cut) in enumerate(zip(steps, cs.n_seq, cuts[1:]), start=2):
-            chain.append(read(l, hat_transform(chain[-1].fhat, n_sub, step, cut)))
+            chain.append(HatLevel.read(cs, l, hat_transform(chain[-1].fhat, n_sub, step, cut), k))
         return chain
 
     cuts = _level_cuts(cs, depth)
@@ -347,10 +364,10 @@ class LevelReport:
 
 def check_lemma_nd(w: WitnessBranch, l: int, k: int, level: HatLevel) -> LevelReport:
     """Diagram equality and steep-edge non-degeneracy for one level and order,
-    read off the level's entry of ``hat_chain(w, depth, k)``: its hat
-    transform and the diagrams N(f^_l) and N(d^k f^_l) the chain built, so
-    no diagram is built here.  Returns the level's report with its diagram
-    fields filled in."""
+    read off the level's entry of ``hat_chain(w, depth, k)``: the diagrams
+    N(f^_l) and N(d^k f^_l) and the row starts of d^k f^_l, so no diagram is
+    built and no hat is read here.  Returns the level's report with its
+    diagram fields filled in."""
     cs = w.cs
     if k >= cs.e[l - 1]:
         raise OrderTooLarge(f"order {k} >= e_{l - 1} = {cs.e[l - 1]}")
@@ -382,28 +399,29 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int, level: HatLevel) -> LevelRe
         res.reasons.append("full hat diagram differs from the symbolic derivative")
 
     # the edge polynomials read one term per row, its first
-    polar_hat = derivative_y(row_starts(level.fhat), k)
     for edge in observed.compact_edges():
         (xa, ya), (xb, yb) = edge
         if (xb - xa) * n_l > (ya - yb) * m_l:
-            if not edge_poly_squarefree(polar_hat, edge):
+            if not edge_poly_squarefree(level.polar_starts, edge):
                 res.status = "degenerate"
                 res.reasons.append(f"steep edge {edge} is degenerate")
     return res
 
 
-def check_initial_form(w: WitnessBranch, l: int, fhat: BivariatePoly) -> bool:
-    """Exact comparison of in_omega(fhat), omega = (n_l, m_l), with
-    a x^b (y^n_l - a_{b_l}^n_l x^m_l)^e_l, b = bbar_l - b_l, for the level's
-    hat transform ``fhat`` (the ``fhat`` of its ``HatLevel``): the compact
-    edge from (b, e_(l-1)) to (bbar_l, 0) must carry a binom(e_l, t)
-    (-a_{b_l}^n_l)^t at y^(n_l (e_l - t)), and nothing else.  Holds for every
+def check_initial_form(w: WitnessBranch, l: int, starts: BivariatePoly) -> bool:
+    """Exact comparison of in_omega(f^_l), omega = (n_l, m_l), with
+    a x^b (y^n_l - a_{b_l}^n_l x^m_l)^e_l, b = bbar_l - b_l, read off
+    ``starts``, the row starts of the level's hat transform (the ``starts``
+    of its ``HatLevel``; the hat itself reads the same, since ``edge_poly``
+    reads only the first term of each row): the compact edge from
+    (b, e_(l-1)) to (bbar_l, 0) must carry a binom(e_l, t) (-a_{b_l}^n_l)^t
+    at y^(n_l (e_l - t)), and nothing else.  Holds for every
     conjugate-product witness (unit 1), generic or not."""
     cs = w.cs
     n_l, e_l = cs.n_seq[l - 1], cs.e[l]
     corner = bbar(cs, l)
     try:
-        observed = edge_poly(fhat, ((corner - cs.b[l], cs.e[l - 1]), (corner, 0)))
+        observed = edge_poly(starts, ((corner - cs.b[l], cs.e[l - 1]), (corner, 0)))
     except EdgeNotOnPolygon:
         return False
 
@@ -516,7 +534,7 @@ def _run_seed(w: WitnessBranch, prediction: PolarPrediction, levels) -> SeedRun:
         run.levels.append(report)
         if report.status != "ok":
             continue
-        report.initial_form_ok = check_initial_form(w, l, level.fhat)
+        report.initial_form_ok = check_initial_form(w, l, level.starts)
         predicted_z = [f for f in prediction.groups[l - 1] if f.kind == "Z"]
         report.prediction_match = (
             list(report.steep_parts) == [f.part for f in predicted_z]
@@ -534,21 +552,34 @@ def _run_seed(w: WitnessBranch, prediction: PolarPrediction, levels) -> SeedRun:
     return run
 
 
+def check_seeds(seeds) -> list:
+    """The witness seeds as a list: at least one, each an int (a bool or a
+    float is refused, not read as a number), nonnegative and none repeated,
+    or ValueError is raised.  random.Random(-s) is random.Random(s), so a
+    negative seed, like a repeated one, would report a witness twice."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    for seed in seeds:
+        if type(seed) is not int:
+            raise ValueError(f"witness seeds must be integers, got {seed!r}")
+    if min(seeds) < 0:
+        raise ValueError(f"witness seeds must be nonnegative, got {min(seeds)}")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"witness seeds must be distinct, got {seeds}")
+    return seeds
+
+
 def verify_prediction(cs: CharSequence, k: int, seeds) -> VerificationReport:
     """Check the prediction for every level against sampled witnesses.
 
     PASS needs one fully passing seed and no hard contradiction anywhere;
-    every seed must be nonnegative, or ValueError is raised.  Degenerate
-    witnesses are retried with fresh seeds up to ``MAX_SEED_RUNS`` runs in
-    total.
+    the seeds must pass ``check_seeds``, or ValueError is raised.
+    Degenerate witnesses are retried with fresh seeds up to
+    ``MAX_SEED_RUNS`` runs in total.
     """
     prediction = predict(cs, k)  # OrderOutOfRange unless 1 <= k < b0
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    if min(seeds) < 0:
-        # random.Random(-s) is random.Random(s): a negative seed repeats a witness
-        raise ValueError(f"witness seeds must be nonnegative, got {min(seeds)}")
+    seeds = check_seeds(seeds)
     levels = range(1, prediction.i_k + 1)
     report = VerificationReport(cs=cs, k=k, prediction=prediction)
 

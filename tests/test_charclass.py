@@ -55,6 +55,14 @@ def test_smooth_and_empty_rejected():
         new_char_sequence([4])
 
 
+def test_entries_that_are_not_integers_rejected():
+    # int() read 12.7 as 12, so [12.7, 16, 31] was K(12,16,31)
+    for b in ([12.7, 16, 31], [12, 16.0, 31], [True, 3], [2, "3"]):
+        with pytest.raises(InvalidCharacteristic, match="integer"):
+            new_char_sequence(b)
+    assert new_char_sequence(v for v in (12, 16, 31)).b == (12, 16, 31)
+
+
 def test_bbar_values():
     cs = new_char_sequence([12, 16, 31])
     assert bbar(cs, 1) == 16          # empty sum

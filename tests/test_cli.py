@@ -325,6 +325,8 @@ def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     ["verify", "12,16,31", "--k", "1", "--seeds", "1,x"],
     ["verify", "6,7", "--k", "1", "--seeds=-5,5"],
     ["verify", "6,7", "--k", "1", "--seeds=-1"],
+    ["verify", "12,16,31", "--k", "10", "--seeds", "17,17"],
+    ["verify", "6,7", "--k", "1", "--seeds", "5,3,5"],
     ["diagram", "derive", "--elementary", "5/3", "--k", "-1"],
     ["diagram", "show", "--elementary=-5/3"],
     ["diagram", "show"],
@@ -332,6 +334,7 @@ def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     ["contfrac", "3/x"],
     ["example", "ex1", "--k", "12"],
 ], ids=["order", "no-seeds", "seed-not-int", "negative-seed", "negative-seed-alone",
+        "repeated-seed", "repeated-seed-apart",
         "negative-derivative", "negative-leg",
         "no-diagram", "ratio-out-of-range", "ratio-not-int", "example-order"])
 def test_operands_are_checked_before_any_work(capsys, monkeypatch, argv):

@@ -107,3 +107,14 @@ def test_from_quotients_validates():
         from_quotients([2, 0, 2])
     with pytest.raises(InvalidRange):
         from_quotients([])
+
+
+def test_quotients_and_ratios_that_are_not_integers_rejected():
+    # int() read [2.9, 3] as [2; 3], and expand ran on floats
+    for h in ([2.9, 3], [2, 3.0], [True, 2]):
+        with pytest.raises(InvalidRange, match="integer"):
+            from_quotients(h)
+    for m, n in ((31.0, 4), (31, 4.5), (3, True)):
+        with pytest.raises(InvalidRange, match="integer"):
+            expand(m, n)
+    assert from_quotients(iter([7, 1, 3])).h == (7, 1, 3)

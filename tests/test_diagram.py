@@ -324,3 +324,11 @@ def test_json_round_trip():
 def test_from_json_rejects_vertices_that_are_not_integer_pairs(vertices):
     with pytest.raises(ValueError):
         NewtonDiagram.from_json({"vertices": vertices})
+
+
+def test_elementary_rejects_legs_that_are_not_integers():
+    # elementary(3.5, 2) built a diagram whose str() raised InvariantViolation
+    for m, n in ((3.5, 2), (3, 2.0), (True, 2), (3, False)):
+        with pytest.raises(ValueError, match="integer"):
+            elementary(m, n)
+    assert str(elementary(3, 2)) == "(3,2)"

@@ -149,7 +149,7 @@ def test_witness_with_rational_coefficients():
     level = hat_chain(w, 1, 1)[-1]
     res = check_lemma_nd(w, 1, 1, level)
     assert res.status == "ok"
-    assert check_initial_form(w, 1, level.fhat)
+    assert check_initial_form(w, 1, level.starts)
 
 
 @pytest.mark.parametrize("b,limit", [((20, 21), 1.0), ((40, 41), 3.0), ((40, 45, 47), 3.0)])

@@ -131,8 +131,7 @@ def test_witness_of_another_class_is_refused(cs, root):
 
 
 def _full_level(w, l, k):
-    fhat = full_hat(w, l)
-    return HatLevel(fhat, diagram_of(fhat), diagram_of(fhat, k))
+    return HatLevel.read(w.cs, l, full_hat(w, l), k)
 
 
 def test_expected_hat_diagram_ex1_level2():
@@ -143,7 +142,8 @@ def test_expected_hat_diagram_ex1_level2():
              if p[0] * 4 > p[1] * 31]
     assert steep == [(8, 1)] * 3
     # k = 0 keeps the hat diagram unchanged
-    unchanged = HatLevel(level.fhat, level.diagram, level.diagram)
+    unchanged = HatLevel.read(w.cs, 2, level.fhat, 0)
+    assert unchanged.polar == level.diagram
     assert check_lemma_nd(w, 2, 0, unchanged).expected == level.diagram.vertices
 
 
@@ -164,7 +164,7 @@ def test_expected_hat_diagram_is_the_split_sum(b):
     for l, level in enumerate(hat_chain(w, cs.h, 1), start=1):
         hat = level.diagram
         for k in range(cs.e[l - 1]):
-            at_k = HatLevel(level.fhat, hat, diagram_of(level.fhat, k))
+            at_k = HatLevel.read(cs, l, level.fhat, k)
             r_deriv, low = split_derivative(hat, k, cs.e[l])
             assert (check_lemma_nd(w, l, k, at_k).expected
                     == minkowski_sum(r_deriv, low).vertices), (b, l, k)
@@ -539,9 +539,10 @@ def test_chain_widens_for_a_degenerate_witness(monkeypatch):
 
 
 def _assert_levels_carry_their_diagrams(chain, k):
+    # each reading of a level against one of its full hat
     for l, level in enumerate(chain, start=1):
         assert level.diagram == diagram_of(level.fhat), l
-        assert level.polar == diagram_of(level.fhat, k), (l, k)
+        assert level.polar == diagram_of(derivative_y(level.fhat, k)), (l, k)
 
 
 @pytest.mark.parametrize("b", [(12, 16, 31), (10, 14, 15), (16, 24, 28, 30, 31)])
@@ -572,16 +573,41 @@ def test_verify_builds_two_diagrams_per_checked_level(monkeypatch, b, k, seeds):
     calls = []
     real_diagram_of = verify_mod.diagram_of
 
-    def spy(f, order=0):
-        calls.append(order)
-        return real_diagram_of(f, order)
+    def spy(f):
+        calls.append(all(len(row) == 1 for row in f.rows.values()))
+        return real_diagram_of(f)
 
     monkeypatch.setattr(verify_mod, "diagram_of", spy)
     report = verify_prediction(new_char_sequence(b), k, seeds)
     checked = sum(len(run.levels) for run in report.runs)
     assert checked
-    # N(f^_l) and N(d^k f^_l) once each, in the chain, and none in the checks
-    assert calls == [0, k] * checked
+    # N(f^_l) and N(d^k f^_l) once each, in the chain, each off a polynomial
+    # of one term per row, and none in the checks
+    assert calls == [True, True] * checked
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(small_classes())
+def test_no_check_reads_the_full_hat(case):
+    # the checks get every level with its hat taken out, and read the same:
+    # all they use is what HatLevel.read took off the row starts
+    import dataclasses
+
+    import branchpolar.verify as verify_mod
+
+    cs, seed = case
+    real_hat_chain = verify_mod.hat_chain
+
+    def without_hats(w, depth, k):
+        return [dataclasses.replace(level, fhat=None) for level in real_hat_chain(w, depth, k)]
+
+    for k in range(1, cs.b0):
+        report = verify_prediction(cs, k, [seed])
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(verify_mod, "hat_chain", without_hats)
+            blind = verify_prediction(cs, k, [seed])
+        assert (blind.to_json(), blind.to_text()) == (report.to_json(), report.to_text()), (
+            cs.b, seed, k)
 
 
 # -- the all-ones non-generic witness for K(12,16,31) ----------------------------------
@@ -762,6 +788,19 @@ def test_verify_rejects_a_negative_seed():
         with pytest.raises(ValueError, match="nonnegative"):
             verify_prediction(cs, 1, seeds)
     assert verify_prediction(cs, 1, [0]).verdict == "PASS"
+
+
+def test_verify_rejects_a_repeated_or_non_integer_seed():
+    # a repeated seed runs one witness twice and counts it twice; a seed that
+    # is not an int would be written into the report, where 1.5 is no JSON
+    # integer and True is no number
+    cs = new_char_sequence([6, 7])
+    for seeds, match in (([17, 17], "distinct"), ([5, 3, 5], "distinct"),
+                         ([1.5], "integers"), ([2, 2.0], "integers"),
+                         ([True], "integers"), ([1, False], "integers")):
+        with pytest.raises(ValueError, match=match):
+            verify_prediction(cs, 1, seeds)
+    assert verify_prediction(cs, 1, (s for s in [3, 5])).to_json()
 
 
 def test_verify_report_deterministic():
