@@ -165,8 +165,8 @@ class NewtonDiagram:
         that edge rather than linear in it.  The row-by-row definition lives
         on as ``tests/oracles.staircase_trunc_oracle``.
         """
-        if k < 0:
-            raise ValueError(f"truncation height must be nonnegative, got {k}")
+        if type(k) is not int or k < 0:
+            raise ValueError(f"truncation height must be a nonnegative integer, got {k!r}")
         v = self.vertices
         if k <= v[-1][1]:
             return self
@@ -194,8 +194,8 @@ class NewtonDiagram:
     def symbolic_derivative(self, k: int) -> "NewtonDiagram":
         """Newton diagram of (D - (0, k)) meet N^2: trunc(D, k) shifted down,
         at the polylogarithmic cost of ``trunc``."""
-        if k < 0:
-            raise ValueError(f"derivative order must be nonnegative, got {k}")
+        if type(k) is not int or k < 0:
+            raise ValueError(f"derivative order must be a nonnegative integer, got {k!r}")
         return self.trunc(k).translate(0, -k)
 
     # -- serialization ---------------------------------------------------------

@@ -90,8 +90,9 @@ class PuiseuxSeries:
     terms: tuple
 
     def __init__(self, denom: int, coeffs: dict):
-        if denom < 1:
-            raise ValueError(f"denominator must be positive, got {denom}")
+        # bool is a subclass of int, and gcd refuses floats with a TypeError
+        if type(denom) is not int or denom < 1:
+            raise ValueError(f"denominator must be a positive integer, got {denom!r}")
         terms = []
         for i, c in coeffs.items():
             # bool is a subclass of int, and int() would truncate floats
@@ -505,8 +506,8 @@ def min_poly(a: PuiseuxSeries, cut=None) -> BivariatePoly:
 
 def derivative_y(f: BivariatePoly, k: int) -> BivariatePoly:
     """Exact k-th partial derivative with respect to y."""
-    if k < 0:
-        raise ValueError("derivative order must be nonnegative")
+    if type(k) is not int or k < 0:
+        raise ValueError(f"derivative order must be a nonnegative integer, got {k!r}")
     if k == 0:
         return f
     if k > max(f.rows, default=-1):
@@ -543,8 +544,8 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
     of f_j(x^n_sub) mu^s in row j - s weighs at most i n_sub + s h + j - s,
     which is at most i n_sub + j h.
     """
-    if n_sub < 1:
-        raise ValueError("substitution exponent must be positive")
+    if type(n_sub) is not int or n_sub < 1:
+        raise ValueError(f"substitution exponent must be a positive integer, got {n_sub!r}")
     mu = {}
     for i, c in lam.terms:
         e = i * n_sub

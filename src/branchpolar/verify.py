@@ -24,15 +24,17 @@ triangle, every substitution a slice of the root's terms by numerator:
 * one check of the class: every level ends with the edge from
   (bbar_l - b_l, e_(l-1)) to (bbar_l, 0), e_l copies of (m_l, n_l), or
   InvariantViolation is raised;
-* the cut certifies itself: the diagram of d^k f^_l, shifted up by k, must
-  reach both axes with its vertices within the level's own cut, or the
-  chain is recomputed without a cut.  Then every dropped term lies inside
-  the Newton polyhedra and off their compact edges, which is all the
-  checks read;
 * each level is read once, off the first term of each row of f^_l, its
-  row starts: N(f^_l) is their hull, their k-th y-derivative is the row
-  starts of d^k f^_l and N(d^k f^_l) is its hull.  ``HatLevel`` hands
-  these on, and no check reads f^_l itself.
+  row starts: N(f^_l) is their hull, E = N(f^_l)^(k) its k-th symbolic
+  derivative, their k-th y-derivative is the row starts of d^k f^_l and
+  N(d^k f^_l) is its hull.  ``HatLevel`` hands these on, and no check
+  reads f^_l itself;
+* no level is recomputed without its cut: every vertex of E, shifted up
+  by k, lies within the level's cut, or InvariantViolation is raised, and
+  the cut keeps every row start of d^k f^_l within it, so N(d^k f^_l)
+  within the cut equals E exactly when the full one does.  A level whose
+  cut polar misses E is degenerate either way, and its report reads the
+  polar within the cut.
 
 For every level l and order k the checks are:
 
@@ -201,11 +203,13 @@ class HatLevel:
     """One level of ``hat_chain``, read once: the hat transform f^_l, kept
     only for the next substitution, and everything the checks read, all
     taken from its row starts, the first term of each row: the row starts
-    ``starts``, N(f^_l), the row starts of d^k f^_l and N(d^k f^_l)."""
+    ``starts``, N(f^_l), the expected polar diagram E = N(f^_l)^(k), the row
+    starts of d^k f^_l and N(d^k f^_l)."""
 
     fhat: BivariatePoly
     starts: BivariatePoly
     diagram: diagram_mod.NewtonDiagram
+    expected: diagram_mod.NewtonDiagram
     polar_starts: BivariatePoly
     polar: diagram_mod.NewtonDiagram
 
@@ -214,9 +218,10 @@ class HatLevel:
         """Level l of the class ``cs`` at order k, read off the hat transform
         ``fhat``: its row starts once, N(f^_l) as their hull, which must end
         with the class edge from (bbar_l - b_l, e_(l-1)) to (bbar_l, 0) or
-        InvariantViolation is raised, then d^k of the row starts, which are
-        the row starts of d^k f^_l (over Q no coefficient j!/(j-k)! c
-        vanishes), and N(d^k f^_l) as their hull."""
+        InvariantViolation is raised, its k-th symbolic derivative E, then
+        d^k of the row starts, which are the row starts of d^k f^_l (over Q
+        no coefficient j!/(j-k)! c vanishes), and N(d^k f^_l) as their
+        hull."""
         corner = cs.bbar[l - 1]
         edge = ((corner - cs.b[l], cs.e[l - 1]), (corner, 0))
         starts = row_starts(fhat)
@@ -228,14 +233,14 @@ class HatLevel:
                 f"class edge {edge} of {cs.e[l]} copies of ({cs.m_seq[l - 1]},{cs.n_seq[l - 1]})"
             )
         polar_starts = derivative_y(starts, k)
-        return cls(fhat, starts, d, polar_starts, diagram_of(polar_starts))
+        return cls(fhat, starts, d, d.symbolic_derivative(k), polar_starts, diagram_of(polar_starts))
 
 
 def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
     """The hat transforms f^_l = f(x^N_l, y + lam_l(x^N_l)) of the levels
-    l = 1..depth, cut to what the checks of order k read (N_l = b0/e_(l-1)),
-    each as a ``HatLevel``, read once by ``HatLevel.read`` before the next
-    level is substituted into it.
+    l = 1..depth, cut to what the checks of order k < e_(depth-1) read
+    (N_l = b0/e_(l-1)), each as a ``HatLevel``, read once by
+    ``HatLevel.read`` before the next level is substituted into it.
 
     Every substitution is a slice of the root's terms, read by numerator
     over b0.  f^_1 = min_poly of the terms from b_1 on, the root minus lam_1:
@@ -256,17 +261,40 @@ def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
     of the same slope and intercept, and level l-1's cut, of a slope no
     larger and an intercept no smaller, holds that half-plane.
 
-    Every level must end with the class edge from (bbar_l - b_l, e_(l-1))
+    Every level must end with the class edge from P = (bbar_l - b_l, e_(l-1))
     to (bbar_l, 0), as every member of the class does, or InvariantViolation
-    is raised: the one check of the steep part, e_l copies of (m_l, n_l),
-    for cut and uncut hats alike.  The diagram of f^_l then lies in the
-    triangle under the chord from (0, b0), within the level's cut, and the
-    cut certifies itself once the diagram of d^k f^_l of every level,
-    shifted up by k, reaches both axes with its vertices within that
-    level's cut: each dropped term lies inside both Newton polyhedra and
-    off their compact edges, so no diagram, edge polynomial or initial form
-    changes.  If a derivative diagram fails, the chain is recomputed
-    without a cut, and every level is read again from its uncut hat.
+    is raised: the one check of the steep part, e_l copies of (m_l, n_l).
+    The chain is built once, with its cuts, since a level's polar within
+    the cut misses E = N(f^_l)^(k) only where the full polar does:
+
+    * the cut keeps every row start of d^k f^_l whose weight, shifted up by
+      k, is within the cap, as the start of its row, since the weight grows
+      along a row;
+    * every vertex of E, shifted up by k, is within the cut.  Shifted up,
+      E is the lattice hull of N(f^_l) at heights >= k, and
+      k < e_(L-1) <= e_(l-1).  With a = N_L/N_l, the support holds (0, b0)
+      and (bbar_l, 0), so the vertices of N(f^_l) lie on or under the chord
+      between them, where a i + s_l j <= max(s_l b0, a bbar_l) <= bbar_L
+      (s_l <= bbar_L/b0, and bbar_(j+1) > n_j bbar_j).  That holds the
+      vertices at heights >= e_(l-1), which are N(f^_l)'s, and both ends of
+      the class edge.  The others lie in the triangle of P, the class
+      edge's point at height k and the last vertex
+      C = (bbar_l - floor(m_l k/n_l), k), which weighs
+      a bbar_l + a r/n_l + k (s_l - b_l/e_(L-1)), r = m_l k mod n_l.  At
+      level 1, s_1 = b_1/e_(L-1) and C weighs less than
+      N_L (bbar_1 + 1) <= bbar_L + N_L.  At level l >= 2,
+      s_l <= b_(l-1)/e_(L-1), and m_l = d_l (mod n_l) for
+      d_l = (b_l - b_(l-1))/e_l, so r <= d_l k and C weighs at most
+      a bbar_l <= bbar_L.  A vertex beyond the cut raises
+      InvariantViolation;
+    * so were N(d^k f^_l) of the full hat E, each vertex of E would be a row
+      start the cut keeps, and the cut polar's diagram would be E too.  A
+      cut diagram other than E means the full one is not E either: the
+      level is degenerate, and its report reads the polar within the cut;
+    * a cut diagram equal to E reaches both axes with its vertices within
+      the cut, and so does N(f^_l), so each dropped term lies inside both
+      Newton polyhedra and off their compact edges, and no diagram, edge
+      polynomial or initial form changes.
     """
     cs = w.cs
     terms = w.root.terms
@@ -275,21 +303,17 @@ def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
     steps = [PuiseuxSeries(cs.b0, {i * semiroot_degree(cs, l - 1): c for i, c in terms
                                    if cs.b[l - 1] <= i < cs.b[l]})
              for l in range(2, depth + 1)]
-
-    def build(cuts):
-        # each level is read before the next is substituted into it
-        chain = [HatLevel.read(cs, 1, min_poly(first, cut=cuts[0]), k)]
-        for l, (step, n_sub, cut) in enumerate(zip(steps, cs.n_seq, cuts[1:]), start=2):
-            chain.append(HatLevel.read(cs, l, hat_transform(chain[-1].fhat, n_sub, step, cut), k))
-        return chain
-
-    cuts = _level_cuts(cs, depth)
-    chain = build(cuts)
-    if all(level.polar.top[0] == 0 and level.polar.bottom[1] == 0
-           and all(wx * x + wy * (y + k) <= cap for x, y in level.polar.vertices)
-           for level, (wx, wy, cap) in zip(chain, cuts)):
-        return chain
-    return build([None] * depth)
+    chain = []  # each level is read, and E checked, before the next is substituted into it
+    for l, (wx, wy, cap) in enumerate(_level_cuts(cs, depth), start=1):
+        fhat = (min_poly(first, cut=(wx, wy, cap)) if l == 1 else
+                hat_transform(chain[-1].fhat, cs.n_seq[l - 2], steps[l - 2], (wx, wy, cap)))
+        level = HatLevel.read(cs, l, fhat, k)
+        beyond = [(x, y + k) for x, y in level.expected.vertices if wx * x + wy * (y + k) > cap]
+        if beyond:
+            raise InvariantViolation(f"the expected polar diagram of level {l} at k = {k} has "
+                                     f"the vertices {beyond} beyond its cut {(wx, wy, cap)}")
+        chain.append(level)
+    return chain
 
 
 def _steep_data(d: diagram_mod.NewtonDiagram, m_l: int, n_l: int):
@@ -364,10 +388,10 @@ class LevelReport:
 
 def check_lemma_nd(w: WitnessBranch, l: int, k: int, level: HatLevel) -> LevelReport:
     """Diagram equality and steep-edge non-degeneracy for one level and order,
-    read off the level's entry of ``hat_chain(w, depth, k)``: the diagrams
-    N(f^_l) and N(d^k f^_l) and the row starts of d^k f^_l, so no diagram is
-    built and no hat is read here.  Returns the level's report with its
-    diagram fields filled in."""
+    read off the level's entry of ``hat_chain(w, depth, k)``: the expected
+    diagram E = N(f^_l)^(k), N(d^k f^_l) and the row starts of d^k f^_l, so
+    no diagram is built and no hat is read here.  Returns the level's report
+    with its diagram fields filled in."""
     cs = w.cs
     if k >= cs.e[l - 1]:
         raise OrderTooLarge(f"order {k} >= e_{l - 1} = {cs.e[l - 1]}")
@@ -377,7 +401,7 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int, level: HatLevel) -> LevelRe
     # (m_l, n_l); R is the bottom part, of height e_(l-1) > k, so the
     # derivative cuts into R alone and equals the splitting R^(k) + L of the
     # lemma on Newton diagrams of polars, L taken from the witness itself
-    expected = level.diagram.symbolic_derivative(k)
+    expected = level.expected
     # the hat transform commutes with d/dy: hat(d^k f) = d^k hat(f)
     observed = level.polar
     steep_obs, exact_len = _steep_data(observed, m_l, n_l)

@@ -264,6 +264,23 @@ def random_char_sequence(rng, b0_max=64):
     return new_char_sequence(b)
 
 
+def grid_classes(b0_max):
+    """Every characteristic with b0 <= b0_max and every b_i <= 2 b0, the
+    grid of the ROADMAP, by b0 and then lexicographically."""
+    from branchpolar.charclass import new_char_sequence
+
+    def grow(b, e):
+        if e == 1:
+            yield new_char_sequence(b)
+            return
+        for nxt in range(b[-1] + 1, 2 * b[0] + 1):
+            if gcd(e, nxt) < e:
+                yield from grow(b + [nxt], gcd(e, nxt))
+
+    for b0 in range(2, b0_max + 1):
+        yield from grow([b0], b0)
+
+
 # ---------------------------------------------------------------------------
 # Eggers-Wall trees
 # ---------------------------------------------------------------------------

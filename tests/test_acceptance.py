@@ -15,7 +15,7 @@ from branchpolar import cli
 from branchpolar.charclass import new_char_sequence
 from branchpolar.diagram import elementary
 from branchpolar.polar import predict
-from branchpolar.puiseux import PuiseuxSeries, derivative_y, min_poly
+from branchpolar.puiseux import PuiseuxSeries, derivative_y, edge_poly_squarefree, min_poly
 from branchpolar.verify import WitnessBranch, check_lemma_nd, hat_chain, verify_prediction
 from oracles import (
     elementary_derivative_closed_form,
@@ -123,7 +123,15 @@ def test_criterion_4_nongeneric_witness():
     assert derivative_y(f, 10).terms == {(0, 2): c, (2, 1): -2 * c, (4, 0): c}
     result = check_lemma_nd(w, 1, 10, hat_chain(w, 1, 10)[-1])
     assert result.status == "degenerate"
-    assert any("degenerate" in reason for reason in result.reasons)
+    assert result.reasons == [
+        "steep diagram region ((2, 1),) differs from expected ((3, 2),)",
+        "full hat diagram differs from the symbolic derivative",
+    ]
+    # the polar within the cut misses the expected diagram
+    assert result.observed == ((0, 2), (2, 1))
+    assert result.observed != result.expected == ((0, 2), (3, 0))
+    # the full polar, c (y - x^2)^2, has a double root on its steep edge
+    assert not edge_poly_squarefree(derivative_y(f, 10), ((0, 2), (4, 0)))
     done("4 [non-generic witness detection]")
 
 

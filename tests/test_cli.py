@@ -57,13 +57,15 @@ def test_examples_match_golden_dot(capsys, name, k):
 # verify 12,16,31 --k 1 --seeds 17: seed 17 is degenerate at level 1 and ok at
 # level 2, so the report retries with seed 18, which passes.
 # verify 12,20,23 --k 11 --seeds 4780: seed 4780 samples a 0 at x^2, so row 11
-# of f^_1 is empty at every cap; the cut chain never certifies, the uncut
-# rebuild reads the seed as degenerate, and seed 4781 passes.
+# of f^_1 is empty at every cap; the polar within the cut misses the expected
+# diagram, which makes the seed degenerate, and seed 4781 passes.
 # verify 16,24,28,30,31 --k 1 --seeds 1,2: a four-level chain, each level cut
 # to its own weight
+# verify 9,15,17 --k 1 --seeds 2: level 1 of seed 2 has the expected polar
+# diagram, and its one reason is a steep edge with a repeated factor
 @pytest.mark.parametrize("char,k,seeds", [
     ("12,16,31", 2, "1,2,3"), ("12,16,31", 1, "17"), ("12,20,23", 11, "4780"),
-    ("16,24,28,30,31", 1, "1,2"),
+    ("16,24,28,30,31", 1, "1,2"), ("9,15,17", 1, "2"),
 ])
 @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json")])
 def test_verify_matches_golden(capsys, char, k, seeds, fmt, ext):

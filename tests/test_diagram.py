@@ -332,3 +332,14 @@ def test_elementary_rejects_legs_that_are_not_integers():
         with pytest.raises(ValueError, match="integer"):
             elementary(m, n)
     assert str(elementary(3, 2)) == "(3,2)"
+
+
+@pytest.mark.parametrize("k", [True, 1.5, 0.5, 1.0, -1])
+def test_derivative_and_truncation_orders_must_be_nonnegative_integers(k):
+    # True used to act as 1; 1.5 and 0.5 raised ZeroDivisionError
+    d = elementary(5, 3)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        d.symbolic_derivative(k)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        d.trunc(k)
+    assert d.symbolic_derivative(1) == d.trunc(1).translate(0, -1)

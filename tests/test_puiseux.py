@@ -851,6 +851,33 @@ def test_constructors_reject_float_and_bool_coefficients(build, coeff):
         build(coeff)
 
 
+@pytest.mark.parametrize("denom", [True, 2.0, 1.5, 0, -2])
+def test_series_rejects_a_denominator_that_is_not_a_positive_integer(denom):
+    # True used to be read as 1, so x^3; 2.0 and 1.5 raised a bare TypeError in gcd
+    with pytest.raises(ValueError, match="positive integer"):
+        PuiseuxSeries(denom, {3: 1})
+    assert PuiseuxSeries(2, {3: 1}).denom == 2
+
+
+@pytest.mark.parametrize("k", [True, 1.5, 1.0, -1])
+def test_derivative_order_must_be_a_nonnegative_integer(k):
+    # True used to differentiate once; 1.5 raised a bare TypeError
+    f = BivariatePoly({(0, 2): 1, (3, 0): -1})
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        derivative_y(f, k)
+    assert derivative_y(f, 1).terms == {(0, 1): 2}
+
+
+@pytest.mark.parametrize("n_sub", [2.0, True, 0])
+def test_substitution_exponent_must_be_a_positive_integer(n_sub):
+    # 2.0 used to store the float exponent x^3.0
+    f = BivariatePoly({(0, 2): 1, (3, 0): -1})
+    lam = PuiseuxSeries(1, {1: 1})
+    with pytest.raises(ValueError, match="positive integer"):
+        hat_transform(f, n_sub, lam)
+    assert hat_transform(f, 1, lam).terms == {(0, 2): 1, (1, 1): 2, (2, 0): 1, (3, 0): -1}
+
+
 def test_constructors_take_exact_rational_coefficients():
     third = Fraction(1, 3)
     assert PuiseuxSeries(2, {3: third}).terms == ((3, third),)

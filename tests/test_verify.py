@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -26,8 +27,10 @@ from branchpolar.puiseux import (
     PuiseuxSeries,
     derivative_y,
     diagram_of,
+    edge_poly_squarefree,
     hat_transform,
     min_poly,
+    row_starts,
 )
 from branchpolar.polar import predict
 from branchpolar.verify import (
@@ -47,6 +50,7 @@ from oracles import (
     difference,
     find_generic_witness,
     full_hat,
+    grid_classes,
     initial_form,
     lam,
     minkowski_sum,
@@ -272,7 +276,7 @@ def _substitute(monkeypatch, w, mutant):
     level = [1]
 
     def min_poly_of(a, cut=None):
-        level[0] = 1  # a chain, cut or uncut, starts here
+        level[0] = 1  # a chain starts here
         return real_min_poly(mutant(w, 1), cut)
 
     def hat_of(f, n_sub, delta, cut=None):
@@ -332,7 +336,7 @@ def test_lemma_rejects_wrong_straightening_without_asserts():
     assert "4 passed" in run.stdout
 
 
-# -- the hat chain: cut to the Newton triangle, certified, widened when needed --------
+# -- the hat chain: cut to the Newton triangle, once, and read within the cut ----------
 
 
 def _edge_terms(f, edge):
@@ -344,19 +348,33 @@ def _edge_terms(f, edge):
 def _assert_chain_reads_like_full_expansion(w, k):
     cs = w.cs
     depth = max(l for l in range(1, cs.h + 1) if cs.e[l - 1] > k)
+    n_top = semiroot_degree(cs, depth)
     for l, level in enumerate(hat_chain(w, depth, k), start=1):
         fhat = level.fhat
         full = full_hat(w, l)
         m_l, n_l = cs.m_seq[l - 1], cs.n_seq[l - 1]
-        assert diagram_of(fhat) == diagram_of(full), (cs.b, w.seed, l, k)
+        case = (cs.b, w.seed, l, k)
+        assert diagram_of(fhat) == diagram_of(full), case
+        assert initial_form(fhat, (n_l, m_l)) == initial_form(full, (n_l, m_l)), case
         polar, full_polar = derivative_y(fhat, k), derivative_y(full, k)
-        observed = diagram_of(polar)
-        assert observed == diagram_of(full_polar), (cs.b, w.seed, l, k)
+        # the polar's row starts are the full polar's whose weight, shifted up
+        # by k, is within the level's cut
+        scale, slope, intercept = Fraction(n_top, semiroot_degree(cs, l)), *_level_cut(cs, depth, l)
+        assert row_starts(polar).terms == {
+            (i, j): c for (i, j), c in row_starts(full_polar).terms.items()
+            if scale * i + slope * (j + k) <= intercept}, case
+        observed, full_observed = diagram_of(polar), diagram_of(full_polar)
+        assert (level.polar, level.expected) == (observed, level.diagram.symbolic_derivative(k)), case
+        # the cut polar misses E exactly when the full one does, and then the
+        # level is degenerate either way
+        assert (observed == level.expected) == (full_observed == level.expected), case
+        if observed != level.expected:
+            continue
+        assert observed == full_observed, case
         for edge in observed.compact_edges():
             (xa, ya), (xb, yb) = edge
             if (xb - xa) * n_l > (ya - yb) * m_l:
-                assert _edge_terms(polar, edge) == _edge_terms(full_polar, edge)
-        assert initial_form(fhat, (n_l, m_l)) == initial_form(full, (n_l, m_l)), (cs.b, w.seed, l)
+                assert _edge_terms(polar, edge) == _edge_terms(full_polar, edge), case
 
 
 @st.composite
@@ -446,8 +464,8 @@ def test_chain_reads_its_substitutions_and_weight_off_the_class(case):
 @example((new_char_sequence([8, 12, 14, 15]), 1))
 @example((new_char_sequence([16, 24, 28, 30, 31]), 1))
 def test_each_level_is_exact_within_its_own_cut(case):
-    # every level of a cut chain is the full hat transform restricted to its
-    # own cut, and a chain rebuilt without a cut is the full one
+    # every level of the chain is the full hat transform restricted to its
+    # own cut
     cs, seed = case
     w = sample_witness(cs, seed)
     full = [full_hat(w, l) for l in range(1, cs.h + 1)]
@@ -457,7 +475,7 @@ def test_each_level_is_exact_within_its_own_cut(case):
         chain = [level.fhat.terms for level in hat_chain(w, depth, k)]
         cut = [_within(full[l - 1], Fraction(n_top, semiroot_degree(cs, l)),
                        *_level_cut(cs, depth, l)) for l in range(1, depth + 1)]
-        assert chain in (cut, [f.terms for f in full[:depth]]), (cs.b, seed, k)
+        assert chain == cut, (cs.b, seed, k)
 
 
 @pytest.mark.parametrize("b", [(12, 16, 31), (10, 14, 15), (10, 15, 17), (8, 12, 14, 15),
@@ -505,17 +523,92 @@ def test_chain_rejects_a_cut_too_tight_without_asserts():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::test_chain_rejects_a_cut_too_tight"],
+         f"{__file__}::test_chain_rejects_a_cut_too_tight",
+         f"{__file__}::test_chain_rejects_an_expected_vertex_beyond_the_cut"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stdout + run.stderr
-    assert "1 passed" in run.stdout
+    assert "2 passed" in run.stdout
 
 
-def test_chain_widens_for_a_degenerate_witness(monkeypatch):
+def _cap_at_the_class_edge(real_cuts):
+    """``_level_cuts`` with level 1's cap lowered to its class edge's
+    heaviest vertex: the edge from (0, b0) to (b_1, 0) stays within it."""
+    def cuts(cs, depth):
+        out = real_cuts(cs, depth)
+        wx, wy, _ = out[0]
+        out[0] = (wx, wy, max(wy * cs.b0, wx * cs.b[1]))
+        return out
+
+    return cuts
+
+
+def test_chain_rejects_an_expected_vertex_beyond_the_cut(monkeypatch):
+    # K(2,3) at k = 1: the cap goes from 8 to 6, the class edge's vertices
+    # weigh 6, and E's vertex (2, 0), shifted up to (2, 1), weighs 7.  E's
+    # last vertex is heavier than the class edge exactly when m_1 k mod n_1 > 0
+    import branchpolar.verify as verify_mod
+
+    assert verify_mod._level_cuts(CUSP, 1) == [(2, 3, 8)]
+    monkeypatch.setattr(verify_mod, "_level_cuts", _cap_at_the_class_edge(verify_mod._level_cuts))
+    assert verify_mod._level_cuts(CUSP, 1) == [(2, 3, 6)]
+    for cs, k in ((CUSP, 1), (EX1, 1), (EX1, 2), (EX2, 1), (new_char_sequence([9, 15, 17]), 1),
+                  (new_char_sequence([16, 24, 28, 30, 31]), 3)):
+        assert cs.m_seq[0] * k % cs.n_seq[0]
+        w = sample_witness(cs, 1)
+        depth = max(l for l in range(1, cs.h + 1) if cs.e[l - 1] > k)
+        for l in range(1, depth + 1):
+            with pytest.raises(InvariantViolation, match="expected polar diagram of level 1"):
+                hat_chain(w, l, k)
+        with pytest.raises(InvariantViolation, match="expected polar diagram of level 1"):
+            verify_prediction(cs, k, [1])
+
+
+def test_expected_diagram_lies_within_the_cut_on_the_grid():
+    # every vertex of E, shifted up by k, within the bounds hat_chain proves,
+    # in level-L x-units: below bbar_L + N_L at level 1, at most bbar_L below it
+    checked = 0
+    for cs, seed in itertools.product(grid_classes(12), range(1, 5)):
+        w = sample_witness(cs, seed)
+        for k in range(1, cs.b0):
+            depth = max(l for l in range(1, cs.h + 1) if cs.e[l - 1] > k)
+            n_top, corner = semiroot_degree(cs, depth), cs.bbar[depth - 1]
+            for l, level in enumerate(hat_chain(w, depth, k), start=1):
+                scale, slope, _ = Fraction(n_top, semiroot_degree(cs, l)), *_level_cut(cs, depth, l)
+                heaviest = max(scale * x + slope * (y + k) for x, y in level.expected.vertices)
+                assert (heaviest < corner + n_top if l == 1 else heaviest <= corner), (
+                    cs.b, seed, k, l)
+                checked += 1
+    assert checked == 4 * 1094
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_classes())
+@example((new_char_sequence([12, 20, 23]), 4780))
+def test_verify_never_builds_an_uncut_hat(case):
+    import branchpolar.verify as verify_mod
+
+    cs, seed = case
+    cuts = []
+    real_min_poly, real_hat = verify_mod.min_poly, verify_mod.hat_transform
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(verify_mod, "min_poly", lambda a, cut=None: (
+            cuts.append(cut) or real_min_poly(a, cut)))
+        patched.setattr(verify_mod, "hat_transform", lambda f, n_sub, delta, cut=None: (
+            cuts.append(cut) or real_hat(f, n_sub, delta, cut)))
+        for k in range(1, cs.b0):
+            verify_prediction(cs, k, [seed])
+    assert cuts and None not in cuts, (cs.b, seed)
+
+
+def _statuses(report):
+    return (report.verdict, [(run.status, [lv.status for lv in run.levels]) for run in report.runs])
+
+
+def test_degenerate_witness_reads_within_the_cut(monkeypatch):
     # the all-ones witness at k = 10: d^10 f = 6*11!*(y - x^2)^2 has the vertex
     # (4, 0), which shifted up by k weighs 4 + (4/3)*10 > bbar_1 + 1 = 17, so
-    # the cut chain cannot certify it and is recomputed in full
+    # the polar within the cut misses E, and so does the full one
     import branchpolar.verify as verify_mod
 
     g = nongeneric_g()
@@ -523,19 +616,20 @@ def test_chain_widens_for_a_degenerate_witness(monkeypatch):
     real_min_poly = verify_mod.min_poly
 
     def spy(a, cut=None):
-        calls.append(cut is not None)
+        calls.append(cut)
         return real_min_poly(a, cut)
 
     monkeypatch.setattr(verify_mod, "min_poly", spy)
     monkeypatch.setattr(verify_mod, "sample_witness", lambda cs, seed, extra=None: g)
-    chained = json.loads(verify_prediction(EX1, 10, [1]).to_json())
-    # every retry samples the same witness: one cut chain and one full chain each
-    assert calls == [True, False] * len(chained["runs"])
+    chained = verify_prediction(EX1, 10, [1])
+    # every retry samples the same witness, and each reads it once, cut
+    assert len(chained.runs) == verify_mod.MAX_SEED_RUNS
+    assert calls == [verify_mod._level_cuts(EX1, 1)[0]] * len(chained.runs)
+    assert all(run.status == "degenerate" for run in chained.runs)
 
     monkeypatch.setattr(verify_mod, "hat_chain",
                         lambda w, depth, k: [_full_level(w, l, k) for l in range(1, depth + 1)])
-    assert json.loads(verify_prediction(EX1, 10, [1]).to_json()) == chained
-    assert chained["runs"][0]["levels"][0]["status"] == "degenerate"
+    assert _statuses(verify_prediction(EX1, 10, [1])) == _statuses(chained)
 
 
 def _assert_levels_carry_their_diagrams(chain, k):
@@ -554,13 +648,15 @@ def test_hat_chain_hands_on_both_diagrams(b):
         _assert_levels_carry_their_diagrams(hat_chain(w, depth, k), k)
 
 
-def test_uncut_rebuild_hands_on_both_diagrams():
-    # the degenerate witness of the widening test: its chain at k = 10 is
-    # rebuilt without a cut, and both diagrams are read off the uncut hat
+def test_degenerate_chain_hands_on_both_diagrams():
+    # the degenerate witness at k = 10: its chain stays cut, and both
+    # diagrams are read off the cut hat.  Row 0 of d^10 f^_1, x^4 times a
+    # constant, weighs 3*4 + 4*10 = 52 > 51 and has no start within the cut
     g = nongeneric_g()
     chain = hat_chain(g, 1, 10)
-    # at k = 2 the cut chain certifies itself
-    assert chain[0].fhat == full_hat(g, 1) != hat_chain(g, 1, 2)[0].fhat
+    assert chain[0].fhat == hat_chain(g, 1, 2)[0].fhat != full_hat(g, 1)
+    assert chain[0].polar.vertices == ((0, 2), (2, 1))
+    assert 0 not in chain[0].polar_starts.rows
     _assert_levels_carry_their_diagrams(chain, 10)
 
 
@@ -625,24 +721,46 @@ def test_nongeneric_witness_tenth_derivative():
     assert derivative_y(g, 10).terms == {(0, 2): c, (2, 1): -2 * c, (4, 0): c}
 
 
+_NONGENERIC_REASONS = [
+    "steep diagram region ((2, 1),) differs from expected ((3, 2),)",
+    "full hat diagram differs from the symbolic derivative",
+]
+
+
 def test_nongeneric_witness_flagged_degenerate():
     g = nongeneric_g()
     res = check_lemma_nd(g, 1, 10, hat_chain(g, 1, 10)[-1])
     assert res.status == "degenerate"
-    assert any("degenerate" in r for r in res.reasons)
-    # and never a silent pass: the diagram itself already differs
-    assert res.observed != res.expected
+    assert res.reasons == _NONGENERIC_REASONS
+    # and never a silent pass: the diagram within the cut already differs
+    assert res.observed == ((0, 2), (2, 1))
+    assert res.observed != res.expected == ((0, 2), (3, 0))
+    # the full polar, (y - x^2)^2 times a constant, carries a double root
+    assert not edge_poly_squarefree(derivative_y(min_poly(g.root), 10), ((0, 2), (4, 0)))
 
 
 def test_nongeneric_witness_degenerate_at_k1_too():
     # the (y - x^2)^2 structure of g already shows in its first polar: the
-    # steep edge carries a double root where the generic branch has a single
-    # factor of contact 3/2
+    # full polar's steep edge carries a double root where the generic branch
+    # has a single factor of contact 3/2
     g = nongeneric_g()
     res = check_lemma_nd(g, 1, 1, hat_chain(g, 1, 1)[-1])
     assert res.status == "degenerate"
-    assert res.observed == ((0, 11), (12, 2), (16, 0))
+    assert res.reasons == _NONGENERIC_REASONS
+    assert res.observed == ((0, 11), (12, 2), (14, 1))
     assert res.expected == ((0, 11), (12, 2), (15, 0))
+    assert not edge_poly_squarefree(derivative_y(min_poly(g.root), 1), ((12, 2), (16, 0)))
+
+
+def test_degenerate_steep_edge_on_the_expected_diagram():
+    # seed 2 of K(9,15,17) at k = 1: level 1's polar has the expected
+    # diagram, but its steep edge carries a repeated factor
+    cs = new_char_sequence([9, 15, 17])
+    run = verify_prediction(cs, 1, [2]).runs[0]
+    level = run.levels[0]
+    assert (run.status, level.status) == ("degenerate", "degenerate")
+    assert level.observed == level.expected
+    assert level.reasons == ["steep edge ((10, 2), (14, 0)) is degenerate"]
 
 
 # -- initial forms ----------------------------------------------------------------------
