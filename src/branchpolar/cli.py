@@ -54,15 +54,7 @@ def _check_output(args) -> None:
 
 
 def _class_and_order(args) -> tuple:
-    if args.command == "example":
-        char = WORKED_EXAMPLES[args.name]
-    elif args.char is not None and args.char_pos is not None:
-        raise BranchPolarError("give the characteristic once: positional or --char, not both")
-    else:
-        char = args.char or args.char_pos
-    if not char:
-        raise BranchPolarError("a characteristic is required (positional or --char)")
-    cs = parse_char(char)
+    cs = parse_char(WORKED_EXAMPLES[args.name] if args.command == "example" else args.char)
     if not 1 <= args.k < cs.b0:
         raise OrderOutOfRange(f"polar order must satisfy 1 <= k < {cs.b0}, got {args.k}")
     return (cs,)
@@ -73,20 +65,22 @@ def _class_order_and_seeds(args) -> tuple:
     return (*_class_and_order(args), seeds)
 
 
+def _m_over_n(text: str) -> tuple[int, int]:
+    """M/N, or M alone for M/1, as two ints."""
+    m, _, n = text.partition("/")
+    return int(m), int(n) if n else 1
+
+
 def _diagram(args) -> tuple:
     if args.action == "derive" and args.k < 0:
         raise ValueError(f"derivative order must be nonnegative, got {args.k}")
-    if args.elementary:
-        m, _, n = args.elementary.partition("/")
-        return (diagram_mod.elementary(int(m), int(n) if n else 1),)
-    if args.vertices:
-        return (diagram_mod.NewtonDiagram.from_json({"vertices": json.loads(args.vertices)}),)
-    raise BranchPolarError("one of --elementary or --vertices is required")
+    if args.elementary is not None:
+        return (diagram_mod.elementary(*_m_over_n(args.elementary)),)
+    return (diagram_mod.NewtonDiagram.from_json({"vertices": json.loads(args.vertices)}),)
 
 
 def _ratio(args) -> tuple:
-    m, _, n = args.ratio.partition("/")
-    m, n = int(m), int(n) if n else 1
+    m, n = _m_over_n(args.ratio)
     if not 0 < n < m:
         raise InvalidRange(f"need 0 < n < m, got m={m}, n={n}")
     return m, n
@@ -212,11 +206,8 @@ def render_svg(d: diagram_mod.NewtonDiagram) -> str:
 
 
 def _add_common(sub, formats):
-    # the default is read from the environment per call, in main()
-    sub.add_argument("--format", choices=formats,
-                     help=f"output format (default $BRANCHPOLAR_FORMAT if it is one "
-                          f"of these, else {formats[0]})")
-    sub.set_defaults(formats=formats)
+    sub.add_argument("--format", choices=formats, default=formats[0],
+                     help=f"output format (default {formats[0]})")
     sub.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
     sub.add_argument("--quiet", action="store_true", help="suppress the version banner")
 
@@ -231,8 +222,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("predict", help="factor structure of the generic k-th polar")
-    p.add_argument("char_pos", nargs="?", metavar="CHAR", help="characteristic b0,b1,...")
-    p.add_argument("--char", metavar="CHAR")
+    p.add_argument("char", metavar="CHAR", help="characteristic b0,b1,...")
     p.add_argument("--k", type=int, required=True, help="derivative order, 1 <= k < b0")
     p.add_argument("--no-branch", action="store_true",
                    help="omit the branch and semiroots from the Eggers-Wall tree")
@@ -240,8 +230,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.set_defaults(operands=_class_and_order, func=_cmd_predict)
 
     v = subs.add_parser("verify", help="check the prediction against exact witnesses")
-    v.add_argument("char_pos", nargs="?", metavar="CHAR")
-    v.add_argument("--char", metavar="CHAR")
+    v.add_argument("char", metavar="CHAR", help="characteristic b0,b1,...")
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated witness seeds")
     _add_common(v, ["text", "json"])
@@ -249,8 +238,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     d = subs.add_parser("diagram", help="Newton diagram operations")
     d.add_argument("action", choices=["derive", "show"])
-    d.add_argument("--elementary", metavar="M/N", help="elementary diagram with legs M, N")
-    d.add_argument("--vertices", metavar="JSON", help='support points, e.g. "[[0,2],[3,0]]"')
+    source = d.add_mutually_exclusive_group(required=True)
+    source.add_argument("--elementary", metavar="M/N", help="elementary diagram with legs M, N")
+    source.add_argument("--vertices", metavar="JSON", help='support points, e.g. "[[0,2],[3,0]]"')
     d.add_argument("--k", type=int, default=1, help="derivative order for derive")
     d.add_argument("--long", action="store_true", help="use the long canonical representation")
     _add_common(d, ["text", "json", "svg"])
@@ -293,9 +283,6 @@ def main(argv=None) -> int:
         args = _parse(argv)
     except argparse.ArgumentError as exc:
         return _fail(exc, EXIT_USAGE)
-    if args.format is None:
-        env_fmt = os.environ.get("BRANCHPOLAR_FORMAT")
-        args.format = env_fmt if env_fmt in args.formats else args.formats[0]
     if not args.quiet and sys.stderr.isatty():
         print(f"branchpolar {__version__}", file=sys.stderr)
     try:

@@ -183,10 +183,11 @@ class NewtonDiagram:
         # inner side of the line of the cut edge
         s = 0
         while y > k:
+            # d <= 0 on every step: the first has d <= s = 0, and a hull is
+            # convex, so no later step is steeper than the first.  The slack
+            # never shrinks, and each step runs until the height runs out.
             u, w, d = _steepest_step(p, q, s, y - k)
             c = (y - k) // w
-            if d > 0:
-                c = min(c, s // d)
             x, y, s = x + c * u, y - c * w, s - c * d
             pts.append((x, y))
         return NewtonDiagram(tuple(pts))

@@ -81,8 +81,6 @@ def test_predict_equals_example(capsys):
     _, via_example = run(capsys, "example", "ex1", "--k", "2", "--format", "json")
     _, via_predict = run(capsys, "predict", "12,16,31", "--k", "2", "--format", "json")
     assert via_example == via_predict
-    _, via_flag = run(capsys, "predict", "--char", "12,16,31", "--k", "2", "--format", "json")
-    assert via_flag == via_predict
 
 
 def test_diagram_derive_text(capsys):
@@ -168,8 +166,7 @@ def test_every_shipped_schema_is_valid_and_checked_against_cli_output():
 
 
 def test_verify_cli_pass(capsys):
-    code, out = run(capsys, "verify", "--char", "2,3", "--k", "1", "--seeds", "1,2",
-                    "--format", "json")
+    code, out = run(capsys, "verify", "2,3", "--k", "1", "--seeds", "1,2", "--format", "json")
     assert code == 0
     blob = json.loads(out)
     assert blob["verdict"] == "PASS"
@@ -190,8 +187,26 @@ def test_verify_cli_exit_codes(capsys, monkeypatch):
     for verdict, expected in [("FAIL", cli.EXIT_FAIL), ("UNKNOWN", cli.EXIT_UNKNOWN)]:
         monkeypatch.setattr(cli.verify, "verify_prediction",
                             lambda *a, verdict=verdict, **kw: Stub(verdict))
-        code, _ = run(capsys, "verify", "--char", "2,3", "--k", "1")
+        code, _ = run(capsys, "verify", "2,3", "--k", "1")
         assert code == expected
+
+
+def test_verify_cli_fail_through_the_real_report(capsys, monkeypatch):
+    # the report's own writers, not a stub: an initial form that does not
+    # match fails level 1 of the first seed, and the FAIL ends the run
+    monkeypatch.setattr(cli.verify, "check_initial_form", lambda *a: False)
+    code, out = run(capsys, "verify", "12,16,31", "--k", "2", "--seeds", "1")
+    assert code == cli.EXIT_FAIL
+    lines = out.splitlines()
+    assert lines[0] == "verify K(12,16,31) k=2: FAIL"
+    assert "initial form MISMATCH" in lines[2]
+    assert "  FAIL: level 1: initial form mismatch" in lines
+    code, out = run(capsys, "verify", "12,16,31", "--k", "2", "--seeds", "1", "--format", "json")
+    assert code == cli.EXIT_FAIL
+    blob = json.loads(out)
+    assert blob["verdict"] == "FAIL"
+    assert blob["runs"][0]["levels"][0]["initial_form_ok"] is False
+    validate(blob, "verify_report.schema.json")
 
 
 def test_usage_errors_exit_1(capsys):
@@ -207,7 +222,15 @@ def test_usage_errors_exit_1(capsys):
     (["predict", "2,3", "--k", "one", "--quiet"], "invalid int value: 'one'"),
     (["nosuch", "--quiet"], "invalid choice: 'nosuch'"),
     (["predict", "2,3", "--k", "1", "--bogus"], "unrecognized arguments: --bogus"),
-], ids=["missing-k", "format-xml", "k-not-int", "no-such-command", "unknown-option"])
+    (["predict", "--k", "1", "--quiet"], "the following arguments are required: CHAR"),
+    (["verify", "--k", "1", "--quiet"], "the following arguments are required: CHAR"),
+    (["predict", "2,3", "--char", "2,3", "--k", "1", "--quiet"],
+     "unrecognized arguments: --char 2,3"),
+    (["diagram", "show", "--quiet"], "one of the arguments --elementary --vertices is required"),
+    (["diagram", "show", "--elementary", "3/2", "--vertices", "[[0,2],[3,0]]", "--quiet"],
+     "argument --vertices: not allowed with argument --elementary"),
+], ids=["missing-k", "format-xml", "k-not-int", "no-such-command", "unknown-option",
+        "predict-no-char", "verify-no-char", "char-option", "no-diagram", "two-diagrams"])
 def test_argparse_usage_errors_are_returned_as_json(capsys, argv, message):
     # what argparse itself refuses is reported like every other usage error:
     # one JSON line on stderr and exit 1 returned, no usage text and no
@@ -237,12 +260,11 @@ def test_a_command_help_is_the_command_parser_help(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["predict", "12,16,31", "--k", "2"],
-    ["predict", "--char", "12,16,31", "--k=2", "--format", "dot", "--no-branch",
+    ["predict", "--k=2", "12,16,31", "--format", "dot", "--no-branch",
      "--output", "tree.dot", "--quiet"],
     ["predict", "2,3", "--k", "1", "--form", "json"],
-    ["predict", "2,3", "--char", "2,3", "--k", "1"],
     ["verify", "12,16,31", "--k", "1", "--seeds", "1,2", "--format", "json"],
-    ["verify", "--char", "2,3", "--k=1", "--output", "report.txt", "--quiet"],
+    ["verify", "--k=1", "2,3", "--output", "report.txt", "--quiet"],
     ["diagram", "derive", "--elementary", "12/5", "--k", "2", "--long", "--format", "svg"],
     ["diagram", "show", "--vertices", "[[0,2],[3,0]]"],
     ["diagram", "show", "--elementary=-5/3"],
@@ -258,8 +280,12 @@ def test_a_named_command_parses_as_through_the_full_parser(argv):
 @pytest.mark.parametrize("argv", [
     ["predict", "2,3"],
     ["predict", "2,3", "--k", "one"],
+    ["predict", "--k", "1"],
+    ["predict", "2,3", "--char", "2,3", "--k", "1"],
     ["verify", "2,3", "--k", "1", "--format", "dot"],
     ["diagram", "twist"],
+    ["diagram", "show"],
+    ["diagram", "show", "--elementary", "3/2", "--vertices", "[[0,2],[3,0]]"],
     ["contfrac", "31/4", "--bogus"],
     ["example", "ex1", "--k", "1", "--version"],
 ], ids=lambda argv: " ".join(argv))
@@ -275,14 +301,18 @@ def test_a_named_command_refuses_as_the_full_parser_does(argv):
 @pytest.mark.parametrize("command", ["predict", "verify"])
 @pytest.mark.parametrize("positional", ["2,3", "12,16,31"])
 def test_a_class_given_twice_is_refused_before_any_work(capsys, monkeypatch, command, positional):
-    # equal or not, the class is given once: as CHAR or as --char
+    # equal or not, the class is the one positional CHAR: a second one, or
+    # the --char option that no longer exists, is refused by the parser
     monkeypatch.setattr(cli.polar, "predict", None)  # never reached
     monkeypatch.setattr(cli.verify, "verify_prediction", None)
-    code = cli.main([command, positional, "--char", "2,3", "--k", "1", "--quiet"])
-    captured = capsys.readouterr()
-    assert code == cli.EXIT_USAGE
-    assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "BranchPolarError"
+    for second in (["2,3"], ["--char", "2,3"]):
+        code = cli.main([command, positional, *second, "--k", "1", "--quiet"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        blob = json.loads(captured.err)
+        assert blob == {"error": "ArgumentError",
+                        "message": f"unrecognized arguments: {' '.join(second)}"}
 
 
 def test_an_internal_fault_is_not_a_usage_error(capsys, monkeypatch):
@@ -331,13 +361,15 @@ def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     ["verify", "6,7", "--k", "1", "--seeds", "5,3,5"],
     ["diagram", "derive", "--elementary", "5/3", "--k", "-1"],
     ["diagram", "show", "--elementary=-5/3"],
+    ["diagram", "show", "--elementary", ""],
+    ["diagram", "show", "--vertices", ""],
     ["diagram", "show"],
     ["contfrac", "3/5"],
     ["contfrac", "3/x"],
     ["example", "ex1", "--k", "12"],
 ], ids=["order", "no-seeds", "seed-not-int", "negative-seed", "negative-seed-alone",
         "repeated-seed", "repeated-seed-apart",
-        "negative-derivative", "negative-leg",
+        "negative-derivative", "negative-leg", "empty-legs", "empty-vertices",
         "no-diagram", "ratio-out-of-range", "ratio-not-int", "example-order"])
 def test_operands_are_checked_before_any_work(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
@@ -373,21 +405,22 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_format_env_default(capsys, monkeypatch):
+    # the default format is the command's first choice; the environment has no say
     monkeypatch.setenv("BRANCHPOLAR_FORMAT", "json")
     code, out = run(capsys, "predict", "2,3", "--k", "1")
     assert code == 0
-    json.loads(out)  # default picked up from the environment
-    monkeypatch.delenv("BRANCHPOLAR_FORMAT")
+    assert out.startswith("class K(2,3), k = 1:")
 
 
-def test_format_env_default_read_per_call(capsys, monkeypatch):
-    # the parser is built once per process; the default format is not
+@pytest.mark.parametrize("argv,first", [
+    (["verify", "2,3", "--k", "1", "--seeds", "1"], "verify K(2,3) k=1: PASS"),
+    (["diagram", "show", "--elementary", "3/2"], "(3,2)"),
+    (["contfrac", "31/4"], "[7,1,3]"),
+    (["example", "ex2", "--k", "1"], "class K(10,14,15), k = 1:"),
+], ids=["verify", "diagram", "contfrac", "example"])
+def test_format_default_is_the_first_choice(capsys, monkeypatch, argv, first):
+    # each command's default, with the variable that once preset it still set
     monkeypatch.setenv("BRANCHPOLAR_FORMAT", "json")
-    _, as_json = run(capsys, "predict", "2,3", "--k", "1")
-    monkeypatch.setenv("BRANCHPOLAR_FORMAT", "dot")
-    _, as_dot = run(capsys, "predict", "2,3", "--k", "1")
-    monkeypatch.setenv("BRANCHPOLAR_FORMAT", "svg")  # not a predict format
-    _, as_text = run(capsys, "predict", "2,3", "--k", "1")
-    assert json.loads(as_json)["k"] == 1
-    assert as_dot.startswith("digraph eggers_wall")
-    assert as_text.startswith("class K(2,3), k = 1:")
+    _, out = run(capsys, *argv)
+    assert out.startswith(first)
+    assert cli._parse(argv).format == "text"

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchpolar import diagram as diagram_mod
 from branchpolar.diagram import NewtonDiagram, elementary, from_support
 from branchpolar.errors import EmptySupport, InvalidRange
 from oracles import (
@@ -44,6 +46,12 @@ def test_from_support_drops_interior_points():
 def test_from_support_empty():
     with pytest.raises(EmptySupport):
         from_support([])
+
+
+@pytest.mark.parametrize("point", [(-1, 2), (3, -1)])
+def test_from_support_rejects_a_negative_point(point):
+    with pytest.raises(ValueError, match="support points must be nonnegative"):
+        from_support({(0, 2), point})
 
 
 def test_membership_matches_halfplane_oracle():
@@ -126,6 +134,15 @@ def test_canonical_rep_quadrant_offset():
     rep = quadrant((2, 3)).canonical_rep()
     assert rep.offset == (2, 3)
     assert rep.parts == ()
+    assert str(rep) == "quadrant at (2,3)"
+
+
+def test_canonical_rep_text_with_an_offset_and_parts():
+    # offset first, then the parts from the rightmost edge up
+    d = from_support({(1, 5), (3, 2), (7, 1)})
+    assert d.canonical_rep().offset == (1, 1)
+    assert str(d.canonical_rep()) == "(1,1)+(4,1)+(2,3)"
+    assert str(d) == "(1,1)+(4,1)+(2,3)"
 
 
 def test_canonical_rep_round_trip():
@@ -187,11 +204,20 @@ _supports = st.lists(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_supports)
 def test_trunc_matches_staircase_oracle(support):
+    steepest, steps = diagram_mod._steepest_step, []
+
+    def recorded(*args):
+        steps.append(steepest(*args))
+        return steps[-1]
+
     d = from_support(support)
-    for k in range(d.top[1] + 2):
-        expected = staircase_trunc_oracle(d, k)
-        assert d.trunc(k) == expected, (d.vertices, k)
-        assert d.symbolic_derivative(k) == expected.translate(0, -k), (d.vertices, k)
+    with mock.patch.object(diagram_mod, "_steepest_step", recorded):
+        for k in range(d.top[1] + 2):
+            expected = staircase_trunc_oracle(d, k)
+            assert d.trunc(k) == expected, (d.vertices, k)
+            assert d.symbolic_derivative(k) == expected.translate(0, -k), (d.vertices, k)
+    # no gift-wrapping step is steeper than the cut edge, so none spends slack
+    assert all(step_d <= 0 for _, _, step_d in steps), (d.vertices, steps)
 
 
 def test_trunc_runs_down_a_non_primitive_edge():

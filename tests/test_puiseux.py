@@ -79,6 +79,15 @@ def test_malformed_series_is_refused_with_value_error(text):
         PuiseuxSeries.from_string(text)
 
 
+@pytest.mark.parametrize("text", ["0", "", " 0 "])
+def test_zero_series_parses_prints_and_has_min_poly_y(text):
+    zero = PuiseuxSeries.from_string(text)
+    assert (zero.denom, zero.terms) == (1, ())
+    assert str(zero) == "0"
+    # the one conjugate of 0 is 0 itself: its minimal polynomial is y
+    assert min_poly(zero) == BivariatePoly({(0, 1): 1})
+
+
 def test_denominators_with_leading_zeros_still_parse():
     assert PuiseuxSeries.from_string("3/02*x^(7/05)") == PuiseuxSeries.from_string("3/2*x^(7/5)")
 
@@ -583,6 +592,13 @@ def test_hat_of_the_zero_polynomial(cut):
     lam = PuiseuxSeries.from_string("1/2*x+x^2")
     assert hat_transform(zero, 2, lam, cut).is_zero()
     assert hat_horner_oracle(zero, 2, lam, cut).is_zero()
+
+
+@pytest.mark.parametrize("weights", [(0, 1), (1, 0), (-1, 2), (2, -3)])
+def test_hat_cut_rejects_weights_that_are_not_positive(weights):
+    f = BivariatePoly({(0, 2): 1, (3, 0): -1})
+    with pytest.raises(ValueError, match="cut weights must be positive"):
+        hat_transform(f, 1, PuiseuxSeries.from_string("x^2"), (*weights, 10))
 
 
 def test_hat_cut_rejects_a_lowering_substitution():
