@@ -166,7 +166,7 @@ class NewtonDiagram:
         on as ``tests/oracles.staircase_trunc_oracle``.
         """
         if type(k) is not int or k < 0:
-            raise ValueError(f"truncation height must be a nonnegative integer, got {k!r}")
+            raise ValueError(f"order must be a nonnegative integer, got {k!r}")
         v = self.vertices
         if k <= v[-1][1]:
             return self
@@ -194,9 +194,7 @@ class NewtonDiagram:
 
     def symbolic_derivative(self, k: int) -> "NewtonDiagram":
         """Newton diagram of (D - (0, k)) meet N^2: trunc(D, k) shifted down,
-        at the polylogarithmic cost of ``trunc``."""
-        if type(k) is not int or k < 0:
-            raise ValueError(f"derivative order must be a nonnegative integer, got {k!r}")
+        at the polylogarithmic cost of ``trunc``, which checks k."""
         return self.trunc(k).translate(0, -k)
 
     # -- serialization ---------------------------------------------------------

@@ -194,9 +194,6 @@ class PuiseuxSeries:
         text = "+".join(out)
         return text.replace("+-", "-")
 
-    def __repr__(self) -> str:
-        return f"PuiseuxSeries({self!s})"
-
 
 # ---------------------------------------------------------------------------
 # sparse bivariate polynomials
@@ -231,24 +228,6 @@ class BivariatePoly:
 
     def is_zero(self) -> bool:
         return not self.rows
-
-    def __repr__(self) -> str:
-        if not self.rows:
-            return "BivariatePoly(0)"
-        bits = []
-        for j in sorted(self.rows, reverse=True):
-            for i, c in sorted(self.rows[j].items()):
-                mono = "".join(
-                    [f"x^{i}" if i > 1 else "x" if i == 1 else "",
-                     f"y^{j}" if j > 1 else "y" if j == 1 else ""]
-                )
-                if not mono:
-                    bits.append(fmt_q(c))
-                elif c == 1:
-                    bits.append(mono)
-                else:
-                    bits.append(f"{fmt_q(c)}*{mono}")
-        return "BivariatePoly(" + " + ".join(bits) + ")"
 
 
 def _poly(rows) -> BivariatePoly:
@@ -517,6 +496,23 @@ def derivative_y(f: BivariatePoly, k: int) -> BivariatePoly:
                  for j, row in f.rows.items() if j >= k)
 
 
+def _cut_product(acc: dict, a: list, b: list, top: int, scale) -> None:
+    """Add ``scale`` times the product of a and b, lists of (e, c) sorted by
+    exponent, into acc, {e: c}, leaving out every exponent above ``top``:
+    with both sides sorted, a term's partners stop at the first one past
+    the room left, and the terms of a stop at the first with no room for
+    b's first term."""
+    for e, c in a:
+        left = top - e
+        if b[0][0] > left:
+            break  # and so is every later term of a
+        c *= scale
+        for e2, c2 in b:
+            if e2 > left:
+                break
+            acc[e + e2] = acc.get(e + e2, 0) + c * c2
+
+
 def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
                   cut=None) -> BivariatePoly:
     """The substitution f(x^n_sub, y + lam(x^n_sub)).
@@ -527,7 +523,7 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
     With mu = lam(x^n_sub) and f = sum_j f_j(x) y^j this is the Taylor shift
     sum_s mu^s sum_j binom(j, s) f_j(x^n_sub) y^(j-s), computed as written:
     the powers mu^s once, then each y-slice f_j times binom(j, s) mu^s added
-    into row j - s.
+    into row j - s, every product one ``_cut_product``.
 
     With ``cut = (wx, wy, cap)`` every term x^i y^j of weight wx*i + wy*j
     above ``cap`` is left out: row r keeps x-exponents up to
@@ -569,12 +565,8 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
     powers = [[(0, 1)]]  # powers[s] = mu^s, by increasing exponent, cut at room[0]
     for _ in range(degree):
         acc: dict = {}
-        for e, c in powers[-1]:
-            left = room[0] - e
-            for e2, c2 in mu_items:
-                if e2 > left:
-                    break
-                acc[e + e2] = acc.get(e + e2, 0) + c * c2
+        # mu's terms on the outside: for mu = 0 the product is empty
+        _cut_product(acc, mu_items, powers[-1], room[0], 1)
         power = sorted((e, c) for e, c in acc.items() if c)
         if not power:  # past the cut, and so is every higher power
             break
@@ -587,17 +579,7 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
             top = room[j - s]
             if items[0][0] + power[0][0] > top:
                 break  # and so is every later s
-            row = rows[j - s]
-            b = comb(j, s)
-            for i, c in items:
-                left = top - i
-                if power[0][0] > left:
-                    break
-                c *= b
-                for e, m in power:
-                    if e > left:
-                        break
-                    row[i + e] = row.get(i + e, 0) + c * m
+            _cut_product(rows[j - s], items, power, top, comb(j, s))
     return _poly(enumerate(rows))
 
 

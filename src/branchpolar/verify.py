@@ -26,9 +26,10 @@ triangle, every substitution a slice of the root's terms by numerator:
   InvariantViolation is raised;
 * each level is read once, off the first term of each row of f^_l, its
   row starts: N(f^_l) is their hull, E = N(f^_l)^(k) its k-th symbolic
-  derivative, their k-th y-derivative is the row starts of d^k f^_l and
-  N(d^k f^_l) is its hull.  ``HatLevel`` hands these on, and no check
-  reads f^_l itself;
+  derivative, read by rows off N(f^_l) and not through the truncation
+  ``predict`` uses, their k-th y-derivative is the row starts of
+  d^k f^_l and N(d^k f^_l) is its hull.  ``HatLevel`` hands these on, and
+  no check reads f^_l itself;
 * no level is recomputed without its cut: every vertex of E, shifted up
   by k, lies within the level's cut, or InvariantViolation is raised, and
   the cut keeps every row start of d^k f^_l within it, so N(d^k f^_l)
@@ -218,10 +219,17 @@ class HatLevel:
         """Level l of the class ``cs`` at order k, read off the hat transform
         ``fhat``: its row starts once, N(f^_l) as their hull, which must end
         with the class edge from (bbar_l - b_l, e_(l-1)) to (bbar_l, 0) or
-        InvariantViolation is raised, its k-th symbolic derivative E, then
-        d^k of the row starts, which are the row starts of d^k f^_l (over Q
-        no coefficient j!/(j-k)! c vanishes), and N(d^k f^_l) as their
-        hull."""
+        InvariantViolation is raised, then d^k of the row starts, which are
+        the row starts of d^k f^_l (over Q no coefficient j!/(j-k)! c
+        vanishes), and N(d^k f^_l) as their hull.
+
+        Its k-th symbolic derivative E is read by rows off N(f^_l), by the
+        lattice definition and not through the truncation ``predict``
+        uses, so a fault there is a FAIL and not a degenerate witness: the
+        hull of the vertices at heights >= k and of the leftmost lattice
+        point of each row j >= k strictly inside a compact edge, shifted
+        down by k, or the quadrant at (x, 0) of the top vertex (x, y) when
+        k > y.  That is O(y) integer steps per level."""
         corner = cs.bbar[l - 1]
         edge = ((corner - cs.b[l], cs.e[l - 1]), (corner, 0))
         starts = row_starts(fhat)
@@ -232,8 +240,13 @@ class HatLevel:
                 f"hat transform of level {l} ends with the vertices {end}, not with the "
                 f"class edge {edge} of {cs.e[l]} copies of ({cs.m_seq[l - 1]},{cs.n_seq[l - 1]})"
             )
+        points = [(x, y - k) for x, y in d.vertices if y >= k]
+        for (xa, ya), (xb, yb) in d.compact_edges():
+            points += [(xa - (xb - xa) * (j - ya) // (ya - yb), j - k)
+                       for j in range(max(k, yb + 1), ya)]
+        expected = diagram_mod.from_support(points or [(d.top[0], 0)])
         polar_starts = derivative_y(starts, k)
-        return cls(fhat, starts, d, d.symbolic_derivative(k), polar_starts, diagram_of(polar_starts))
+        return cls(fhat, starts, d, expected, polar_starts, diagram_of(polar_starts))
 
 
 def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
@@ -339,7 +352,6 @@ class LevelReport:
     them with the prediction."""
 
     level: int
-    k: int
     expected: tuple                   # vertices of N(fhat)^(k)
     observed: tuple                   # vertices of N(d^k fhat / dy^k)
     status: str = "ok"                # ok, or degenerate with reasons
@@ -407,7 +419,7 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int, level: HatLevel) -> LevelRe
     steep_obs, exact_len = _steep_data(observed, m_l, n_l)
     steep_exp, _ = _steep_data(expected, m_l, n_l)
     res = LevelReport(
-        level=l, k=k, expected=expected.vertices, observed=observed.vertices,
+        level=l, expected=expected.vertices, observed=observed.vertices,
         steep_parts=steep_obs,
         contacts=tuple(Fraction(m, n_sub * n) for m, n in steep_obs),
         multiplicities=tuple(n_sub * n for _, n in steep_obs),
@@ -484,8 +496,9 @@ class SeedRun:
 
 @dataclass
 class VerificationReport:
-    cs: CharSequence
-    k: int
+    """The runs of ``verify_prediction`` against ``prediction``, which
+    carries the class and the order."""
+
     prediction: PolarPrediction
     runs: list = field(default_factory=list)
     verdict: str = "UNKNOWN"
@@ -495,8 +508,8 @@ class VerificationReport:
     def to_json(self) -> str:
         # the prediction's own text one level deeper: JSON text has no raw newline in a string
         return dumps({
-            "char": list(self.cs.b),
-            "k": self.k,
+            "char": list(self.prediction.char.b),
+            "k": self.prediction.k,
             "verdict": self.verdict,
             "passing_seed": self.passing_seed,
             "degenerate_count": self.degenerate_count,
@@ -506,7 +519,7 @@ class VerificationReport:
         })
 
     def to_text(self) -> str:
-        lines = [f"verify K{self.cs} k={self.k}: {self.verdict}"]
+        lines = [f"verify K{self.prediction.char} k={self.prediction.k}: {self.verdict}"]
         if self.passing_seed is not None:
             lines.append(f"witness seed {self.passing_seed} confirms the prediction")
         if self.degenerate_count:
@@ -605,7 +618,7 @@ def verify_prediction(cs: CharSequence, k: int, seeds) -> VerificationReport:
     prediction = predict(cs, k)  # OrderOutOfRange unless 1 <= k < b0
     seeds = check_seeds(seeds)
     levels = range(1, prediction.i_k + 1)
-    report = VerificationReport(cs=cs, k=k, prediction=prediction)
+    report = VerificationReport(prediction)
 
     queue = list(seeds)
     next_extra = max(seeds) + 1

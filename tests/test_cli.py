@@ -1,6 +1,8 @@
 import ast
 import inspect
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -249,6 +251,20 @@ def test_help_and_version_still_exit_0(capsys, flag):
         cli.main([flag])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage:" if flag == "--help" else "branchpolar ")
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+@pytest.mark.parametrize("quiet", [False, True])
+def test_the_version_banner_goes_to_a_terminal_stderr_unless_quiet(capsys, monkeypatch, quiet):
+    stderr = _Terminal()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    code = cli.main(["predict", "2,3", "--k", "1", *(["--quiet"] if quiet else [])])
+    assert code == 0 and capsys.readouterr().out
+    assert stderr.getvalue() == ("" if quiet else "branchpolar 0.1.0\n")
 
 
 def test_a_command_help_is_the_command_parser_help(capsys):

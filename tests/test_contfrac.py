@@ -60,6 +60,11 @@ def test_even_length_rewrite():
     assert to_even_length(odd) is odd
 
 
+def test_even_length_refuses_a_last_quotient_of_1():
+    with pytest.raises(InvalidRange, match="canonical"):
+        to_even_length(from_quotients([2, 1]))
+
+
 def test_even_length_preserves_value_random():
     rng = random.Random(5)
     for _ in range(200):

@@ -46,6 +46,13 @@ def test_from_support_drops_interior_points():
 def test_from_support_empty():
     with pytest.raises(EmptySupport):
         from_support([])
+    with pytest.raises(EmptySupport):
+        NewtonDiagram(())
+
+
+@pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (0, 0)])
+def test_an_elementary_diagram_with_a_zero_leg_is_the_quadrant(m, n):
+    assert elementary(m, n) == quadrant()
 
 
 @pytest.mark.parametrize("point", [(-1, 2), (3, -1)])

@@ -9,7 +9,7 @@ import pytest
 
 from branchpolar import polar, verify
 from branchpolar.charclass import new_char_sequence
-from branchpolar.diagram import NewtonDiagram
+from branchpolar.diagram import NewtonDiagram, from_support
 from branchpolar.errors import InvariantViolation
 from branchpolar.polar import predict
 from branchpolar.verify import verify_prediction
@@ -148,3 +148,39 @@ def test_verify_rejects_middle_levels_cut_inside_the_deepest_intercept(monkeypat
     for seed in (1, 2):
         with pytest.raises(InvariantViolation, match="class edge"):
             verify_prediction(cs, 1, [seed])
+
+
+# -- a truncation without its lattice hull ------------------------------------------
+
+
+def _trunc_without_lattice_hull(self, k):
+    # the vertices at heights >= k and the crossing edge's point at row k,
+    # rounded right, with no lattice point in between
+    v = self.vertices
+    if k <= v[-1][1]:
+        return self
+    if k > v[0][1]:
+        return NewtonDiagram(((v[0][0], k),))
+    points = [(x, y) for x, y in v if y >= k]
+    (xa, ya), (xb, yb) = next(e for e in self.compact_edges() if e[1][1] < k)
+    points.append((xa + ceil(Fraction((ya - k) * (xb - xa), ya - yb)), k))
+    return from_support(points)
+
+
+@pytest.mark.parametrize("b,k,verdict", [
+    ((12, 16, 31), 1, "PASS"), ((12, 16, 31), 2, "PASS"), ((10, 14, 15), 1, "PASS"),
+    ((10, 14, 15), 2, "FAIL"), ((9, 12, 13), 1, "PASS"), ((7, 17), 2, "FAIL"),
+    ((16, 24, 28, 30, 31), 3, "PASS"), ((16, 23), 1, "FAIL"), ((16, 23), 3, "FAIL"),
+])
+def test_verify_fails_where_a_truncation_without_its_lattice_hull_changes_predict(
+        monkeypatch, b, k, verdict):
+    # predict derives every polar diagram through trunc, verify reads its
+    # expected diagram by rows off the witness: where the mutant changes the
+    # prediction the verifier must FAIL, and elsewhere it must still PASS.
+    # Read through trunc, every case was UNKNOWN, all eight seeds degenerate
+    cs = new_char_sequence(b)
+    right = predict(cs, k).to_json()
+    monkeypatch.setattr(NewtonDiagram, "trunc", _trunc_without_lattice_hull)
+    assert (predict(cs, k).to_json() != right) == (verdict == "FAIL")
+    report = verify_prediction(cs, k, range(1, 9))
+    assert report.verdict == verdict, report.to_text()

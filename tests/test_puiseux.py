@@ -36,6 +36,7 @@ from branchpolar.puiseux import (
     row_starts,
     _univariate_gcd_degree,
 )
+from branchpolar.rational import fmt_q
 from branchpolar.verify import WitnessBranch, hat_chain, sample_witness
 from oracles import (
     coefficient,
@@ -68,6 +69,12 @@ def test_parse_and_str_round_trip():
     assert s.denom == 5
     assert dict(s.terms) == {5: 1, 7: Fraction(3, 2), 10: -1}
     assert PuiseuxSeries.from_string(str(s)) == s
+
+
+def test_fmt_q_writes_whole_values_without_a_denominator():
+    assert fmt_q(3) == "3"
+    assert fmt_q(Fraction(6, 2)) == "3"
+    assert fmt_q(Fraction(-3, 2)) == "-3/2"
 
 
 @pytest.mark.parametrize("text", ["x^(1/0)", "1/0*x", "x^2+", "--x", "2x", "x^(3/00)",
@@ -122,6 +129,15 @@ def test_characteristic_errors():
         PuiseuxSeries(2, {1: 1}).characteristic()   # order 1/2 < 1
     with pytest.raises(InvalidCharacteristic):
         PuiseuxSeries(1, {2: 1}).characteristic()   # smooth
+    with pytest.raises(InvalidCharacteristic):
+        PuiseuxSeries(1, {}).characteristic()       # zero
+
+
+def test_constructors_refuse_exponents_out_of_range():
+    with pytest.raises(ValueError, match="positive"):
+        PuiseuxSeries(3, {0: 1})
+    with pytest.raises(ValueError, match="nonnegative"):
+        BivariatePoly({(-1, 0): 1})
 
 
 _series_terms = st.dictionaries(st.integers(1, 60), st.integers(-3, 3), max_size=6)

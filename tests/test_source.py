@@ -135,3 +135,11 @@ def test_package_makes_no_float():
              or (isinstance(node, ast.Constant) and type(node.value) in (float, complex))]
     assert SOURCES
     assert not found, f"floats in the package: {found}"
+
+
+def test_verify_names_neither_symbolic_derivative_nor_trunc():
+    # verify reads its expected polar diagram by rows off the hat's diagram;
+    # read through the truncation predict uses, a fault there would pass as
+    # a degenerate witness
+    text = (Path(branchpolar.__file__).parent / "verify.py").read_text()
+    assert not re.findall(r"\b(?:symbolic_derivative|trunc)\b", text)
