@@ -6,7 +6,7 @@ equisingularity class of plane branches, and verifies the prediction at desk
 scale with an exact-arithmetic oracle built from explicit Puiseux witnesses.
 """
 
-from .charclass import CharSequence, bbar, new_char_sequence, parse_char, semiroot_degree
+from .charclass import CharSequence, new_char_sequence, parse_char, semiroot_degree
 from .contfrac import ContinuedFraction, expand, to_even_length
 from .diagram import CanonicalRep, NewtonDiagram, elementary, from_support
 from .polar import PolarFactor, PolarPrediction, export_eggers_wall, predict
@@ -31,7 +31,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CharSequence", "new_char_sequence", "parse_char", "bbar", "semiroot_degree",
+    "CharSequence", "new_char_sequence", "parse_char", "semiroot_degree",
     "ContinuedFraction", "expand", "to_even_length",
     "NewtonDiagram", "CanonicalRep", "from_support", "elementary",
     "PuiseuxSeries", "BivariatePoly", "min_poly",

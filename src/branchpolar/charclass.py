@@ -5,6 +5,8 @@ A singular plane branch is encoded up to equisingularity by its characteristic
 smallest exponent numerator that breaks the running gcd.  Everything the rest
 of the package needs (gcd chain ``e_i``, the coprime pairs ``(m_i, n_i)``,
 semiroot degrees, intersection numbers with semiroots) is precomputed here.
+The intersection numbers follow the classical recurrence bbar_1 = b_1,
+bbar_(l+1) = n_l bbar_l - b_l + b_(l+1).
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from .errors import (
     GcdChainViolation,
     IndexOutOfRange,
     InvalidCharacteristic,
-    InvariantViolation,
     NotStrictlyIncreasing,
     TrailingGcdNotOne,
     integers,
 )
 
-__all__ = ["CharSequence", "new_char_sequence", "bbar", "semiroot_degree", "parse_char"]
+__all__ = ["CharSequence", "new_char_sequence", "semiroot_degree", "parse_char"]
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,8 @@ class CharSequence:
     e     : gcd chain, e_i = gcd(b0,...,bi); strictly decreasing with e_h = 1
     n_seq : n_i = e_{i-1}/e_i for i = 1..h
     m_seq : m_i = b_i/e_i for i = 1..h
-    bbar  : intersection numbers with the semiroots,
-            bbar_l = b_l + sum_{i<l} ((e_{i-1}-e_i)/e_{l-1}) * b_i
+    bbar  : intersection numbers with the semiroots, bbar_1 = b_1 and
+            bbar_(l+1) = n_l bbar_l - b_l + b_(l+1)
     """
 
     b: tuple[int, ...]
@@ -77,8 +78,6 @@ def new_char_sequence(b) -> CharSequence:
         raise InvalidCharacteristic(f"multiplicity b0 must exceed 1, got {b[0]}")
     if any(x >= y for x, y in zip(b, b[1:])):
         raise NotStrictlyIncreasing(f"characteristic must be strictly increasing: {b}")
-    if len(b) == 1:
-        raise TrailingGcdNotOne(f"gcd chain of {b} ends at {b[0]}, not 1")
 
     e = [b[0]]
     for i, bi in enumerate(b[1:], start=1):
@@ -94,24 +93,11 @@ def new_char_sequence(b) -> CharSequence:
     n_seq = tuple(e[i - 1] // e[i] for i in range(1, len(b)))
     m_seq = tuple(b[i] // e[i] for i in range(1, len(b)))
 
-    bbar_seq = []
-    for l in range(1, len(b)):
-        acc = b[l] * e[l - 1]
-        for i in range(1, l):
-            acc += (e[i - 1] - e[i]) * b[i]
-        q, r = divmod(acc, e[l - 1])
-        if r:
-            raise InvariantViolation(f"bbar_{l} of {b} is not an integer")
-        bbar_seq.append(q)
+    bbar_seq = [b[1]]
+    for l in range(1, len(b) - 1):
+        bbar_seq.append(n_seq[l - 1] * bbar_seq[-1] - b[l] + b[l + 1])
 
     return CharSequence(b, tuple(e), n_seq, m_seq, tuple(bbar_seq))
-
-
-def bbar(cs: CharSequence, l: int) -> int:
-    """Intersection number of the branch with its l-th semiroot, 1 <= l <= h."""
-    if not 1 <= l <= cs.h:
-        raise IndexOutOfRange(f"semiroot index {l} not in 1..{cs.h}")
-    return cs.bbar[l - 1]
 
 
 def semiroot_degree(cs: CharSequence, l: int) -> int:

@@ -250,11 +250,9 @@ def _steepest_step(p: int, q: int, s: int, height: int):
 
 
 def from_support(points) -> NewtonDiagram:
-    """Diagram spanned by a nonempty set of lattice points."""
-    pts = list(points)
-    if not pts:
-        raise EmptySupport("cannot build a diagram from an empty support")
-    return NewtonDiagram(_normalize_chain(pts))
+    """Diagram spanned by a nonempty set of lattice points; NewtonDiagram
+    raises EmptySupport for an empty one."""
+    return NewtonDiagram(_normalize_chain(points))
 
 
 def elementary(m: int, n: int) -> NewtonDiagram:

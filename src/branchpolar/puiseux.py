@@ -136,8 +136,6 @@ class PuiseuxSeries:
                 e = g
                 if e == 1:
                     break
-        if e != 1:
-            raise InvariantViolation(f"gcd chain {b} of the exponents stops at {e}, not 1")
         return charclass.new_char_sequence(b)
 
     # -- text form --------------------------------------------------------------

@@ -61,9 +61,16 @@ For every level l and order k the checks are:
   aggregate multiplicity of the W-factors of group l and of everything in
   deeper groups (individual W-factors are not separable without factoring).
 
+The levels checked are those of the class, the l with e_(l-1) > k, and
+not the groups of the prediction under test: a prediction with another
+group count is a hard failure, FAIL and exit 2, and a level beyond its
+groups is compared with an empty group.
+
 Diagram mismatches and degenerate steep edges mean the witness is not
 generic (the failure of an open Zariski condition) and the seed is retried;
-any other disagreement is a hard failure.
+any other disagreement is a hard failure.  Each status and the verdict are
+read off the evidence: a level is degenerate when it has reasons, a run
+fails when it has failures, and the verdict follows the runs.
 """
 
 from __future__ import annotations
@@ -71,12 +78,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, count
 from math import comb, gcd
 
 from . import diagram as diagram_mod
-from .charclass import CharSequence, bbar, semiroot_degree
+from .charclass import CharSequence, semiroot_degree
 from .errors import (
     EdgeNotOnPolygon,
+    IndexOutOfRange,
     InvalidCharacteristic,
     InvariantViolation,
     OrderTooLarge,
@@ -253,7 +262,9 @@ def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
     """The hat transforms f^_l = f(x^N_l, y + lam_l(x^N_l)) of the levels
     l = 1..depth, cut to what the checks of order k < e_(depth-1) read
     (N_l = b0/e_(l-1)), each as a ``HatLevel``, read once by
-    ``HatLevel.read`` before the next level is substituted into it.
+    ``HatLevel.read`` before the next level is substituted into it.  A depth
+    outside 1..h raises IndexOutOfRange and an order k >= e_(depth-1)
+    OrderTooLarge, before any work.
 
     Every substitution is a slice of the root's terms, read by numerator
     over b0.  f^_1 = min_poly of the terms from b_1 on, the root minus lam_1:
@@ -310,6 +321,10 @@ def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
       polynomial or initial form changes.
     """
     cs = w.cs
+    if not 1 <= depth <= cs.h:
+        raise IndexOutOfRange(f"depth {depth} not in 1..{cs.h}")
+    if k >= cs.e[depth - 1]:
+        raise OrderTooLarge(f"order {k} >= e_{depth - 1} = {cs.e[depth - 1]}")
     terms = w.root.terms
     first = PuiseuxSeries(cs.b0, {i: c for i, c in terms if i >= cs.b[1]})
     # delta_l(x^N_l) as a series in the level-(l-1) variable x^N_(l-1)
@@ -348,13 +363,13 @@ def _steep_data(d: diagram_mod.NewtonDiagram, m_l: int, n_l: int):
 @dataclass
 class LevelReport:
     """What the checks of one level and order found.  ``check_lemma_nd``
-    fills the diagram fields; for an ok level ``_run_seed`` then compares
-    them with the prediction."""
+    fills the diagram fields and the reasons the level is degenerate; for an
+    ok level, one with no reasons, ``_run_seed`` then compares them with the
+    prediction."""
 
     level: int
     expected: tuple                   # vertices of N(fhat)^(k)
     observed: tuple                   # vertices of N(d^k fhat / dy^k)
-    status: str = "ok"                # ok, or degenerate with reasons
     reasons: list = field(default_factory=list)
     steep_parts: tuple = ()
     contacts: tuple = ()
@@ -364,6 +379,10 @@ class LevelReport:
     prediction_match: bool | None = None
     aggregate_predicted: int | None = None
     aggregate_ok: bool | None = None
+
+    @property
+    def status(self) -> str:
+        return "degenerate" if self.reasons else "ok"
 
     def failures(self) -> list:
         out = []
@@ -426,12 +445,10 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int, level: HatLevel) -> LevelRe
         aggregate_edge_length=exact_len,
     )
     if steep_obs != steep_exp:
-        res.status = "degenerate"
         res.reasons.append(
             f"steep diagram region {steep_obs} differs from expected {steep_exp}"
         )
     if observed != expected:
-        res.status = "degenerate"
         res.reasons.append("full hat diagram differs from the symbolic derivative")
 
     # the edge polynomials read one term per row, its first
@@ -439,7 +456,6 @@ def check_lemma_nd(w: WitnessBranch, l: int, k: int, level: HatLevel) -> LevelRe
         (xa, ya), (xb, yb) = edge
         if (xb - xa) * n_l > (ya - yb) * m_l:
             if not edge_poly_squarefree(level.polar_starts, edge):
-                res.status = "degenerate"
                 res.reasons.append(f"steep edge {edge} is degenerate")
     return res
 
@@ -455,7 +471,7 @@ def check_initial_form(w: WitnessBranch, l: int, starts: BivariatePoly) -> bool:
     conjugate-product witness (unit 1), generic or not."""
     cs = w.cs
     n_l, e_l = cs.n_seq[l - 1], cs.e[l]
-    corner = bbar(cs, l)
+    corner = cs.bbar[l - 1]
     try:
         observed = edge_poly(starts, ((corner - cs.b[l], cs.e[l - 1]), (corner, 0)))
     except EdgeNotOnPolygon:
@@ -481,9 +497,15 @@ def check_initial_form(w: WitnessBranch, l: int, starts: BivariatePoly) -> bool:
 @dataclass
 class SeedRun:
     seed: int
-    status: str                      # pass, degenerate (some level is) or fail
     levels: list = field(default_factory=list)
     failures: list = field(default_factory=list)
+
+    @property
+    def status(self) -> str:
+        """fail, degenerate (some level is) or pass."""
+        if self.failures:
+            return "fail"
+        return "degenerate" if any(lv.reasons for lv in self.levels) else "pass"
 
     def to_json(self) -> dict:
         return {
@@ -497,13 +519,24 @@ class SeedRun:
 @dataclass
 class VerificationReport:
     """The runs of ``verify_prediction`` against ``prediction``, which
-    carries the class and the order."""
+    carries the class and the order; the verdict is read off the runs."""
 
     prediction: PolarPrediction
     runs: list = field(default_factory=list)
-    verdict: str = "UNKNOWN"
-    passing_seed: int | None = None
-    degenerate_count: int = 0
+
+    @property
+    def verdict(self) -> str:
+        """FAIL if a run failed, else PASS if one passed, else UNKNOWN."""
+        statuses = [run.status for run in self.runs]
+        return "FAIL" if "fail" in statuses else "PASS" if "pass" in statuses else "UNKNOWN"
+
+    @property
+    def passing_seed(self) -> int | None:
+        return next((run.seed for run in self.runs if run.status == "pass"), None)
+
+    @property
+    def degenerate_count(self) -> int:
+        return sum(run.status == "degenerate" for run in self.runs)
 
     def to_json(self) -> str:
         # the prediction's own text one level deeper: JSON text has no raw newline in a string
@@ -563,16 +596,22 @@ def _aggregate_predicted(prediction: PolarPrediction, cs: CharSequence, l: int) 
     return scaled
 
 
-def _run_seed(w: WitnessBranch, prediction: PolarPrediction, levels) -> SeedRun:
-    cs = w.cs
-    run = SeedRun(seed=w.seed, status="pass")
-    for l, level in zip(levels, hat_chain(w, levels[-1], prediction.k)):
-        report = check_lemma_nd(w, l, prediction.k, level)
+def _run_seed(w: WitnessBranch, prediction: PolarPrediction, depth: int) -> SeedRun:
+    """One witness checked at the levels 1..depth of its class against the
+    prediction; a prediction of another group count fails."""
+    cs, k = w.cs, prediction.k
+    run = SeedRun(w.seed)
+    if prediction.i_k != depth:
+        run.failures.append(f"group count {prediction.i_k} != {depth}, "
+                            f"the number of levels l with e_(l-1) > {k}")
+    for l, level in enumerate(hat_chain(w, depth, k), start=1):
+        report = check_lemma_nd(w, l, k, level)
         run.levels.append(report)
-        if report.status != "ok":
+        if report.reasons:
             continue
         report.initial_form_ok = check_initial_form(w, l, level.starts)
-        predicted_z = [f for f in prediction.groups[l - 1] if f.kind == "Z"]
+        # a level beyond the prediction's groups meets an empty group
+        predicted_z = [f for f in prediction.factors() if f.group_index == l and f.kind == "Z"]
         report.prediction_match = (
             list(report.steep_parts) == [f.part for f in predicted_z]
             and list(report.contacts) == [f.contact_with_semiroot for f in predicted_z]
@@ -581,11 +620,6 @@ def _run_seed(w: WitnessBranch, prediction: PolarPrediction, levels) -> SeedRun:
         report.aggregate_predicted = _aggregate_predicted(prediction, cs, l)
         report.aggregate_ok = report.aggregate_edge_length == report.aggregate_predicted
         run.failures.extend(report.failures())
-
-    if run.failures:
-        run.status = "fail"
-    elif any(lv.status == "degenerate" for lv in run.levels):
-        run.status = "degenerate"
     return run
 
 
@@ -608,36 +642,28 @@ def check_seeds(seeds) -> list:
 
 
 def verify_prediction(cs: CharSequence, k: int, seeds) -> VerificationReport:
-    """Check the prediction for every level against sampled witnesses.
+    """Check the prediction against sampled witnesses at every level of the
+    class, the l with e_(l-1) > k; the levels come from the class, not from
+    the prediction, and a prediction with another group count is a FAIL.
 
     PASS needs one fully passing seed and no hard contradiction anywhere;
-    the seeds must pass ``check_seeds``, or ValueError is raised.
-    Degenerate witnesses are retried with fresh seeds up to
-    ``MAX_SEED_RUNS`` runs in total.
+    the seeds must pass ``check_seeds``, or ValueError is raised.  The
+    given seeds run until one fails; past them, degenerate witnesses are
+    retried with fresh seeds while none has passed, up to ``MAX_SEED_RUNS``
+    runs in total.
     """
     prediction = predict(cs, k)  # OrderOutOfRange unless 1 <= k < b0
     seeds = check_seeds(seeds)
-    levels = range(1, prediction.i_k + 1)
+    depth = sum(e > k for e in cs.e[:-1])
     report = VerificationReport(prediction)
-
-    queue = list(seeds)
-    next_extra = max(seeds) + 1
-    while queue:
-        seed = queue.pop(0)
-        run = _run_seed(sample_witness(cs, seed), prediction, levels)
+    for seed in chain(seeds, count(max(seeds) + 1)):
+        # open Zariski condition: fresh seeds only while every run was degenerate
+        if len(report.runs) >= len(seeds) and (
+                report.passing_seed is not None or len(report.runs) >= MAX_SEED_RUNS):
+            break
+        run = _run_seed(sample_witness(cs, seed), prediction, depth)
         report.runs.append(run)
         if run.status == "fail":
-            report.verdict = "FAIL"
-            return report
-        if run.status == "pass" and report.passing_seed is None:
-            report.passing_seed = run.seed
-        if run.status == "degenerate":
-            report.degenerate_count += 1
-            # open Zariski condition: retry with fresh seeds, within policy
-            if not queue and report.passing_seed is None and len(report.runs) < MAX_SEED_RUNS:
-                queue.append(next_extra)
-                next_extra += 1
-
-    report.verdict = "PASS" if report.passing_seed is not None else "UNKNOWN"
+            break
     return report
 

@@ -264,6 +264,15 @@ def random_char_sequence(rng, b0_max=64):
     return new_char_sequence(b)
 
 
+def bbar_by_sum(cs) -> tuple:
+    """The intersection numbers by their defining sum,
+    bbar_l = b_l + sum_{i<l} ((e_(i-1) - e_i)/e_(l-1)) b_i, as Fractions: an
+    oracle for the recurrence ``new_char_sequence`` computes them by."""
+    b, e = cs.b, cs.e
+    return tuple(b[l] + sum(Fraction(e[i - 1] - e[i], e[l - 1]) * b[i] for i in range(1, l))
+                 for l in range(1, cs.h + 1))
+
+
 def grid_classes(b0_max):
     """Every characteristic with b0 <= b0_max and every b_i <= 2 b0, the
     grid of the ROADMAP, by b0 and then lexicographically."""
@@ -889,11 +898,11 @@ def find_generic_witness(cs, k: int, seeds):
     from branchpolar.verify import _run_seed, sample_witness
 
     prediction = predict(cs, k)
-    levels = [l for l in range(1, cs.h + 1) if cs.e[l - 1] > k]
+    depth = sum(e > k for e in cs.e[:-1])
     tried = 0
     for seed in seeds:
         w = sample_witness(cs, seed)
         tried += 1
-        if _run_seed(w, prediction, levels).status == "pass":
+        if _run_seed(w, prediction, depth).status == "pass":
             return w
     raise AllSeedsDegenerate(f"all {tried} seeds produced degenerate witnesses")

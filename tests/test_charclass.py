@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from branchpolar.charclass import bbar, new_char_sequence, parse_char, semiroot_degree
+from branchpolar.charclass import new_char_sequence, parse_char, semiroot_degree
 from branchpolar.errors import (
     GcdChainViolation,
     IndexOutOfRange,
@@ -11,7 +11,7 @@ from branchpolar.errors import (
     NotStrictlyIncreasing,
     TrailingGcdNotOne,
 )
-from oracles import random_char_sequence
+from oracles import bbar_by_sum, grid_classes, random_char_sequence
 
 
 def test_class_12_16_31():
@@ -51,8 +51,10 @@ def test_smooth_and_empty_rejected():
         new_char_sequence([1, 3])
     with pytest.raises(InvalidCharacteristic):
         new_char_sequence([])
-    with pytest.raises(TrailingGcdNotOne):
+    # no gcd step at all: the chain ends where it starts
+    with pytest.raises(TrailingGcdNotOne) as info:
         new_char_sequence([4])
+    assert str(info.value) == "gcd chain of (4,) ends at 4, not 1"
 
 
 def test_entries_that_are_not_integers_rejected():
@@ -65,14 +67,19 @@ def test_entries_that_are_not_integers_rejected():
 
 def test_bbar_values():
     cs = new_char_sequence([12, 16, 31])
-    assert bbar(cs, 1) == 16          # empty sum
-    assert bbar(cs, 2) == 31 + ((12 - 4) // 4) * 16 == 63
+    assert cs.bbar[0] == 16          # empty sum
+    assert cs.bbar[1] == 31 + ((12 - 4) // 4) * 16 == 63
     cs2 = new_char_sequence([10, 14, 15])
-    assert bbar(cs2, 2) == 15 + ((10 - 2) // 2) * 14 == 71
-    with pytest.raises(IndexOutOfRange):
-        bbar(cs, 3)
-    with pytest.raises(IndexOutOfRange):
-        bbar(cs, 0)
+    assert cs2.bbar[1] == 15 + ((10 - 2) // 2) * 14 == 71
+
+
+def test_bbar_recurrence_matches_the_defining_sum():
+    # bbar_(l+1) = n_l bbar_l - b_l + b_(l+1) against the sum over the earlier
+    # exponents, on random classes of up to b0 = 512 and on the b0 <= 24 grid
+    rng = random.Random(11)
+    classes = [random_char_sequence(rng, b0_max=512) for _ in range(20000)]
+    for cs in classes + list(grid_classes(24)):
+        assert cs.bbar == bbar_by_sum(cs), cs.b
 
 
 def test_semiroot_degree():
@@ -94,7 +101,7 @@ def test_derived_identities_random():
             assert cs.b[i] == cs.m_seq[i - 1] * cs.e[i]
             assert gcd(cs.m_seq[i - 1], cs.n_seq[i - 1]) == 1
             assert cs.m_seq[i - 1] > cs.n_seq[i - 1]
-            assert bbar(cs, i) > 0
+            assert cs.bbar[i - 1] > 0
         # round trip through (e, m)
         rebuilt = [cs.b0] + [m * e for m, e in zip(cs.m_seq, cs.e[1:])]
         assert tuple(rebuilt) == cs.b

@@ -44,8 +44,11 @@ def test_from_support_drops_interior_points():
 
 
 def test_from_support_empty():
-    with pytest.raises(EmptySupport):
+    # NewtonDiagram refuses the empty chain, a generator's too
+    with pytest.raises(EmptySupport, match="^a diagram needs at least one vertex$"):
         from_support([])
+    with pytest.raises(EmptySupport):
+        from_support(p for p in ())
     with pytest.raises(EmptySupport):
         NewtonDiagram(())
 

@@ -7,12 +7,13 @@ from math import ceil
 
 import pytest
 
-from branchpolar import polar, verify
+from branchpolar import cli, polar, verify
 from branchpolar.charclass import new_char_sequence
 from branchpolar.diagram import NewtonDiagram, from_support
 from branchpolar.errors import InvariantViolation
 from branchpolar.polar import predict
 from branchpolar.verify import verify_prediction
+from oracles import grid_classes
 
 EX1 = new_char_sequence([12, 16, 31])
 EX2 = new_char_sequence([10, 14, 15])
@@ -129,6 +130,44 @@ def test_verify_fails_when_the_exact_inclination_counts_as_steep(monkeypatch, b)
         exact_edge = p.i_k > 1 or any(f.kind == "W" for f in p.factors())
         report = verify_prediction(cs, k, [1, 2, 3])
         assert report.verdict == ("FAIL" if exact_edge else "PASS"), (k, report.to_text())
+
+
+# -- a group at a level whose e_(l-1) is k ------------------------------------------
+
+
+def _group_at_e_equal_to_k():
+    # e_(l-1) = k gives t = n_l and min(e_l, k) = ceil(k/n_l): an empty group
+    return mutant(polar, "predict", "if cs.e[l - 1] <= k:", "if cs.e[l - 1] < k:")
+
+
+@pytest.mark.parametrize("b,k", [((6, 9, 10), 3), ((12, 16, 31), 4), ((10, 14, 15), 2)],
+                         ids=["K(6,9,10)-k3", "K(12,16,31)-k4", "K(10,14,15)-k2"])
+def test_verify_fails_when_predict_adds_a_group_where_e_is_k(monkeypatch, capsys, b, k):
+    # verify takes its levels from the class, so the extra group is a FAIL,
+    # exit 2, and no longer OrderTooLarge at a level the class lacks, exit 4
+    wrong = _group_at_e_equal_to_k()
+    cs = new_char_sequence(b)
+    p = wrong(cs, k)
+    assert p.groups == predict(cs, k).groups + ((),)
+    monkeypatch.setattr(verify, "predict", wrong)
+    report = verify_prediction(cs, k, [1, 2, 3])
+    assert report.verdict == "FAIL", report.to_text()
+    assert report.runs[-1].failures[0].startswith(f"group count {p.i_k} != {p.i_k - 1}, ")
+    char = ",".join(map(str, b))
+    assert cli.main(["verify", char, "--k", str(k), "--seeds", "1", "--quiet"]) == cli.EXIT_FAIL
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_fails_on_every_grid_prediction_the_extra_group_changes(monkeypatch):
+    # the census over the b0 <= 12 grid: 76 (class, k) pairs change, and
+    # every one reads FAIL with seeds 1-3
+    wrong = _group_at_e_equal_to_k()
+    changed = [(cs, k) for cs in grid_classes(12) for k in range(1, cs.b0)
+               if wrong(cs, k) != predict(cs, k)]
+    monkeypatch.setattr(verify, "predict", wrong)
+    verdicts = {(cs.b, k): verify_prediction(cs, k, [1, 2, 3]).verdict for cs, k in changed}
+    assert len(verdicts) == 76
+    assert set(verdicts.values()) == {"FAIL"}
 
 
 # -- a chain that drops what a deeper level reads -----------------------------------

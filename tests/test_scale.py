@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from branchpolar import cli
-from branchpolar.charclass import bbar, new_char_sequence
+from branchpolar.charclass import new_char_sequence
 from branchpolar.diagram import elementary
 from branchpolar.polar import export_eggers_wall, predict
 from branchpolar.puiseux import PuiseuxSeries, diagram_of, min_poly
@@ -27,7 +27,7 @@ def test_charclass_beyond_machine_words():
     cs = new_char_sequence([4 * big, 6 * big, 7 * big, 7 * big + 1])
     assert cs.e == (4 * big, 2 * big, big, 1)
     assert cs.n_seq == (2, 2, big)
-    assert bbar(cs, 2) == 7 * big + ((4 * big - 2 * big) // (2 * big)) * 6 * big
+    assert cs.bbar[1] == 7 * big + ((4 * big - 2 * big) // (2 * big)) * 6 * big
     assert all(v > 0 for v in cs.bbar)
 
 

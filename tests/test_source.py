@@ -143,3 +143,22 @@ def test_verify_names_neither_symbolic_derivative_nor_trunc():
     # a degenerate witness
     text = (Path(branchpolar.__file__).parent / "verify.py").read_text()
     assert not re.findall(r"\b(?:symbolic_derivative|trunc)\b", text)
+
+
+def test_verify_stores_no_summary_beside_its_evidence():
+    # a level's status is read off its reasons, a run's off its failures and
+    # levels, and the verdict, passing seed and degenerate count off the
+    # runs: no field holds them, and no assignment or keyword sets them
+    path = Path(branchpolar.__file__).parent / "verify.py"
+    derived = {"status", "verdict", "passing_seed", "degenerate_count"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.Attribute, ast.Name)) and isinstance(node.ctx, ast.Store):
+            name = node.attr if isinstance(node, ast.Attribute) else node.id
+        elif isinstance(node, ast.keyword):
+            name = node.arg
+        else:
+            continue
+        if name in derived:
+            found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"verify.py stores what it derives: {found}"

@@ -18,6 +18,7 @@ from branchpolar.charclass import new_char_sequence, semiroot_degree
 from branchpolar.diagram import NewtonDiagram, elementary, from_support
 from branchpolar.errors import (
     BranchPolarError,
+    IndexOutOfRange,
     InvariantViolation,
     OrderOutOfRange,
     OrderTooLarge,
@@ -35,6 +36,8 @@ from branchpolar.puiseux import (
 from branchpolar.polar import predict
 from branchpolar.verify import (
     HatLevel,
+    LevelReport,
+    SeedRun,
     WitnessBranch,
     allowed_exponents,
     check_initial_form,
@@ -206,6 +209,20 @@ def test_check_lemma_nd_order_too_large(l):
     w = sample_witness(EX1, 1)
     with pytest.raises(OrderTooLarge):
         check_lemma_nd(w, l, EX1.e[l - 1], hat_chain(w, l, 1)[-1])
+
+
+def test_hat_chain_refuses_a_depth_or_an_order_out_of_range(monkeypatch):
+    # depth in 1..h and k < e_(depth-1), or a typed refusal before any work:
+    # no conjugate product is taken
+    import branchpolar.verify as verify_mod
+
+    w = sample_witness(EX1, 1)
+    assert len(hat_chain(w, 2, 3)) == 2 and len(hat_chain(w, 1, 11)) == 1
+    monkeypatch.setattr(verify_mod, "min_poly", lambda a, cut=None: pytest.fail("min_poly ran"))
+    for depth, k, error in ((3, 1, IndexOutOfRange), (0, 1, IndexOutOfRange),
+                            (2, 4, OrderTooLarge), (1, 12, OrderTooLarge)):
+        with pytest.raises(error):
+            hat_chain(w, depth, k)
 
 
 # -- one hat transform per level: hat(d^k f) = d^k hat(f) ----------------------------
@@ -963,6 +980,71 @@ def test_hard_contradiction_reports_fail(monkeypatch):
     report = verify_mod.verify_prediction(EX2, 1, [1])
     assert report.verdict == "FAIL"
     assert any("disagree" in f for run in report.runs for f in run.failures)
+
+
+@pytest.mark.parametrize("extra", [True, False], ids=["extra-empty-group", "last-group-missing"])
+def test_a_wrong_group_count_reads_fail(monkeypatch, extra):
+    # verify checks the levels of the class, the l with e_(l-1) > k, whatever
+    # the prediction's group count: a level beyond its groups meets an empty
+    # group, and the run names both counts.  An extra group used to raise
+    # IndexError, a bare crash
+    import dataclasses
+
+    import branchpolar.verify as verify_mod
+
+    real = verify_mod.predict
+
+    def wrong(cs, k):
+        p = real(cs, k)
+        return dataclasses.replace(p, groups=p.groups + ((),) if extra else p.groups[:-1])
+
+    monkeypatch.setattr(verify_mod, "predict", wrong)
+    report = verify_prediction(EX1, 1, [1, 2])
+    assert report.verdict == "FAIL"
+    [run] = report.runs
+    assert [lv.level for lv in run.levels] == [1, 2]
+    assert run.failures[0] == (f"group count {3 if extra else 1} != 2, "
+                               "the number of levels l with e_(l-1) > 1")
+    assert run.failures[1:] == ([] if extra else [
+        "level 1: edge length 9 != predicted 0",
+        "level 2: extracted factors disagree with prediction",
+    ])
+
+
+def _stub_runs(monkeypatch, statuses):
+    """Each seed's run read off ``statuses``, degenerate where it names none."""
+    import branchpolar.verify as verify_mod
+
+    def run(w, prediction, depth):
+        status = statuses.get(w.seed, "degenerate")
+        level = LevelReport(1, (), (), reasons=["stub"] if status == "degenerate" else [])
+        return SeedRun(w.seed, [level], ["stub"] if status == "fail" else [])
+
+    monkeypatch.setattr(verify_mod, "_run_seed", run)
+
+
+@pytest.mark.parametrize("seeds,statuses,ran,passing", [
+    # a fail among the given seeds stops the run there
+    ([1, 2, 3], {2: "fail", 3: "pass"}, [1, 2], None),
+    ([1, 2, 3], {1: "pass", 2: "fail"}, [1, 2], 1),
+    # nine given degenerate seeds all run, and no fresh one
+    (list(range(1, 10)), {}, list(range(1, 10)), None),
+    # two given degenerate seeds get fresh seeds up to eight runs
+    ([4, 2], {}, [4, 2, 5, 6, 7, 8, 9, 10], None),
+    # a fresh seed that passes ends the loop
+    ([1, 2], {4: "pass", 5: "pass"}, [1, 2, 3, 4], 4),
+    # a given seed that passes leaves the given ones to run, and no fresh one
+    ([1, 2], {1: "pass"}, [1, 2], 1),
+], ids=["fail-stops", "fail-after-pass", "nine-degenerate", "two-degenerate",
+        "fresh-pass", "given-pass"])
+def test_seed_policy(monkeypatch, seeds, statuses, ran, passing):
+    _stub_runs(monkeypatch, statuses)
+    report = verify_prediction(new_char_sequence([6, 7]), 1, seeds)
+    assert [run.seed for run in report.runs] == ran
+    failed = any(statuses.get(seed) == "fail" for seed in ran)
+    assert report.verdict == ("FAIL" if failed else "PASS" if passing else "UNKNOWN")
+    assert report.passing_seed == passing
+    assert report.degenerate_count == sum(seed not in statuses for seed in ran)
 
 
 def test_aggregate_edge_accounting_ex1_k2():
