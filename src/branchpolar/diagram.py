@@ -115,15 +115,6 @@ class NewtonDiagram:
     def compact_edges(self):
         return list(zip(self.vertices, self.vertices[1:]))
 
-    def contains(self, point) -> bool:
-        x, y = point
-        if x < self.top[0] or y < self.bottom[1]:
-            return False
-        for (xa, ya), (xb, yb) in self.compact_edges():
-            if (xb - xa) * (y - ya) - (yb - ya) * (x - xa) < 0:
-                return False
-        return True
-
     def translate(self, dx: int, dy: int) -> "NewtonDiagram":
         return NewtonDiagram(tuple((x + dx, y + dy) for x, y in self.vertices))
 
@@ -164,6 +155,11 @@ class NewtonDiagram:
         turns in one jump, so the cost is polylogarithmic in the height of
         that edge rather than linear in it.  The row-by-row definition lives
         on as ``tests/oracles.staircase_trunc_oracle``.
+
+        A step (u, -w) has 1 <= w <= h for the h = y - k rows left, so it
+        runs c >= 1 times and leaves h mod w < h/2 rows: the hull below the
+        vertex above the cut has at most h.bit_length() steps, and a step
+        past that count raises InvariantViolation instead of looping.
         """
         if type(k) is not int or k < 0:
             raise ValueError(f"order must be a nonnegative integer, got {k!r}")
@@ -182,7 +178,11 @@ class NewtonDiagram:
         # slack s = q*(x - x_A) - p*(y_A - y) >= 0, A = v[i]: (x, y) is on the
         # inner side of the line of the cut edge
         s = 0
+        steps = (y - k).bit_length()
         while y > k:
+            steps -= 1
+            if steps < 0:
+                raise InvariantViolation(f"the hull below {v[i]} missed height {k}: at {(x, y)}")
             # d <= 0 on every step: the first has d <= s = 0, and a hull is
             # convex, so no later step is steeper than the first.  The slack
             # never shrinks, and each step runs until the height runs out.
@@ -196,22 +196,6 @@ class NewtonDiagram:
         """Newton diagram of (D - (0, k)) meet N^2: trunc(D, k) shifted down,
         at the polylogarithmic cost of ``trunc``, which checks k."""
         return self.trunc(k).translate(0, -k)
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"vertices": [[x, y] for x, y in self.vertices]}
-
-    @staticmethod
-    def from_json(data: dict) -> "NewtonDiagram":
-        points = data["vertices"]
-        # bool is a subclass of int, and int() would truncate floats
-        if not isinstance(points, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)
-            for p in points
-        ):
-            raise ValueError(f"vertices must be a list of [x, y] integer pairs, got {points!r}")
-        return from_support(tuple(p) for p in points)
 
     def __str__(self) -> str:
         return str(self.canonical_rep())
@@ -227,13 +211,19 @@ def _steepest_step(p: int, q: int, s: int, height: int):
     or else it overruns the slack together with every fraction between it
     and L (L is steeper than p/q, so both slack changes are positive) or its
     w exceeds the height together with every such fraction.  Each run of
-    equal turns is one closed-form jump, so a call costs O(log height).
+    equal turns is one closed-form jump, so a call costs O(log height):
+    after the first pass, each pass starts with L + R overrunning the slack
+    (a pass that stops R at the height returns), so L moves at least once
+    and the pass more than doubles lw + rw, which is at least 2 after the
+    first pass and at most ``height`` after any pass that does not return.
+    So there are at most height.bit_length() passes, and one more raises
+    InvariantViolation instead of looping.
     """
     # ld > s throughout: a point reached by steepest steps has no lattice
     # point of the diagram right below it
     lu, lw, ld = 0, 1, p
     ru, rw, rd = 1, 0, -q
-    while True:
+    for _ in range(height.bit_length()):
         # move L towards R while the mediants L + jR overrun the slack
         if rd >= 0:
             return ru, rw, rd
@@ -247,6 +237,7 @@ def _steepest_step(p: int, q: int, s: int, height: int):
         ru, rw, rd = ru + j * lu, rw + j * lw, rd + j * ld
         if lw + rw > height:
             return ru, rw, rd
+    raise InvariantViolation(f"no steepest step within height {height} for {p}/{q}, slack {s}")
 
 
 def from_support(points) -> NewtonDiagram:

@@ -57,10 +57,6 @@ class EmptySupport(BranchPolarError, ValueError):
     pass
 
 
-class DiagramTooLarge(BranchPolarError, ValueError):
-    """The picture of a diagram would have more lattice points than drawn."""
-
-
 # --- Puiseux series and bivariate polynomials ------------------------------
 
 class OrderExceedsDegree(BranchPolarError, ValueError):

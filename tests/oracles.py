@@ -1,9 +1,9 @@
 """Independent oracles used by the test suite.
 
 Everything here recomputes results by a different route than the package:
-diagram membership by supporting half-planes, truncations row by row,
-first derivatives of elementary diagrams by continued fractions, conjugate
-products by exact cyclotomic arithmetic and by iterated norms (Laplace
+truncations row by row, first derivatives of elementary diagrams by
+continued fractions, conjugate products by exact cyclotomic arithmetic and
+by iterated norms (Laplace
 determinants), random valid characteristic sequences by rejection,
 pairwise contacts one pair at a time, the prediction document as a dict
 of one block per factor and one row per pair, Eggers-Wall trees by
@@ -90,21 +90,6 @@ def face_sum(a: Face, b: Face) -> Face:
         (a.start[0] + b.start[0], a.start[1] + b.start[1]),
         (a.end[0] + b.end[0], a.end[1] + b.end[1]),
     )
-
-
-def oracle_contains(support, point) -> bool:
-    """Membership in N(support) tested against every supporting direction."""
-    support = list(support)
-    px, py = point
-    if px < min(x for x, _ in support) or py < min(y for _, y in support):
-        return False
-    amax = max(y for _, y in support) + 1
-    bmax = max(x for x, _ in support) + 1
-    for a in range(1, amax + 1):
-        for b in range(1, bmax + 1):
-            if a * px + b * py < min(a * x + b * y for x, y in support):
-                return False
-    return True
 
 
 def on_polygon(d: NewtonDiagram, point) -> bool:

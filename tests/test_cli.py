@@ -85,54 +85,6 @@ def test_predict_equals_example(capsys):
     assert via_example == via_predict
 
 
-def test_diagram_derive_text(capsys):
-    code, out = run(capsys, "diagram", "derive", "--elementary", "12/5", "--k", "2")
-    assert code == 0
-    assert out == "(3,1)+(5,2)\n"
-
-
-def test_diagram_derive_json_schema(capsys):
-    code, out = run(capsys, "diagram", "derive", "--elementary", "12/5", "--k", "1",
-                    "--format", "json")
-    assert code == 0
-    blob = json.loads(out)
-    assert blob["vertices"] == [[0, 4], [10, 0]]
-    validate(blob, "diagram.schema.json")
-    validate(blob["canonical"], "canonical_rep.schema.json")
-
-
-def test_diagram_show_svg(capsys):
-    code, out = run(capsys, "diagram", "show", "--elementary", "3/2", "--format", "svg")
-    assert code == 0
-    assert out.startswith("<svg ")
-    assert "polyline" in out and "</svg>" in out
-
-
-@pytest.mark.parametrize("legs", ["100000/99999", "1025/1023"])
-def test_diagram_svg_refuses_an_oversized_lattice(capsys, legs):
-    # (m + 3)(n + 3) lattice points, one <circle> each, above 2^20
-    code = cli.main(["diagram", "show", "--elementary", legs, "--format", "svg", "--quiet"])
-    captured = capsys.readouterr()
-    assert code == cli.EXIT_USAGE
-    assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "DiagramTooLarge"
-
-
-def test_diagram_from_vertices(capsys):
-    code, out = run(capsys, "diagram", "show", "--vertices", "[[0,2],[1,1],[3,0]]")
-    assert code == 0
-    assert out == "(2,1)+(1,1)\n"
-
-
-@pytest.mark.parametrize("vertices", ["[[1.5, 2],[3,0]]", "5", "[[true, 2],[3,0]]"])
-def test_diagram_rejects_vertices_that_are_not_integer_pairs(capsys, vertices):
-    code = cli.main(["diagram", "show", "--vertices", vertices, "--quiet"])
-    captured = capsys.readouterr()
-    assert code == cli.EXIT_USAGE
-    assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "ValueError"
-
-
 def test_unwritable_output_is_a_diagnostic(tmp_path, capsys):
     target = tmp_path / "missing" / "x.txt"
     code = cli.main(["predict", "3,4", "--k", "1", "--output", str(target), "--quiet"])
@@ -140,16 +92,6 @@ def test_unwritable_output_is_a_diagnostic(tmp_path, capsys):
     assert code == cli.EXIT_USAGE
     assert diag["error"] == "FileNotFoundError"
     assert str(target) in diag["message"]
-
-
-def test_contfrac_text_and_json(capsys):
-    code, out = run(capsys, "contfrac", "31/4")
-    assert code == 0
-    assert out.splitlines() == ["[7,1,3]", "p_0/q_0 = 7/1", "p_1/q_1 = 8/1", "p_2/q_2 = 31/4"]
-    code, out = run(capsys, "contfrac", "15/2", "--even", "--format", "json")
-    blob = json.loads(out)
-    assert blob["h"] == [7, 1, 1]
-    validate(blob, "contfrac.schema.json")
 
 
 def test_every_shipped_schema_is_valid_and_checked_against_cli_output():
@@ -161,9 +103,7 @@ def test_every_shipped_schema_is_valid_and_checked_against_cli_output():
     calls = [node for node in ast.walk(ast.parse(Path(__file__).read_text()))
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "validate"]
     checked = {node.args[1].value for node in calls}
-    assert checked == {"prediction.schema.json", "verify_report.schema.json",
-                       "diagram.schema.json", "canonical_rep.schema.json",
-                       "contfrac.schema.json"}
+    assert checked == {"prediction.schema.json", "verify_report.schema.json"}
     assert shipped == checked
 
 
@@ -228,11 +168,12 @@ def test_usage_errors_exit_1(capsys):
     (["verify", "--k", "1", "--quiet"], "the following arguments are required: CHAR"),
     (["predict", "2,3", "--char", "2,3", "--k", "1", "--quiet"],
      "unrecognized arguments: --char 2,3"),
-    (["diagram", "show", "--quiet"], "one of the arguments --elementary --vertices is required"),
-    (["diagram", "show", "--elementary", "3/2", "--vertices", "[[0,2],[3,0]]", "--quiet"],
-     "argument --vertices: not allowed with argument --elementary"),
+    # the Newton diagram and continued fraction toolbox is library only
+    (["diagram", "show", "--elementary", "3/2", "--quiet"], "invalid choice: 'diagram'"),
+    (["contfrac", "31/4", "--quiet"], "invalid choice: 'contfrac'"),
 ], ids=["missing-k", "format-xml", "k-not-int", "no-such-command", "unknown-option",
-        "predict-no-char", "verify-no-char", "char-option", "no-diagram", "two-diagrams"])
+        "predict-no-char", "verify-no-char", "char-option", "diagram-removed",
+        "contfrac-removed"])
 def test_argparse_usage_errors_are_returned_as_json(capsys, argv, message):
     # what argparse itself refuses is reported like every other usage error:
     # one JSON line on stderr and exit 1 returned, no usage text and no
@@ -240,6 +181,7 @@ def test_argparse_usage_errors_are_returned_as_json(capsys, argv, message):
     assert cli.main(argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.count("\n") == 1
     blob = json.loads(captured.err)
     assert blob["error"] == "ArgumentError"
     assert message in blob["message"]
@@ -251,6 +193,14 @@ def test_help_and_version_still_exit_0(capsys, flag):
         cli.main([flag])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage:" if flag == "--help" else "branchpolar ")
+
+
+def test_the_commands_are_predict_verify_and_example(capsys):
+    _, commands = cli._build_parser()
+    assert list(commands) == ["predict", "verify", "example"]
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert "{predict,verify,example}" in capsys.readouterr().out
 
 
 class _Terminal(io.StringIO):
@@ -281,10 +231,6 @@ def test_a_command_help_is_the_command_parser_help(capsys):
     ["predict", "2,3", "--k", "1", "--form", "json"],
     ["verify", "12,16,31", "--k", "1", "--seeds", "1,2", "--format", "json"],
     ["verify", "--k=1", "2,3", "--output", "report.txt", "--quiet"],
-    ["diagram", "derive", "--elementary", "12/5", "--k", "2", "--long", "--format", "svg"],
-    ["diagram", "show", "--vertices", "[[0,2],[3,0]]"],
-    ["diagram", "show", "--elementary=-5/3"],
-    ["contfrac", "31/4", "--even", "--format", "json", "--quiet"],
     ["example", "ex1", "--k", "10", "--no-branch", "--format", "dot"],
     ["example", "ex2", "--k=1"],
 ], ids=lambda argv: " ".join(argv))
@@ -299,10 +245,6 @@ def test_a_named_command_parses_as_through_the_full_parser(argv):
     ["predict", "--k", "1"],
     ["predict", "2,3", "--char", "2,3", "--k", "1"],
     ["verify", "2,3", "--k", "1", "--format", "dot"],
-    ["diagram", "twist"],
-    ["diagram", "show"],
-    ["diagram", "show", "--elementary", "3/2", "--vertices", "[[0,2],[3,0]]"],
-    ["contfrac", "31/4", "--bogus"],
     ["example", "ex1", "--k", "1", "--version"],
 ], ids=lambda argv: " ".join(argv))
 def test_a_named_command_refuses_as_the_full_parser_does(argv):
@@ -367,39 +309,30 @@ def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     assert cli.main(["predict", "2,3", "--k", "5", "--quiet"]) == cli.EXIT_USAGE
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "12,16,31", "--k", "12"],
-    ["verify", "12,16,31", "--k", "1", "--seeds", ","],
-    ["verify", "12,16,31", "--k", "1", "--seeds", "1,x"],
-    ["verify", "6,7", "--k", "1", "--seeds=-5,5"],
-    ["verify", "6,7", "--k", "1", "--seeds=-1"],
-    ["verify", "12,16,31", "--k", "10", "--seeds", "17,17"],
-    ["verify", "6,7", "--k", "1", "--seeds", "5,3,5"],
-    ["diagram", "derive", "--elementary", "5/3", "--k", "-1"],
-    ["diagram", "show", "--elementary=-5/3"],
-    ["diagram", "show", "--elementary", ""],
-    ["diagram", "show", "--vertices", ""],
-    ["diagram", "show"],
-    ["contfrac", "3/5"],
-    ["contfrac", "3/x"],
-    ["example", "ex1", "--k", "12"],
+@pytest.mark.parametrize("argv,error", [
+    (["verify", "12,16,31", "--k", "12"], "OrderOutOfRange"),
+    (["verify", "12,16,31", "--k", "1", "--seeds", ","], "ValueError"),
+    (["verify", "12,16,31", "--k", "1", "--seeds", "1,x"], "ValueError"),
+    (["verify", "6,7", "--k", "1", "--seeds=-5,5"], "ValueError"),
+    (["verify", "6,7", "--k", "1", "--seeds=-1"], "ValueError"),
+    (["verify", "12,16,31", "--k", "10", "--seeds", "17,17"], "ValueError"),
+    (["verify", "6,7", "--k", "1", "--seeds", "5,3,5"], "ValueError"),
+    (["example", "ex1", "--k", "12"], "OrderOutOfRange"),
 ], ids=["order", "no-seeds", "seed-not-int", "negative-seed", "negative-seed-alone",
-        "repeated-seed", "repeated-seed-apart",
-        "negative-derivative", "negative-leg", "empty-legs", "empty-vertices",
-        "no-diagram", "ratio-out-of-range", "ratio-not-int", "example-order"])
-def test_operands_are_checked_before_any_work(capsys, monkeypatch, argv):
+        "repeated-seed", "repeated-seed-apart", "example-order"])
+def test_operands_are_checked_before_any_work(capsys, monkeypatch, argv, error):
     def no_work(*args, **kwargs):
         raise AssertionError("the command ran")
 
-    for owner, name in [(cli.polar, "predict"), (cli.verify, "verify_prediction"),
-                        (cli.diagram_mod.NewtonDiagram, "symbolic_derivative"),
-                        (cli.contfrac_mod, "expand")]:
-        monkeypatch.setattr(owner, name, no_work)
+    monkeypatch.setattr(cli.polar, "predict", no_work)
+    monkeypatch.setattr(cli.verify, "verify_prediction", no_work)
     code = cli.main([*argv, "--quiet"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_USAGE
     assert captured.out == ""
-    assert set(json.loads(captured.err)) == {"error", "message"}
+    blob = json.loads(captured.err)
+    assert set(blob) == {"error", "message"}
+    assert blob["error"] == error
 
 
 def test_output_folder_is_checked_before_any_work(tmp_path, capsys, monkeypatch):
@@ -430,10 +363,8 @@ def test_format_env_default(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv,first", [
     (["verify", "2,3", "--k", "1", "--seeds", "1"], "verify K(2,3) k=1: PASS"),
-    (["diagram", "show", "--elementary", "3/2"], "(3,2)"),
-    (["contfrac", "31/4"], "[7,1,3]"),
     (["example", "ex2", "--k", "1"], "class K(10,14,15), k = 1:"),
-], ids=["verify", "diagram", "contfrac", "example"])
+], ids=["verify", "example"])
 def test_format_default_is_the_first_choice(capsys, monkeypatch, argv, first):
     # each command's default, with the variable that once preset it still set
     monkeypatch.setenv("BRANCHPOLAR_FORMAT", "json")
