@@ -20,6 +20,14 @@ def test_expand_31_4():
     assert list(zip(cf.p, cf.q)) == [(7, 1), (8, 1), (31, 4)]
 
 
+def test_expand_31_4_value_and_even_length_of_15_2():
+    cf = expand(31, 4)
+    assert cf.h == (7, 1, 3)
+    assert [f"{p}/{q}" for p, q in zip(cf.p, cf.q)] == ["7/1", "8/1", "31/4"]
+    assert cf.value == Fraction(31, 4)
+    assert to_even_length(expand(15, 2)).h == (7, 1, 1)
+
+
 def test_expand_integer():
     cf = expand(9, 1)
     assert cf.h == (9,)

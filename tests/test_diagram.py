@@ -35,7 +35,6 @@ from oracles import (
 
 def test_from_support_examples():
     assert from_support({(0, 2), (1, 1), (3, 0)}).vertices == ((0, 2), (1, 1), (3, 0))
-    assert str(from_support([(0, 2), (1, 1), (3, 0)])) == "(2,1)+(1,1)"
     assert from_support({(0, 5), (12, 0)}).vertices == ((0, 5), (12, 0))
     assert from_support({(2, 3)}).vertices == ((2, 3),)
 
@@ -43,6 +42,10 @@ def test_from_support_examples():
 def test_from_support_drops_interior_points():
     # (1, 2) sits above the chord from (0, 2) to (3, 0)
     assert from_support({(0, 2), (1, 2), (3, 0)}).vertices == ((0, 2), (3, 0))
+
+
+def test_from_support_reads_off_its_canonical_rep():
+    assert str(from_support([(0, 2), (1, 1), (3, 0)])) == "(2,1)+(1,1)"
 
 
 def test_from_support_empty():
@@ -184,8 +187,19 @@ def test_symbolic_derivative_known_values():
     d = elementary(12, 5)
     assert d.symbolic_derivative(1) == elementary(10, 4)
     assert d.symbolic_derivative(2) == minkowski_sum(elementary(3, 1), elementary(5, 2))
-    assert str(d.symbolic_derivative(2)) == "(3,1)+(5,2)"
     assert elementary(9, 1).symbolic_derivative(1) == quadrant()
+
+
+def test_symbolic_derivative_reads_off_its_canonical_rep():
+    assert str(elementary(12, 5).symbolic_derivative(2)) == "(3,1)+(5,2)"
+
+
+def test_symbolic_derivative_vertices_and_long_canonical_rep():
+    derived = elementary(12, 5).symbolic_derivative(1)
+    assert derived.vertices == ((0, 4), (10, 0))
+    assert derived.canonical_rep().parts == ((10, 4),)
+    assert derived.canonical_rep(long=True).parts == ((5, 2), (5, 2))
+    assert derived.canonical_rep().offset == (0, 0)
 
 
 def test_symbolic_derivative_above_extent():
