@@ -77,7 +77,6 @@ class CanonicalRep:
 
     offset: tuple
     parts: tuple
-    long: bool
 
     def __str__(self) -> str:
         body = "+".join(f"({m},{n})" for m, n in self.parts) if self.parts else "(0,0)"
@@ -137,7 +136,7 @@ class NewtonDiagram:
                         f"corner {(x, y)} left the edge {(xa, ya)}-{(xb, yb)}"
                     )
                 parts.append((m, n))
-        return CanonicalRep((self.top[0], self.bottom[1]), tuple(parts), long)
+        return CanonicalRep((self.top[0], self.bottom[1]), tuple(parts))
 
     # -- truncation and symbolic derivatives ----------------------------------
 

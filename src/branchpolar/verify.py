@@ -59,7 +59,9 @@ For every level l and order k the checks are:
   by coefficient;
 * the vertical length of the edge at inclination exactly m_l/n_l equals the
   aggregate multiplicity of the W-factors of group l and of everything in
-  deeper groups (individual W-factors are not separable without factoring).
+  deeper groups, scaled by e_(l-1)/b0 and compared exactly (individual
+  W-factors are not separable without factoring); a multiplicity that does
+  not scale to an integer is a disagreement like any other.
 
 The levels checked are those of the class, the l with e_(l-1) > k, and
 not the groups of the prediction under test: a prediction with another
@@ -76,7 +78,7 @@ fails when it has failures, and the verdict follows the runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
 from math import comb, gcd
@@ -107,6 +109,7 @@ from .rational import fmt_q
 
 __all__ = [
     "WitnessBranch",
+    "LevelExpectation",
     "LevelReport",
     "SeedRun",
     "VerificationReport",
@@ -210,12 +213,15 @@ def _level_cuts(cs: CharSequence, depth: int) -> list:
 
 @dataclass(frozen=True)
 class HatLevel:
-    """One level of ``hat_chain``, read once: the hat transform f^_l, kept
-    only for the next substitution, and everything the checks read, all
-    taken from its row starts, the first term of each row: the row starts
-    ``starts``, N(f^_l), the expected polar diagram E = N(f^_l)^(k), the row
-    starts of d^k f^_l and N(d^k f^_l)."""
+    """One level of ``hat_chain``, read once: the level l and the order k it
+    was read at, the hat transform f^_l, kept only for the next
+    substitution, and everything the checks read, all taken from its row
+    starts, the first term of each row: the row starts ``starts``, N(f^_l),
+    the expected polar diagram E = N(f^_l)^(k), the row starts of d^k f^_l
+    and N(d^k f^_l)."""
 
+    l: int
+    k: int
     fhat: BivariatePoly
     starts: BivariatePoly
     diagram: diagram_mod.NewtonDiagram
@@ -238,7 +244,12 @@ class HatLevel:
         hull of the vertices at heights >= k and of the leftmost lattice
         point of each row j >= k strictly inside a compact edge, shifted
         down by k, or the quadrant at (x, 0) of the top vertex (x, y) when
-        k > y.  That is O(y) integer steps per level."""
+        k > y.  That is O(y) integer steps per level.
+
+        This is the one place a level is built: an order k >= e_(l-1), the
+        height of the class edge, raises OrderTooLarge before any work."""
+        if k >= cs.e[l - 1]:
+            raise OrderTooLarge(f"order {k} >= e_{l - 1} = {cs.e[l - 1]}")
         corner = cs.bbar[l - 1]
         edge = ((corner - cs.b[l], cs.e[l - 1]), (corner, 0))
         starts = row_starts(fhat)
@@ -255,7 +266,7 @@ class HatLevel:
                        for j in range(max(k, yb + 1), ya)]
         expected = diagram_mod.from_support(points or [(d.top[0], 0)])
         polar_starts = derivative_y(starts, k)
-        return cls(fhat, starts, d, expected, polar_starts, diagram_of(polar_starts))
+        return cls(l, k, fhat, starts, d, expected, polar_starts, diagram_of(polar_starts))
 
 
 def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
@@ -360,42 +371,77 @@ def _steep_data(d: diagram_mod.NewtonDiagram, m_l: int, n_l: int):
     return tuple(steep), exact_len
 
 
-@dataclass
+@dataclass(frozen=True)
+class LevelExpectation:
+    """What the prediction under test says of one level l: group l's
+    Z-factors as (part, contact, multiplicity), none past the prediction's
+    groups, and ``multiplicity``, that of group l's W-factors and of every
+    deeper factor, which the edge at inclination m_l/n_l carries scaled by
+    e_(l-1)/b0, that is divided by ``n_sub`` = b0/e_(l-1)."""
+
+    z_factors: tuple
+    multiplicity: int
+    n_sub: int
+
+
+@dataclass(frozen=True)
 class LevelReport:
-    """What the checks of one level and order found.  ``check_lemma_nd``
-    fills the diagram fields and the reasons the level is degenerate; for an
-    ok level, one with no reasons, ``_run_seed`` then compares them with the
-    prediction."""
+    """What the checks of one level and order found, built once by
+    ``check_lemma_nd``: the diagram fields, the reasons the level is
+    degenerate and, for an ok level, one with no reasons, the initial form
+    and the expectation its findings are compared with."""
 
     level: int
     expected: tuple                   # vertices of N(fhat)^(k)
     observed: tuple                   # vertices of N(d^k fhat / dy^k)
-    reasons: list = field(default_factory=list)
+    reasons: tuple = ()
     steep_parts: tuple = ()
     contacts: tuple = ()
     multiplicities: tuple = ()
     aggregate_edge_length: int | None = None
     initial_form_ok: bool | None = None
-    prediction_match: bool | None = None
-    aggregate_predicted: int | None = None
-    aggregate_ok: bool | None = None
+    expectation: LevelExpectation | None = None
 
     @property
     def status(self) -> str:
         return "degenerate" if self.reasons else "ok"
 
-    def failures(self) -> list:
+    @property
+    def prediction_match(self) -> bool | None:
+        found = tuple(zip(self.steep_parts, self.contacts, self.multiplicities))
+        return None if self.expectation is None else found == self.expectation.z_factors
+
+    @property
+    def aggregate_predicted(self) -> int | None:
+        """The predicted edge length, or None where nothing is predicted or
+        the prediction does not scale to an integer length at this level."""
+        exp = self.expectation
+        if exp is None or exp.multiplicity % exp.n_sub:
+            return None
+        return exp.multiplicity // exp.n_sub
+
+    @property
+    def aggregate_ok(self) -> bool | None:
+        """The edge length against the prediction, in integers: a prediction
+        that does not scale to this level disagrees with every length."""
+        if self.expectation is None:
+            return None
+        return self.aggregate_edge_length == self.aggregate_predicted
+
+    def failures(self) -> tuple:
         out = []
         if self.initial_form_ok is False:
             out.append(f"level {self.level}: initial form mismatch")
         if self.prediction_match is False:
             out.append(f"level {self.level}: extracted factors disagree with prediction")
-        if self.aggregate_ok is False:
-            out.append(
-                f"level {self.level}: edge length {self.aggregate_edge_length} "
-                f"!= predicted {self.aggregate_predicted}"
-            )
-        return out
+        if self.aggregate_ok is False and self.aggregate_predicted is None:
+            exp = self.expectation
+            out.append(f"predicted multiplicity {exp.multiplicity} at level {self.level} is not "
+                       f"a multiple of b0/e_{self.level - 1} = {exp.n_sub}")
+        elif self.aggregate_ok is False:
+            out.append(f"level {self.level}: edge length {self.aggregate_edge_length} "
+                       f"!= predicted {self.aggregate_predicted}")
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {
@@ -417,47 +463,47 @@ class LevelReport:
         }
 
 
-def check_lemma_nd(w: WitnessBranch, l: int, k: int, level: HatLevel) -> LevelReport:
-    """Diagram equality and steep-edge non-degeneracy for one level and order,
-    read off the level's entry of ``hat_chain(w, depth, k)``: the expected
+def check_lemma_nd(w: WitnessBranch, level: HatLevel,
+                   expectation: LevelExpectation | None = None) -> LevelReport:
+    """Diagram equality and steep-edge non-degeneracy at the level and order
+    ``level`` was read at, off its entry of ``hat_chain``: the expected
     diagram E = N(f^_l)^(k), N(d^k f^_l) and the row starts of d^k f^_l, so
-    no diagram is built and no hat is read here.  Returns the level's report
-    with its diagram fields filled in."""
-    cs = w.cs
-    if k >= cs.e[l - 1]:
-        raise OrderTooLarge(f"order {k} >= e_{l - 1} = {cs.e[l - 1]}")
+    no diagram is built and no hat is read here.  An ok level, one with no
+    reasons, also gets ``check_initial_form`` and keeps ``expectation``, what
+    the prediction says of it; the level's report is built once, here."""
+    cs, l = w.cs, level.l
     m_l, n_l = cs.m_seq[l - 1], cs.n_seq[l - 1]
     n_sub = semiroot_degree(cs, l)
     # hat_chain checked the steep part R of N(f^_l), e_l copies of
     # (m_l, n_l); R is the bottom part, of height e_(l-1) > k, so the
     # derivative cuts into R alone and equals the splitting R^(k) + L of the
-    # lemma on Newton diagrams of polars, L taken from the witness itself
-    expected = level.expected
-    # the hat transform commutes with d/dy: hat(d^k f) = d^k hat(f)
-    observed = level.polar
+    # lemma on Newton diagrams of polars, L taken from the witness itself.
+    # The hat transform commutes with d/dy: hat(d^k f) = d^k hat(f)
+    expected, observed = level.expected, level.polar
     steep_obs, exact_len = _steep_data(observed, m_l, n_l)
     steep_exp, _ = _steep_data(expected, m_l, n_l)
-    res = LevelReport(
+    reasons = []
+    if steep_obs != steep_exp:
+        reasons.append(f"steep diagram region {steep_obs} differs from expected {steep_exp}")
+    if observed != expected:
+        reasons.append("full hat diagram differs from the symbolic derivative")
+    # the edge polynomials read one term per row, its first.  Steepness is
+    # tested here apart from _steep_data: were the exact inclination counted
+    # as steep there, its edge, where the branch's own root is repeated,
+    # would read degenerate and hide the fault as UNKNOWN instead of FAIL
+    for edge in observed.compact_edges():
+        (xa, ya), (xb, yb) = edge
+        if (xb - xa) * n_l > (ya - yb) * m_l and not edge_poly_squarefree(level.polar_starts, edge):
+            reasons.append(f"steep edge {edge} is degenerate")
+    return LevelReport(
         level=l, expected=expected.vertices, observed=observed.vertices,
-        steep_parts=steep_obs,
+        reasons=tuple(reasons), steep_parts=steep_obs,
         contacts=tuple(Fraction(m, n_sub * n) for m, n in steep_obs),
         multiplicities=tuple(n_sub * n for _, n in steep_obs),
         aggregate_edge_length=exact_len,
+        initial_form_ok=None if reasons else check_initial_form(w, l, level.starts),
+        expectation=None if reasons else expectation,
     )
-    if steep_obs != steep_exp:
-        res.reasons.append(
-            f"steep diagram region {steep_obs} differs from expected {steep_exp}"
-        )
-    if observed != expected:
-        res.reasons.append("full hat diagram differs from the symbolic derivative")
-
-    # the edge polynomials read one term per row, its first
-    for edge in observed.compact_edges():
-        (xa, ya), (xb, yb) = edge
-        if (xb - xa) * n_l > (ya - yb) * m_l:
-            if not edge_poly_squarefree(level.polar_starts, edge):
-                res.reasons.append(f"steep edge {edge} is degenerate")
-    return res
 
 
 def check_initial_form(w: WitnessBranch, l: int, starts: BivariatePoly) -> bool:
@@ -494,11 +540,11 @@ def check_initial_form(w: WitnessBranch, l: int, starts: BivariatePoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeedRun:
     seed: int
-    levels: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
+    levels: tuple = ()
+    failures: tuple = ()
 
     @property
     def status(self) -> str:
@@ -516,13 +562,13 @@ class SeedRun:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     """The runs of ``verify_prediction`` against ``prediction``, which
     carries the class and the order; the verdict is read off the runs."""
 
     prediction: PolarPrediction
-    runs: list = field(default_factory=list)
+    runs: tuple = ()
 
     @property
     def verdict(self) -> str:
@@ -563,64 +609,44 @@ class VerificationReport:
                 bits = [f"  l={lv.level} {lv.status}"]
                 if lv.status == "ok":
                     parts = "+".join(f"({m},{n})" for m, n in lv.steep_parts) or "-"
-                    bits.append(f"steep {parts}")
-                    bits.append(f"contacts {{{', '.join(fmt_q(c) for c in lv.contacts)}}}")
-                    bits.append(f"initial form {'ok' if lv.initial_form_ok else 'MISMATCH'}")
-                    bits.append(
-                        f"edge@(m/n) {lv.aggregate_edge_length}={lv.aggregate_predicted}"
-                        if lv.aggregate_ok
-                        else f"edge@(m/n) {lv.aggregate_edge_length}!={lv.aggregate_predicted}"
-                    )
+                    bits += [f"steep {parts}",
+                             f"contacts {{{', '.join(fmt_q(c) for c in lv.contacts)}}}",
+                             f"initial form {'ok' if lv.initial_form_ok else 'MISMATCH'}",
+                             f"edge@(m/n) {lv.aggregate_edge_length}"
+                             f"{'=' if lv.aggregate_ok else '!='}{lv.aggregate_predicted}"]
                 lines.append(" ".join(bits))
             for fail in run.failures:
                 lines.append(f"  FAIL: {fail}")
         return "\n".join(lines)
 
 
-def _aggregate_predicted(prediction: PolarPrediction, cs: CharSequence, l: int) -> int:
-    """Vertical length at inclination exactly m_l/n_l in the l-th hat chart:
-    W-factors of group l plus every factor of deeper groups, each scaled by
-    e_{l-1}/b0."""
-    total = 0
-    for f in prediction.factors():
-        if f.group_index == l and f.kind == "W":
-            total += f.multiplicity
-        elif f.group_index > l:
-            total += f.multiplicity
-    scaled, rest = divmod(total * cs.e[l - 1], cs.b0)
-    if rest:
-        raise InvariantViolation(
-            f"predicted multiplicity {total} at level {l} is not a multiple of "
-            f"b0/e_{l - 1} = {cs.b0 // cs.e[l - 1]}"
-        )
-    return scaled
+def _expectations(prediction: PolarPrediction, cs: CharSequence, depth: int) -> list:
+    """What the prediction says of each level l = 1..depth, its factors read
+    once and each taken at its group index, a level past the prediction's
+    groups meeting an empty group: a ``LevelExpectation`` of group l's
+    Z-factors and of the multiplicity of group l's W-factors and every
+    deeper factor."""
+    factors = prediction.factors()
+    out = []
+    for l in range(1, depth + 1):
+        z = tuple((f.part, f.contact_with_semiroot, f.multiplicity) for f in factors
+                  if f.group_index == l and f.kind == "Z")
+        edge = sum(f.multiplicity for f in factors
+                   if f.group_index > l or f.group_index == l and f.kind == "W")
+        out.append(LevelExpectation(z, edge, semiroot_degree(cs, l)))
+    return out
 
 
 def _run_seed(w: WitnessBranch, prediction: PolarPrediction, depth: int) -> SeedRun:
     """One witness checked at the levels 1..depth of its class against the
-    prediction; a prediction of another group count fails."""
-    cs, k = w.cs, prediction.k
-    run = SeedRun(w.seed)
-    if prediction.i_k != depth:
-        run.failures.append(f"group count {prediction.i_k} != {depth}, "
-                            f"the number of levels l with e_(l-1) > {k}")
-    for l, level in enumerate(hat_chain(w, depth, k), start=1):
-        report = check_lemma_nd(w, l, k, level)
-        run.levels.append(report)
-        if report.reasons:
-            continue
-        report.initial_form_ok = check_initial_form(w, l, level.starts)
-        # a level beyond the prediction's groups meets an empty group
-        predicted_z = [f for f in prediction.factors() if f.group_index == l and f.kind == "Z"]
-        report.prediction_match = (
-            list(report.steep_parts) == [f.part for f in predicted_z]
-            and list(report.contacts) == [f.contact_with_semiroot for f in predicted_z]
-            and list(report.multiplicities) == [f.multiplicity for f in predicted_z]
-        )
-        report.aggregate_predicted = _aggregate_predicted(prediction, cs, l)
-        report.aggregate_ok = report.aggregate_edge_length == report.aggregate_predicted
-        run.failures.extend(report.failures())
-    return run
+    prediction, read once before the levels; a prediction of another group
+    count fails."""
+    levels = tuple(check_lemma_nd(w, level, expectation) for expectation, level in
+                   zip(_expectations(prediction, w.cs, depth), hat_chain(w, depth, prediction.k)))
+    count_line = () if prediction.i_k == depth else (
+        f"group count {prediction.i_k} != {depth}, "
+        f"the number of levels l with e_(l-1) > {prediction.k}",)
+    return SeedRun(w.seed, levels, count_line + tuple(f for lv in levels for f in lv.failures()))
 
 
 def check_seeds(seeds) -> list:
@@ -655,15 +681,14 @@ def verify_prediction(cs: CharSequence, k: int, seeds) -> VerificationReport:
     prediction = predict(cs, k)  # OrderOutOfRange unless 1 <= k < b0
     seeds = check_seeds(seeds)
     depth = sum(e > k for e in cs.e[:-1])
-    report = VerificationReport(prediction)
+    runs, passed = [], False
     for seed in chain(seeds, count(max(seeds) + 1)):
         # open Zariski condition: fresh seeds only while every run was degenerate
-        if len(report.runs) >= len(seeds) and (
-                report.passing_seed is not None or len(report.runs) >= MAX_SEED_RUNS):
+        if len(runs) >= len(seeds) and (passed or len(runs) >= MAX_SEED_RUNS):
             break
-        run = _run_seed(sample_witness(cs, seed), prediction, depth)
-        report.runs.append(run)
-        if run.status == "fail":
+        runs.append(_run_seed(sample_witness(cs, seed), prediction, depth))
+        if runs[-1].status == "fail":
             break
-    return report
+        passed = passed or runs[-1].status == "pass"
+    return VerificationReport(prediction, tuple(runs))
 

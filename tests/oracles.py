@@ -140,14 +140,14 @@ def elementary_derivative_closed_form(m: int, n: int) -> CanonicalRep:
     if gcd(m, n) != 1:
         raise NotCoprime(f"({m}, {n}) is not a primitive pair")
     if n == 1:
-        return CanonicalRep((0, 0), (), True)
+        return CanonicalRep((0, 0), ())
     cf = contfrac.expand(m, n)
     parts = []
     for idx in range(2, cf.s + 1, 2):
         parts.extend([(cf.p[idx - 1], cf.q[idx - 1])] * cf.h[idx])
     if cf.s % 2 == 1:
         parts.append((cf.p[cf.s] - cf.p[cf.s - 1], cf.q[cf.s] - cf.q[cf.s - 1]))
-    return CanonicalRep((0, 0), tuple(parts), True)
+    return CanonicalRep((0, 0), tuple(parts))
 
 
 def rep_to_diagram(rep: CanonicalRep) -> NewtonDiagram:
@@ -218,8 +218,8 @@ def split_derivative(d: NewtonDiagram, k: int, s: int):
     cap = sum(n for _, n in right)
     if k > cap:
         raise SplitTooDeep(f"order {k} exceeds the vertical extent {cap} of the split part")
-    r_diag = rep_to_diagram(CanonicalRep((0, 0), right, True))
-    l_diag = rep_to_diagram(CanonicalRep((rep.offset[0], 0), rep.parts[s:], True))
+    r_diag = rep_to_diagram(CanonicalRep((0, 0), right))
+    l_diag = rep_to_diagram(CanonicalRep((rep.offset[0], 0), rep.parts[s:]))
     return r_diag.symbolic_derivative(k), l_diag
 
 

@@ -2,6 +2,8 @@
 typed error from ``predict``, or by FAIL from ``verify``."""
 
 import inspect
+import json
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil
 
@@ -113,6 +115,58 @@ def test_predict_rejects_a_w_count_off_by_one(b):
         predict(cs, k)
         with pytest.raises(InvariantViolation, match="multiplicities"):
             wrong_predict(cs, k)
+
+
+def _w_unit_moved_to_group_2(cs, k):
+    # one unit of multiplicity taken from group 1's W-factor and given to
+    # group 2's: the total b0 - k is kept, so predict's own check passes it
+    p = predict(cs, k)
+    groups = list(p.groups)
+    for l, step in ((0, -1), (1, 1)):
+        i = next(i for i, f in enumerate(groups[l]) if f.kind == "W")
+        moved = replace(groups[l][i], multiplicity=groups[l][i].multiplicity + step)
+        groups[l] = groups[l][:i] + (moved,) + groups[l][i + 1:]
+    return replace(p, groups=tuple(groups))
+
+
+def test_verify_fails_when_a_w_unit_moves_to_the_next_group(monkeypatch, capsys):
+    # at level 2 of K(16,24,28,30,31), k = 2, the edge at m_2/n_2 carries
+    # the multiplicity 13 scaled by e_1/b0 = 1/2: no integer length, so a
+    # FAIL with its failure line, exit 2, and not an internal error, exit 4
+    cs = new_char_sequence([16, 24, 28, 30, 31])
+    assert _w_unit_moved_to_group_2(cs, 2).multiplicity_total() == cs.b0 - 2
+    monkeypatch.setattr(verify, "predict", _w_unit_moved_to_group_2)
+    report = verify_prediction(cs, 2, [1])
+    assert report.verdict == "FAIL", report.to_text()
+    [run] = report.runs
+    assert run.failures == (
+        "predicted multiplicity 13 at level 2 is not a multiple of b0/e_1 = 2",)
+    levels = json.loads(report.to_json())["runs"][0]["levels"]
+    assert [lv["aggregate_edge"] for lv in levels] == [
+        {"observed": 14, "predicted": 14, "ok": True},
+        {"observed": 6, "predicted": None, "ok": False},
+        {"observed": 2, "predicted": 2, "ok": True},
+    ]
+    assert cli.main(["verify", "16,24,28,30,31", "--k", "2", "--seeds", "1",
+                     "--quiet"]) == cli.EXIT_FAIL
+    assert capsys.readouterr().err == ""
+
+
+def _every_factor_in_group_1(cs, k):
+    # each factor kept in its place, but labelled with the group index 1
+    p = predict(cs, k)
+    return replace(p, groups=tuple(tuple(replace(f, group_index=1) for f in group)
+                                   for group in p.groups))
+
+
+@pytest.mark.parametrize("b,k", [((12, 16, 31), 2), ((10, 14, 15), 1), ((16, 24, 28, 30, 31), 3)])
+def test_verify_reads_each_factor_at_its_group_index(monkeypatch, b, k):
+    # the group index is what the labels and the JSON show: a factor of a
+    # deeper group that claims group 1 meets level 1's steep parts and FAILs
+    monkeypatch.setattr(verify, "predict", _every_factor_in_group_1)
+    report = verify_prediction(new_char_sequence(b), k, [1, 2])
+    assert report.verdict == "FAIL", report.to_text()
+    assert "level 1: extracted factors disagree with prediction" in report.runs[-1].failures
 
 
 @pytest.mark.parametrize("b", [*CLASSES, (16, 24, 28, 30, 31)],

@@ -147,7 +147,7 @@ def test_witness_with_rational_coefficients():
     w = WitnessBranch(cs, PuiseuxSeries.from_string("1/2*x^(3/2)+x^2"))
     assert min_poly(w.root).terms[(3, 0)] == Fraction(-1, 4)
     level = hat_chain(w, 1, 1)[-1]
-    res = check_lemma_nd(w, 1, 1, level)
+    res = check_lemma_nd(w, level)
     assert res.status == "ok"
     assert check_initial_form(w, 1, level.starts)
 

@@ -146,11 +146,14 @@ def test_verify_names_neither_symbolic_derivative_nor_trunc():
 
 
 def test_verify_stores_no_summary_beside_its_evidence():
-    # a level's status is read off its reasons, a run's off its failures and
-    # levels, and the verdict, passing seed and degenerate count off the
-    # runs: no field holds them, and no assignment or keyword sets them
+    # a level's status is read off its reasons, its prediction match and
+    # aggregate check off its evidence and its expectation, a run's status
+    # off its failures and levels, and the verdict, passing seed and
+    # degenerate count off the runs: no field holds them, and no assignment
+    # or keyword sets them
     path = Path(branchpolar.__file__).parent / "verify.py"
-    derived = {"status", "verdict", "passing_seed", "degenerate_count"}
+    derived = {"status", "verdict", "passing_seed", "degenerate_count",
+               "prediction_match", "aggregate_ok"}
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, (ast.Attribute, ast.Name)) and isinstance(node.ctx, ast.Store):

@@ -144,19 +144,19 @@ def _full_level(w, l, k):
 def test_expected_hat_diagram_ex1_level2():
     w = nongeneric_g()
     level = _full_level(w, 2, 1)
-    expected = NewtonDiagram(check_lemma_nd(w, 2, 1, level).expected)
+    expected = NewtonDiagram(check_lemma_nd(w, level).expected)
     steep = [p for p in expected.canonical_rep(long=True).parts
              if p[0] * 4 > p[1] * 31]
     assert steep == [(8, 1)] * 3
     # k = 0 keeps the hat diagram unchanged
     unchanged = HatLevel.read(w.cs, 2, level.fhat, 0)
     assert unchanged.polar == level.diagram
-    assert check_lemma_nd(w, 2, 0, unchanged).expected == level.diagram.vertices
+    assert check_lemma_nd(w, unchanged).expected == level.diagram.vertices
 
 
 def test_expected_hat_diagram_ex2_level1():
     w = sample_witness(EX2, 1)
-    expected = NewtonDiagram(check_lemma_nd(w, 1, 2, _full_level(w, 1, 2)).expected)
+    expected = NewtonDiagram(check_lemma_nd(w, _full_level(w, 1, 2)).expected)
     steep = [p for p in expected.canonical_rep(long=True).parts
              if p[0] * 5 > p[1] * 7]
     assert steep == [(2, 1), (3, 2)]
@@ -173,7 +173,7 @@ def test_expected_hat_diagram_is_the_split_sum(b):
         for k in range(cs.e[l - 1]):
             at_k = HatLevel.read(cs, l, level.fhat, k)
             r_deriv, low = split_derivative(hat, k, cs.e[l])
-            assert (check_lemma_nd(w, l, k, at_k).expected
+            assert (check_lemma_nd(w, at_k).expected
                     == minkowski_sum(r_deriv, low).vertices), (b, l, k)
 
 
@@ -200,15 +200,16 @@ def test_expected_hat_diagram_rejects_a_wrong_steep_part(monkeypatch):
 def test_expected_hat_diagram_order_too_large():
     w = sample_witness(EX1, 1)
     with pytest.raises(OrderTooLarge):
-        check_lemma_nd(w, 2, 4, _full_level(w, 2, 4))  # e_1 = 4
+        _full_level(w, 2, 4)  # e_1 = 4
 
 
 @pytest.mark.parametrize("l", [1, 2])
 def test_check_lemma_nd_order_too_large(l):
-    # k = e_(l-1): 12 at level 1, 4 at level 2; check_lemma_nd refuses it
+    # k = e_(l-1): 12 at level 1, 4 at level 2; HatLevel.read, the one place
+    # a level is built, refuses it, so check_lemma_nd never meets one
     w = sample_witness(EX1, 1)
     with pytest.raises(OrderTooLarge):
-        check_lemma_nd(w, l, EX1.e[l - 1], hat_chain(w, l, 1)[-1])
+        HatLevel.read(EX1, l, hat_chain(w, l, 1)[-1].fhat, EX1.e[l - 1])
 
 
 def test_hat_chain_refuses_a_depth_or_an_order_out_of_range(monkeypatch):
@@ -315,7 +316,7 @@ def test_lemma_rejects_wrong_straightening(monkeypatch, mutant):
             _substitute(patched, w, mutant)
             for l in range(1, cs.h + 1):
                 with pytest.raises(InvariantViolation):
-                    check_lemma_nd(w, l, k, hat_chain(w, l, k)[-1])
+                    check_lemma_nd(w, hat_chain(w, l, k)[-1])
             # verify_prediction samples the same witness at seed 1
             with pytest.raises(InvariantViolation):
                 verify_prediction(cs, k, [1])
@@ -529,7 +530,7 @@ def test_chain_rejects_a_cut_too_tight(monkeypatch):
         for l in range(1, cs.h + 1):
             if cs.e[l - 1] > k:
                 with pytest.raises(InvariantViolation):
-                    check_lemma_nd(w, l, k, hat_chain(w, l, k)[-1])
+                    check_lemma_nd(w, hat_chain(w, l, k)[-1])
         with pytest.raises(InvariantViolation):
             verify_prediction(cs, k, [1])
 
@@ -738,15 +739,15 @@ def test_nongeneric_witness_tenth_derivative():
     assert derivative_y(g, 10).terms == {(0, 2): c, (2, 1): -2 * c, (4, 0): c}
 
 
-_NONGENERIC_REASONS = [
+_NONGENERIC_REASONS = (
     "steep diagram region ((2, 1),) differs from expected ((3, 2),)",
     "full hat diagram differs from the symbolic derivative",
-]
+)
 
 
 def test_nongeneric_witness_flagged_degenerate():
     g = nongeneric_g()
-    res = check_lemma_nd(g, 1, 10, hat_chain(g, 1, 10)[-1])
+    res = check_lemma_nd(g, hat_chain(g, 1, 10)[-1])
     assert res.status == "degenerate"
     assert res.reasons == _NONGENERIC_REASONS
     # and never a silent pass: the diagram within the cut already differs
@@ -761,7 +762,7 @@ def test_nongeneric_witness_degenerate_at_k1_too():
     # full polar's steep edge carries a double root where the generic branch
     # has a single factor of contact 3/2
     g = nongeneric_g()
-    res = check_lemma_nd(g, 1, 1, hat_chain(g, 1, 1)[-1])
+    res = check_lemma_nd(g, hat_chain(g, 1, 1)[-1])
     assert res.status == "degenerate"
     assert res.reasons == _NONGENERIC_REASONS
     assert res.observed == ((0, 11), (12, 2), (14, 1))
@@ -777,7 +778,7 @@ def test_degenerate_steep_edge_on_the_expected_diagram():
     level = run.levels[0]
     assert (run.status, level.status) == ("degenerate", "degenerate")
     assert level.observed == level.expected
-    assert level.reasons == ["steep edge ((10, 2), (14, 0)) is degenerate"]
+    assert level.reasons == ("steep edge ((10, 2), (14, 0)) is degenerate",)
 
 
 # -- initial forms ----------------------------------------------------------------------
@@ -1005,10 +1006,10 @@ def test_a_wrong_group_count_reads_fail(monkeypatch, extra):
     assert [lv.level for lv in run.levels] == [1, 2]
     assert run.failures[0] == (f"group count {3 if extra else 1} != 2, "
                                "the number of levels l with e_(l-1) > 1")
-    assert run.failures[1:] == ([] if extra else [
+    assert run.failures[1:] == (() if extra else (
         "level 1: edge length 9 != predicted 0",
         "level 2: extracted factors disagree with prediction",
-    ])
+    ))
 
 
 def _stub_runs(monkeypatch, statuses):
@@ -1017,8 +1018,8 @@ def _stub_runs(monkeypatch, statuses):
 
     def run(w, prediction, depth):
         status = statuses.get(w.seed, "degenerate")
-        level = LevelReport(1, (), (), reasons=["stub"] if status == "degenerate" else [])
-        return SeedRun(w.seed, [level], ["stub"] if status == "fail" else [])
+        level = LevelReport(1, (), (), reasons=("stub",) if status == "degenerate" else ())
+        return SeedRun(w.seed, (level,), ("stub",) if status == "fail" else ())
 
     monkeypatch.setattr(verify_mod, "_run_seed", run)
 
