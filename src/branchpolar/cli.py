@@ -44,7 +44,10 @@ def _emit(text: str, args) -> None:
 
 
 def _check_output(args) -> None:
-    # output is written after the work, but a missing folder fails before it
+    # output is written after the work, but a folder in its place or a
+    # missing folder fails before it
+    if args.output and os.path.isdir(args.output):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
     if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
 

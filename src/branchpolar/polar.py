@@ -70,7 +70,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolarFactor:
-    group_index: int
     kind: str                       # "Z" or "W"
     part: tuple | None              # (M_j, N_j) for Z-factors
     multiplicity: int
@@ -82,10 +81,12 @@ class PolarFactor:
     def is_smooth(self) -> bool:
         return not self.char_exponents
 
-    def to_json(self) -> dict:
+    def to_json(self, l: int) -> dict:
+        """The factor's JSON block as a member of group ``l``, the position
+        of its tuple in ``PolarPrediction.groups``."""
         return {
             "kind": self.kind,
-            "group": self.group_index,
+            "group": l,
             "part": list(self.part) if self.part else None,
             "multiplicity": self.multiplicity,
             "cont_f": fmt_q(self.contact_with_f),
@@ -98,7 +99,9 @@ class PolarFactor:
 class PolarPrediction:
     char: CharSequence
     k: int
-    groups: tuple  # tuple over l = 1..i_k of tuples of PolarFactor
+    # tuple over l = 1..i_k of tuples of PolarFactor: a factor's group l is
+    # the 1-based position of its tuple, and nothing else records it
+    groups: tuple
 
     @property
     def i_k(self) -> int:
@@ -110,15 +113,15 @@ class PolarPrediction:
     def labels(self) -> list:
         """Canonical factor names z^(l)_j / w^(l)_i in emission order."""
         out = []
-        for group in self.groups:
+        for l, group in enumerate(self.groups, start=1):
             zc = wc = 0
             for f in group:
                 if f.kind == "Z":
                     zc += 1
-                    out.append(f"z^({f.group_index})_{zc}")
+                    out.append(f"z^({l})_{zc}")
                 else:
                     wc += 1
-                    out.append(f"w^({f.group_index})_{wc}")
+                    out.append(f"w^({l})_{wc}")
         return out
 
     def multiplicity_total(self) -> int:
@@ -158,8 +161,8 @@ class PolarPrediction:
                             f"contact with f falls from {prev.contact_with_f} to "
                             f"{f.contact_with_f} at {names[start]}"
                         )
-                    if (f.group_index == prev.group_index
-                            and f.contact_with_semiroot > prev.contact_with_semiroot):
+                    # prev is of this group unless f starts it
+                    if group_runs and f.contact_with_semiroot > prev.contact_with_semiroot:
                         raise InvariantViolation(
                             f"semiroot contact rises from {prev.contact_with_semiroot} to "
                             f"{f.contact_with_semiroot} at {names[start]}"
@@ -184,7 +187,7 @@ class PolarPrediction:
             blocks = []
             for f, start, stop in group_runs:
                 # the factor's block at indent 8, cut at the value of its label
-                lead, _, tail = dumps(dict(f.to_json(), label=""), 8).rpartition('""')
+                lead, _, tail = dumps(dict(f.to_json(l), label=""), 8).rpartition('""')
                 labels = (tail + ",\n        " + lead).join(quoted[start:stop])
                 blocks.append(Written((lead, labels, tail)))
             cont_f = fmt_q(Fraction(self.char.b[l], self.char.b0))
@@ -274,11 +277,11 @@ def predict(cs: CharSequence, k: int) -> PolarPrediction:
                     f"Z-factor contact {cont_semi} must sit strictly beyond {cont_f}"
                 )
             chars = prefix + (cont_semi,) if n_j > 1 else prefix
-            z = PolarFactor(l, "Z", (m_j, n_j), nsub * n_j, cont_f, cont_semi, chars)
+            z = PolarFactor("Z", (m_j, n_j), nsub * n_j, cont_f, cont_semi, chars)
             _check_branch(z)
             factors += [z] * len(list(run))
         w_count = min(e_l, k) - (-(-k // n_l))
-        w = PolarFactor(l, "W", None, cs.b0 // e_l, cont_f, cont_f, prefix + (cont_f,))
+        w = PolarFactor("W", None, cs.b0 // e_l, cont_f, cont_f, prefix + (cont_f,))
         _check_branch(w)
         factors += [w] * w_count
         groups.append(tuple(factors))
@@ -375,11 +378,12 @@ def export_eggers_wall(p: PolarPrediction, include_branch: bool = True) -> Egger
     """Eggers-Wall tree of the predicted factors and, when ``include_branch``
     is set, of the branch f and its semiroots f_l (see the module docstring)."""
     cs = p.char
-    by_group = [[] for _ in range(cs.h + 1)]
-    for pos, (f, name) in enumerate(zip(p.factors(), p.labels())):
-        # position in canonical emission order doubles as the sort key
-        leaf = EWLeaf(name, (2, pos), f.char_exponents, f.multiplicity)
-        by_group[f.group_index].append((f, leaf))
+    # position in canonical emission order doubles as the sort key; group l
+    # is by_group[l - 1], the position of its tuple, and the levels past the
+    # prediction's groups are empty
+    leaves = iter(EWLeaf(name, (2, pos), f.char_exponents, f.multiplicity)
+                  for pos, (f, name) in enumerate(zip(p.factors(), p.labels())))
+    by_group = [[(f, next(leaves)) for f in group] for group in p.groups] + [[]] * cs.h
 
     # vertices are (contact, children) until _finish; the trunk grows from
     # the leaf f toward the root and each f_l path from f_l toward the trunk
@@ -388,10 +392,10 @@ def export_eggers_wall(p: PolarPrediction, include_branch: bool = True) -> Egger
     for l in range(cs.h, 0, -1):
         path = EWLeaf(f"f_{l}", (1, l), exponents[:l - 1])
         # Z-factors come by descending semiroot contact (CanonicalRep order)
-        zs = [(f.contact_with_semiroot, leaf) for f, leaf in by_group[l] if f.kind == "Z"]
+        zs = [(f.contact_with_semiroot, leaf) for f, leaf in by_group[l - 1] if f.kind == "Z"]
         for contact, run in groupby(zs, key=itemgetter(0)):
             path = (contact, [path, *(leaf for _, leaf in run)])
-        ws = [leaf for f, leaf in by_group[l] if f.kind == "W"]
+        ws = [leaf for f, leaf in by_group[l - 1] if f.kind == "W"]
         trunk = (exponents[l - 1], [trunk, path, *ws])
 
     tree, _ = _finish(trunk, include_branch)

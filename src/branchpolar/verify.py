@@ -66,7 +66,9 @@ For every level l and order k the checks are:
 The levels checked are those of the class, the l with e_(l-1) > k, and
 not the groups of the prediction under test: a prediction with another
 group count is a hard failure, FAIL and exit 2, and a level beyond its
-groups is compared with an empty group.
+groups is compared with an empty group.  Group l is the l-th group of the
+prediction, the one place a factor's group is recorded, so a prediction
+with its groups out of place is compared at the wrong levels and fails.
 
 Diagram mismatches and degenerate steep edges mean the witness is not
 generic (the failure of an open Zariski condition) and the seed is retried;
@@ -621,18 +623,18 @@ class VerificationReport:
 
 
 def _expectations(prediction: PolarPrediction, cs: CharSequence, depth: int) -> list:
-    """What the prediction says of each level l = 1..depth, its factors read
-    once and each taken at its group index, a level past the prediction's
-    groups meeting an empty group: a ``LevelExpectation`` of group l's
-    Z-factors and of the multiplicity of group l's W-factors and every
-    deeper factor."""
-    factors = prediction.factors()
+    """What the prediction says of each level l = 1..depth, group l being the
+    l-th tuple of ``prediction.groups`` and a level past them meeting an
+    empty group: a ``LevelExpectation`` of group l's Z-factors and of the
+    multiplicity of group l's W-factors and every factor of the groups after
+    it."""
+    groups = prediction.groups + ((),) * depth
     out = []
-    for l in range(1, depth + 1):
-        z = tuple((f.part, f.contact_with_semiroot, f.multiplicity) for f in factors
-                  if f.group_index == l and f.kind == "Z")
-        edge = sum(f.multiplicity for f in factors
-                   if f.group_index > l or f.group_index == l and f.kind == "W")
+    for l, group in enumerate(groups[:depth], start=1):
+        z = tuple((f.part, f.contact_with_semiroot, f.multiplicity)
+                  for f in group if f.kind == "Z")
+        edge = (sum(f.multiplicity for f in group if f.kind == "W")
+                + sum(f.multiplicity for after in groups[l:] for f in after))
         out.append(LevelExpectation(z, edge, semiroot_degree(cs, l)))
     return out
 

@@ -280,17 +280,24 @@ def grid_classes(b0_max):
 # ---------------------------------------------------------------------------
 
 
+def factor_groups(prediction) -> list:
+    """The group l of every factor in label order: the 1-based position of
+    its tuple in ``prediction.groups``."""
+    return [l for l, group in enumerate(prediction.groups, start=1) for _ in group]
+
+
 def contact_table_oracle(prediction):
     """(label, label, contact) for every pair of factors in label order, one
     comparison per pair: the minimum of the semiroot contacts inside a group
     and of the contacts with f across groups."""
     facts = prediction.factors()
     names = prediction.labels()
+    group_of = factor_groups(prediction)
     table = []
     for i, a in enumerate(facts):
         for j in range(i + 1, len(facts)):
             b = facts[j]
-            if a.group_index == b.group_index:
+            if group_of[i] == group_of[j]:
                 value = min(a.contact_with_semiroot, b.contact_with_semiroot)
             else:
                 value = min(a.contact_with_f, b.contact_with_f)
@@ -306,8 +313,8 @@ def prediction_document_oracle(prediction) -> dict:
     factors = prediction.factors()
     groups = [{"l": l, "cont_f": fmt_q(Fraction(cs.b[l], cs.b0)), "factors": []}
               for l in range(1, prediction.i_k + 1)]
-    for f, name in zip(factors, prediction.labels()):
-        groups[f.group_index - 1]["factors"].append(dict(f.to_json(), label=name))
+    for f, l, name in zip(factors, factor_groups(prediction), prediction.labels()):
+        groups[l - 1]["factors"].append(dict(f.to_json(l), label=name))
     return {
         "char": list(cs.b),
         "k": prediction.k,
@@ -363,6 +370,7 @@ def eggers_wall_oracle(prediction, include_branch=True):
             prefix = tuple(Fraction(cs.b[i], cs.b0) for i in range(1, l))
             leaves.append(EWLeaf(f"f_{l}", (1, l), prefix))
     facts = prediction.factors()
+    group_of = factor_groups(prediction)
     for pos, (f, name) in enumerate(zip(facts, prediction.labels())):
         leaves.append(EWLeaf(name, (2, pos), f.char_exponents, f.multiplicity))
 
@@ -380,7 +388,7 @@ def eggers_wall_oracle(prediction, include_branch=True):
                 value = Fraction(cs.b[min(ka[1], kb[1])], cs.b0)
             elif ka[0] == 1:
                 factor = facts[kb[1]]
-                if factor.group_index == ka[1]:
+                if group_of[kb[1]] == ka[1]:
                     value = factor.contact_with_semiroot
                 else:
                     value = min(Fraction(cs.b[ka[1]], cs.b0), factor.contact_with_f)

@@ -335,13 +335,17 @@ def test_operands_are_checked_before_any_work(capsys, monkeypatch, argv, error):
     assert blob["error"] == error
 
 
-def test_output_folder_is_checked_before_any_work(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("output,error", [
+    ("missing/x.json", "FileNotFoundError"),
+    (".", "IsADirectoryError"),  # the folder itself, which open() refuses after the work
+], ids=["missing-folder", "a-folder"])
+def test_output_folder_is_checked_before_any_work(tmp_path, capsys, monkeypatch, output, error):
     monkeypatch.setattr(cli.verify, "verify_prediction", None)  # never reached
-    target = tmp_path / "missing" / "x.json"
+    target = tmp_path / output
     code = cli.main(["verify", "12,16,31", "--k", "1", "--output", str(target), "--quiet"])
     diag = json.loads(capsys.readouterr().err)
     assert code == cli.EXIT_USAGE
-    assert diag["error"] == "FileNotFoundError" and str(target) in diag["message"]
+    assert diag["error"] == error and str(target) in diag["message"]
     assert list(tmp_path.iterdir()) == []
 
 

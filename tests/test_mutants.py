@@ -62,8 +62,8 @@ def test_predict_rejects_a_factor_that_is_not_a_branch(monkeypatch, mutant, cs, 
     right = predict(cs, k).factors()
     real = polar_mod.PolarFactor
 
-    def factor(l, kind, part, mult, cont_f, cont_semi, chars):
-        return real(l, kind, part, mult, cont_f, cont_semi, mutant(kind, part, chars))
+    def factor(kind, part, mult, cont_f, cont_semi, chars):
+        return real(kind, part, mult, cont_f, cont_semi, mutant(kind, part, chars))
 
     monkeypatch.setattr(polar_mod, "PolarFactor", factor)
     with pytest.raises(InvariantViolation, match="not a branch"):
@@ -153,20 +153,47 @@ def test_verify_fails_when_a_w_unit_moves_to_the_next_group(monkeypatch, capsys)
 
 
 def _every_factor_in_group_1(cs, k):
-    # each factor kept in its place, but labelled with the group index 1
+    # every factor moved into the first group, followed by empty groups so
+    # that the group count is unchanged
     p = predict(cs, k)
-    return replace(p, groups=tuple(tuple(replace(f, group_index=1) for f in group)
-                                   for group in p.groups))
+    return replace(p, groups=(tuple(p.factors()),) + ((),) * (p.i_k - 1))
 
 
 @pytest.mark.parametrize("b,k", [((12, 16, 31), 2), ((10, 14, 15), 1), ((16, 24, 28, 30, 31), 3)])
-def test_verify_reads_each_factor_at_its_group_index(monkeypatch, b, k):
-    # the group index is what the labels and the JSON show: a factor of a
-    # deeper group that claims group 1 meets level 1's steep parts and FAILs
+def test_verify_reads_each_factor_at_its_position(monkeypatch, b, k):
+    # a factor's group is the position of its tuple, which the labels and
+    # the JSON show: a factor of a deeper group moved into group 1 meets
+    # level 1's steep parts and FAILs
     monkeypatch.setattr(verify, "predict", _every_factor_in_group_1)
     report = verify_prediction(new_char_sequence(b), k, [1, 2])
     assert report.verdict == "FAIL", report.to_text()
     assert "level 1: extracted factors disagree with prediction" in report.runs[-1].failures
+
+
+def _groups_reversed(cs, k):
+    # every group kept whole, but in reverse order
+    p = predict(cs, k)
+    return replace(p, groups=p.groups[::-1])
+
+
+@pytest.mark.parametrize("b,k", [((12, 16, 31), 2), ((16, 24, 28, 30, 31), 3)],
+                         ids=["K(12,16,31)-k2", "K(16,24,28,30,31)-k3"])
+def test_verify_fails_when_predict_reverses_its_groups(monkeypatch, capsys, b, k):
+    # group l is the l-th group, whatever its factors' contacts say: each
+    # reversed group meets another level's steep parts and edge, a FAIL in
+    # text, exit 2.  The JSON writer refuses the prediction first, since its
+    # contacts with f fall, and that is the program's fault, exit 4
+    monkeypatch.setattr(verify, "predict", _groups_reversed)
+    report = verify_prediction(new_char_sequence(b), k, [1, 2])
+    assert report.verdict == "FAIL", report.to_text()
+    argv = ["verify", ",".join(map(str, b)), "--k", str(k), "--seeds", "1,2", "--quiet"]
+    assert cli.main([*argv, "--format", "text"]) == cli.EXIT_FAIL
+    assert capsys.readouterr().err == ""
+    assert cli.main([*argv, "--format", "json"]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    blob = json.loads(captured.err)
+    assert captured.out == "" and blob["error"] == "InvariantViolation"
+    assert blob["message"].startswith("contact with f falls from "), blob
 
 
 @pytest.mark.parametrize("b", [*CLASSES, (16, 24, 28, 30, 31)],
