@@ -44,12 +44,20 @@ def _emit(text: str, args) -> None:
 
 
 def _check_output(args) -> None:
-    # output is written after the work, but a folder in its place or a
-    # missing folder fails before it
+    # output is written after the work, but a path that open() refuses fails
+    # before it, with open()'s error: a folder in its place, or a parent
+    # that is missing (ENOENT) or is not a folder (ENOTDIR)
     if args.output and os.path.isdir(args.output):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
-    if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
+    parent = args.output and os.path.dirname(os.path.abspath(args.output))
+    if parent and not os.path.isdir(parent):
+        try:
+            os.stat(parent)  # a parent that is there is not a folder
+            code = errno.ENOTDIR
+        except OSError as exc:  # a missing parent, or one under a file
+            code = exc.errno
+        # OSError picks the subclass from the errno
+        raise OSError(code, os.strerror(code), args.output)
 
 
 def _class_and_order(args) -> tuple:

@@ -22,13 +22,14 @@ long canonical representation, whose ratios M_j/N_j weakly decrease, and the
 W-factors sit at cont_f, below every Z-factor.  Across groups cont_f =
 b_l/b0 increases with l.  So the row (i, j), j after i, takes factor j's
 semiroot contact when both lie in one group and factor i's contact with f
-otherwise.  The JSON writer ``to_json`` checks both orderings in O(F) for F
-factors and joins the text of the rows from per-factor strings, so no
-Python code runs per pair.  The factor blocks, like the rows, come from
-per-value strings: ``predict`` repeats one frozen factor object for each run
-of equal factors (the W-factors of a group, the Z-factors of equal parts),
-and the writer formats one indent-2 block per run, with only the label
-changing, and each distinct contact once.
+otherwise.  ``predict`` repeats one frozen factor object for each run of
+equal factors (the W-factors of a group, the Z-factors of equal parts), and
+one checked walk of those runs, ``_runs``, checks both orderings in O(F) for
+F factors.  Both contact writers read that walk, so neither writes a
+prediction that breaks the rule: the JSON writer ``to_json`` formats one
+indent-2 block per run, with only the label changing, and each run's two
+contacts once, and joins the text of the rows from per-factor strings, so no
+Python code runs per pair; the Eggers-Wall export takes its leaves from it.
 
 These contacts fix the shape of the Eggers-Wall tree, so the export builds it
 directly.  A trunk leads from the root to the leaf f, with a vertex at every
@@ -127,83 +128,71 @@ class PolarPrediction:
     def multiplicity_total(self) -> int:
         return sum(f.multiplicity for f in self.factors())
 
-    def _contact_columns(self):
-        """What fixes every contact row, after checking in O(F) the orderings
-        the group rule relies on (see the module docstring).
+    def _runs(self) -> list:
+        """Each group's runs, after checking in O(F) the orderings the
+        contact rule relies on (see the module docstring).
 
-        Returns (names, own, cross, ends, runs).  The first four are indexed
-        by factor in label order: factor i meets factor j of its own group,
-        i < j < ends[i], at own[j], its semiroot contact, and every factor of
-        a later group at cross[i], its contact with f.  runs[l - 1] lists
-        (factor, start, stop) for each run of one factor object repeated in
-        group l; the checks take each run once, and each distinct contact is
-        formatted once."""
-        names = self.labels()
-        own, cross, ends, runs = [], [], [], []
-        texts = {}  # contact -> its fmt_q
-
-        def fmt(c):
-            text = texts.get(c)
-            if text is None:
-                text = texts[c] = fmt_q(c)
-            return text
-
-        prev = None
+        ``_runs()[l - 1]`` lists (factor, start, stop) for each run of one
+        factor object repeated in group l, start and stop being label
+        positions.  The contact with f never falls from one run to the next,
+        and inside a group the semiroot contact never rises; a prediction
+        that breaks either raises ``InvariantViolation``."""
+        runs, stop, prev = [], 0, None
         for group in self.groups:
-            end = len(own) + len(group)
             group_runs = []
             for _, run in groupby(group, key=id):
                 run = list(run)
-                f, start, count = run[0], len(own), len(run)
-                if prev is not None:
-                    if f.contact_with_f < prev.contact_with_f:
-                        raise InvariantViolation(
-                            f"contact with f falls from {prev.contact_with_f} to "
-                            f"{f.contact_with_f} at {names[start]}"
-                        )
-                    # prev is of this group unless f starts it
-                    if group_runs and f.contact_with_semiroot > prev.contact_with_semiroot:
-                        raise InvariantViolation(
-                            f"semiroot contact rises from {prev.contact_with_semiroot} to "
-                            f"{f.contact_with_semiroot} at {names[start]}"
-                        )
-                own += [fmt(f.contact_with_semiroot)] * count
-                cross += [fmt(f.contact_with_f)] * count
-                ends += [end] * count
-                group_runs.append((f, start, start + count))
+                f, start, stop = run[0], stop, stop + len(run)
+                if prev is not None and f.contact_with_f < prev.contact_with_f:
+                    raise InvariantViolation(
+                        f"contact with f falls from {prev.contact_with_f} to "
+                        f"{f.contact_with_f} at {self.labels()[start]}"
+                    )
+                # prev is of this group unless f starts it
+                if group_runs and f.contact_with_semiroot > prev.contact_with_semiroot:
+                    raise InvariantViolation(
+                        f"semiroot contact rises from {prev.contact_with_semiroot} to "
+                        f"{f.contact_with_semiroot} at {self.labels()[start]}"
+                    )
+                group_runs.append((f, start, stop))
                 prev = f
             runs.append(group_runs)
-        return names, own, cross, ends, runs
+        return runs
 
     def to_json(self) -> str:
         """The prediction document as indent-2 JSON text (``tests/oracles``
-        builds it as a dict): each run of one factor is one block with only
-        the label changing, and the contact rows join per-factor strings."""
-        names, own, cross, ends, runs = self._contact_columns()
+        builds it as a dict), in one pass over the runs: each run is one
+        factor block with only the label changing, and its two contacts,
+        formatted once, end the contact rows that it closes."""
         # labels and contacts hold no character that JSON escapes
-        quoted = [f'"{name}"' for name in names]
-        groups = []
-        for l, group_runs in enumerate(runs, start=1):
-            blocks = []
+        quoted = [f'"{name}"' for name in self.labels()]
+        # a row is '    [\n      "a",\n      "b",\n      "c"\n    ]'
+        cells = [name + ",\n      " for name in quoted]
+        groups, rows, stop = [], ["[\n"], 0
+        for l, group_runs in enumerate(self._runs(), start=1):
+            blocks, mine, tails = [], [], []
             for f, start, stop in group_runs:
                 # the factor's block at indent 8, cut at the value of its label
                 lead, _, tail = dumps(dict(f.to_json(l), label=""), 8).rpartition('""')
                 labels = (tail + ",\n        " + lead).join(quoted[start:stop])
                 blocks.append(Written((lead, labels, tail)))
+                # row (i, j) ends in j's semiroot contact when j is in i's
+                # group, and in i's contact with f when j is in a later one
+                own = f'"{fmt_q(f.contact_with_semiroot)}"\n    ]'
+                mine += [cell + own for cell in cells[start:stop]]
+                tails += [f'"{fmt_q(f.contact_with_f)}"\n    ]'] * (stop - start)
             cont_f = fmt_q(Fraction(self.char.b[l], self.char.b0))
             groups.append({"l": l, "cont_f": cont_f, "factors": blocks})
-        # a row is '    [\n      "a",\n      "b",\n      "c"\n    ]'
-        cells = [name + ",\n      " for name in quoted]
-        tails = [f'"{c}"\n    ]' for c in cross]
-        mine = [cell + f'"{c}"\n    ]' for cell, c in zip(cells, own)]
-        rows = ["[\n"]
-        for i, end in enumerate(ends):
-            lead = "    [\n      " + cells[i]
-            sep = ",\n" + lead
-            if i + 1 < end:
-                rows += [lead, sep.join(mine[i + 1:end]), ",\n"]
-            if end < len(names):
-                rows += [lead, (tails[i] + sep).join(cells[end:]), tails[i], ",\n"]
+            # the rows of the group's i-th factor: the rest of its group, then
+            # every later group
+            later = cells[stop:]
+            for i, (cell, tail) in enumerate(zip(cells[stop - len(mine):], tails), start=1):
+                lead = "    [\n      " + cell
+                sep = ",\n" + lead
+                if i < len(mine):
+                    rows += [lead, sep.join(mine[i:]), ",\n"]
+                if later:
+                    rows += [lead, (tail + sep).join(later), tail, ",\n"]
         rows[-1] = "\n  ]"
         return dumps({
             "char": list(self.char.b),
@@ -211,7 +200,7 @@ class PolarPrediction:
             "i_k": self.i_k,
             "multiplicity_total": self.multiplicity_total(),
             "groups": groups,
-            "pairwise_contacts": Written(rows) if len(names) > 1 else [],
+            "pairwise_contacts": Written(rows) if len(quoted) > 1 else [],
         })
 
     def to_text(self) -> str:
@@ -381,9 +370,10 @@ def export_eggers_wall(p: PolarPrediction, include_branch: bool = True) -> Egger
     # position in canonical emission order doubles as the sort key; group l
     # is by_group[l - 1], the position of its tuple, and the levels past the
     # prediction's groups are empty
-    leaves = iter(EWLeaf(name, (2, pos), f.char_exponents, f.multiplicity)
-                  for pos, (f, name) in enumerate(zip(p.factors(), p.labels())))
-    by_group = [[(f, next(leaves)) for f in group] for group in p.groups] + [[]] * cs.h
+    names = p.labels()
+    by_group = [[(f, EWLeaf(names[pos], (2, pos), f.char_exponents, f.multiplicity))
+                 for f, start, stop in group_runs for pos in range(start, stop)]
+                for group_runs in p._runs()] + [[]] * cs.h
 
     # vertices are (contact, children) until _finish; the trunk grows from
     # the leaf f toward the root and each f_l path from f_l toward the trunk

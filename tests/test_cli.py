@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from branchpolar import cli
 from branchpolar.errors import InvariantViolation
+from branchpolar.polar import predict
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMAS = Path(cli.__file__).parent / "schemas"
@@ -289,6 +291,24 @@ def test_an_internal_fault_is_not_a_usage_error(capsys, monkeypatch):
     assert cli.main(["verify", "12,16,30", "--k", "1", "--quiet"]) == cli.EXIT_USAGE
 
 
+def test_a_misordered_prediction_is_not_drawn(capsys, monkeypatch):
+    # the tree rests on the orderings the JSON writer checks, and refuses a
+    # prediction that breaks them with the JSON writer's message
+    def groups_reversed(cs, k):
+        p = predict(cs, k)
+        return replace(p, groups=p.groups[::-1])
+
+    monkeypatch.setattr(cli.polar, "predict", groups_reversed)
+    code = cli.main(["predict", "12,16,31", "--k", "1", "--format", "dot", "--quiet"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "InvariantViolation",
+        "message": "contact with f falls from 31/12 to 4/3 at z^(2)_1",
+    }
+
+
 def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     # a mutant of hat_chain that slices delta_l from [b_(l-2), b_(l-1)):
     # hat_transform then refuses a shift that lowers a weight, a ValueError
@@ -338,15 +358,18 @@ def test_operands_are_checked_before_any_work(capsys, monkeypatch, argv, error):
 @pytest.mark.parametrize("output,error", [
     ("missing/x.json", "FileNotFoundError"),
     (".", "IsADirectoryError"),  # the folder itself, which open() refuses after the work
-], ids=["missing-folder", "a-folder"])
+    ("a-file/x.json", "NotADirectoryError"),  # a parent that is a file
+], ids=["missing-folder", "a-folder", "under-a-file"])
 def test_output_folder_is_checked_before_any_work(tmp_path, capsys, monkeypatch, output, error):
     monkeypatch.setattr(cli.verify, "verify_prediction", None)  # never reached
+    (tmp_path / "a-file").write_text("kept\n")
     target = tmp_path / output
     code = cli.main(["verify", "12,16,31", "--k", "1", "--output", str(target), "--quiet"])
     diag = json.loads(capsys.readouterr().err)
     assert code == cli.EXIT_USAGE
     assert diag["error"] == error and str(target) in diag["message"]
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [tmp_path / "a-file"]
+    assert (tmp_path / "a-file").read_text() == "kept\n"
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import os
@@ -247,15 +248,40 @@ def _swap_groups(p):
     return replace(p, groups=p.groups[::-1])
 
 
-@pytest.mark.parametrize("mutant,cs,k", [
-    (_swap_two_z, EX2, 2),
-    (_swap_two_z, new_char_sequence([16, 23]), 1),
-    (_swap_groups, EX1, 1),
+@pytest.mark.parametrize("mutant,cs,k,message", [
+    (_swap_two_z, EX2, 2, "semiroot contact rises from 3/2 to 2 at z^(1)_2"),
+    (_swap_two_z, new_char_sequence([16, 23]), 1,
+     "semiroot contact rises from 13/9 to 3/2 at z^(1)_4"),
+    (_swap_groups, EX1, 1, "contact with f falls from 31/12 to 4/3 at z^(2)_1"),
 ], ids=["z-order-ex2", "z-order-K(16,23)", "group-order-ex1"])
-def test_contact_writers_reject_wrong_order(mutant, cs, k):
+def test_contact_writers_reject_wrong_order(mutant, cs, k, message):
+    # the JSON rows and the tree both rest on the two orderings: neither
+    # writer draws a prediction that breaks one
     p = mutant(predict(cs, k))
-    with pytest.raises(InvariantViolation):
-        p.to_json()
+    writers = [p.to_json] + [lambda b=b: export_eggers_wall(p, b).to_dot() for b in (True, False)]
+    for write in writers:
+        with pytest.raises(InvariantViolation) as err:
+            write()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("cs,k", [
+    (EX1, 1),
+    (EX1, 2),
+    (new_char_sequence([64, 96, 112, 120, 124, 125]), 5),
+], ids=["ex1-k1", "ex1-k2", "K(64,96,112,120,124,125)-k5"])
+def test_runs_of_copied_factors_write_the_same(cs, k):
+    # the writers find a run by the identity of its factor object, only for
+    # speed: a prediction whose every factor is a copy of its own, each run
+    # one factor long, writes the same bytes
+    p = predict(cs, k)
+    copied = replace(p, groups=tuple(tuple(map(copy.copy, group)) for group in p.groups))
+    assert any(len(group) > len(set(map(id, group))) for group in p.groups)
+    assert all(len(group) == len(set(map(id, group))) for group in copied.groups)
+    assert copied.to_json() == p.to_json()
+    for include_branch in (True, False):
+        assert (export_eggers_wall(copied, include_branch).to_dot()
+                == export_eggers_wall(p, include_branch).to_dot())
 
 
 def test_merle_first_polar_multiplicities():
