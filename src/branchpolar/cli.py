@@ -68,7 +68,7 @@ def _class_and_order(args) -> tuple:
 
 
 def _class_order_and_seeds(args) -> tuple:
-    seeds = verify.check_seeds(int(v) for v in args.seeds.split(",") if v.strip())
+    seeds = verify.check_seeds(int(v) for v in args.seeds.split(","))
     return (*_class_and_order(args), seeds)
 
 

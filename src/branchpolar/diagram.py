@@ -7,8 +7,9 @@ right).  The chain implicitly carries a vertical ray above its first vertex
 and a horizontal ray right of its last one, so non-convenient diagrams
 (translated quadrants, rays) need no special casing.
 
-Supported operations: hulls of supports, canonical and long canonical
-representations, truncation at a height, and symbolic derivatives.
+Supported operations: hulls of supports, each one pass over the support
+sorted by (x, y); canonical and long canonical representations; truncation
+at a height; and symbolic derivatives.
 Truncation and derivatives build the lattice hull of the cut edge by gift
 wrapping with Stern-Brocot steps from the vertex above the cut, the first
 step running down the crossing edge, in time polylogarithmic in the height
@@ -33,36 +34,6 @@ __all__ = [
     "from_support",
     "elementary",
 ]
-
-def _normalize_chain(points) -> tuple:
-    """Vertex chain of the diagram spanned by ``points``.
-
-    Keeps the Pareto-minimal points, then prunes everything that is not a
-    vertex of the convex hull (collinear points included).
-    """
-    best: dict[int, int] = {}
-    for x, y in points:
-        if x < 0 or y < 0:
-            raise ValueError(f"support points must be nonnegative, got ({x}, {y})")
-        cur = best.get(x)
-        if cur is None or y < cur:
-            best[x] = y
-    frontier = []
-    for x in sorted(best):
-        y = best[x]
-        if frontier and y >= frontier[-1][1]:
-            continue
-        frontier.append((x, y))
-
-    hull: list = []
-    for c in frontier:
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            if (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) > 0:
-                break
-            hull.pop()
-        hull.append(c)
-    return tuple(hull)
 
 
 @dataclass(frozen=True)
@@ -240,9 +211,30 @@ def _steepest_step(p: int, q: int, s: int, height: int):
 
 
 def from_support(points) -> NewtonDiagram:
-    """Diagram spanned by a nonempty set of lattice points; NewtonDiagram
-    raises EmptySupport for an empty one."""
-    return NewtonDiagram(_normalize_chain(points))
+    """Diagram spanned by a nonempty set of lattice points, any iterable of
+    pairs; NewtonDiagram raises EmptySupport for an empty one, and a
+    negative coordinate raises ValueError.
+
+    One pass over the support sorted by (x, y): a point is kept only when it
+    lies strictly below the last vertex kept, which drops every point above
+    its column's lowest (sorting puts that one first) and every point that
+    some point to its left dominates.  Before a point is kept, the vertices
+    that it leaves without a strictly convex turn, collinear ones included,
+    are popped.
+    """
+    hull: list = []
+    for x, y in sorted((x, y) for x, y in points):
+        if x < 0 or y < 0:
+            raise ValueError(f"support points must be nonnegative, got ({x}, {y})")
+        if hull and y >= hull[-1][1]:
+            continue
+        while len(hull) >= 2:
+            (xa, ya), (xb, yb) = hull[-2], hull[-1]
+            if (xb - xa) * (y - yb) - (yb - ya) * (x - xb) > 0:
+                break
+            hull.pop()
+        hull.append((x, y))
+    return NewtonDiagram(tuple(hull))
 
 
 def elementary(m: int, n: int) -> NewtonDiagram:

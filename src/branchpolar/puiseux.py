@@ -430,7 +430,7 @@ def min_poly(a: PuiseuxSeries, cut=None) -> BivariatePoly:
     if not terms:
         return BivariatePoly({(0, n): 1})
     shift, top = terms[0][0], terms[-1][0]
-    den = lcm(*(Fraction(c).denominator for _, c in terms))
+    den = lcm(*(c.denominator for _, c in terms))
     scaled = [(i - shift, int(c * den)) for i, c in terms]
     total = sum(abs(c) for _, c in scaled)
     s = (n & -n).bit_length() - 1

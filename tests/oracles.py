@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
 Everything here recomputes results by a different route than the package:
-truncations row by row, first derivatives of elementary diagrams by
-continued fractions, conjugate products by exact cyclotomic arithmetic and
+hulls of supports point by point off the definition, truncations row by
+row, first derivatives of elementary diagrams by continued fractions,
+conjugate products by exact cyclotomic arithmetic and
 by iterated norms (Laplace
 determinants), random valid characteristic sequences by rejection,
 pairwise contacts one pair at a time, the prediction document as a dict
@@ -102,6 +103,27 @@ def on_polygon(d: NewtonDiagram, point) -> bool:
             if (xb - xa) * (y - ya) == (yb - ya) * (x - xa):
                 return True
     return False
+
+
+def hull_vertices_oracle(points) -> tuple:
+    """Vertex chain of the diagram spanned by ``points``, point by point off
+    the definition: a distinct point p is a vertex when no other point lies
+    weakly below and left of it, and no chord from a point a left of it to a
+    point b right of it passes weakly below it.  Takes time cubic in the
+    number of distinct points."""
+    pts = set(points)
+
+    def vertex(p):
+        px, py = p
+        if any(q != p and q[0] <= px and q[1] <= py for q in pts):
+            return False
+        return not any(
+            (bx - ax) * (py - ay) >= (by - ay) * (px - ax)
+            for ax, ay in pts if ax < px
+            for bx, by in pts if px < bx
+        )
+
+    return tuple(sorted(filter(vertex, pts)))
 
 
 def staircase_trunc_oracle(d: NewtonDiagram, k: int) -> NewtonDiagram:

@@ -333,12 +333,16 @@ def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     (["verify", "12,16,31", "--k", "12"], "OrderOutOfRange"),
     (["verify", "12,16,31", "--k", "1", "--seeds", ","], "ValueError"),
     (["verify", "12,16,31", "--k", "1", "--seeds", "1,x"], "ValueError"),
+    (["verify", "6,7", "--k", "1", "--seeds", "1,,2"], "ValueError"),
+    (["verify", "6,7", "--k", "1", "--seeds", "1,"], "ValueError"),
+    (["verify", "6,7", "--k", "1", "--seeds", ",1"], "ValueError"),
     (["verify", "6,7", "--k", "1", "--seeds=-5,5"], "ValueError"),
     (["verify", "6,7", "--k", "1", "--seeds=-1"], "ValueError"),
     (["verify", "12,16,31", "--k", "10", "--seeds", "17,17"], "ValueError"),
     (["verify", "6,7", "--k", "1", "--seeds", "5,3,5"], "ValueError"),
     (["example", "ex1", "--k", "12"], "OrderOutOfRange"),
-], ids=["order", "no-seeds", "seed-not-int", "negative-seed", "negative-seed-alone",
+], ids=["order", "no-seeds", "seed-not-int", "empty-seed-between", "empty-seed-last",
+        "empty-seed-first", "negative-seed", "negative-seed-alone",
         "repeated-seed", "repeated-seed-apart", "example-order"])
 def test_operands_are_checked_before_any_work(capsys, monkeypatch, argv, error):
     def no_work(*args, **kwargs):

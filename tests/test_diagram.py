@@ -18,6 +18,7 @@ from oracles import (
     SplitTooDeep,
     elementary_derivative_closed_form,
     face_sum,
+    hull_vertices_oracle,
     inclination,
     initial_part,
     minkowski_sum,
@@ -67,6 +68,26 @@ def test_an_elementary_diagram_with_a_zero_leg_is_the_quadrant(m, n):
 def test_from_support_rejects_a_negative_point(point):
     with pytest.raises(ValueError, match="support points must be nonnegative"):
         from_support({(0, 2), point})
+
+
+# small coordinates, so repeated points, several points in one column or
+# row, collinear runs and points on both axes are all common
+_small_supports = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_small_supports, st.data())
+def test_from_support_matches_hull_oracle(support, data):
+    assert from_support(support).vertices == hull_vertices_oracle(support)
+    # a generator of lists is unpacked the same way
+    assert from_support([x, y] for x, y in support).vertices == hull_vertices_oracle(support)
+    # a negative coordinate is refused wherever it sits in the input
+    x, y = data.draw(st.sampled_from([(-1, 0), (0, -1), (-3, 5), (5, -3)]))
+    at = data.draw(st.integers(0, len(support)))
+    with pytest.raises(ValueError, match=rf"^support points must be nonnegative, got \({x}, {y}\)$"):
+        from_support([*support[:at], (x, y), *support[at:]])
 
 
 def test_vertex_chain_validation():
