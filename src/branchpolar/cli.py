@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import json
-import os
 import sys
 
 from . import __version__
 from . import polar, verify
 from .charclass import parse_char
-from .errors import BranchPolarError, OrderOutOfRange
+from .errors import BranchPolarError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -31,7 +29,7 @@ class _Parser(argparse.ArgumentParser):
 def _emit(text: str, args) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
@@ -43,28 +41,9 @@ def _emit(text: str, args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_output(args) -> None:
-    # output is written after the work, but a path that open() refuses fails
-    # before it, with open()'s error: a folder in its place, or a parent
-    # that is missing (ENOENT) or is not a folder (ENOTDIR)
-    if args.output and os.path.isdir(args.output):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
-    parent = args.output and os.path.dirname(os.path.abspath(args.output))
-    if parent and not os.path.isdir(parent):
-        try:
-            os.stat(parent)  # a parent that is there is not a folder
-            code = errno.ENOTDIR
-        except OSError as exc:  # a missing parent, or one under a file
-            code = exc.errno
-        # OSError picks the subclass from the errno
-        raise OSError(code, os.strerror(code), args.output)
-
-
 def _class_and_order(args) -> tuple:
     cs = parse_char(WORKED_EXAMPLES[args.name] if args.command == "example" else args.char)
-    if not 1 <= args.k < cs.b0:
-        raise OrderOutOfRange(f"polar order must satisfy 1 <= k < {cs.b0}, got {args.k}")
-    return (cs,)
+    return cs, polar.check_order(cs, args.k)
 
 
 def _class_order_and_seeds(args) -> tuple:
@@ -72,8 +51,8 @@ def _class_order_and_seeds(args) -> tuple:
     return (*_class_and_order(args), seeds)
 
 
-def _cmd_predict(args, cs) -> int:
-    prediction = polar.predict(cs, args.k)
+def _cmd_predict(args, cs, k) -> int:
+    prediction = polar.predict(cs, k)
     if args.format == "json":
         _emit(prediction.to_json(), args)
     elif args.format == "dot":
@@ -84,8 +63,8 @@ def _cmd_predict(args, cs) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, cs, seeds) -> int:
-    report = verify.verify_prediction(cs, args.k, seeds)
+def _cmd_verify(args, cs, k, seeds) -> int:
+    report = verify.verify_prediction(cs, k, seeds)
     _emit(report.to_json() if args.format == "json" else report.to_text(), args)
     return {"PASS": EXIT_OK, "FAIL": EXIT_FAIL}.get(report.verdict, EXIT_UNKNOWN)
 
@@ -160,8 +139,11 @@ def main(argv=None) -> int:
     if not args.quiet and sys.stderr.isatty():
         print(f"branchpolar {__version__}", file=sys.stderr)
     try:
-        _check_output(args)
         operands = args.operands(args)
+        if args.output is not None:
+            # open() refuses a bad path before the work, with its own error;
+            # "a" creates a missing file and leaves an existing one as it is
+            open(args.output, "a").close()
     except (BranchPolarError, ValueError, OSError) as exc:
         return _fail(exc, EXIT_USAGE)
     try:

@@ -64,6 +64,9 @@ class NewtonDiagram:
         v = self.vertices
         if not v:
             raise EmptySupport("a diagram needs at least one vertex")
+        for x, y in v:
+            if type(x) is not int or type(y) is not int:
+                raise ValueError(f"vertices must be lattice points, got {v}")
         for (xa, ya), (xb, yb) in zip(v, v[1:]):
             if not (xa < xb and ya > yb):
                 raise ValueError(f"vertex chain not monotone: {v}")
@@ -213,7 +216,8 @@ def _steepest_step(p: int, q: int, s: int, height: int):
 def from_support(points) -> NewtonDiagram:
     """Diagram spanned by a nonempty set of lattice points, any iterable of
     pairs; NewtonDiagram raises EmptySupport for an empty one, and a
-    negative coordinate raises ValueError.
+    negative coordinate, or one that is not an int (a bool or a float among
+    them), raises ValueError.
 
     One pass over the support sorted by (x, y): a point is kept only when it
     lies strictly below the last vertex kept, which drops every point above
@@ -224,6 +228,8 @@ def from_support(points) -> NewtonDiagram:
     """
     hull: list = []
     for x, y in sorted((x, y) for x, y in points):
+        if type(x) is not int or type(y) is not int:
+            raise ValueError(f"support points must be integers, got ({x!r}, {y!r})")
         if x < 0 or y < 0:
             raise ValueError(f"support points must be nonnegative, got ({x}, {y})")
         if hull and y >= hull[-1][1]:

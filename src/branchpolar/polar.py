@@ -56,7 +56,7 @@ from operator import itemgetter
 
 from . import diagram as diagram_mod
 from .charclass import CharSequence
-from .errors import InvariantViolation, OrderOutOfRange
+from .errors import InvariantViolation, OrderOutOfRange, integers
 from .jsontext import Written, dumps
 from .rational import fmt_q
 
@@ -64,6 +64,7 @@ __all__ = [
     "PolarFactor",
     "PolarPrediction",
     "EggersWallExport",
+    "check_order",
     "predict",
     "export_eggers_wall",
 ]
@@ -238,10 +239,19 @@ def _check_branch(f: PolarFactor) -> None:
         raise InvariantViolation(f"not a branch: the index {index} of {f} is not its multiplicity")
 
 
-def predict(cs: CharSequence, k: int) -> PolarPrediction:
-    """Equisingularity data of the generic k-th polar of the class ``cs``."""
+def check_order(cs: CharSequence, k) -> int:
+    """The polar order ``k`` as an int with 1 <= k < b0, or OrderOutOfRange;
+    a bool or a float is refused, not read as a number."""
+    [k] = integers([k], OrderOutOfRange)
     if not 1 <= k < cs.b0:
         raise OrderOutOfRange(f"polar order must satisfy 1 <= k < {cs.b0}, got {k}")
+    return k
+
+
+def predict(cs: CharSequence, k: int) -> PolarPrediction:
+    """Equisingularity data of the generic k-th polar of the class ``cs``,
+    for an int k with 1 <= k < b0 (``check_order``)."""
+    k = check_order(cs, k)
     exponents = cs.char_exponents()
     groups = []
     for l in range(1, cs.h + 1):

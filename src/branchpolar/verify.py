@@ -82,7 +82,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, zip_longest
 from math import comb, gcd
 
 from . import diagram as diagram_mod
@@ -408,10 +408,13 @@ class LevelReport:
     def status(self) -> str:
         return "degenerate" if self.reasons else "ok"
 
+    def _found(self) -> tuple:
+        """The observed Z-factors as (part, contact, multiplicity)."""
+        return tuple(zip(self.steep_parts, self.contacts, self.multiplicities))
+
     @property
     def prediction_match(self) -> bool | None:
-        found = tuple(zip(self.steep_parts, self.contacts, self.multiplicities))
-        return None if self.expectation is None else found == self.expectation.z_factors
+        return None if self.expectation is None else self._found() == self.expectation.z_factors
 
     @property
     def aggregate_predicted(self) -> int | None:
@@ -435,7 +438,11 @@ class LevelReport:
         if self.initial_form_ok is False:
             out.append(f"level {self.level}: initial form mismatch")
         if self.prediction_match is False:
-            out.append(f"level {self.level}: extracted factors disagree with prediction")
+            # the first Z-factor where the two differ, "none" on a side that ends before it
+            l, sides = self.level, zip_longest(self._found(), self.expectation.z_factors)
+            j, *pair = next((j, a, b) for j, (a, b) in enumerate(sides, 1) if a != b)
+            seen, said = ("none" if z is None else f"({z[0]}, {fmt_q(z[1])}, {z[2]})" for z in pair)
+            out.append(f"level {l}: z^({l})_{j} observed {seen}, predicted {said}")
         if self.aggregate_ok is False and self.aggregate_predicted is None:
             exp = self.expectation
             out.append(f"predicted multiplicity {exp.multiplicity} at level {self.level} is not "
@@ -680,7 +687,7 @@ def verify_prediction(cs: CharSequence, k: int, seeds) -> VerificationReport:
     retried with fresh seeds while none has passed, up to ``MAX_SEED_RUNS``
     runs in total.
     """
-    prediction = predict(cs, k)  # OrderOutOfRange unless 1 <= k < b0
+    prediction = predict(cs, k)  # OrderOutOfRange unless k is an int, 1 <= k < b0
     seeds = check_seeds(seeds)
     depth = sum(e > k for e in cs.e[:-1])
     runs, passed = [], False

@@ -2,6 +2,7 @@ import ast
 import inspect
 import io
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -361,19 +362,59 @@ def test_operands_are_checked_before_any_work(capsys, monkeypatch, argv, error):
 
 @pytest.mark.parametrize("output,error", [
     ("missing/x.json", "FileNotFoundError"),
-    (".", "IsADirectoryError"),  # the folder itself, which open() refuses after the work
+    (".", "IsADirectoryError"),  # the folder itself
     ("a-file/x.json", "NotADirectoryError"),  # a parent that is a file
-], ids=["missing-folder", "a-folder", "under-a-file"])
+    ("missing/", "IsADirectoryError"),  # a path that names a folder, though none is there
+], ids=["missing-folder", "a-folder", "under-a-file", "trailing-slash"])
 def test_output_folder_is_checked_before_any_work(tmp_path, capsys, monkeypatch, output, error):
+    # main opens --output before the work, so open() refuses it with its own error
     monkeypatch.setattr(cli.verify, "verify_prediction", None)  # never reached
     (tmp_path / "a-file").write_text("kept\n")
-    target = tmp_path / output
-    code = cli.main(["verify", "12,16,31", "--k", "1", "--output", str(target), "--quiet"])
-    diag = json.loads(capsys.readouterr().err)
-    assert code == cli.EXIT_USAGE
-    assert diag["error"] == error and str(target) in diag["message"]
+    target = os.path.join(tmp_path, output)  # a Path would drop the trailing "/"
+    code = cli.main(["verify", "12,16,31", "--k", "1", "--output", target, "--quiet"])
+    captured = capsys.readouterr()
+    diag = json.loads(captured.err)
+    assert code == cli.EXIT_USAGE and captured.out == ""
+    assert diag["error"] == error and target in diag["message"]
     assert list(tmp_path.iterdir()) == [tmp_path / "a-file"]
     assert (tmp_path / "a-file").read_text() == "kept\n"
+
+
+def test_an_empty_output_path_is_refused(capsys, monkeypatch):
+    # "" is a path that open() refuses, not a request for stdout
+    monkeypatch.setattr(cli.verify, "verify_prediction", None)  # never reached
+    code = cli.main(["verify", "12,16,31", "--k", "1", "--output", "", "--quiet"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "FileNotFoundError"
+
+
+def test_a_refused_command_line_creates_no_output(tmp_path, capsys):
+    # the operands are checked before --output is opened
+    code = cli.main(["predict", "12,16,31", "--k", "12", "--output", str(tmp_path / "out.txt"),
+                     "--quiet"])
+    assert code == cli.EXIT_USAGE
+    assert json.loads(capsys.readouterr().err)["error"] == "OrderOutOfRange"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_internal_fault_keeps_an_existing_output(tmp_path, capsys, monkeypatch):
+    # --output is opened for appending before the work and written only after
+    # it: a run that ends in exit 4 leaves an existing file as it was, and a
+    # new one empty
+    def broken(cs, k):
+        raise InvariantViolation("the prediction broke")
+
+    monkeypatch.setattr(cli.polar, "predict", broken)
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text("kept\n")
+    for target in (old, new):
+        code = cli.main(["predict", "12,16,31", "--k", "1", "--output", str(target), "--quiet"])
+        assert code == cli.EXIT_INTERNAL
+        assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolation"
+    assert old.read_text() == "kept\n"
+    assert new.read_text() == ""
 
 
 def test_output_file(tmp_path, capsys):

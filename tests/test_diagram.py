@@ -70,6 +70,15 @@ def test_from_support_rejects_a_negative_point(point):
         from_support({(0, 2), point})
 
 
+@pytest.mark.parametrize("support", [
+    [(0, 2.0), (3, 0)], [(True, 0), (0, 2)], [(1.5, 0), (0, 2)], [(0, 0), (5, 2.0)],
+], ids=["float-vertex", "bool-vertex", "fraction-vertex", "float-above-the-hull"])
+def test_from_support_rejects_a_point_that_is_not_a_lattice_point(support):
+    # a usage error, even for a point that the hull would drop
+    with pytest.raises(ValueError, match="^support points must be integers"):
+        from_support(support)
+
+
 # small coordinates, so repeated points, several points in one column or
 # row, collinear runs and points on both axes are all common
 _small_supports = st.lists(
@@ -95,6 +104,9 @@ def test_vertex_chain_validation():
         NewtonDiagram(((0, 2), (1, 2)))          # y not decreasing
     with pytest.raises(ValueError):
         NewtonDiagram(((0, 4), (1, 2), (2, 0)))  # collinear middle vertex
+    for chain in (((0, 2.5), (3, 0)), ((0, 2), (True, 0)), ((0.0, 0),)):
+        with pytest.raises(ValueError, match="^vertices must be lattice points"):
+            NewtonDiagram(chain)
 
 
 # -- Minkowski sums -----------------------------------------------------------

@@ -76,9 +76,15 @@ def test_predict_rejects_a_factor_that_is_not_a_branch(monkeypatch, mutant, cs, 
 # -- an unsplit canonical representation -----------------------------------------
 
 
-@pytest.mark.parametrize("b,k", [((12, 16, 31), 1), ((12, 16, 31), 2), ((10, 14, 15), 1),
-                                 ((7, 17), 2), ((16, 23), 1), ((16, 23), 3)])
-def test_verify_fails_when_canonical_rep_does_not_split(monkeypatch, b, k):
+@pytest.mark.parametrize("b,k,line", [
+    ((12, 16, 31), 1, "level 2: z^(2)_1 observed ((8, 1), 8/3, 3), predicted ((24, 3), 8/3, 9)"),
+    ((12, 16, 31), 2, "level 2: z^(2)_1 observed ((8, 1), 8/3, 3), predicted ((16, 2), 8/3, 6)"),
+    ((10, 14, 15), 1, "level 1: z^(1)_1 observed ((3, 2), 3/2, 2), predicted ((6, 4), 3/2, 4)"),
+    ((7, 17), 2, "level 1: z^(1)_2 observed ((5, 2), 5/2, 2), predicted ((10, 4), 5/2, 4)"),
+    ((16, 23), 1, "level 1: z^(1)_1 observed ((3, 2), 3/2, 2), predicted ((9, 6), 3/2, 6)"),
+    ((16, 23), 3, "level 1: z^(1)_1 observed ((3, 2), 3/2, 2), predicted ((6, 4), 3/2, 4)"),
+], ids=["b0-1", "b1-2", "b2-1", "b3-2", "b4-1", "b5-3"])
+def test_verify_fails_when_canonical_rep_does_not_split(monkeypatch, b, k, line):
     # predict splits equal parts into primitive copies through
     # canonical_rep(long=True).  With the short form in its place it predicts
     # fewer Z-factors of doubled multiplicity; the verifier reads its steep
@@ -98,7 +104,7 @@ def test_verify_fails_when_canonical_rep_does_not_split(monkeypatch, b, k):
     assert predict(cs, k).to_json() != right
     report = verify_prediction(cs, k, [1, 2, 3, 4, 5])
     assert report.verdict == "FAIL", report.to_text()
-    assert any("disagree" in f for run in report.runs for f in run.failures)
+    assert [f for run in report.runs for f in run.failures] == [line]
 
 
 # -- the factor counts and the steep parts ----------------------------------------
@@ -159,15 +165,19 @@ def _every_factor_in_group_1(cs, k):
     return replace(p, groups=(tuple(p.factors()),) + ((),) * (p.i_k - 1))
 
 
-@pytest.mark.parametrize("b,k", [((12, 16, 31), 2), ((10, 14, 15), 1), ((16, 24, 28, 30, 31), 3)])
-def test_verify_reads_each_factor_at_its_position(monkeypatch, b, k):
+@pytest.mark.parametrize("b,k,line", [
+    ((12, 16, 31), 2, "level 1: z^(1)_2 observed none, predicted ((8, 1), 8/3, 3)"),
+    ((10, 14, 15), 1, "level 1: z^(1)_3 observed none, predicted ((8, 1), 8/5, 5)"),
+    ((16, 24, 28, 30, 31), 3, "level 1: z^(1)_2 observed none, predicted ((4, 1), 2, 2)"),
+], ids=["b0-2", "b1-1", "b2-3"])
+def test_verify_reads_each_factor_at_its_position(monkeypatch, b, k, line):
     # a factor's group is the position of its tuple, which the labels and
     # the JSON show: a factor of a deeper group moved into group 1 meets
-    # level 1's steep parts and FAILs
+    # level 1's steep parts and FAILs, at the first Z-factor past them
     monkeypatch.setattr(verify, "predict", _every_factor_in_group_1)
     report = verify_prediction(new_char_sequence(b), k, [1, 2])
     assert report.verdict == "FAIL", report.to_text()
-    assert "level 1: extracted factors disagree with prediction" in report.runs[-1].failures
+    assert line in report.runs[-1].failures
 
 
 def _groups_reversed(cs, k):

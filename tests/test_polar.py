@@ -92,10 +92,11 @@ def test_ex2_second_polar():
 
 
 def test_order_out_of_range():
-    with pytest.raises(OrderOutOfRange):
-        predict(EX1, 0)
-    with pytest.raises(OrderOutOfRange):
-        predict(EX1, 12)
+    # an order that is not an int is refused, not read as a number: True
+    # would reach the JSON as "k": true, which the schema refuses
+    for k in (True, 2.0, "2", 0, 12):
+        with pytest.raises(OrderOutOfRange):
+            predict(EX1, k)
 
 
 def test_multiplicity_conservation_random():

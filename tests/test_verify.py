@@ -906,7 +906,12 @@ def test_verify_regression_grid():
             assert report.verdict == "PASS", (b, k, report.to_text())
 
 
-def test_verify_rejects_bad_order():
+def test_verify_rejects_bad_order(monkeypatch):
+    import branchpolar.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "sample_witness", None)  # refused before any witness
+    with pytest.raises(OrderOutOfRange):
+        verify_prediction(EX1, True, [1])
     with pytest.raises(OrderOutOfRange):
         verify_prediction(EX1, 0, [1])
     with pytest.raises(OrderOutOfRange):
@@ -980,7 +985,8 @@ def test_hard_contradiction_reports_fail(monkeypatch):
     monkeypatch.setattr(verify_mod, "predict", tampered)
     report = verify_mod.verify_prediction(EX2, 1, [1])
     assert report.verdict == "FAIL"
-    assert any("disagree" in f for run in report.runs for f in run.failures)
+    assert [f for run in report.runs for f in run.failures] == [
+        "level 1: z^(1)_1 observed ((3, 2), 3/2, 2), predicted ((3, 2), 3/2, 3)"]
 
 
 @pytest.mark.parametrize("extra", [True, False], ids=["extra-empty-group", "last-group-missing"])
@@ -1008,7 +1014,7 @@ def test_a_wrong_group_count_reads_fail(monkeypatch, extra):
                                "the number of levels l with e_(l-1) > 1")
     assert run.failures[1:] == (() if extra else (
         "level 1: edge length 9 != predicted 0",
-        "level 2: extracted factors disagree with prediction",
+        "level 2: z^(2)_1 observed ((8, 1), 8/3, 3), predicted none",
     ))
 
 
