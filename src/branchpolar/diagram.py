@@ -226,8 +226,14 @@ def from_support(points) -> NewtonDiagram:
     that it leaves without a strictly convex turn, collinear ones included,
     are popped.
     """
+    support = [(x, y) for x, y in points]
+    try:
+        support.sort()
+    except TypeError:  # a coordinate that does not compare with an int
+        x, y = next((x, y) for x, y in support if type(x) is not int or type(y) is not int)
+        raise ValueError(f"support points must be integers, got ({x!r}, {y!r})") from None
     hull: list = []
-    for x, y in sorted((x, y) for x, y in points):
+    for x, y in support:
         if type(x) is not int or type(y) is not int:
             raise ValueError(f"support points must be integers, got ({x!r}, {y!r})")
         if x < 0 or y < 0:

@@ -7,7 +7,14 @@ from operator import index
 def integers(values, error: type) -> tuple:
     """``values`` as a tuple of ints, each read by ``operator.index``: a
     bool, a float or anything else it refuses raises ``error`` instead of
-    being truncated by ``int``."""
+    being truncated by ``int``.
+
+    This is how the package reads the numbers a caller passes: the entries
+    of a class, an order k, the legs of an elementary diagram and the
+    numbers of a continued fraction.  Lattice points
+    (``diagram.from_support``, ``NewtonDiagram`` vertices) and witness
+    seeds are not read through it: they must be exact ints, since a seed is
+    written into the report as a JSON integer."""
     out = []
     for v in values:
         try:

@@ -16,13 +16,14 @@ polynomials this module builds itself (:func:`min_poly`,
 skip those checks and are only cleared of zeros and whole Fractions.  The
 only way terms are dropped is a weight cut ``(wx, wy, cap)``, taken by
 :func:`min_poly` and :func:`hat_transform`: every term x^i y^j with
-wx*i + wy*j above ``cap`` is left out.  :func:`hat_transform` is a Taylor
-shift in y, one cut product of each row with each power of the substituted
-series.  The readers take one term per row, its first, least x-exponent:
-:func:`diagram_of`, the Newton diagram, hulls the rows' first terms, and
-:func:`edge_poly`, the coefficients on a compact edge, reads the first term
-of each row, the only one that can reach a supporting line;
-:func:`row_starts` keeps just those terms, and the row starts of a
+wx*i + wy*j above ``cap`` is left out.  :func:`hat_transform` composes one
+monomial shift y -> y + c x^e per term of the substituted series and cuts
+after each: a shift never lowers a weight, so a term past the cap only
+makes terms past the cap.  The readers take one term per row, its first,
+least x-exponent: :func:`diagram_of`, the Newton diagram, hulls the rows'
+first terms, and :func:`edge_poly`, the coefficients on a compact edge,
+reads the first term of each row, the only one that can reach a supporting
+line; :func:`row_starts` keeps just those terms, and the row starts of a
 y-derivative are the derivative of the row starts.
 
 The centrepiece is :func:`min_poly`: the monic polynomial whose roots are the
@@ -494,23 +495,6 @@ def derivative_y(f: BivariatePoly, k: int) -> BivariatePoly:
                  for j, row in f.rows.items() if j >= k)
 
 
-def _cut_product(acc: dict, a: list, b: list, top: int, scale) -> None:
-    """Add ``scale`` times the product of a and b, lists of (e, c) sorted by
-    exponent, into acc, {e: c}, leaving out every exponent above ``top``:
-    with both sides sorted, a term's partners stop at the first one past
-    the room left, and the terms of a stop at the first with no room for
-    b's first term."""
-    for e, c in a:
-        left = top - e
-        if b[0][0] > left:
-            break  # and so is every later term of a
-        c *= scale
-        for e2, c2 in b:
-            if e2 > left:
-                break
-            acc[e + e2] = acc.get(e + e2, 0) + c * c2
-
-
 def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
                   cut=None) -> BivariatePoly:
     """The substitution f(x^n_sub, y + lam(x^n_sub)).
@@ -518,66 +502,61 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
     ``lam(x^n_sub)`` must have integer exponents, i.e. the index of ``lam``
     must divide ``n_sub``.
 
-    With mu = lam(x^n_sub) and f = sum_j f_j(x) y^j this is the Taylor shift
-    sum_s mu^s sum_j binom(j, s) f_j(x^n_sub) y^(j-s), computed as written:
-    the powers mu^s once, then each y-slice f_j times binom(j, s) mu^s added
-    into row j - s, every product one ``_cut_product``.
+    With mu = lam(x^n_sub) the substitution y -> y + mu is the composition
+    of one monomial shift y -> y + c x^e per term of mu, since
+    f(y + mu_1 + mu_2) = (f(y + mu_1))(y + mu_2).  Starting from f with x
+    scaled to x^n_sub, each shift turns a term a x^i y^j into the terms
+    binom(j, s) c^s a x^(i + s e) y^(j - s), s = 0..j.
 
     With ``cut = (wx, wy, cap)`` every term x^i y^j of weight wx*i + wy*j
-    above ``cap`` is left out: row r keeps x-exponents up to
-    (cap - wy*r) // wx, and the powers of mu are cut at cap // wx.  Going
-    from s to s + 1 moves a slice's contribution one row down, which lowers
-    its weight by wy, and multiplies it by mu, which raises it by at least
-    wx * ord(mu) >= wy (a lowering substitution is refused).  So the
-    lightest term of f_j mu^s only gets heavier as s grows, and the terms of
-    a slice stop at the first s whose lightest term is past its row's room.
+    above ``cap`` is left out, after scaling and after every shift.  Step s
+    of a shift raises a term's weight by s (wx e - wy), never negative
+    since a lowering substitution, wx * ord(mu) < wy, is refused.  So a term
+    past the cap only makes terms past the cap, and the cut drops nothing
+    that the result keeps.
 
     Without a cut nothing is left out: the weight is (1, 1) and the cap the
     largest i n_sub + j h over the terms x^i y^j of f, h the top exponent
-    of mu (1 for mu = 0).  Every exponent of mu is at least 1, so each term
-    of f_j(x^n_sub) mu^s in row j - s weighs at most i n_sub + s h + j - s,
-    which is at most i n_sub + j h.
+    of mu (1 for mu = 0).  Every exponent of mu is at least 1, so after all
+    shifts a term weighs at most i n_sub + (sum of its steps) h + j - (sum
+    of its steps), which is at most i n_sub + j h.
     """
     if type(n_sub) is not int or n_sub < 1:
         raise ValueError(f"substitution exponent must be a positive integer, got {n_sub!r}")
-    mu = {}
+    mu = []  # the terms (e, c) of lam(x^n_sub), c x^e, by increasing e
     for i, c in lam.terms:
         e = i * n_sub
         if e % lam.denom:
             raise NonIntegralSubstitution(
                 f"exponent {i}/{lam.denom} * {n_sub} is not an integer"
             )
-        mu[e // lam.denom] = c
-    mu_items = sorted(mu.items())
+        mu.append((e // lam.denom, c))
     degree = max(f.rows, default=0)
     if cut is None:
-        high = mu_items[-1][0] if mu_items else 1
+        high = mu[-1][0] if mu else 1
         cut = (1, 1, max((n_sub * max(row) + j * high for j, row in f.rows.items()), default=0))
     wx, wy, cap = cut
     if wx < 1 or wy < 1:
         raise ValueError(f"cut weights must be positive, got ({wx}, {wy})")
-    if mu_items and wx * mu_items[0][0] < wy:
-        raise ValueError(f"y + x^{mu_items[0][0]} lowers the weight ({wx}, {wy})")
-    room = [(cap - wy * r) // wx for r in range(degree + 1)]
-
-    powers = [[(0, 1)]]  # powers[s] = mu^s, by increasing exponent, cut at room[0]
-    for _ in range(degree):
-        acc: dict = {}
-        # mu's terms on the outside: for mu = 0 the product is empty
-        _cut_product(acc, mu_items, powers[-1], room[0], 1)
-        power = sorted((e, c) for e, c in acc.items() if c)
-        if not power:  # past the cut, and so is every higher power
-            break
-        powers.append(power)
+    if mu and wx * mu[0][0] < wy:
+        raise ValueError(f"y + x^{mu[0][0]} lowers the weight ({wx}, {wy})")
 
     rows: list = [{} for _ in range(degree + 1)]  # rows[r] = {i: c}, the x-polynomial at y^r
     for j, f_j in f.rows.items():
-        items = sorted((i * n_sub, c) for i, c in f_j.items())
-        for s, power in enumerate(powers[:j + 1]):
-            top = room[j - s]
-            if items[0][0] + power[0][0] > top:
-                break  # and so is every later s
-            _cut_product(rows[j - s], items, power, top, comb(j, s))
+        top = (cap - wy * j) // wx
+        rows[j] = {i * n_sub: c for i, c in f_j.items() if i * n_sub <= top}
+    for e, c in mu:
+        rise = wx * e - wy  # the weight one step adds
+        shifted = [{} for _ in range(degree + 1)]
+        for j, row in enumerate(rows):
+            # step s takes a x^i y^j to binom(j, s) c^s a x^(i + s e) y^(j - s)
+            steps = list(zip(shifted[j::-1], [comb(j, s) * c ** s for s in range(j + 1)]))
+            for i, a in row.items():
+                kept = steps[:(cap - wx * i - wy * j) // rise + 1] if rise else steps
+                for target, scale in kept:
+                    target[i] = target.get(i, 0) + scale * a
+                    i += e
+        rows = shifted
     return _poly(enumerate(rows))
 
 

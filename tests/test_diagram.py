@@ -72,9 +72,12 @@ def test_from_support_rejects_a_negative_point(point):
 
 @pytest.mark.parametrize("support", [
     [(0, 2.0), (3, 0)], [(True, 0), (0, 2)], [(1.5, 0), (0, 2)], [(0, 0), (5, 2.0)],
-], ids=["float-vertex", "bool-vertex", "fraction-vertex", "float-above-the-hull"])
+    [("2", 0), (0, 2)], [(None, 0), (0, 2)],
+], ids=["float-vertex", "bool-vertex", "fraction-vertex", "float-above-the-hull",
+        "str-vertex", "none-vertex"])
 def test_from_support_rejects_a_point_that_is_not_a_lattice_point(support):
-    # a usage error, even for a point that the hull would drop
+    # a usage error, even for a point that the hull would drop or one that
+    # cannot be sorted with the others
     with pytest.raises(ValueError, match="^support points must be integers"):
         from_support(support)
 

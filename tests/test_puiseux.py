@@ -602,6 +602,37 @@ def test_hat_taylor_matches_horner(data):
     assert hat_transform(f, n_sub, lam, cut).terms == hat_horner_oracle(f, n_sub, lam, cut).terms
 
 
+_SLOPE_POLY = BivariatePoly({(0, 4): 1, (1, 3): -2, (3, 2): Fraction(1, 2), (0, 2): 3,
+                             (5, 1): -1, (2, 1): 4, (7, 0): 1, (4, 0): Fraction(-2, 3)})
+
+
+@pytest.mark.parametrize("n_sub,lam,cut", [
+    (2, "x", (1, 2, 9)),
+    (1, "1/2*x+2/3*x^2", (1, 1, 7)),
+    (1, "3*x^2", (1, 2, 7)),
+], ids=["one-term", "two-terms", "cap-above-the-top-row"])
+def test_hat_at_the_cut_slope_matches_horner(n_sub, lam, cut):
+    # wx * ord(mu) = wy, the slope of the verifier's hats: no step of the
+    # shift by mu's first term raises a weight, and in "two-terms" each step
+    # of the second, x^2, raises it by 1
+    lam = PuiseuxSeries.from_string(lam)
+    wx, wy, cap = cut
+    assert wx * lam.terms[0][0] * n_sub == wy * lam.denom
+    hat = hat_transform(_SLOPE_POLY, n_sub, lam, cut)
+    assert hat.terms == hat_horner_oracle(_SLOPE_POLY, n_sub, lam, cut).terms
+    # the cap passes through a row of the full result: it keeps a part of it
+    full = hat_transform(_SLOPE_POLY, n_sub, lam).rows
+    assert any(0 < len(hat.rows.get(j, {})) < len(row) for j, row in full.items())
+
+
+@pytest.mark.parametrize("cut", [(1, 1, 2), (2, 1, 3), (2, 1, 4)])
+def test_a_hat_whose_lower_rows_cancel_keeps_no_zero_and_no_empty_row(cut):
+    # (y - x)^2 at y + x is exactly y^2, cut at the slope or above it: (2, 1, 3)
+    # keeps y^2 and -2xy, and the shift's 2xy cancels the second
+    square = BivariatePoly({(0, 2): 1, (1, 1): -2, (2, 0): 1})
+    assert hat_transform(square, 1, PuiseuxSeries.from_string("x"), cut).rows == {2: {0: 1}}
+
+
 @pytest.mark.parametrize("cut", [None, (1, 1, -1), (1, 1, 0), (2, 1, 10)])
 def test_hat_of_the_zero_polynomial(cut):
     zero = BivariatePoly({})
