@@ -26,14 +26,29 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
-def _emit(text: str, args) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.output is not None:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(write, args) -> None:
+    """Put the document that ``write(put)`` writes, then one newline, to
+    stdout or to --output.  Every writer makes its checks before its first
+    piece, and --output is opened "w" only at that piece, so a refused
+    document leaves an existing file as it was."""
+    if args.output is None:
+        write(sys.stdout.write)
+        sys.stdout.write("\n")
+        return
+    fh = None
+
+    def put(piece):
+        nonlocal fh
+        if fh is None:
+            fh = open(args.output, "w")
+        fh.write(piece)
+
+    try:
+        write(put)
+        put("\n")
+    finally:
+        if fh is not None:
+            fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -54,18 +69,18 @@ def _class_order_and_seeds(args) -> tuple:
 def _cmd_predict(args, cs, k) -> int:
     prediction = polar.predict(cs, k)
     if args.format == "json":
-        _emit(prediction.to_json(), args)
+        _emit(prediction.to_json, args)
     elif args.format == "dot":
         tree = polar.export_eggers_wall(prediction, include_branch=not args.no_branch)
-        _emit(tree.to_dot(), args)
+        _emit(lambda put: put(tree.to_dot()), args)
     else:
-        _emit(prediction.to_text(), args)
+        _emit(lambda put: put(prediction.to_text()), args)
     return EXIT_OK
 
 
 def _cmd_verify(args, cs, k, seeds) -> int:
     report = verify.verify_prediction(cs, k, seeds)
-    _emit(report.to_json() if args.format == "json" else report.to_text(), args)
+    _emit(report.to_json if args.format == "json" else lambda put: put(report.to_text()), args)
     return {"PASS": EXIT_OK, "FAIL": EXIT_FAIL}.get(report.verdict, EXIT_UNKNOWN)
 
 

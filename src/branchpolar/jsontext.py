@@ -3,23 +3,32 @@
 from json.encoder import encode_basestring_ascii
 
 
-class Written(tuple):
-    """Text pieces already written for their place; ``dumps`` puts them as they are."""
-    __slots__ = ()
+class Written:
+    """Text pieces already written for their place, from any iterable: the
+    writer puts them as they are, so a generator is consumed once, where it
+    lands."""
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces):
+        self.pieces = pieces
 
 
 def dumps(value, indent: int = 0) -> str:
-    """The standard library's indent-2 JSON text of ``value``, byte for
-    byte, with ``indent`` more spaces after every newline, for dicts with str
-    keys, lists, tuples, strs, ints, bools, None and ``Written`` pieces; any
-    other type raises TypeError.  The standard library runs its pure-Python
-    encoder whenever ``indent`` is set, so this writes the text directly."""
+    """The text that ``write`` puts for ``value``, joined, with ``indent``
+    more spaces after every newline."""
     chunks = []
-    _write_json(value, "\n" + " " * indent, chunks.append)
+    write(value, chunks.append, "\n" + " " * indent)
     return "".join(chunks)
 
 
-def _write_json(value, newline: str, put) -> None:
+def write(value, put, newline: str = "\n") -> None:
+    """Put the standard library's indent-2 JSON text of ``value``, byte for
+    byte, piece by piece through ``put``, with ``newline`` ending every line,
+    for dicts with str keys, lists, tuples, strs, ints, bools, None,
+    ``Written`` pieces and callables, which are called as
+    ``value(put, newline)`` to write their own text where they land; any other
+    type raises TypeError.  The standard library runs its pure-Python encoder
+    whenever ``indent`` is set, so this writes the text directly."""
     # a module-level function, not a closure: a closure that calls itself is
     # a reference cycle, and would keep every chunk alive until the cyclic
     # garbage collector runs
@@ -40,7 +49,7 @@ def _write_json(value, newline: str, put) -> None:
         sep = "[" + inner
         for item in value:
             put(sep)
-            _write_json(item, inner, put)
+            write(item, put, inner)
             sep = "," + inner
         put(newline + "]")
     elif kind is dict:
@@ -53,11 +62,13 @@ def _write_json(value, newline: str, put) -> None:
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             put(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(item, inner, put)
+            write(item, put, inner)
             sep = "," + inner
         put(newline + "}")
     elif kind is Written:
-        for piece in value:
+        for piece in value.pieces:
             put(piece)
+    elif callable(value):
+        value(put, newline)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

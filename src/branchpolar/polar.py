@@ -28,8 +28,10 @@ one checked walk of those runs, ``_runs``, checks both orderings in O(F) for
 F factors.  Both contact writers read that walk, so neither writes a
 prediction that breaks the rule: the JSON writer ``to_json`` formats one
 indent-2 block per run, with only the label changing, and each run's two
-contacts once, and joins the text of the rows from per-factor strings, so no
-Python code runs per pair; the Eggers-Wall export takes its leaves from it.
+contacts once, and generates the text of the rows as it puts them, joined
+from per-factor strings, so no Python code runs per pair and no more than a
+factor's rows are held at once; the Eggers-Wall export takes its leaves from
+it.
 
 These contacts fix the shape of the Eggers-Wall tree, so the export builds it
 directly.  A trunk leads from the root to the leaf f, with a vertex at every
@@ -57,7 +59,7 @@ from operator import itemgetter
 from . import diagram as diagram_mod
 from .charclass import CharSequence
 from .errors import InvariantViolation, OrderOutOfRange, integers
-from .jsontext import Written, dumps
+from .jsontext import Written, dumps, write
 from .rational import fmt_q
 
 __all__ = [
@@ -160,49 +162,50 @@ class PolarPrediction:
             runs.append(group_runs)
         return runs
 
-    def to_json(self) -> str:
+    def to_json(self, put=None, newline: str = "\n") -> str | None:
         """The prediction document as indent-2 JSON text (``tests/oracles``
-        builds it as a dict), in one pass over the runs: each run is one
-        factor block with only the label changing, and its two contacts,
-        formatted once, end the contact rows that it closes."""
+        builds it as a dict), or, given ``put``, the same text put piece by
+        piece with ``newline`` ending every line, so that it lands at any
+        depth of an enclosing document.  ``_runs`` checks the orderings
+        before the first piece.  One pass over the runs writes each run's
+        factor block once, with only the label changing, and formats its two
+        contacts once; the contact rows are generated as they are put."""
+        # newline is "\n" and the document's own indent
+        indent = len(newline) - 1
+        row = newline + "    "
         # labels and contacts hold no character that JSON escapes
         quoted = [f'"{name}"' for name in self.labels()]
-        # a row is '    [\n      "a",\n      "b",\n      "c"\n    ]'
-        cells = [name + ",\n      " for name in quoted]
-        groups, rows, stop = [], ["[\n"], 0
+        # a row is '[' + row + '  "a",' + row + '  "b",' + row + '  "c"' + row + ']'
+        cells = [name + "," + row + "  " for name in quoted]
+        groups, ends, stop = [], [], 0
         for l, group_runs in enumerate(self._runs(), start=1):
             blocks, mine, tails = [], [], []
             for f, start, stop in group_runs:
-                # the factor's block at indent 8, cut at the value of its label
-                lead, _, tail = dumps(dict(f.to_json(l), label=""), 8).rpartition('""')
-                labels = (tail + ",\n        " + lead).join(quoted[start:stop])
+                # the factor's block 8 deeper, cut at the value of its label
+                lead, _, tail = dumps(dict(f.to_json(l), label=""), indent + 8).rpartition('""')
+                labels = (tail + "," + newline + "        " + lead).join(quoted[start:stop])
                 blocks.append(Written((lead, labels, tail)))
                 # row (i, j) ends in j's semiroot contact when j is in i's
                 # group, and in i's contact with f when j is in a later one
-                own = f'"{fmt_q(f.contact_with_semiroot)}"\n    ]'
+                own = f'"{fmt_q(f.contact_with_semiroot)}"{row}]'
                 mine += [cell + own for cell in cells[start:stop]]
-                tails += [f'"{fmt_q(f.contact_with_f)}"\n    ]'] * (stop - start)
+                tails += [f'"{fmt_q(f.contact_with_f)}"{row}]'] * (stop - start)
             cont_f = fmt_q(Fraction(self.char.b[l], self.char.b0))
             groups.append({"l": l, "cont_f": cont_f, "factors": blocks})
-            # the rows of the group's i-th factor: the rest of its group, then
-            # every later group
-            later = cells[stop:]
-            for i, (cell, tail) in enumerate(zip(cells[stop - len(mine):], tails), start=1):
-                lead = "    [\n      " + cell
-                sep = ",\n" + lead
-                if i < len(mine):
-                    rows += [lead, sep.join(mine[i:]), ",\n"]
-                if later:
-                    rows += [lead, (tail + sep).join(later), tail, ",\n"]
-        rows[-1] = "\n  ]"
-        return dumps({
+            ends.append((stop, mine, tails))
+        document = {
             "char": list(self.char.b),
             "k": self.k,
             "i_k": self.i_k,
             "multiplicity_total": self.multiplicity_total(),
             "groups": groups,
-            "pairwise_contacts": Written(rows) if len(quoted) > 1 else [],
-        })
+            "pairwise_contacts": (Written(_contact_rows(cells, ends, newline))
+                                  if len(quoted) > 1 else []),
+        }
+        if put is None:
+            return dumps(document, indent)
+        write(document, put, newline)
+        return None
 
     def to_text(self) -> str:
         lines = [
@@ -224,6 +227,32 @@ class PolarPrediction:
                 )
         lines.append(f"total multiplicity {self.multiplicity_total()} = b0 - k")
         return "\n".join(lines)
+
+
+def _contact_rows(cells, ends, newline: str):
+    """The text of ``pairwise_contacts``, generated as it is put, one
+    factor's rows at a time.  ``ends`` holds, per group, the label position
+    where the group stops, the ends of the rows that pair a factor with an
+    earlier one of its group, and each factor's tail for its rows with later
+    groups (see ``PolarPrediction.to_json``)."""
+    row = newline + "    "
+    sep = "["
+    for stop, mine, tails in ends:
+        # the rows of the group's i-th factor: the rest of its group, then
+        # every later group
+        later = cells[stop:]
+        for i, (cell, tail) in enumerate(zip(cells[stop - len(mine):], tails), start=1):
+            lead = row + "[" + row + "  " + cell
+            if i < len(mine):
+                yield sep + lead
+                yield ("," + lead).join(mine[i:])
+                sep = ","
+            if later:
+                yield sep + lead
+                yield (tail + "," + lead).join(later)
+                yield tail
+                sep = ","
+    yield newline + "  ]"
 
 
 def _check_branch(f: PolarFactor) -> None:

@@ -94,7 +94,7 @@ from .errors import (
     InvariantViolation,
     OrderTooLarge,
 )
-from .jsontext import Written, dumps
+from .jsontext import dumps, write
 from .polar import PolarPrediction, predict
 from .puiseux import (
     BivariatePoly,
@@ -593,18 +593,27 @@ class VerificationReport:
     def degenerate_count(self) -> int:
         return sum(run.status == "degenerate" for run in self.runs)
 
-    def to_json(self) -> str:
-        # the prediction's own text one level deeper: JSON text has no raw newline in a string
-        return dumps({
+    def to_json(self, put=None) -> str | None:
+        """The report as indent-2 JSON text, or, given ``put``, the same text
+        put piece by piece.  The prediction's ``to_json`` writes it where it
+        lands; its orderings are checked before the report's first piece."""
+        # the prediction checks its orderings again where it lands, after
+        # the report's first pieces have been put
+        self.prediction._runs()
+        document = {
             "char": list(self.prediction.char.b),
             "k": self.prediction.k,
             "verdict": self.verdict,
             "passing_seed": self.passing_seed,
             "degenerate_count": self.degenerate_count,
             "seeds": [run.seed for run in self.runs],
-            "prediction": Written((self.prediction.to_json().replace("\n", "\n  "),)),
+            "prediction": self.prediction.to_json,
             "runs": [run.to_json() for run in self.runs],
-        })
+        }
+        if put is None:
+            return dumps(document)
+        write(document, put)
+        return None
 
     def to_text(self) -> str:
         lines = [f"verify K{self.prediction.char} k={self.prediction.k}: {self.verdict}"]

@@ -292,22 +292,29 @@ def test_an_internal_fault_is_not_a_usage_error(capsys, monkeypatch):
     assert cli.main(["verify", "12,16,30", "--k", "1", "--quiet"]) == cli.EXIT_USAGE
 
 
-def test_a_misordered_prediction_is_not_drawn(capsys, monkeypatch):
-    # the tree rests on the orderings the JSON writer checks, and refuses a
-    # prediction that breaks them with the JSON writer's message
-    def groups_reversed(cs, k):
-        p = predict(cs, k)
-        return replace(p, groups=p.groups[::-1])
+def _groups_reversed(cs, k):
+    p = predict(cs, k)
+    return replace(p, groups=p.groups[::-1])
 
-    monkeypatch.setattr(cli.polar, "predict", groups_reversed)
-    code = cli.main(["predict", "12,16,31", "--k", "1", "--format", "dot", "--quiet"])
-    captured = capsys.readouterr()
-    assert code == cli.EXIT_INTERNAL
-    assert captured.out == ""
-    assert json.loads(captured.err) == {
-        "error": "InvariantViolation",
-        "message": "contact with f falls from 31/12 to 4/3 at z^(2)_1",
-    }
+
+def test_a_misordered_prediction_is_not_drawn(tmp_path, capsys, monkeypatch):
+    # the tree rests on the orderings the JSON writer checks, and refuses a
+    # prediction that breaks them with the JSON writer's message, on stdout
+    # and in an existing --output alike
+    monkeypatch.setattr(cli.polar, "predict", _groups_reversed)
+    old = tmp_path / "old.dot"
+    old.write_text("kept\n")
+    for output in ([], ["--output", str(old)]):
+        code = cli.main(["predict", "12,16,31", "--k", "1", "--format", "dot", *output,
+                         "--quiet"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "InvariantViolation",
+            "message": "contact with f falls from 31/12 to 4/3 at z^(2)_1",
+        }
+    assert old.read_text() == "kept\n"
 
 
 def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
@@ -415,6 +422,19 @@ def test_an_internal_fault_keeps_an_existing_output(tmp_path, capsys, monkeypatc
         assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolation"
     assert old.read_text() == "kept\n"
     assert new.read_text() == ""
+    # a streamed document is refused before its first byte, the embedded
+    # prediction of a verify report too, and the file is opened "w" only after
+    # the checks
+    monkeypatch.setattr(cli.polar, "predict", _groups_reversed)
+    monkeypatch.setattr(cli.verify, "predict", _groups_reversed)
+    for argv in (["predict", "12,16,31", "--k", "1"],
+                 ["verify", "12,16,31", "--k", "1", "--seeds", "1"]):
+        code = cli.main([*argv, "--format", "json", "--output", str(old), "--quiet"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL, argv
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "InvariantViolation"
+    assert old.read_text() == "kept\n"
 
 
 def test_output_file(tmp_path, capsys):

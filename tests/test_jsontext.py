@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchpolar.jsontext import Written, dumps
+from branchpolar.jsontext import Written, dumps, write
 
 # quotes, backslashes, control characters, non-ASCII and astral characters
 JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZ09:,{}[]é€\u2028😀'))
@@ -33,6 +33,9 @@ INDENTS = st.integers(0, 12)
 @given(JSON_VALUES)
 def test_dump_is_json_dumps_indent_2(value):
     assert dumps(value) == json.dumps(value, indent=2)
+    pieces = []
+    write(value, pieces.append)
+    assert "".join(pieces) == json.dumps(value, indent=2)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -62,6 +65,26 @@ def test_written_pieces_are_put_byte_for_byte_at_any_depth(items, pieces, indent
     value = [*items, MARK]  # one mark at depth 1 at least, the others anywhere
     expected = dumps(value, indent).replace(json.dumps(MARK), "".join(pieces))
     assert dumps(_substitute(value, Written(pieces)), indent) == expected
+
+
+def test_a_lazy_piece_is_written_in_place_once():
+    # a generator is consumed where it lands, after what comes before it is
+    # put and before what comes after; a callable writes itself at its depth
+    pieces, drawn = [], []
+
+    def rows():
+        for row in ("[1]", "[2]"):
+            drawn.append("".join(pieces))
+            yield row
+
+    def nested(put, newline):
+        write({"b": [True]}, put, newline)
+
+    write({"a": 0, "rows": Written(rows()), "c": [nested]}, pieces.append)
+    assert drawn == ['{\n  "a": 0,\n  "rows": ', '{\n  "a": 0,\n  "rows": [1]']
+    assert "".join(pieces) == json.dumps(
+        {"a": 0, "rows": MARK, "c": [{"b": [True]}]}, indent=2).replace(json.dumps(MARK), "[1][2]")
+    assert dumps(Written(rows())) == "[1][2]"
 
 
 @pytest.mark.parametrize("value", [

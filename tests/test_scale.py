@@ -1,6 +1,7 @@
 import json
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -112,6 +113,25 @@ def test_prediction_json_text_at_export_scale(b, k):
     text = p.to_json()
     assert text == json.dumps(prediction_document_oracle(p), indent=2)
     jsonschema.validators.validator_for(schema)(schema).validate(json.loads(text))
+
+
+def test_prediction_json_streams_to_its_output(tmp_path):
+    # K(512,1023), k = 1: an 8,033,648-byte document put piece by piece
+    # straight to the file, never held whole
+    target = tmp_path / "out.json"
+    argv = ["predict", "512,1023", "--k", "1", "--format", "json", "--output", str(target),
+            "--quiet"]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    text = target.read_text()
+    assert len(text) == 8033648
+    assert peak < len(text) / 4, peak
+    assert text == predict(new_char_sequence([512, 1023]), 1).to_json() + "\n"
 
 
 def test_prediction_json_edge_cases_are_reached():
