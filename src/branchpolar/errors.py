@@ -10,9 +10,10 @@ def integers(values, error: type) -> tuple:
     being truncated by ``int``.
 
     This is how the package reads the numbers a caller passes: the entries
-    of a class, an order k, the legs of an elementary diagram and the
-    numbers of a continued fraction.  Lattice points
-    (``diagram.from_support``, ``NewtonDiagram`` vertices) and witness
+    of a class, an order k, the legs of an elementary diagram, the
+    numbers of a continued fraction and the entries of a weight cut.
+    Lattice points (``diagram.from_support``, ``NewtonDiagram`` vertices,
+    the endpoints of an edge given to ``puiseux.edge_poly``) and witness
     seeds are not read through it: they must be exact ints, since a seed is
     written into the report as a JSON integer."""
     out = []

@@ -60,7 +60,6 @@ from . import diagram as diagram_mod
 from .charclass import CharSequence
 from .errors import InvariantViolation, OrderOutOfRange, integers
 from .jsontext import Written, dumps, write
-from .rational import fmt_q
 
 __all__ = [
     "PolarFactor",
@@ -93,9 +92,9 @@ class PolarFactor:
             "group": l,
             "part": list(self.part) if self.part else None,
             "multiplicity": self.multiplicity,
-            "cont_f": fmt_q(self.contact_with_f),
-            "cont_semiroot": fmt_q(self.contact_with_semiroot),
-            "char": [fmt_q(e) for e in self.char_exponents],
+            "cont_f": str(self.contact_with_f),
+            "cont_semiroot": str(self.contact_with_semiroot),
+            "char": [str(e) for e in self.char_exponents],
         }
 
 
@@ -187,10 +186,10 @@ class PolarPrediction:
                 blocks.append(Written((lead, labels, tail)))
                 # row (i, j) ends in j's semiroot contact when j is in i's
                 # group, and in i's contact with f when j is in a later one
-                own = f'"{fmt_q(f.contact_with_semiroot)}"{row}]'
+                own = f'"{f.contact_with_semiroot}"{row}]'
                 mine += [cell + own for cell in cells[start:stop]]
-                tails += [f'"{fmt_q(f.contact_with_f)}"{row}]'] * (stop - start)
-            cont_f = fmt_q(Fraction(self.char.b[l], self.char.b0))
+                tails += [f'"{f.contact_with_f}"{row}]'] * (stop - start)
+            cont_f = str(Fraction(self.char.b[l], self.char.b0))
             groups.append({"l": l, "cont_f": cont_f, "factors": blocks})
             ends.append((stop, mine, tails))
         document = {
@@ -215,15 +214,15 @@ class PolarPrediction:
         ]
         names = iter(self.labels())
         for l, group in enumerate(self.groups, start=1):
-            cont = fmt_q(Fraction(self.char.b[l], self.char.b0))
+            cont = Fraction(self.char.b[l], self.char.b0)
             lines.append(f"group {l}: cont(f, v) = {cont} for every irreducible factor v")
             for f in group:
                 name = next(names)
-                char_set = "{" + ", ".join(fmt_q(e) for e in f.char_exponents) + "}"
+                char_set = "{" + ", ".join(map(str, f.char_exponents)) + "}"
                 desc = "smooth" if f.is_smooth else f"Char = {char_set}"
                 lines.append(
                     f"  - {name}: mult {f.multiplicity}, "
-                    f"cont(f_{l}, .) = {fmt_q(f.contact_with_semiroot)}, {desc}"
+                    f"cont(f_{l}, .) = {f.contact_with_semiroot}, {desc}"
                 )
         lines.append(f"total multiplicity {self.multiplicity_total()} = b0 - k")
         return "\n".join(lines)
@@ -369,7 +368,7 @@ def _emit_dot(node, lines: list, names) -> str:
     if isinstance(node, EWLeaf):
         lines.append(f'  {name} [label="{node.display()}", shape=none];')
         return name
-    label = "0" if node.contact is None else fmt_q(node.contact)
+    label = "0" if node.contact is None else str(node.contact)
     shape = "point" if node.contact is None else "circle"
     extra = ', width=0.1' if shape == "point" else ""
     lines.append(f'  {name} [label="{label}", shape={shape}{extra}];')

@@ -12,8 +12,9 @@ and holds no empty row.  ``terms``, the {(i, j): c} view, is built on
 demand for callers outside the module; nothing here reads it.  The public
 constructor checks every exponent and coefficient of outside input; the
 polynomials this module builds itself (:func:`min_poly`,
-:func:`hat_transform`, :func:`derivative_y`) write their rows directly,
-skip those checks and are only cleared of zeros and whole Fractions.  The
+:func:`hat_transform`, :func:`derivative_y`, :func:`row_starts`) go
+through ``_poly``, the one other constructor: it writes their rows
+directly, skips those checks and only clears zeros and whole Fractions.  The
 only way terms are dropped is a weight cut ``(wx, wy, cap)``, taken by
 :func:`min_poly` and :func:`hat_transform`: every term x^i y^j with
 wx*i + wy*j above ``cap`` is left out.  :func:`hat_transform` composes one
@@ -55,8 +56,8 @@ from .errors import (
     NonIntegralSubstitution,
     OrderExceedsDegree,
     ZeroPolynomial,
+    integers,
 )
-from .rational import fmt_q
 
 __all__ = [
     "PuiseuxSeries",
@@ -172,27 +173,6 @@ class PuiseuxSeries:
             coeffs[num] = coeffs.get(num, Fraction(0)) + c
         return cls(n, coeffs)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        out = []
-        for i, c in self.terms:
-            e = Fraction(i, self.denom)
-            if e == 1:
-                mono = "x"
-            elif e.denominator == 1:
-                mono = f"x^{e.numerator}"
-            else:
-                mono = f"x^({e.numerator}/{e.denominator})"
-            if c == 1:
-                out.append(mono)
-            elif c == -1:
-                out.append(f"-{mono}")
-            else:
-                out.append(f"{fmt_q(c)}*{mono}")
-        text = "+".join(out)
-        return text.replace("+-", "-")
-
 
 # ---------------------------------------------------------------------------
 # sparse bivariate polynomials
@@ -245,6 +225,15 @@ def _poly(rows) -> BivariatePoly:
             clean[j] = row
     object.__setattr__(p, "rows", clean)
     return p
+
+
+def _read_cut(cut) -> tuple:
+    """A weight cut ``(wx, wy, cap)`` as three ints, read as the package
+    reads every number a caller passes, with both weights at least 1."""
+    wx, wy, cap = integers(cut, ValueError)
+    if wx < 1 or wy < 1:
+        raise ValueError(f"cut weights must be positive, got ({wx}, {wy})")
+    return wx, wy, cap
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +384,9 @@ def min_poly(a: PuiseuxSeries, cut=None) -> BivariatePoly:
     conjugates of a.
 
     Without a cut the whole polynomial is returned; with
-    ``cut = (wx, wy, cap)`` only the terms x^i y^j of weight wx*i + wy*j up
-    to ``cap`` are computed and returned, and y^n is kept whatever the cap.
+    ``cut = (wx, wy, cap)``, integers with wx, wy >= 1, only the terms
+    x^i y^j of weight wx*i + wy*j up to ``cap`` are computed and returned,
+    and y^n is kept whatever the cap.
 
     The conjugate product is taken along the 2-adic tower of the index.
     With n = 2^s q, q odd, and t = x^(1/2^s), a is a series in t of index q:
@@ -429,7 +419,7 @@ def min_poly(a: PuiseuxSeries, cut=None) -> BivariatePoly:
     n = a.denom
     terms = a.terms
     if not terms:
-        return BivariatePoly({(0, n): 1})
+        return _poly([(n, {0: 1})])
     shift, top = terms[0][0], terms[-1][0]
     den = lcm(*(c.denominator for _, c in terms))
     scaled = [(i - shift, int(c * den)) for i, c in terms]
@@ -438,7 +428,7 @@ def min_poly(a: PuiseuxSeries, cut=None) -> BivariatePoly:
     q = n >> s
     # an uncut result is cut where nothing is lost: e_j has x-degree at
     # most j top / n, so every term x^i y^(n-j) has i + n - j <= top + n
-    wx, wy, cap = (1, 1, top + n) if cut is None else cut
+    wx, wy, cap = (1, 1, top + n) if cut is None else _read_cut(cut)
     wy <<= s  # t-units
     cap <<= s
     least = min(q * wy, wx * shift)  # m q in t-units
@@ -508,12 +498,12 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
     scaled to x^n_sub, each shift turns a term a x^i y^j into the terms
     binom(j, s) c^s a x^(i + s e) y^(j - s), s = 0..j.
 
-    With ``cut = (wx, wy, cap)`` every term x^i y^j of weight wx*i + wy*j
-    above ``cap`` is left out, after scaling and after every shift.  Step s
-    of a shift raises a term's weight by s (wx e - wy), never negative
-    since a lowering substitution, wx * ord(mu) < wy, is refused.  So a term
-    past the cap only makes terms past the cap, and the cut drops nothing
-    that the result keeps.
+    With ``cut = (wx, wy, cap)``, integers with wx, wy >= 1, every term
+    x^i y^j of weight wx*i + wy*j above ``cap`` is left out, after scaling
+    and after every shift.  Step s of a shift raises a term's weight by
+    s (wx e - wy), never negative since a lowering substitution,
+    wx * ord(mu) < wy, is refused.  So a term past the cap only makes
+    terms past the cap, and the cut drops nothing that the result keeps.
 
     Without a cut nothing is left out: the weight is (1, 1) and the cap the
     largest i n_sub + j h over the terms x^i y^j of f, h the top exponent
@@ -535,9 +525,7 @@ def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
     if cut is None:
         high = mu[-1][0] if mu else 1
         cut = (1, 1, max((n_sub * max(row) + j * high for j, row in f.rows.items()), default=0))
-    wx, wy, cap = cut
-    if wx < 1 or wy < 1:
-        raise ValueError(f"cut weights must be positive, got ({wx}, {wy})")
+    wx, wy, cap = _read_cut(cut)
     if mu and wx * mu[0][0] < wy:
         raise ValueError(f"y + x^{mu[0][0]} lowers the weight ({wx}, {wy})")
 
@@ -572,13 +560,11 @@ def row_starts(f: BivariatePoly) -> BivariatePoly:
     :func:`diagram_of` and :func:`edge_poly` read.  Their k-th y-derivative
     is the row starts of d^k f/dy^k, since over Q no coefficient
     j!/(j-k)! c vanishes."""
-    rows = {}
+    starts = []
     for j, row in f.rows.items():
         i = min(row)
-        rows[j] = {i: row[i]}
-    p = object.__new__(BivariatePoly)  # f's own coefficients, stored as they are
-    object.__setattr__(p, "rows", rows)
-    return p
+        starts.append((j, {i: row[i]}))
+    return _poly(starts)
 
 
 def _primitive(v: list) -> list:
@@ -629,11 +615,14 @@ def edge_poly(f: BivariatePoly, edge) -> list:
     lies beyond an endpoint.  Along a row the terms move away from the line
     as i grows, so only the first term of each row, its least i, can lie
     below the line or on it: one pass over the rows' first terms checks
-    this and gathers the coefficients.  Anything else raises
-    EdgeNotOnPolygon.
+    this and gathers the coefficients.  An endpoint that is not a pair of
+    ints raises ValueError, any other segment EdgeNotOnPolygon.
     """
     off_polygon = f"{edge} is not a compact edge of the polygon"
     (xa, ya), (xb, yb) = edge
+    # bool is a subclass of int, and a float would pass every comparison
+    if any(type(v) is not int for v in (xa, ya, xb, yb)):
+        raise ValueError(f"edge endpoints must be lattice points, got {edge!r}")
     if not (xa < xb and ya > yb):
         raise EdgeNotOnPolygon(off_polygon)
     dx, dy = xb - xa, ya - yb

@@ -107,7 +107,6 @@ from .puiseux import (
     min_poly,
     row_starts,
 )
-from .rational import fmt_q
 
 __all__ = [
     "WitnessBranch",
@@ -215,15 +214,13 @@ def _level_cuts(cs: CharSequence, depth: int) -> list:
 
 @dataclass(frozen=True)
 class HatLevel:
-    """One level of ``hat_chain``, read once: the level l and the order k it
-    was read at, the hat transform f^_l, kept only for the next
-    substitution, and everything the checks read, all taken from its row
-    starts, the first term of each row: the row starts ``starts``, N(f^_l),
-    the expected polar diagram E = N(f^_l)^(k), the row starts of d^k f^_l
-    and N(d^k f^_l)."""
+    """One level of ``hat_chain``, read once at an order k: the level l, the
+    hat transform f^_l, kept only for the next substitution, and everything
+    the checks read, all taken from its row starts, the first term of each
+    row: the row starts ``starts``, N(f^_l), the expected polar diagram
+    E = N(f^_l)^(k), the row starts of d^k f^_l and N(d^k f^_l)."""
 
     l: int
-    k: int
     fhat: BivariatePoly
     starts: BivariatePoly
     diagram: diagram_mod.NewtonDiagram
@@ -268,7 +265,7 @@ class HatLevel:
                        for j in range(max(k, yb + 1), ya)]
         expected = diagram_mod.from_support(points or [(d.top[0], 0)])
         polar_starts = derivative_y(starts, k)
-        return cls(l, k, fhat, starts, d, expected, polar_starts, diagram_of(polar_starts))
+        return cls(l, fhat, starts, d, expected, polar_starts, diagram_of(polar_starts))
 
 
 def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
@@ -441,7 +438,7 @@ class LevelReport:
             # the first Z-factor where the two differ, "none" on a side that ends before it
             l, sides = self.level, zip_longest(self._found(), self.expectation.z_factors)
             j, *pair = next((j, a, b) for j, (a, b) in enumerate(sides, 1) if a != b)
-            seen, said = ("none" if z is None else f"({z[0]}, {fmt_q(z[1])}, {z[2]})" for z in pair)
+            seen, said = ("none" if z is None else f"({z[0]}, {z[1]}, {z[2]})" for z in pair)
             out.append(f"level {l}: z^({l})_{j} observed {seen}, predicted {said}")
         if self.aggregate_ok is False and self.aggregate_predicted is None:
             exp = self.expectation
@@ -460,7 +457,7 @@ class LevelReport:
             "expected": [list(v) for v in self.expected],
             "observed": [list(v) for v in self.observed],
             "steep_parts": [list(p) for p in self.steep_parts],
-            "contacts": [fmt_q(c) for c in self.contacts],
+            "contacts": [str(c) for c in self.contacts],
             "multiplicities": list(self.multiplicities),
             "initial_form_ok": self.initial_form_ok,
             "prediction_match": self.prediction_match,
@@ -628,7 +625,7 @@ class VerificationReport:
                 if lv.status == "ok":
                     parts = "+".join(f"({m},{n})" for m, n in lv.steep_parts) or "-"
                     bits += [f"steep {parts}",
-                             f"contacts {{{', '.join(fmt_q(c) for c in lv.contacts)}}}",
+                             f"contacts {{{', '.join(map(str, lv.contacts))}}}",
                              f"initial form {'ok' if lv.initial_form_ok else 'MISMATCH'}",
                              f"edge@(m/n) {lv.aggregate_edge_length}"
                              f"{'=' if lv.aggregate_ok else '!='}{lv.aggregate_predicted}"]

@@ -29,7 +29,6 @@ from math import gcd, lcm, perm
 from branchpolar import contfrac
 from branchpolar.diagram import CanonicalRep, NewtonDiagram, from_support
 from branchpolar.errors import BranchPolarError, InvalidRange
-from branchpolar.rational import fmt_q
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +332,7 @@ def prediction_document_oracle(prediction) -> dict:
     indent=2)`` of it is the text ``PolarPrediction.to_json`` writes."""
     cs = prediction.char
     factors = prediction.factors()
-    groups = [{"l": l, "cont_f": fmt_q(Fraction(cs.b[l], cs.b0)), "factors": []}
+    groups = [{"l": l, "cont_f": str(Fraction(cs.b[l], cs.b0)), "factors": []}
               for l in range(1, prediction.i_k + 1)]
     for f, l, name in zip(factors, factor_groups(prediction), prediction.labels()):
         groups[l - 1]["factors"].append(dict(f.to_json(l), label=name))
@@ -343,7 +342,7 @@ def prediction_document_oracle(prediction) -> dict:
         "i_k": prediction.i_k,
         "multiplicity_total": sum(f.multiplicity for f in factors),
         "groups": groups,
-        "pairwise_contacts": [[a, b, fmt_q(c)] for a, b, c in contact_table_oracle(prediction)],
+        "pairwise_contacts": [[a, b, str(c)] for a, b, c in contact_table_oracle(prediction)],
     }
 
 
@@ -737,6 +736,20 @@ def difference(a, b):
     for i, c in b.terms:
         merged[i * fb] = merged.get(i * fb, 0) - c
     return PuiseuxSeries(n, merged)
+
+
+def series_text(s) -> str:
+    """A Puiseux series as ``PuiseuxSeries.from_string`` reads it, e.g.
+    "x+3/2*x^(7/5)-x^2": terms by increasing exponent, a coefficient of 1
+    or -1 left out."""
+    if not s.terms:
+        return "0"
+    out = []
+    for i, c in s.terms:
+        e = Fraction(i, s.denom)
+        mono = "x" if e == 1 else f"x^{e}" if e.denominator == 1 else f"x^({e})"
+        out.append(mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}")
+    return "+".join(out).replace("+-", "-")
 
 
 def lam(w, l: int):

@@ -91,6 +91,19 @@ def test_ex2_second_polar():
     ]
 
 
+def test_whole_rationals_print_without_a_denominator():
+    # z^(1)_1's semiroot contact at k = 2 is the Fraction 2, printed as "2"
+    ex1, ex2 = predict(EX1, 2), predict(EX2, 2)
+    assert type(ex1.groups[0][0].contact_with_semiroot) is Fraction
+    text, doc = ex1.to_text(), ex1.to_json()
+    dot = export_eggers_wall(ex2).to_dot()
+    assert "cont(f_1, .) = 2," in text
+    assert '"cont_semiroot": "2"' in doc
+    assert '[label="2", shape=circle]' in dot
+    for out in (text, doc, dot):
+        assert '/1"' not in out and "/1," not in out
+
+
 def test_order_out_of_range():
     # an order that is not an int is refused, not read as a number: True
     # would reach the JSON as "k": true, which the schema refuses

@@ -36,7 +36,6 @@ from branchpolar.puiseux import (
     row_starts,
     _univariate_gcd_degree,
 )
-from branchpolar.rational import fmt_q
 from branchpolar.verify import WitnessBranch, hat_chain, sample_witness
 from oracles import (
     coefficient,
@@ -53,6 +52,7 @@ from oracles import (
     min_poly_laplace_oracle,
     min_poly_oracle,
     random_char_sequence,
+    series_text,
     truncate_below,
     truncation_orbit,
 )
@@ -68,13 +68,12 @@ def test_parse_and_str_round_trip():
     s = PuiseuxSeries.from_string("3/2*x^(7/5)-x^2+x")
     assert s.denom == 5
     assert dict(s.terms) == {5: 1, 7: Fraction(3, 2), 10: -1}
-    assert PuiseuxSeries.from_string(str(s)) == s
-
-
-def test_fmt_q_writes_whole_values_without_a_denominator():
-    assert fmt_q(3) == "3"
-    assert fmt_q(Fraction(6, 2)) == "3"
-    assert fmt_q(Fraction(-3, 2)) == "-3/2"
+    assert series_text(s) == "x+3/2*x^(7/5)-x^2"
+    assert PuiseuxSeries.from_string(series_text(s)) == s
+    # a negative fraction prints with its sign and denominator, a whole Fraction without one
+    s = PuiseuxSeries(6, {8: Fraction(-3, 2), 9: Fraction(6, 2)})
+    assert series_text(s) == "-3/2*x^(4/3)+3*x^(3/2)"
+    assert PuiseuxSeries.from_string(series_text(s)) == s
 
 
 @pytest.mark.parametrize("text", ["x^(1/0)", "1/0*x", "x^2+", "--x", "2x", "x^(3/00)",
@@ -90,7 +89,7 @@ def test_malformed_series_is_refused_with_value_error(text):
 def test_zero_series_parses_prints_and_has_min_poly_y(text):
     zero = PuiseuxSeries.from_string(text)
     assert (zero.denom, zero.terms) == (1, ())
-    assert str(zero) == "0"
+    assert series_text(zero) == "0"
     # the one conjugate of 0 is 0 itself: its minimal polynomial is y
     assert min_poly(zero) == BivariatePoly({(0, 1): 1})
 
@@ -273,7 +272,7 @@ def test_min_poly_against_cyclotomic_oracle():
     for s in cases:
         expected = min_poly_oracle(s)
         got = min_poly(s)
-        assert got.terms == {k: v for k, v in expected.items()}, str(s)
+        assert got.terms == {k: v for k, v in expected.items()}, series_text(s)
 
 
 _coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -648,6 +647,25 @@ def test_hat_cut_rejects_weights_that_are_not_positive(weights):
         hat_transform(f, 1, PuiseuxSeries.from_string("x^2"), (*weights, 10))
 
 
+@pytest.mark.parametrize("cut, message", [
+    ((-1, 1, 40), "cut weights must be positive"),
+    ((0, 1, 40), "cut weights must be positive"),
+    ((1, 0, 40), "cut weights must be positive"),
+    ((1, -1, 40), "cut weights must be positive"),
+    ((True, 1, 40), "expected an integer"),
+    ((1, 1, 40.0), "expected an integer"),
+    ((1, Fraction(1), 40), "expected an integer"),
+], ids=["negative-wx", "zero-wx", "zero-wy", "negative-wy", "bool", "float-cap", "fraction"])
+def test_min_poly_and_hat_read_a_cut_alike(cut, message):
+    # one reading of a cut for both: int entries (no bool, float or
+    # Fraction) and both weights at least 1, whatever the cap
+    with pytest.raises(ValueError, match=message):
+        min_poly(PuiseuxSeries.from_string(EX1_ROOT), cut=cut)
+    f = BivariatePoly({(0, 2): 1, (3, 0): -1})
+    with pytest.raises(ValueError, match=message):
+        hat_transform(f, 1, PuiseuxSeries.from_string("x^2"), cut)
+
+
 def test_hat_cut_rejects_a_lowering_substitution():
     f = BivariatePoly({(0, 2): 1, (3, 0): -1})
     with pytest.raises(ValueError):
@@ -705,6 +723,17 @@ def test_edge_poly_examples():
     # the right line, but run past the last term on it
     with pytest.raises(EdgeNotOnPolygon):
         edge_poly(BivariatePoly({(0, 4): 1, (3, 2): 1}), ((0, 4), (6, 0)))
+
+
+@pytest.mark.parametrize("edge", [((0, 2), (3.0, 0)), ((0, 2.0), (3, 0)), ((0, 2), (3, False))],
+                         ids=["float-x", "float-y", "bool"])
+def test_edge_readers_refuse_an_endpoint_that_is_not_a_lattice_point(edge):
+    # a ValueError, not EdgeNotOnPolygon, which check_initial_form reads as False
+    cusp = BivariatePoly({(0, 2): 1, (3, 0): -1})
+    for reader in (edge_poly, edge_poly_squarefree):
+        with pytest.raises(ValueError, match="lattice points") as caught:
+            reader(cusp, edge)
+        assert not isinstance(caught.value, EdgeNotOnPolygon)
 
 
 def test_edge_squarefree_examples():
