@@ -101,15 +101,15 @@ class NewtonDiagram:
         for (xa, ya), (xb, yb) in reversed(self.compact_edges()):
             g = gcd(xb - xa, ya - yb) if long else 1
             m, n = (xb - xa) // g, (ya - yb) // g
-            for _ in range(g):
-                # the corners climb from the bottom vertex one part at a
-                # time, and each must sit on the edge its part was cut from
-                x, y = x - m, y + n
-                if not (yb < y <= ya and (x - xa) * (yb - ya) == (y - ya) * (xb - xa)):
-                    raise InvariantViolation(
-                        f"corner {(x, y)} left the edge {(xa, ya)}-{(xb, yb)}"
-                    )
-                parts.append((m, n))
+            # the corners climb from the bottom vertex one edge at a time:
+            # the g copies must lead from the edge's lower end to its upper
+            # end, so every corner between them sits on the edge
+            x, y = x - g * m, y + g * n
+            if (x, y) != (xa, ya):
+                raise InvariantViolation(
+                    f"{g} copies of {(m, n)} lead to {(x, y)}, off the edge {(xa, ya)}-{(xb, yb)}"
+                )
+            parts += [(m, n)] * g
         return CanonicalRep((self.top[0], self.bottom[1]), tuple(parts))
 
     # -- truncation and symbolic derivatives ----------------------------------

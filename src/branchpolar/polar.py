@@ -30,7 +30,7 @@ prediction that breaks the rule: the JSON writer ``to_json`` formats one
 indent-2 block per run, with only the label changing, and each run's two
 contacts once, and generates the text of the rows as it puts them, joined
 from per-factor strings, so no Python code runs per pair and no more than a
-factor's rows are held at once; the Eggers-Wall export takes its leaves from
+factor's rows are held at once; the Eggers-Wall export takes its runs from
 it.
 
 These contacts fix the shape of the Eggers-Wall tree, so the export builds it
@@ -45,16 +45,22 @@ with a single child contracted.  Children are ordered by their first leaf
 with its index: the lcm of the denominators of those characteristic exponents
 of a leaf beyond it that do not exceed the contact of its end nearer the
 root.
+
+The export works per run of equal factors, which hang off one vertex with
+one characteristic sequence.  A run of r factors is one child of its vertex,
+``EWRun``: it counts as r children where a vertex left with one child is
+contracted, sorts by its first label, has its edge index computed once, and
+``to_dot`` writes its r node lines and r edge lines in one loop.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from . import diagram as diagram_mod
 from .charclass import CharSequence
@@ -114,17 +120,17 @@ class PolarPrediction:
         return [f for group in self.groups for f in group]
 
     def labels(self) -> list:
-        """Canonical factor names z^(l)_j / w^(l)_i in emission order."""
+        """Canonical factor names z^(l)_j / w^(l)_i in emission order.  The
+        names of each block of one kind in a group, whole runs of equal
+        factors, come from one list comprehension."""
         out = []
         for l, group in enumerate(self.groups, start=1):
-            zc = wc = 0
-            for f in group:
-                if f.kind == "Z":
-                    zc += 1
-                    out.append(f"z^({l})_{zc}")
-                else:
-                    wc += 1
-                    out.append(f"w^({l})_{wc}")
+            count = {"Z": 0, "W": 0}
+            for kind, block in groupby(group, key=attrgetter("kind")):
+                first = count[kind]
+                count[kind] = stop = first + len(list(block))
+                name = f"{kind.lower()}^({l})_"
+                out += [f"{name}{j}" for j in range(first + 1, stop + 1)]
         return out
 
     def multiplicity_total(self) -> int:
@@ -173,16 +179,18 @@ class PolarPrediction:
         indent = len(newline) - 1
         row = newline + "    "
         # labels and contacts hold no character that JSON escapes
-        quoted = [f'"{name}"' for name in self.labels()]
+        names = self.labels()
         # a row is '[' + row + '  "a",' + row + '  "b",' + row + '  "c"' + row + ']'
-        cells = [name + "," + row + "  " for name in quoted]
+        cells = [f'"{name}",{row}  ' for name in names]
         groups, ends, stop = [], [], 0
         for l, group_runs in enumerate(self._runs(), start=1):
             blocks, mine, tails = [], [], []
             for f, start, stop in group_runs:
-                # the factor's block 8 deeper, cut at the value of its label
-                lead, _, tail = dumps(dict(f.to_json(l), label=""), indent + 8).rpartition('""')
-                labels = (tail + "," + newline + "        " + lead).join(quoted[start:stop])
+                # the factor's block 8 deeper, cut between the quotes of its label
+                block = dumps(dict(f.to_json(l), label=""), indent + 8)
+                cut = block.rindex('""') + 1
+                lead, tail = block[:cut], block[cut:]
+                labels = (tail + "," + newline + "        " + lead).join(names[start:stop])
                 blocks.append(Written((lead, labels, tail)))
                 # row (i, j) ends in j's semiroot contact when j is in i's
                 # group, and in i's contact with f when j is in a later one
@@ -199,7 +207,7 @@ class PolarPrediction:
             "multiplicity_total": self.multiplicity_total(),
             "groups": groups,
             "pairwise_contacts": (Written(_contact_rows(cells, ends, newline))
-                                  if len(quoted) > 1 else []),
+                                  if len(names) > 1 else []),
         }
         if put is None:
             return dumps(document, indent)
@@ -327,22 +335,21 @@ def predict(cs: CharSequence, k: int) -> PolarPrediction:
 
 
 @dataclass
-class EWLeaf:
-    name: str
-    sort_key: tuple
+class EWRun:
+    """Leaves that hang off one vertex by equal edges: the branch f, a
+    semiroot f_l, or the factors of one run of ``PolarPrediction._runs``,
+    which share their characteristic exponents and multiplicity."""
+
+    names: list
+    sort_key: tuple         # the first leaf's
     char_exponents: tuple   # used for the edge index annotations
     multiplicity: int | None = None
-
-    def display(self) -> str:
-        if self.multiplicity is None:
-            return self.name
-        return f"{self.name} (mult {self.multiplicity})"
 
 
 @dataclass
 class EWNode:
     contact: Fraction | None          # None at the root
-    children: list = field(default_factory=list)   # (edge_index, EWNode | EWLeaf)
+    children: list                    # (edge_index, EWNode | EWRun)
 
 
 @dataclass
@@ -360,41 +367,46 @@ class EggersWallExport:
         return "\n".join(lines)
 
 
-def _emit_dot(node, lines: list, names) -> str:
+def _emit_dot(node: EWNode, lines: list, names) -> str:
     # a module-level function, not a closure: a closure that calls itself is
     # a reference cycle, and would keep every line alive until the cyclic
     # garbage collector runs
     name = f"n{next(names)}"
-    if isinstance(node, EWLeaf):
-        lines.append(f'  {name} [label="{node.display()}", shape=none];')
-        return name
     label = "0" if node.contact is None else str(node.contact)
     shape = "point" if node.contact is None else "circle"
     extra = ', width=0.1' if shape == "point" else ""
     lines.append(f'  {name} [label="{label}", shape={shape}{extra}];')
     for edge_index, child in node.children:
-        child_name = _emit_dot(child, lines, names)
-        lines.append(f'  {name} -> {child_name} [label="{edge_index}", dir=none];')
+        edge = f' [label="{edge_index}", dir=none];'
+        if isinstance(child, EWNode):
+            lines.append(f"  {name} -> {_emit_dot(child, lines, names)}{edge}")
+            continue
+        # each leaf of the run: its node line, then its edge line; zip stops
+        # at the end of the names before it draws from the counter
+        mult = "" if child.multiplicity is None else f" (mult {child.multiplicity})"
+        lines += [f'  n{i} [label="{leaf}{mult}", shape=none];\n  {name} -> n{i}{edge}'
+                  for leaf, i in zip(child.names, names)]
     return name
 
 
-def _edge_index(leaf: EWLeaf, parent_contact: Fraction) -> int:
-    dens = [e.denominator for e in leaf.char_exponents if e <= parent_contact]
+def _edge_index(run: EWRun, parent_contact: Fraction) -> int:
+    dens = [e.denominator for e in run.char_exponents if e <= parent_contact]
     return lcm(*dens) if dens else 1
 
 
 def _finish(node, include_branch: bool):
-    """Turn a vertex (contact, children) or a leaf into (subtree, its first
-    leaf), or None when nothing is left.
+    """Turn a vertex (contact, children) or a run into (subtree, its first
+    run), or None when nothing is left.
 
     Drops f and the f_l unless ``include_branch``, contracts vertices left
-    with one child, orders children by their first leaf and labels each edge
-    with its index."""
-    if isinstance(node, EWLeaf):
+    with one leaf or one vertex, a run of r leaves counting as r children,
+    orders children by their first leaf and labels each edge with its
+    index, once per run."""
+    if isinstance(node, EWRun):
         return (node, node) if include_branch or node.multiplicity is not None else None
     contact, children = node
     kept = [sub for sub in (_finish(child, include_branch) for child in children) if sub]
-    if len(kept) <= 1:
+    if sum(len(tree.names) if isinstance(tree, EWRun) else 1 for tree, _ in kept) <= 1:
         return kept[0] if kept else None
     kept.sort(key=lambda sub: sub[1].sort_key)
     edges = [(_edge_index(first, contact), tree) for tree, first in kept]
@@ -405,25 +417,25 @@ def export_eggers_wall(p: PolarPrediction, include_branch: bool = True) -> Egger
     """Eggers-Wall tree of the predicted factors and, when ``include_branch``
     is set, of the branch f and its semiroots f_l (see the module docstring)."""
     cs = p.char
-    # position in canonical emission order doubles as the sort key; group l
-    # is by_group[l - 1], the position of its tuple, and the levels past the
+    # a run's first label position doubles as its sort key; group l is
+    # by_group[l - 1], the position of its runs, and the levels past the
     # prediction's groups are empty
     names = p.labels()
-    by_group = [[(f, EWLeaf(names[pos], (2, pos), f.char_exponents, f.multiplicity))
-                 for f, start, stop in group_runs for pos in range(start, stop)]
+    by_group = [[(f, EWRun(names[start:stop], (2, start), f.char_exponents, f.multiplicity))
+                 for f, start, stop in group_runs]
                 for group_runs in p._runs()] + [[]] * cs.h
 
     # vertices are (contact, children) until _finish; the trunk grows from
     # the leaf f toward the root and each f_l path from f_l toward the trunk
     exponents = cs.char_exponents()
-    trunk = EWLeaf("f", (0,), exponents)
+    trunk = EWRun(["f"], (0,), exponents)
     for l in range(cs.h, 0, -1):
-        path = EWLeaf(f"f_{l}", (1, l), exponents[:l - 1])
-        # Z-factors come by descending semiroot contact (CanonicalRep order)
-        zs = [(f.contact_with_semiroot, leaf) for f, leaf in by_group[l - 1] if f.kind == "Z"]
-        for contact, run in groupby(zs, key=itemgetter(0)):
-            path = (contact, [path, *(leaf for _, leaf in run)])
-        ws = [leaf for f, leaf in by_group[l - 1] if f.kind == "W"]
+        path = EWRun([f"f_{l}"], (1, l), exponents[:l - 1])
+        # Z-runs come by descending semiroot contact (CanonicalRep order)
+        zs = [(f.contact_with_semiroot, run) for f, run in by_group[l - 1] if f.kind == "Z"]
+        for contact, same in groupby(zs, key=itemgetter(0)):
+            path = (contact, [path, *(run for _, run in same)])
+        ws = [run for f, run in by_group[l - 1] if f.kind == "W"]
         trunk = (exponents[l - 1], [trunk, path, *ws])
 
     tree, _ = _finish(trunk, include_branch)

@@ -217,13 +217,12 @@ class HatLevel:
     """One level of ``hat_chain``, read once at an order k: the level l, the
     hat transform f^_l, kept only for the next substitution, and everything
     the checks read, all taken from its row starts, the first term of each
-    row: the row starts ``starts``, N(f^_l), the expected polar diagram
+    row: the row starts ``starts``, the expected polar diagram
     E = N(f^_l)^(k), the row starts of d^k f^_l and N(d^k f^_l)."""
 
     l: int
     fhat: BivariatePoly
     starts: BivariatePoly
-    diagram: diagram_mod.NewtonDiagram
     expected: diagram_mod.NewtonDiagram
     polar_starts: BivariatePoly
     polar: diagram_mod.NewtonDiagram
@@ -265,7 +264,7 @@ class HatLevel:
                        for j in range(max(k, yb + 1), ya)]
         expected = diagram_mod.from_support(points or [(d.top[0], 0)])
         polar_starts = derivative_y(starts, k)
-        return cls(l, fhat, starts, d, expected, polar_starts, diagram_of(polar_starts))
+        return cls(l, fhat, starts, expected, polar_starts, diagram_of(polar_starts))
 
 
 def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:

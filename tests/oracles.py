@@ -7,8 +7,9 @@ conjugate products by exact cyclotomic arithmetic and
 by iterated norms (Laplace
 determinants), random valid characteristic sequences by rejection,
 pairwise contacts one pair at a time, the prediction document as a dict
-of one block per factor and one row per pair, Eggers-Wall trees by
-clustering that table, hat transforms by full expansion of the minimal
+of one block per factor and one row per pair, Eggers-Wall trees of one
+leaf per factor by clustering that table, written by their own DOT
+writer, hat transforms by full expansion of the minimal
 polynomial and by Horner's scheme, the truncations lam_l of a witness's
 root and their differences by series arithmetic, weighted initial forms by a minimum over
 every term, squarefreeness by Euclid's algorithm over Q, and the expected polar
@@ -21,7 +22,8 @@ bivariate polynomials, the search for a
 generic witness, and the errors only these helpers raise) live here too.
 """
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, perm
@@ -346,6 +348,58 @@ def prediction_document_oracle(prediction) -> dict:
     }
 
 
+@dataclass
+class OracleLeaf:
+    name: str
+    sort_key: tuple
+    char_exponents: tuple   # used for the edge index annotations
+    multiplicity: int | None = None
+
+    def display(self) -> str:
+        if self.multiplicity is None:
+            return self.name
+        return f"{self.name} (mult {self.multiplicity})"
+
+
+@dataclass
+class OracleNode:
+    contact: Fraction | None          # None at the root
+    children: list = field(default_factory=list)   # (edge_index, OracleNode | OracleLeaf)
+
+
+@dataclass
+class OracleEggersWall:
+    """An Eggers-Wall tree with one leaf per factor and its own DOT writer,
+    so that comparing DOT text checks two independent writers."""
+
+    root: OracleNode
+
+    def to_dot(self) -> str:
+        lines = [
+            "digraph eggers_wall {",
+            "  rankdir=BT;",
+            '  node [fontsize=11];',
+        ]
+        _oracle_emit_dot(self.root, lines, itertools.count())
+        lines.append("}")
+        return "\n".join(lines)
+
+
+def _oracle_emit_dot(node, lines: list, names) -> str:
+    name = f"n{next(names)}"
+    if isinstance(node, OracleLeaf):
+        lines.append(f'  {name} [label="{node.display()}", shape=none];')
+        return name
+    label = "0" if node.contact is None else str(node.contact)
+    shape = "point" if node.contact is None else "circle"
+    extra = ', width=0.1' if shape == "point" else ""
+    lines.append(f'  {name} [label="{label}", shape={shape}{extra}];')
+    for edge_index, child in node.children:
+        child_name = _oracle_emit_dot(child, lines, names)
+        lines.append(f'  {name} -> {child_name} [label="{edge_index}", dir=none];')
+    return name
+
+
 def _oracle_edge_index(leaf, parent_contact) -> int:
     dens = [e.denominator for e in leaf.char_exponents if e <= parent_contact]
     return lcm(*dens) if dens else 1
@@ -353,8 +407,6 @@ def _oracle_edge_index(leaf, parent_contact) -> int:
 
 def _cluster(leaves, contact):
     """Ultrametric clustering: split at the smallest pairwise contact."""
-    from branchpolar.polar import EWNode
-
     if len(leaves) == 1:
         return leaves[0]
     meet = min(
@@ -368,7 +420,7 @@ def _cluster(leaves, contact):
                 break
         else:
             clusters.append([leaf])
-    node = EWNode(meet)
+    node = OracleNode(meet)
     clusters.sort(key=lambda cl: min(leaf.sort_key for leaf in cl))
     for cluster in clusters:
         child = _cluster(cluster, contact)
@@ -380,20 +432,19 @@ def _cluster(leaves, contact):
 
 def eggers_wall_oracle(prediction, include_branch=True):
     """Eggers-Wall tree clustered from the contact table of all leaf pairs:
-    f, the semiroots f_l (when ``include_branch``) and the factors."""
-    from branchpolar.polar import EggersWallExport, EWLeaf, EWNode
-
+    f, the semiroots f_l (when ``include_branch``) and the factors, one
+    leaf each."""
     cs = prediction.char
     leaves = []
     if include_branch:
-        leaves.append(EWLeaf("f", (0,), cs.char_exponents()))
+        leaves.append(OracleLeaf("f", (0,), cs.char_exponents()))
         for l in range(1, cs.h + 1):
             prefix = tuple(Fraction(cs.b[i], cs.b0) for i in range(1, l))
-            leaves.append(EWLeaf(f"f_{l}", (1, l), prefix))
+            leaves.append(OracleLeaf(f"f_{l}", (1, l), prefix))
     facts = prediction.factors()
     group_of = factor_groups(prediction)
     for pos, (f, name) in enumerate(zip(facts, prediction.labels())):
-        leaves.append(EWLeaf(name, (2, pos), f.char_exponents, f.multiplicity))
+        leaves.append(OracleLeaf(name, (2, pos), f.char_exponents, f.multiplicity))
 
     between = {(a, b): c for a, b, c in contact_table_oracle(prediction)}
     contacts = {}
@@ -418,7 +469,7 @@ def eggers_wall_oracle(prediction, include_branch=True):
             contacts[frozenset((la.name, lb.name))] = value
 
     tree = _cluster(leaves, lambda a, b: contacts[frozenset((a.name, b.name))])
-    return EggersWallExport(EWNode(None, [(1, tree)]))
+    return OracleEggersWall(OracleNode(None, [(1, tree)]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import branchpolar
 from branchpolar.charclass import new_char_sequence
 from branchpolar.diagram import NewtonDiagram, elementary
 from branchpolar.errors import InvariantViolation, OrderOutOfRange
-from branchpolar.polar import EWLeaf, export_eggers_wall, predict
+from branchpolar.polar import EWRun, export_eggers_wall, predict
 from oracles import (
     contact_table_oracle,
     eggers_wall_oracle,
@@ -323,8 +323,9 @@ def test_labels_canonical_order():
 
 
 def leaf_names(node):
-    if isinstance(node, EWLeaf):
-        return [node.name]
+    """The leaves under ``node`` in order, a run child standing for its r leaves."""
+    if isinstance(node, EWRun):
+        return list(node.names)
     out = []
     for _, child in node.children:
         out.extend(leaf_names(child))
@@ -332,7 +333,7 @@ def leaf_names(node):
 
 
 def find_node(node, contact):
-    if isinstance(node, EWLeaf):
+    if isinstance(node, EWRun):
         return None
     if node.contact == contact:
         return node
@@ -344,11 +345,11 @@ def find_node(node, contact):
 
 
 def all_node_contacts(node):
-    if isinstance(node, EWLeaf) or node.contact is None:
+    if isinstance(node, EWRun) or node.contact is None:
         contacts = []
     else:
         contacts = [node.contact]
-    if not isinstance(node, EWLeaf):
+    if not isinstance(node, EWRun):
         for _, child in node.children:
             contacts.extend(all_node_contacts(child))
     return contacts
@@ -356,7 +357,7 @@ def all_node_contacts(node):
 
 def walk_contacts(node, parent):
     """Yield (parent_contact, node_contact) for consecutive internal nodes."""
-    if isinstance(node, EWLeaf):
+    if isinstance(node, EWRun):
         return
     if parent is not None and node.contact is not None:
         yield parent, node.contact
@@ -406,7 +407,8 @@ def test_eggers_wall_two_node_tree():
     tree = export_eggers_wall(predict(cs, 1), include_branch=False)
     root = tree.root
     assert len(root.children) == 1
-    assert isinstance(root.children[0][1], EWLeaf)
+    assert isinstance(root.children[0][1], EWRun)
+    assert root.children[0][1].names == ["z^(1)_1"]
 
 
 def test_eggers_wall_contacts_increase_toward_leaves():
@@ -428,10 +430,19 @@ def test_eggers_wall_distinct_nodes_same_value():
 
 def test_eggers_wall_matches_clustering_oracle():
     rng = random.Random(59)
+    cases = []
     for _ in range(80):
         cs = random_char_sequence(rng, b0_max=40)
-        for k in range(1, cs.b0):
-            p = predict(cs, k)
-            for include_branch in (True, False):
-                assert export_eggers_wall(p, include_branch).to_dot() == \
-                    eggers_wall_oracle(p, include_branch).to_dot(), (cs.b, k, include_branch)
+        cases += [(cs, k) for k in range(1, cs.b0)]
+    # random classes seldom have long runs: K(b0, 2b0 - 1) at k = 1 is one
+    # Z-run of b0 - 1 factors, and K(2e, 3e, 3e + 1) at e/2 <= k < e puts a
+    # run of W-factors next to a single Z-factor
+    cases += [(new_char_sequence([b0, 2 * b0 - 1]), 1) for b0 in (64, 128)]
+    for e in (20, 40):
+        cs = new_char_sequence([2 * e, 3 * e, 3 * e + 1])
+        cases += [(cs, k) for k in range(e // 2, e)]
+    for cs, k in cases:
+        p = predict(cs, k)
+        for include_branch in (True, False):
+            assert export_eggers_wall(p, include_branch).to_dot() == \
+                eggers_wall_oracle(p, include_branch).to_dot(), (cs.b, k, include_branch)

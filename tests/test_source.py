@@ -84,12 +84,24 @@ def _definitions(tree):
                 stack.append((child, owner))
 
 
+def _dataclass_fields(tree):
+    """Every field of a dataclass defined in a tree, with its class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for child in node.body:
+                if isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name):
+                    yield child, node
+
+
 def test_package_defines_nothing_only_the_tests_use():
-    # every function, class and method is used by the package itself or by
-    # a README python block; what only tests use belongs in tests/oracles.py.
-    # A method is only reached as an attribute, so a variable of the same
-    # name does not count for it.  __init__.py imports a name to re-export
-    # it, which is no use: the name must be read by another module or a block
+    # every function, class, method and dataclass field is used by the
+    # package itself or by a README python block; what only tests use belongs
+    # in tests/oracles.py.  A method or a field is only reached as an
+    # attribute, so a variable of the same name does not count for it.
+    # __init__.py imports a name to re-export it, which is no use: the name
+    # must be read by another module or a block
     trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
     readers = [tree for path, tree in trees.items() if path.name != "__init__.py"]
@@ -106,6 +118,8 @@ def test_package_defines_nothing_only_the_tests_use():
             used = node.name in attrs or (owner is None and node.name in names)
             if not (used or dunder or name in CALLED_BY_THE_STANDARD_LIBRARY):
                 found.append(f"{path.name}:{node.lineno} {name}")
+        found += [f"{path.name}:{field.lineno} {owner.name}.{field.target.id}"
+                  for field, owner in _dataclass_fields(tree) if field.target.id not in attrs]
     assert blocks
     assert not found, f"defined in the package but used by nothing in it: {found}"
 

@@ -150,8 +150,8 @@ def test_expected_hat_diagram_ex1_level2():
     assert steep == [(8, 1)] * 3
     # k = 0 keeps the hat diagram unchanged
     unchanged = HatLevel.read(w.cs, 2, level.fhat, 0)
-    assert unchanged.polar == level.diagram
-    assert check_lemma_nd(w, unchanged).expected == level.diagram.vertices
+    assert unchanged.polar == diagram_of(level.starts)
+    assert check_lemma_nd(w, unchanged).expected == diagram_of(level.starts).vertices
 
 
 def test_expected_hat_diagram_ex2_level1():
@@ -169,7 +169,7 @@ def test_expected_hat_diagram_is_the_split_sum(b):
     cs = new_char_sequence(b)
     w = sample_witness(cs, 1)
     for l, level in enumerate(hat_chain(w, cs.h, 1), start=1):
-        hat = level.diagram
+        hat = diagram_of(level.starts)
         for k in range(cs.e[l - 1]):
             at_k = HatLevel.read(cs, l, level.fhat, k)
             r_deriv, low = split_derivative(hat, k, cs.e[l])
@@ -194,7 +194,7 @@ def test_expected_hat_diagram_rejects_a_wrong_steep_part(monkeypatch):
             hat_chain(w, 1, 1)
     right = BivariatePoly({(0, 12): 1, (16, 0): 1})
     monkeypatch.setattr(verify_mod, "min_poly", lambda a, cut=None: right)
-    assert hat_chain(w, 1, 1)[0].diagram == elementary(16, 12)
+    assert diagram_of(hat_chain(w, 1, 1)[0].starts) == elementary(16, 12)
 
 
 def test_expected_hat_diagram_order_too_large():
@@ -382,7 +382,7 @@ def _assert_chain_reads_like_full_expansion(w, k):
             (i, j): c for (i, j), c in row_starts(full_polar).terms.items()
             if scale * i + slope * (j + k) <= intercept}, case
         observed, full_observed = diagram_of(polar), diagram_of(full_polar)
-        assert (level.polar, level.expected) == (observed, level.diagram.symbolic_derivative(k)), case
+        assert (level.polar, level.expected) == (observed, diagram_of(level.starts).symbolic_derivative(k)), case
         # the cut polar misses E exactly when the full one does, and then the
         # level is degenerate either way
         assert (observed == level.expected) == (full_observed == level.expected), case
@@ -653,7 +653,7 @@ def test_degenerate_witness_reads_within_the_cut(monkeypatch):
 def _assert_levels_carry_their_diagrams(chain, k):
     # each reading of a level against one of its full hat
     for l, level in enumerate(chain, start=1):
-        assert level.diagram == diagram_of(level.fhat), l
+        assert diagram_of(level.starts) == diagram_of(level.fhat), l
         assert level.polar == diagram_of(derivative_y(level.fhat, k)), (l, k)
 
 
