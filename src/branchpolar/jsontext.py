@@ -3,19 +3,10 @@
 from json.encoder import encode_basestring_ascii
 
 
-class Written:
-    """Text pieces already written for their place, from any iterable: the
-    writer puts them as they are, so a generator is consumed once, where it
-    lands."""
-    __slots__ = ("pieces",)
-
-    def __init__(self, pieces):
-        self.pieces = pieces
-
-
 def dumps(value, indent: int = 0) -> str:
     """The text that ``write`` puts for ``value``, joined, with ``indent``
-    more spaces after every newline."""
+    more spaces after every newline; ``dumps(x.to_json)`` is the text that a
+    streaming writer puts."""
     chunks = []
     write(value, chunks.append, "\n" + " " * indent)
     return "".join(chunks)
@@ -24,11 +15,11 @@ def dumps(value, indent: int = 0) -> str:
 def write(value, put, newline: str = "\n") -> None:
     """Put the standard library's indent-2 JSON text of ``value``, byte for
     byte, piece by piece through ``put``, with ``newline`` ending every line,
-    for dicts with str keys, lists, tuples, strs, ints, bools, None,
-    ``Written`` pieces and callables, which are called as
-    ``value(put, newline)`` to write their own text where they land; any other
-    type raises TypeError.  The standard library runs its pure-Python encoder
-    whenever ``indent`` is set, so this writes the text directly."""
+    for dicts with str keys, lists, tuples, strs, ints, bools, None and
+    callables, which are called as ``value(put, newline)`` to write their own
+    text where they land; any other type raises TypeError.  The standard
+    library runs its pure-Python encoder whenever ``indent`` is set, so this
+    writes the text directly."""
     # a module-level function, not a closure: a closure that calls itself is
     # a reference cycle, and would keep every chunk alive until the cyclic
     # garbage collector runs
@@ -65,9 +56,6 @@ def write(value, put, newline: str = "\n") -> None:
             write(item, put, inner)
             sep = "," + inner
         put(newline + "}")
-    elif kind is Written:
-        for piece in value.pieces:
-            put(piece)
     elif callable(value):
         value(put, newline)
     else:

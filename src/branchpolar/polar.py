@@ -25,13 +25,17 @@ semiroot contact when both lie in one group and factor i's contact with f
 otherwise.  ``predict`` repeats one frozen factor object for each run of
 equal factors (the W-factors of a group, the Z-factors of equal parts), and
 one checked walk of those runs, ``_runs``, checks both orderings in O(F) for
-F factors.  Both contact writers read that walk, so neither writes a
-prediction that breaks the rule: the JSON writer ``to_json`` formats one
-indent-2 block per run, with only the label changing, and each run's two
-contacts once, and generates the text of the rows as it puts them, joined
-from per-factor strings, so no Python code runs per pair and no more than a
-factor's rows are held at once; the Eggers-Wall export takes its runs from
-it.
+F factors and names every factor: a run carries its label prefix, z^(l)_ or
+w^(l)_, and the range of its numbers, each kind counted apart in its group.
+Every writer reads that walk, so none writes a prediction that breaks the
+rule, and each formats a run once, with only the number changing from
+factor to factor.  ``to_text`` formats each run's line once.  ``to_json``
+streams the document through ``put``: each run's factor blocks are one
+callable that writes the block once at the depth where it lands, each run's
+two contacts are formatted once, and the contact rows are put as they are
+generated, joined from per-factor strings, so no Python code runs per pair
+and no more than a factor's rows are held at once.  The Eggers-Wall export
+takes its runs from the same walk.
 
 These contacts fix the shape of the Eggers-Wall tree, so the export builds it
 directly.  A trunk leads from the root to the leaf f, with a vertex at every
@@ -48,24 +52,27 @@ root.
 
 The export works per run of equal factors, which hang off one vertex with
 one characteristic sequence.  A run of r factors is one child of its vertex,
-``EWRun``: it counts as r children where a vertex left with one child is
-contracted, sorts by its first label, has its edge index computed once, and
-``to_dot`` writes its r node lines and r edge lines in one loop.
+``EWRun``, which keeps the run's prefix and numbers: it counts as r children
+where a vertex left with one child is contracted, sorts by its place among
+the runs, has its edge index computed once, and ``to_dot`` writes each
+leaf's name straight into its node line, its r node lines and r edge lines
+in one loop.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from itertools import groupby
 from math import lcm
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from . import diagram as diagram_mod
 from .charclass import CharSequence
 from .errors import InvariantViolation, OrderOutOfRange, integers
-from .jsontext import Written, dumps, write
+from .jsontext import dumps, write
 
 __all__ = [
     "PolarFactor",
@@ -119,100 +126,81 @@ class PolarPrediction:
     def factors(self):
         return [f for group in self.groups for f in group]
 
-    def labels(self) -> list:
-        """Canonical factor names z^(l)_j / w^(l)_i in emission order.  The
-        names of each block of one kind in a group, whole runs of equal
-        factors, come from one list comprehension."""
-        out = []
-        for l, group in enumerate(self.groups, start=1):
-            count = {"Z": 0, "W": 0}
-            for kind, block in groupby(group, key=attrgetter("kind")):
-                first = count[kind]
-                count[kind] = stop = first + len(list(block))
-                name = f"{kind.lower()}^({l})_"
-                out += [f"{name}{j}" for j in range(first + 1, stop + 1)]
-        return out
-
     def multiplicity_total(self) -> int:
         return sum(f.multiplicity for f in self.factors())
 
     def _runs(self) -> list:
-        """Each group's runs, after checking in O(F) the orderings the
-        contact rule relies on (see the module docstring).
+        """Each group's runs, named, after checking in O(F) the orderings
+        the contact rule relies on (see the module docstring).
 
-        ``_runs()[l - 1]`` lists (factor, start, stop) for each run of one
-        factor object repeated in group l, start and stop being label
-        positions.  The contact with f never falls from one run to the next,
-        and inside a group the semiroot contact never rises; a prediction
-        that breaks either raises ``InvariantViolation``."""
-        runs, stop, prev = [], 0, None
-        for group in self.groups:
-            group_runs = []
+        ``_runs()[l - 1]`` lists (factor, prefix, numbers) for each run of
+        one factor object repeated in group l, in label order: the run's
+        factors are named prefix + j for j in the range ``numbers``, the
+        prefix z^(l)_ or w^(l)_ and each kind counted apart in its group.
+        The contact with f never falls from one run to the next, and inside
+        a group the semiroot contact never rises; a prediction that breaks
+        either raises ``InvariantViolation``."""
+        runs, prev = [], None
+        for l, group in enumerate(self.groups, start=1):
+            group_runs, count = [], {"Z": 1, "W": 1}
             for _, run in groupby(group, key=id):
                 run = list(run)
-                f, start, stop = run[0], stop, stop + len(run)
+                f = run[0]
+                first = count[f.kind]
+                count[f.kind] = stop = first + len(run)
+                prefix = f"{f.kind.lower()}^({l})_"
                 if prev is not None and f.contact_with_f < prev.contact_with_f:
                     raise InvariantViolation(
                         f"contact with f falls from {prev.contact_with_f} to "
-                        f"{f.contact_with_f} at {self.labels()[start]}"
+                        f"{f.contact_with_f} at {prefix}{first}"
                     )
                 # prev is of this group unless f starts it
                 if group_runs and f.contact_with_semiroot > prev.contact_with_semiroot:
                     raise InvariantViolation(
                         f"semiroot contact rises from {prev.contact_with_semiroot} to "
-                        f"{f.contact_with_semiroot} at {self.labels()[start]}"
+                        f"{f.contact_with_semiroot} at {prefix}{first}"
                     )
-                group_runs.append((f, start, stop))
+                group_runs.append((f, prefix, range(first, stop)))
                 prev = f
             runs.append(group_runs)
         return runs
 
-    def to_json(self, put=None, newline: str = "\n") -> str | None:
-        """The prediction document as indent-2 JSON text (``tests/oracles``
-        builds it as a dict), or, given ``put``, the same text put piece by
-        piece with ``newline`` ending every line, so that it lands at any
-        depth of an enclosing document.  ``_runs`` checks the orderings
-        before the first piece.  One pass over the runs writes each run's
-        factor block once, with only the label changing, and formats its two
-        contacts once; the contact rows are generated as they are put."""
-        # newline is "\n" and the document's own indent
-        indent = len(newline) - 1
+    def to_json(self, put, newline: str = "\n") -> None:
+        """Put the prediction document, indent-2 JSON text (``tests/oracles``
+        builds it as a dict), piece by piece through ``put``, with
+        ``newline`` ending every line, so that it lands at any depth of an
+        enclosing document.  ``_runs`` checks the orderings before the first
+        piece.  Each run's factor blocks are one callable that writes the
+        block once, with only the label changing, each run's two contacts
+        are formatted once, and the contact rows are generated as they are
+        put."""
         row = newline + "    "
-        # labels and contacts hold no character that JSON escapes
-        names = self.labels()
-        # a row is '[' + row + '  "a",' + row + '  "b",' + row + '  "c"' + row + ']'
-        cells = [f'"{name}",{row}  ' for name in names]
-        groups, ends, stop = [], [], 0
+        # labels and contacts hold no character that JSON escapes; a row is
+        # '[' + row + '  "a",' + row + '  "b",' + row + '  "c"' + row + ']'
+        cells, groups, ends = [], [], []
         for l, group_runs in enumerate(self._runs(), start=1):
             blocks, mine, tails = [], [], []
-            for f, start, stop in group_runs:
-                # the factor's block 8 deeper, cut between the quotes of its label
-                block = dumps(dict(f.to_json(l), label=""), indent + 8)
-                cut = block.rindex('""') + 1
-                lead, tail = block[:cut], block[cut:]
-                labels = (tail + "," + newline + "        " + lead).join(names[start:stop])
-                blocks.append(Written((lead, labels, tail)))
+            for f, prefix, numbers in group_runs:
+                blocks.append(partial(_factor_blocks, f.to_json(l), prefix, numbers))
                 # row (i, j) ends in j's semiroot contact when j is in i's
                 # group, and in i's contact with f when j is in a later one
                 own = f'"{f.contact_with_semiroot}"{row}]'
-                mine += [cell + own for cell in cells[start:stop]]
-                tails += [f'"{f.contact_with_f}"{row}]'] * (stop - start)
+                run_cells = [f'"{prefix}{j}",{row}  ' for j in numbers]
+                mine += [cell + own for cell in run_cells]
+                tails += [f'"{f.contact_with_f}"{row}]'] * len(numbers)
+                cells += run_cells
             cont_f = str(Fraction(self.char.b[l], self.char.b0))
             groups.append({"l": l, "cont_f": cont_f, "factors": blocks})
-            ends.append((stop, mine, tails))
-        document = {
+            ends.append((len(cells), mine, tails))
+        write({
             "char": list(self.char.b),
             "k": self.k,
             "i_k": self.i_k,
             "multiplicity_total": self.multiplicity_total(),
             "groups": groups,
-            "pairwise_contacts": (Written(_contact_rows(cells, ends, newline))
-                                  if len(names) > 1 else []),
-        }
-        if put is None:
-            return dumps(document, indent)
-        write(document, put, newline)
-        return None
+            "pairwise_contacts": (partial(_contact_rows, cells, ends, newline)
+                                  if len(cells) > 1 else []),
+        }, put, newline)
 
     def to_text(self) -> str:
         lines = [
@@ -220,28 +208,40 @@ class PolarPrediction:
             f"d^{self.k}f/dy^{self.k} = "
             + " * ".join(f"G^({l})" for l in range(1, self.i_k + 1))
         ]
-        names = iter(self.labels())
-        for l, group in enumerate(self.groups, start=1):
+        for l, group_runs in enumerate(self._runs(), start=1):
             cont = Fraction(self.char.b[l], self.char.b0)
             lines.append(f"group {l}: cont(f, v) = {cont} for every irreducible factor v")
-            for f in group:
-                name = next(names)
+            for f, prefix, numbers in group_runs:
                 char_set = "{" + ", ".join(map(str, f.char_exponents)) + "}"
                 desc = "smooth" if f.is_smooth else f"Char = {char_set}"
-                lines.append(
-                    f"  - {name}: mult {f.multiplicity}, "
-                    f"cont(f_{l}, .) = {f.contact_with_semiroot}, {desc}"
-                )
+                # the run's line, formatted once, takes each of its names
+                line = (f": mult {f.multiplicity}, "
+                        f"cont(f_{l}, .) = {f.contact_with_semiroot}, {desc}")
+                lines += [f"  - {prefix}{j}{line}" for j in numbers]
         lines.append(f"total multiplicity {self.multiplicity_total()} = b0 - k")
         return "\n".join(lines)
 
 
-def _contact_rows(cells, ends, newline: str):
-    """The text of ``pairwise_contacts``, generated as it is put, one
-    factor's rows at a time.  ``ends`` holds, per group, the label position
-    where the group stops, the ends of the rows that pair a factor with an
-    earlier one of its group, and each factor's tail for its rows with later
-    groups (see ``PolarPrediction.to_json``)."""
+def _factor_blocks(block: dict, prefix: str, numbers, put, newline: str) -> None:
+    """Put the blocks of one run of factors as items of a ``factors`` list,
+    at the depth of ``newline``: ``block`` labelled prefix + j for each j of
+    ``numbers``, written once and cut between the quotes of its label."""
+    text = dumps(dict(block, label=""), len(newline) - 1)
+    cut = text.rindex('""') + 1
+    lead, tail = text[:cut] + prefix, text[cut:]
+    put(lead)
+    put((tail + "," + newline + lead).join(map(str, numbers)))
+    put(tail)
+
+
+def _contact_rows(cells, ends, newline: str, put, _depth: str) -> None:
+    """Put the text of ``pairwise_contacts``, one factor's rows at a time,
+    generated as they are put, with ``newline`` the document's own, which
+    the cells were built with, and not the depth newline the writer passes.
+    ``ends`` holds, per group, the label position where the group stops,
+    the ends of the rows that pair a factor with an earlier one of its
+    group, and each factor's tail for its rows with later groups (see
+    ``PolarPrediction.to_json``)."""
     row = newline + "    "
     sep = "["
     for stop, mine, tails in ends:
@@ -251,15 +251,15 @@ def _contact_rows(cells, ends, newline: str):
         for i, (cell, tail) in enumerate(zip(cells[stop - len(mine):], tails), start=1):
             lead = row + "[" + row + "  " + cell
             if i < len(mine):
-                yield sep + lead
-                yield ("," + lead).join(mine[i:])
+                put(sep + lead)
+                put(("," + lead).join(mine[i:]))
                 sep = ","
             if later:
-                yield sep + lead
-                yield (tail + "," + lead).join(later)
-                yield tail
+                put(sep + lead)
+                put((tail + "," + lead).join(later))
+                put(tail)
                 sep = ","
-    yield newline + "  ]"
+    put(newline + "  ]")
 
 
 def _check_branch(f: PolarFactor) -> None:
@@ -338,10 +338,13 @@ def predict(cs: CharSequence, k: int) -> PolarPrediction:
 class EWRun:
     """Leaves that hang off one vertex by equal edges: the branch f, a
     semiroot f_l, or the factors of one run of ``PolarPrediction._runs``,
-    which share their characteristic exponents and multiplicity."""
+    which share their characteristic exponents and multiplicity.  Each leaf
+    is named ``prefix`` and one of ``numbers``: f is "f" and "", f_l is "f_"
+    and l, and a run of factors keeps its prefix and range of numbers."""
 
-    names: list
-    sort_key: tuple         # the first leaf's
+    prefix: str
+    numbers: tuple | range
+    sort_key: tuple         # sorts as the first leaf does
     char_exponents: tuple   # used for the edge index annotations
     multiplicity: int | None = None
 
@@ -382,10 +385,10 @@ def _emit_dot(node: EWNode, lines: list, names) -> str:
             lines.append(f"  {name} -> {_emit_dot(child, lines, names)}{edge}")
             continue
         # each leaf of the run: its node line, then its edge line; zip stops
-        # at the end of the names before it draws from the counter
+        # at the end of the numbers before it draws from the counter
         mult = "" if child.multiplicity is None else f" (mult {child.multiplicity})"
-        lines += [f'  n{i} [label="{leaf}{mult}", shape=none];\n  {name} -> n{i}{edge}'
-                  for leaf, i in zip(child.names, names)]
+        lines += [f'  n{i} [label="{child.prefix}{j}{mult}", shape=none];\n  {name} -> n{i}{edge}'
+                  for j, i in zip(child.numbers, names)]
     return name
 
 
@@ -406,7 +409,7 @@ def _finish(node, include_branch: bool):
         return (node, node) if include_branch or node.multiplicity is not None else None
     contact, children = node
     kept = [sub for sub in (_finish(child, include_branch) for child in children) if sub]
-    if sum(len(tree.names) if isinstance(tree, EWRun) else 1 for tree, _ in kept) <= 1:
+    if sum(len(tree.numbers) if isinstance(tree, EWRun) else 1 for tree, _ in kept) <= 1:
         return kept[0] if kept else None
     kept.sort(key=lambda sub: sub[1].sort_key)
     edges = [(_edge_index(first, contact), tree) for tree, first in kept]
@@ -417,20 +420,20 @@ def export_eggers_wall(p: PolarPrediction, include_branch: bool = True) -> Egger
     """Eggers-Wall tree of the predicted factors and, when ``include_branch``
     is set, of the branch f and its semiroots f_l (see the module docstring)."""
     cs = p.char
-    # a run's first label position doubles as its sort key; group l is
-    # by_group[l - 1], the position of its runs, and the levels past the
-    # prediction's groups are empty
-    names = p.labels()
-    by_group = [[(f, EWRun(names[start:stop], (2, start), f.char_exponents, f.multiplicity))
-                 for f, start, stop in group_runs]
+    # runs come in label order, so a run's place among them sorts it as its
+    # first label would; group l is by_group[l - 1], the position of its
+    # runs, and the levels past the prediction's groups are empty
+    order = itertools.count()
+    by_group = [[(f, EWRun(prefix, numbers, (2, next(order)), f.char_exponents, f.multiplicity))
+                 for f, prefix, numbers in group_runs]
                 for group_runs in p._runs()] + [[]] * cs.h
 
     # vertices are (contact, children) until _finish; the trunk grows from
     # the leaf f toward the root and each f_l path from f_l toward the trunk
     exponents = cs.char_exponents()
-    trunk = EWRun(["f"], (0,), exponents)
+    trunk = EWRun("f", ("",), (0,), exponents)
     for l in range(cs.h, 0, -1):
-        path = EWRun([f"f_{l}"], (1, l), exponents[:l - 1])
+        path = EWRun("f_", (l,), (1, l), exponents[:l - 1])
         # Z-runs come by descending semiroot contact (CanonicalRep order)
         zs = [(f.contact_with_semiroot, run) for f, run in by_group[l - 1] if f.kind == "Z"]
         for contact, same in groupby(zs, key=itemgetter(0)):

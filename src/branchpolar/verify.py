@@ -94,7 +94,7 @@ from .errors import (
     InvariantViolation,
     OrderTooLarge,
 )
-from .jsontext import dumps, write
+from .jsontext import write
 from .polar import PolarPrediction, predict
 from .puiseux import (
     BivariatePoly,
@@ -244,8 +244,11 @@ class HatLevel:
         down by k, or the quadrant at (x, 0) of the top vertex (x, y) when
         k > y.  That is O(y) integer steps per level.
 
-        This is the one place a level is built: an order k >= e_(l-1), the
-        height of the class edge, raises OrderTooLarge before any work."""
+        This is the one place a level is built: a level l outside 1..h
+        raises IndexOutOfRange and an order k >= e_(l-1), the height of the
+        class edge, OrderTooLarge, before any work."""
+        if not 1 <= l <= cs.h:
+            raise IndexOutOfRange(f"level {l} not in 1..{cs.h}")
         if k >= cs.e[l - 1]:
             raise OrderTooLarge(f"order {k} >= e_{l - 1} = {cs.e[l - 1]}")
         corner = cs.bbar[l - 1]
@@ -519,8 +522,11 @@ def check_initial_form(w: WitnessBranch, l: int, starts: BivariatePoly) -> bool:
     reads only the first term of each row): the compact edge from
     (b, e_(l-1)) to (bbar_l, 0) must carry a binom(e_l, t) (-a_{b_l}^n_l)^t
     at y^(n_l (e_l - t)), and nothing else.  Holds for every
-    conjugate-product witness (unit 1), generic or not."""
+    conjugate-product witness (unit 1), generic or not.  A level l outside
+    1..h raises IndexOutOfRange before any work."""
     cs = w.cs
+    if not 1 <= l <= cs.h:
+        raise IndexOutOfRange(f"level {l} not in 1..{cs.h}")
     n_l, e_l = cs.n_seq[l - 1], cs.e[l]
     corner = cs.bbar[l - 1]
     try:
@@ -589,10 +595,11 @@ class VerificationReport:
     def degenerate_count(self) -> int:
         return sum(run.status == "degenerate" for run in self.runs)
 
-    def to_json(self, put=None) -> str | None:
-        """The report as indent-2 JSON text, or, given ``put``, the same text
-        put piece by piece.  The prediction's ``to_json`` writes it where it
-        lands; its orderings are checked before the report's first piece."""
+    def to_json(self, put, newline: str = "\n") -> None:
+        """Put the report, indent-2 JSON text, piece by piece through
+        ``put``, with ``newline`` ending every line.  The prediction's
+        ``to_json`` writes it where it lands; its orderings are checked
+        before the report's first piece."""
         # the prediction checks its orderings again where it lands, after
         # the report's first pieces have been put
         self.prediction._runs()
@@ -606,10 +613,7 @@ class VerificationReport:
             "prediction": self.prediction.to_json,
             "runs": [run.to_json() for run in self.runs],
         }
-        if put is None:
-            return dumps(document)
-        write(document, put)
-        return None
+        write(document, put, newline)
 
     def to_text(self) -> str:
         lines = [f"verify K{self.prediction.char} k={self.prediction.k}: {self.verdict}"]

@@ -6,8 +6,9 @@ row, first derivatives of elementary diagrams by continued fractions,
 conjugate products by exact cyclotomic arithmetic and
 by iterated norms (Laplace
 determinants), random valid characteristic sequences by rejection,
-pairwise contacts one pair at a time, the prediction document as a dict
-of one block per factor and one row per pair, Eggers-Wall trees of one
+factor names counted one factor at a time, pairwise contacts one pair at
+a time, the prediction document as a dict of one block per factor and one
+row per pair, the prediction text one line per factor, Eggers-Wall trees of one
 leaf per factor by clustering that table, written by their own DOT
 writer, hat transforms by full expansion of the minimal
 polynomial and by Horner's scheme, the truncations lam_l of a witness's
@@ -309,12 +310,25 @@ def factor_groups(prediction) -> list:
     return [l for l, group in enumerate(prediction.groups, start=1) for _ in group]
 
 
+def factor_labels(prediction) -> list:
+    """The name of every factor in label order, counted one factor at a
+    time: z^(l)_j for the j-th Z-factor of group l and w^(l)_i for its i-th
+    W-factor."""
+    names = []
+    for l, group in enumerate(prediction.groups, start=1):
+        seen = {"Z": 0, "W": 0}
+        for f in group:
+            seen[f.kind] += 1
+            names.append(f"{f.kind.lower()}^({l})_{seen[f.kind]}")
+    return names
+
+
 def contact_table_oracle(prediction):
     """(label, label, contact) for every pair of factors in label order, one
     comparison per pair: the minimum of the semiroot contacts inside a group
     and of the contacts with f across groups."""
     facts = prediction.factors()
-    names = prediction.labels()
+    names = factor_labels(prediction)
     group_of = factor_groups(prediction)
     table = []
     for i, a in enumerate(facts):
@@ -336,7 +350,7 @@ def prediction_document_oracle(prediction) -> dict:
     factors = prediction.factors()
     groups = [{"l": l, "cont_f": str(Fraction(cs.b[l], cs.b0)), "factors": []}
               for l in range(1, prediction.i_k + 1)]
-    for f, l, name in zip(factors, factor_groups(prediction), prediction.labels()):
+    for f, l, name in zip(factors, factor_groups(prediction), factor_labels(prediction)):
         groups[l - 1]["factors"].append(dict(f.to_json(l), label=name))
     return {
         "char": list(cs.b),
@@ -346,6 +360,27 @@ def prediction_document_oracle(prediction) -> dict:
         "groups": groups,
         "pairwise_contacts": [[a, b, str(c)] for a, b, c in contact_table_oracle(prediction)],
     }
+
+
+def prediction_text_oracle(prediction) -> str:
+    """The text ``PolarPrediction.to_text`` writes, built one line per
+    factor."""
+    cs, k = prediction.char, prediction.k
+    char = ",".join(map(str, cs.b))
+    product = " * ".join(f"G^({l})" for l in range(1, prediction.i_k + 1))
+    lines = [f"class K({char}), k = {k}: d^{k}f/dy^{k} = {product}"]
+    names = iter(factor_labels(prediction))
+    for l, group in enumerate(prediction.groups, start=1):
+        lines.append(f"group {l}: cont(f, v) = {Fraction(cs.b[l], cs.b0)} "
+                     "for every irreducible factor v")
+        for f in group:
+            desc = ("smooth" if not f.char_exponents
+                    else "Char = {" + ", ".join(map(str, f.char_exponents)) + "}")
+            lines.append(f"  - {next(names)}: mult {f.multiplicity}, "
+                         f"cont(f_{l}, .) = {f.contact_with_semiroot}, {desc}")
+    total = sum(f.multiplicity for f in prediction.factors())
+    lines.append(f"total multiplicity {total} = b0 - k")
+    return "\n".join(lines)
 
 
 @dataclass
@@ -443,7 +478,7 @@ def eggers_wall_oracle(prediction, include_branch=True):
             leaves.append(OracleLeaf(f"f_{l}", (1, l), prefix))
     facts = prediction.factors()
     group_of = factor_groups(prediction)
-    for pos, (f, name) in enumerate(zip(facts, prediction.labels())):
+    for pos, (f, name) in enumerate(zip(facts, factor_labels(prediction))):
         leaves.append(OracleLeaf(name, (2, pos), f.char_exponents, f.multiplicity))
 
     between = {(a, b): c for a, b, c in contact_table_oracle(prediction)}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchpolar.jsontext import Written, dumps, write
+from branchpolar.jsontext import dumps, write
 
 # quotes, backslashes, control characters, non-ASCII and astral characters
 JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZ09:,{}[]é€\u2028😀'))
@@ -44,7 +44,7 @@ def test_dumps_writes_for_the_depth_where_the_value_lands(value, indent):
     assert dumps(value, indent) == json.dumps(value, indent=2).replace("\n", "\n" + " " * indent)
 
 
-# a leaf that stands for the Written pieces; JSON_TEXT never draws its character
+# a leaf that stands for a callable's pieces; JSON_TEXT never draws its character
 MARK = "§"
 
 
@@ -61,30 +61,35 @@ def _substitute(value, new):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(json_values(JSON_SCALARS | st.just(MARK)), max_size=3),
        st.lists(st.text(), max_size=4), INDENTS)
-def test_written_pieces_are_put_byte_for_byte_at_any_depth(items, pieces, indent):
+def test_a_callable_puts_its_pieces_byte_for_byte_at_any_depth(items, pieces, indent):
     value = [*items, MARK]  # one mark at depth 1 at least, the others anywhere
     expected = dumps(value, indent).replace(json.dumps(MARK), "".join(pieces))
-    assert dumps(_substitute(value, Written(pieces)), indent) == expected
+
+    def put_pieces(put, newline):
+        for piece in pieces:
+            put(piece)
+
+    assert dumps(_substitute(value, put_pieces), indent) == expected
 
 
-def test_a_lazy_piece_is_written_in_place_once():
-    # a generator is consumed where it lands, after what comes before it is
-    # put and before what comes after; a callable writes itself at its depth
+def test_a_callable_writes_in_place_once_with_the_newline_of_its_depth():
+    # a callable is called where it lands, after what comes before it is put
+    # and before what comes after, and writes itself at its depth
     pieces, drawn = [], []
 
-    def rows():
+    def rows(put, newline):
+        drawn.append(("".join(pieces), newline))
         for row in ("[1]", "[2]"):
-            drawn.append("".join(pieces))
-            yield row
+            put(row)
 
     def nested(put, newline):
         write({"b": [True]}, put, newline)
 
-    write({"a": 0, "rows": Written(rows()), "c": [nested]}, pieces.append)
-    assert drawn == ['{\n  "a": 0,\n  "rows": ', '{\n  "a": 0,\n  "rows": [1]']
+    write({"a": 0, "rows": rows, "c": [nested]}, pieces.append)
+    assert drawn == [('{\n  "a": 0,\n  "rows": ', "\n  ")]
     assert "".join(pieces) == json.dumps(
         {"a": 0, "rows": MARK, "c": [{"b": [True]}]}, indent=2).replace(json.dumps(MARK), "[1][2]")
-    assert dumps(Written(rows())) == "[1][2]"
+    assert dumps(rows) == "[1][2]"
 
 
 @pytest.mark.parametrize("value", [
@@ -102,7 +107,7 @@ def test_dump_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        dumps({"a": [1, {"b": ["c", None, True]}], "d": [], "e": Written(("x", "y"))})
+        dumps({"a": [1, {"b": ["c", None, True]}], "d": [], "e": lambda put, newline: put("xy")})
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -13,6 +13,7 @@ from branchpolar import cli, polar, verify
 from branchpolar.charclass import new_char_sequence
 from branchpolar.diagram import NewtonDiagram, from_support
 from branchpolar.errors import InvariantViolation
+from branchpolar.jsontext import dumps
 from branchpolar.polar import predict
 from branchpolar.verify import verify_prediction
 from oracles import grid_classes
@@ -95,13 +96,13 @@ def test_verify_fails_when_canonical_rep_does_not_split(monkeypatch, b, k, line)
     import branchpolar.polar as polar_mod
 
     cs = new_char_sequence(b)
-    right = predict(cs, k).to_json()
+    right = dumps(predict(cs, k).to_json)
     real = NewtonDiagram.canonical_rep
     monkeypatch.setattr(NewtonDiagram, "canonical_rep", lambda self, long=False: real(self))
     with pytest.raises(InvariantViolation, match="not a branch"):
         predict(cs, k)
     monkeypatch.setattr(polar_mod, "_check_branch", lambda f: None)
-    assert predict(cs, k).to_json() != right
+    assert dumps(predict(cs, k).to_json) != right
     report = verify_prediction(cs, k, [1, 2, 3, 4, 5])
     assert report.verdict == "FAIL", report.to_text()
     assert [f for run in report.runs for f in run.failures] == [line]
@@ -147,7 +148,7 @@ def test_verify_fails_when_a_w_unit_moves_to_the_next_group(monkeypatch, capsys)
     [run] = report.runs
     assert run.failures == (
         "predicted multiplicity 13 at level 2 is not a multiple of b0/e_1 = 2",)
-    levels = json.loads(report.to_json())["runs"][0]["levels"]
+    levels = json.loads(dumps(report.to_json))["runs"][0]["levels"]
     assert [lv["aggregate_edge"] for lv in levels] == [
         {"observed": 14, "predicted": 14, "ok": True},
         {"observed": 6, "predicted": None, "ok": False},
@@ -309,8 +310,8 @@ def test_verify_fails_where_a_truncation_without_its_lattice_hull_changes_predic
     # prediction the verifier must FAIL, and elsewhere it must still PASS.
     # Read through trunc, every case was UNKNOWN, all eight seeds degenerate
     cs = new_char_sequence(b)
-    right = predict(cs, k).to_json()
+    right = dumps(predict(cs, k).to_json)
     monkeypatch.setattr(NewtonDiagram, "trunc", _trunc_without_lattice_hull)
-    assert (predict(cs, k).to_json() != right) == (verdict == "FAIL")
+    assert (dumps(predict(cs, k).to_json) != right) == (verdict == "FAIL")
     report = verify_prediction(cs, k, range(1, 9))
     assert report.verdict == verdict, report.to_text()

@@ -18,11 +18,14 @@ import branchpolar
 from branchpolar.charclass import new_char_sequence
 from branchpolar.diagram import NewtonDiagram, elementary
 from branchpolar.errors import InvariantViolation, OrderOutOfRange
+from branchpolar.jsontext import dumps
 from branchpolar.polar import EWRun, export_eggers_wall, predict
 from oracles import (
     contact_table_oracle,
     eggers_wall_oracle,
+    factor_labels,
     prediction_document_oracle,
+    prediction_text_oracle,
     random_char_sequence,
     staircase_trunc_oracle,
 )
@@ -95,7 +98,7 @@ def test_whole_rationals_print_without_a_denominator():
     # z^(1)_1's semiroot contact at k = 2 is the Fraction 2, printed as "2"
     ex1, ex2 = predict(EX1, 2), predict(EX2, 2)
     assert type(ex1.groups[0][0].contact_with_semiroot) is Fraction
-    text, doc = ex1.to_text(), ex1.to_json()
+    text, doc = ex1.to_text(), dumps(ex1.to_json)
     dot = export_eggers_wall(ex2).to_dot()
     assert "cont(f_1, .) = 2," in text
     assert '"cont_semiroot": "2"' in doc
@@ -187,8 +190,8 @@ def test_predict_rejects_wrong_derivative_without_asserts():
 
 
 def test_prediction_json_deterministic():
-    a = predict(EX1, 2).to_json()
-    b = predict(new_char_sequence([12, 16, 31]), 2).to_json()
+    a = dumps(predict(EX1, 2).to_json)
+    b = dumps(predict(new_char_sequence([12, 16, 31]), 2).to_json)
     assert a == b
 
 
@@ -206,12 +209,21 @@ def test_pairwise_contacts_examples():
 
 def assert_document_matches_oracle(p):
     # the oracle takes its rows from contact_table_oracle, one pair at a time
-    assert p.to_json() == json.dumps(prediction_document_oracle(p), indent=2)
+    assert dumps(p.to_json) == json.dumps(prediction_document_oracle(p), indent=2)
 
 
 @pytest.mark.parametrize("cs,k", [(EX1, 1), (EX1, 2), (EX1, 10), (EX2, 1), (EX2, 2)])
 def test_contact_rows_match_oracle_on_goldens(cs, k):
     assert_document_matches_oracle(predict(cs, k))
+
+
+@pytest.mark.parametrize("name,k", [("ex1", 1), ("ex1", 2), ("ex1", 10), ("ex2", 1), ("ex2", 2)])
+def test_text_oracle_writes_the_text_goldens(name, k):
+    # the one-line-per-factor oracle is pinned to the goldens, so the grid
+    # test below compares to_text with text known to be right
+    p = predict({"ex1": EX1, "ex2": EX2}[name], k)
+    golden = Path(__file__).parent / "golden" / f"{name}_k{k}.txt"
+    assert prediction_text_oracle(p) + "\n" == golden.read_text()
 
 
 @st.composite
@@ -269,10 +281,12 @@ def _swap_groups(p):
     (_swap_groups, EX1, 1, "contact with f falls from 31/12 to 4/3 at z^(2)_1"),
 ], ids=["z-order-ex2", "z-order-K(16,23)", "group-order-ex1"])
 def test_contact_writers_reject_wrong_order(mutant, cs, k, message):
-    # the JSON rows and the tree both rest on the two orderings: neither
-    # writer draws a prediction that breaks one
+    # the JSON rows and the tree both rest on the two orderings, and the
+    # text names its factors off the same walk: no writer draws a
+    # prediction that breaks one
     p = mutant(predict(cs, k))
-    writers = [p.to_json] + [lambda b=b: export_eggers_wall(p, b).to_dot() for b in (True, False)]
+    writers = ([lambda: dumps(p.to_json), p.to_text]
+               + [lambda b=b: export_eggers_wall(p, b).to_dot() for b in (True, False)])
     for write in writers:
         with pytest.raises(InvariantViolation) as err:
             write()
@@ -292,7 +306,8 @@ def test_runs_of_copied_factors_write_the_same(cs, k):
     copied = replace(p, groups=tuple(tuple(map(copy.copy, group)) for group in p.groups))
     assert any(len(group) > len(set(map(id, group))) for group in p.groups)
     assert all(len(group) == len(set(map(id, group))) for group in copied.groups)
-    assert copied.to_json() == p.to_json()
+    assert dumps(copied.to_json) == dumps(p.to_json)
+    assert copied.to_text() == p.to_text()
     for include_branch in (True, False):
         assert (export_eggers_wall(copied, include_branch).to_dot()
                 == export_eggers_wall(p, include_branch).to_dot())
@@ -313,7 +328,10 @@ def test_merle_first_polar_multiplicities():
 
 def test_labels_canonical_order():
     p = predict(EX2, 2)
-    assert p.labels() == ["z^(1)_1", "z^(1)_2", "w^(1)_1"]
+    # two runs of one Z-factor, numbered on, then the W-run, numbered apart
+    assert [(prefix, list(numbers)) for _, prefix, numbers in p._runs()[0]] == [
+        ("z^(1)_", [1]), ("z^(1)_", [2]), ("w^(1)_", [1])]
+    assert factor_labels(p) == ["z^(1)_1", "z^(1)_2", "w^(1)_1"]
     # Z-factors come sorted by descending semiroot contact
     zs = [f for f in p.groups[0] if f.kind == "Z"]
     assert zs[0].contact_with_semiroot > zs[1].contact_with_semiroot
@@ -325,7 +343,7 @@ def test_labels_canonical_order():
 def leaf_names(node):
     """The leaves under ``node`` in order, a run child standing for its r leaves."""
     if isinstance(node, EWRun):
-        return list(node.names)
+        return [f"{node.prefix}{j}" for j in node.numbers]
     out = []
     for _, child in node.children:
         out.extend(leaf_names(child))
@@ -408,7 +426,8 @@ def test_eggers_wall_two_node_tree():
     root = tree.root
     assert len(root.children) == 1
     assert isinstance(root.children[0][1], EWRun)
-    assert root.children[0][1].names == ["z^(1)_1"]
+    run = root.children[0][1]
+    assert (run.prefix, list(run.numbers)) == ("z^(1)_", [1])
 
 
 def test_eggers_wall_contacts_increase_toward_leaves():
@@ -428,7 +447,9 @@ def test_eggers_wall_distinct_nodes_same_value():
     assert all_node_contacts(tree.root).count(q(3, 2)) == 2
 
 
-def test_eggers_wall_matches_clustering_oracle():
+def oracle_grid():
+    """(class, k) for every order of 80 random classes with b0 <= 40, and
+    for long runs."""
     rng = random.Random(59)
     cases = []
     for _ in range(80):
@@ -441,7 +462,20 @@ def test_eggers_wall_matches_clustering_oracle():
     for e in (20, 40):
         cs = new_char_sequence([2 * e, 3 * e, 3 * e + 1])
         cases += [(cs, k) for k in range(e // 2, e)]
-    for cs, k in cases:
+    return cases
+
+
+def test_document_and_text_match_their_oracles_on_the_grid():
+    # the oracles name every factor one at a time and build the document
+    # and the text one factor and one pair at a time
+    for cs, k in oracle_grid():
+        p = predict(cs, k)
+        assert dumps(p.to_json) == json.dumps(prediction_document_oracle(p), indent=2), (cs.b, k)
+        assert p.to_text() == prediction_text_oracle(p), (cs.b, k)
+
+
+def test_eggers_wall_matches_clustering_oracle():
+    for cs, k in oracle_grid():
         p = predict(cs, k)
         for include_branch in (True, False):
             assert export_eggers_wall(p, include_branch).to_dot() == \

@@ -1,10 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import contextlib
+import io
 import re
+import sys
 from pathlib import Path
 
 import branchpolar
+from branchpolar import cli
 
 SOURCES = sorted(Path(branchpolar.__file__).parent.glob("*.py"))
 
@@ -50,6 +54,8 @@ def test_package_has_no_unused_imports():
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN = Path(__file__).parent / "golden"
+FORMATS = {".txt": "text", ".json": "json", ".dot": "dot"}
 # argparse calls this override itself, so nothing in the package names it
 CALLED_BY_THE_STANDARD_LIBRARY = {"_Parser.error"}
 
@@ -95,15 +101,60 @@ def _dataclass_fields(tree):
                     yield child, node
 
 
+def _golden_command_lines():
+    """The command line of every golden, read off its file name as CI
+    reads it: tests/golden/<name>_k<k>.<ext> and
+    tests/golden/verify/<char>_k<k>_seeds<seeds>.<ext>, commas written as _."""
+    for path in sorted(GOLDEN.glob("*.*")):
+        name, k = path.stem.rsplit("_k", 1)
+        yield ["example", name, "--k", k, "--format", FORMATS[path.suffix]]
+    for path in sorted((GOLDEN / "verify").glob("*.*")):
+        char, rest = path.stem.split("_k", 1)
+        k, seeds = rest.split("_seeds")
+        yield ["verify", char.replace("_", ","), "--k", k, "--seeds", seeds.replace("_", ","),
+               "--format", FORMATS[path.suffix]]
+
+
+def _functions_run(blocks) -> set:
+    """(resolved file, first line) of every Python function called while the
+    README's python blocks and the golden command lines run, recorded with
+    ``sys.setprofile``."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for index, block in enumerate(blocks):
+                exec(compile(block, f"README.md python block {index}", "exec"), {})
+            codes = [cli.main([*argv, "--quiet"]) for argv in _golden_command_lines()]
+    finally:
+        sys.setprofile(previous)
+    assert codes and set(codes) == {0}, codes
+    return {(str(Path(name).resolve()), line) for name, line in seen}
+
+
+def _first_line(node) -> int:
+    """The line a function's code object starts at: its first decorator's."""
+    return node.decorator_list[0].lineno if node.decorator_list else node.lineno
+
+
 def test_package_defines_nothing_only_the_tests_use():
     # every function, class, method and dataclass field is used by the
     # package itself or by a README python block; what only tests use belongs
     # in tests/oracles.py.  A method or a field is only reached as an
     # attribute, so a variable of the same name does not count for it.
     # __init__.py imports a name to re-export it, which is no use: the name
-    # must be read by another module or a block
+    # must be read by another module or a block.  Nothing names a dunder
+    # method, so each one must run while the README's python blocks and the
+    # golden command lines run
     trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    ran = _functions_run(blocks)
     readers = [tree for path, tree in trees.items() if path.name != "__init__.py"]
     names, attrs = set(), set()
     for tree in [*readers, *map(ast.parse, blocks)]:
@@ -114,9 +165,11 @@ def test_package_defines_nothing_only_the_tests_use():
     for path, tree in trees.items():
         for node, owner in _definitions(tree):
             name = f"{owner.name}.{node.name}" if owner else node.name
-            dunder = node.name.startswith("__") and node.name.endswith("__")
-            used = node.name in attrs or (owner is None and node.name in names)
-            if not (used or dunder or name in CALLED_BY_THE_STANDARD_LIBRARY):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                used = (str(path.resolve()), _first_line(node)) in ran
+            else:
+                used = node.name in attrs or (owner is None and node.name in names)
+            if not (used or name in CALLED_BY_THE_STANDARD_LIBRARY):
                 found.append(f"{path.name}:{node.lineno} {name}")
         found += [f"{path.name}:{field.lineno} {owner.name}.{field.target.id}"
                   for field, owner in _dataclass_fields(tree) if field.target.id not in attrs]

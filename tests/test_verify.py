@@ -23,6 +23,7 @@ from branchpolar.errors import (
     OrderOutOfRange,
     OrderTooLarge,
 )
+from branchpolar.jsontext import dumps
 from branchpolar.puiseux import (
     BivariatePoly,
     PuiseuxSeries,
@@ -224,6 +225,23 @@ def test_hat_chain_refuses_a_depth_or_an_order_out_of_range(monkeypatch):
                             (2, 4, OrderTooLarge), (1, 12, OrderTooLarge)):
         with pytest.raises(error):
             hat_chain(w, depth, k)
+
+
+@pytest.mark.parametrize("l", [-1, 0, 3])
+def test_a_level_out_of_range_is_refused_before_any_work(monkeypatch, l):
+    # l outside 1..h is an IndexOutOfRange before any work, as hat_chain and
+    # semiroot_degree raise it; unchecked, l = 0 and -1 would read the
+    # class's last entries through a negative index
+    import branchpolar.verify as verify_mod
+
+    w = sample_witness(EX1, 1)
+    level = hat_chain(w, 1, 1)[-1]
+    monkeypatch.setattr(verify_mod, "row_starts", lambda p: pytest.fail("row_starts ran"))
+    monkeypatch.setattr(verify_mod, "edge_poly", lambda p, edge: pytest.fail("edge_poly ran"))
+    with pytest.raises(IndexOutOfRange, match=f"^level {l} not in 1..2$"):
+        HatLevel.read(EX1, l, level.fhat, 1)
+    with pytest.raises(IndexOutOfRange, match=f"^level {l} not in 1..2$"):
+        check_initial_form(w, l, level.starts)
 
 
 # -- one hat transform per level: hat(d^k f) = d^k hat(f) ----------------------------
@@ -720,8 +738,8 @@ def test_no_check_reads_the_full_hat(case):
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(verify_mod, "hat_chain", without_hats)
             blind = verify_prediction(cs, k, [seed])
-        assert (blind.to_json(), blind.to_text()) == (report.to_json(), report.to_text()), (
-            cs.b, seed, k)
+        assert ((dumps(blind.to_json), blind.to_text())
+                == (dumps(report.to_json), report.to_text())), (cs.b, seed, k)
 
 
 # -- the all-ones non-generic witness for K(12,16,31) ----------------------------------
@@ -941,19 +959,19 @@ def test_verify_rejects_a_repeated_or_non_integer_seed():
                          ([True], "integers"), ([1, False], "integers")):
         with pytest.raises(ValueError, match=match):
             verify_prediction(cs, 1, seeds)
-    assert verify_prediction(cs, 1, (s for s in [3, 5])).to_json()
+    assert dumps(verify_prediction(cs, 1, (s for s in [3, 5])).to_json)
 
 
 def test_verify_report_deterministic():
-    a = verify_prediction(EX2, 2, [3, 4]).to_json()
-    b = verify_prediction(EX2, 2, [3, 4]).to_json()
+    a = dumps(verify_prediction(EX2, 2, [3, 4]).to_json)
+    b = dumps(verify_prediction(EX2, 2, [3, 4]).to_json)
     assert a == b
 
 
 def test_verify_report_embeds_the_prediction_document():
     # three groups, five factors and their ten contact rows, one level deeper
     report = verify_prediction(new_char_sequence([16, 24, 28, 30, 31]), 3, [1, 2])
-    text = report.to_json()
+    text = dumps(report.to_json)
     blob = json.loads(text)
     blob["prediction"] = prediction_document_oracle(report.prediction)
     assert text == json.dumps(blob, indent=2)
