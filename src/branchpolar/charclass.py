@@ -101,9 +101,11 @@ def new_char_sequence(b) -> CharSequence:
 
 
 def semiroot_degree(cs: CharSequence, l: int) -> int:
-    """Degree b0/e_{l-1} = n_1 * ... * n_{l-1} of the l-th semiroot."""
-    if not 1 <= l <= cs.h:
-        raise IndexOutOfRange(f"semiroot index {l} not in 1..{cs.h}")
+    """Degree b0/e_{l-1} = n_1 * ... * n_{l-1} of the l-th semiroot; an
+    ``l`` that is not an int in 1..h, a bool or a float among them, raises
+    IndexOutOfRange."""
+    if type(l) is not int or not 1 <= l <= cs.h:
+        raise IndexOutOfRange(f"semiroot index must be an int in 1..{cs.h}, got {l!r}")
     return cs.b0 // cs.e[l - 1]
 
 

@@ -27,10 +27,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(write, args) -> None:
-    """Put the document that ``write(put)`` writes, then one newline, to
-    stdout or to --output.  Every writer makes its checks before its first
-    piece, and --output is opened "w" only at that piece, so a refused
-    document leaves an existing file as it was."""
+    """Put the document that the writer ``write(put)`` writes, a prediction
+    or a report in any format, then one newline, to stdout or to --output.
+    Every writer makes its checks before its first piece, and --output is
+    opened "w" only at that piece, so a refused document leaves an existing
+    file as it was."""
     if args.output is None:
         write(sys.stdout.write)
         sys.stdout.write("\n")
@@ -71,16 +72,15 @@ def _cmd_predict(args, cs, k) -> int:
     if args.format == "json":
         _emit(prediction.to_json, args)
     elif args.format == "dot":
-        tree = polar.export_eggers_wall(prediction, include_branch=not args.no_branch)
-        _emit(lambda put: put(tree.to_dot()), args)
+        _emit(polar.export_eggers_wall(prediction, include_branch=not args.no_branch).to_dot, args)
     else:
-        _emit(lambda put: put(prediction.to_text()), args)
+        _emit(prediction.to_text, args)
     return EXIT_OK
 
 
 def _cmd_verify(args, cs, k, seeds) -> int:
     report = verify.verify_prediction(cs, k, seeds)
-    _emit(report.to_json if args.format == "json" else lambda put: put(report.to_text()), args)
+    _emit(report.to_json if args.format == "json" else report.to_text, args)
     return {"PASS": EXIT_OK, "FAIL": EXIT_FAIL}.get(report.verdict, EXIT_UNKNOWN)
 
 

@@ -13,9 +13,10 @@ def integers(values, error: type) -> tuple:
     of a class, an order k, the legs of an elementary diagram, the
     numbers of a continued fraction and the entries of a weight cut.
     Lattice points (``diagram.from_support``, ``NewtonDiagram`` vertices,
-    the endpoints of an edge given to ``puiseux.edge_poly``) and witness
-    seeds are not read through it: they must be exact ints, since a seed is
-    written into the report as a JSON integer."""
+    the endpoints of an edge given to ``puiseux.edge_poly``), witness
+    seeds and the levels, depths and orders of the verifier's steps are
+    not read through it: they must be exact ints, since a seed is written
+    into the report as a JSON integer."""
     out = []
     for v in values:
         try:

@@ -1,12 +1,14 @@
-"""The package's indent-2 JSON writer."""
+"""The package's indent-2 JSON writer, and ``dumps``, which joins the text
+that any writer puts."""
 
 from json.encoder import encode_basestring_ascii
 
 
 def dumps(value, indent: int = 0) -> str:
     """The text that ``write`` puts for ``value``, joined, with ``indent``
-    more spaces after every newline; ``dumps(x.to_json)`` is the text that a
-    streaming writer puts."""
+    more spaces after every newline.  A writer is a callable ``(put,
+    newline)``, so ``dumps`` joins any writer: ``dumps(x.to_json)``,
+    ``dumps(x.to_text)`` and ``dumps(tree.to_dot)`` are the texts they put."""
     chunks = []
     write(value, chunks.append, "\n" + " " * indent)
     return "".join(chunks)

@@ -29,13 +29,19 @@ F factors and names every factor: a run carries its label prefix, z^(l)_ or
 w^(l)_, and the range of its numbers, each kind counted apart in its group.
 Every writer reads that walk, so none writes a prediction that breaks the
 rule, and each formats a run once, with only the number changing from
-factor to factor.  ``to_text`` formats each run's line once.  ``to_json``
-streams the document through ``put``: each run's factor blocks are one
-callable that writes the block once at the depth where it lands, each run's
-two contacts are formatted once, and the contact rows are put as they are
-generated, joined from per-factor strings, so no Python code runs per pair
-and no more than a factor's rows are held at once.  The Eggers-Wall export
-takes its runs from the same walk.
+factor to factor.
+
+Every writer, ``to_text`` and ``to_json`` here and ``to_dot`` of the
+Eggers-Wall export, is one kind: a callable ``(put, newline)`` that makes
+its checks and then puts its text piece by piece through ``put``, with
+``newline`` between lines, and returns nothing; ``jsontext.dumps(writer)``
+joins what any of them puts.  ``to_text`` puts each group's lines as one
+piece, each run's line formatted once with all its names.  ``to_json`` puts the document: each run's factor
+blocks are one callable that writes the block once at the depth where it
+lands, each run's two contacts are formatted once, and the contact rows are
+put as they are generated, joined from per-factor strings, so no Python
+code runs per pair and no more than a factor's rows are held at once.  The
+Eggers-Wall export takes its runs from the same walk.
 
 These contacts fix the shape of the Eggers-Wall tree, so the export builds it
 directly.  A trunk leads from the root to the leaf f, with a vertex at every
@@ -55,8 +61,8 @@ one characteristic sequence.  A run of r factors is one child of its vertex,
 ``EWRun``, which keeps the run's prefix and numbers: it counts as r children
 where a vertex left with one child is contracted, sorts by its place among
 the runs, has its edge index computed once, and ``to_dot`` writes each
-leaf's name straight into its node line, its r node lines and r edge lines
-in one loop.
+leaf's name straight into its node line, and puts its r node lines and r
+edge lines as one piece.
 """
 
 from __future__ import annotations
@@ -96,19 +102,6 @@ class PolarFactor:
     @property
     def is_smooth(self) -> bool:
         return not self.char_exponents
-
-    def to_json(self, l: int) -> dict:
-        """The factor's JSON block as a member of group ``l``, the position
-        of its tuple in ``PolarPrediction.groups``."""
-        return {
-            "kind": self.kind,
-            "group": l,
-            "part": list(self.part) if self.part else None,
-            "multiplicity": self.multiplicity,
-            "cont_f": str(self.contact_with_f),
-            "cont_semiroot": str(self.contact_with_semiroot),
-            "char": [str(e) for e in self.char_exponents],
-        }
 
 
 @dataclass(frozen=True)
@@ -181,7 +174,7 @@ class PolarPrediction:
         for l, group_runs in enumerate(self._runs(), start=1):
             blocks, mine, tails = [], [], []
             for f, prefix, numbers in group_runs:
-                blocks.append(partial(_factor_blocks, f.to_json(l), prefix, numbers))
+                blocks.append(partial(_factor_blocks, f, l, prefix, numbers))
                 # row (i, j) ends in j's semiroot contact when j is in i's
                 # group, and in i's contact with f when j is in a later one
                 own = f'"{f.contact_with_semiroot}"{row}]'
@@ -202,31 +195,44 @@ class PolarPrediction:
                                   if len(cells) > 1 else []),
         }, put, newline)
 
-    def to_text(self) -> str:
-        lines = [
-            f"class K{self.char}, k = {self.k}: "
-            f"d^{self.k}f/dy^{self.k} = "
-            + " * ".join(f"G^({l})" for l in range(1, self.i_k + 1))
-        ]
-        for l, group_runs in enumerate(self._runs(), start=1):
+    def to_text(self, put, newline: str = "\n") -> None:
+        """Put the prediction as text through ``put``, one line per group
+        and per factor, with ``newline`` between lines.  ``_runs`` checks
+        the orderings before the first piece; each group's lines are one
+        piece, and each run's line is formatted once with all its names."""
+        runs = self._runs()
+        put(f"class K{self.char}, k = {self.k}: d^{self.k}f/dy^{self.k} = "
+            + " * ".join(f"G^({l})" for l in range(1, self.i_k + 1)))
+        for l, group_runs in enumerate(runs, start=1):
             cont = Fraction(self.char.b[l], self.char.b0)
-            lines.append(f"group {l}: cont(f, v) = {cont} for every irreducible factor v")
+            lines = [f"{newline}group {l}: cont(f, v) = {cont} for every irreducible factor v"]
             for f, prefix, numbers in group_runs:
-                char_set = "{" + ", ".join(map(str, f.char_exponents)) + "}"
-                desc = "smooth" if f.is_smooth else f"Char = {char_set}"
+                desc = ("smooth" if f.is_smooth
+                        else "Char = {" + ", ".join(map(str, f.char_exponents)) + "}")
                 # the run's line, formatted once, takes each of its names
+                lead = f"{newline}  - {prefix}"
                 line = (f": mult {f.multiplicity}, "
                         f"cont(f_{l}, .) = {f.contact_with_semiroot}, {desc}")
-                lines += [f"  - {prefix}{j}{line}" for j in numbers]
-        lines.append(f"total multiplicity {self.multiplicity_total()} = b0 - k")
-        return "\n".join(lines)
+                lines += [f"{lead}{j}{line}" for j in numbers]
+            put("".join(lines))
+        put(f"{newline}total multiplicity {self.multiplicity_total()} = b0 - k")
 
 
-def _factor_blocks(block: dict, prefix: str, numbers, put, newline: str) -> None:
-    """Put the blocks of one run of factors as items of a ``factors`` list,
-    at the depth of ``newline``: ``block`` labelled prefix + j for each j of
-    ``numbers``, written once and cut between the quotes of its label."""
-    text = dumps(dict(block, label=""), len(newline) - 1)
+def _factor_blocks(f: PolarFactor, l: int, prefix: str, numbers, put, newline: str) -> None:
+    """Put the blocks of one run of factors of group ``l`` as items of a
+    ``factors`` list, at the depth of ``newline``: ``f``'s block labelled
+    prefix + j for each j of ``numbers``, written once and cut between the
+    quotes of its label."""
+    text = dumps({
+        "kind": f.kind,
+        "group": l,
+        "part": list(f.part) if f.part else None,
+        "multiplicity": f.multiplicity,
+        "cont_f": str(f.contact_with_f),
+        "cont_semiroot": str(f.contact_with_semiroot),
+        "char": [str(e) for e in f.char_exponents],
+        "label": "",
+    }, len(newline) - 1)
     cut = text.rindex('""') + 1
     lead, tail = text[:cut] + prefix, text[cut:]
     put(lead)
@@ -359,36 +365,36 @@ class EWNode:
 class EggersWallExport:
     root: EWNode
 
-    def to_dot(self) -> str:
-        lines = [
-            "digraph eggers_wall {",
-            "  rankdir=BT;",
-            '  node [fontsize=11];',
-        ]
-        _emit_dot(self.root, lines, itertools.count())
-        lines.append("}")
-        return "\n".join(lines)
+    def to_dot(self, put, newline: str = "\n") -> None:
+        """Put the tree in DOT through ``put``, with ``newline`` between
+        lines."""
+        put(f"digraph eggers_wall {{{newline}  rankdir=BT;{newline}  node [fontsize=11];")
+        _emit_dot(self.root, put, newline, itertools.count())
+        put(newline + "}")
 
 
-def _emit_dot(node: EWNode, lines: list, names) -> str:
+def _emit_dot(node: EWNode, put, newline: str, names) -> str:
+    """Put the lines of ``node``'s subtree, each after ``newline``, and
+    return the node's name."""
     # a module-level function, not a closure: a closure that calls itself is
     # a reference cycle, and would keep every line alive until the cyclic
     # garbage collector runs
     name = f"n{next(names)}"
-    label = "0" if node.contact is None else str(node.contact)
-    shape = "point" if node.contact is None else "circle"
-    extra = ', width=0.1' if shape == "point" else ""
-    lines.append(f'  {name} [label="{label}", shape={shape}{extra}];')
+    label, shape = ("0", "point, width=0.1") if node.contact is None else (node.contact, "circle")
+    put(f'{newline}  {name} [label="{label}", shape={shape}];')
     for edge_index, child in node.children:
         edge = f' [label="{edge_index}", dir=none];'
         if isinstance(child, EWNode):
-            lines.append(f"  {name} -> {_emit_dot(child, lines, names)}{edge}")
+            put(f"{newline}  {name} -> {_emit_dot(child, put, newline, names)}{edge}")
             continue
-        # each leaf of the run: its node line, then its edge line; zip stops
-        # at the end of the numbers before it draws from the counter
+        # each leaf of the run: its node line, then its edge line, the parts
+        # around its numbers formatted once; zip stops at the end of the
+        # numbers before it draws from the counter
         mult = "" if child.multiplicity is None else f" (mult {child.multiplicity})"
-        lines += [f'  n{i} [label="{child.prefix}{j}{mult}", shape=none];\n  {name} -> n{i}{edge}'
-                  for j, i in zip(child.numbers, names)]
+        head, opening = f"{newline}  n", f' [label="{child.prefix}'
+        tail = f'{mult}", shape=none];{newline}  {name} -> n'
+        put(head + (edge + head).join([f"{i}{opening}{j}{tail}{i}"
+                                       for j, i in zip(child.numbers, names)]) + edge)
     return name
 
 

@@ -92,6 +92,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidCharacteristic,
     InvariantViolation,
+    OrderOutOfRange,
     OrderTooLarge,
 )
 from .jsontext import write
@@ -157,7 +158,10 @@ def allowed_exponents(cs: CharSequence, upto: int) -> list:
 def sample_witness(cs: CharSequence, seed: int) -> WitnessBranch:
     """Random branch in the class: nonzero integer coefficients at the
     characteristic exponents, arbitrary ones elsewhere, all in [-9, 9], at
-    every allowed exponent numerator up to b_h + b0."""
+    every allowed exponent numerator up to b_h + b0.  A seed that is not an
+    int (a bool or a float) raises ValueError, as ``check_seeds`` does."""
+    if type(seed) is not int:
+        raise ValueError(f"witness seed must be an int, got {seed!r}")
     rng = random.Random(seed)
     upto = cs.b[-1] + cs.b0
     nonzero = [v for v in range(-COEFF_RANGE, COEFF_RANGE + 1) if v]
@@ -181,7 +185,27 @@ def cut_bound(cs: CharSequence, depth: int) -> int:
     x-units: the corner (bbar_L, 0) of the Newton triangle plus one level-1
     lattice step, N_L units.  Every deeper level is capped one level-L
     lattice step past the corner, ``cut_bound - N_L + 1``."""
+    _check_level(cs, depth, "depth")
     return cs.bbar[depth - 1] + semiroot_degree(cs, depth)
+
+
+def _check_level(cs: CharSequence, l, name: str) -> None:
+    """Refuse a level or depth ``l``, called ``name``, that is not an int
+    in 1..h, a bool or a float among them, with IndexOutOfRange."""
+    if type(l) is not int:
+        raise IndexOutOfRange(f"{name} must be an int, got {l!r}")
+    if not 1 <= l <= cs.h:
+        raise IndexOutOfRange(f"{name} {l} not in 1..{cs.h}")
+
+
+def _check_order_below(cs: CharSequence, l: int, k) -> None:
+    """Refuse an order ``k`` that is not an int >= 0, a bool or a float
+    among them, with OrderOutOfRange, and one at or above e_(l-1), the
+    height of level l's class edge, with OrderTooLarge."""
+    if type(k) is not int or k < 0:
+        raise OrderOutOfRange(f"order k must be an int >= 0, got {k!r}")
+    if k >= cs.e[l - 1]:
+        raise OrderTooLarge(f"order {k} >= e_{l - 1} = {cs.e[l - 1]}")
 
 
 def _level_cuts(cs: CharSequence, depth: int) -> list:
@@ -244,13 +268,12 @@ class HatLevel:
         down by k, or the quadrant at (x, 0) of the top vertex (x, y) when
         k > y.  That is O(y) integer steps per level.
 
-        This is the one place a level is built: a level l outside 1..h
-        raises IndexOutOfRange and an order k >= e_(l-1), the height of the
-        class edge, OrderTooLarge, before any work."""
-        if not 1 <= l <= cs.h:
-            raise IndexOutOfRange(f"level {l} not in 1..{cs.h}")
-        if k >= cs.e[l - 1]:
-            raise OrderTooLarge(f"order {k} >= e_{l - 1} = {cs.e[l - 1]}")
+        This is the one place a level is built: a level l that is not an
+        int in 1..h raises IndexOutOfRange, an order k that is not an int
+        >= 0 OrderOutOfRange and one >= e_(l-1), the height of the class
+        edge, OrderTooLarge, before any work."""
+        _check_level(cs, l, "level")
+        _check_order_below(cs, l, k)
         corner = cs.bbar[l - 1]
         edge = ((corner - cs.b[l], cs.e[l - 1]), (corner, 0))
         starts = row_starts(fhat)
@@ -275,8 +298,9 @@ def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
     l = 1..depth, cut to what the checks of order k < e_(depth-1) read
     (N_l = b0/e_(l-1)), each as a ``HatLevel``, read once by
     ``HatLevel.read`` before the next level is substituted into it.  A depth
-    outside 1..h raises IndexOutOfRange and an order k >= e_(depth-1)
-    OrderTooLarge, before any work.
+    that is not an int in 1..h raises IndexOutOfRange, an order k that is
+    not an int >= 0 OrderOutOfRange and one >= e_(depth-1) OrderTooLarge,
+    before any work.
 
     Every substitution is a slice of the root's terms, read by numerator
     over b0.  f^_1 = min_poly of the terms from b_1 on, the root minus lam_1:
@@ -333,10 +357,8 @@ def hat_chain(w: WitnessBranch, depth: int, k: int) -> list:
       polynomial or initial form changes.
     """
     cs = w.cs
-    if not 1 <= depth <= cs.h:
-        raise IndexOutOfRange(f"depth {depth} not in 1..{cs.h}")
-    if k >= cs.e[depth - 1]:
-        raise OrderTooLarge(f"order {k} >= e_{depth - 1} = {cs.e[depth - 1]}")
+    _check_level(cs, depth, "depth")
+    _check_order_below(cs, depth, k)
     terms = w.root.terms
     first = PuiseuxSeries(cs.b0, {i: c for i, c in terms if i >= cs.b[1]})
     # delta_l(x^N_l) as a series in the level-(l-1) variable x^N_(l-1)
@@ -451,8 +473,9 @@ class LevelReport:
                        f"!= predicted {self.aggregate_predicted}")
         return tuple(out)
 
-    def to_json(self) -> dict:
-        return {
+    def to_json(self, put, newline: str = "\n") -> None:
+        """Put the level's report, indent-2 JSON text, through ``put``."""
+        write({
             "l": self.level,
             "status": self.status,
             "reasons": list(self.reasons),
@@ -468,7 +491,7 @@ class LevelReport:
                 "predicted": self.aggregate_predicted,
                 "ok": self.aggregate_ok,
             },
-        }
+        }, put, newline)
 
 
 def check_lemma_nd(w: WitnessBranch, level: HatLevel,
@@ -522,11 +545,10 @@ def check_initial_form(w: WitnessBranch, l: int, starts: BivariatePoly) -> bool:
     reads only the first term of each row): the compact edge from
     (b, e_(l-1)) to (bbar_l, 0) must carry a binom(e_l, t) (-a_{b_l}^n_l)^t
     at y^(n_l (e_l - t)), and nothing else.  Holds for every
-    conjugate-product witness (unit 1), generic or not.  A level l outside
-    1..h raises IndexOutOfRange before any work."""
+    conjugate-product witness (unit 1), generic or not.  A level l that is
+    not an int in 1..h raises IndexOutOfRange before any work."""
     cs = w.cs
-    if not 1 <= l <= cs.h:
-        raise IndexOutOfRange(f"level {l} not in 1..{cs.h}")
+    _check_level(cs, l, "level")
     n_l, e_l = cs.n_seq[l - 1], cs.e[l]
     corner = cs.bbar[l - 1]
     try:
@@ -564,13 +586,15 @@ class SeedRun:
             return "fail"
         return "degenerate" if any(lv.reasons for lv in self.levels) else "pass"
 
-    def to_json(self) -> dict:
-        return {
+    def to_json(self, put, newline: str = "\n") -> None:
+        """Put the run's report, indent-2 JSON text, through ``put``, each
+        level's report written where it lands."""
+        write({
             "seed": self.seed,
             "status": self.status,
-            "levels": [lv.to_json() for lv in self.levels],
+            "levels": [lv.to_json for lv in self.levels],
             "failures": list(self.failures),
-        }
+        }, put, newline)
 
 
 @dataclass(frozen=True)
@@ -603,7 +627,7 @@ class VerificationReport:
         # the prediction checks its orderings again where it lands, after
         # the report's first pieces have been put
         self.prediction._runs()
-        document = {
+        write({
             "char": list(self.prediction.char.b),
             "k": self.prediction.k,
             "verdict": self.verdict,
@@ -611,20 +635,21 @@ class VerificationReport:
             "degenerate_count": self.degenerate_count,
             "seeds": [run.seed for run in self.runs],
             "prediction": self.prediction.to_json,
-            "runs": [run.to_json() for run in self.runs],
-        }
-        write(document, put, newline)
+            "runs": [run.to_json for run in self.runs],
+        }, put, newline)
 
-    def to_text(self) -> str:
-        lines = [f"verify K{self.prediction.char} k={self.prediction.k}: {self.verdict}"]
+    def to_text(self, put, newline: str = "\n") -> None:
+        """Put the report as text through ``put``, with ``newline`` between
+        lines."""
+        put(f"verify K{self.prediction.char} k={self.prediction.k}: {self.verdict}")
         if self.passing_seed is not None:
-            lines.append(f"witness seed {self.passing_seed} confirms the prediction")
+            put(f"{newline}witness seed {self.passing_seed} confirms the prediction")
         if self.degenerate_count:
-            lines.append(f"{self.degenerate_count} seed(s) hit a degenerate witness")
+            put(f"{newline}{self.degenerate_count} seed(s) hit a degenerate witness")
         for run in self.runs:
-            lines.append(f"seed {run.seed}: {run.status}")
+            put(f"{newline}seed {run.seed}: {run.status}")
             for lv in run.levels:
-                bits = [f"  l={lv.level} {lv.status}"]
+                bits = [f"{newline}  l={lv.level} {lv.status}"]
                 if lv.status == "ok":
                     parts = "+".join(f"({m},{n})" for m, n in lv.steep_parts) or "-"
                     bits += [f"steep {parts}",
@@ -632,10 +657,9 @@ class VerificationReport:
                              f"initial form {'ok' if lv.initial_form_ok else 'MISMATCH'}",
                              f"edge@(m/n) {lv.aggregate_edge_length}"
                              f"{'=' if lv.aggregate_ok else '!='}{lv.aggregate_predicted}"]
-                lines.append(" ".join(bits))
+                put(" ".join(bits))
             for fail in run.failures:
-                lines.append(f"  FAIL: {fail}")
-        return "\n".join(lines)
+                put(f"{newline}  FAIL: {fail}")
 
 
 def _expectations(prediction: PolarPrediction, cs: CharSequence, depth: int) -> list:

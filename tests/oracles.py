@@ -343,15 +343,25 @@ def contact_table_oracle(prediction):
 
 
 def prediction_document_oracle(prediction) -> dict:
-    """The prediction document as a dict, one block per factor and one row
-    per pair of factors from ``contact_table_oracle``; ``json.dumps(...,
-    indent=2)`` of it is the text ``PolarPrediction.to_json`` writes."""
+    """The prediction document as a dict, one block per factor, built from
+    the factor's fields and not by the writer's code, and one row per pair
+    of factors from ``contact_table_oracle``; ``json.dumps(..., indent=2)``
+    of it is the text ``PolarPrediction.to_json`` writes."""
     cs = prediction.char
     factors = prediction.factors()
     groups = [{"l": l, "cont_f": str(Fraction(cs.b[l], cs.b0)), "factors": []}
               for l in range(1, prediction.i_k + 1)]
     for f, l, name in zip(factors, factor_groups(prediction), factor_labels(prediction)):
-        groups[l - 1]["factors"].append(dict(f.to_json(l), label=name))
+        groups[l - 1]["factors"].append({
+            "kind": f.kind,
+            "group": l,
+            "part": None if f.part is None else [*f.part],
+            "multiplicity": f.multiplicity,
+            "cont_f": str(f.contact_with_f),
+            "cont_semiroot": str(f.contact_with_semiroot),
+            "char": [str(e) for e in f.char_exponents],
+            "label": name,
+        })
     return {
         "char": list(cs.b),
         "k": prediction.k,

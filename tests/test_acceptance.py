@@ -14,6 +14,7 @@ from math import comb, gcd
 from branchpolar import cli
 from branchpolar.charclass import new_char_sequence
 from branchpolar.diagram import elementary
+from branchpolar.jsontext import dumps
 from branchpolar.polar import predict
 from branchpolar.puiseux import PuiseuxSeries, derivative_y, edge_poly_squarefree, min_poly
 from branchpolar.verify import WitnessBranch, check_lemma_nd, hat_chain, verify_prediction
@@ -191,7 +192,7 @@ def test_criterion_8_end_to_end_verification():
         done = _timed(60.0)
         for k in orders:
             report = verify_prediction(cs, k, seeds)
-            assert report.verdict == "PASS", report.to_text()
+            assert report.verdict == "PASS", dumps(report.to_text)
             for run in report.runs:
                 assert run.status == "pass"
                 for lv in run.levels:

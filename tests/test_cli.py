@@ -123,11 +123,11 @@ def test_verify_cli_exit_codes(capsys, monkeypatch):
         def __init__(self, verdict):
             self.verdict = verdict
 
-        def to_text(self):
-            return self.verdict
+        def to_text(self, put, newline="\n"):
+            put(self.verdict)
 
-        def to_json(self):
-            return json.dumps({"verdict": self.verdict})
+        def to_json(self, put, newline="\n"):
+            put(json.dumps({"verdict": self.verdict}))
 
     for verdict, expected in [("FAIL", cli.EXIT_FAIL), ("UNKNOWN", cli.EXIT_UNKNOWN)]:
         monkeypatch.setattr(cli.verify, "verify_prediction",

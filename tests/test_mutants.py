@@ -104,7 +104,7 @@ def test_verify_fails_when_canonical_rep_does_not_split(monkeypatch, b, k, line)
     monkeypatch.setattr(polar_mod, "_check_branch", lambda f: None)
     assert dumps(predict(cs, k).to_json) != right
     report = verify_prediction(cs, k, [1, 2, 3, 4, 5])
-    assert report.verdict == "FAIL", report.to_text()
+    assert report.verdict == "FAIL", dumps(report.to_text)
     assert [f for run in report.runs for f in run.failures] == [line]
 
 
@@ -144,7 +144,7 @@ def test_verify_fails_when_a_w_unit_moves_to_the_next_group(monkeypatch, capsys)
     assert _w_unit_moved_to_group_2(cs, 2).multiplicity_total() == cs.b0 - 2
     monkeypatch.setattr(verify, "predict", _w_unit_moved_to_group_2)
     report = verify_prediction(cs, 2, [1])
-    assert report.verdict == "FAIL", report.to_text()
+    assert report.verdict == "FAIL", dumps(report.to_text)
     [run] = report.runs
     assert run.failures == (
         "predicted multiplicity 13 at level 2 is not a multiple of b0/e_1 = 2",)
@@ -177,7 +177,7 @@ def test_verify_reads_each_factor_at_its_position(monkeypatch, b, k, line):
     # level 1's steep parts and FAILs, at the first Z-factor past them
     monkeypatch.setattr(verify, "predict", _every_factor_in_group_1)
     report = verify_prediction(new_char_sequence(b), k, [1, 2])
-    assert report.verdict == "FAIL", report.to_text()
+    assert report.verdict == "FAIL", dumps(report.to_text)
     assert line in report.runs[-1].failures
 
 
@@ -196,7 +196,7 @@ def test_verify_fails_when_predict_reverses_its_groups(monkeypatch, capsys, b, k
     # contacts with f fall, and that is the program's fault, exit 4
     monkeypatch.setattr(verify, "predict", _groups_reversed)
     report = verify_prediction(new_char_sequence(b), k, [1, 2])
-    assert report.verdict == "FAIL", report.to_text()
+    assert report.verdict == "FAIL", dumps(report.to_text)
     argv = ["verify", ",".join(map(str, b)), "--k", str(k), "--seeds", "1,2", "--quiet"]
     assert cli.main([*argv, "--format", "text"]) == cli.EXIT_FAIL
     assert capsys.readouterr().err == ""
@@ -221,7 +221,7 @@ def test_verify_fails_when_the_exact_inclination_counts_as_steep(monkeypatch, b)
         p = predict(cs, k)
         exact_edge = p.i_k > 1 or any(f.kind == "W" for f in p.factors())
         report = verify_prediction(cs, k, [1, 2, 3])
-        assert report.verdict == ("FAIL" if exact_edge else "PASS"), (k, report.to_text())
+        assert report.verdict == ("FAIL" if exact_edge else "PASS"), (k, dumps(report.to_text))
 
 
 # -- a group at a level whose e_(l-1) is k ------------------------------------------
@@ -243,7 +243,7 @@ def test_verify_fails_when_predict_adds_a_group_where_e_is_k(monkeypatch, capsys
     assert p.groups == predict(cs, k).groups + ((),)
     monkeypatch.setattr(verify, "predict", wrong)
     report = verify_prediction(cs, k, [1, 2, 3])
-    assert report.verdict == "FAIL", report.to_text()
+    assert report.verdict == "FAIL", dumps(report.to_text)
     assert report.runs[-1].failures[0].startswith(f"group count {p.i_k} != {p.i_k - 1}, ")
     char = ",".join(map(str, b))
     assert cli.main(["verify", char, "--k", str(k), "--seeds", "1", "--quiet"]) == cli.EXIT_FAIL
@@ -314,4 +314,4 @@ def test_verify_fails_where_a_truncation_without_its_lattice_hull_changes_predic
     monkeypatch.setattr(NewtonDiagram, "trunc", _trunc_without_lattice_hull)
     assert (dumps(predict(cs, k).to_json) != right) == (verdict == "FAIL")
     report = verify_prediction(cs, k, range(1, 9))
-    assert report.verdict == verdict, report.to_text()
+    assert report.verdict == verdict, dumps(report.to_text)

@@ -20,6 +20,7 @@ from branchpolar.diagram import NewtonDiagram, elementary
 from branchpolar.errors import InvariantViolation, OrderOutOfRange
 from branchpolar.jsontext import dumps
 from branchpolar.polar import EWRun, export_eggers_wall, predict
+from branchpolar.verify import SeedRun, VerificationReport, verify_prediction
 from oracles import (
     contact_table_oracle,
     eggers_wall_oracle,
@@ -98,8 +99,8 @@ def test_whole_rationals_print_without_a_denominator():
     # z^(1)_1's semiroot contact at k = 2 is the Fraction 2, printed as "2"
     ex1, ex2 = predict(EX1, 2), predict(EX2, 2)
     assert type(ex1.groups[0][0].contact_with_semiroot) is Fraction
-    text, doc = ex1.to_text(), dumps(ex1.to_json)
-    dot = export_eggers_wall(ex2).to_dot()
+    text, doc = dumps(ex1.to_text), dumps(ex1.to_json)
+    dot = dumps(export_eggers_wall(ex2).to_dot)
     assert "cont(f_1, .) = 2," in text
     assert '"cont_semiroot": "2"' in doc
     assert '[label="2", shape=circle]' in dot
@@ -283,14 +284,30 @@ def _swap_groups(p):
 def test_contact_writers_reject_wrong_order(mutant, cs, k, message):
     # the JSON rows and the tree both rest on the two orderings, and the
     # text names its factors off the same walk: no writer draws a
-    # prediction that breaks one
+    # prediction that breaks one.  Each refuses before its first piece,
+    # since the command line opens --output at that piece, and a writer
+    # that refused after one would empty an existing file
     p = mutant(predict(cs, k))
-    writers = ([lambda: dumps(p.to_json), p.to_text]
-               + [lambda b=b: export_eggers_wall(p, b).to_dot() for b in (True, False)])
+    writers = ([p.to_text, p.to_json, VerificationReport(p).to_json]
+               + [lambda put, b=b: export_eggers_wall(p, b).to_dot(put) for b in (True, False)])
     for write in writers:
+        pieces = []
         with pytest.raises(InvariantViolation) as err:
-            write()
+            write(pieces.append)
         assert str(err.value) == message
+        assert pieces == [], write
+
+
+def test_every_writer_ends_its_lines_with_the_newline_it_is_given():
+    # a writer is a callable (put, newline), and jsontext.write calls it
+    # with the newline of the depth where it lands
+    p = predict(EX1, 2)
+    report = verify_prediction(EX1, 2, [1])
+    failed = VerificationReport(p, (SeedRun(1, failures=("level 1: initial form mismatch",)),))
+    for write in (p.to_text, p.to_json, export_eggers_wall(p).to_dot,
+                  export_eggers_wall(p, False).to_dot, report.to_text, report.to_json,
+                  failed.to_text):
+        assert dumps(write, 4) == dumps(write).replace("\n", "\n    "), write
 
 
 @pytest.mark.parametrize("cs,k", [
@@ -307,10 +324,10 @@ def test_runs_of_copied_factors_write_the_same(cs, k):
     assert any(len(group) > len(set(map(id, group))) for group in p.groups)
     assert all(len(group) == len(set(map(id, group))) for group in copied.groups)
     assert dumps(copied.to_json) == dumps(p.to_json)
-    assert copied.to_text() == p.to_text()
+    assert dumps(copied.to_text) == dumps(p.to_text)
     for include_branch in (True, False):
-        assert (export_eggers_wall(copied, include_branch).to_dot()
-                == export_eggers_wall(p, include_branch).to_dot())
+        assert (dumps(export_eggers_wall(copied, include_branch).to_dot)
+                == dumps(export_eggers_wall(p, include_branch).to_dot))
 
 
 def test_merle_first_polar_multiplicities():
@@ -395,7 +412,7 @@ def test_eggers_wall_ex1_k1_structure():
     assert sorted(leaf_names(n83)) == ["f_2", "z^(2)_1", "z^(2)_2", "z^(2)_3"]
     assert sorted(leaf_names(n3112)) == ["f", "f_2", "z^(2)_1", "z^(2)_2", "z^(2)_3"]
     # edge index annotations: 1, 3, 12 along the trunk, 2 on the z-leaf
-    dot = tree.to_dot()
+    dot = dumps(tree.to_dot)
     assert 'label="12"' in dot and 'label="2"' in dot
 
 
@@ -408,7 +425,7 @@ def test_to_dot_leaves_no_reference_cycle(b, k):
     gc.collect()
     gc.disable()
     try:
-        tree.to_dot()
+        dumps(tree.to_dot)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -471,12 +488,12 @@ def test_document_and_text_match_their_oracles_on_the_grid():
     for cs, k in oracle_grid():
         p = predict(cs, k)
         assert dumps(p.to_json) == json.dumps(prediction_document_oracle(p), indent=2), (cs.b, k)
-        assert p.to_text() == prediction_text_oracle(p), (cs.b, k)
+        assert dumps(p.to_text) == prediction_text_oracle(p), (cs.b, k)
 
 
 def test_eggers_wall_matches_clustering_oracle():
     for cs, k in oracle_grid():
         p = predict(cs, k)
         for include_branch in (True, False):
-            assert export_eggers_wall(p, include_branch).to_dot() == \
+            assert dumps(export_eggers_wall(p, include_branch).to_dot) == \
                 eggers_wall_oracle(p, include_branch).to_dot(), (cs.b, k, include_branch)

@@ -82,7 +82,7 @@ def test_predict_hundred_thousand_factors():
 def test_eggers_wall_dot_thousands_of_leaves():
     p = predict(new_char_sequence([4096, 8191]), 1)
     for include_branch in (True, False):
-        dot = export_eggers_wall(p, include_branch).to_dot()
+        dot = dumps(export_eggers_wall(p, include_branch).to_dot)
         assert len(re.findall(r'label="[zw]\^', dot)) == 4095
         assert ('label="f"' in dot) == include_branch
 

@@ -244,6 +244,57 @@ def test_a_level_out_of_range_is_refused_before_any_work(monkeypatch, l):
         check_initial_form(w, l, level.starts)
 
 
+def _not_an_int(text, call, error, name):
+    return pytest.param(call, error, name, id=text)
+
+
+@pytest.mark.parametrize("call,error,name", [
+    _not_an_int("hat_chain(w, True, 1)", lambda w, lv: hat_chain(w, True, 1),
+                IndexOutOfRange, "depth"),
+    _not_an_int("hat_chain(w, 2.0, 1)", lambda w, lv: hat_chain(w, 2.0, 1),
+                IndexOutOfRange, "depth"),
+    _not_an_int("hat_chain(w, 2, 1.0)", lambda w, lv: hat_chain(w, 2, 1.0),
+                OrderOutOfRange, "order k"),
+    _not_an_int("hat_chain(w, 2, True)", lambda w, lv: hat_chain(w, 2, True),
+                OrderOutOfRange, "order k"),
+    _not_an_int("hat_chain(w, 2, -1)", lambda w, lv: hat_chain(w, 2, -1),
+                OrderOutOfRange, "order k"),
+    _not_an_int("HatLevel.read(cs, True, fhat, 1)", lambda w, lv: HatLevel.read(EX1, True, lv.fhat, 1),
+                IndexOutOfRange, "level"),
+    _not_an_int("HatLevel.read(cs, 1, fhat, 2.0)", lambda w, lv: HatLevel.read(EX1, 1, lv.fhat, 2.0),
+                OrderOutOfRange, "order k"),
+    _not_an_int("check_initial_form(w, True, starts)",
+                lambda w, lv: check_initial_form(w, True, lv.starts), IndexOutOfRange, "level"),
+    _not_an_int("check_initial_form(w, 1.0, starts)",
+                lambda w, lv: check_initial_form(w, 1.0, lv.starts), IndexOutOfRange, "level"),
+    _not_an_int("semiroot_degree(cs, True)", lambda w, lv: semiroot_degree(EX1, True),
+                IndexOutOfRange, "semiroot index"),
+    _not_an_int("semiroot_degree(cs, 2.0)", lambda w, lv: semiroot_degree(EX1, 2.0),
+                IndexOutOfRange, "semiroot index"),
+    _not_an_int("cut_bound(cs, True)", lambda w, lv: cut_bound(EX1, True),
+                IndexOutOfRange, "depth"),
+    _not_an_int("sample_witness(cs, 1.5)", lambda w, lv: sample_witness(EX1, 1.5),
+                ValueError, "witness seed"),
+    _not_an_int("sample_witness(cs, True)", lambda w, lv: sample_witness(EX1, True),
+                ValueError, "witness seed"),
+])
+def test_a_level_depth_order_or_seed_that_is_no_int_is_refused_before_any_work(
+        monkeypatch, call, error, name):
+    # a bool is not read as 1 and a float not as the int it equals, nor is
+    # a negative order taken: each is refused with an error that names the
+    # argument, before a conjugate product, a hat, a row start or a random
+    # draw is taken
+    import branchpolar.verify as verify_mod
+
+    w = sample_witness(EX1, 1)
+    level = hat_chain(w, 1, 1)[-1]
+    for fn in ("min_poly", "hat_transform", "row_starts", "edge_poly", "derivative_y"):
+        monkeypatch.setattr(verify_mod, fn, lambda *a, fn=fn, **kw: pytest.fail(f"{fn} ran"))
+    monkeypatch.setattr(verify_mod.random, "Random", lambda *a: pytest.fail("Random ran"))
+    with pytest.raises(error, match=f"^{name} must be an int( in 1..2| >= 0)?, got "):
+        call(w, level)
+
+
 # -- one hat transform per level: hat(d^k f) = d^k hat(f) ----------------------------
 
 
@@ -738,8 +789,8 @@ def test_no_check_reads_the_full_hat(case):
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(verify_mod, "hat_chain", without_hats)
             blind = verify_prediction(cs, k, [seed])
-        assert ((dumps(blind.to_json), blind.to_text())
-                == (dumps(report.to_json), report.to_text())), (cs.b, seed, k)
+        assert ((dumps(blind.to_json), dumps(blind.to_text))
+                == (dumps(report.to_json), dumps(report.to_text))), (cs.b, seed, k)
 
 
 # -- the all-ones non-generic witness for K(12,16,31) ----------------------------------
@@ -921,7 +972,7 @@ def test_verify_regression_grid():
         cs = new_char_sequence(b)
         for k in range(1, cs.b0):
             report = verify_prediction(cs, k, [1, 2])
-            assert report.verdict == "PASS", (b, k, report.to_text())
+            assert report.verdict == "PASS", (b, k, dumps(report.to_text))
 
 
 def test_verify_rejects_bad_order(monkeypatch):
