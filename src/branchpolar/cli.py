@@ -90,6 +90,12 @@ def _cmd_verify(args, cs, k, seeds) -> int:
 
 
 def _add_common(sub, formats):
+    """The options of every command: the order --k, --no-branch where the
+    tree can be drawn, and the output's --format, --output and --quiet."""
+    sub.add_argument("--k", type=int, required=True, help="derivative order, 1 <= k < b0")
+    if "dot" in formats:
+        sub.add_argument("--no-branch", action="store_true",
+                         help="omit the branch and semiroots from the Eggers-Wall tree")
     sub.add_argument("--format", choices=formats, default=formats[0],
                      help=f"output format (default {formats[0]})")
     sub.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
@@ -107,23 +113,19 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = subs.add_parser("predict", help="factor structure of the generic k-th polar")
     p.add_argument("char", metavar="CHAR", help="characteristic b0,b1,...")
-    p.add_argument("--k", type=int, required=True, help="derivative order, 1 <= k < b0")
-    p.add_argument("--no-branch", action="store_true",
-                   help="omit the branch and semiroots from the Eggers-Wall tree")
     _add_common(p, ["text", "json", "dot"])
     p.set_defaults(operands=_class_and_order, func=_cmd_predict)
 
     v = subs.add_parser("verify", help="check the prediction against exact witnesses")
     v.add_argument("char", metavar="CHAR", help="characteristic b0,b1,...")
-    v.add_argument("--k", type=int, required=True)
-    v.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated witness seeds")
+    v.add_argument("--seeds", default="1,2,3,4,5",
+                   help="comma-separated witness seeds (default %(default)s)")
     _add_common(v, ["text", "json"])
     v.set_defaults(operands=_class_order_and_seeds, func=_cmd_verify)
 
     e = subs.add_parser("example", help="reproduce a worked example")
-    e.add_argument("name", choices=sorted(WORKED_EXAMPLES))
-    e.add_argument("--k", type=int, required=True)
-    e.add_argument("--no-branch", action="store_true")
+    e.add_argument("name", choices=sorted(WORKED_EXAMPLES),
+                   help=", ".join(f"{n} is K({c})" for n, c in sorted(WORKED_EXAMPLES.items())))
     _add_common(e, ["text", "json", "dot"])
     e.set_defaults(operands=_class_and_order, func=_cmd_predict)
 

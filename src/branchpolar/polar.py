@@ -14,32 +14,36 @@ branch is b_l/b0; it consists of
 * m = min(e_l, k) - ceil(k/n_l) W-factors of multiplicity b0/e_l whose
   characteristic exponents are b_1/b0,...,b_l/b0.
 
+Group l is defined by its contact with the branch, b_l/b0, and its position
+in the prediction is the only record of it: no factor stores that contact.
 Pairwise contacts inside a group are the minimum of the semiroot contacts;
 across groups they are the minimum of the contacts with the branch.  In
 label order both minima are known without comparing pairs.  Inside a group
-the semiroot contacts weakly decrease: the Z-factors follow the parts of the
-long canonical representation, whose ratios M_j/N_j weakly decrease, and the
-W-factors sit at cont_f, below every Z-factor.  Across groups cont_f =
-b_l/b0 increases with l.  So the row (i, j), j after i, takes factor j's
-semiroot contact when both lie in one group and factor i's contact with f
-otherwise.  ``predict`` repeats one frozen factor object for each run of
-equal factors (the W-factors of a group, the Z-factors of equal parts), and
-one checked walk of those runs, ``_runs``, checks both orderings in O(F) for
-F factors and names every factor: a run carries its label prefix, z^(l)_ or
-w^(l)_, and the range of its numbers, each kind counted apart in its group.
-Every writer reads that walk, so none writes a prediction that breaks the
-rule, and each formats a run once, with only the number changing from
-factor to factor.
+the semiroot contacts weakly decrease and never fall below b_l/b0: the
+Z-factors follow the parts of the long canonical representation, whose
+ratios M_j/N_j weakly decrease, and lie beyond b_l/b0, and the W-factors sit
+at b_l/b0.  Across groups b_l/b0 increases with l.  So the row (i, j), j
+after i, takes factor j's semiroot contact when both lie in one group and
+b_l/b0 of factor i's group l otherwise.  ``predict`` repeats one frozen
+factor object for each run of equal factors (the W-factors of a group, the
+Z-factors of equal parts), and one checked walk of those runs, ``_runs``,
+checks in O(F) for F factors that each group's semiroot contacts never rise
+and never fall below its b_l/b0, and names every factor: a run carries its
+label prefix, z^(l)_ or w^(l)_, and the range of its numbers, each kind
+counted apart in its group.  Every writer reads that walk, so none writes a
+prediction that breaks the rule, and each formats a run once, with only the
+number changing from factor to factor.
 
 Every writer, ``to_text`` and ``to_json`` here and ``to_dot`` of the
 Eggers-Wall export, is one kind: a callable ``(put, newline)`` that makes
 its checks and then puts its text piece by piece through ``put``, with
 ``newline`` between lines, and returns nothing; ``jsontext.dumps(writer)``
 joins what any of them puts.  ``to_text`` puts each group's lines as one
-piece, each run's line formatted once with all its names.  ``to_json`` puts the document: each run's factor
-blocks are one callable that writes the block once at the depth where it
-lands, each run's two contacts are formatted once, and the contact rows are
-put as they are generated, joined from per-factor strings, so no Python
+piece, each run's line formatted once with all its names.  ``to_json``
+puts the document: each run's factor blocks are one callable that writes
+the block once at the depth where it lands, each run's semiroot contact and
+each group's b_l/b0 are formatted once, and the contact rows are put as
+they are generated, joined from per-factor strings, so no Python
 code runs per pair and no more than a factor's rows are held at once.  The
 Eggers-Wall export takes its runs from the same walk.
 
@@ -95,7 +99,8 @@ class PolarFactor:
     kind: str                       # "Z" or "W"
     part: tuple | None              # (M_j, N_j) for Z-factors
     multiplicity: int
-    contact_with_f: Fraction
+    # its contact with f is b_l/b0 of its group l, which only the
+    # prediction records
     contact_with_semiroot: Fraction
     char_exponents: tuple           # sorted Fractions
 
@@ -130,31 +135,30 @@ class PolarPrediction:
         one factor object repeated in group l, in label order: the run's
         factors are named prefix + j for j in the range ``numbers``, the
         prefix z^(l)_ or w^(l)_ and each kind counted apart in its group.
-        The contact with f never falls from one run to the next, and inside
-        a group the semiroot contact never rises; a prediction that breaks
-        either raises ``InvariantViolation``."""
-        runs, prev = [], None
+        Inside group l the semiroot contact never rises from one run to the
+        next and never falls below b_l/b0, the group's contact with f; a
+        prediction that breaks either raises ``InvariantViolation``."""
+        runs, b, b0 = [], self.char.b, self.char.b0
         for l, group in enumerate(self.groups, start=1):
-            group_runs, count = [], {"Z": 1, "W": 1}
+            group_runs, count, prev = [], {"Z": 1, "W": 1}, None
             for _, run in groupby(group, key=id):
                 run = list(run)
                 f = run[0]
                 first = count[f.kind]
                 count[f.kind] = stop = first + len(run)
                 prefix = f"{f.kind.lower()}^({l})_"
-                if prev is not None and f.contact_with_f < prev.contact_with_f:
+                semi = f.contact_with_semiroot
+                if prev is not None and semi > prev:
                     raise InvariantViolation(
-                        f"contact with f falls from {prev.contact_with_f} to "
-                        f"{f.contact_with_f} at {prefix}{first}"
+                        f"semiroot contact rises from {prev} to {semi} at {prefix}{first}"
                     )
-                # prev is of this group unless f starts it
-                if group_runs and f.contact_with_semiroot > prev.contact_with_semiroot:
+                if semi.numerator * b0 < b[l] * semi.denominator:  # semi < b_l/b0
                     raise InvariantViolation(
-                        f"semiroot contact rises from {prev.contact_with_semiroot} to "
-                        f"{f.contact_with_semiroot} at {prefix}{first}"
+                        f"semiroot contact {semi} falls below {Fraction(b[l], b0)} "
+                        f"at {prefix}{first}"
                     )
                 group_runs.append((f, prefix, range(first, stop)))
-                prev = f
+                prev = semi
             runs.append(group_runs)
         return runs
 
@@ -164,27 +168,27 @@ class PolarPrediction:
         ``newline`` ending every line, so that it lands at any depth of an
         enclosing document.  ``_runs`` checks the orderings before the first
         piece.  Each run's factor blocks are one callable that writes the
-        block once, with only the label changing, each run's two contacts
-        are formatted once, and the contact rows are generated as they are
+        block once, with only the label changing, each run's semiroot
+        contact and each group's contact with f, b_l/b0 of the class, are
+        formatted once, and the contact rows are generated as they are
         put."""
         row = newline + "    "
         # labels and contacts hold no character that JSON escapes; a row is
         # '[' + row + '  "a",' + row + '  "b",' + row + '  "c"' + row + ']'
         cells, groups, ends = [], [], []
         for l, group_runs in enumerate(self._runs(), start=1):
-            blocks, mine, tails = [], [], []
+            cont_f = str(Fraction(self.char.b[l], self.char.b0))
+            blocks, mine = [], []
             for f, prefix, numbers in group_runs:
-                blocks.append(partial(_factor_blocks, f, l, prefix, numbers))
+                blocks.append(partial(_factor_blocks, f, l, cont_f, prefix, numbers))
                 # row (i, j) ends in j's semiroot contact when j is in i's
-                # group, and in i's contact with f when j is in a later one
+                # group, and in the group's b_l/b0 when j is in a later one
                 own = f'"{f.contact_with_semiroot}"{row}]'
                 run_cells = [f'"{prefix}{j}",{row}  ' for j in numbers]
                 mine += [cell + own for cell in run_cells]
-                tails += [f'"{f.contact_with_f}"{row}]'] * len(numbers)
                 cells += run_cells
-            cont_f = str(Fraction(self.char.b[l], self.char.b0))
             groups.append({"l": l, "cont_f": cont_f, "factors": blocks})
-            ends.append((len(cells), mine, tails))
+            ends.append((len(cells), mine, f'"{cont_f}"{row}]'))
         write({
             "char": list(self.char.b),
             "k": self.k,
@@ -218,17 +222,18 @@ class PolarPrediction:
         put(f"{newline}total multiplicity {self.multiplicity_total()} = b0 - k")
 
 
-def _factor_blocks(f: PolarFactor, l: int, prefix: str, numbers, put, newline: str) -> None:
-    """Put the blocks of one run of factors of group ``l`` as items of a
-    ``factors`` list, at the depth of ``newline``: ``f``'s block labelled
-    prefix + j for each j of ``numbers``, written once and cut between the
-    quotes of its label."""
+def _factor_blocks(f: PolarFactor, l: int, cont_f: str, prefix: str, numbers,
+                   put, newline: str) -> None:
+    """Put the blocks of one run of factors of group ``l``, whose contact
+    with f is ``cont_f``, as items of a ``factors`` list, at the depth of
+    ``newline``: ``f``'s block labelled prefix + j for each j of
+    ``numbers``, written once and cut between the quotes of its label."""
     text = dumps({
         "kind": f.kind,
         "group": l,
         "part": list(f.part) if f.part else None,
         "multiplicity": f.multiplicity,
-        "cont_f": str(f.contact_with_f),
+        "cont_f": cont_f,
         "cont_semiroot": str(f.contact_with_semiroot),
         "char": [str(e) for e in f.char_exponents],
         "label": "",
@@ -246,15 +251,15 @@ def _contact_rows(cells, ends, newline: str, put, _depth: str) -> None:
     the cells were built with, and not the depth newline the writer passes.
     ``ends`` holds, per group, the label position where the group stops,
     the ends of the rows that pair a factor with an earlier one of its
-    group, and each factor's tail for its rows with later groups (see
+    group, and the group's end of its factors' rows with later groups (see
     ``PolarPrediction.to_json``)."""
     row = newline + "    "
     sep = "["
-    for stop, mine, tails in ends:
+    for stop, mine, tail in ends:
         # the rows of the group's i-th factor: the rest of its group, then
         # every later group
         later = cells[stop:]
-        for i, (cell, tail) in enumerate(zip(cells[stop - len(mine):], tails), start=1):
+        for i, cell in enumerate(cells[stop - len(mine):stop], start=1):
             lead = row + "[" + row + "  " + cell
             if i < len(mine):
                 put(sep + lead)
@@ -318,11 +323,11 @@ def predict(cs: CharSequence, k: int) -> PolarPrediction:
                     f"Z-factor contact {cont_semi} must sit strictly beyond {cont_f}"
                 )
             chars = prefix + (cont_semi,) if n_j > 1 else prefix
-            z = PolarFactor("Z", (m_j, n_j), nsub * n_j, cont_f, cont_semi, chars)
+            z = PolarFactor("Z", (m_j, n_j), nsub * n_j, cont_semi, chars)
             _check_branch(z)
             factors += [z] * len(list(run))
         w_count = min(e_l, k) - (-(-k // n_l))
-        w = PolarFactor("W", None, cs.b0 // e_l, cont_f, cont_f, prefix + (cont_f,))
+        w = PolarFactor("W", None, cs.b0 // e_l, cont_f, prefix + (cont_f,))
         _check_branch(w)
         factors += [w] * w_count
         groups.append(tuple(factors))

@@ -323,10 +323,17 @@ def factor_labels(prediction) -> list:
     return names
 
 
+def contact_with_f(prediction, l) -> Fraction:
+    """The contact with f of every factor of group l: b_l/b0, by the
+    definition of the group."""
+    return Fraction(prediction.char.b[l], prediction.char.b0)
+
+
 def contact_table_oracle(prediction):
     """(label, label, contact) for every pair of factors in label order, one
     comparison per pair: the minimum of the semiroot contacts inside a group
-    and of the contacts with f across groups."""
+    and of the contacts with f, b_l/b0 of each factor's group l, across
+    groups."""
     facts = prediction.factors()
     names = factor_labels(prediction)
     group_of = factor_groups(prediction)
@@ -337,19 +344,21 @@ def contact_table_oracle(prediction):
             if group_of[i] == group_of[j]:
                 value = min(a.contact_with_semiroot, b.contact_with_semiroot)
             else:
-                value = min(a.contact_with_f, b.contact_with_f)
+                value = min(contact_with_f(prediction, group_of[i]),
+                            contact_with_f(prediction, group_of[j]))
             table.append((names[i], names[j], value))
     return table
 
 
 def prediction_document_oracle(prediction) -> dict:
     """The prediction document as a dict, one block per factor, built from
-    the factor's fields and not by the writer's code, and one row per pair
-    of factors from ``contact_table_oracle``; ``json.dumps(..., indent=2)``
-    of it is the text ``PolarPrediction.to_json`` writes."""
+    the factor's fields and its group's b_l/b0 and not by the writer's
+    code, and one row per pair of factors from ``contact_table_oracle``;
+    ``json.dumps(..., indent=2)`` of it is the text
+    ``PolarPrediction.to_json`` writes."""
     cs = prediction.char
     factors = prediction.factors()
-    groups = [{"l": l, "cont_f": str(Fraction(cs.b[l], cs.b0)), "factors": []}
+    groups = [{"l": l, "cont_f": str(contact_with_f(prediction, l)), "factors": []}
               for l in range(1, prediction.i_k + 1)]
     for f, l, name in zip(factors, factor_groups(prediction), factor_labels(prediction)):
         groups[l - 1]["factors"].append({
@@ -357,7 +366,7 @@ def prediction_document_oracle(prediction) -> dict:
             "group": l,
             "part": None if f.part is None else [*f.part],
             "multiplicity": f.multiplicity,
-            "cont_f": str(f.contact_with_f),
+            "cont_f": str(contact_with_f(prediction, l)),
             "cont_semiroot": str(f.contact_with_semiroot),
             "char": [str(e) for e in f.char_exponents],
             "label": name,
@@ -500,7 +509,7 @@ def eggers_wall_oracle(prediction, include_branch=True):
                 if kb[0] == 1:
                     value = Fraction(cs.b[kb[1]], cs.b0)
                 else:
-                    value = facts[kb[1]].contact_with_f
+                    value = contact_with_f(prediction, group_of[kb[1]])
             elif ka[0] == 1 and kb[0] == 1:
                 value = Fraction(cs.b[min(ka[1], kb[1])], cs.b0)
             elif ka[0] == 1:
@@ -508,7 +517,8 @@ def eggers_wall_oracle(prediction, include_branch=True):
                 if group_of[kb[1]] == ka[1]:
                     value = factor.contact_with_semiroot
                 else:
-                    value = min(Fraction(cs.b[ka[1]], cs.b0), factor.contact_with_f)
+                    value = min(Fraction(cs.b[ka[1]], cs.b0),
+                                contact_with_f(prediction, group_of[kb[1]]))
             else:
                 value = between[(la.name, lb.name)]
             contacts[frozenset((la.name, lb.name))] = value

@@ -227,6 +227,23 @@ def test_a_command_help_is_the_command_parser_help(capsys):
     assert capsys.readouterr().out.startswith("usage: branchpolar predict")
 
 
+@pytest.mark.parametrize("command", ["predict", "verify", "example"])
+def test_every_command_help_describes_its_options(capsys, command):
+    # --k is defined once for all three commands and --no-branch once for
+    # the two that draw the tree, so their help cannot drift apart
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--k K derivative order, 1 <= k < b0" in out
+    assert ("--no-branch omit the branch and semiroots from the Eggers-Wall tree" in out) == (
+        command != "verify")
+    if command == "verify":
+        assert "comma-separated witness seeds (default 1,2,3,4,5)" in out
+    if command == "example":
+        assert "{ex1,ex2} ex1 is K(12,16,31), ex2 is K(10,14,15)" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["predict", "12,16,31", "--k", "2"],
     ["predict", "--k=2", "12,16,31", "--format", "dot", "--no-branch",
@@ -312,7 +329,7 @@ def test_a_misordered_prediction_is_not_drawn(tmp_path, capsys, monkeypatch):
         assert captured.out == ""
         assert json.loads(captured.err) == {
             "error": "InvariantViolation",
-            "message": "contact with f falls from 31/12 to 4/3 at z^(2)_1",
+            "message": "semiroot contact 3/2 falls below 31/12 at z^(2)_1",
         }
     assert old.read_text() == "kept\n"
 

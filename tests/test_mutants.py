@@ -63,8 +63,8 @@ def test_predict_rejects_a_factor_that_is_not_a_branch(monkeypatch, mutant, cs, 
     right = predict(cs, k).factors()
     real = polar_mod.PolarFactor
 
-    def factor(kind, part, mult, cont_f, cont_semi, chars):
-        return real(kind, part, mult, cont_f, cont_semi, mutant(kind, part, chars))
+    def factor(kind, part, mult, cont_semi, chars):
+        return real(kind, part, mult, cont_semi, mutant(kind, part, chars))
 
     monkeypatch.setattr(polar_mod, "PolarFactor", factor)
     with pytest.raises(InvariantViolation, match="not a branch"):
@@ -187,13 +187,16 @@ def _groups_reversed(cs, k):
     return replace(p, groups=p.groups[::-1])
 
 
-@pytest.mark.parametrize("b,k", [((12, 16, 31), 2), ((16, 24, 28, 30, 31), 3)],
-                         ids=["K(12,16,31)-k2", "K(16,24,28,30,31)-k3"])
-def test_verify_fails_when_predict_reverses_its_groups(monkeypatch, capsys, b, k):
+@pytest.mark.parametrize("b,k,message", [
+    ((12, 16, 31), 2, "semiroot contact 2 falls below 31/12 at z^(2)_1"),
+    ((16, 24, 28, 30, 31), 3, "semiroot contact 3/2 falls below 15/8 at w^(3)_1"),
+], ids=["K(12,16,31)-k2", "K(16,24,28,30,31)-k3"])
+def test_verify_fails_when_predict_reverses_its_groups(monkeypatch, capsys, b, k, message):
     # group l is the l-th group, whatever its factors' contacts say: each
     # reversed group meets another level's steep parts and edge, a FAIL in
-    # text, exit 2.  The JSON writer refuses the prediction first, since its
-    # contacts with f fall, and that is the program's fault, exit 4
+    # text, exit 2.  The JSON writer refuses the prediction first, since a
+    # semiroot contact falls below its group's b_l/b0, and that is the
+    # program's fault, exit 4
     monkeypatch.setattr(verify, "predict", _groups_reversed)
     report = verify_prediction(new_char_sequence(b), k, [1, 2])
     assert report.verdict == "FAIL", dumps(report.to_text)
@@ -204,7 +207,7 @@ def test_verify_fails_when_predict_reverses_its_groups(monkeypatch, capsys, b, k
     captured = capsys.readouterr()
     blob = json.loads(captured.err)
     assert captured.out == "" and blob["error"] == "InvariantViolation"
-    assert blob["message"].startswith("contact with f falls from "), blob
+    assert blob["message"] == message, blob
 
 
 @pytest.mark.parametrize("b", [*CLASSES, (16, 24, 28, 30, 31)],

@@ -40,14 +40,15 @@ def q(a, b=1):
 
 
 def summary(p):
-    """(kind, part, mult, cont_f, cont_semiroot, char) per factor, by group."""
+    """(kind, part, mult, cont_f, cont_semiroot, char) per factor, by group,
+    where cont_f is b_l/b0 of the factor's group l, its position."""
     return [
         [
-            (f.kind, f.part, f.multiplicity, f.contact_with_f,
+            (f.kind, f.part, f.multiplicity, q(p.char.b[l], p.char.b0),
              f.contact_with_semiroot, f.char_exponents)
             for f in group
         ]
-        for group in p.groups
+        for l, group in enumerate(p.groups, start=1)
     ]
 
 
@@ -125,13 +126,19 @@ def test_multiplicity_conservation_random():
             assert p.multiplicity_total() == cs.b0 - k
 
 
-def test_group_contacts_increase():
+def test_semiroot_contacts_sit_at_or_beyond_their_group_contact():
+    # group l's contact with f is b_l/b0: its W-factors meet the semiroot
+    # f_l there and its Z-factors beyond it, which the contact rows and
+    # the tree rely on
     rng = random.Random(43)
     for _ in range(40):
         cs = random_char_sequence(rng, b0_max=36)
-        p = predict(cs, rng.randint(1, cs.b0 - 1))
-        conts = [group[0].contact_with_f for group in p.groups]
-        assert all(a < b for a, b in zip(conts, conts[1:]))
+        for k in range(1, cs.b0):
+            for l, group in enumerate(predict(cs, k).groups, start=1):
+                cont_f = q(cs.b[l], cs.b0)
+                for f in group:
+                    semi = f.contact_with_semiroot
+                    assert (semi == cont_f) if f.kind == "W" else (semi > cont_f), (cs.b, k, l, f)
 
 
 def test_parts_match_lattice_oracle():
@@ -275,15 +282,30 @@ def _swap_groups(p):
     return replace(p, groups=p.groups[::-1])
 
 
+def _last_w_below_its_group(p):
+    # the last W-factor of the last group that has one, its semiroot
+    # contact lowered by 1/97 below b_l/b0: the contacts still never rise
+    l = max(l for l, group in enumerate(p.groups) if any(f.kind == "W" for f in group))
+    group = p.groups[l]
+    w = group[-1]
+    lowered = replace(w, contact_with_semiroot=w.contact_with_semiroot - Fraction(1, 97))
+    return replace(p, groups=p.groups[:l] + (group[:-1] + (lowered,),) + p.groups[l + 1:])
+
+
 @pytest.mark.parametrize("mutant,cs,k,message", [
     (_swap_two_z, EX2, 2, "semiroot contact rises from 3/2 to 2 at z^(1)_2"),
     (_swap_two_z, new_char_sequence([16, 23]), 1,
      "semiroot contact rises from 13/9 to 3/2 at z^(1)_4"),
-    (_swap_groups, EX1, 1, "contact with f falls from 31/12 to 4/3 at z^(2)_1"),
-], ids=["z-order-ex2", "z-order-K(16,23)", "group-order-ex1"])
+    (_swap_groups, EX1, 1, "semiroot contact 3/2 falls below 31/12 at z^(2)_1"),
+    (_last_w_below_its_group, EX1, 3, "semiroot contact 385/291 falls below 4/3 at w^(1)_2"),
+    (_last_w_below_its_group, new_char_sequence([16, 24, 28, 30, 31]), 4,
+     "semiroot contact 675/388 falls below 7/4 at w^(2)_2"),
+], ids=["z-order-ex2", "z-order-K(16,23)", "group-order-ex1", "w-below-ex1-k3",
+        "w-below-K(16,24,28,30,31)-k4"])
 def test_contact_writers_reject_wrong_order(mutant, cs, k, message):
-    # the JSON rows and the tree both rest on the two orderings, and the
-    # text names its factors off the same walk: no writer draws a
+    # the JSON rows and the tree both rest on the two orderings of each
+    # group's semiroot contacts, never rising and never below b_l/b0, and
+    # the text names its factors off the same walk: no writer draws a
     # prediction that breaks one.  Each refuses before its first piece,
     # since the command line opens --output at that piece, and a writer
     # that refused after one would empty an existing file
