@@ -9,13 +9,16 @@ branch is b_l/b0; it consists of
   of the t-th symbolic derivative of the elementary diagram (m_l, n_l), where
   t is the representative of k modulo n_l in 1..n_l.  The factor has
   multiplicity n_1...n_{l-1} * N_j and contact M_j/(n_1...n_{l-1} N_j) with
-  the l-th semiroot, which is also its last characteristic exponent when
-  N_j > 1;
-* m = min(e_l, k) - ceil(k/n_l) W-factors of multiplicity b0/e_l whose
-  characteristic exponents are b_1/b0,...,b_l/b0.
+  the l-th semiroot;
+* m = min(e_l, k) - ceil(k/n_l) W-factors of multiplicity b0/e_l and
+  contact b_l/b0 with the l-th semiroot.
 
 Group l is defined by its contact with the branch, b_l/b0, and its position
 in the prediction is the only record of it: no factor stores that contact.
+Nor does a factor store its characteristic exponents: they are b_1/b0, ...,
+b_(l-1)/b0, then its semiroot contact when that raises the index, that is
+when its multiplicity exceeds b0/e_(l-1), the index of the exponents before
+it.  That is a Z-factor's contact when N_j > 1 and every W-factor's b_l/b0.
 Pairwise contacts inside a group are the minimum of the semiroot contacts;
 across groups they are the minimum of the contacts with the branch.  In
 label order both minima are known without comparing pairs.  Inside a group
@@ -28,11 +31,12 @@ b_l/b0 of factor i's group l otherwise.  ``predict`` repeats one frozen
 factor object for each run of equal factors (the W-factors of a group, the
 Z-factors of equal parts), and one checked walk of those runs, ``_runs``,
 checks in O(F) for F factors that each group's semiroot contacts never rise
-and never fall below its b_l/b0, and names every factor: a run carries its
-label prefix, z^(l)_ or w^(l)_, and the range of its numbers, each kind
-counted apart in its group.  Every writer reads that walk, so none writes a
-prediction that breaks the rule, and each formats a run once, with only the
-number changing from factor to factor.
+and never fall below its b_l/b0, and that its W-factors' are b_l/b0, names
+every factor and builds its exponents: a run carries its label prefix,
+z^(l)_ or w^(l)_, the range of its numbers, each kind counted apart in its
+group, and its characteristic exponents.  Every writer reads that walk, so
+none writes a prediction that breaks the rule, and each formats a run once,
+with only the number changing from factor to factor.
 
 Every writer, ``to_text`` and ``to_json`` here and ``to_dot`` of the
 Eggers-Wall export, is one kind: a callable ``(put, newline)`` that makes
@@ -100,13 +104,10 @@ class PolarFactor:
     part: tuple | None              # (M_j, N_j) for Z-factors
     multiplicity: int
     # its contact with f is b_l/b0 of its group l, which only the
-    # prediction records
+    # prediction records; its characteristic exponents follow from that
+    # group, this contact and the multiplicity, and only
+    # ``PolarPrediction._runs`` builds them
     contact_with_semiroot: Fraction
-    char_exponents: tuple           # sorted Fractions
-
-    @property
-    def is_smooth(self) -> bool:
-        return not self.char_exponents
 
 
 @dataclass(frozen=True)
@@ -131,16 +132,22 @@ class PolarPrediction:
         """Each group's runs, named, after checking in O(F) the orderings
         the contact rule relies on (see the module docstring).
 
-        ``_runs()[l - 1]`` lists (factor, prefix, numbers) for each run of
-        one factor object repeated in group l, in label order: the run's
-        factors are named prefix + j for j in the range ``numbers``, the
-        prefix z^(l)_ or w^(l)_ and each kind counted apart in its group.
-        Inside group l the semiroot contact never rises from one run to the
-        next and never falls below b_l/b0, the group's contact with f; a
-        prediction that breaks either raises ``InvariantViolation``."""
-        runs, b, b0 = [], self.char.b, self.char.b0
+        ``_runs()[l - 1]`` lists (factor, prefix, numbers, exponents) for
+        each run of one factor object repeated in group l, in label order:
+        the run's factors are named prefix + j for j in the range
+        ``numbers``, the prefix z^(l)_ or w^(l)_ and each kind counted apart
+        in its group, and their characteristic exponents are b_1/b0, ...,
+        b_(l-1)/b0, then the semiroot contact when the multiplicity exceeds
+        b0/e_(l-1), the index of the exponents before it.  Inside group l
+        the semiroot contact never rises from one run to the next and never
+        falls below b_l/b0, the group's contact with f, and a W-factor's is
+        b_l/b0; a prediction that breaks any of these raises
+        ``InvariantViolation``."""
+        runs, b, b0, e, head = [], self.char.b, self.char.b0, self.char.e, ()
         for l, group in enumerate(self.groups, start=1):
-            group_runs, count, prev = [], {"Z": 1, "W": 1}, None
+            if l > 1:  # head is b_1/b0, ..., b_(l-1)/b0, of index b0/e_(l-1)
+                head += (Fraction(b[l - 1], b0),)
+            group_runs, count, prev, nsub = [], {"Z": 1, "W": 1}, None, b0 // e[l - 1]
             for _, run in groupby(group, key=id):
                 run = list(run)
                 f = run[0]
@@ -152,12 +159,14 @@ class PolarPrediction:
                     raise InvariantViolation(
                         f"semiroot contact rises from {prev} to {semi} at {prefix}{first}"
                     )
-                if semi.numerator * b0 < b[l] * semi.denominator:  # semi < b_l/b0
+                beyond = semi.numerator * b0 - b[l] * semi.denominator  # sign of semi - b_l/b0
+                if beyond < 0 or beyond and f.kind == "W":
+                    side = "falls below" if beyond < 0 else "of a W-factor lies beyond"
                     raise InvariantViolation(
-                        f"semiroot contact {semi} falls below {Fraction(b[l], b0)} "
-                        f"at {prefix}{first}"
+                        f"semiroot contact {semi} {side} {Fraction(b[l], b0)} at {prefix}{first}"
                     )
-                group_runs.append((f, prefix, range(first, stop)))
+                chars = head + (semi,) if f.multiplicity > nsub else head
+                group_runs.append((f, prefix, range(first, stop), chars))
                 prev = semi
             runs.append(group_runs)
         return runs
@@ -179,8 +188,8 @@ class PolarPrediction:
         for l, group_runs in enumerate(self._runs(), start=1):
             cont_f = str(Fraction(self.char.b[l], self.char.b0))
             blocks, mine = [], []
-            for f, prefix, numbers in group_runs:
-                blocks.append(partial(_factor_blocks, f, l, cont_f, prefix, numbers))
+            for f, prefix, numbers, chars in group_runs:
+                blocks.append(partial(_factor_blocks, f, chars, l, cont_f, prefix, numbers))
                 # row (i, j) ends in j's semiroot contact when j is in i's
                 # group, and in the group's b_l/b0 when j is in a later one
                 own = f'"{f.contact_with_semiroot}"{row}]'
@@ -210,9 +219,8 @@ class PolarPrediction:
         for l, group_runs in enumerate(runs, start=1):
             cont = Fraction(self.char.b[l], self.char.b0)
             lines = [f"{newline}group {l}: cont(f, v) = {cont} for every irreducible factor v"]
-            for f, prefix, numbers in group_runs:
-                desc = ("smooth" if f.is_smooth
-                        else "Char = {" + ", ".join(map(str, f.char_exponents)) + "}")
+            for f, prefix, numbers, chars in group_runs:
+                desc = "Char = {" + ", ".join(map(str, chars)) + "}" if chars else "smooth"
                 # the run's line, formatted once, takes each of its names
                 lead = f"{newline}  - {prefix}"
                 line = (f": mult {f.multiplicity}, "
@@ -222,12 +230,13 @@ class PolarPrediction:
         put(f"{newline}total multiplicity {self.multiplicity_total()} = b0 - k")
 
 
-def _factor_blocks(f: PolarFactor, l: int, cont_f: str, prefix: str, numbers,
+def _factor_blocks(f: PolarFactor, chars: tuple, l: int, cont_f: str, prefix: str, numbers,
                    put, newline: str) -> None:
     """Put the blocks of one run of factors of group ``l``, whose contact
-    with f is ``cont_f``, as items of a ``factors`` list, at the depth of
-    ``newline``: ``f``'s block labelled prefix + j for each j of
-    ``numbers``, written once and cut between the quotes of its label."""
+    with f is ``cont_f`` and characteristic exponents ``chars``, as items
+    of a ``factors`` list, at the depth of ``newline``: ``f``'s block
+    labelled prefix + j for each j of ``numbers``, written once and cut
+    between the quotes of its label."""
     text = dumps({
         "kind": f.kind,
         "group": l,
@@ -235,7 +244,7 @@ def _factor_blocks(f: PolarFactor, l: int, cont_f: str, prefix: str, numbers,
         "multiplicity": f.multiplicity,
         "cont_f": cont_f,
         "cont_semiroot": str(f.contact_with_semiroot),
-        "char": [str(e) for e in f.char_exponents],
+        "char": [str(e) for e in chars],
         "label": "",
     }, len(newline) - 1)
     cut = text.rindex('""') + 1
@@ -273,15 +282,13 @@ def _contact_rows(cells, ends, newline: str, put, _depth: str) -> None:
     put(newline + "  ]")
 
 
-def _check_branch(f: PolarFactor) -> None:
-    """A factor is a branch: each characteristic exponent raises the lcm of
-    the denominators before it, and the last lcm, its index, is its multiplicity."""
-    index = 1
-    for e in f.char_exponents:
-        raised = lcm(index, e.denominator)
-        if raised == index:
-            raise InvariantViolation(f"not a branch: {e} does not raise the index {index} of {f}")
-        index = raised
+def _check_branch(f: PolarFactor, nsub: int) -> None:
+    """A factor of a group l with nsub = b0/e_(l-1) is a branch: its
+    exponents b_1/b0, ..., b_(l-1)/b0 have the index nsub, the semiroot
+    contact that ``_runs`` appends when the multiplicity exceeds nsub
+    raises it, and the last index, lcm(nsub, the contact's denominator),
+    is its multiplicity."""
+    index = lcm(nsub, f.contact_with_semiroot.denominator)
     if index != f.multiplicity:
         raise InvariantViolation(f"not a branch: the index {index} of {f} is not its multiplicity")
 
@@ -299,7 +306,6 @@ def predict(cs: CharSequence, k: int) -> PolarPrediction:
     """Equisingularity data of the generic k-th polar of the class ``cs``,
     for an int k with 1 <= k < b0 (``check_order``)."""
     k = check_order(cs, k)
-    exponents = cs.char_exponents()
     groups = []
     for l in range(1, cs.h + 1):
         if cs.e[l - 1] <= k:
@@ -308,8 +314,7 @@ def predict(cs: CharSequence, k: int) -> PolarPrediction:
         m_l = cs.m_seq[l - 1]
         e_l = cs.e[l]
         nsub = cs.b0 // cs.e[l - 1]  # n_1 * ... * n_{l-1}
-        cont_f = exponents[l - 1]
-        prefix = exponents[:l - 1]
+        cont_f = Fraction(cs.b[l], cs.b0)
 
         t = ((k - 1) % n_l) + 1
         derived = diagram_mod.elementary(m_l, n_l).symbolic_derivative(t)
@@ -317,18 +322,17 @@ def predict(cs: CharSequence, k: int) -> PolarPrediction:
         # equal parts give equal factors: one frozen object stands for each run
         for (m_j, n_j), run in groupby(derived.canonical_rep(long=True).parts):
             cont_semi = Fraction(m_j, nsub * n_j)
-            # beyond cont_f, an appended exponent also exceeds every one before it
+            # beyond cont_f, the exponent _runs appends exceeds every one before it
             if cont_semi <= cont_f:
                 raise InvariantViolation(
                     f"Z-factor contact {cont_semi} must sit strictly beyond {cont_f}"
                 )
-            chars = prefix + (cont_semi,) if n_j > 1 else prefix
-            z = PolarFactor("Z", (m_j, n_j), nsub * n_j, cont_semi, chars)
-            _check_branch(z)
+            z = PolarFactor("Z", (m_j, n_j), nsub * n_j, cont_semi)
+            _check_branch(z, nsub)
             factors += [z] * len(list(run))
         w_count = min(e_l, k) - (-(-k // n_l))
-        w = PolarFactor("W", None, cs.b0 // e_l, cont_f, prefix + (cont_f,))
-        _check_branch(w)
+        w = PolarFactor("W", None, cs.b0 // e_l, cont_f)
+        _check_branch(w, nsub)
         factors += [w] * w_count
         groups.append(tuple(factors))
 
@@ -435,8 +439,8 @@ def export_eggers_wall(p: PolarPrediction, include_branch: bool = True) -> Egger
     # first label would; group l is by_group[l - 1], the position of its
     # runs, and the levels past the prediction's groups are empty
     order = itertools.count()
-    by_group = [[(f, EWRun(prefix, numbers, (2, next(order)), f.char_exponents, f.multiplicity))
-                 for f, prefix, numbers in group_runs]
+    by_group = [[(f, EWRun(prefix, numbers, (2, next(order)), chars, f.multiplicity))
+                 for f, prefix, numbers, chars in group_runs]
                 for group_runs in p._runs()] + [[]] * cs.h
 
     # vertices are (contact, children) until _finish; the trunk grows from

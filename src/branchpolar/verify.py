@@ -61,7 +61,13 @@ For every level l and order k the checks are:
   aggregate multiplicity of the W-factors of group l and of everything in
   deeper groups, scaled by e_(l-1)/b0 and compared exactly (individual
   W-factors are not separable without factoring); a multiplicity that does
-  not scale to an integer is a disagreement like any other.
+  not scale to an integer is a disagreement like any other;
+* each predicted W-factor of group l has the one form the class gives a
+  root on the class edge: semiroot contact b_l/b0 and multiplicity
+  b0/e_l.  This is read off the prediction alone, so no witness, however
+  degenerate, hides a W-factor off it.  With the Z-factors' contacts and
+  multiplicities compared, every field of which a factor's characteristic
+  exponents are built is checked.
 
 The levels checked are those of the class, the l with e_(l-1) > k, and
 not the groups of the prediction under test: a prediction with another
@@ -682,13 +688,22 @@ def _expectations(prediction: PolarPrediction, cs: CharSequence, depth: int) -> 
 def _run_seed(w: WitnessBranch, prediction: PolarPrediction, depth: int) -> SeedRun:
     """One witness checked at the levels 1..depth of its class against the
     prediction, read once before the levels; a prediction of another group
-    count fails."""
+    count fails, and so does a W-factor of group l whose semiroot contact
+    and multiplicity are not (b_l/b0, b0/e_l), those of a root on the class
+    edge, whatever the witness shows."""
     levels = tuple(check_lemma_nd(w, level, expectation) for expectation, level in
                    zip(_expectations(prediction, w.cs, depth), hat_chain(w, depth, prediction.k)))
-    count_line = () if prediction.i_k == depth else (
+    failures = () if prediction.i_k == depth else (
         f"group count {prediction.i_k} != {depth}, "
         f"the number of levels l with e_(l-1) > {prediction.k}",)
-    return SeedRun(w.seed, levels, count_line + tuple(f for lv in levels for f in lv.failures()))
+    cs = w.cs
+    for l, group in enumerate(prediction.groups[:depth], start=1):
+        semi, mult = Fraction(cs.b[l], cs.b0), cs.b0 // cs.e[l]
+        ws = [(f.contact_with_semiroot, f.multiplicity) for f in group if f.kind == "W"]
+        failures += tuple(f"level {l}: w^({l})_{j} predicted ({c}, {m}), "
+                          f"the class edge gives ({semi}, {mult})"
+                          for j, (c, m) in enumerate(ws, 1) if (c, m) != (semi, mult))
+    return SeedRun(w.seed, levels, failures + tuple(f for lv in levels for f in lv.failures()))
 
 
 def check_seeds(seeds) -> list:

@@ -329,6 +329,20 @@ def contact_with_f(prediction, l) -> Fraction:
     return Fraction(prediction.char.b[l], prediction.char.b0)
 
 
+def char_exponents(prediction, l, f) -> tuple:
+    """The characteristic exponents of a factor ``f`` of group l, by the
+    paper's statement and not by the writers' rule: b_1/b0, ...,
+    b_(l-1)/b0, then M/(N_l N) for a Z-factor of part (M, N) with N > 1,
+    N_l = b0/e_(l-1), and b_l/b0 for a W-factor.  Neither the semiroot
+    contact nor the multiplicity is read."""
+    cs = prediction.char
+    head = tuple(Fraction(cs.b[i], cs.b0) for i in range(1, l))
+    if f.kind == "W":
+        return head + (Fraction(cs.b[l], cs.b0),)
+    m, n = f.part
+    return head + (Fraction(m, cs.b0 // cs.e[l - 1] * n),) if n > 1 else head
+
+
 def contact_table_oracle(prediction):
     """(label, label, contact) for every pair of factors in label order, one
     comparison per pair: the minimum of the semiroot contacts inside a group
@@ -368,7 +382,7 @@ def prediction_document_oracle(prediction) -> dict:
             "multiplicity": f.multiplicity,
             "cont_f": str(contact_with_f(prediction, l)),
             "cont_semiroot": str(f.contact_with_semiroot),
-            "char": [str(e) for e in f.char_exponents],
+            "char": [str(e) for e in char_exponents(prediction, l, f)],
             "label": name,
         })
     return {
@@ -393,8 +407,8 @@ def prediction_text_oracle(prediction) -> str:
         lines.append(f"group {l}: cont(f, v) = {Fraction(cs.b[l], cs.b0)} "
                      "for every irreducible factor v")
         for f in group:
-            desc = ("smooth" if not f.char_exponents
-                    else "Char = {" + ", ".join(map(str, f.char_exponents)) + "}")
+            chars = char_exponents(prediction, l, f)
+            desc = "Char = {" + ", ".join(map(str, chars)) + "}" if chars else "smooth"
             lines.append(f"  - {next(names)}: mult {f.multiplicity}, "
                          f"cont(f_{l}, .) = {f.contact_with_semiroot}, {desc}")
     total = sum(f.multiplicity for f in prediction.factors())
@@ -498,7 +512,8 @@ def eggers_wall_oracle(prediction, include_branch=True):
     facts = prediction.factors()
     group_of = factor_groups(prediction)
     for pos, (f, name) in enumerate(zip(facts, factor_labels(prediction))):
-        leaves.append(OracleLeaf(name, (2, pos), f.char_exponents, f.multiplicity))
+        chars = char_exponents(prediction, group_of[pos], f)
+        leaves.append(OracleLeaf(name, (2, pos), chars, f.multiplicity))
 
     between = {(a, b): c for a, b, c in contact_table_oracle(prediction)}
     contacts = {}

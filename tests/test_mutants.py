@@ -36,42 +36,46 @@ def mutant(module, name, right, wrong):
 # -- factors that are not branches ----------------------------------------------
 
 
-def _appended_exponent_off_its_denominator(kind, part, chars):
-    # a Z-factor's appended exponent moved by half a step of its denominator:
-    # still beyond every exponent before it, but of twice the index
-    if kind == "Z" and part[1] > 1:
-        e = chars[-1]
-        return chars[:-1] + (e + Fraction(1, 2 * e.denominator),)
-    return chars
+def _z_multiplicity_doubled(kind, part, mult, cont_semi):
+    # a Z-factor of twice its multiplicity: its index, fixed by its group
+    # and its semiroot contact, is half of it
+    return (mult * 2, cont_semi) if kind == "Z" else (mult, cont_semi)
 
 
-def _last_w_exponent_rounded_up(kind, part, chars):
-    # a W-factor's cont_f rounded up to an integer, which raises no index
-    return chars[:-1] + (Fraction(ceil(chars[-1])),) if kind == "W" else chars
+def _appended_contact_off_by_1_97(kind, part, mult, cont_semi):
+    # a Z-factor's semiroot contact, appended to the exponents of its group
+    # when it raises their index, raised by 1/97: still beyond its group's
+    # b_l/b0, but of an index 97 times its multiplicity
+    return (mult, cont_semi + Fraction(1, 97)) if kind == "Z" else (mult, cont_semi)
 
 
-@pytest.mark.parametrize("mutant,cs,k", [
-    (_appended_exponent_off_its_denominator, EX1, 1),
-    (_appended_exponent_off_its_denominator, EX2, 1),
-    (_appended_exponent_off_its_denominator, EX2, 2),
-    (_last_w_exponent_rounded_up, EX1, 2),
-    (_last_w_exponent_rounded_up, EX2, 2),
-], ids=["appended-ex1-k1", "appended-ex2-k1", "appended-ex2-k2", "w-ex1-k2", "w-ex2-k2"])
-def test_predict_rejects_a_factor_that_is_not_a_branch(monkeypatch, mutant, cs, k):
+@pytest.mark.parametrize("mutant,cs,k,other", [
+    (_appended_contact_off_by_1_97, EX1, 1, None),
+    (_appended_contact_off_by_1_97, EX2, 1, None),
+    (_appended_contact_off_by_1_97, EX2, 2, None),
+    (_z_multiplicity_doubled, EX1, 2, "multiplicities"),
+    (_z_multiplicity_doubled, EX2, 2, "multiplicities"),
+], ids=["appended-ex1-k1", "appended-ex2-k1", "appended-ex2-k2", "mult-ex1-k2", "mult-ex2-k2"])
+def test_predict_rejects_a_factor_that_is_not_a_branch(monkeypatch, mutant, cs, k, other):
     import branchpolar.polar as polar_mod
 
     right = predict(cs, k).factors()
     real = polar_mod.PolarFactor
 
-    def factor(kind, part, mult, cont_semi, chars):
-        return real(kind, part, mult, cont_semi, mutant(kind, part, chars))
+    def factor(kind, part, mult, cont_semi):
+        return real(kind, part, *mutant(kind, part, mult, cont_semi))
 
     monkeypatch.setattr(polar_mod, "PolarFactor", factor)
     with pytest.raises(InvariantViolation, match="not a branch"):
         predict(cs, k)
-    # no other check of predict sees the mutant
-    monkeypatch.setattr(polar_mod, "_check_branch", lambda f: None)
-    assert predict(cs, k).factors() != right
+    monkeypatch.setattr(polar_mod, "_check_branch", lambda f, nsub: None)
+    if other:
+        # the total b0 - k sees a changed multiplicity too
+        with pytest.raises(InvariantViolation, match=other):
+            predict(cs, k)
+    else:
+        # no other check of predict sees the mutant
+        assert predict(cs, k).factors() != right
 
 
 # -- an unsplit canonical representation -----------------------------------------
@@ -101,7 +105,7 @@ def test_verify_fails_when_canonical_rep_does_not_split(monkeypatch, b, k, line)
     monkeypatch.setattr(NewtonDiagram, "canonical_rep", lambda self, long=False: real(self))
     with pytest.raises(InvariantViolation, match="not a branch"):
         predict(cs, k)
-    monkeypatch.setattr(polar_mod, "_check_branch", lambda f: None)
+    monkeypatch.setattr(polar_mod, "_check_branch", lambda f, nsub: None)
     assert dumps(predict(cs, k).to_json) != right
     report = verify_prediction(cs, k, [1, 2, 3, 4, 5])
     assert report.verdict == "FAIL", dumps(report.to_text)
@@ -147,7 +151,9 @@ def test_verify_fails_when_a_w_unit_moves_to_the_next_group(monkeypatch, capsys)
     assert report.verdict == "FAIL", dumps(report.to_text)
     [run] = report.runs
     assert run.failures == (
-        "predicted multiplicity 13 at level 2 is not a multiple of b0/e_1 = 2",)
+        "level 1: w^(1)_1 predicted (3/2, 1), the class edge gives (3/2, 2)",
+        "level 2: w^(2)_1 predicted (7/4, 5), the class edge gives (7/4, 4)",
+        "predicted multiplicity 13 at level 2 is not a multiple of b0/e_1 = 2")
     levels = json.loads(dumps(report.to_json))["runs"][0]["levels"]
     assert [lv["aggregate_edge"] for lv in levels] == [
         {"observed": 14, "predicted": 14, "ok": True},
@@ -157,6 +163,40 @@ def test_verify_fails_when_a_w_unit_moves_to_the_next_group(monkeypatch, capsys)
     assert cli.main(["verify", "16,24,28,30,31", "--k", "2", "--seeds", "1",
                      "--quiet"]) == cli.EXIT_FAIL
     assert capsys.readouterr().err == ""
+
+
+def _last_w_off_the_class_edge(cs, k):
+    # the last W-factor, its semiroot contact raised by 1/97: its
+    # multiplicity and every Z-factor are kept, and so is the edge length
+    p = predict(cs, k)
+    l = max(l for l, group in enumerate(p.groups) if any(f.kind == "W" for f in group))
+    group = p.groups[l]
+    w = group[-1]
+    raised = replace(w, contact_with_semiroot=w.contact_with_semiroot + Fraction(1, 97))
+    return replace(p, groups=p.groups[:l] + (group[:-1] + (raised,),) + p.groups[l + 1:])
+
+
+def test_verify_fails_on_every_grid_prediction_with_a_w_factor_off_the_class_edge(
+        monkeypatch, capsys):
+    # each W-factor of group l must be (b_l/b0, b0/e_l), checked off the
+    # prediction whatever the witness shows, so a degenerate seed cannot
+    # hide it: all 375 pairs of the b0 <= 12 grid that have a W-factor
+    # read FAIL, exit 2, in text
+    pairs = [(cs, k) for cs in grid_classes(12) for k in range(1, cs.b0)
+             if any(f.kind == "W" for f in predict(cs, k).factors())]
+    assert len(pairs) == 375
+    monkeypatch.setattr(verify, "predict", _last_w_off_the_class_edge)
+    for cs, k in pairs:
+        argv = ["verify", ",".join(map(str, cs.b)), "--k", str(k), "--seeds", "1", "--quiet"]
+        assert cli.main(argv) == cli.EXIT_FAIL, (cs.b, k)
+        out, err = capsys.readouterr()
+        assert err == "" and ": w^(" in out and "the class edge gives" in out, (cs.b, k)
+    # the JSON writer refuses such a prediction before its first piece
+    argv = ["verify", "12,16,31", "--k", "2", "--seeds", "1", "--quiet", "--format", "json"]
+    assert cli.main(argv) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["message"] == (
+        "semiroot contact 391/291 of a W-factor lies beyond 4/3 at w^(1)_1")
 
 
 def _every_factor_in_group_1(cs, k):

@@ -22,6 +22,7 @@ from branchpolar.jsontext import dumps
 from branchpolar.polar import EWRun, export_eggers_wall, predict
 from branchpolar.verify import SeedRun, VerificationReport, verify_prediction
 from oracles import (
+    char_exponents,
     contact_table_oracle,
     eggers_wall_oracle,
     factor_labels,
@@ -41,11 +42,12 @@ def q(a, b=1):
 
 def summary(p):
     """(kind, part, mult, cont_f, cont_semiroot, char) per factor, by group,
-    where cont_f is b_l/b0 of the factor's group l, its position."""
+    where cont_f is b_l/b0 of the factor's group l, its position, and char
+    its characteristic exponents by the paper's statement."""
     return [
         [
             (f.kind, f.part, f.multiplicity, q(p.char.b[l], p.char.b0),
-             f.contact_with_semiroot, f.char_exponents)
+             f.contact_with_semiroot, char_exponents(p, l, f))
             for f in group
         ]
         for l, group in enumerate(p.groups, start=1)
@@ -292,6 +294,18 @@ def _last_w_below_its_group(p):
     return replace(p, groups=p.groups[:l] + (group[:-1] + (lowered,),) + p.groups[l + 1:])
 
 
+def _first_w_above_its_group(p):
+    # group 1's first W-factor, its semiroot contact raised by 1/97 beyond
+    # b_1/b0: the contacts still never rise, but the JSON rows would meet
+    # it at the raised contact where the tree joins it at b_1/b0, and its
+    # last exponent would be the raised contact
+    group = p.groups[0]
+    i = next(i for i, f in enumerate(group) if f.kind == "W")
+    w = group[i]
+    raised = replace(w, contact_with_semiroot=w.contact_with_semiroot + Fraction(1, 97))
+    return replace(p, groups=(group[:i] + (raised,) + group[i + 1:],) + p.groups[1:])
+
+
 @pytest.mark.parametrize("mutant,cs,k,message", [
     (_swap_two_z, EX2, 2, "semiroot contact rises from 3/2 to 2 at z^(1)_2"),
     (_swap_two_z, new_char_sequence([16, 23]), 1,
@@ -300,12 +314,15 @@ def _last_w_below_its_group(p):
     (_last_w_below_its_group, EX1, 3, "semiroot contact 385/291 falls below 4/3 at w^(1)_2"),
     (_last_w_below_its_group, new_char_sequence([16, 24, 28, 30, 31]), 4,
      "semiroot contact 675/388 falls below 7/4 at w^(2)_2"),
+    (_first_w_above_its_group, EX1, 2,
+     "semiroot contact 391/291 of a W-factor lies beyond 4/3 at w^(1)_1"),
 ], ids=["z-order-ex2", "z-order-K(16,23)", "group-order-ex1", "w-below-ex1-k3",
-        "w-below-K(16,24,28,30,31)-k4"])
+        "w-below-K(16,24,28,30,31)-k4", "w-above-ex1-k2"])
 def test_contact_writers_reject_wrong_order(mutant, cs, k, message):
     # the JSON rows and the tree both rest on the two orderings of each
     # group's semiroot contacts, never rising and never below b_l/b0, and
-    # the text names its factors off the same walk: no writer draws a
+    # on each W-factor's sitting at b_l/b0, and the text names its factors
+    # and builds their exponents off the same walk: no writer draws a
     # prediction that breaks one.  Each refuses before its first piece,
     # since the command line opens --output at that piece, and a writer
     # that refused after one would empty an existing file
@@ -368,7 +385,7 @@ def test_merle_first_polar_multiplicities():
 def test_labels_canonical_order():
     p = predict(EX2, 2)
     # two runs of one Z-factor, numbered on, then the W-run, numbered apart
-    assert [(prefix, list(numbers)) for _, prefix, numbers in p._runs()[0]] == [
+    assert [(prefix, list(numbers)) for _, prefix, numbers, _ in p._runs()[0]] == [
         ("z^(1)_", [1]), ("z^(1)_", [2]), ("w^(1)_", [1])]
     assert factor_labels(p) == ["z^(1)_1", "z^(1)_2", "w^(1)_1"]
     # Z-factors come sorted by descending semiroot contact

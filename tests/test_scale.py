@@ -138,7 +138,8 @@ def test_prediction_json_streams_to_its_output(tmp_path):
 def test_prediction_json_edge_cases_are_reached():
     # the shapes above reach every branch of the factor templates
     one = predict(new_char_sequence([2, 3]), 1)
-    assert len(one.factors()) == 1 and one.factors()[0].char_exponents == ()
+    assert len(one.factors()) == 1
+    assert json.loads(dumps(one.to_json))["groups"][0]["factors"][0]["char"] == []
     w_only = predict(new_char_sequence([4, 6, 7]), 2)
     assert [f.kind for f in w_only.factors()] == ["W"] and w_only.factors()[0].part is None
 

@@ -232,3 +232,21 @@ def test_verify_stores_no_summary_beside_its_evidence():
         if name in derived:
             found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, f"verify.py stores what it derives: {found}"
+
+
+def test_verify_checks_each_w_factor_with_its_own_code():
+    # a W-factor's form, (b_l/b0, b0/e_l), is compared in verify.py itself:
+    # from polar it imports only the prediction and predict, it never names
+    # the branch check, and the run walk that builds the exponents is not
+    # what _run_seed reads
+    path = Path(branchpolar.__file__).parent / "verify.py"
+    tree = ast.parse(path.read_text(), str(path))
+    from_polar = {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "polar"
+                  for alias in node.names}
+    assert from_polar == {"PolarPrediction", "predict"}
+    assert "_check_branch" not in set.union(*_references(tree))
+    [run_seed] = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_run_seed"]
+    read = set.union(*_references(run_seed))
+    assert not read & {"_runs", "_check_branch", "PolarFactor", "predict"}, read
