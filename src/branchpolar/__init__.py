@@ -9,7 +9,7 @@ scale with an exact-arithmetic oracle built from explicit Puiseux witnesses.
 from .charclass import CharSequence, new_char_sequence, parse_char, semiroot_degree
 from .contfrac import ContinuedFraction, expand, to_even_length
 from .diagram import CanonicalRep, NewtonDiagram, elementary, from_support
-from .polar import PolarFactor, PolarPrediction, export_eggers_wall, predict
+from .polar import PolarPrediction, export_eggers_wall, predict
 from .puiseux import (
     BivariatePoly,
     PuiseuxSeries,
@@ -36,7 +36,7 @@ __all__ = [
     "NewtonDiagram", "CanonicalRep", "from_support", "elementary",
     "PuiseuxSeries", "BivariatePoly", "min_poly",
     "derivative_y", "hat_transform", "diagram_of", "edge_poly_squarefree",
-    "PolarFactor", "PolarPrediction", "predict", "export_eggers_wall",
+    "PolarPrediction", "predict", "export_eggers_wall",
     "WitnessBranch", "VerificationReport", "sample_witness",
     "check_lemma_nd", "check_initial_form", "verify_prediction",
     "__version__",

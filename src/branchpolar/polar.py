@@ -13,30 +13,36 @@ branch is b_l/b0; it consists of
 * m = min(e_l, k) - ceil(k/n_l) W-factors of multiplicity b0/e_l and
   contact b_l/b0 with the l-th semiroot.
 
-Group l is defined by its contact with the branch, b_l/b0, and its position
-in the prediction is the only record of it: no factor stores that contact.
-Nor does a factor store its characteristic exponents: they are b_1/b0, ...,
-b_(l-1)/b0, then its semiroot contact when that raises the index, that is
-when its multiplicity exceeds b0/e_(l-1), the index of the exponents before
-it.  That is a Z-factor's contact when N_j > 1 and every W-factor's b_l/b0.
+So a prediction records each group l as the pair (parts, w): the parts, in
+canonical order with repeats kept, and the W-count w.  Everything else a
+writer prints follows from that pair and the group's position l, which is
+the one record of the group's contact with f, b_l/b0.  A factor's
+characteristic exponents are b_1/b0, ..., b_(l-1)/b0, then its semiroot
+contact when that raises the index, that is when its multiplicity exceeds
+b0/e_(l-1), the index of the exponents before it: a Z-factor's contact when
+N_j > 1 and every W-factor's b_l/b0.
+
+``PolarPrediction.check`` holds every check on the record, stated on the
+parts and compared in integers: no group lies past the class's h levels,
+each part is primitive, so that its factor is a branch (its index, the lcm
+of b0/e_(l-1) and the denominator of its semiroot contact, is its
+multiplicity), the parts of a group never rise in M/N and lie beyond
+b_l/b0, and no W-count is negative.  ``predict`` calls it before it
+returns and every writer before its first piece.
+
 Pairwise contacts inside a group are the minimum of the semiroot contacts;
 across groups they are the minimum of the contacts with the branch.  In
-label order both minima are known without comparing pairs.  Inside a group
-the semiroot contacts weakly decrease and never fall below b_l/b0: the
-Z-factors follow the parts of the long canonical representation, whose
-ratios M_j/N_j weakly decrease, and lie beyond b_l/b0, and the W-factors sit
-at b_l/b0.  Across groups b_l/b0 increases with l.  So the row (i, j), j
-after i, takes factor j's semiroot contact when both lie in one group and
-b_l/b0 of factor i's group l otherwise.  ``predict`` repeats one frozen
-factor object for each run of equal factors (the W-factors of a group, the
-Z-factors of equal parts), and one checked walk of those runs, ``_runs``,
-checks in O(F) for F factors that each group's semiroot contacts never rise
-and never fall below its b_l/b0, and that its W-factors' are b_l/b0, names
-every factor and builds its exponents: a run carries its label prefix,
-z^(l)_ or w^(l)_, the range of its numbers, each kind counted apart in its
-group, and its characteristic exponents.  Every writer reads that walk, so
-none writes a prediction that breaks the rule, and each formats a run once,
-with only the number changing from factor to factor.
+label order both minima are known without comparing pairs: inside a group
+the semiroot contacts weakly decrease and never fall below b_l/b0, where
+the W-factors sit, and across groups b_l/b0 increases with l.  So the row
+(i, j), j after i, takes factor j's semiroot contact when both lie in one
+group and b_l/b0 of factor i's group l otherwise.  One walk of the record,
+``_runs``, cuts each group into runs of equal factors (the Z-factors of
+equal parts, the W-factors) and derives each run's values: its kind, part,
+multiplicity and semiroot contact, its label prefix, z^(l)_ or w^(l)_, the
+range of its numbers, each kind counted apart in its group, and its
+characteristic exponents.  Every writer reads that walk and formats a run
+once, with only the number changing from factor to factor.
 
 Every writer, ``to_text`` and ``to_json`` here and ``to_dot`` of the
 Eggers-Wall export, is one kind: a callable ``(put, newline)`` that makes
@@ -76,11 +82,12 @@ edge lines as one piece.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from itertools import groupby
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from . import diagram as diagram_mod
@@ -89,7 +96,6 @@ from .errors import InvariantViolation, OrderOutOfRange, integers
 from .jsontext import dumps, write
 
 __all__ = [
-    "PolarFactor",
     "PolarPrediction",
     "EggersWallExport",
     "check_order",
@@ -98,76 +104,87 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolarFactor:
-    kind: str                       # "Z" or "W"
-    part: tuple | None              # (M_j, N_j) for Z-factors
-    multiplicity: int
-    # its contact with f is b_l/b0 of its group l, which only the
-    # prediction records; its characteristic exponents follow from that
-    # group, this contact and the multiplicity, and only
-    # ``PolarPrediction._runs`` builds them
-    contact_with_semiroot: Fraction
+# a run of equal factors of one group: their kind, "Z" or "W", part (M, N)
+# or None, multiplicity, semiroot contact, label prefix, the range of their
+# numbers and their characteristic exponents
+Run = namedtuple("Run", "kind part multiplicity contact_with_semiroot prefix numbers exponents")
 
 
 @dataclass(frozen=True)
 class PolarPrediction:
     char: CharSequence
     k: int
-    # tuple over l = 1..i_k of tuples of PolarFactor: a factor's group l is
-    # the 1-based position of its tuple, and nothing else records it
+    # tuple over l = 1..i_k of (parts, w): group l's parts in canonical
+    # order, repeats kept, and its W-count; the group's position is its one
+    # record of l
     groups: tuple
 
     @property
     def i_k(self) -> int:
         return len(self.groups)
 
-    def factors(self):
-        return [f for group in self.groups for f in group]
+    def factors(self) -> list:
+        """One entry per factor, in label order: the ``Run`` it belongs to."""
+        return [run for runs in self._runs() for run in runs for _ in run.numbers]
 
     def multiplicity_total(self) -> int:
-        return sum(f.multiplicity for f in self.factors())
+        b0, e = self.char.b0, self.char.e
+        return sum(sum(n for _, n in parts) * (b0 // e[l - 1]) + w * (b0 // e[l])
+                   for l, (parts, w) in enumerate(self.groups, start=1))
+
+    def check(self) -> None:
+        """Raise ``InvariantViolation`` unless the record is one the writers
+        can print: no group past the class's h levels and, in each group l,
+        primitive parts (each factor a branch) whose M/N never rises and
+        whose semiroot contacts M/((b0/e_(l-1)) N) lie beyond b_l/b0, and a
+        W-count that is not negative.  Compared in integers, one run of equal
+        parts at a time, the first fault in label order named."""
+        cs = self.char
+        if self.i_k > cs.h:
+            raise InvariantViolation(f"group {cs.h + 1} lies past the {cs.h} levels of K{cs}")
+        for l, (parts, w) in enumerate(self.groups, start=1):
+            # prev is the contact M/(nsub N) of the run before, as (M, nsub N)
+            nsub, j, prev = cs.b0 // cs.e[l - 1], 1, None
+            for (m, n), same in groupby(parts):
+                if n < 1 or gcd(m, n) != 1:
+                    fault = f"not a branch: the part {(m, n)} is not primitive"
+                elif prev and m * prev[1] > prev[0] * nsub * n:
+                    fault = (f"semiroot contact rises from {Fraction(*prev)} to "
+                             f"{Fraction(m, nsub * n)}")
+                elif m * cs.b0 <= cs.b[l] * nsub * n:
+                    fault = (f"semiroot contact {Fraction(m, nsub * n)} does not lie beyond "
+                             f"{Fraction(cs.b[l], cs.b0)}")
+                else:
+                    j, prev = j + len(list(same)), (m, nsub * n)
+                    continue
+                raise InvariantViolation(f"{fault} at z^({l})_{j}")
+            if w < 0:
+                raise InvariantViolation(f"group {l} has {w} W-factors")
 
     def _runs(self) -> list:
-        """Each group's runs, named, after checking in O(F) the orderings
-        the contact rule relies on (see the module docstring).
-
-        ``_runs()[l - 1]`` lists (factor, prefix, numbers, exponents) for
-        each run of one factor object repeated in group l, in label order:
-        the run's factors are named prefix + j for j in the range
-        ``numbers``, the prefix z^(l)_ or w^(l)_ and each kind counted apart
-        in its group, and their characteristic exponents are b_1/b0, ...,
+        """Each group's runs of equal factors, in label order, after
+        ``check``: ``_runs()[l - 1]`` lists the ``Run`` of each run of equal
+        parts of group l, then that of its W-factors, if it has any.  A
+        run's factors are named prefix + j for j in ``numbers``, each kind
+        counted apart in its group; their exponents are b_1/b0, ...,
         b_(l-1)/b0, then the semiroot contact when the multiplicity exceeds
-        b0/e_(l-1), the index of the exponents before it.  Inside group l
-        the semiroot contact never rises from one run to the next and never
-        falls below b_l/b0, the group's contact with f, and a W-factor's is
-        b_l/b0; a prediction that breaks any of these raises
-        ``InvariantViolation``."""
+        b0/e_(l-1), the index of the exponents before it."""
+        self.check()
         runs, b, b0, e, head = [], self.char.b, self.char.b0, self.char.e, ()
-        for l, group in enumerate(self.groups, start=1):
+        for l, (parts, w) in enumerate(self.groups, start=1):
             if l > 1:  # head is b_1/b0, ..., b_(l-1)/b0, of index b0/e_(l-1)
                 head += (Fraction(b[l - 1], b0),)
-            group_runs, count, prev, nsub = [], {"Z": 1, "W": 1}, None, b0 // e[l - 1]
-            for _, run in groupby(group, key=id):
-                run = list(run)
-                f = run[0]
-                first = count[f.kind]
-                count[f.kind] = stop = first + len(run)
-                prefix = f"{f.kind.lower()}^({l})_"
-                semi = f.contact_with_semiroot
-                if prev is not None and semi > prev:
-                    raise InvariantViolation(
-                        f"semiroot contact rises from {prev} to {semi} at {prefix}{first}"
-                    )
-                beyond = semi.numerator * b0 - b[l] * semi.denominator  # sign of semi - b_l/b0
-                if beyond < 0 or beyond and f.kind == "W":
-                    side = "falls below" if beyond < 0 else "of a W-factor lies beyond"
-                    raise InvariantViolation(
-                        f"semiroot contact {semi} {side} {Fraction(b[l], b0)} at {prefix}{first}"
-                    )
-                chars = head + (semi,) if f.multiplicity > nsub else head
-                group_runs.append((f, prefix, range(first, stop), chars))
-                prev = semi
+            nsub, group_runs, first = b0 // e[l - 1], [], 1
+            for (m, n), same in groupby(parts):
+                stop = first + len(list(same))
+                semi = Fraction(m, nsub * n)
+                group_runs.append(Run("Z", (m, n), nsub * n, semi, f"z^({l})_",
+                                      range(first, stop), head + (semi,) if n > 1 else head))
+                first = stop
+            if w:
+                cont_f = Fraction(b[l], b0)
+                group_runs.append(Run("W", None, b0 // e[l], cont_f, f"w^({l})_",
+                                      range(1, w + 1), head + (cont_f,)))
             runs.append(group_runs)
         return runs
 
@@ -175,7 +192,7 @@ class PolarPrediction:
         """Put the prediction document, indent-2 JSON text (``tests/oracles``
         builds it as a dict), piece by piece through ``put``, with
         ``newline`` ending every line, so that it lands at any depth of an
-        enclosing document.  ``_runs`` checks the orderings before the first
+        enclosing document.  ``_runs`` checks the record before the first
         piece.  Each run's factor blocks are one callable that writes the
         block once, with only the label changing, each run's semiroot
         contact and each group's contact with f, b_l/b0 of the class, are
@@ -188,12 +205,12 @@ class PolarPrediction:
         for l, group_runs in enumerate(self._runs(), start=1):
             cont_f = str(Fraction(self.char.b[l], self.char.b0))
             blocks, mine = [], []
-            for f, prefix, numbers, chars in group_runs:
-                blocks.append(partial(_factor_blocks, f, chars, l, cont_f, prefix, numbers))
+            for run in group_runs:
+                blocks.append(partial(_factor_blocks, run, l, cont_f))
                 # row (i, j) ends in j's semiroot contact when j is in i's
                 # group, and in the group's b_l/b0 when j is in a later one
-                own = f'"{f.contact_with_semiroot}"{row}]'
-                run_cells = [f'"{prefix}{j}",{row}  ' for j in numbers]
+                own = f'"{run.contact_with_semiroot}"{row}]'
+                run_cells = [f'"{run.prefix}{j}",{row}  ' for j in run.numbers]
                 mine += [cell + own for cell in run_cells]
                 cells += run_cells
             groups.append({"l": l, "cont_f": cont_f, "factors": blocks})
@@ -211,7 +228,7 @@ class PolarPrediction:
     def to_text(self, put, newline: str = "\n") -> None:
         """Put the prediction as text through ``put``, one line per group
         and per factor, with ``newline`` between lines.  ``_runs`` checks
-        the orderings before the first piece; each group's lines are one
+        the record before the first piece; each group's lines are one
         piece, and each run's line is formatted once with all its names."""
         runs = self._runs()
         put(f"class K{self.char}, k = {self.k}: d^{self.k}f/dy^{self.k} = "
@@ -219,38 +236,37 @@ class PolarPrediction:
         for l, group_runs in enumerate(runs, start=1):
             cont = Fraction(self.char.b[l], self.char.b0)
             lines = [f"{newline}group {l}: cont(f, v) = {cont} for every irreducible factor v"]
-            for f, prefix, numbers, chars in group_runs:
+            for run in group_runs:
+                chars = run.exponents
                 desc = "Char = {" + ", ".join(map(str, chars)) + "}" if chars else "smooth"
                 # the run's line, formatted once, takes each of its names
-                lead = f"{newline}  - {prefix}"
-                line = (f": mult {f.multiplicity}, "
-                        f"cont(f_{l}, .) = {f.contact_with_semiroot}, {desc}")
-                lines += [f"{lead}{j}{line}" for j in numbers]
+                lead = f"{newline}  - {run.prefix}"
+                line = (f": mult {run.multiplicity}, "
+                        f"cont(f_{l}, .) = {run.contact_with_semiroot}, {desc}")
+                lines += [f"{lead}{j}{line}" for j in run.numbers]
             put("".join(lines))
         put(f"{newline}total multiplicity {self.multiplicity_total()} = b0 - k")
 
 
-def _factor_blocks(f: PolarFactor, chars: tuple, l: int, cont_f: str, prefix: str, numbers,
-                   put, newline: str) -> None:
+def _factor_blocks(run: Run, l: int, cont_f: str, put, newline: str) -> None:
     """Put the blocks of one run of factors of group ``l``, whose contact
-    with f is ``cont_f`` and characteristic exponents ``chars``, as items
-    of a ``factors`` list, at the depth of ``newline``: ``f``'s block
-    labelled prefix + j for each j of ``numbers``, written once and cut
-    between the quotes of its label."""
+    with f is ``cont_f``, as items of a ``factors`` list, at the depth of
+    ``newline``: the run's block labelled its prefix + j for each j of its
+    numbers, written once and cut between the quotes of its label."""
     text = dumps({
-        "kind": f.kind,
+        "kind": run.kind,
         "group": l,
-        "part": list(f.part) if f.part else None,
-        "multiplicity": f.multiplicity,
+        "part": list(run.part) if run.part else None,
+        "multiplicity": run.multiplicity,
         "cont_f": cont_f,
-        "cont_semiroot": str(f.contact_with_semiroot),
-        "char": [str(e) for e in chars],
+        "cont_semiroot": str(run.contact_with_semiroot),
+        "char": [str(e) for e in run.exponents],
         "label": "",
     }, len(newline) - 1)
     cut = text.rindex('""') + 1
-    lead, tail = text[:cut] + prefix, text[cut:]
+    lead, tail = text[:cut] + run.prefix, text[cut:]
     put(lead)
-    put((tail + "," + newline + lead).join(map(str, numbers)))
+    put((tail + "," + newline + lead).join(map(str, run.numbers)))
     put(tail)
 
 
@@ -282,17 +298,6 @@ def _contact_rows(cells, ends, newline: str, put, _depth: str) -> None:
     put(newline + "  ]")
 
 
-def _check_branch(f: PolarFactor, nsub: int) -> None:
-    """A factor of a group l with nsub = b0/e_(l-1) is a branch: its
-    exponents b_1/b0, ..., b_(l-1)/b0 have the index nsub, the semiroot
-    contact that ``_runs`` appends when the multiplicity exceeds nsub
-    raises it, and the last index, lcm(nsub, the contact's denominator),
-    is its multiplicity."""
-    index = lcm(nsub, f.contact_with_semiroot.denominator)
-    if index != f.multiplicity:
-        raise InvariantViolation(f"not a branch: the index {index} of {f} is not its multiplicity")
-
-
 def check_order(cs: CharSequence, k) -> int:
     """The polar order ``k`` as an int with 1 <= k < b0, or OrderOutOfRange;
     a bool or a float is refused, not read as a number."""
@@ -304,7 +309,8 @@ def check_order(cs: CharSequence, k) -> int:
 
 def predict(cs: CharSequence, k: int) -> PolarPrediction:
     """Equisingularity data of the generic k-th polar of the class ``cs``,
-    for an int k with 1 <= k < b0 (``check_order``)."""
+    for an int k with 1 <= k < b0 (``check_order``), checked by
+    ``PolarPrediction.check`` and against the total multiplicity b0 - k."""
     k = check_order(cs, k)
     groups = []
     for l in range(1, cs.h + 1):
@@ -313,34 +319,15 @@ def predict(cs: CharSequence, k: int) -> PolarPrediction:
         n_l = cs.n_seq[l - 1]
         m_l = cs.m_seq[l - 1]
         e_l = cs.e[l]
-        nsub = cs.b0 // cs.e[l - 1]  # n_1 * ... * n_{l-1}
-        cont_f = Fraction(cs.b[l], cs.b0)
-
         t = ((k - 1) % n_l) + 1
         derived = diagram_mod.elementary(m_l, n_l).symbolic_derivative(t)
-        factors = []
-        # equal parts give equal factors: one frozen object stands for each run
-        for (m_j, n_j), run in groupby(derived.canonical_rep(long=True).parts):
-            cont_semi = Fraction(m_j, nsub * n_j)
-            # beyond cont_f, the exponent _runs appends exceeds every one before it
-            if cont_semi <= cont_f:
-                raise InvariantViolation(
-                    f"Z-factor contact {cont_semi} must sit strictly beyond {cont_f}"
-                )
-            z = PolarFactor("Z", (m_j, n_j), nsub * n_j, cont_semi)
-            _check_branch(z, nsub)
-            factors += [z] * len(list(run))
         w_count = min(e_l, k) - (-(-k // n_l))
-        w = PolarFactor("W", None, cs.b0 // e_l, cont_f)
-        _check_branch(w, nsub)
-        factors += [w] * w_count
-        groups.append(tuple(factors))
+        groups.append((derived.canonical_rep(long=True).parts, w_count))
 
     prediction = PolarPrediction(cs, k, tuple(groups))
+    prediction.check()
     if prediction.multiplicity_total() != cs.b0 - k:
-        raise InvariantViolation(
-            f"multiplicities {prediction.multiplicity_total()} != {cs.b0 - k}"
-        )
+        raise InvariantViolation(f"multiplicities {prediction.multiplicity_total()} != {cs.b0 - k}")
     return prediction
 
 
@@ -439,8 +426,9 @@ def export_eggers_wall(p: PolarPrediction, include_branch: bool = True) -> Egger
     # first label would; group l is by_group[l - 1], the position of its
     # runs, and the levels past the prediction's groups are empty
     order = itertools.count()
-    by_group = [[(f, EWRun(prefix, numbers, (2, next(order)), chars, f.multiplicity))
-                 for f, prefix, numbers, chars in group_runs]
+    by_group = [[(run, EWRun(run.prefix, run.numbers, (2, next(order)), run.exponents,
+                             run.multiplicity))
+                 for run in group_runs]
                 for group_runs in p._runs()] + [[]] * cs.h
 
     # vertices are (contact, children) until _finish; the trunk grows from
@@ -450,10 +438,11 @@ def export_eggers_wall(p: PolarPrediction, include_branch: bool = True) -> Egger
     for l in range(cs.h, 0, -1):
         path = EWRun("f_", (l,), (1, l), exponents[:l - 1])
         # Z-runs come by descending semiroot contact (CanonicalRep order)
-        zs = [(f.contact_with_semiroot, run) for f, run in by_group[l - 1] if f.kind == "Z"]
+        zs = [(run.contact_with_semiroot, leaf) for run, leaf in by_group[l - 1]
+              if run.kind == "Z"]
         for contact, same in groupby(zs, key=itemgetter(0)):
-            path = (contact, [path, *(run for _, run in same)])
-        ws = [run for f, run in by_group[l - 1] if f.kind == "W"]
+            path = (contact, [path, *(leaf for _, leaf in same)])
+        ws = [leaf for run, leaf in by_group[l - 1] if run.kind == "W"]
         trunk = (exponents[l - 1], [trunk, path, *ws])
 
     tree, _ = _finish(trunk, include_branch)

@@ -48,10 +48,11 @@ For every level l and order k the checks are:
 * every edge above that inclination carries a squarefree edge polynomial,
   read off the polar's row starts (non-degeneracy), so the steep parts
   (M_i, N_i) can be read off the edges, each split into gcd primitive
-  copies, and turned into contacts M_i/((b0/e_{l-1}) N_i) and
-  multiplicities, which must agree with the predicted Z-factors; no part
-  goes through the canonical representation ``predict`` builds them with,
-  so a fault there is a FAIL;
+  copies, which must be the parts of the predicted Z-factors, compared
+  part by part; no part goes through the canonical representation
+  ``predict`` builds them with, so a fault there is a FAIL.  A part's
+  contact M_i/((b0/e_{l-1}) N_i) and multiplicity (b0/e_{l-1}) N_i, which
+  the reports show, follow from it by one formula on both sides;
 * the weighted initial form of the hat transform of f, its compact edge
   from (bbar_l - b_l, e_(l-1)) to (bbar_l, 0) as ``edge_poly`` reads it
   off the row starts, equals a x^b (y^(n_l) - a_{b_l}^(n_l) x^(m_l))^(e_l)
@@ -60,21 +61,24 @@ For every level l and order k the checks are:
 * the vertical length of the edge at inclination exactly m_l/n_l equals the
   aggregate multiplicity of the W-factors of group l and of everything in
   deeper groups, scaled by e_(l-1)/b0 and compared exactly (individual
-  W-factors are not separable without factoring); a multiplicity that does
-  not scale to an integer is a disagreement like any other;
-* each predicted W-factor of group l has the one form the class gives a
-  root on the class edge: semiroot contact b_l/b0 and multiplicity
-  b0/e_l.  This is read off the prediction alone, so no witness, however
-  degenerate, hides a W-factor off it.  With the Z-factors' contacts and
-  multiplicities compared, every field of which a factor's characteristic
-  exponents are built is checked.
+  W-factors are not separable without factoring).  Every multiplicity at
+  or below level l is a multiple of b0/e_(l-1), whatever the prediction:
+  a W-factor of group l has the multiplicity b0/e_l of a root on the class
+  edge, and a factor of a group l' >= l a multiple of b0/e_(l'-1).
+
+The prediction records each group as its parts and its W-count, so with
+the parts compared every value of which a factor's characteristic
+exponents are built is checked; the W-factors' count is observed in
+aggregate, through the edge length.
 
 The levels checked are those of the class, the l with e_(l-1) > k, and
 not the groups of the prediction under test: a prediction with another
 group count is a hard failure, FAIL and exit 2, and a level beyond its
 groups is compared with an empty group.  Group l is the l-th group of the
 prediction, the one place a factor's group is recorded, so a prediction
-with its groups out of place is compared at the wrong levels and fails.
+with its groups out of place is compared at the wrong levels and fails.  A
+group past the class's h levels has no multiplicity the class gives, and
+only the group count reads it.
 
 Diagram mismatches and degenerate steep edges mean the witness is not
 generic (the failure of an open Zariski condition) and the seed is retried;
@@ -400,15 +404,22 @@ def _steep_data(d: diagram_mod.NewtonDiagram, m_l: int, n_l: int):
     return tuple(steep), exact_len
 
 
+def _z_factor(part: tuple, n_sub: int) -> tuple:
+    """The semiroot contact M/(n_sub N) and multiplicity n_sub N of the
+    Z-factor of a part (M, N) at a level with n_sub = b0/e_(l-1)."""
+    m, n = part
+    return Fraction(m, n_sub * n), n_sub * n
+
+
 @dataclass(frozen=True)
 class LevelExpectation:
-    """What the prediction under test says of one level l: group l's
-    Z-factors as (part, contact, multiplicity), none past the prediction's
-    groups, and ``multiplicity``, that of group l's W-factors and of every
-    deeper factor, which the edge at inclination m_l/n_l carries scaled by
+    """What the prediction under test says of one level l: the parts of
+    group l's Z-factors, none past the prediction's groups, and
+    ``multiplicity``, that of group l's W-factors and of every deeper
+    factor, which the edge at inclination m_l/n_l carries scaled by
     e_(l-1)/b0, that is divided by ``n_sub`` = b0/e_(l-1)."""
 
-    z_factors: tuple
+    parts: tuple
     multiplicity: int
     n_sub: int
 
@@ -435,27 +446,19 @@ class LevelReport:
     def status(self) -> str:
         return "degenerate" if self.reasons else "ok"
 
-    def _found(self) -> tuple:
-        """The observed Z-factors as (part, contact, multiplicity)."""
-        return tuple(zip(self.steep_parts, self.contacts, self.multiplicities))
-
     @property
     def prediction_match(self) -> bool | None:
-        return None if self.expectation is None else self._found() == self.expectation.z_factors
+        return None if self.expectation is None else self.steep_parts == self.expectation.parts
 
     @property
     def aggregate_predicted(self) -> int | None:
-        """The predicted edge length, or None where nothing is predicted or
-        the prediction does not scale to an integer length at this level."""
+        """The predicted edge length, or None where nothing is predicted."""
         exp = self.expectation
-        if exp is None or exp.multiplicity % exp.n_sub:
-            return None
-        return exp.multiplicity // exp.n_sub
+        return None if exp is None else exp.multiplicity // exp.n_sub
 
     @property
     def aggregate_ok(self) -> bool | None:
-        """The edge length against the prediction, in integers: a prediction
-        that does not scale to this level disagrees with every length."""
+        """The edge length against the prediction, in integers."""
         if self.expectation is None:
             return None
         return self.aggregate_edge_length == self.aggregate_predicted
@@ -465,16 +468,15 @@ class LevelReport:
         if self.initial_form_ok is False:
             out.append(f"level {self.level}: initial form mismatch")
         if self.prediction_match is False:
-            # the first Z-factor where the two differ, "none" on a side that ends before it
-            l, sides = self.level, zip_longest(self._found(), self.expectation.z_factors)
+            # the first Z-factor where the two differ, "none" on a side that
+            # ends before it, each side as (part, contact, multiplicity)
+            exp, l = self.expectation, self.level
+            sides = zip_longest(self.steep_parts, exp.parts)
             j, *pair = next((j, a, b) for j, (a, b) in enumerate(sides, 1) if a != b)
-            seen, said = ("none" if z is None else f"({z[0]}, {z[1]}, {z[2]})" for z in pair)
+            seen, said = ("none" if part is None else "({}, {}, {})".format(
+                part, *_z_factor(part, exp.n_sub)) for part in pair)
             out.append(f"level {l}: z^({l})_{j} observed {seen}, predicted {said}")
-        if self.aggregate_ok is False and self.aggregate_predicted is None:
-            exp = self.expectation
-            out.append(f"predicted multiplicity {exp.multiplicity} at level {self.level} is not "
-                       f"a multiple of b0/e_{self.level - 1} = {exp.n_sub}")
-        elif self.aggregate_ok is False:
+        if self.aggregate_ok is False:
             out.append(f"level {self.level}: edge length {self.aggregate_edge_length} "
                        f"!= predicted {self.aggregate_predicted}")
         return tuple(out)
@@ -532,11 +534,12 @@ def check_lemma_nd(w: WitnessBranch, level: HatLevel,
         (xa, ya), (xb, yb) = edge
         if (xb - xa) * n_l > (ya - yb) * m_l and not edge_poly_squarefree(level.polar_starts, edge):
             reasons.append(f"steep edge {edge} is degenerate")
+    found = [_z_factor(part, n_sub) for part in steep_obs]
     return LevelReport(
         level=l, expected=expected.vertices, observed=observed.vertices,
         reasons=tuple(reasons), steep_parts=steep_obs,
-        contacts=tuple(Fraction(m, n_sub * n) for m, n in steep_obs),
-        multiplicities=tuple(n_sub * n for _, n in steep_obs),
+        contacts=tuple(contact for contact, _ in found),
+        multiplicities=tuple(mult for _, mult in found),
         aggregate_edge_length=exact_len,
         initial_form_ok=None if reasons else check_initial_form(w, l, level.starts),
         expectation=None if reasons else expectation,
@@ -628,11 +631,11 @@ class VerificationReport:
     def to_json(self, put, newline: str = "\n") -> None:
         """Put the report, indent-2 JSON text, piece by piece through
         ``put``, with ``newline`` ending every line.  The prediction's
-        ``to_json`` writes it where it lands; its orderings are checked
-        before the report's first piece."""
-        # the prediction checks its orderings again where it lands, after
-        # the report's first pieces have been put
-        self.prediction._runs()
+        ``to_json`` writes it where it lands; its record is checked before
+        the report's first piece."""
+        # the prediction checks its record again where it lands, after the
+        # report's first pieces have been put
+        self.prediction.check()
         write({
             "char": list(self.prediction.char.b),
             "k": self.prediction.k,
@@ -670,39 +673,30 @@ class VerificationReport:
 
 def _expectations(prediction: PolarPrediction, cs: CharSequence, depth: int) -> list:
     """What the prediction says of each level l = 1..depth, group l being the
-    l-th tuple of ``prediction.groups`` and a level past them meeting an
-    empty group: a ``LevelExpectation`` of group l's Z-factors and of the
-    multiplicity of group l's W-factors and every factor of the groups after
-    it."""
-    groups = prediction.groups + ((),) * depth
+    l-th pair (parts, w) of ``prediction.groups`` and a level past them
+    meeting an empty group: a ``LevelExpectation`` of group l's parts and of
+    the multiplicity of its w W-factors, b0/e_l each, and of every factor of
+    the groups after it, up to the class's h levels."""
+    groups = prediction.groups[:cs.h]
+    mults = [sum(n for _, n in parts) * semiroot_degree(cs, l) + w * (cs.b0 // cs.e[l])
+             for l, (parts, w) in enumerate(groups, start=1)]
     out = []
-    for l, group in enumerate(groups[:depth], start=1):
-        z = tuple((f.part, f.contact_with_semiroot, f.multiplicity)
-                  for f in group if f.kind == "Z")
-        edge = (sum(f.multiplicity for f in group if f.kind == "W")
-                + sum(f.multiplicity for after in groups[l:] for f in after))
-        out.append(LevelExpectation(z, edge, semiroot_degree(cs, l)))
+    for l in range(1, depth + 1):
+        parts, w = groups[l - 1] if l <= len(groups) else ((), 0)
+        edge = w * (cs.b0 // cs.e[l]) + sum(mults[l:])
+        out.append(LevelExpectation(parts, edge, semiroot_degree(cs, l)))
     return out
 
 
 def _run_seed(w: WitnessBranch, prediction: PolarPrediction, depth: int) -> SeedRun:
     """One witness checked at the levels 1..depth of its class against the
     prediction, read once before the levels; a prediction of another group
-    count fails, and so does a W-factor of group l whose semiroot contact
-    and multiplicity are not (b_l/b0, b0/e_l), those of a root on the class
-    edge, whatever the witness shows."""
+    count fails, whatever the witness shows."""
     levels = tuple(check_lemma_nd(w, level, expectation) for expectation, level in
                    zip(_expectations(prediction, w.cs, depth), hat_chain(w, depth, prediction.k)))
     failures = () if prediction.i_k == depth else (
         f"group count {prediction.i_k} != {depth}, "
         f"the number of levels l with e_(l-1) > {prediction.k}",)
-    cs = w.cs
-    for l, group in enumerate(prediction.groups[:depth], start=1):
-        semi, mult = Fraction(cs.b[l], cs.b0), cs.b0 // cs.e[l]
-        ws = [(f.contact_with_semiroot, f.multiplicity) for f in group if f.kind == "W"]
-        failures += tuple(f"level {l}: w^({l})_{j} predicted ({c}, {m}), "
-                          f"the class edge gives ({semi}, {mult})"
-                          for j, (c, m) in enumerate(ws, 1) if (c, m) != (semi, mult))
     return SeedRun(w.seed, levels, failures + tuple(f for lv in levels for f in lv.failures()))
 
 

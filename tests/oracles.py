@@ -6,7 +6,9 @@ row, first derivatives of elementary diagrams by continued fractions,
 conjugate products by exact cyclotomic arithmetic and
 by iterated norms (Laplace
 determinants), random valid characteristic sequences by rejection,
-factor names counted one factor at a time, pairwise contacts one pair at
+the factors of a prediction expanded one by one from each group's record
+(parts, w) by the paper's statement, factor names counted one factor at a
+time, pairwise contacts one pair at
 a time, the prediction document as a dict of one block per factor and one
 row per pair, the prediction text one line per factor, Eggers-Wall trees of one
 leaf per factor by clustering that table, written by their own DOT
@@ -304,22 +306,46 @@ def grid_classes(b0_max):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class OracleFactor:
+    """One factor of a prediction, expanded from its group's record."""
+
+    kind: str                       # "Z" or "W"
+    group: int
+    part: tuple | None              # (M, N) for Z-factors
+    multiplicity: int
+    contact_with_semiroot: Fraction
+
+
+def expand_factors(prediction) -> list:
+    """Every factor in label order, expanded from each group's record
+    (parts, w) by the paper's statement, from the class and the group's
+    position l alone: a Z-factor of multiplicity N_l N and semiroot contact
+    M/(N_l N) for each part (M, N), N_l = b0/e_(l-1), then w W-factors of
+    multiplicity b0/e_l and semiroot contact b_l/b0."""
+    cs = prediction.char
+    out = []
+    for l, (parts, w) in enumerate(prediction.groups, start=1):
+        n_sub = cs.b0 // cs.e[l - 1]
+        out += [OracleFactor("Z", l, (m, n), n_sub * n, Fraction(m, n_sub * n)) for m, n in parts]
+        out += [OracleFactor("W", l, None, cs.b0 // cs.e[l], Fraction(cs.b[l], cs.b0))] * w
+    return out
+
+
 def factor_groups(prediction) -> list:
     """The group l of every factor in label order: the 1-based position of
-    its tuple in ``prediction.groups``."""
-    return [l for l, group in enumerate(prediction.groups, start=1) for _ in group]
+    its record in ``prediction.groups``."""
+    return [f.group for f in expand_factors(prediction)]
 
 
 def factor_labels(prediction) -> list:
     """The name of every factor in label order, counted one factor at a
     time: z^(l)_j for the j-th Z-factor of group l and w^(l)_i for its i-th
     W-factor."""
-    names = []
-    for l, group in enumerate(prediction.groups, start=1):
-        seen = {"Z": 0, "W": 0}
-        for f in group:
-            seen[f.kind] += 1
-            names.append(f"{f.kind.lower()}^({l})_{seen[f.kind]}")
+    names, seen = [], {}
+    for f in expand_factors(prediction):
+        seen[f.group, f.kind] = seen.get((f.group, f.kind), 0) + 1
+        names.append(f"{f.kind.lower()}^({f.group})_{seen[f.group, f.kind]}")
     return names
 
 
@@ -348,7 +374,7 @@ def contact_table_oracle(prediction):
     comparison per pair: the minimum of the semiroot contacts inside a group
     and of the contacts with f, b_l/b0 of each factor's group l, across
     groups."""
-    facts = prediction.factors()
+    facts = expand_factors(prediction)
     names = factor_labels(prediction)
     group_of = factor_groups(prediction)
     table = []
@@ -366,12 +392,13 @@ def contact_table_oracle(prediction):
 
 def prediction_document_oracle(prediction) -> dict:
     """The prediction document as a dict, one block per factor, built from
-    the factor's fields and its group's b_l/b0 and not by the writer's
-    code, and one row per pair of factors from ``contact_table_oracle``;
+    the factor's values, expanded from its group's record, and its group's
+    b_l/b0 and not by the writer's code, and one row per pair of factors
+    from ``contact_table_oracle``;
     ``json.dumps(..., indent=2)`` of it is the text
     ``PolarPrediction.to_json`` writes."""
     cs = prediction.char
-    factors = prediction.factors()
+    factors = expand_factors(prediction)
     groups = [{"l": l, "cont_f": str(contact_with_f(prediction, l)), "factors": []}
               for l in range(1, prediction.i_k + 1)]
     for f, l, name in zip(factors, factor_groups(prediction), factor_labels(prediction)):
@@ -402,16 +429,17 @@ def prediction_text_oracle(prediction) -> str:
     char = ",".join(map(str, cs.b))
     product = " * ".join(f"G^({l})" for l in range(1, prediction.i_k + 1))
     lines = [f"class K({char}), k = {k}: d^{k}f/dy^{k} = {product}"]
+    factors = expand_factors(prediction)
     names = iter(factor_labels(prediction))
-    for l, group in enumerate(prediction.groups, start=1):
+    for l in range(1, prediction.i_k + 1):
         lines.append(f"group {l}: cont(f, v) = {Fraction(cs.b[l], cs.b0)} "
                      "for every irreducible factor v")
-        for f in group:
+        for f in (f for f in factors if f.group == l):
             chars = char_exponents(prediction, l, f)
             desc = "Char = {" + ", ".join(map(str, chars)) + "}" if chars else "smooth"
             lines.append(f"  - {next(names)}: mult {f.multiplicity}, "
                          f"cont(f_{l}, .) = {f.contact_with_semiroot}, {desc}")
-    total = sum(f.multiplicity for f in prediction.factors())
+    total = sum(f.multiplicity for f in factors)
     lines.append(f"total multiplicity {total} = b0 - k")
     return "\n".join(lines)
 
@@ -509,7 +537,7 @@ def eggers_wall_oracle(prediction, include_branch=True):
         for l in range(1, cs.h + 1):
             prefix = tuple(Fraction(cs.b[i], cs.b0) for i in range(1, l))
             leaves.append(OracleLeaf(f"f_{l}", (1, l), prefix))
-    facts = prediction.factors()
+    facts = expand_factors(prediction)
     group_of = factor_groups(prediction)
     for pos, (f, name) in enumerate(zip(facts, factor_labels(prediction))):
         chars = char_exponents(prediction, group_of[pos], f)

@@ -329,7 +329,7 @@ def test_a_misordered_prediction_is_not_drawn(tmp_path, capsys, monkeypatch):
         assert captured.out == ""
         assert json.loads(captured.err) == {
             "error": "InvariantViolation",
-            "message": "semiroot contact 3/2 falls below 31/12 at z^(2)_1",
+            "message": "semiroot contact 1/2 does not lie beyond 31/12 at z^(2)_1",
         }
     assert old.read_text() == "kept\n"
 

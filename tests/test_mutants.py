@@ -36,46 +36,28 @@ def mutant(module, name, right, wrong):
 # -- factors that are not branches ----------------------------------------------
 
 
-def _z_multiplicity_doubled(kind, part, mult, cont_semi):
-    # a Z-factor of twice its multiplicity: its index, fixed by its group
-    # and its semiroot contact, is half of it
-    return (mult * 2, cont_semi) if kind == "Z" else (mult, cont_semi)
+_CANONICAL_REP = NewtonDiagram.canonical_rep
 
 
-def _appended_contact_off_by_1_97(kind, part, mult, cont_semi):
-    # a Z-factor's semiroot contact, appended to the exponents of its group
-    # when it raises their index, raised by 1/97: still beyond its group's
-    # b_l/b0, but of an index 97 times its multiplicity
-    return (mult, cont_semi + Fraction(1, 97)) if kind == "Z" else (mult, cont_semi)
+def _parts_doubled(self, long=False):
+    # every part (M, N) read as (2M, 2N): each Z-factor keeps its semiroot
+    # contact, and so its index, but doubles its multiplicity
+    rep = _CANONICAL_REP(self, long)
+    return replace(rep, parts=tuple((2 * m, 2 * n) for m, n in rep.parts))
 
 
-@pytest.mark.parametrize("mutant,cs,k,other", [
-    (_appended_contact_off_by_1_97, EX1, 1, None),
-    (_appended_contact_off_by_1_97, EX2, 1, None),
-    (_appended_contact_off_by_1_97, EX2, 2, None),
-    (_z_multiplicity_doubled, EX1, 2, "multiplicities"),
-    (_z_multiplicity_doubled, EX2, 2, "multiplicities"),
-], ids=["appended-ex1-k1", "appended-ex2-k1", "appended-ex2-k2", "mult-ex1-k2", "mult-ex2-k2"])
-def test_predict_rejects_a_factor_that_is_not_a_branch(monkeypatch, mutant, cs, k, other):
-    import branchpolar.polar as polar_mod
-
-    right = predict(cs, k).factors()
-    real = polar_mod.PolarFactor
-
-    def factor(kind, part, mult, cont_semi):
-        return real(kind, part, *mutant(kind, part, mult, cont_semi))
-
-    monkeypatch.setattr(polar_mod, "PolarFactor", factor)
+@pytest.mark.parametrize("cs,k", [(EX1, 2), (EX2, 2)], ids=["mult-ex1-k2", "mult-ex2-k2"])
+def test_predict_rejects_a_factor_that_is_not_a_branch(monkeypatch, cs, k):
+    # a part that is not primitive makes a factor whose index, fixed by its
+    # group and its semiroot contact, is below its multiplicity
+    monkeypatch.setattr(NewtonDiagram, "canonical_rep", _parts_doubled)
     with pytest.raises(InvariantViolation, match="not a branch"):
         predict(cs, k)
-    monkeypatch.setattr(polar_mod, "_check_branch", lambda f, nsub: None)
-    if other:
-        # the total b0 - k sees a changed multiplicity too
-        with pytest.raises(InvariantViolation, match=other):
-            predict(cs, k)
-    else:
-        # no other check of predict sees the mutant
-        assert predict(cs, k).factors() != right
+    # with the record check off, the total b0 - k sees the doubled
+    # multiplicities too
+    monkeypatch.setattr(polar.PolarPrediction, "check", lambda self: None)
+    with pytest.raises(InvariantViolation, match="multiplicities"):
+        predict(cs, k)
 
 
 # -- an unsplit canonical representation -----------------------------------------
@@ -94,18 +76,16 @@ def test_verify_fails_when_canonical_rep_does_not_split(monkeypatch, b, k, line)
     # canonical_rep(long=True).  With the short form in its place it predicts
     # fewer Z-factors of doubled multiplicity; the verifier reads its steep
     # parts off the edges themselves, so the wrong prediction must FAIL.  A
-    # merged part of N > 1 makes a factor whose index is below its
-    # multiplicity, which predict's own branch check refuses first; with that
+    # merged part is not primitive, and makes a factor whose index is below
+    # its multiplicity, which predict's record check refuses first; with that
     # check switched off the verifier must still catch it
-    import branchpolar.polar as polar_mod
-
     cs = new_char_sequence(b)
     right = dumps(predict(cs, k).to_json)
     real = NewtonDiagram.canonical_rep
     monkeypatch.setattr(NewtonDiagram, "canonical_rep", lambda self, long=False: real(self))
     with pytest.raises(InvariantViolation, match="not a branch"):
         predict(cs, k)
-    monkeypatch.setattr(polar_mod, "_check_branch", lambda f, nsub: None)
+    monkeypatch.setattr(polar.PolarPrediction, "check", lambda self: None)
     assert dumps(predict(cs, k).to_json) != right
     report = verify_prediction(cs, k, [1, 2, 3, 4, 5])
     assert report.verdict == "FAIL", dumps(report.to_text)
@@ -128,36 +108,39 @@ def test_predict_rejects_a_w_count_off_by_one(b):
             wrong_predict(cs, k)
 
 
-def _w_unit_moved_to_group_2(cs, k):
-    # one unit of multiplicity taken from group 1's W-factor and given to
-    # group 2's: the total b0 - k is kept, so predict's own check passes it
-    p = predict(cs, k)
-    groups = list(p.groups)
-    for l, step in ((0, -1), (1, 1)):
-        i = next(i for i, f in enumerate(groups[l]) if f.kind == "W")
-        moved = replace(groups[l][i], multiplicity=groups[l][i].multiplicity + step)
-        groups[l] = groups[l][:i] + (moved,) + groups[l][i + 1:]
+def _w_moved_to_the_next_group(p, l):
+    # one W-factor of group l moved to group l + 1, a group of its own when
+    # the prediction ends at l: it sits at b_(l+1)/b0, off its class edge,
+    # and weighs b0/e_(l+1) where it weighed b0/e_l
+    groups = list(p.groups) + [((), 0)] * (l + 1 - p.i_k)
+    (parts, w), (after, w_after) = groups[l - 1], groups[l]
+    groups[l - 1:l + 1] = [(parts, w - 1), (after, w_after + 1)]
     return replace(p, groups=tuple(groups))
 
 
+def _w_unit_moved_to_group_2(cs, k):
+    # one W-factor of group 1 moved to group 2
+    return _w_moved_to_the_next_group(predict(cs, k), 1)
+
+
 def test_verify_fails_when_a_w_unit_moves_to_the_next_group(monkeypatch, capsys):
-    # at level 2 of K(16,24,28,30,31), k = 2, the edge at m_2/n_2 carries
-    # the multiplicity 13 scaled by e_1/b0 = 1/2: no integer length, so a
-    # FAIL with its failure line, exit 2, and not an internal error, exit 4
+    # K(16,24,28,30,31) at k = 2 has one W-factor in each group, of
+    # multiplicity 2, 4 and 8.  Group 1's moved to group 2 weighs 4: the
+    # edges at m_1/n_1 and m_2/n_2 carry 14 and 12 scaled by 1/2, where the
+    # prediction says 16 and 16 scaled by 1/2, so a FAIL with their failure
+    # lines, exit 2, and not an internal error, exit 4
     cs = new_char_sequence([16, 24, 28, 30, 31])
-    assert _w_unit_moved_to_group_2(cs, 2).multiplicity_total() == cs.b0 - 2
+    assert _w_unit_moved_to_group_2(cs, 2).groups == (((), 0), ((), 2), ((), 1))
     monkeypatch.setattr(verify, "predict", _w_unit_moved_to_group_2)
     report = verify_prediction(cs, 2, [1])
     assert report.verdict == "FAIL", dumps(report.to_text)
     [run] = report.runs
-    assert run.failures == (
-        "level 1: w^(1)_1 predicted (3/2, 1), the class edge gives (3/2, 2)",
-        "level 2: w^(2)_1 predicted (7/4, 5), the class edge gives (7/4, 4)",
-        "predicted multiplicity 13 at level 2 is not a multiple of b0/e_1 = 2")
+    assert run.failures == ("level 1: edge length 14 != predicted 16",
+                            "level 2: edge length 6 != predicted 8")
     levels = json.loads(dumps(report.to_json))["runs"][0]["levels"]
     assert [lv["aggregate_edge"] for lv in levels] == [
-        {"observed": 14, "predicted": 14, "ok": True},
-        {"observed": 6, "predicted": None, "ok": False},
+        {"observed": 14, "predicted": 16, "ok": False},
+        {"observed": 6, "predicted": 8, "ok": False},
         {"observed": 2, "predicted": 2, "ok": True},
     ]
     assert cli.main(["verify", "16,24,28,30,31", "--k", "2", "--seeds", "1",
@@ -166,55 +149,53 @@ def test_verify_fails_when_a_w_unit_moves_to_the_next_group(monkeypatch, capsys)
 
 
 def _last_w_off_the_class_edge(cs, k):
-    # the last W-factor, its semiroot contact raised by 1/97: its
-    # multiplicity and every Z-factor are kept, and so is the edge length
+    # a W-factor of the last group that has one moved to the next group, off
+    # its own class edge: every Z-factor is kept
     p = predict(cs, k)
-    l = max(l for l, group in enumerate(p.groups) if any(f.kind == "W" for f in group))
-    group = p.groups[l]
-    w = group[-1]
-    raised = replace(w, contact_with_semiroot=w.contact_with_semiroot + Fraction(1, 97))
-    return replace(p, groups=p.groups[:l] + (group[:-1] + (raised,),) + p.groups[l + 1:])
+    return _w_moved_to_the_next_group(p, max(l for l, (_, w) in enumerate(p.groups, 1) if w))
 
 
 def test_verify_fails_on_every_grid_prediction_with_a_w_factor_off_the_class_edge(
         monkeypatch, capsys):
-    # each W-factor of group l must be (b_l/b0, b0/e_l), checked off the
-    # prediction whatever the witness shows, so a degenerate seed cannot
-    # hide it: all 375 pairs of the b0 <= 12 grid that have a W-factor
-    # read FAIL, exit 2, in text
+    # a W-factor of group l has the form (b_l/b0, b0/e_l) of a root on
+    # level l's class edge, so one moved to group l + 1 changes the length
+    # of the edge at m_l/n_l: all 375 pairs of the b0 <= 12 grid that have
+    # a W-factor read FAIL, exit 2, in text, a degenerate seed retried
     pairs = [(cs, k) for cs in grid_classes(12) for k in range(1, cs.b0)
-             if any(f.kind == "W" for f in predict(cs, k).factors())]
+             if any(w for _, w in predict(cs, k).groups)]
     assert len(pairs) == 375
     monkeypatch.setattr(verify, "predict", _last_w_off_the_class_edge)
     for cs, k in pairs:
         argv = ["verify", ",".join(map(str, cs.b)), "--k", str(k), "--seeds", "1", "--quiet"]
         assert cli.main(argv) == cli.EXIT_FAIL, (cs.b, k)
         out, err = capsys.readouterr()
-        assert err == "" and ": w^(" in out and "the class edge gives" in out, (cs.b, k)
-    # the JSON writer refuses such a prediction before its first piece
+        assert err == "" and "  FAIL: " in out, (cs.b, k)
+    # the record is one the writers print: the JSON report is a FAIL too
     argv = ["verify", "12,16,31", "--k", "2", "--seeds", "1", "--quiet", "--format", "json"]
-    assert cli.main(argv) == cli.EXIT_INTERNAL
+    assert cli.main(argv) == cli.EXIT_FAIL
     out, err = capsys.readouterr()
-    assert out == "" and json.loads(err)["message"] == (
-        "semiroot contact 391/291 of a W-factor lies beyond 4/3 at w^(1)_1")
+    assert err == "" and json.loads(out)["runs"][0]["failures"] == [
+        "level 1: edge length 9 != predicted 18", "level 2: edge length 0 != predicted 4"]
 
 
 def _every_factor_in_group_1(cs, k):
-    # every factor moved into the first group, followed by empty groups so
-    # that the group count is unchanged
+    # every group's parts and W-factors moved into the first group, followed
+    # by empty groups so that the group count is unchanged
     p = predict(cs, k)
-    return replace(p, groups=(tuple(p.factors()),) + ((),) * (p.i_k - 1))
+    parts = tuple(part for group, _ in p.groups for part in group)
+    return replace(p, groups=((parts, sum(w for _, w in p.groups)),) + (((), 0),) * (p.i_k - 1))
 
 
 @pytest.mark.parametrize("b,k,line", [
-    ((12, 16, 31), 2, "level 1: z^(1)_2 observed none, predicted ((8, 1), 8/3, 3)"),
-    ((10, 14, 15), 1, "level 1: z^(1)_3 observed none, predicted ((8, 1), 8/5, 5)"),
-    ((16, 24, 28, 30, 31), 3, "level 1: z^(1)_2 observed none, predicted ((4, 1), 2, 2)"),
+    ((12, 16, 31), 2, "level 1: z^(1)_2 observed none, predicted ((8, 1), 8, 1)"),
+    ((10, 14, 15), 1, "level 1: z^(1)_3 observed none, predicted ((8, 1), 8, 1)"),
+    ((16, 24, 28, 30, 31), 3, "level 1: z^(1)_2 observed none, predicted ((4, 1), 4, 1)"),
 ], ids=["b0-2", "b1-1", "b2-3"])
 def test_verify_reads_each_factor_at_its_position(monkeypatch, b, k, line):
-    # a factor's group is the position of its tuple, which the labels and
-    # the JSON show: a factor of a deeper group moved into group 1 meets
-    # level 1's steep parts and FAILs, at the first Z-factor past them
+    # a factor's group is the position of its record, which the labels and
+    # the JSON show: a part of a deeper group moved into group 1 is read at
+    # level 1, with its contact and multiplicity there, meets level 1's
+    # steep parts and FAILs, at the first Z-factor past them
     monkeypatch.setattr(verify, "predict", _every_factor_in_group_1)
     report = verify_prediction(new_char_sequence(b), k, [1, 2])
     assert report.verdict == "FAIL", dumps(report.to_text)
@@ -228,15 +209,15 @@ def _groups_reversed(cs, k):
 
 
 @pytest.mark.parametrize("b,k,message", [
-    ((12, 16, 31), 2, "semiroot contact 2 falls below 31/12 at z^(2)_1"),
-    ((16, 24, 28, 30, 31), 3, "semiroot contact 3/2 falls below 15/8 at w^(3)_1"),
+    ((12, 16, 31), 2, "semiroot contact 2/3 does not lie beyond 31/12 at z^(2)_1"),
+    ((16, 24, 28, 30, 31), 3, "semiroot contact 1/2 does not lie beyond 15/8 at z^(3)_1"),
 ], ids=["K(12,16,31)-k2", "K(16,24,28,30,31)-k3"])
 def test_verify_fails_when_predict_reverses_its_groups(monkeypatch, capsys, b, k, message):
     # group l is the l-th group, whatever its factors' contacts say: each
     # reversed group meets another level's steep parts and edge, a FAIL in
     # text, exit 2.  The JSON writer refuses the prediction first, since a
-    # semiroot contact falls below its group's b_l/b0, and that is the
-    # program's fault, exit 4
+    # part read at its new level gives a semiroot contact that does not lie
+    # beyond that group's b_l/b0, and that is the program's fault, exit 4
     monkeypatch.setattr(verify, "predict", _groups_reversed)
     report = verify_prediction(new_char_sequence(b), k, [1, 2])
     assert report.verdict == "FAIL", dumps(report.to_text)
@@ -262,7 +243,7 @@ def test_verify_fails_when_the_exact_inclination_counts_as_steep(monkeypatch, b)
     cs = new_char_sequence(b)
     for k in range(1, cs.b0):
         p = predict(cs, k)
-        exact_edge = p.i_k > 1 or any(f.kind == "W" for f in p.factors())
+        exact_edge = p.i_k > 1 or any(w for _, w in p.groups)
         report = verify_prediction(cs, k, [1, 2, 3])
         assert report.verdict == ("FAIL" if exact_edge else "PASS"), (k, dumps(report.to_text))
 
@@ -283,7 +264,7 @@ def test_verify_fails_when_predict_adds_a_group_where_e_is_k(monkeypatch, capsys
     wrong = _group_at_e_equal_to_k()
     cs = new_char_sequence(b)
     p = wrong(cs, k)
-    assert p.groups == predict(cs, k).groups + ((),)
+    assert p.groups == predict(cs, k).groups + (((), 0),)
     monkeypatch.setattr(verify, "predict", wrong)
     report = verify_prediction(cs, k, [1, 2, 3])
     assert report.verdict == "FAIL", dumps(report.to_text)

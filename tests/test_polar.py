@@ -1,4 +1,3 @@
-import copy
 import gc
 import json
 import os
@@ -42,15 +41,16 @@ def q(a, b=1):
 
 def summary(p):
     """(kind, part, mult, cont_f, cont_semiroot, char) per factor, by group,
-    where cont_f is b_l/b0 of the factor's group l, its position, and char
-    its characteristic exponents by the paper's statement."""
+    as the writers derive them from the record, where cont_f is b_l/b0 of
+    the factor's group l, its position, and char its characteristic
+    exponents by the paper's statement."""
     return [
         [
             (f.kind, f.part, f.multiplicity, q(p.char.b[l], p.char.b0),
              f.contact_with_semiroot, char_exponents(p, l, f))
-            for f in group
+            for f in runs for _ in f.numbers
         ]
-        for l, group in enumerate(p.groups, start=1)
+        for l, runs in enumerate(p._runs(), start=1)
     ]
 
 
@@ -101,7 +101,7 @@ def test_ex2_second_polar():
 def test_whole_rationals_print_without_a_denominator():
     # z^(1)_1's semiroot contact at k = 2 is the Fraction 2, printed as "2"
     ex1, ex2 = predict(EX1, 2), predict(EX2, 2)
-    assert type(ex1.groups[0][0].contact_with_semiroot) is Fraction
+    assert type(ex1.factors()[0].contact_with_semiroot) is Fraction
     text, doc = dumps(ex1.to_text), dumps(ex1.to_json)
     dot = dumps(export_eggers_wall(ex2).to_dot)
     assert "cont(f_1, .) = 2," in text
@@ -136,9 +136,9 @@ def test_semiroot_contacts_sit_at_or_beyond_their_group_contact():
     for _ in range(40):
         cs = random_char_sequence(rng, b0_max=36)
         for k in range(1, cs.b0):
-            for l, group in enumerate(predict(cs, k).groups, start=1):
+            for l, runs in enumerate(predict(cs, k)._runs(), start=1):
                 cont_f = q(cs.b[l], cs.b0)
-                for f in group:
+                for f in runs:
                     semi = f.contact_with_semiroot
                     assert (semi == cont_f) if f.kind == "W" else (semi > cont_f), (cs.b, k, l, f)
 
@@ -149,11 +149,10 @@ def test_parts_match_lattice_oracle():
         cs = random_char_sequence(rng, b0_max=36)
         k = rng.randint(1, cs.b0 - 1)
         p = predict(cs, k)
-        for l, group in enumerate(p.groups, start=1):
+        for l, (parts, _) in enumerate(p.groups, start=1):
             n_l, m_l = cs.n_seq[l - 1], cs.m_seq[l - 1]
             t = ((k - 1) % n_l) + 1
             expected = staircase_trunc_oracle(elementary(m_l, n_l), t).translate(0, -t)
-            parts = tuple(f.part for f in group if f.kind == "Z")
             assert parts == expected.canonical_rep(long=True).parts
 
 
@@ -269,14 +268,20 @@ def test_contact_rows_match_oracle(cs):
         assert_document_matches_oracle(predict(cs, k))
 
 
+def _replace_group(p, l, parts=None, w=None):
+    """``p`` with group l's parts or W-count replaced."""
+    old_parts, old_w = p.groups[l - 1]
+    group = (old_parts if parts is None else parts, old_w if w is None else w)
+    return replace(p, groups=p.groups[:l - 1] + (group,) + p.groups[l:])
+
+
 def _swap_two_z(p):
-    for l, group in enumerate(p.groups):
-        zs = [i for i, f in enumerate(group) if f.kind == "Z"]
-        for i, j in zip(zs, zs[1:]):
-            if group[i].contact_with_semiroot != group[j].contact_with_semiroot:
-                swapped = list(group)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                return replace(p, groups=p.groups[:l] + (tuple(swapped),) + p.groups[l + 1:])
+    # the first two neighbouring parts of a group that differ, swapped
+    for l, (parts, _) in enumerate(p.groups, start=1):
+        for i in range(len(parts) - 1):
+            if parts[i] != parts[i + 1]:
+                swapped = parts[:i] + (parts[i + 1], parts[i]) + parts[i + 2:]
+                return _replace_group(p, l, parts=swapped)
     raise ValueError("no two Z-factors of one group differ in semiroot contact")
 
 
@@ -284,48 +289,56 @@ def _swap_groups(p):
     return replace(p, groups=p.groups[::-1])
 
 
-def _last_w_below_its_group(p):
-    # the last W-factor of the last group that has one, its semiroot
-    # contact lowered by 1/97 below b_l/b0: the contacts still never rise
-    l = max(l for l, group in enumerate(p.groups) if any(f.kind == "W" for f in group))
-    group = p.groups[l]
-    w = group[-1]
-    lowered = replace(w, contact_with_semiroot=w.contact_with_semiroot - Fraction(1, 97))
-    return replace(p, groups=p.groups[:l] + (group[:-1] + (lowered,),) + p.groups[l + 1:])
+def _first_part_at_its_group(p):
+    # group 1's first part moved to b_1/b0 itself, where the W-factors sit
+    cs = p.char
+    parts, _ = p.groups[0]
+    return _replace_group(p, 1, parts=((cs.b[1] // cs.e[1], cs.b0 // cs.e[1]),) + parts[1:])
 
 
-def _first_w_above_its_group(p):
-    # group 1's first W-factor, its semiroot contact raised by 1/97 beyond
-    # b_1/b0: the contacts still never rise, but the JSON rows would meet
-    # it at the raised contact where the tree joins it at b_1/b0, and its
-    # last exponent would be the raised contact
-    group = p.groups[0]
-    i = next(i for i, f in enumerate(group) if f.kind == "W")
-    w = group[i]
-    raised = replace(w, contact_with_semiroot=w.contact_with_semiroot + Fraction(1, 97))
-    return replace(p, groups=(group[:i] + (raised,) + group[i + 1:],) + p.groups[1:])
+def _unsplit_part(p):
+    # the last group's parts merged into one, (8, 1) three times read as
+    # (24, 3): the total multiplicity is kept, but the factor is no branch
+    parts, _ = p.groups[-1]
+    merged = (sum(m for m, _ in parts), sum(n for _, n in parts))
+    return _replace_group(p, p.i_k, parts=(merged,))
+
+
+def _last_w_count_below_zero(p):
+    # the W-count of the last group that has W-factors, lowered below zero
+    l = max(l for l, (_, w) in enumerate(p.groups, start=1) if w)
+    return _replace_group(p, l, w=-1)
+
+
+def _w_above_the_levels(p):
+    # a W-factor in a group above the class's h levels
+    return replace(p, groups=p.groups + (((), 1),) * (p.char.h + 1 - p.i_k))
 
 
 @pytest.mark.parametrize("mutant,cs,k,message", [
     (_swap_two_z, EX2, 2, "semiroot contact rises from 3/2 to 2 at z^(1)_2"),
     (_swap_two_z, new_char_sequence([16, 23]), 1,
      "semiroot contact rises from 13/9 to 3/2 at z^(1)_4"),
-    (_swap_groups, EX1, 1, "semiroot contact 3/2 falls below 31/12 at z^(2)_1"),
-    (_last_w_below_its_group, EX1, 3, "semiroot contact 385/291 falls below 4/3 at w^(1)_2"),
-    (_last_w_below_its_group, new_char_sequence([16, 24, 28, 30, 31]), 4,
-     "semiroot contact 675/388 falls below 7/4 at w^(2)_2"),
-    (_first_w_above_its_group, EX1, 2,
-     "semiroot contact 391/291 of a W-factor lies beyond 4/3 at w^(1)_1"),
-], ids=["z-order-ex2", "z-order-K(16,23)", "group-order-ex1", "w-below-ex1-k3",
-        "w-below-K(16,24,28,30,31)-k4", "w-above-ex1-k2"])
+    (_swap_groups, EX1, 1, "semiroot contact 1/2 does not lie beyond 31/12 at z^(2)_1"),
+    (_first_part_at_its_group, EX1, 2, "semiroot contact 4/3 does not lie beyond 4/3 at z^(1)_1"),
+    (_unsplit_part, EX1, 1, "not a branch: the part (24, 3) is not primitive at z^(2)_1"),
+    (_last_w_count_below_zero, EX1, 3, "group 1 has -1 W-factors"),
+    (_last_w_count_below_zero, new_char_sequence([16, 24, 28, 30, 31]), 4,
+     "group 2 has -1 W-factors"),
+    (_w_above_the_levels, EX1, 2, "group 3 lies past the 2 levels of K(12,16,31)"),
+], ids=["z-order-ex2", "z-order-K(16,23)", "group-order-ex1", "z-at-its-group-ex1-k2",
+        "unsplit-ex1-k1",
+        "w-below-ex1-k3", "w-below-K(16,24,28,30,31)-k4", "w-above-ex1-k2"])
 def test_contact_writers_reject_wrong_order(mutant, cs, k, message):
-    # the JSON rows and the tree both rest on the two orderings of each
-    # group's semiroot contacts, never rising and never below b_l/b0, and
-    # on each W-factor's sitting at b_l/b0, and the text names its factors
-    # and builds their exponents off the same walk: no writer draws a
-    # prediction that breaks one.  Each refuses before its first piece,
-    # since the command line opens --output at that piece, and a writer
-    # that refused after one would empty an existing file
+    # the JSON rows and the tree both rest on the orderings of each group's
+    # parts, their M/N never rising and their semiroot contacts beyond
+    # b_l/b0, and the text names its factors and builds their exponents off
+    # the same walk of the record: no writer draws a record that breaks one,
+    # nor one with a part that is not primitive, a negative W-count ("w
+    # below") or a group above the class's levels ("w above").  Each
+    # refuses before its first piece, since the command line opens --output
+    # at that piece, and a writer that refused after one would empty an
+    # existing file
     p = mutant(predict(cs, k))
     writers = ([p.to_text, p.to_json, VerificationReport(p).to_json]
                + [lambda put, b=b: export_eggers_wall(p, b).to_dot(put) for b in (True, False)])
@@ -355,13 +368,16 @@ def test_every_writer_ends_its_lines_with_the_newline_it_is_given():
     (new_char_sequence([64, 96, 112, 120, 124, 125]), 5),
 ], ids=["ex1-k1", "ex1-k2", "K(64,96,112,120,124,125)-k5"])
 def test_runs_of_copied_factors_write_the_same(cs, k):
-    # the writers find a run by the identity of its factor object, only for
-    # speed: a prediction whose every factor is a copy of its own, each run
-    # one factor long, writes the same bytes
+    # the writers find a run of equal factors by the value of its parts, not
+    # by their identity: a prediction whose every part is a copy of its own
+    # writes the same bytes
     p = predict(cs, k)
-    copied = replace(p, groups=tuple(tuple(map(copy.copy, group)) for group in p.groups))
-    assert any(len(group) > len(set(map(id, group))) for group in p.groups)
-    assert all(len(group) == len(set(map(id, group))) for group in copied.groups)
+    copied = replace(p, groups=tuple((tuple(tuple(list(part)) for part in parts), w)
+                                     for parts, w in p.groups))
+    pairs = [(a, b) for (old, _), (new, _) in zip(p.groups, copied.groups)
+             for a, b in zip(old, new)]
+    assert all(a == b and a is not b for a, b in pairs)
+    assert all(len(parts) == len(set(map(id, parts))) for parts, _ in copied.groups)
     assert dumps(copied.to_json) == dumps(p.to_json)
     assert dumps(copied.to_text) == dumps(p.to_text)
     for include_branch in (True, False):
@@ -377,19 +393,19 @@ def test_merle_first_polar_multiplicities():
     for cs in classes:
         p = predict(cs, 1)
         assert p.i_k == cs.h
-        for l, group in enumerate(p.groups, start=1):
+        for l, runs in enumerate(p._runs(), start=1):
             expected = (cs.n_seq[l - 1] - 1) * cs.b0 // cs.e[l - 1]
-            assert sum(f.multiplicity for f in group) == expected, (cs.b, l)
+            assert sum(f.multiplicity * len(f.numbers) for f in runs) == expected, (cs.b, l)
 
 
 def test_labels_canonical_order():
     p = predict(EX2, 2)
     # two runs of one Z-factor, numbered on, then the W-run, numbered apart
-    assert [(prefix, list(numbers)) for _, prefix, numbers, _ in p._runs()[0]] == [
+    assert [(run.prefix, list(run.numbers)) for run in p._runs()[0]] == [
         ("z^(1)_", [1]), ("z^(1)_", [2]), ("w^(1)_", [1])]
     assert factor_labels(p) == ["z^(1)_1", "z^(1)_2", "w^(1)_1"]
     # Z-factors come sorted by descending semiroot contact
-    zs = [f for f in p.groups[0] if f.kind == "Z"]
+    zs = [f for f in p.factors() if f.kind == "Z"]
     assert zs[0].contact_with_semiroot > zs[1].contact_with_semiroot
 
 

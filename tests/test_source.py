@@ -234,19 +234,20 @@ def test_verify_stores_no_summary_beside_its_evidence():
     assert not found, f"verify.py stores what it derives: {found}"
 
 
-def test_verify_checks_each_w_factor_with_its_own_code():
-    # a W-factor's form, (b_l/b0, b0/e_l), is compared in verify.py itself:
-    # from polar it imports only the prediction and predict, it never names
-    # the branch check, and the run walk that builds the exponents is not
-    # what _run_seed reads
+def test_verify_derives_its_expectations_with_its_own_code():
+    # verify reads each group's record (parts, w) and derives what it
+    # expects of the witness in verify.py itself: from polar it imports only
+    # the prediction and predict, and neither the reading of the record nor
+    # the run of a seed names the run walk the writers derive their values
+    # with, the list of factors it gives, or the record check
     path = Path(branchpolar.__file__).parent / "verify.py"
     tree = ast.parse(path.read_text(), str(path))
     from_polar = {alias.name for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom) and node.module == "polar"
                   for alias in node.names}
     assert from_polar == {"PolarPrediction", "predict"}
-    assert "_check_branch" not in set.union(*_references(tree))
-    [run_seed] = [node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "_run_seed"]
-    read = set.union(*_references(run_seed))
-    assert not read & {"_runs", "_check_branch", "PolarFactor", "predict"}, read
+    for name in ("_expectations", "_run_seed"):
+        [function] = [node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == name]
+        read = set.union(*_references(function))
+        assert not read & {"_runs", "factors", "check"}, (name, read)

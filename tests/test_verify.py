@@ -1037,8 +1037,9 @@ def test_find_generic_witness():
 
 
 def test_hard_contradiction_reports_fail(monkeypatch):
-    # tamper with one predicted multiplicity: the witness data no longer
-    # matches, which must surface as FAIL (exit 2), not as degeneracy
+    # tamper with one predicted part, (3, 2) read as (6, 4): the same
+    # semiroot contact at twice the multiplicity.  The witness data no
+    # longer matches, which must surface as FAIL (exit 2), not as degeneracy
     import dataclasses
 
     import branchpolar.verify as verify_mod
@@ -1047,19 +1048,18 @@ def test_hard_contradiction_reports_fail(monkeypatch):
 
     def tampered(cs, k):
         p = real(cs, k)
-        group = list(p.groups[0])
-        group[0] = dataclasses.replace(group[0], multiplicity=group[0].multiplicity + 1)
-        return dataclasses.replace(p, groups=(tuple(group),) + p.groups[1:])
+        parts, w = p.groups[0]
+        return dataclasses.replace(p, groups=((((6, 4),) + parts[1:], w),) + p.groups[1:])
 
     monkeypatch.setattr(verify_mod, "predict", tampered)
     report = verify_mod.verify_prediction(EX2, 1, [1])
     assert report.verdict == "FAIL"
     assert [f for run in report.runs for f in run.failures] == [
-        "level 1: z^(1)_1 observed ((3, 2), 3/2, 2), predicted ((3, 2), 3/2, 3)"]
+        "level 1: z^(1)_1 observed ((3, 2), 3/2, 2), predicted ((6, 4), 3/2, 4)"]
 
 
 @pytest.mark.parametrize("extra", [True, False], ids=["extra-empty-group", "last-group-missing"])
-def test_a_wrong_group_count_reads_fail(monkeypatch, extra):
+def test_a_wrong_group_count_reads_fail(monkeypatch, capsys, tmp_path, extra):
     # verify checks the levels of the class, the l with e_(l-1) > k, whatever
     # the prediction's group count: a level beyond its groups meets an empty
     # group, and the run names both counts.  An extra group used to raise
@@ -1067,12 +1067,14 @@ def test_a_wrong_group_count_reads_fail(monkeypatch, extra):
     import dataclasses
 
     import branchpolar.verify as verify_mod
+    from branchpolar import cli
+    from branchpolar.polar import export_eggers_wall
 
     real = verify_mod.predict
 
     def wrong(cs, k):
         p = real(cs, k)
-        return dataclasses.replace(p, groups=p.groups + ((),) if extra else p.groups[:-1])
+        return dataclasses.replace(p, groups=p.groups + (((), 0),) if extra else p.groups[:-1])
 
     monkeypatch.setattr(verify_mod, "predict", wrong)
     report = verify_prediction(EX1, 1, [1, 2])
@@ -1085,6 +1087,32 @@ def test_a_wrong_group_count_reads_fail(monkeypatch, extra):
         "level 1: edge length 9 != predicted 0",
         "level 2: z^(2)_1 observed ((8, 1), 8/3, 3), predicted none",
     ))
+    if not extra:
+        return
+    # K(12,16,31) has two levels, so the extra group lies past them: the
+    # text report, which does not print the prediction, is a FAIL, exit 2,
+    # and every writer of the prediction refuses it before its first piece,
+    # so the JSON report exits 4 with nothing on stdout and an existing
+    # --output file keeps its bytes; it used to put the report's head and
+    # then raise a bare IndexError
+    argv = ["verify", "12,16,31", "--k", "1", "--seeds", "1,2", "--quiet"]
+    assert cli.main(argv) == cli.EXIT_FAIL
+    assert capsys.readouterr().err == ""
+    old = tmp_path / "old.json"
+    old.write_text("kept\n")
+    message = "group 3 lies past the 2 levels of K(12,16,31)"
+    for output in ([], ["--output", str(old)]):
+        assert cli.main([*argv, "--format", "json", *output]) == cli.EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "InvariantViolation", "message": message}
+    assert old.read_text() == "kept\n"
+    p = wrong(EX1, 1)
+    for write in (p.to_text, p.to_json, lambda put: export_eggers_wall(p).to_dot(put)):
+        pieces = []
+        with pytest.raises(InvariantViolation) as err:
+            write(pieces.append)
+        assert str(err.value) == message and pieces == []
 
 
 def _stub_runs(monkeypatch, statuses):
