@@ -9,7 +9,11 @@ and a horizontal ray right of its last one, so non-convenient diagrams
 
 Supported operations: hulls of supports, each one pass over the support
 sorted by (x, y); canonical and long canonical representations; truncation
-at a height; and symbolic derivatives.
+at a height; and symbolic derivatives.  The public constructors,
+``NewtonDiagram(...)`` and ``from_support``, check every point of outside
+input; ``_hull``, the one other constructor, spans points the package built
+itself, nonnegative ints by construction, and skips those checks, as
+``puiseux._poly`` does for polynomials.
 Truncation and derivatives build the lattice hull of the cut edge by gift
 wrapping with Stern-Brocot steps from the vertex above the cut, the first
 step running down the crossing edge, in time polylogarithmic in the height
@@ -215,29 +219,42 @@ def _steepest_step(p: int, q: int, s: int, height: int):
 
 def from_support(points) -> NewtonDiagram:
     """Diagram spanned by a nonempty set of lattice points, any iterable of
-    pairs; NewtonDiagram raises EmptySupport for an empty one, and a
-    negative coordinate, or one that is not an int (a bool or a float among
-    them), raises ValueError.
-
-    One pass over the support sorted by (x, y): a point is kept only when it
-    lies strictly below the last vertex kept, which drops every point above
-    its column's lowest (sorting puts that one first) and every point that
-    some point to its left dominates.  Before a point is kept, the vertices
-    that it leaves without a strictly convex turn, collinear ones included,
-    are popped.
-    """
+    pairs; an empty one raises EmptySupport, and a negative coordinate, or
+    one that is not an int (a bool or a float among them), raises
+    ValueError.  Every point is checked, in (x, y) order, before ``_hull``
+    spans them."""
     support = [(x, y) for x, y in points]
     try:
         support.sort()
     except TypeError:  # a coordinate that does not compare with an int
         x, y = next((x, y) for x, y in support if type(x) is not int or type(y) is not int)
         raise ValueError(f"support points must be integers, got ({x!r}, {y!r})") from None
-    hull: list = []
+    if not support:
+        raise EmptySupport("a diagram needs at least one vertex")
     for x, y in support:
         if type(x) is not int or type(y) is not int:
             raise ValueError(f"support points must be integers, got ({x!r}, {y!r})")
         if x < 0 or y < 0:
             raise ValueError(f"support points must be nonnegative, got ({x}, {y})")
+    return _hull(support)
+
+
+def _hull(points) -> NewtonDiagram:
+    """The diagram spanned by nonempty lattice points sorted by (x, y), of
+    nonnegative int coordinates: the one other constructor, for points the
+    package built itself (``from_support`` checks a caller's first).  Its
+    chain is monotone and strictly convex by construction, so the checks of
+    ``NewtonDiagram(...)`` are not run again.
+
+    One pass over the sorted points: a point is kept only when it lies
+    strictly below the last vertex kept, which drops every point above its
+    column's lowest (sorting puts that one first) and every point that some
+    point to its left dominates.  Before a point is kept, the vertices that
+    it leaves without a strictly convex turn, collinear ones included, are
+    popped.
+    """
+    hull: list = []
+    for x, y in points:
         if hull and y >= hull[-1][1]:
             continue
         while len(hull) >= 2:
@@ -246,7 +263,9 @@ def from_support(points) -> NewtonDiagram:
                 break
             hull.pop()
         hull.append((x, y))
-    return NewtonDiagram(tuple(hull))
+    d = object.__new__(NewtonDiagram)
+    object.__setattr__(d, "vertices", tuple(hull))
+    return d
 
 
 def elementary(m: int, n: int) -> NewtonDiagram:

@@ -14,8 +14,9 @@ def integers(values, error: type) -> tuple:
     numbers of a continued fraction and the entries of a weight cut.
     Lattice points (``diagram.from_support``, ``NewtonDiagram`` vertices,
     the endpoints of an edge given to ``puiseux.edge_poly``), witness
-    seeds and the levels, depths and orders of the verifier's steps are
-    not read through it: they must be exact ints, since a seed is written
+    seeds, the levels, depths and orders of the verifier's steps and the
+    numbers of a prediction's record (``PolarPrediction.check``) are not
+    read through it: they must be exact ints, since a seed is written
     into the report as a JSON integer."""
     out = []
     for v in values:

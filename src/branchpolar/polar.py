@@ -138,10 +138,18 @@ class PolarPrediction:
         primitive parts (each factor a branch) whose M/N never rises and
         whose semiroot contacts M/((b0/e_(l-1)) N) lie beyond b_l/b0, and a
         W-count that is not negative.  Compared in integers, one run of equal
-        parts at a time, the first fault in label order named."""
+        parts at a time, the first fault in label order named, once every
+        part's two numbers and every W-count are read as exact ints: a
+        bool, a float or a Fraction among them names its group."""
         cs = self.char
         if self.i_k > cs.h:
             raise InvariantViolation(f"group {cs.h + 1} lies past the {cs.h} levels of K{cs}")
+        for l, (parts, w) in enumerate(self.groups, start=1):
+            if type(w) is not int:
+                raise InvariantViolation(f"group {l} has the W-count {w!r}, not an int")
+            bad = next(((m, n) for m, n in parts if type(m) is not int or type(n) is not int), None)
+            if bad is not None:
+                raise InvariantViolation(f"group {l} has the part {bad!r}, not two ints")
         for l, (parts, w) in enumerate(self.groups, start=1):
             # prev is the contact M/(nsub N) of the run before, as (M, nsub N)
             nsub, j, prev = cs.b0 // cs.e[l - 1], 1, None

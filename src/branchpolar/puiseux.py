@@ -11,21 +11,23 @@ rational coefficients, stored as ints wherever they are whole, in rows:
 and holds no empty row.  ``terms``, the {(i, j): c} view, is built on
 demand for callers outside the module; nothing here reads it.  The public
 constructor checks every exponent and coefficient of outside input; the
-polynomials this module builds itself (:func:`min_poly`,
-:func:`hat_transform`, :func:`derivative_y`, :func:`row_starts`) go
-through ``_poly``, the one other constructor: it writes their rows
-directly, skips those checks and only clears zeros and whole Fractions.  The
-only way terms are dropped is a weight cut ``(wx, wy, cap)``, taken by
-:func:`min_poly` and :func:`hat_transform`: every term x^i y^j with
-wx*i + wy*j above ``cap`` is left out.  :func:`hat_transform` composes one
-monomial shift y -> y + c x^e per term of the substituted series and cuts
-after each: a shift never lowers a weight, so a term past the cap only
-makes terms past the cap.  The readers take one term per row, its first,
-least x-exponent: :func:`diagram_of`, the Newton diagram, hulls the rows'
-first terms, and :func:`edge_poly`, the coefficients on a compact edge,
-reads the first term of each row, the only one that can reach a supporting
-line; :func:`row_starts` keeps just those terms, and the row starts of a
-y-derivative are the derivative of the row starts.
+polynomials this module builds itself skip those checks through ``_poly``,
+the one other constructor, as the diagrams the package hulls itself go
+through ``diagram._hull``: :func:`min_poly` and :func:`hat_transform` have
+it clear zeros and whole Fractions from their rows, while
+:func:`row_starts` and :func:`derivative_y` build rows that are already
+clean, in one pass, and ``_wrap`` them as they are.  The only way terms are
+dropped is a weight cut ``(wx, wy, cap)``, taken by :func:`min_poly` and
+:func:`hat_transform`: every term x^i y^j with wx*i + wy*j above ``cap`` is
+left out.  :func:`hat_transform` composes one monomial shift
+y -> y + c x^e per term of the substituted series and cuts after each: a
+shift never lowers a weight, so a term past the cap only makes terms past
+the cap.  The readers take one term per row, its first, least x-exponent:
+:func:`diagram_of`, the Newton diagram, hulls the rows' first terms through
+``diagram._hull``, and :func:`edge_poly`, the coefficients on a compact
+edge, reads the first term of each row, the only one that can reach a
+supporting line; :func:`row_starts` keeps just those terms, and the row
+starts of a y-derivative are the derivative of the row starts.
 
 The centrepiece is :func:`min_poly`: the monic polynomial whose roots are the
 conjugates of a series, taken along the 2-adic tower of its index
@@ -216,14 +218,20 @@ def _poly(rows) -> BivariatePoly:
     ``_as_coeff`` would store is still stored, row by row: no zero
     coefficient, an int for a whole Fraction (1/2 + 1/2 in a hat,
     Fraction(c, scale) in ``min_poly``), and no empty row."""
-    p = object.__new__(BivariatePoly)
     clean = {}
     for j, row in rows:
         row = {i: c.numerator if type(c) is Fraction and c.denominator == 1 else c
                for i, c in row.items() if c}
         if row:
             clean[j] = row
-    object.__setattr__(p, "rows", clean)
+    return _wrap(clean)
+
+
+def _wrap(rows: dict) -> BivariatePoly:
+    """The polynomial of rows {j: {i: c}} that are already as ``_poly``
+    stores them, wrapped as they are: for rows built clean in one pass."""
+    p = object.__new__(BivariatePoly)
+    object.__setattr__(p, "rows", rows)
     return p
 
 
@@ -480,9 +488,15 @@ def derivative_y(f: BivariatePoly, k: int) -> BivariatePoly:
         return f
     if k > max(f.rows, default=-1):
         raise OrderExceedsDegree(f"order {k} exceeds the y-degree")
-    # row j >= k times j!/(j-k)! moves to row j - k
-    return _poly((j - k, {i: c * perm(j, k) for i, c in row.items()})
-                 for j, row in f.rows.items() if j >= k)
+    # row j >= k times j!/(j-k)! moves to row j - k, in one pass: the factor
+    # never makes a coefficient vanish, and only a Fraction can turn whole
+    rows = {}
+    for j, row in f.rows.items():
+        if j >= k:
+            s = perm(j, k)
+            rows[j - k] = {i: c * s if type(c) is int else _as_coeff(c * s)
+                           for i, c in row.items()}
+    return _wrap(rows)
 
 
 def hat_transform(f: BivariatePoly, n_sub: int, lam: PuiseuxSeries,
@@ -552,7 +566,7 @@ def diagram_of(f: BivariatePoly) -> diagram_mod.NewtonDiagram:
     """Newton diagram of f: the hull of its row starts."""
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no Newton diagram")
-    return diagram_mod.from_support([(min(row), j) for j, row in f.rows.items()])
+    return diagram_mod._hull(sorted([(min(row), j) for j, row in f.rows.items()]))
 
 
 def row_starts(f: BivariatePoly) -> BivariatePoly:
@@ -560,11 +574,11 @@ def row_starts(f: BivariatePoly) -> BivariatePoly:
     :func:`diagram_of` and :func:`edge_poly` read.  Their k-th y-derivative
     is the row starts of d^k f/dy^k, since over Q no coefficient
     j!/(j-k)! c vanishes."""
-    starts = []
+    starts = {}
     for j, row in f.rows.items():
         i = min(row)
-        starts.append((j, {i: row[i]}))
-    return _poly(starts)
+        starts[j] = {i: row[i]}  # a clean row's first term is nonzero and stored
+    return _wrap(starts)
 
 
 def _primitive(v: list) -> list:
@@ -618,26 +632,25 @@ def edge_poly(f: BivariatePoly, edge) -> list:
     this and gathers the coefficients.  An endpoint that is not a pair of
     ints raises ValueError, any other segment EdgeNotOnPolygon.
     """
-    off_polygon = f"{edge} is not a compact edge of the polygon"
     (xa, ya), (xb, yb) = edge
     # bool is a subclass of int, and a float would pass every comparison
     if any(type(v) is not int for v in (xa, ya, xb, yb)):
         raise ValueError(f"edge endpoints must be lattice points, got {edge!r}")
-    if not (xa < xb and ya > yb):
-        raise EdgeNotOnPolygon(off_polygon)
-    dx, dy = xb - xa, ya - yb
-    level = dy * xa + dx * ya
-    coeffs = [0] * (dy + 1)
-    for j, row in f.rows.items():
-        i = min(row)
-        side = dy * i + dx * j - level
-        if side < 0 or (side == 0 and not xa <= i <= xb):
-            raise EdgeNotOnPolygon(off_polygon)
-        if side == 0:
-            coeffs[j - yb] = row[i]
-    if not (coeffs[0] and coeffs[-1]):
-        raise EdgeNotOnPolygon(off_polygon)
-    return coeffs
+    if xa < xb and ya > yb:
+        dx, dy = xb - xa, ya - yb
+        level = dy * xa + dx * ya
+        coeffs = [0] * (dy + 1)
+        for j, row in f.rows.items():
+            i = min(row)
+            side = dy * i + dx * j - level
+            if side < 0 or (side == 0 and not xa <= i <= xb):
+                break
+            if side == 0:
+                coeffs[j - yb] = row[i]
+        else:
+            if coeffs[0] and coeffs[-1]:
+                return coeffs
+    raise EdgeNotOnPolygon(f"{edge} is not a compact edge of the polygon")
 
 
 def edge_poly_squarefree(f: BivariatePoly, edge) -> bool:

@@ -298,7 +298,8 @@ class HatLevel:
         for (xa, ya), (xb, yb) in d.compact_edges():
             points += [(xa - (xb - xa) * (j - ya) // (ya - yb), j - k)
                        for j in range(max(k, yb + 1), ya)]
-        expected = diagram_mod.from_support(points or [(d.top[0], 0)])
+        # nonnegative ints by construction, so hulled without from_support's checks
+        expected = diagram_mod._hull(sorted(points or [(d.top[0], 0)]))
         polar_starts = derivative_y(starts, k)
         return cls(l, fhat, starts, expected, polar_starts, diagram_of(polar_starts))
 

@@ -92,7 +92,10 @@ _small_supports = st.lists(
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_small_supports, st.data())
 def test_from_support_matches_hull_oracle(support, data):
-    assert from_support(support).vertices == hull_vertices_oracle(support)
+    d = from_support(support)
+    assert d.vertices == hull_vertices_oracle(support)
+    # _hull builds the diagram without the constructor's checks; it passes them
+    assert NewtonDiagram(d.vertices) == d
     # a generator of lists is unpacked the same way
     assert from_support([x, y] for x, y in support).vertices == hull_vertices_oracle(support)
     # a negative coordinate is refused wherever it sits in the input

@@ -315,6 +315,11 @@ def _w_above_the_levels(p):
     return replace(p, groups=p.groups + (((), 1),) * (p.char.h + 1 - p.i_k))
 
 
+def _not_ints(parts=None, w=None):
+    # group 1's parts or W-count replaced by numbers that are not all ints
+    return lambda p: _replace_group(p, 1, parts=parts, w=w)
+
+
 @pytest.mark.parametrize("mutant,cs,k,message", [
     (_swap_two_z, EX2, 2, "semiroot contact rises from 3/2 to 2 at z^(1)_2"),
     (_swap_two_z, new_char_sequence([16, 23]), 1,
@@ -326,16 +331,25 @@ def _w_above_the_levels(p):
     (_last_w_count_below_zero, new_char_sequence([16, 24, 28, 30, 31]), 4,
      "group 2 has -1 W-factors"),
     (_w_above_the_levels, EX1, 2, "group 3 lies past the 2 levels of K(12,16,31)"),
+    (_not_ints(w=1.5), new_char_sequence([16, 24, 28, 30, 31]), 2,
+     "group 1 has the W-count 1.5, not an int"),
+    (_not_ints(parts=((3.0, 2),)), new_char_sequence([16, 24, 28, 30, 31]), 2,
+     "group 1 has the part (3.0, 2), not two ints"),
+    (_not_ints(w=True), new_char_sequence([16, 24, 28, 30, 31]), 2,
+     "group 1 has the W-count True, not an int"),
 ], ids=["z-order-ex2", "z-order-K(16,23)", "group-order-ex1", "z-at-its-group-ex1-k2",
         "unsplit-ex1-k1",
-        "w-below-ex1-k3", "w-below-K(16,24,28,30,31)-k4", "w-above-ex1-k2"])
+        "w-below-ex1-k3", "w-below-K(16,24,28,30,31)-k4", "w-above-ex1-k2",
+        "w-float-K(16,24,28,30,31)-k2", "part-float-K(16,24,28,30,31)-k2",
+        "w-bool-K(16,24,28,30,31)-k2"])
 def test_contact_writers_reject_wrong_order(mutant, cs, k, message):
     # the JSON rows and the tree both rest on the orderings of each group's
     # parts, their M/N never rising and their semiroot contacts beyond
     # b_l/b0, and the text names its factors and builds their exponents off
     # the same walk of the record: no writer draws a record that breaks one,
     # nor one with a part that is not primitive, a negative W-count ("w
-    # below") or a group above the class's levels ("w above").  Each
+    # below"), a group above the class's levels ("w above") or a number
+    # that is not an int, which check reads before comparing any.  Each
     # refuses before its first piece, since the command line opens --output
     # at that piece, and a writer that refused after one would empty an
     # existing file

@@ -494,6 +494,9 @@ def test_derivative_simple():
     assert derivative_y(f, 2).terms == {(0, 0): 2}
     with pytest.raises(OrderExceedsDegree):
         derivative_y(f, 3)
+    # a Fraction that the factor j!/(j-k)! makes whole is stored as an int
+    half = derivative_y(BivariatePoly({(0, 2): Fraction(1, 2)}), 2)
+    assert half.rows == {0: {0: 1}} and type(half.rows[0][0]) is int
 
 
 def test_derivative_composes():

@@ -27,6 +27,7 @@ from branchpolar.jsontext import dumps
 from branchpolar.puiseux import (
     BivariatePoly,
     PuiseuxSeries,
+    _poly,
     derivative_y,
     diagram_of,
     edge_poly_squarefree,
@@ -667,6 +668,46 @@ def test_expected_diagram_lies_within_the_cut_on_the_grid():
                     cs.b, seed, k, l)
                 checked += 1
     assert checked == 4 * 1094
+
+
+def _stored(p):
+    """The rows of p in stored order, each term with its coefficient's type."""
+    return [(j, [(i, c, type(c)) for i, c in row.items()]) for j, row in p.rows.items()]
+
+
+def test_each_level_built_unchecked_equals_its_checked_build_on_the_grid():
+    # the row starts and the polar's rows are built clean in one pass and
+    # the diagrams hulled by diagram._hull, all without the public checks:
+    # each equals, row for row, what _poly's cleaning pass builds from the
+    # same rows, and each diagram passes NewtonDiagram's checks and equals
+    # from_support of the same points
+    levels = 0
+    for cs, seed in itertools.product(grid_classes(12), range(1, 4)):
+        w = sample_witness(cs, seed)
+        for k in range(1, cs.b0):
+            depth = max(l for l in range(1, cs.h + 1) if cs.e[l - 1] > k)
+            for level in hat_chain(w, depth, k):
+                rows = level.fhat.rows
+                starts = _poly((j, {min(row): row[min(row)]}) for j, row in rows.items())
+                assert _stored(level.starts) == _stored(starts), (cs.b, seed, k, level.l)
+                for f, got in ((level.fhat, derivative_y(level.fhat, k)),
+                               (starts, level.polar_starts)):
+                    polar = _poly((j - k, {i: c * math.perm(j, k) for i, c in row.items()})
+                                  for j, row in f.rows.items() if j >= k)
+                    assert _stored(got) == _stored(polar), (cs.b, seed, k, level.l)
+                d = from_support((min(row), j) for j, row in rows.items())
+                points = [(x, y - k) for x, y in d.vertices if y >= k]
+                for (xa, ya), (xb, yb) in d.compact_edges():
+                    # the leftmost lattice point of row j on the edge
+                    points += [(xa + -(-(xb - xa) * (ya - j) // (ya - yb)), j - k)
+                               for j in range(max(k, yb + 1), ya)]
+                polar_points = [(min(row), j) for j, row in level.polar_starts.rows.items()]
+                for got, support in ((level.expected, points or [(d.top[0], 0)]),
+                                     (level.polar, polar_points)):
+                    assert NewtonDiagram(got.vertices) == got == from_support(support), (
+                        cs.b, seed, k, level.l)
+                levels += 1
+    assert levels == 3 * 1094
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
