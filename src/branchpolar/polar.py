@@ -49,11 +49,13 @@ Eggers-Wall export, is one kind: a callable ``(put, newline)`` that makes
 its checks and then puts its text piece by piece through ``put``, with
 ``newline`` between lines, and returns nothing; ``jsontext.dumps(writer)``
 joins what any of them puts.  ``to_text`` puts each group's lines as one
-piece, each run's line formatted once with all its names.  ``to_json``
-puts the document: each run's factor blocks are one callable that writes
-the block once at the depth where it lands, each run's semiroot contact and
-each group's b_l/b0 are formatted once, and the contact rows are put as
-they are generated, joined from per-factor strings, so no Python
+piece, each run's line formatted once with all its names, and ends with the
+total multiplicity T, written "T != b0 - k = ..." for a record that ``check``
+accepts but whose total is not b0 - k, one that ``predict`` never returns.
+``to_json`` puts the document: each run's factor blocks are one callable
+that writes the block once at the depth where it lands, each run's semiroot
+contact and each group's b_l/b0 are formatted once, and the contact rows
+are put as they are generated, joined from per-factor strings, so no Python
 code runs per pair and no more than a factor's rows are held at once.  The
 Eggers-Wall export takes its runs from the same walk.
 
@@ -64,19 +66,27 @@ one vertex per distinct semiroot contact of group l's Z-factors, and each
 Z-factor hangs off the vertex at its own contact, while f_l ends the path.
 Group l's W-factors hang off the trunk vertex itself.  Without the branch the
 tree is the same with f and the f_l removed and every vertex that is left
-with a single child contracted.  Children are ordered by their first leaf
-(f, then f_1..f_h, then the factors in label order).  Each edge is labelled
-with its index: the lcm of the denominators of those characteristic exponents
-of a leaf beyond it that do not exceed the contact of its end nearer the
-root.
+with a single child contracted.  Every vertex lists its children in the
+order of their first leaves (f, then f_1..f_h, then the factors in label
+order).  Each edge is labelled with its index: the lcm of the denominators
+of those characteristic exponents of a leaf beyond it that do not exceed
+the contact of its end nearer the root.
 
-The export works per run of equal factors, which hang off one vertex with
-one characteristic sequence.  A run of r factors is one child of its vertex,
-``EWRun``, which keeps the run's prefix and numbers: it counts as r children
-where a vertex left with one child is contracted, sorts by its place among
-the runs, has its edge index computed once, and ``to_dot`` writes each
-leaf's name straight into its node line, and puts its r node lines and r
-edge lines as one piece.
+The export's leaves are the runs of ``_runs`` themselves, which hang off
+one vertex with one characteristic sequence, and f and each f_l are runs
+without a multiplicity.  A run of r factors is one child of its vertex: it
+counts as r children where a vertex left with one child is contracted, has
+its edge index computed once, and ``to_dot`` writes each leaf's name
+straight into its node line, and puts its r node lines and r edge lines as
+one piece.  Each vertex is built with its children already in first-leaf
+order, so nothing is sorted.  A trunk vertex at b_l/b0 lists the trunk
+beyond it, the path of f_l, then group l's W-runs when the branch is kept:
+the trunk leads with f, the path with f_l.  Without the branch it lists the
+path and the W-runs before the trunk, which then holds only later groups.
+A path vertex lists the part of the path nearer f_l, then its own Z-runs:
+for every record that ``check`` accepts that is label order, since a
+group's parts never rise in M/N, so the Z-runs nearer f_l, of higher
+semiroot contact, come first.
 """
 
 from __future__ import annotations
@@ -88,7 +98,7 @@ from functools import partial
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
-from operator import itemgetter
+from operator import attrgetter
 
 from . import diagram as diagram_mod
 from .charclass import CharSequence
@@ -106,7 +116,9 @@ __all__ = [
 
 # a run of equal factors of one group: their kind, "Z" or "W", part (M, N)
 # or None, multiplicity, semiroot contact, label prefix, the range of their
-# numbers and their characteristic exponents
+# numbers and their characteristic exponents; the Eggers-Wall export also
+# makes the leaf f, prefix "f" and numbers ("",), and each leaf f_l, prefix
+# "f_" and numbers (l,), as runs whose first four fields are None
 Run = namedtuple("Run", "kind part multiplicity contact_with_semiroot prefix numbers exponents")
 
 
@@ -253,7 +265,10 @@ class PolarPrediction:
                         f"cont(f_{l}, .) = {run.contact_with_semiroot}, {desc}")
                 lines += [f"{lead}{j}{line}" for j in run.numbers]
             put("".join(lines))
-        put(f"{newline}total multiplicity {self.multiplicity_total()} = b0 - k")
+        # a record that predict did not build may miss the total b0 - k
+        total, due = self.multiplicity_total(), self.char.b0 - self.k
+        relation = "= b0 - k" if total == due else f"!= b0 - k = {due}"
+        put(f"{newline}total multiplicity {total} {relation}")
 
 
 def _factor_blocks(run: Run, l: int, cont_f: str, put, newline: str) -> None:
@@ -345,24 +360,9 @@ def predict(cs: CharSequence, k: int) -> PolarPrediction:
 
 
 @dataclass
-class EWRun:
-    """Leaves that hang off one vertex by equal edges: the branch f, a
-    semiroot f_l, or the factors of one run of ``PolarPrediction._runs``,
-    which share their characteristic exponents and multiplicity.  Each leaf
-    is named ``prefix`` and one of ``numbers``: f is "f" and "", f_l is "f_"
-    and l, and a run of factors keeps its prefix and range of numbers."""
-
-    prefix: str
-    numbers: tuple | range
-    sort_key: tuple         # sorts as the first leaf does
-    char_exponents: tuple   # used for the edge index annotations
-    multiplicity: int | None = None
-
-
-@dataclass
 class EWNode:
     contact: Fraction | None          # None at the root
-    children: list                    # (edge_index, EWNode | EWRun)
+    children: list                    # (edge_index, EWNode | Run)
 
 
 @dataclass
@@ -402,8 +402,8 @@ def _emit_dot(node: EWNode, put, newline: str, names) -> str:
     return name
 
 
-def _edge_index(run: EWRun, parent_contact: Fraction) -> int:
-    dens = [e.denominator for e in run.char_exponents if e <= parent_contact]
+def _edge_index(run: Run, parent_contact: Fraction) -> int:
+    dens = [e.denominator for e in run.exponents if e <= parent_contact]
     return lcm(*dens) if dens else 1
 
 
@@ -411,47 +411,46 @@ def _finish(node, include_branch: bool):
     """Turn a vertex (contact, children) or a run into (subtree, its first
     run), or None when nothing is left.
 
-    Drops f and the f_l unless ``include_branch``, contracts vertices left
-    with one leaf or one vertex, a run of r leaves counting as r children,
-    orders children by their first leaf and labels each edge with its
-    index, once per run."""
-    if isinstance(node, EWRun):
+    Drops f and the f_l, the runs without a multiplicity, unless
+    ``include_branch``, contracts vertices left with one leaf or one vertex,
+    a run of r leaves counting as r children, and labels each edge with its
+    index, once per run.  Children keep the order they were built in, which
+    ``export_eggers_wall`` makes the order of their first leaves."""
+    if isinstance(node, Run):
         return (node, node) if include_branch or node.multiplicity is not None else None
     contact, children = node
     kept = [sub for sub in (_finish(child, include_branch) for child in children) if sub]
-    if sum(len(tree.numbers) if isinstance(tree, EWRun) else 1 for tree, _ in kept) <= 1:
+    if sum(len(tree.numbers) if isinstance(tree, Run) else 1 for tree, _ in kept) <= 1:
         return kept[0] if kept else None
-    kept.sort(key=lambda sub: sub[1].sort_key)
     edges = [(_edge_index(first, contact), tree) for tree, first in kept]
     return EWNode(contact, edges), kept[0][1]
 
 
 def export_eggers_wall(p: PolarPrediction, include_branch: bool = True) -> EggersWallExport:
     """Eggers-Wall tree of the predicted factors and, when ``include_branch``
-    is set, of the branch f and its semiroots f_l (see the module docstring)."""
+    is set, of the branch f and its semiroots f_l (see the module docstring).
+    The leaves are the runs of ``PolarPrediction._runs`` and, for f and the
+    f_l, runs without a multiplicity; every vertex lists its children in the
+    order of their first leaves."""
     cs = p.char
-    # runs come in label order, so a run's place among them sorts it as its
-    # first label would; group l is by_group[l - 1], the position of its
-    # runs, and the levels past the prediction's groups are empty
-    order = itertools.count()
-    by_group = [[(run, EWRun(run.prefix, run.numbers, (2, next(order)), run.exponents,
-                             run.multiplicity))
-                 for run in group_runs]
-                for group_runs in p._runs()] + [[]] * cs.h
+    # group l's runs are runs[l - 1]; the levels past the prediction's
+    # groups are empty
+    runs = p._runs() + [[]] * cs.h
 
     # vertices are (contact, children) until _finish; the trunk grows from
     # the leaf f toward the root and each f_l path from f_l toward the trunk
     exponents = cs.char_exponents()
-    trunk = EWRun("f", ("",), (0,), exponents)
+    trunk = Run(None, None, None, None, "f", ("",), exponents)
     for l in range(cs.h, 0, -1):
-        path = EWRun("f_", (l,), (1, l), exponents[:l - 1])
-        # Z-runs come by descending semiroot contact (CanonicalRep order)
-        zs = [(run.contact_with_semiroot, leaf) for run, leaf in by_group[l - 1]
-              if run.kind == "Z"]
-        for contact, same in groupby(zs, key=itemgetter(0)):
-            path = (contact, [path, *(leaf for _, leaf in same)])
-        ws = [leaf for run, leaf in by_group[l - 1] if run.kind == "W"]
-        trunk = (exponents[l - 1], [trunk, path, *ws])
+        path = Run(None, None, None, None, "f_", (l,), exponents[:l - 1])
+        # Z-runs come by descending semiroot contact (CanonicalRep order), so
+        # each path vertex lists f_l's side, then its own runs, in label order
+        zs = [run for run in runs[l - 1] if run.kind == "Z"]
+        for contact, same in groupby(zs, key=attrgetter("contact_with_semiroot")):
+            path = (contact, [path, *same])
+        ws = [run for run in runs[l - 1] if run.kind == "W"]
+        # the trunk side leads with f, or else holds only later groups
+        trunk = (exponents[l - 1], [trunk, path, *ws] if include_branch else [path, *ws, trunk])
 
     tree, _ = _finish(trunk, include_branch)
     return EggersWallExport(EWNode(None, [(1, tree)]))

@@ -440,7 +440,10 @@ def prediction_text_oracle(prediction) -> str:
             lines.append(f"  - {next(names)}: mult {f.multiplicity}, "
                          f"cont(f_{l}, .) = {f.contact_with_semiroot}, {desc}")
     total = sum(f.multiplicity for f in factors)
-    lines.append(f"total multiplicity {total} = b0 - k")
+    if total == cs.b0 - k:
+        lines.append(f"total multiplicity {total} = b0 - k")
+    else:
+        lines.append(f"total multiplicity {total} != b0 - k = {cs.b0 - k}")
     return "\n".join(lines)
 
 

@@ -18,7 +18,7 @@ from branchpolar.charclass import new_char_sequence
 from branchpolar.diagram import NewtonDiagram, elementary
 from branchpolar.errors import InvariantViolation, OrderOutOfRange
 from branchpolar.jsontext import dumps
-from branchpolar.polar import EWRun, export_eggers_wall, predict
+from branchpolar.polar import Run, export_eggers_wall, predict
 from branchpolar.verify import SeedRun, VerificationReport, verify_prediction
 from oracles import (
     char_exponents,
@@ -428,7 +428,7 @@ def test_labels_canonical_order():
 
 def leaf_names(node):
     """The leaves under ``node`` in order, a run child standing for its r leaves."""
-    if isinstance(node, EWRun):
+    if isinstance(node, Run):
         return [f"{node.prefix}{j}" for j in node.numbers]
     out = []
     for _, child in node.children:
@@ -437,7 +437,7 @@ def leaf_names(node):
 
 
 def find_node(node, contact):
-    if isinstance(node, EWRun):
+    if isinstance(node, Run):
         return None
     if node.contact == contact:
         return node
@@ -449,11 +449,11 @@ def find_node(node, contact):
 
 
 def all_node_contacts(node):
-    if isinstance(node, EWRun) or node.contact is None:
+    if isinstance(node, Run) or node.contact is None:
         contacts = []
     else:
         contacts = [node.contact]
-    if not isinstance(node, EWRun):
+    if not isinstance(node, Run):
         for _, child in node.children:
             contacts.extend(all_node_contacts(child))
     return contacts
@@ -461,7 +461,7 @@ def all_node_contacts(node):
 
 def walk_contacts(node, parent):
     """Yield (parent_contact, node_contact) for consecutive internal nodes."""
-    if isinstance(node, EWRun):
+    if isinstance(node, Run):
         return
     if parent is not None and node.contact is not None:
         yield parent, node.contact
@@ -511,7 +511,7 @@ def test_eggers_wall_two_node_tree():
     tree = export_eggers_wall(predict(cs, 1), include_branch=False)
     root = tree.root
     assert len(root.children) == 1
-    assert isinstance(root.children[0][1], EWRun)
+    assert isinstance(root.children[0][1], Run)
     run = root.children[0][1]
     assert (run.prefix, list(run.numbers)) == ("z^(1)_", [1])
 
@@ -558,6 +558,18 @@ def test_document_and_text_match_their_oracles_on_the_grid():
         p = predict(cs, k)
         assert dumps(p.to_json) == json.dumps(prediction_document_oracle(p), indent=2), (cs.b, k)
         assert dumps(p.to_text) == prediction_text_oracle(p), (cs.b, k)
+
+
+def test_text_names_a_total_other_than_b0_minus_k():
+    # K(16,24,28,30,31) at k = 2 with group 1's W-factor, of multiplicity 2,
+    # moved to group 2, where it weighs 4: check passes the record, whose
+    # total is 16 where b0 - k is 14, and the text says so
+    p = replace(predict(new_char_sequence([16, 24, 28, 30, 31]), 2),
+                groups=(((), 0), ((), 2), ((), 1)))
+    p.check()
+    text = dumps(p.to_text)
+    assert text.endswith("\ntotal multiplicity 16 != b0 - k = 14")
+    assert text == prediction_text_oracle(p)
 
 
 def test_eggers_wall_matches_clustering_oracle():

@@ -28,17 +28,41 @@ VERIFY_SPANS = (
     "verify.check_initial_form",
 )
 
+# every span the tracer wraps on predict's path; contfrac.expand is wrapped
+# too, but nothing in the package calls it
+PREDICT_SPANS = (
+    "polar.predict",
+    "diagram.symbolic_derivative",
+    "diagram.canonical_rep",
+    "polar.to_text",
+    "polar.to_json",
+    "polar.export_eggers_wall",
+    "polar.to_dot",
+)
 
-def test_every_span_on_verify_path_is_called():
-    # round 0 of verify-multilevel at seed 1, as a traced benchmark run has it
+
+def traced_calls(*workload_names):
+    """Span name -> calls over round 0 of each workload at seed 1, as a
+    traced benchmark run has it."""
     program = run.Program()
     tracer = Tracer(program)
     tracer.install()
     try:
-        for query in workloads.generate("verify-multilevel", 1, 0):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert program.cli.main(query.argv) == 0, query.argv
+        for workload in workload_names:
+            for query in workloads.generate(workload, 1, 0):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert program.cli.main(query.argv) == 0, query.argv
     finally:
         tracer.uninstall()
-    calls = {name: count for name, (_, _, count) in tracer.self_times().items()}
+    return {name: count for name, (_, _, count) in tracer.self_times().items()}
+
+
+def test_every_span_on_verify_path_is_called():
+    calls = traced_calls("verify-multilevel")
     assert [name for name in VERIFY_SPANS if not calls[name]] == []
+
+
+def test_every_span_on_predict_path_is_called():
+    # predict-deep writes text; export-wide writes JSON and DOT
+    calls = traced_calls("predict-deep", "export-wide")
+    assert [name for name in PREDICT_SPANS if not calls[name]] == []
